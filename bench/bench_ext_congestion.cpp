@@ -27,8 +27,8 @@ struct load_result {
 /// `rate_rps` GEMV requests/s from A to D on the Figure-1 WAN for 30 ms.
 load_result run_load(double rate_rps, bool second_site, bool spread,
                      std::uint64_t seed) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(64, 64);
   for (double& w : task.weights.data) w = 0.2;
@@ -53,13 +53,13 @@ load_result run_load(double rate_rps, bool second_site, bool spread,
         rt.fabric().topo().node_at(3).address, x, 64, id);
     // Distinct flows so spread steering has entropy to hash on.
     pkt.flow_hash = static_cast<std::uint32_t>(gen());
-    sim.schedule(t, [&rt, pkt = std::move(pkt)]() mutable {
-      pkt.created_s = rt.sim().now();
+    engine.schedule_global(t, [&rt, pkt = std::move(pkt)]() mutable {
+      pkt.created_s = rt.fabric().sim_for(0).now();
       rt.submit(std::move(pkt), 0);
     });
     ++id;
   }
-  sim.run();
+  engine.run();
 
   net::summary latency;
   for (const auto& d : rt.deliveries()) {
@@ -95,8 +95,8 @@ int main() {
   {
     std::printf("  %10s %20s\n", "batch", "site time / sample");
     for (const int batch : {1, 4, 16, 64}) {
-      net::simulator sim;
-      core::onfiber_runtime rt(sim, net::make_figure1_topology());
+      net::shard_engine engine;
+      core::onfiber_runtime rt(engine, net::make_figure1_topology());
       core::gemv_task task;
       task.weights = phot::matrix(8, 16);
       for (double& w : task.weights.data) w = 0.2;
@@ -111,7 +111,7 @@ int main() {
       h->batch = static_cast<std::uint8_t>(batch);
       proto::rewrite_compute_header(pkt, *h);
       rt.submit(std::move(pkt), 0);
-      sim.run();
+      engine.run();
       std::printf("  %10d %20s\n", batch,
                   fmt_time(rt.site_busy_s(1) / batch).c_str());
     }

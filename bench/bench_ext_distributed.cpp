@@ -35,8 +35,8 @@ int main() {
         proto::primitive_id::p3_nonlinear};
 
     // Deployment A: both stages at site B.
-    net::simulator sim_a;
-    core::onfiber_runtime one_site(sim_a, net::make_figure1_topology());
+    net::shard_engine engine_a;
+    core::onfiber_runtime one_site(engine_a, net::make_figure1_topology());
     one_site.deploy_engine(1, {}, 11).configure_gemv(task);
     one_site.install_compute_routes_via_nearest_site();
     one_site.submit(core::make_chain_request(
@@ -44,13 +44,13 @@ int main() {
                         one_site.fabric().topo().node_at(3).address, stages,
                         x, 16),
                     0);
-    sim_a.run();
+    engine_a.run();
 
     // Deployment B: P1 at B, P3 has to run at C (B's P1 engine only —
     // emulate by giving B's engine a gemv task but sending the chain via
     // compute routes that find C for stage 2 anyway; both sites exist).
-    net::simulator sim_b;
-    core::onfiber_runtime two_sites(sim_b, net::make_figure1_topology());
+    net::shard_engine engine_b;
+    core::onfiber_runtime two_sites(engine_b, net::make_figure1_topology());
     two_sites.deploy_engine(1, {}, 12).configure_gemv(task);
     two_sites.deploy_engine(2, {}, 13);  // P3-only site
     two_sites.install_compute_routes_via_nearest_site();
@@ -59,7 +59,7 @@ int main() {
                          two_sites.fabric().topo().node_at(3).address,
                          stages, x, 16),
                      0);
-    sim_b.run();
+    engine_b.run();
 
     const auto summarize = [](const core::onfiber_runtime& rt,
                               const char* name) {
@@ -88,8 +88,8 @@ int main() {
         digital::train_mlp(data, {12}, 40, 0.08, 11,
                            digital::activation_kind::photonic_sin2, 2.0);
 
-    net::simulator sim;
-    core::onfiber_runtime dc(sim, net::make_fattree_topology(4));
+    net::shard_engine engine;
+    core::onfiber_runtime dc(engine, net::make_fattree_topology(4));
     // Edge switches in a k=4 fat-tree: nodes named edge*_*. Deploy the
     // DNN at every edge switch of pod 0 (indices depend on builder:
     // core 0..3, then per pod agg,agg,edge,edge).
@@ -117,7 +117,7 @@ int main() {
                     model.output_dim(), static_cast<std::uint32_t>(i)),
                 src_sw);
     }
-    sim.run();
+    engine.run();
 
     net::summary latency;
     for (const auto& d : dc.deliveries()) {

@@ -70,17 +70,17 @@ int main() {
   std::printf("  %18s %14s %16s %18s\n", "mean lifetime", "mean satisfied",
               "total reconfigs", "mean routes/epoch");
   for (const double lifetime_s : {0.5, 2.0, 8.0}) {
-    net::simulator sim;
+    net::shard_engine engine;
     ctrl::service_config cfg;
     cfg.epoch_s = 0.5;
-    ctrl::controller_service svc(sim, topo, inventory, cfg);
+    ctrl::controller_service svc(engine, topo, inventory, cfg);
     const auto w = make_churn(topo, 40, lifetime_s, 10.0, 7);
     for (std::size_t i = 0; i < w.demands.size(); ++i) {
       svc.add_demand(w.demands[i], w.lifetimes[i].first,
                      w.lifetimes[i].second);
     }
     svc.start();
-    sim.run();
+    engine.run();
     double value = 0.0, routes = 0.0, active = 0.0;
     for (const auto& e : svc.history()) {
       value += e.satisfied_value;
@@ -100,18 +100,18 @@ int main() {
   std::printf("  %16s %16s %18s\n", "task bytes", "per-op downtime",
               "downtime over 10 s");
   for (const double task_kb : {16.0, 64.0, 1024.0, 16384.0}) {
-    net::simulator sim;
+    net::shard_engine engine;
     ctrl::service_config cfg;
     cfg.epoch_s = 0.5;
     cfg.reconfig.task_bytes = task_kb * 1024.0;
-    ctrl::controller_service svc(sim, topo, inventory, cfg);
+    ctrl::controller_service svc(engine, topo, inventory, cfg);
     const auto w = make_churn(topo, 40, 2.0, 10.0, 7);
     for (std::size_t i = 0; i < w.demands.size(); ++i) {
       svc.add_demand(w.demands[i], w.lifetimes[i].first,
                      w.lifetimes[i].second);
     }
     svc.start();
-    sim.run();
+    engine.run();
     std::printf("  %13.0f kB %16s %18s\n", task_kb,
                 fmt_time(cfg.reconfig.op_downtime_s()).c_str(),
                 fmt_time(svc.total_downtime_s()).c_str());
@@ -124,11 +124,11 @@ int main() {
               "total reconfigs");
   for (const auto solver :
        {ctrl::solver_kind::greedy, ctrl::solver_kind::local_search}) {
-    net::simulator sim;
+    net::shard_engine engine;
     ctrl::service_config cfg;
     cfg.epoch_s = 0.5;
     cfg.solver = solver;
-    ctrl::controller_service svc(sim, topo, inventory, cfg);
+    ctrl::controller_service svc(engine, topo, inventory, cfg);
     const auto w = make_churn(topo, 40, 2.0, 10.0, 7);
     for (std::size_t i = 0; i < w.demands.size(); ++i) {
       svc.add_demand(w.demands[i], w.lifetimes[i].first,
@@ -136,7 +136,7 @@ int main() {
     }
     svc.start();
     const stopwatch timer;
-    sim.run();
+    engine.run();
     double value = 0.0;
     for (const auto& e : svc.history()) value += e.satisfied_value;
     std::printf("  %-14s %16.1f %16zu   (wall %s)\n",

@@ -11,6 +11,12 @@
 // records the trajectory in BENCH_fabric.json. The headline key
 // (fabric.packets_per_s) is compared against the seed engine's recorded
 // fig4.packets_per_s = 14202/s (BENCH_kernels.json, PR 1).
+//
+// Both sweeps run on a shard_engine, but they are different workloads:
+// fabric.packets_per_s and the chain/payload/hook keys push one stream
+// end to end through a chain on one shard, while
+// fabric.shards{K}.packets_per_s injects stride-8 flows from every node
+// of a 32-node chain at once. shards1 is not the headline at one shard.
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -44,8 +50,8 @@ struct sweep_result {
 /// every k-th node (transponder-style intercept density).
 sweep_result run_chain(std::size_t nodes, std::size_t payload_bytes,
                        int packets, int hook_every) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(nodes, 50.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(nodes, 50.0));
   fabric.install_shortest_path_routes();
   std::uint64_t hook_hits = 0;
   if (hook_every > 0) {
@@ -69,9 +75,9 @@ sweep_result run_chain(std::size_t nodes, std::size_t payload_bytes,
       pkt.payload = fabric.pool().acquire();
       pkt.payload.assign(payload_bytes, 0xab);
       fabric.send(std::move(pkt), 0);
-      if (i % 64 == 63) sim.run();
+      if (i % 64 == 63) engine.run();
     }
-    sim.run();
+    engine.run();
   };
 
   push(packets / 10 + 1);  // warm the event pool and route caches
@@ -146,6 +152,11 @@ int packet_budget(int fallback) {
 
 int main(int argc, char** argv) {
   banner("E27 / WAN datapath", "fabric packet-forwarding throughput");
+  note("two workloads, both on shard_engine: fabric.packets_per_s and the");
+  note("chain/payload/hook keys push one stream end to end on one shard;");
+  note("fabric.shards{K}.packets_per_s injects stride-8 flows from every");
+  note("node of a 32-node chain at once (not comparable with the headline)");
+  note("");
   const std::string json_arg = json_path_from_args(argc, argv);
   json_report report(json_arg.empty() ? "BENCH_fabric.json" : json_arg);
   record_simd_levels(report);

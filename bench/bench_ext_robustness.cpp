@@ -50,8 +50,8 @@ flap_outcome run_flap_scenario(bool reliable,
                                const digital::dnn_model& model,
                                core::onfiber_runtime::reliability_stats* out,
                                net::drop_stats* baseline_drops) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 11).configure_dnn(apps::to_photonic_task(model));
   rt.deploy_engine(2, {}, 12).configure_dnn(apps::to_photonic_task(model));
   rt.install_compute_routes_via_nearest_site();
@@ -76,7 +76,7 @@ flap_outcome run_flap_scenario(bool reliable,
   }
 
   for (int i = 0; i < kPackets; ++i) {
-    sim.schedule_at(1e-3 * i, [&rt, &data, &model, i, reliable] {
+    engine.schedule_global(1e-3 * i, [&rt, &data, &model, i, reliable] {
       net::packet pkt = core::make_dnn_request(
           rt.fabric().topo().node_at(0).address,
           rt.fabric().topo().node_at(3).address,
@@ -89,8 +89,8 @@ flap_outcome run_flap_scenario(bool reliable,
       }
     });
   }
-  sim.run(2'000'000);
-  if (sim.overran()) note("WARNING: event cap hit (runaway schedule?)");
+  engine.run(2'000'000);
+  if (engine.overran()) note("WARNING: event cap hit (runaway schedule?)");
 
   flap_outcome o;
   std::vector<bool> seen(kPackets, false);
@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
   std::printf("  %12s %12s %14s %14s %12s\n", "BER", "delivered",
               "header drops", "right class", "accuracy");
   for (const double ber : {0.0, 1e-6, 1e-5, 1e-4, 1e-3}) {
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
     rt.deploy_engine(2, {}, 11).configure_dnn(apps::to_photonic_task(model));
     rt.install_compute_routes_via_nearest_site();
     if (ber > 0.0) rt.fabric().set_bit_error_rate(ber, 99);
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
                     model.output_dim(), static_cast<std::uint32_t>(i)),
                 0);
     }
-    sim.run();
+    engine.run();
 
     int correct = 0, with_result = 0;
     for (const auto& d : rt.deliveries()) {

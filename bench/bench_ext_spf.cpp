@@ -62,8 +62,8 @@ flap_report run_flaps(const net::topology& topo, int events,
   rep.events = static_cast<std::size_t>(events);
   const auto n = static_cast<double>(topo.node_count());
 
-  net::simulator sim;
-  net::wan_fabric fabric(sim, topo);
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, topo);
   {
     stopwatch sw;
     fabric.install_shortest_path_routes();
@@ -102,8 +102,8 @@ flap_report run_flaps(const net::topology& topo, int events,
       // every tree and rewrite every table entry. A fresh fabric at the
       // same link state runs exactly that on its first install
       // (construction cost excluded from the timed span).
-      net::simulator base_sim;
-      net::wan_fabric base(base_sim, topo);
+      net::shard_engine base_engine;
+      net::wan_fabric base(base_engine, topo);
       for (std::size_t i = 0; i < up.size(); ++i) {
         if (!up[i]) base.fail_link(i);
       }

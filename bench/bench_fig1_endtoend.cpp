@@ -21,8 +21,8 @@ using namespace onfiber::bench;
 int main() {
   banner("E5 / Fig. 1", "end-to-end on-fiber computing on the A-B-C-D WAN");
 
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
 
   // Site B: packet classification (P2); site C: image recognition (DNN).
   core::match_task classifier;
@@ -57,7 +57,7 @@ int main() {
                   static_cast<std::uint32_t>(1000 + i)),
               0);
   }
-  sim.run();
+  engine.run();
 
   net::summary classify_latency, infer_latency;
   int classify_correct = 0, infer_correct = 0;

@@ -58,12 +58,12 @@ int main() {
   std::printf("  %8s %18s %18s %12s\n", "users", "total goodput",
               "per-user mean", "Jain");
   for (const std::size_t users : {2u, 4u, 8u}) {
-    net::simulator sim;
+    net::shard_engine engine;
     net::topology topo;
     const auto a = topo.add_node("a");
     const auto b = topo.add_node("b");
     topo.add_link(a, b, 100.0, ch.net_rate_bps());
-    net::wan_fabric fabric(sim, topo);
+    net::wan_fabric fabric(engine, topo);
     fabric.install_shortest_path_routes();
 
     std::vector<double> user_bytes(users, 0.0);
@@ -87,15 +87,16 @@ int main() {
                                  topo.node_at(b).address, 100 + u);
       for (auto& arr : gen.generate(window_s)) {
         arr.pkt.flow_hash = static_cast<std::uint32_t>(u);
-        sim.schedule(arr.time_s, [&fabric, pkt = arr.pkt]() mutable {
-          fabric.send(std::move(pkt), 0);
-        });
+        engine.schedule_global(arr.time_s,
+                               [&fabric, pkt = arr.pkt]() mutable {
+                                 fabric.send(std::move(pkt), 0);
+                               });
       }
     }
     // Count deliveries for transmissions inside the window (shift the
     // horizon by the propagation delay so in-flight packets land); the
     // backlog beyond it is exactly the over-subscription.
-    sim.run_until(window_s + topo.links()[0].delay_s());
+    engine.primary().run_until(window_s + topo.links()[0].delay_s());
     double total = 0.0;
     for (const double v : user_bytes) total += v;
     std::printf("  %8zu %15.1f Gb/s %15.1f Gb/s %12.3f\n", users,

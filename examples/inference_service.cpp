@@ -23,8 +23,8 @@ int main() {
                          digital::activation_kind::photonic_sin2, 2.0);
 
   // Data plane: DNN transponders at Salt Lake (3) and Chicago (7).
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_uswan_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_uswan_topology());
   const core::dnn_task task = apps::to_photonic_task(model);
   rt.deploy_engine(3, {}, 21).configure_dnn(task);
   rt.deploy_engine(7, {}, 22).configure_dnn(task);
@@ -36,7 +36,7 @@ int main() {
   };
   ctrl::service_config cfg;
   cfg.epoch_s = 5e-3;
-  ctrl::controller_service svc(sim, rt.fabric().topo(), inventory, cfg);
+  ctrl::controller_service svc(engine, rt.fabric().topo(), inventory, cfg);
   svc.set_publish_callback(
       [&rt](const std::vector<ctrl::compute_route_entry>& routes) {
         for (const auto& r : routes) {
@@ -79,13 +79,14 @@ int main() {
           rt.fabric().topo().node_at(p.src).address,
           rt.fabric().topo().node_at(p.dst).address, data.samples[sample],
           model.output_dim(), (req_id++ << 8) | static_cast<std::uint32_t>(sample));
-      sim.schedule(t, [&rt, pkt = std::move(pkt), src = p.src]() mutable {
-        pkt.created_s = rt.sim().now();
-        rt.submit(std::move(pkt), src);
-      });
+      engine.schedule_global(
+          t, [&rt, pkt = std::move(pkt), src = p.src]() mutable {
+            pkt.created_s = rt.fabric().sim_for(src).now();
+            rt.submit(std::move(pkt), src);
+          });
     }
   }
-  sim.run();
+  engine.run();
 
   // Report.
   net::summary latency;

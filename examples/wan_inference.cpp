@@ -29,8 +29,8 @@ int main() {
               100.0 * digital::reference_accuracy(model, data));
 
   // 2. Build the WAN and deploy the photonic compute transponder at C.
-  net::simulator sim;
-  core::onfiber_runtime runtime(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime runtime(engine, net::make_figure1_topology());
   core::photonic_engine& site_c = runtime.deploy_engine(/*node=*/2, {}, 99);
   site_c.configure_dnn(apps::to_photonic_task(model));
   runtime.install_compute_routes_via_nearest_site();
@@ -43,7 +43,7 @@ int main() {
                                           model.output_dim(), i),
                    /*ingress=*/0);
   }
-  sim.run();
+  engine.run();
 
   // 4. At D, read the results out of the delivered packets.
   std::printf("\n%-8s %-12s %-10s %-12s\n", "image", "predicted", "label",

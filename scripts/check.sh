@@ -10,6 +10,16 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 
+# Doc-count gate: every "<N> tests" in README.md must equal the number
+# of tests ctest registers, so the stated count cannot drift.
+registered=$(ctest --preset asan -N | tail -1 | grep -oE '[0-9]+$')
+stated=$(grep -oE '\b[0-9]+ tests\b' README.md | awk '{print $1}' | sort -u)
+if [ -z "$stated" ] || [ "$stated" != "$registered" ]; then
+  echo "check: README states $(echo $stated) tests;" \
+    "ctest registers $registered" >&2
+  exit 1
+fi
+
 # Datapath gate first: the golden-trace determinism and per-reason drop
 # tests guard the zero-allocation event engine's bit-reproducibility —
 # fail fast (with full output) before the broad sweep.

@@ -139,22 +139,13 @@ struct failover_plan {
 };
 
 /// Pick the capable site minimizing src -> site -> dst propagation delay
-/// over currently-live links (`links_up`, optional), excluding
-/// `exclude_site` (the site the data plane observed timing out —
-/// invalid_node excludes nothing, which yields the primary site).
-/// nullopt when no capable site is reachable.
-[[nodiscard]] std::optional<failover_plan> plan_failover_site(
-    const net::topology& topo, std::span<const net::node_id> capable_sites,
-    net::node_id exclude_site, net::node_id src, net::node_id dst,
-    const std::vector<bool>* links_up = nullptr);
-
-/// Same plan, answered from a shared incremental-SPF engine's trees
-/// (O(1) delay lookups under the engine's own link state) instead of
-/// running Dijkstra per candidate leg. Picks the identical site with the
-/// identical via-delay: the engine's dists are bit-equal to the per-leg
-/// path_delay_s sums. The engine's trees must already cover the queried
-/// sources when called from shard threads (wan_fabric's first install
-/// guarantees that for its engine).
+/// over the links `spf` holds up, excluding `exclude_site` (the site the
+/// data plane observed timing out — invalid_node excludes nothing, which
+/// yields the primary site). nullopt when no capable site is reachable.
+/// Delays are O(1) lookups in the engine's trees, bit-equal to the
+/// per-leg path_delay_s sums of topology::shortest_path. The trees must
+/// already cover the queried sources when called from shard threads
+/// (wan_fabric's first install guarantees that for its engine).
 [[nodiscard]] std::optional<failover_plan> plan_failover_site(
     net::spf_engine& spf, std::span<const net::node_id> capable_sites,
     net::node_id exclude_site, net::node_id src, net::node_id dst);

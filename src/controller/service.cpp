@@ -25,12 +25,12 @@ std::map<std::uint32_t, std::set<proto::primitive_id>> active_map(
 
 }  // namespace
 
-controller_service::controller_service(net::simulator& sim,
+controller_service::controller_service(net::shard_engine& engine,
                                        const net::topology& topo,
                                        std::vector<transponder_info>
                                            transponders,
                                        service_config config)
-    : sim_(sim),
+    : engine_(engine),
       topo_(topo),
       spf_(topo),
       transponders_(std::move(transponders)),
@@ -52,7 +52,7 @@ allocation_problem controller_service::current_problem() const {
   allocation_problem p;
   p.topo = &topo_;
   p.transponders = transponders_;
-  const double now = sim_.now();
+  const double now = engine_.primary().now();
   for (const auto& td : demands_) {
     if (td.start_s <= now && now < td.end_s) p.demands.push_back(td.demand);
   }
@@ -98,8 +98,9 @@ void controller_service::run_epoch() {
   const auto routes = routes_for_allocation(p, r, &spf_);
   if (publish_) publish_(routes);
 
+  const double now = engine_.primary().now();
   history_.push_back(epoch_report{
-      epoch_, sim_.now(), p.demands.size(), r.satisfied_value, reconfigs,
+      epoch_, now, p.demands.size(), r.satisfied_value, reconfigs,
       static_cast<double>(reconfigs) * config_.reconfig.op_downtime_s(),
       routes.size()});
   prev_problem_ = p;
@@ -112,13 +113,13 @@ void controller_service::run_epoch() {
   for (const auto& td : demands_) horizon = std::max(horizon, td.end_s);
   const bool more_epochs =
       config_.max_epochs == 0 || epoch_ < config_.max_epochs;
-  if (more_epochs && sim_.now() + config_.epoch_s <= horizon) {
-    sim_.schedule(config_.epoch_s, [this] { run_epoch(); });
+  if (more_epochs && now + config_.epoch_s <= horizon) {
+    engine_.schedule_global(now + config_.epoch_s, [this] { run_epoch(); });
   }
 }
 
 void controller_service::start() {
-  sim_.schedule(0.0, [this] { run_epoch(); });
+  engine_.schedule_global(engine_.primary().now(), [this] { run_epoch(); });
 }
 
 }  // namespace onfiber::ctrl

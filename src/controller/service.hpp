@@ -6,11 +6,11 @@
 // users' demands."
 //
 // `controller_service` closes that loop inside the discrete-event
-// simulation: demands arrive and depart over time; each epoch the
-// controller re-solves the allocation, diffs it against the previous one
-// into reconfiguration ops, and publishes fresh two-field routes. The
-// data plane (core::onfiber_runtime) consumes the routes through a
-// callback so this library stays independent of core.
+// simulation: demands arrive and depart over time; each epoch (an engine
+// global event) the controller re-solves the allocation, diffs it
+// against the previous one into reconfiguration ops, and publishes fresh
+// two-field routes. The data plane (core::onfiber_runtime) consumes the
+// routes through a callback so this library stays independent of core.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "controller/controller.hpp"
-#include "network/event_sim.hpp"
+#include "network/shard_engine.hpp"
 
 namespace onfiber::ctrl {
 
@@ -42,7 +42,7 @@ struct reconfig_cost_model {
 struct service_config {
   double epoch_s = 0.1;        ///< re-optimization cadence
   solver_kind solver = solver_kind::local_search;
-  std::size_t max_epochs = 0;  ///< 0 = run until the simulator drains
+  std::size_t max_epochs = 0;  ///< 0 = run until the demands end
   reconfig_cost_model reconfig{};
 };
 
@@ -64,7 +64,7 @@ class controller_service {
   using publish_fn =
       std::function<void(const std::vector<compute_route_entry>&)>;
 
-  controller_service(net::simulator& sim, const net::topology& topo,
+  controller_service(net::shard_engine& engine, const net::topology& topo,
                      std::vector<transponder_info> transponders,
                      service_config config = {});
 
@@ -73,7 +73,7 @@ class controller_service {
 
   void set_publish_callback(publish_fn cb) { publish_ = std::move(cb); }
 
-  /// Schedule the epoch loop; call before running the simulator.
+  /// Schedule the epoch loop; call before running the engine.
   void start();
 
   [[nodiscard]] const std::vector<epoch_report>& history() const {
@@ -105,7 +105,7 @@ class controller_service {
   [[nodiscard]] allocation_problem current_problem() const;
   [[nodiscard]] allocation_result solve(const allocation_problem& p) const;
 
-  net::simulator& sim_;
+  net::shard_engine& engine_;
   const net::topology& topo_;
   /// Persistent all-links-up SPF engine shared across epochs: the
   /// per-source trees the solvers and route expansion query are built

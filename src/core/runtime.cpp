@@ -11,20 +11,9 @@
 
 namespace onfiber::core {
 
-onfiber_runtime::onfiber_runtime(net::simulator& sim, net::topology topo)
-    : sim_(sim), fabric_(sim, std::move(topo)), baseline_spf_(fabric_.topo()) {
-  init();
-}
-
 onfiber_runtime::onfiber_runtime(net::shard_engine& engine,
                                  net::topology topo)
-    : sim_(engine.primary()),
-      fabric_(engine, std::move(topo)),
-      baseline_spf_(fabric_.topo()) {
-  init();
-}
-
-void onfiber_runtime::init() {
+    : fabric_(engine, std::move(topo)), baseline_spf_(fabric_.topo()) {
   sites_.resize(fabric_.topo().node_count());
   compute_tables_.resize(fabric_.topo().node_count());
   shard_deliveries_.resize(fabric_.shard_count());
@@ -76,7 +65,7 @@ void onfiber_runtime::init() {
 
 const std::vector<onfiber_runtime::delivery>& onfiber_runtime::deliveries()
     const {
-  // Classic / 1-shard: the raw event-order log, exactly as before.
+  // One shard: the raw event-order log.
   if (shard_deliveries_.size() == 1) return shard_deliveries_[0];
   deliveries_merged_.clear();
   for (const auto& log : shard_deliveries_) {
@@ -186,26 +175,26 @@ void onfiber_runtime::on_delivery(const net::packet& pkt, net::node_id at,
   // Acks are control plane: complete the task, record nothing. The
   // task's table lives on the shard of its ingress node; when the ack
   // lands there (the common case — requesters address replies to their
-  // ingress), completion is a plain local call, bit-identical to the
-  // classic engine. An ack landing elsewhere hands off via an engine
-  // parcel one lookahead later (note.created_s carries the true ack
-  // arrival time for the latency stats; a retry timer firing inside
-  // that handoff window can cause one benign extra retransmit).
+  // ingress), completion is a plain local call. An ack landing
+  // elsewhere hands off via an engine parcel one lookahead later
+  // (note.created_s carries the true ack arrival time for the latency
+  // stats; a retry timer firing inside that handoff window can cause
+  // one benign extra retransmit).
   if (h && h->is_ack()) {
     const auto owner = task_ingress_.find(h->task_id);
     if (owner == task_ingress_.end()) return;  // never submitted here
     const std::uint32_t owner_shard = fabric_.shard_of(owner->second);
-    if (!fabric_.sharded() || owner_shard == fabric_.shard_of(at)) {
+    if (owner_shard == fabric_.shard_of(at)) {
       complete_task(h->task_id, now);
       return;
     }
     net::packet note;
     note.id = h->task_id;
     note.created_s = now;
-    fabric_.engine()->emit_parcel(fabric_.shard_of(at), owner_shard,
-                                  now + fabric_.engine()->lookahead(),
-                                  std::move(note), owner->second,
-                                  op_complete_task, this);
+    fabric_.engine().emit_parcel(fabric_.shard_of(at), owner_shard,
+                                 now + fabric_.engine().lookahead(),
+                                 std::move(note), owner->second,
+                                 op_complete_task, this);
     return;
   }
   if (h && h->requires_compute() && !h->has_result()) {
@@ -448,7 +437,7 @@ const onfiber_runtime::reliability_stats& onfiber_runtime::reliability()
 
 const std::vector<onfiber_runtime::reliability_event>&
 onfiber_runtime::recovery_trace() const {
-  // Classic / 1-shard: the raw event-order trace, exactly as before.
+  // One shard: the raw event-order trace.
   if (rel_shards_.size() == 1) return rel_shards_[0]->trace;
   trace_merged_.clear();
   for (const auto& rs : rel_shards_) {

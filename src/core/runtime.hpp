@@ -31,20 +31,17 @@ namespace onfiber::core {
 
 class onfiber_runtime final : public net::packet_event_sink {
  public:
-  onfiber_runtime(net::simulator& sim, net::topology topo);
-
-  /// Sharded runtime: the fabric partitions the topology across the
-  /// engine's shards and hooks run on the owning shard's thread. Site
-  /// state stays per-node (a node lives on exactly one shard), while
-  /// the runtime's counters, delivery log, and reliability layer become
-  /// per-shard and are merged deterministically on read. Reliable tasks
-  /// are owned by the shard of their ingress node: the task table, RTO
-  /// timers, and failover planning all live there, while acks ride the
-  /// fabric (and its cross-shard parcel channels) like any other
-  /// packet. Control-plane entry points — submit_reliable,
-  /// enable_reliability, set_bit_error_rate — must be called from setup
-  /// or a schedule_global event in sharded mode. A 1-shard engine
-  /// behaves bit-identically to the classic constructor.
+  /// The fabric partitions the topology across the engine's shards and
+  /// hooks run on the owning shard's thread. Site state stays per-node
+  /// (a node lives on exactly one shard), while the runtime's counters,
+  /// delivery log, and reliability layer become per-shard and are
+  /// merged deterministically on read. Reliable tasks are owned by the
+  /// shard of their ingress node: the task table, RTO timers, and
+  /// failover planning all live there, while acks ride the fabric (and
+  /// its cross-shard parcel channels) like any other packet.
+  /// Control-plane entry points — submit_reliable, enable_reliability,
+  /// set_bit_error_rate — must be called from setup or a schedule_global
+  /// event.
   onfiber_runtime(net::shard_engine& engine, net::topology topo);
 
   onfiber_runtime(const onfiber_runtime&) = delete;
@@ -153,7 +150,6 @@ class onfiber_runtime final : public net::packet_event_sink {
 
   [[nodiscard]] net::wan_fabric& fabric() { return fabric_; }
   [[nodiscard]] const net::wan_fabric& fabric() const { return fabric_; }
-  [[nodiscard]] net::simulator& sim() { return sim_; }
 
   // ------------------------------------------------------------- results
   struct delivery {
@@ -161,12 +157,11 @@ class onfiber_runtime final : public net::packet_event_sink {
     net::node_id at = net::invalid_node;
     double time_s = 0.0;
   };
-  /// Delivered packets. Classic (and 1-shard) runtimes return the log in
-  /// raw event order, exactly as before. Multi-shard runtimes keep one
-  /// log per shard and merge by (time_s, at) on read — deterministic
-  /// because same-node deliveries are same-shard (already ordered) and
-  /// cross-node ties at the exact same double timestamp do not occur in
-  /// the golden workloads.
+  /// Delivered packets. A 1-shard runtime returns the log in raw event
+  /// order. Multi-shard runtimes keep one log per shard and merge by
+  /// (time_s, at) on read — deterministic because same-node deliveries
+  /// are same-shard (already ordered) and cross-node ties at the exact
+  /// same double timestamp do not occur in the golden workloads.
   [[nodiscard]] const std::vector<delivery>& deliveries() const;
   void clear_deliveries() {
     for (auto& d : shard_deliveries_) d.clear();
@@ -202,16 +197,16 @@ class onfiber_runtime final : public net::packet_event_sink {
   // Sharded fabrics: every task is owned by the shard of its ingress
   // node — its table entry, RTO timers, and failover planning run on
   // that shard's event loop, and retransmits re-enter the fabric at the
-  // ingress exactly as in classic mode. The destination side is
-  // stateless: requests carry proto::flag_tracked, so acking and
-  // duplicate accounting are decided from the wire alone on whichever
-  // shard delivers. Acks are ordinary fabric packets (they queue, cross
-  // shards as parcels, and can be lost); an ack landing off the owner
-  // shard hands completion over via an engine parcel one lookahead
-  // later. Failover planning reads only coordinator-owned state (link
-  // map, capable-site tables) that is never written while shard threads
-  // run, so planning on the owner shard is race-free and keeps recovery
-  // traces bit-identical at any shard count.
+  // ingress. The destination side is stateless: requests carry
+  // proto::flag_tracked, so acking and duplicate accounting are decided
+  // from the wire alone on whichever shard delivers. Acks are ordinary
+  // fabric packets (they queue, cross shards as parcels, and can be
+  // lost); an ack landing off the owner shard hands completion over
+  // via an engine parcel one lookahead later. Failover planning reads
+  // only coordinator-owned state (link map, capable-site tables) that is
+  // never written while shard threads run, so planning on the owner
+  // shard is race-free and keeps recovery traces bit-identical at any
+  // shard count.
 
   struct reliability_config {
     double initial_rto_s = 0.05;  ///< first retransmit timeout
@@ -289,10 +284,10 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// shard order — deterministic per shard count, though the double sum
   /// is not comparable bit-for-bit between different shard counts).
   [[nodiscard]] const reliability_stats& reliability() const;
-  /// Classic (and 1-shard) runtimes return the trace in raw event order,
-  /// exactly as before. Multi-shard runtimes merge the per-shard traces
-  /// by (time_s, task_id) with a stable sort: all events of one task are
-  /// recorded on its owner shard, so per-task order survives the merge.
+  /// A 1-shard runtime returns the trace in raw event order. Multi-shard
+  /// runtimes merge the per-shard traces by (time_s, task_id) with a
+  /// stable sort: all events of one task are recorded on its owner
+  /// shard, so per-task order survives the merge.
   [[nodiscard]] const std::vector<reliability_event>& recovery_trace() const;
 
   /// Cross-shard task-completion handoff (packet_event_sink): an ack
@@ -331,7 +326,7 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// table, trace, and owner-side stats belong to the shards that
   /// submitted the tasks; the delivered-history ring (duplicate
   /// accounting) and acks_sent/duplicate counters are written by the
-  /// shards where tracked results deliver. Classic fabrics have exactly
+  /// shards where tracked results deliver. A 1-shard runtime has exactly
   /// one. Cache-line aligned like wan_fabric::shard_state.
   struct alignas(64) rel_shard {
     std::unordered_map<std::uint32_t, pending_task> pending;
@@ -345,9 +340,6 @@ class onfiber_runtime final : public net::packet_event_sink {
     std::size_t delivered_next = 0;
     std::unordered_set<std::uint32_t> delivered_set;
   };
-
-  /// Shared constructor body (fabric_ and sim_ already bound).
-  void init();
 
   net::hook_decision on_packet(net::node_id at, net::packet& pkt, double now);
 
@@ -399,9 +391,8 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// detection (17 symbols on the P2 matcher) + result insertion.
   [[nodiscard]] double site_overhead_s(const site& s) const;
 
-  /// The event loop owning `at` (sim_ itself in classic mode). Site
-  /// compute re-injection and batch-flush timers must ride the shard
-  /// that runs the site's hook.
+  /// The event loop owning `at`. Site compute re-injection and
+  /// batch-flush timers must ride the shard that runs the site's hook.
   [[nodiscard]] net::simulator& sim_for(net::node_id at) {
     return fabric_.sim_for(at);
   }
@@ -410,14 +401,13 @@ class onfiber_runtime final : public net::packet_event_sink {
     return shard_stats_[fabric_.shard_of(at)];
   }
 
-  net::simulator& sim_;
   net::wan_fabric fabric_;
   /// All-links-up SPF baseline over the fabric's topology: answers the
   /// "which site would install-time routing have used?" question during
   /// failover planning without re-running Dijkstra per timeout. Built
-  /// fully in init() and never mutated afterwards, so shard-thread
-  /// queries are pure reads (fabric_.spf() tracks *live* link state and
-  /// cannot serve as this baseline).
+  /// fully in the constructor and never mutated afterwards, so
+  /// shard-thread queries are pure reads (fabric_.spf() tracks *live*
+  /// link state and cannot serve as this baseline).
   net::spf_engine baseline_spf_;
   std::vector<std::unique_ptr<site>> sites_;  // indexed by node id
   std::vector<proto::compute_routing_table<net::node_id>> compute_tables_;

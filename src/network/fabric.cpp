@@ -11,15 +11,8 @@
 
 namespace onfiber::net {
 
-wan_fabric::wan_fabric(simulator& sim, topology topo)
-    : wan_fabric(&sim, nullptr, std::move(topo)) {}
-
 wan_fabric::wan_fabric(shard_engine& engine, topology topo)
-    : wan_fabric(nullptr, &engine, std::move(topo)) {}
-
-wan_fabric::wan_fabric(simulator* sim, shard_engine* engine, topology topo)
-    : sim_(sim != nullptr ? *sim : engine->primary()),
-      engine_(engine),
+    : engine_(engine),
       topo_(std::move(topo)),
       spf_(topo_),
       tables_(topo_.node_count()),
@@ -85,11 +78,10 @@ wan_fabric::wan_fabric(simulator* sim, shard_engine* engine, topology topo)
   recommended_ttl_ = static_cast<std::uint8_t>(
       std::clamp<std::uint32_t>(2 * diameter + 8, 64, 255));
 
-  // Shard the node set. A classic fabric (and a 1-shard engine) is one
-  // shard holding everything — node_shard_ all zero keeps every
-  // datapath branch on the local path.
-  const std::size_t shards =
-      engine_ != nullptr ? engine_->shard_count() : 1;
+  // Shard the node set. A 1-shard engine is one shard holding
+  // everything — node_shard_ all zero keeps every datapath branch on
+  // the local path.
+  const std::size_t shards = engine_.shard_count();
   node_shard_.assign(n, 0);
   if (shards > 1) {
     node_shard_ = partition_topology(topo_, shards);
@@ -102,7 +94,7 @@ wan_fabric::wan_fabric(simulator* sim, shard_engine* engine, topology topo)
         lookahead = std::min(lookahead, l.delay_s());
       }
     }
-    engine_->set_lookahead(lookahead);
+    engine_.set_lookahead(lookahead);
   }
   shard_states_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -155,14 +147,6 @@ void wan_fabric::trace_hop(const packet& pkt, node_id at, double now_s,
   r.reason = reason;
   r.aux = aux;
   tracer_->record(r);
-}
-
-void wan_fabric::schedule_control(double time_s, simulator::handler fn) {
-  if (engine_ != nullptr) {
-    engine_->schedule_global(time_s, std::move(fn));
-  } else {
-    sim_.schedule_at(time_s, std::move(fn));
-  }
 }
 
 void wan_fabric::install_shortest_path_routes() {
@@ -246,15 +230,15 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
   }
   // Draw all jitter up front, in flap order, so the schedule is fixed at
   // scheduling time regardless of event interleaving. Everything here is
-  // control plane: in sharded mode these run as coordinator global
-  // events with every shard parked, so link_up_ and the route tables are
-  // never written while a datapath thread is in flight.
+  // control plane: these run as engine global events with every shard
+  // parked, so link_up_ and the route tables are never written while a
+  // datapath thread is in flight.
   phot::rng jitter{jitter_seed};
   const auto reconverge_after = [&](double event_s) {
     const double extra = reconvergence_jitter_s > 0.0
                              ? jitter.uniform(0.0, reconvergence_jitter_s)
                              : 0.0;
-    schedule_control(event_s + reconvergence_delay_s + extra, [this] {
+    engine_.schedule_global(event_s + reconvergence_delay_s + extra, [this] {
       install_shortest_path_routes();
       ++reconvergences_;
     });
@@ -266,11 +250,11 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
     if (f.restore_at_s < f.fail_at_s) {
       throw std::invalid_argument("wan_fabric: flap restores before failing");
     }
-    schedule_control(f.fail_at_s,
-                     [this, li = f.link_index] { fail_link(li); });
+    engine_.schedule_global(f.fail_at_s,
+                            [this, li = f.link_index] { fail_link(li); });
     reconverge_after(f.fail_at_s);
-    schedule_control(f.restore_at_s,
-                     [this, li = f.link_index] { restore_link(li); });
+    engine_.schedule_global(f.restore_at_s,
+                            [this, li = f.link_index] { restore_link(li); });
     reconverge_after(f.restore_at_s);
   }
 }
@@ -475,8 +459,8 @@ void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
     // Shard boundary: the hop leaves as a timestamped parcel and is
     // merged into the destination shard's queue at the next window
     // barrier in (time, src_shard, seq) order.
-    engine_->emit_parcel(node_shard_[from], next_shard, arrival,
-                         std::move(pkt), next, op_arrive, this);
+    engine_.emit_parcel(node_shard_[from], next_shard, arrival,
+                        std::move(pkt), next, op_arrive, this);
     return;
   }
   sim.schedule_packet_at(arrival, std::move(pkt), next, op_arrive, this);

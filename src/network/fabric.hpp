@@ -1,5 +1,5 @@
 // fabric.hpp — the packet-forwarding WAN: topology + routers + links,
-// driven by the discrete-event simulator.
+// driven by a shard_engine (one shard by default).
 //
 // Each node runs a longest-prefix-match router. Links model serialization
 // (bytes/capacity) plus fiber propagation delay, with FIFO queueing per
@@ -70,16 +70,12 @@ class wan_fabric final : public packet_event_sink {
   /// with it.
   using hook_fn = std::function<hook_decision(node_id, packet&, double)>;
 
-  wan_fabric(simulator& sim, topology topo);
-
-  /// Sharded-mode fabric: the topology is partitioned across the
-  /// engine's shards (partition_topology), a packet crossing a shard
-  /// boundary rides the engine's bounded parcel channels, and
-  /// control-plane work (flaps, reconvergence) runs as coordinator
-  /// global events. The engine's lookahead is set to the minimum
-  /// cross-shard link delay. With a 1-shard engine every code path is
-  /// the classic one — behavior is bit-identical to the simulator
-  /// constructor above.
+  /// The topology is partitioned across the engine's shards
+  /// (partition_topology), a packet crossing a shard boundary rides the
+  /// engine's bounded parcel channels, and control-plane work (flaps,
+  /// reconvergence) runs as engine global events. With several shards
+  /// the engine's lookahead is set to the minimum cross-shard link
+  /// delay; with one, every hop stays on shard 0's queue.
   wan_fabric(shard_engine& engine, topology topo);
 
   /// Install shortest-path (by delay) routes for every node pair,
@@ -184,38 +180,30 @@ class wan_fabric final : public packet_event_sink {
   /// Mutations happen on the control plane only; after the first
   /// install, shard-thread queries are pure reads.
   [[nodiscard]] spf_engine& spf() { return spf_; }
-  /// Classic mode: the driving simulator. Sharded mode: shard 0 (use
-  /// engine()->run(), not sim().run(), to drive a sharded fabric).
-  [[nodiscard]] simulator& sim() { return sim_; }
 
   // ---------------------------------------------------------- sharding
-  /// More than one shard? (A 1-shard engine still reports false: it is
-  /// the classic datapath in every observable way.)
-  [[nodiscard]] bool sharded() const {
-    return engine_ != nullptr && engine_->shard_count() > 1;
-  }
   [[nodiscard]] std::size_t shard_count() const {
     return shard_states_.size();
   }
   [[nodiscard]] std::uint32_t shard_of(node_id at) const {
     return node_shard_[at];
   }
-  /// The event loop owning `at` (sim() itself in classic mode). Code
-  /// running inside a hook at node X may schedule through sim_for(X)
-  /// only — other shards' queues belong to other threads.
+  /// The event loop owning `at`. Code running inside a hook at node X
+  /// may schedule through sim_for(X) only — other shards' queues belong
+  /// to other threads.
   [[nodiscard]] simulator& sim_for(node_id at) {
-    return engine_ != nullptr ? engine_->shard(node_shard_[at]) : sim_;
+    return engine_.shard(node_shard_[at]);
   }
-  /// The sharded engine, or nullptr for a classic fabric.
-  [[nodiscard]] shard_engine* engine() { return engine_; }
+  /// The engine driving this fabric.
+  [[nodiscard]] shard_engine& engine() { return engine_; }
 
   /// Recycled payload buffers: senders can acquire() here so steady-state
   /// traffic reuses the allocations of delivered/dropped packets. Shard
-  /// 0's pool — setup-time callers only in sharded mode; code running on
-  /// a shard thread must use pool_of(its own node).
+  /// 0's pool — setup-time callers only when sharded; code running on a
+  /// shard thread must use pool_of(its own node).
   [[nodiscard]] payload_pool& pool() { return shard_states_[0]->pool; }
 
-  /// The payload pool owned by `at`'s shard (== pool() in classic mode).
+  /// The payload pool owned by `at`'s shard (== pool() with one shard).
   [[nodiscard]] payload_pool& pool_of(node_id at) {
     return state_of(at).pool;
   }
@@ -235,7 +223,7 @@ class wan_fabric final : public packet_event_sink {
 
   /// Typed packet-hop dispatch (packet_event_sink). Not for direct use;
   /// public only because the runtime schedules held packets back through
-  /// the simulator with `op_inject`.
+  /// the owning shard's event loop with `op_inject`.
   static constexpr std::uint8_t op_arrive = 0;  ///< hop lands at `node`
   static constexpr std::uint8_t op_inject = 1;  ///< send(pkt, node) now
   void on_packet_event(std::uint8_t op, packet&& pkt,
@@ -259,9 +247,6 @@ class wan_fabric final : public packet_event_sink {
   [[nodiscard]] const std::vector<double>& link_bytes() const;
 
  private:
-  /// Common constructor (exactly one of sim / engine is non-null).
-  wan_fabric(simulator* sim, shard_engine* engine, topology topo);
-
   struct route_entry {
     node_id next = invalid_node;
   };
@@ -301,13 +286,7 @@ class wan_fabric final : public packet_event_sink {
                  obs::hop_action action, obs::drop_reason reason,
                  std::uint32_t aux);
 
-  /// Control-plane scheduling: a coordinator global event in sharded
-  /// mode, a plain sim_ event otherwise (identical with a 1-shard
-  /// engine — schedule_global forwards to the same queue).
-  void schedule_control(double time_s, simulator::handler fn);
-
-  simulator& sim_;
-  shard_engine* engine_ = nullptr;
+  shard_engine& engine_;
   topology topo_;
   spf_engine spf_;  ///< per-source SSSP trees over topo_, delta-repaired
   std::vector<routing_table<route_entry>> tables_;  // one per node
@@ -325,8 +304,8 @@ class wan_fabric final : public packet_event_sink {
   std::vector<std::uint32_t> egress_matrix_;
 
   /// Mutable datapath state owned by one shard's event loop: counters,
-  /// the payload pool, the BER stream and its scratch. Classic fabrics
-  /// have exactly one. Cache-line aligned so two shards' counters never
+  /// the payload pool, the BER stream and its scratch. A 1-shard fabric
+  /// has exactly one. Cache-line aligned so two shards' counters never
   /// false-share.
   struct alignas(64) shard_state {
     std::uint64_t delivered = 0;

@@ -9,7 +9,8 @@
 
 namespace onfiber::net {
 
-shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity) {
+shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity)
+    : channel_capacity_(channel_capacity) {
   const std::size_t k = shards == 0 ? 1 : shards;
   shards_.reserve(k);
   mailboxes_.reserve(k);
@@ -18,11 +19,7 @@ shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity) {
     shards_.push_back(std::make_unique<simulator>());
     mailboxes_.push_back(std::make_unique<shard_mailbox>());
   }
-  channels_.reserve(k * k);
   channel_seq_.assign(k * k, 0);
-  for (std::size_t i = 0; i < k * k; ++i) {
-    channels_.push_back(std::make_unique<spsc_channel>(channel_capacity));
-  }
 }
 
 shard_engine::~shard_engine() {
@@ -42,8 +39,7 @@ void shard_engine::set_lookahead(double lookahead_s) {
 
 void shard_engine::schedule_global(double time_s, handler fn) {
   if (shard_count() == 1) {
-    // Exact classic equivalence: same queue, same seq stream as the
-    // plain single-threaded simulator.
+    // One shard: same queue, same seq stream as the datapath events.
     primary().schedule_at(time_s, std::move(fn));
     return;
   }
@@ -123,8 +119,16 @@ bool shard_engine::anything_pending() const {
 void shard_engine::ensure_workers() {
   if (workers_started_) return;
   workers_started_ = true;
-  workers_.reserve(shard_count());
-  for (std::size_t i = 0; i < shard_count(); ++i) {
+  // Channels are only ever touched inside a multi-shard run(), so their
+  // rings are allocated here rather than at construction: a 1-shard
+  // engine never allocates one.
+  const std::size_t k = shard_count();
+  channels_.reserve(k * k);
+  for (std::size_t i = 0; i < k * k; ++i) {
+    channels_.push_back(std::make_unique<spsc_channel>(channel_capacity_));
+  }
+  workers_.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -174,8 +178,8 @@ std::uint64_t shard_engine::execute_window(double window_end) {
 
 std::uint64_t shard_engine::run(std::uint64_t max_events) {
   if (shard_count() == 1) {
-    // Classic mode: drain shard 0 on the calling thread. Bit-identical
-    // to the pre-sharding engine, worker machinery never spun up.
+    // One shard: drain it on the calling thread; the worker machinery
+    // is never spun up.
     const std::uint64_t executed = primary().run(max_events);
     overran_ = primary().overran();
     return executed;

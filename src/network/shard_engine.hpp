@@ -1,9 +1,10 @@
-// shard_engine.hpp — sharded parallel event engine with
-// conservative-lookahead synchronization.
+// shard_engine.hpp — the event engine every fabric runs on: one shard
+// by default, or several in parallel with conservative-lookahead
+// synchronization.
 //
 // The topology is partitioned into shards; each shard owns a private
-// net::simulator (the PR 3 pooled-event slab, unchanged) driven by a
-// persistent worker thread. Shards advance in conservative time windows:
+// net::simulator (the pooled-event slab) driven by a persistent worker
+// thread. Shards advance in conservative time windows:
 // with lookahead L = the minimum propagation delay over cross-shard
 // links, every shard may safely execute all events strictly below
 //
@@ -28,9 +29,9 @@
 //
 // Determinism contract:
 //   * shard_count() == 1 — run() simply drains shard 0 on the calling
-//     thread and schedule_global() forwards to shard 0's queue: the
-//     behavior (every seq tie-break included) is bit-identical to the
-//     plain single-threaded simulator.
+//     thread and schedule_global() forwards to shard 0's queue: one
+//     (time, seq) order over every event, seq tie-breaks included, and
+//     no worker thread is ever started.
 //   * shard_count() > 1 — per-shard execution order is (time, local
 //     seq); cross-shard merges are (time, src_shard, seq). Delivery
 //     traces are bit-identical across reruns AND across shard counts as
@@ -69,8 +70,9 @@ class shard_engine {
   using handler = simulator::handler;
 
   /// `shards` event loops with cross-shard channels of `channel_capacity`
-  /// parcels each. Shard count is clamped to >= 1.
-  explicit shard_engine(std::size_t shards,
+  /// parcels each, allocated with the worker threads by the first
+  /// multi-shard run(). Shard count is clamped to >= 1.
+  explicit shard_engine(std::size_t shards = 1,
                         std::size_t channel_capacity =
                             spsc_channel::kDefaultCapacity);
   ~shard_engine();
@@ -80,8 +82,8 @@ class shard_engine {
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] simulator& shard(std::size_t i) { return *shards_[i]; }
-  /// Shard 0: the clock external code reads and the queue single-shard
-  /// mode runs on.
+  /// Shard 0: the clock setup code and global handlers read, and the
+  /// queue a 1-shard engine runs on.
   [[nodiscard]] simulator& primary() { return *shards_[0]; }
 
   /// Conservative lookahead [s]: the minimum cross-shard link delay.
@@ -91,11 +93,12 @@ class shard_engine {
   void set_lookahead(double lookahead_s);
   [[nodiscard]] double lookahead() const { return lookahead_s_; }
 
-  /// Schedule a control-plane event. With one shard this is exactly
-  /// shard(0).schedule_at — same queue, same seq stream. With several
-  /// it enters the coordinator's global queue and executes at a window
-  /// barrier with every worker parked. Call only from outside the
-  /// engine (setup code) or from within another global handler.
+  /// Schedule a control-plane event (or any setup-time callback). With
+  /// one shard this is exactly shard(0).schedule_at — same queue, same
+  /// seq stream. With several it enters the coordinator's global queue
+  /// and executes at a window barrier with every worker parked. Call
+  /// only from outside the engine (setup code) or from within another
+  /// global handler.
   void schedule_global(double time_s, handler fn);
 
   /// Cross-shard hop: called by the fabric from the source shard's
@@ -157,6 +160,7 @@ class shard_engine {
   std::uint64_t execute_window(double window_end);
 
   std::vector<std::unique_ptr<simulator>> shards_;
+  std::size_t channel_capacity_;
   std::vector<std::unique_ptr<spsc_channel>> channels_;  // src*K + dst
   std::vector<std::uint64_t> channel_seq_;  ///< per-channel emission seq
   std::vector<std::vector<parcel>> staging_;  ///< per-dst merge buffer

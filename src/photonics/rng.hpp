@@ -1,9 +1,11 @@
 // rng.hpp — deterministic, seedable random number generation.
 //
-// Every stochastic component in the library (noise processes, traffic
-// generators, synthetic datasets) draws from an explicitly seeded
-// xoshiro256++ stream. The same seed produces bit-identical results on
-// every platform, which the test suite relies on.
+// Every stochastic component in the library draws from an explicitly
+// seeded stream: kernel noise and link bit errors from counter-based
+// streams (counter_rng, counter_stream), traffic generators and
+// synthetic datasets from xoshiro256++ (rng). The same seed produces
+// bit-identical results on every platform, which the test suite relies
+// on.
 #pragma once
 
 #include <array>

@@ -61,6 +61,12 @@ TEST(MlApp, DeploymentLatencyOrdering) {
       compare_deployments(topo, 0, 3, 1, 2, model, /*photonic_s=*/1e-6);
   // On-fiber beats cloud: no detour beyond the path, tiny compute time.
   EXPECT_LT(lat.on_fiber_s, lat.cloud_s);
+  // The legs come from spf_engine and must equal the seed Dijkstra's
+  // path delays bit for bit.
+  const auto leg = [&topo](net::node_id a, net::node_id b) {
+    return topo.path_delay_s(topo.shortest_path(a, b));
+  };
+  EXPECT_EQ(lat.on_fiber_s, leg(0, 2) + 1e-6 + leg(2, 3));
   EXPECT_GT(lat.cloud_s, 0.0);
   EXPECT_GT(lat.edge_s, 0.0);
 }

@@ -134,8 +134,8 @@ TEST(Batching, AmortizesSiteOverheadOnTheWan) {
   for (const auto& s : data.samples) flat.insert(flat.end(), s.begin(), s.end());
 
   const auto run = [&](bool batched) {
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
     rt.deploy_engine(1, {}, 42).configure_dnn(apps::to_photonic_task(model));
     rt.install_compute_routes_via_nearest_site();
     const net::ipv4 src = rt.fabric().topo().node_at(0).address;
@@ -150,7 +150,7 @@ TEST(Batching, AmortizesSiteOverheadOnTheWan) {
                   0);
       }
     }
-    sim.run();
+    engine.run();
     std::size_t results = 0;
     for (const auto& d : rt.deliveries()) {
       const auto all = core::read_dnn_batch_result(d.pkt);
@@ -176,8 +176,8 @@ TEST(Batching, SiteBatchingPoolsArrivingPackets) {
   const auto model = trained_model(data);
 
   const auto run = [&](bool batching) {
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
     rt.deploy_engine(1, {}, 42).configure_dnn(apps::to_photonic_task(model));
     rt.install_compute_routes_via_nearest_site();
     if (batching) rt.enable_site_batching(50e-6);
@@ -189,7 +189,7 @@ TEST(Batching, SiteBatchingPoolsArrivingPackets) {
                                        static_cast<std::uint32_t>(i)),
                 0);
     }
-    sim.run();
+    engine.run();
     std::size_t results = 0;
     for (const auto& d : rt.deliveries()) {
       if (core::read_dnn_result(d.pkt)) ++results;

@@ -356,8 +356,8 @@ net::packet fig1_gemv_packet(const onfiber_runtime& rt,
 }
 
 TEST(Runtime, ComputeOnPathSite) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   gemv_task task;
   task.weights = phot::matrix(1, 4);
   for (std::size_t c = 0; c < 4; ++c) task.weights.at(0, c) = 0.5;
@@ -366,7 +366,7 @@ TEST(Runtime, ComputeOnPathSite) {
 
   const std::vector<double> x{0.2, 0.4, 0.6, 0.8};
   rt.submit(fig1_gemv_packet(rt, x, 1), 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 1u);
   EXPECT_EQ(rt.stats().uncomputed_delivered, 0u);
@@ -376,8 +376,8 @@ TEST(Runtime, ComputeOnPathSite) {
 }
 
 TEST(Runtime, PlainTrafficUnaffected) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 78);
   rt.install_compute_routes_via_nearest_site();
   net::packet pkt;
@@ -385,42 +385,42 @@ TEST(Runtime, PlainTrafficUnaffected) {
   pkt.dst = rt.fabric().topo().node_at(3).address;
   pkt.payload.resize(64);
   rt.submit(pkt, 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 0u);
   EXPECT_EQ(rt.stats().redirected, 0u);
 }
 
 TEST(Runtime, NoCapableSiteDeliversUncomputed) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   // Engine with no gemv task: cannot serve p1.
   rt.deploy_engine(1, {}, 79);
   rt.install_compute_routes_via_nearest_site();
   const std::vector<double> x(4, 0.5);
   rt.submit(fig1_gemv_packet(rt, x, 1), 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().uncomputed_delivered, 1u);
 }
 
 TEST(Runtime, MalformedComputeDropped) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   net::packet pkt;
   pkt.src = rt.fabric().topo().node_at(0).address;
   pkt.dst = rt.fabric().topo().node_at(3).address;
   pkt.proto = net::ip_proto::compute;
   pkt.payload = {1, 2, 3};  // no valid header
   rt.submit(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), 0u);
   EXPECT_EQ(rt.stats().malformed_dropped, 1u);
 }
 
 TEST(Runtime, OffPathSiteReachedViaComputeRoutes) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   gemv_task task;
   task.weights = phot::matrix(1, 2);
   task.weights.at(0, 0) = 1.0;
@@ -431,7 +431,7 @@ TEST(Runtime, OffPathSiteReachedViaComputeRoutes) {
   rt.install_compute_routes_via_nearest_site();
   const std::vector<double> x{0.3, 0.4};
   rt.submit(fig1_gemv_packet(rt, x, 1), 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 1u);
   EXPECT_GE(rt.stats().redirected, 1u);
@@ -439,8 +439,8 @@ TEST(Runtime, OffPathSiteReachedViaComputeRoutes) {
 }
 
 TEST(Runtime, SerialEngineQueuesPackets) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   gemv_task task;
   task.weights = phot::matrix(4, 64);
   for (double& w : task.weights.data) w = 0.1;
@@ -449,7 +449,7 @@ TEST(Runtime, SerialEngineQueuesPackets) {
 
   const std::vector<double> x(64, 0.5);
   for (int i = 0; i < 4; ++i) rt.submit(fig1_gemv_packet(rt, x, 4), 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), 4u);
   EXPECT_EQ(rt.stats().computed, 4u);
   // All packets queued behind one analog engine: total busy time is the
@@ -460,8 +460,8 @@ TEST(Runtime, SerialEngineQueuesPackets) {
 }
 
 TEST(Runtime, SiteQueries) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(2, {}, 82);
   EXPECT_EQ(rt.sites(), (std::vector<net::node_id>{2}));
   EXPECT_TRUE(rt.site_supports(2, proto::primitive_id::p3_nonlinear));

@@ -69,8 +69,8 @@ struct scenario_result {
 /// Fig. 1 WAN, GEMV engines at B and C, both of B's links flapping with
 /// jittered reconvergence, BER 1e-4: 48 compute requests A -> D.
 scenario_result run_flap_ber_scenario() {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(4, 16);
   for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
@@ -89,7 +89,7 @@ scenario_result run_flap_ber_scenario() {
 
   std::vector<double> x(16);
   for (int i = 0; i < 48; ++i) {
-    sim.schedule_at(0.0004 * i, [&rt, &x, i]() mutable {
+    engine.schedule_global(0.0004 * i, [&rt, &x, i]() mutable {
       for (std::size_t k = 0; k < x.size(); ++k) {
         x[k] =
             -1.0 + 2.0 * static_cast<double>((k * 31 + i * 7) % 97) / 96.0;
@@ -101,8 +101,8 @@ scenario_result run_flap_ber_scenario() {
                 0);
     });
   }
-  sim.run(1'000'000);
-  EXPECT_FALSE(sim.overran());
+  engine.run(1'000'000);
+  EXPECT_FALSE(engine.overran());
 
   scenario_result r;
   for (const auto& d : rt.deliveries()) {

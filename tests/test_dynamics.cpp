@@ -28,7 +28,7 @@ ctrl::compute_demand simple_demand(std::uint32_t id, net::node_id src,
 }
 
 TEST(ControllerService, TracksDemandChurn) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
   std::vector<ctrl::transponder_info> inventory{
       {0, 1, {proto::primitive_id::p2_pattern_match}, 1e6},
@@ -36,7 +36,7 @@ TEST(ControllerService, TracksDemandChurn) {
   };
   ctrl::service_config cfg;
   cfg.epoch_s = 1.0;
-  ctrl::controller_service svc(sim, topo, inventory, cfg);
+  ctrl::controller_service svc(engine, topo, inventory, cfg);
 
   // Demand A active [0, 2.5), demand B active [1.5, 4).
   svc.add_demand(simple_demand(0, 0, 3, proto::primitive_id::p2_pattern_match),
@@ -44,7 +44,7 @@ TEST(ControllerService, TracksDemandChurn) {
   svc.add_demand(simple_demand(1, 0, 3, proto::primitive_id::p1_p3_dnn), 1.5,
                  4.0);
   svc.start();
-  sim.run();
+  engine.run();
 
   const auto& hist = svc.history();
   ASSERT_GE(hist.size(), 4u);
@@ -56,7 +56,7 @@ TEST(ControllerService, TracksDemandChurn) {
 }
 
 TEST(ControllerService, ReconfiguresOnChurnOnly) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
   std::vector<ctrl::transponder_info> inventory{
       {0, 1,
@@ -66,12 +66,12 @@ TEST(ControllerService, ReconfiguresOnChurnOnly) {
   };
   ctrl::service_config cfg;
   cfg.epoch_s = 1.0;
-  ctrl::controller_service svc(sim, topo, inventory, cfg);
+  ctrl::controller_service svc(engine, topo, inventory, cfg);
   // One steady demand across all epochs: one initial install, then none.
   svc.add_demand(simple_demand(0, 0, 3, proto::primitive_id::p1_p3_dnn), 0.0,
                  3.5);
   svc.start();
-  sim.run();
+  engine.run();
   ASSERT_GE(svc.history().size(), 3u);
   EXPECT_EQ(svc.history()[0].reconfig_ops, 1u);
   EXPECT_EQ(svc.history()[1].reconfig_ops, 0u);
@@ -80,8 +80,8 @@ TEST(ControllerService, ReconfiguresOnChurnOnly) {
 }
 
 TEST(ControllerService, PublishesRoutesIntoRuntime) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 4);
   for (double& w : task.weights.data) w = 0.5;
@@ -92,7 +92,7 @@ TEST(ControllerService, PublishesRoutesIntoRuntime) {
   };
   ctrl::service_config cfg;
   cfg.epoch_s = 0.5;
-  ctrl::controller_service svc(sim, rt.fabric().topo(), inventory, cfg);
+  ctrl::controller_service svc(engine, rt.fabric().topo(), inventory, cfg);
   svc.add_demand(simple_demand(0, 0, 3, proto::primitive_id::p1_dot_product),
                  0.0, 1.0);
   svc.set_publish_callback(
@@ -105,19 +105,19 @@ TEST(ControllerService, PublishesRoutesIntoRuntime) {
 
   // Send a compute packet after the first epoch installed routes.
   const std::vector<double> x(4, 0.5);
-  sim.schedule(0.1, [&rt, x] {
+  engine.schedule_global(0.1, [&rt, x] {
     rt.submit(core::make_gemv_request(
                   rt.fabric().topo().node_at(0).address,
                   rt.fabric().topo().node_at(3).address, x, 1),
               0);
   });
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 1u);
 }
 
 TEST(ControllerService, ReconfigDowntimeAccounted) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
   std::vector<ctrl::transponder_info> inventory{
       {0, 1, {proto::primitive_id::p1_p3_dnn}, 1e6},
@@ -127,18 +127,18 @@ TEST(ControllerService, ReconfigDowntimeAccounted) {
   cfg.reconfig.task_bytes = 1e6;        // 1 MB model
   cfg.reconfig.control_rate_bps = 1e9;  // 8 ms transfer
   cfg.reconfig.install_s = 2e-3;
-  ctrl::controller_service svc(sim, topo, inventory, cfg);
+  ctrl::controller_service svc(engine, topo, inventory, cfg);
   svc.add_demand(simple_demand(0, 0, 3, proto::primitive_id::p1_p3_dnn), 0.0,
                  2.5);
   svc.start();
-  sim.run();
+  engine.run();
   EXPECT_EQ(svc.total_reconfigs(), 1u);
   EXPECT_NEAR(svc.total_downtime_s(), 8e-3 + 2e-3, 1e-9);
   EXPECT_NEAR(cfg.reconfig.op_downtime_s(), 10e-3, 1e-9);
 }
 
 TEST(ControllerService, ExactSolverWorksInService) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
   std::vector<ctrl::transponder_info> inventory{
       {0, 1, {proto::primitive_id::p2_pattern_match}, 1e6},
@@ -146,23 +146,23 @@ TEST(ControllerService, ExactSolverWorksInService) {
   ctrl::service_config cfg;
   cfg.epoch_s = 1.0;
   cfg.solver = ctrl::solver_kind::exact;
-  ctrl::controller_service svc(sim, topo, inventory, cfg);
+  ctrl::controller_service svc(engine, topo, inventory, cfg);
   svc.add_demand(simple_demand(0, 0, 3, proto::primitive_id::p2_pattern_match),
                  0.0, 1.5);
   svc.start();
-  sim.run();
+  engine.run();
   ASSERT_FALSE(svc.history().empty());
   EXPECT_DOUBLE_EQ(svc.history()[0].satisfied_value, 1.0);
 }
 
 TEST(ControllerService, Validation) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
   ctrl::service_config bad;
   bad.epoch_s = 0.0;
-  EXPECT_THROW(ctrl::controller_service(sim, topo, {}, bad),
+  EXPECT_THROW(ctrl::controller_service(engine, topo, {}, bad),
                std::invalid_argument);
-  ctrl::controller_service svc(sim, topo, {});
+  ctrl::controller_service svc(engine, topo, {});
   EXPECT_THROW(
       svc.add_demand(simple_demand(0, 0, 3,
                                    proto::primitive_id::p3_nonlinear),
@@ -173,8 +173,8 @@ TEST(ControllerService, Validation) {
 // ---------------------------------------------------------- bit errors
 
 TEST(BitErrors, CleanFabricByDefault) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(3, 10.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(3, 10.0));
   fabric.install_shortest_path_routes();
   net::packet pkt;
   pkt.dst = fabric.topo().node_at(2).address;
@@ -185,14 +185,14 @@ TEST(BitErrors, CleanFabricByDefault) {
         delivered = p.payload;
       });
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(delivered, std::vector<std::uint8_t>(512, 0xAA));
   EXPECT_EQ(fabric.corrupted(), 0u);
 }
 
 TEST(BitErrors, HighBerFlipsBits) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(2, 10.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2, 10.0));
   fabric.install_shortest_path_routes();
   fabric.set_bit_error_rate(1e-3, 7);
   int changed = 0;
@@ -206,7 +206,7 @@ TEST(BitErrors, HighBerFlipsBits) {
   pkt.dst = fabric.topo().node_at(1).address;
   pkt.payload.assign(4096, 0xAA);  // ~33 expected flips at 1e-3
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_GT(changed, 5);
   EXPECT_EQ(fabric.corrupted(), 1u);
 }
@@ -215,8 +215,8 @@ TEST(BitErrors, CorruptedComputeHeadersDropped) {
   // End-to-end failure injection: with a harsh BER, corrupted compute
   // packets are caught by the header checksum and dropped instead of
   // being mis-executed.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_linear_topology(4, 200.0));
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_linear_topology(4, 200.0));
   core::gemv_task task;
   task.weights = phot::matrix(1, 8);
   for (double& w : task.weights.data) w = 0.5;
@@ -233,7 +233,7 @@ TEST(BitErrors, CorruptedComputeHeadersDropped) {
                   static_cast<std::uint32_t>(i)),
               0);
   }
-  sim.run();
+  engine.run();
   // Some were corrupted; every corruption in the header region must be
   // dropped (not delivered with a bogus header).
   EXPECT_GT(rt.fabric().corrupted(), 0u);
@@ -247,8 +247,8 @@ TEST(BitErrors, CorruptedComputeHeadersDropped) {
 }
 
 TEST(BitErrors, Validation) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(2, 10.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2, 10.0));
   EXPECT_THROW(fabric.set_bit_error_rate(-0.1, 1), std::invalid_argument);
   EXPECT_THROW(fabric.set_bit_error_rate(1.0, 1), std::invalid_argument);
 }
@@ -256,8 +256,8 @@ TEST(BitErrors, Validation) {
 // ------------------------------------------------------- spread steering
 
 TEST(SpreadSteering, SplitsFlowsAcrossReplicas) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(2, 8);
   for (double& w : task.weights.data) w = 0.5;
@@ -278,7 +278,7 @@ TEST(SpreadSteering, SplitsFlowsAcrossReplicas) {
     pkt.flow_hash = static_cast<std::uint32_t>(g());
     rt.submit(std::move(pkt), 0);
   }
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), static_cast<std::size_t>(packets));
   EXPECT_EQ(rt.stats().computed, static_cast<std::uint64_t>(packets));
   // Both replicas did real work (hashes split the flows).
@@ -287,8 +287,8 @@ TEST(SpreadSteering, SplitsFlowsAcrossReplicas) {
 }
 
 TEST(SpreadSteering, NearestPolicyUsesOneSite) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(2, 8);
   for (double& w : task.weights.data) w = 0.5;
@@ -305,7 +305,7 @@ TEST(SpreadSteering, NearestPolicyUsesOneSite) {
     pkt.flow_hash = static_cast<std::uint32_t>(g());
     rt.submit(std::move(pkt), 0);
   }
-  sim.run();
+  engine.run();
   // All flows converge on one site under nearest steering; A->D traffic
   // transits B (shortest path via B or C tie-broken consistently).
   const bool one_sided =
@@ -319,8 +319,8 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
   // reconverged, flow_spread kept redirecting A's traffic for site B
   // straight into the dead link. The fabric's reconvergence callback now
   // rebuilds the matrix, so the post-reconvergence packet detours via C.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(2, 8);
   for (double& w : task.weights.data) w = 0.5;
@@ -336,7 +336,7 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
 
   const std::vector<double> x(8, 0.5);
   const auto send_at = [&](double t, std::uint32_t id) {
-    sim.schedule_at(t, [&rt, &x, id] {
+    engine.schedule_global(t, [&rt, &x, id] {
       net::packet pkt = core::make_gemv_request(
           rt.fabric().topo().node_at(0).address,
           rt.fabric().topo().node_at(3).address, x, 2, id);
@@ -346,7 +346,7 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
   };
   send_at(0.0012, 1);  // stale window: black-holed (intended behavior)
   send_at(0.0017, 2);  // post-reconvergence: must detour via C toward B
-  sim.run();
+  engine.run();
 
   EXPECT_EQ(rt.fabric().drops().link_down, 1u);  // only the in-window one
   ASSERT_EQ(rt.deliveries().size(), 1u);
@@ -363,9 +363,9 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
 // --------------------------------------------------------- link failures
 
 TEST(LinkFailure, TrafficBlackholedUntilReconvergence) {
-  net::simulator sim;
+  net::shard_engine engine;
   // Figure-1: A->D shortest goes A-B-D (link 0 then 2).
-  net::wan_fabric fabric(sim, net::make_figure1_topology());
+  net::wan_fabric fabric(engine, net::make_figure1_topology());
   fabric.install_shortest_path_routes();
 
   const auto send_one = [&] {
@@ -373,7 +373,7 @@ TEST(LinkFailure, TrafficBlackholedUntilReconvergence) {
     pkt.src = fabric.topo().node_at(0).address;
     pkt.dst = fabric.topo().node_at(3).address;
     fabric.send(pkt, 0);
-    sim.run();
+    engine.run();
   };
 
   send_one();
@@ -399,8 +399,8 @@ TEST(LinkFailure, TrafficBlackholedUntilReconvergence) {
 }
 
 TEST(LinkFailure, PartitionRetractsRoutes) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(3, 50.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(3, 50.0));
   fabric.install_shortest_path_routes();
   fabric.fail_link(1);  // cut 1-2: node 2 unreachable
   fabric.install_shortest_path_routes();
@@ -408,7 +408,7 @@ TEST(LinkFailure, PartitionRetractsRoutes) {
   pkt.src = fabric.topo().node_at(0).address;
   pkt.dst = fabric.topo().node_at(2).address;
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   // No stale route: dropped for lack of a route, not looped.
   EXPECT_EQ(fabric.delivered(), 0u);
   EXPECT_EQ(fabric.dropped(), 1u);
@@ -417,8 +417,8 @@ TEST(LinkFailure, PartitionRetractsRoutes) {
 TEST(LinkFailure, ComputePathSurvivesViaAlternateSite) {
   // Fig-1 with engines at B and C under spread steering: failing the A-B
   // link and reconverging, flows still reach an engine via C.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 4);
   for (double& w : task.weights.data) w = 0.5;
@@ -433,7 +433,7 @@ TEST(LinkFailure, ComputePathSurvivesViaAlternateSite) {
                                     rt.fabric().topo().node_at(3).address, x,
                                     1),
             0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 1u);
   EXPECT_GT(rt.site_busy_s(2), 0.0);  // served by C

@@ -155,8 +155,8 @@ TEST(EdgeCases, ReconfigurationSwapsTasks) {
 // -------------------------------------------------------- runtime edge cases
 
 TEST(EdgeCases, RedeployReplacesEngine) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 2);
   rt.deploy_engine(1, {}, 12).configure_gemv(task);
@@ -167,8 +167,8 @@ TEST(EdgeCases, RedeployReplacesEngine) {
 }
 
 TEST(EdgeCases, SubmitAtInvalidNodeThrows) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   net::packet pkt;
   EXPECT_THROW(rt.submit(pkt, 99), std::out_of_range);
   EXPECT_THROW(rt.deploy_engine(99, {}, 1), std::out_of_range);
@@ -177,26 +177,26 @@ TEST(EdgeCases, SubmitAtInvalidNodeThrows) {
 }
 
 TEST(EdgeCases, ZeroTtlPacketDroppedImmediately) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   net::packet pkt;
   pkt.src = rt.fabric().topo().node_at(0).address;
   pkt.dst = rt.fabric().topo().node_at(3).address;
   pkt.ttl = 0;
   rt.submit(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), 0u);
   EXPECT_EQ(rt.fabric().dropped(), 1u);
 }
 
 TEST(EdgeCases, PacketForSelfDeliversLocally) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   net::packet pkt;
   pkt.src = rt.fabric().topo().node_at(0).address;
   pkt.dst = rt.fabric().topo().node_at(0).address;  // same node
   rt.submit(pkt, 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.deliveries()[0].at, 0u);
 }

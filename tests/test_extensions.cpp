@@ -117,8 +117,8 @@ TEST(Chains, DistributedAcrossTwoSites) {
   // Stage 1 (P1) only at site B, stage 2 (P3) available everywhere; the
   // packet must be computed at B, promoted, then finished at the next
   // capable site on the way to D.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(2, 4);
   for (double& w : task.weights.data) w = 0.6;
@@ -135,7 +135,7 @@ TEST(Chains, DistributedAcrossTwoSites) {
                                      rt.fabric().topo().node_at(3).address,
                                      stages, x, 8),
             0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   const auto h = proto::peek_compute_header(rt.deliveries()[0].pkt);
   ASSERT_TRUE(h.has_value());

@@ -21,8 +21,8 @@ using core::onfiber_runtime;
 /// classification (P2 at site B) and a phone flow needing image
 /// recognition (DNN at site C), both A -> D, running concurrently.
 TEST(Integration, Figure1TwoApplications) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
 
   // Site B: packet classifier (two traffic classes by first payload byte).
   core::match_task classifier;
@@ -52,7 +52,7 @@ TEST(Integration, Figure1TwoApplications) {
   rt.submit(core::make_dnn_request(src, dst, data.samples[0],
                                    model.output_dim(), 2),
             0);
-  sim.run();
+  engine.run();
 
   ASSERT_EQ(rt.deliveries().size(), 2u);
   EXPECT_EQ(rt.stats().computed, 2u);
@@ -75,8 +75,8 @@ TEST(Integration, Figure1TwoApplications) {
 /// the two-field routes, and verify packets reach the planned sites.
 TEST(Integration, ControllerDrivesRuntimeRoutes) {
   net::topology topo = net::make_uswan_topology();
-  net::simulator sim;
-  onfiber_runtime rt(sim, topo);
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, topo);
 
   core::gemv_task task;
   task.weights = phot::matrix(1, 4);
@@ -110,7 +110,7 @@ TEST(Integration, ControllerDrivesRuntimeRoutes) {
   rt.submit(core::make_gemv_request(topo.node_at(0).address,
                                     topo.node_at(10).address, x, 1),
             0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_EQ(rt.stats().computed, 1u);
   const auto result = core::read_gemv_result(rt.deliveries()[0].pkt);
@@ -155,8 +155,8 @@ TEST(Integration, TransponderFailureReallocation) {
 
 /// Corrupted compute headers in flight are dropped, not misrouted.
 TEST(Integration, CorruptedHeaderDropped) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 301);
   rt.install_compute_routes_via_nearest_site();
 
@@ -166,7 +166,7 @@ TEST(Integration, CorruptedHeaderDropped) {
                               rt.fabric().topo().node_at(3).address, x, 1);
   pkt.payload[5] ^= 0xff;  // corrupt the header body
   rt.submit(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), 0u);
   EXPECT_EQ(rt.stats().malformed_dropped, 1u);
 }
@@ -207,8 +207,8 @@ TEST(Integration, PhysicalLayerCarriesComputePacket) {
 /// Heavy load: many concurrent compute packets through one serial engine
 /// keep FIFO order and all complete.
 TEST(Integration, EngineQueueUnderLoad) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(2, 32);
   for (double& w : task.weights.data) w = 0.2;
@@ -224,7 +224,7 @@ TEST(Integration, EngineQueueUnderLoad) {
                   static_cast<std::uint32_t>(i)),
               0);
   }
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), static_cast<std::size_t>(packets));
   EXPECT_EQ(rt.stats().computed, static_cast<std::uint64_t>(packets));
   // FIFO through the serial engine: deliveries in task order.
@@ -238,8 +238,8 @@ TEST(Integration, EngineQueueUnderLoad) {
 
 /// Mixed compute + bulk background traffic share the fabric.
 TEST(Integration, ComputeAndPlainTrafficCoexist) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 8);
   for (double& w : task.weights.data) w = 0.1;
@@ -254,7 +254,7 @@ TEST(Integration, ComputeAndPlainTrafficCoexist) {
   tc.packet_rate_pps = 1e6;
   net::traffic_generator gen(tc, src, dst, 602);
   for (auto& a : gen.generate_count(100)) {
-    sim.schedule(a.time_s, [&rt, pkt = a.pkt]() mutable {
+    engine.schedule_global(a.time_s, [&rt, pkt = a.pkt]() mutable {
       rt.submit(std::move(pkt), 0);
     });
   }
@@ -263,7 +263,7 @@ TEST(Integration, ComputeAndPlainTrafficCoexist) {
   for (int i = 0; i < 5; ++i) {
     rt.submit(core::make_gemv_request(src, dst, x, 1), 0);
   }
-  sim.run();
+  engine.run();
   EXPECT_EQ(rt.deliveries().size(), 105u);
   EXPECT_EQ(rt.stats().computed, 5u);
   EXPECT_EQ(rt.fabric().dropped(), 0u);
@@ -275,8 +275,8 @@ TEST(Integration, ComputeAndPlainTrafficCoexist) {
 /// distributed execution.
 TEST(Integration, ControllerPlannedChainAcrossSites) {
   net::topology topo = net::make_uswan_topology();
-  net::simulator sim;
-  onfiber_runtime rt(sim, topo);
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, topo);
 
   core::gemv_task task;
   task.weights = phot::matrix(4, 8);
@@ -314,7 +314,7 @@ TEST(Integration, ControllerPlannedChainAcrossSites) {
                                      topo.node_at(10).address, stages, x,
                                      /*result_capacity=*/8),
             0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   const auto h = proto::peek_compute_header(rt.deliveries()[0].pkt);
   ASSERT_TRUE(h.has_value());
@@ -326,8 +326,8 @@ TEST(Integration, ControllerPlannedChainAcrossSites) {
 /// Robustness: a mis-programmed circular compute route must be broken by
 /// TTL, not loop forever.
 TEST(Integration, CircularComputeRoutesBoundedByTtl) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   // No capable site anywhere; bogus routes bounce A <-> B for P1 packets
   // destined to D.
   const net::prefix dst_prefix =
@@ -340,7 +340,7 @@ TEST(Integration, CircularComputeRoutesBoundedByTtl) {
                                     rt.fabric().topo().node_at(3).address, x,
                                     1),
             0);
-  const auto executed = sim.run();
+  const auto executed = engine.run();
   EXPECT_LT(executed, 1000u);  // terminated, not an infinite loop
   EXPECT_EQ(rt.deliveries().size(), 0u);
   EXPECT_EQ(rt.fabric().dropped(), 1u);  // TTL kill
@@ -349,8 +349,8 @@ TEST(Integration, CircularComputeRoutesBoundedByTtl) {
 /// OEO-per-hop mode also completes end to end (the ablation baseline is a
 /// working system, not a strawman).
 TEST(Integration, OeoModeEndToEnd) {
-  net::simulator sim;
-  onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  onfiber_runtime rt(engine, net::make_figure1_topology());
   engine_config cfg;
   cfg.mode = compute_mode::oeo_per_hop;
   core::gemv_task task;
@@ -364,7 +364,7 @@ TEST(Integration, OeoModeEndToEnd) {
                                     rt.fabric().topo().node_at(3).address, x,
                                     1),
             0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.deliveries().size(), 1u);
   const auto result = core::read_gemv_result(rt.deliveries()[0].pkt);
   ASSERT_TRUE(result.has_value());

@@ -72,13 +72,13 @@ TEST(Misc, TopologyNeighborErrors) {
 
 TEST(Misc, FabricWithoutDeliverCallback) {
   // No callback installed: delivery still counts, nothing crashes.
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(2, 10.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2, 10.0));
   fabric.install_shortest_path_routes();
   net::packet pkt;
   pkt.dst = fabric.topo().node_at(1).address;
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(fabric.delivered(), 1u);
 }
 
@@ -99,11 +99,11 @@ TEST(Misc, RoutesForEmptyAllocation) {
 }
 
 TEST(Misc, ServiceWithNoDemandsRunsOneEpoch) {
-  net::simulator sim;
+  net::shard_engine engine;
   const net::topology topo = net::make_figure1_topology();
-  ctrl::controller_service svc(sim, topo, {});
+  ctrl::controller_service svc(engine, topo, {});
   svc.start();
-  sim.run();
+  engine.run();
   ASSERT_EQ(svc.history().size(), 1u);
   EXPECT_EQ(svc.history()[0].active_demands, 0u);
   EXPECT_DOUBLE_EQ(svc.total_downtime_s(), 0.0);

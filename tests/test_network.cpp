@@ -356,8 +356,8 @@ TEST(Topology, FatTreeCounts) {
 // ------------------------------------------------------------------ fabric
 
 TEST(Fabric, DeliversAlongShortestPath) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(4, 100.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(4, 100.0));
   fabric.install_shortest_path_routes();
   bool delivered = false;
   double at_time = 0.0;
@@ -372,7 +372,7 @@ TEST(Fabric, DeliversAlongShortestPath) {
   pkt.dst = fabric.topo().node_at(3).address;
   pkt.payload.resize(100);
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_TRUE(delivered);
   // 3 hops of 100 km each, plus serialization.
   EXPECT_GT(at_time, 3.0 * phot::fiber_delay_s(100.0));
@@ -381,22 +381,22 @@ TEST(Fabric, DeliversAlongShortestPath) {
 }
 
 TEST(Fabric, TtlExpiryDrops) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(5, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(5, 10.0));
   fabric.install_shortest_path_routes();
   packet pkt;
   pkt.src = fabric.topo().node_at(0).address;
   pkt.dst = fabric.topo().node_at(4).address;
   pkt.ttl = 2;  // needs 4 hops
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(fabric.delivered(), 0u);
   EXPECT_EQ(fabric.dropped(), 1u);
 }
 
 TEST(Fabric, HookConsume) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(3, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(3, 10.0));
   fabric.install_shortest_path_routes();
   int seen = 0;
   fabric.set_hook(1, [&](node_id, packet&, double) {
@@ -406,13 +406,13 @@ TEST(Fabric, HookConsume) {
   packet pkt;
   pkt.dst = fabric.topo().node_at(2).address;
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(seen, 1);
   EXPECT_EQ(fabric.delivered(), 0u);
 }
 
 TEST(Fabric, HookRedirect) {
-  simulator sim;
+  shard_engine engine;
   // Triangle: 0-1, 1-2, 0-2. Send 0->2 but redirect at 0 via 1.
   topology topo;
   const node_id n0 = topo.add_node("a");
@@ -421,7 +421,7 @@ TEST(Fabric, HookRedirect) {
   topo.add_link(n0, n1, 10.0);
   topo.add_link(n1, n2, 10.0);
   topo.add_link(n0, n2, 10.0);
-  wan_fabric fabric(sim, topo);
+  wan_fabric fabric(engine, topo);
   fabric.install_shortest_path_routes();
   std::vector<node_id> visits;
   fabric.set_hook(n1, [&](node_id at, packet&, double) {
@@ -437,15 +437,15 @@ TEST(Fabric, HookRedirect) {
   packet pkt;
   pkt.dst = fabric.topo().node_at(n2).address;
   fabric.send(pkt, n0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(visits.size(), 1u);
   EXPECT_EQ(fabric.delivered(), 1u);
 }
 
 TEST(Fabric, SerializationQueueing) {
-  simulator sim;
+  shard_engine engine;
   topology topo = make_linear_topology(2, 1.0);
-  wan_fabric fabric(sim, topo);
+  wan_fabric fabric(engine, topo);
   fabric.install_shortest_path_routes();
   std::vector<double> arrivals;
   fabric.set_deliver_callback(
@@ -458,28 +458,28 @@ TEST(Fabric, SerializationQueueing) {
     pkt.payload.resize(1250);
     fabric.send(pkt, 0);
   }
-  sim.run();
+  engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   const double serialize = 1270.0 * 8.0 / 100e9;
   EXPECT_NEAR(arrivals[1] - arrivals[0], serialize, 1e-12);
 }
 
 TEST(Fabric, LinkBytesAccounted) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(3, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(3, 10.0));
   fabric.install_shortest_path_routes();
   packet pkt;
   pkt.dst = fabric.topo().node_at(2).address;
   pkt.payload.resize(80);
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_DOUBLE_EQ(fabric.link_bytes()[0], 100.0);  // 20B header + 80B
   EXPECT_DOUBLE_EQ(fabric.link_bytes()[1], 100.0);
 }
 
 TEST(Fabric, DropStatsPerReason) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(5, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(5, 10.0));
   fabric.install_shortest_path_routes();
   const auto send_to_end = [&](std::uint8_t ttl) {
     packet pkt;
@@ -487,7 +487,7 @@ TEST(Fabric, DropStatsPerReason) {
     pkt.dst = fabric.topo().node_at(4).address;
     pkt.ttl = ttl;
     fabric.send(pkt, 0);
-    sim.run();
+    engine.run();
   };
 
   send_to_end(2);  // needs 4 hops
@@ -496,7 +496,7 @@ TEST(Fabric, DropStatsPerReason) {
   packet stray;
   stray.dst = ipv4(192, 168, 0, 1);  // no attached prefix anywhere
   fabric.send(stray, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(fabric.drops().no_route, 1u);
 
   fabric.set_hook(1, [&](node_id, packet&, double) {
@@ -526,8 +526,8 @@ TEST(Fabric, HighBerFlipCountClampedToPayloadBits) {
   // poisson(0.9 * 8) draw of 12 — more flips than a 1-byte payload has
   // bits. The clamp caps it at 8; the packet still traverses and the
   // corruption counter advances exactly once.
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(2, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(2, 10.0));
   fabric.install_shortest_path_routes();
   fabric.set_bit_error_rate(0.9, 7);
   std::vector<std::uint8_t> delivered_payload;
@@ -538,7 +538,7 @@ TEST(Fabric, HighBerFlipCountClampedToPayloadBits) {
   pkt.dst = fabric.topo().node_at(1).address;
   pkt.payload.assign(1, 0x00);
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(fabric.corrupted(), 1u);
   ASSERT_EQ(delivered_payload.size(), 1u);
   // Replay the counter stream for this traversal: node 0 -> 1 is the
@@ -560,8 +560,8 @@ TEST(Fabric, BitErrorCountsNetCorruptionOnly) {
   // number of times cancels out and the payload arrives intact. The
   // corruption counter must track packets whose payload actually
   // changed, not packets that merely drew flips (the old behavior).
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(2, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(2, 10.0));
   fabric.install_shortest_path_routes();
   constexpr double ber = 0.25;
   constexpr std::uint64_t seed = 5;
@@ -578,7 +578,7 @@ TEST(Fabric, BitErrorCountsNetCorruptionOnly) {
     pkt.payload.assign(1, 0x00);
     fabric.send(std::move(pkt), 0);
   }
-  sim.run();
+  engine.run();
 
   // Replay the counter streams: packets traverse the single link in
   // send order, so the i-th packet is transmit seq i on (link 0, dir 0)
@@ -608,8 +608,8 @@ TEST(Fabric, MidRunReseedIsOrderIndependent) {
   // packet suffers depends only on the traffic that preceded it on the
   // link — never on when BER was (re)configured.
   const auto run = [](bool late) {
-    simulator sim;
-    wan_fabric fabric(sim, make_linear_topology(2, 10.0));
+    shard_engine engine;
+    wan_fabric fabric(engine, make_linear_topology(2, 10.0));
     fabric.install_shortest_path_routes();
     if (!late) fabric.set_bit_error_rate(0.25, 11);
     std::vector<std::vector<std::uint8_t>> payloads;
@@ -621,7 +621,7 @@ TEST(Fabric, MidRunReseedIsOrderIndependent) {
       pkt.dst = fabric.topo().node_at(1).address;
       pkt.payload.assign(4, 0x00);
       fabric.send(std::move(pkt), 0);
-      sim.run();  // drain so traversals happen in send order
+      engine.run();  // drain so traversals happen in send order
       if (late && i == 4) fabric.set_bit_error_rate(0.25, 11);
     }
     return payloads;
@@ -648,13 +648,13 @@ TEST(Fabric, RecommendedTtlTracksTopologyDiameter) {
   // 128-node chain (hop diameter 127) wants 2*127 + 8 = 262, clamped
   // to the field's ceiling of 255.
   {
-    simulator sim;
-    wan_fabric fabric(sim, make_linear_topology(4, 10.0));
+    shard_engine engine;
+    wan_fabric fabric(engine, make_linear_topology(4, 10.0));
     EXPECT_EQ(fabric.recommended_ttl(), 64u);
   }
   {
-    simulator sim;
-    wan_fabric fabric(sim, make_linear_topology(128, 1.0));
+    shard_engine engine;
+    wan_fabric fabric(engine, make_linear_topology(128, 1.0));
     EXPECT_EQ(fabric.recommended_ttl(), 255u);
   }
 }
@@ -663,8 +663,8 @@ TEST(Fabric, DefaultTtlDeliversAcrossLongChain) {
   // Regression: a default-constructed packet (ttl = 64) crossing a
   // 128-node chain needs 127 hops. send() must stamp recommended_ttl()
   // instead of letting the fabric silently black-hole it at hop 64.
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(128, 1.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(128, 1.0));
   fabric.install_shortest_path_routes();
   node_id delivered_at = invalid_node;
   fabric.set_deliver_callback(
@@ -672,7 +672,7 @@ TEST(Fabric, DefaultTtlDeliversAcrossLongChain) {
   packet pkt;  // ttl left at the struct default
   pkt.dst = fabric.topo().node_at(127).address;
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(delivered_at, 127u);
   EXPECT_EQ(fabric.delivered(), 1u);
   EXPECT_EQ(fabric.drops().ttl_expired, 0u);
@@ -682,8 +682,8 @@ TEST(Fabric, TtlBlackholeWarnsOnStderrOnce) {
   // An explicitly small TTL is honored as-is (only the exact default is
   // restamped). When ttl-expired drops exceed deliveries the fabric
   // warns once — and only once — on stderr.
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(128, 1.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(128, 1.0));
   fabric.install_shortest_path_routes();
   const auto send_small_ttl = [&] {
     packet pkt;
@@ -693,7 +693,7 @@ TEST(Fabric, TtlBlackholeWarnsOnStderrOnce) {
   };
   testing::internal::CaptureStderr();
   send_small_ttl();
-  sim.run();
+  engine.run();
   const std::string first = testing::internal::GetCapturedStderr();
   EXPECT_NE(first.find("ttl-expired"), std::string::npos);
   EXPECT_NE(first.find("recommended_ttl"), std::string::npos);
@@ -701,7 +701,7 @@ TEST(Fabric, TtlBlackholeWarnsOnStderrOnce) {
 
   testing::internal::CaptureStderr();
   send_small_ttl();
-  sim.run();
+  engine.run();
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   EXPECT_EQ(fabric.drops().ttl_expired, 2u);
 }
@@ -709,8 +709,8 @@ TEST(Fabric, TtlBlackholeWarnsOnStderrOnce) {
 TEST(Fabric, DestHintRevalidatedWhenHookRewritesDst) {
   // A hook rewriting dst mid-path invalidates the flat-cache hint; the
   // packet must fall back to the trie and deliver at the new target.
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(4, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(4, 10.0));
   fabric.install_shortest_path_routes();
   fabric.set_hook(1, [&](node_id, packet& pkt, double) {
     pkt.dst = fabric.topo().node_at(2).address;  // was node 3
@@ -722,7 +722,7 @@ TEST(Fabric, DestHintRevalidatedWhenHookRewritesDst) {
   packet pkt;
   pkt.dst = fabric.topo().node_at(3).address;
   fabric.send(pkt, 0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(delivered_at, 2u);
   EXPECT_EQ(fabric.delivered(), 1u);
   EXPECT_EQ(fabric.dropped(), 0u);
@@ -731,7 +731,7 @@ TEST(Fabric, DestHintRevalidatedWhenHookRewritesDst) {
 TEST(Fabric, FlatCacheFollowsReconvergence) {
   // Triangle: after the direct link fails AND routes reconverge, the
   // flat caches must steer around it (no stale fast-path entries).
-  simulator sim;
+  shard_engine engine;
   topology topo;
   const node_id n0 = topo.add_node("a");
   const node_id n1 = topo.add_node("b");
@@ -739,7 +739,7 @@ TEST(Fabric, FlatCacheFollowsReconvergence) {
   topo.add_link(n0, n2, 10.0);  // direct, preferred
   topo.add_link(n0, n1, 10.0);
   topo.add_link(n1, n2, 10.0);
-  wan_fabric fabric(sim, topo);
+  wan_fabric fabric(engine, topo);
   fabric.install_shortest_path_routes();
   EXPECT_EQ(fabric.next_hop(n0, topo.node_at(n2).address).value(), n2);
   fabric.fail_link(0);
@@ -748,14 +748,14 @@ TEST(Fabric, FlatCacheFollowsReconvergence) {
   packet pkt;
   pkt.dst = fabric.topo().node_at(n2).address;
   fabric.send(pkt, n0);
-  sim.run();
+  engine.run();
   EXPECT_EQ(fabric.delivered(), 1u);
   EXPECT_EQ(fabric.dropped(), 0u);
 }
 
 TEST(Fabric, DeliveredPayloadBuffersReturnToPool) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(3, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(3, 10.0));
   fabric.install_shortest_path_routes();
   for (int i = 0; i < 4; ++i) {
     packet pkt;
@@ -763,7 +763,7 @@ TEST(Fabric, DeliveredPayloadBuffersReturnToPool) {
     pkt.payload = fabric.pool().acquire();
     pkt.payload.assign(128, static_cast<std::uint8_t>(i));
     fabric.send(std::move(pkt), 0);
-    sim.run();
+    engine.run();
   }
   EXPECT_EQ(fabric.delivered(), 4u);
   // After the first delivery every send reuses the recycled buffer.
@@ -888,8 +888,8 @@ TEST(Traffic, EmptyHorizonYieldsNothing) {
 }
 
 TEST(Fabric, SendInvalidIngressThrows) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(2, 10.0));
+  shard_engine engine;
+  wan_fabric fabric(engine, make_linear_topology(2, 10.0));
   packet pkt;
   EXPECT_THROW(fabric.send(pkt, 7), std::out_of_range);
 }

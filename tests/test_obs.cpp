@@ -134,8 +134,8 @@ struct scenario_result {
 
 scenario_result run_flap_ber_scenario(bool tracing) {
   obs::set_enabled(tracing);
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(4, 16);
   for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
@@ -154,7 +154,7 @@ scenario_result run_flap_ber_scenario(bool tracing) {
 
   std::vector<double> x(16);
   for (int i = 0; i < 48; ++i) {
-    sim.schedule_at(0.0004 * i, [&rt, &x, i]() mutable {
+    engine.schedule_global(0.0004 * i, [&rt, &x, i]() mutable {
       for (std::size_t k = 0; k < x.size(); ++k) {
         x[k] =
             -1.0 + 2.0 * static_cast<double>((k * 31 + i * 7) % 97) / 96.0;
@@ -166,8 +166,8 @@ scenario_result run_flap_ber_scenario(bool tracing) {
                 0);
     });
   }
-  sim.run(1'000'000);
-  EXPECT_FALSE(sim.overran());
+  engine.run(1'000'000);
+  EXPECT_FALSE(engine.overran());
 
   scenario_result r;
   for (const auto& d : rt.deliveries()) {
@@ -275,8 +275,8 @@ TEST(ObsParity, RecoveryTraceBitIdenticalWithTracingOn) {
   obs_state_guard guard;
   const auto run = [](bool tracing) {
     obs::set_enabled(tracing);
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
     core::gemv_task task;
     task.weights = phot::matrix(1, 4);
     for (double& w : task.weights.data) w = 0.5;
@@ -303,7 +303,7 @@ TEST(ObsParity, RecoveryTraceBitIdenticalWithTracingOn) {
                                   1, id),
           0);
     }
-    sim.run();
+    engine.run();
     return rt.recovery_trace();
   };
 

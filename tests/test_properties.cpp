@@ -158,8 +158,8 @@ TEST(RuntimeProperty, EveryComputePacketAccountedFor) {
   // require_compute packet either has a result or is counted uncomputed.
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     phot::rng g(seed);
-    net::simulator sim;
-    core::onfiber_runtime rt(sim,
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine,
                              net::make_waxman_topology(10, 100 + seed));
     // Deploy 2 engines at random distinct nodes with a GEMV task.
     core::gemv_task task;
@@ -204,7 +204,7 @@ TEST(RuntimeProperty, EveryComputePacketAccountedFor) {
       }
       rt.submit(std::move(pkt), src);
     }
-    sim.run();
+    engine.run();
 
     EXPECT_EQ(rt.deliveries().size() + rt.stats().malformed_dropped,
               static_cast<std::size_t>(packets))
@@ -293,8 +293,8 @@ INSTANTIATE_TEST_SUITE_P(SpanCounts, FiberChainSweep,
 TEST(DeterminismProperty, WholeStackReproducible) {
   // Two identical runs of a nontrivial scenario must agree bit-for-bit.
   const auto run_once = [] {
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    net::shard_engine engine;
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
     core::gemv_task task;
     task.weights = phot::matrix(3, 12);
     for (double& w : task.weights.data) w = 0.3;
@@ -308,7 +308,7 @@ TEST(DeterminismProperty, WholeStackReproducible) {
                     static_cast<std::uint32_t>(i)),
                 0);
     }
-    sim.run();
+    engine.run();
     std::vector<std::vector<std::uint8_t>> payloads;
     for (const auto& d : rt.deliveries()) payloads.push_back(d.pkt.payload);
     return payloads;

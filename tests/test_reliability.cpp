@@ -11,6 +11,7 @@
 #include "core/compute_packets.hpp"
 #include "core/runtime.hpp"
 #include "network/fabric.hpp"
+#include "network/spf.hpp"
 #include "network/topology.hpp"
 
 namespace onfiber {
@@ -64,15 +65,15 @@ TEST(EventSimGuard, NormalDrainDoesNotFlagOverrun) {
 // ------------------------------------------------- flap schedule (fabric)
 
 TEST(FlapSchedule, FailsRestoresAndReconverges) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(2, 100.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2, 100.0));
   fabric.install_shortest_path_routes();
 
   const net::wan_fabric::link_flap flap{0, 0.010, 0.020};
   fabric.schedule_flaps({&flap, 1}, 0.004);
 
   const auto send_at = [&](double t) {
-    sim.schedule_at(t, [&] {
+    engine.schedule_global(t, [&] {
       net::packet pkt;
       pkt.src = fabric.topo().node_at(0).address;
       pkt.dst = fabric.topo().node_at(1).address;
@@ -82,7 +83,7 @@ TEST(FlapSchedule, FailsRestoresAndReconverges) {
   send_at(0.000);  // healthy: delivered
   send_at(0.015);  // link down: black-holed
   send_at(0.030);  // restored: delivered
-  sim.run();
+  engine.run();
 
   EXPECT_TRUE(fabric.link_is_up(0));
   EXPECT_EQ(fabric.reconvergences(), 2u);
@@ -91,8 +92,8 @@ TEST(FlapSchedule, FailsRestoresAndReconverges) {
 }
 
 TEST(FlapSchedule, RejectsBadSchedules) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(2, 100.0));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2, 100.0));
   const net::wan_fabric::link_flap bad_link{9, 0.0, 1.0};
   EXPECT_THROW(fabric.schedule_flaps({&bad_link, 1}, 0.0),
                std::out_of_range);
@@ -105,15 +106,15 @@ TEST(FlapSchedule, RejectsBadSchedules) {
 // -------------------------------------------------- ack/retry lifecycle
 
 TEST(Reliability, HealthyPathAcksWithoutRetries) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 61).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
 
   for (std::uint32_t id = 0; id < 5; ++id) {
     rt.submit_reliable(request_a_to_d(rt, id), 0);
   }
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.submitted, 5u);
@@ -135,8 +136,8 @@ TEST(Reliability, DropAndRetryRecoversAcrossFlap) {
   // A-B flaps while the task is in flight: the submission and the first
   // retry are black-holed (stale compute route into the dead link), the
   // backoff carries past the restore, and the second retry completes.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 62).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
 
@@ -148,7 +149,7 @@ TEST(Reliability, DropAndRetryRecoversAcrossFlap) {
   cfg.backoff = 2.0;
   rt.enable_reliability(cfg);
   rt.submit_reliable(request_a_to_d(rt, 7), 0);
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.completed, 1u);
@@ -162,8 +163,8 @@ TEST(Reliability, FailoverReroutesToAlternateSite) {
   // Site B becomes unreachable (both its links die); after the
   // configured number of timeouts the controller picks C and the pinned
   // retry completes there.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 63).configure_gemv(unit_gemv(4));
   rt.deploy_engine(2, {}, 64).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
@@ -178,7 +179,7 @@ TEST(Reliability, FailoverReroutesToAlternateSite) {
   cfg.failover_after = 1;
   rt.enable_reliability(cfg);
   rt.submit_reliable(request_a_to_d(rt, 9), 0);
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.completed, 1u);
@@ -200,8 +201,8 @@ TEST(Reliability, FailoverReroutesToAlternateSite) {
 TEST(Reliability, RetryCapYieldsTerminalFailure) {
   // D is fully partitioned: every retry dies, and after max_retries the
   // task fails terminally through the callback.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 65).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
   rt.fabric().fail_link(link_bd);
@@ -219,7 +220,7 @@ TEST(Reliability, RetryCapYieldsTerminalFailure) {
   rt.set_task_failure_callback(
       [&](std::uint32_t id) { failed_ids.push_back(id); });
   rt.submit_reliable(request_a_to_d(rt, 21), 0);
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.completed, 0u);
@@ -231,8 +232,8 @@ TEST(Reliability, RetryCapYieldsTerminalFailure) {
 }
 
 TEST(Reliability, RejectsBadSubmissions) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 66).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
 
@@ -256,8 +257,8 @@ TEST(Reliability, DuplicateDeliveryAfterAckIsCounted) {
   // lands first and erases the pending entry; the retransmit's delivery
   // arrives afterwards and must still be counted as a duplicate (it used
   // to vanish once the table entry was gone).
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 67).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
 
@@ -265,7 +266,7 @@ TEST(Reliability, DuplicateDeliveryAfterAckIsCounted) {
   cfg.initial_rto_s = 0.006;  // > one-way (~4.3 ms), < round trip (~8.6 ms)
   rt.enable_reliability(cfg);
   rt.submit_reliable(request_a_to_d(rt, 3), 0);
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.completed, 1u);
@@ -279,14 +280,14 @@ TEST(Reliability, ReusedTaskIdDoesNotInheritDuplicateHistory) {
   // Complete task 5, then legally reuse its id for a task that fails
   // terminally before its packet arrives. The late first delivery of the
   // *new* task must not be mistaken for a duplicate of the old one.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   rt.deploy_engine(1, {}, 68).configure_gemv(unit_gemv(4));
   rt.install_compute_routes_via_nearest_site();
 
   rt.enable_reliability();
   rt.submit_reliable(request_a_to_d(rt, 5), 0);
-  sim.run();
+  engine.run();
   ASSERT_EQ(rt.reliability().completed, 1u);
   ASSERT_EQ(rt.reliability().duplicate_deliveries, 0u);
 
@@ -295,7 +296,7 @@ TEST(Reliability, ReusedTaskIdDoesNotInheritDuplicateHistory) {
   cfg.max_retries = 0;        // first timeout is terminal
   rt.enable_reliability(cfg);
   rt.submit_reliable(request_a_to_d(rt, 5), 0);
-  sim.run();
+  engine.run();
 
   const auto& s = rt.reliability();
   EXPECT_EQ(s.failed, 1u);
@@ -307,24 +308,25 @@ TEST(Reliability, ReusedTaskIdDoesNotInheritDuplicateHistory) {
 
 TEST(FailoverPlanner, PicksBestAlternateOverLiveLinks) {
   const net::topology topo = net::make_figure1_topology();
+  net::spf_engine spf(topo);
   const std::vector<net::node_id> capable{1, 2};
   // All links healthy, nothing excluded: ties resolve to the first
   // capable site (B), the same choice the nearest-site routes make.
   const auto primary =
-      ctrl::plan_failover_site(topo, capable, net::invalid_node, 0, 3);
+      ctrl::plan_failover_site(spf, capable, net::invalid_node, 0, 3);
   ASSERT_TRUE(primary.has_value());
   EXPECT_EQ(primary->site, 1u);
-  // Excluding B yields C.
-  const auto alt = ctrl::plan_failover_site(topo, capable, 1, 0, 3);
+  // Excluding B yields C, at the A-C-D path delay.
+  const auto alt = ctrl::plan_failover_site(spf, capable, 1, 0, 3);
   ASSERT_TRUE(alt.has_value());
   EXPECT_EQ(alt->site, 2u);
-  EXPECT_GT(alt->via_delay_s, 0.0);
+  EXPECT_EQ(alt->via_delay_s,
+            topo.path_delay_s(topo.shortest_path(0, 2)) +
+                topo.path_delay_s(topo.shortest_path(2, 3)));
   // With C's links dead too, no plan exists.
-  std::vector<bool> up(topo.links().size(), true);
-  up[1] = false;  // A-C
-  up[3] = false;  // C-D
-  EXPECT_FALSE(
-      ctrl::plan_failover_site(topo, capable, 1, 0, 3, &up).has_value());
+  spf.fail_link(1);  // A-C
+  spf.fail_link(3);  // C-D
+  EXPECT_FALSE(ctrl::plan_failover_site(spf, capable, 1, 0, 3).has_value());
 }
 
 // ----------------------------------------------------------- determinism
@@ -336,8 +338,8 @@ struct trace_run {
 };
 
 trace_run run_flap_scenario(std::size_t threads) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   auto& eng_b = rt.deploy_engine(1, {}, 71);
   eng_b.configure_gemv(unit_gemv(4));
   eng_b.set_threads(threads);
@@ -361,7 +363,7 @@ trace_run run_flap_scenario(std::size_t threads) {
   for (std::uint32_t id = 0; id < 12; ++id) {
     rt.submit_reliable(request_a_to_d(rt, id), 0);
   }
-  sim.run();
+  engine.run();
   return trace_run{rt.recovery_trace(), rt.reliability().completed,
                    rt.reliability().retransmits};
 }

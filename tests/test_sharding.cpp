@@ -1,14 +1,15 @@
 // Sharded parallel event engine: golden delivery traces must be
-// bit-identical across shard counts {1, 2, 4} and across reruns, and a
-// 1-shard engine must reproduce the classic single-threaded simulator
-// exactly (same queue, same seq stream — not merely the same trace).
+// bit-identical across shard counts {1, 2, 4} and across reruns, and
+// must match the golden values committed below, which were captured
+// from the single-threaded event loop (a 1-shard engine runs exactly
+// that loop: same queue, same seq stream).
 //
 // The scenario is a 16-node chain with GEMV compute sites at nodes 5
 // and 10, bidirectional compute traffic (node 0 -> 15 and 15 -> 0), and
 // a flapping mid-chain link with jittered reconvergence — so packets
 // cross every shard boundary, die in the flap window, and reroute,
 // while the control plane (flaps, reconvergence) runs as global events.
-// Arrival timestamps are compared with exact double equality.
+// Traces are pinned by an FNV-1a digest over exact double bit patterns.
 //
 // Bit errors are exercised both ways: corruption draws come from
 // counter-based streams keyed on (seed, link, direction, transmit
@@ -16,11 +17,14 @@
 // traversal history and the golden trace holds with BER on at any
 // shard count. The reliability layer is likewise shard-aware (per-shard
 // task tables on the submitting node's shard, acks as ordinary
-// packets), so recovery traces are compared across shard counts too.
+// packets), so recovery traces are pinned across shard counts too.
+//
+// Run with ONFIBER_REGOLD=1 to print the observed values for
+// re-capture after an intentional change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "network/shard_engine.hpp"
 #include "network/topology.hpp"
 #include "protocol/compute_header.hpp"
+#include "golden_digest.hpp"
 
 namespace onfiber {
 namespace {
@@ -49,16 +54,13 @@ struct scenario_result {
   std::uint64_t computed = 0;
   std::uint64_t corrupted = 0;
   net::drop_stats drops;
-  net::shard_engine_stats engine;  ///< zeros for the classic simulator
+  net::shard_engine_stats engine;
 };
 
 /// 16-node chain, GEMV sites at 5 and 10, nearest-site compute routing,
-/// link 7 flapping, 40 interleaved up/down requests. `schedule_at` is
-/// the scenario's injection clock: sim.schedule_at for the classic
-/// engine, engine.schedule_global for the sharded one.
-template <class ScheduleAt>
-void drive_chain_scenario(core::onfiber_runtime& rt,
-                          ScheduleAt&& schedule_at, double ber) {
+/// link 7 flapping, 40 interleaved up/down requests injected as engine
+/// global events.
+void drive_chain_scenario(core::onfiber_runtime& rt, double ber) {
   core::gemv_task task;
   task.weights = phot::matrix(4, 16);
   for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
@@ -73,7 +75,7 @@ void drive_chain_scenario(core::onfiber_runtime& rt,
   if (ber > 0.0) rt.fabric().set_bit_error_rate(ber, 99);
 
   for (int i = 0; i < 40; ++i) {
-    schedule_at(0.0004 * i, [&rt, i] {
+    rt.fabric().engine().schedule_global(0.0004 * i, [&rt, i] {
       std::vector<double> x(16);
       for (std::size_t k = 0; k < x.size(); ++k) {
         x[k] = -1.0 + 2.0 * static_cast<double>((k * 31 + i * 7) % 97) / 96.0;
@@ -90,7 +92,13 @@ void drive_chain_scenario(core::onfiber_runtime& rt,
   }
 }
 
-scenario_result collect(core::onfiber_runtime& rt) {
+scenario_result run_chain(std::size_t shards, double ber = 0.0) {
+  net::shard_engine engine(shards);
+  core::onfiber_runtime rt(engine, net::make_linear_topology(16));
+  drive_chain_scenario(rt, ber);
+  engine.run(5'000'000);
+  EXPECT_FALSE(engine.overran());
+
   scenario_result r;
   for (const auto& d : rt.deliveries()) {
     const auto h = proto::peek_compute_header(d.pkt);
@@ -101,41 +109,15 @@ scenario_result collect(core::onfiber_runtime& rt) {
   r.computed = rt.stats().computed;
   r.corrupted = rt.fabric().corrupted();
   r.drops = rt.fabric().drops();
-  return r;
-}
-
-scenario_result run_classic(double ber = 0.0) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_linear_topology(16));
-  drive_chain_scenario(
-      rt, [&sim](double t, auto fn) { sim.schedule_at(t, std::move(fn)); },
-      ber);
-  sim.run(5'000'000);
-  EXPECT_FALSE(sim.overran());
-  return collect(rt);
-}
-
-scenario_result run_sharded(std::size_t shards, double ber = 0.0) {
-  net::shard_engine engine(shards);
-  core::onfiber_runtime rt(engine, net::make_linear_topology(16));
-  drive_chain_scenario(
-      rt,
-      [&engine](double t, auto fn) {
-        engine.schedule_global(t, std::move(fn));
-      },
-      ber);
-  engine.run(5'000'000);
-  EXPECT_FALSE(engine.overran());
-  scenario_result r = collect(rt);
   r.engine = engine.stats();
   return r;
 }
 
 /// deliveries() returns raw event order at 1 shard and a (time, node)
-/// merge at more; normalize both to the merge order so traces from
-/// different shard counts are comparable element-wise.
-std::vector<trace_entry> normalized(const scenario_result& r) {
-  std::vector<trace_entry> t = r.trace;
+/// merge at more; normalize to the merge order so traces from different
+/// shard counts are comparable element-wise.
+std::vector<trace_entry> normalized(const std::vector<trace_entry>& trace) {
+  std::vector<trace_entry> t = trace;
   std::stable_sort(t.begin(), t.end(),
                    [](const trace_entry& a, const trace_entry& b) {
                      if (a.time_s != b.time_s) return a.time_s < b.time_s;
@@ -144,71 +126,85 @@ std::vector<trace_entry> normalized(const scenario_result& r) {
   return t;
 }
 
-void expect_same(const scenario_result& a, const scenario_result& b) {
-  const auto ta = normalized(a);
-  const auto tb = normalized(b);
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_EQ(ta[i].task_id, tb[i].task_id) << "entry " << i;
-    EXPECT_EQ(ta[i].at, tb[i].at) << "entry " << i;
-    // Exact: sharding may not perturb a single ULP.
-    EXPECT_EQ(ta[i].time_s, tb[i].time_s) << "entry " << i;
+std::uint64_t trace_digest(const std::vector<trace_entry>& trace) {
+  golden::fnv1a64 d;
+  for (const trace_entry& e : trace) {
+    d.add(e.task_id);
+    d.add(e.at);
+    d.add_bits(e.time_s);
   }
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.computed, b.computed);
-  EXPECT_EQ(a.corrupted, b.corrupted);
-  EXPECT_EQ(a.drops.total(), b.drops.total());
-  EXPECT_EQ(a.drops.link_down, b.drops.link_down);
-  EXPECT_EQ(a.drops.no_route, b.drops.no_route);
+  return d.value();
 }
 
-/// Shard counts to sweep: {1, 2, 4} plus an optional extra from the
-/// ONFIBER_SHARDS environment variable (the CI sharded gates set it).
-std::vector<std::size_t> shard_count_sweep() {
-  std::vector<std::size_t> counts = {1, 2, 4};
-  if (const char* env = std::getenv("ONFIBER_SHARDS")) {
-    const std::size_t extra = static_cast<std::size_t>(std::atoi(env));
-    if (extra > 1 &&
-        std::find(counts.begin(), counts.end(), extra) == counts.end()) {
-      counts.push_back(extra);
-    }
+/// Committed chain-scenario result: trace length and digest (the raw
+/// single-threaded order is already (time, node) sorted, so one digest
+/// pins both the raw and the normalized trace) plus every counter.
+struct chain_golden {
+  std::size_t trace_size;
+  std::uint64_t digest;
+  std::uint64_t delivered;
+  std::uint64_t computed;
+  std::uint64_t corrupted;
+  std::uint64_t drops_total;
+  std::uint64_t link_down;
+  std::uint64_t no_route;
+  std::uint64_t hook_drop;
+};
+
+constexpr chain_golden kChainGolden{24, 0x074b191e59653949ull, 24, 40, 0,
+                                    16, 6, 10, 0};
+constexpr chain_golden kChainGoldenBer{17, 0x9f9df3579f073cd0ull, 17, 33,
+                                       16, 23, 4, 9, 10};
+
+void expect_matches(const chain_golden& g, const scenario_result& r) {
+  if (golden::regold_requested()) {
+    std::printf(
+        "chain size=%zu digest=0x%016llx delivered=%llu computed=%llu "
+        "corrupted=%llu drops=%llu link_down=%llu no_route=%llu "
+        "hook_drop=%llu\n",
+        r.trace.size(),
+        static_cast<unsigned long long>(trace_digest(normalized(r.trace))),
+        static_cast<unsigned long long>(r.delivered),
+        static_cast<unsigned long long>(r.computed),
+        static_cast<unsigned long long>(r.corrupted),
+        static_cast<unsigned long long>(r.drops.total()),
+        static_cast<unsigned long long>(r.drops.link_down),
+        static_cast<unsigned long long>(r.drops.no_route),
+        static_cast<unsigned long long>(r.drops.hook_drop));
   }
-  return counts;
+  EXPECT_EQ(r.trace.size(), g.trace_size);
+  // Exact: sharding may not perturb a single ULP of any timestamp.
+  EXPECT_EQ(trace_digest(normalized(r.trace)), g.digest);
+  EXPECT_EQ(r.delivered, g.delivered);
+  EXPECT_EQ(r.computed, g.computed);
+  EXPECT_EQ(r.corrupted, g.corrupted);
+  EXPECT_EQ(r.drops.total(), g.drops_total);
+  EXPECT_EQ(r.drops.link_down, g.link_down);
+  EXPECT_EQ(r.drops.no_route, g.no_route);
+  EXPECT_EQ(r.drops.hook_drop, g.hook_drop);
 }
 
-TEST(ShardedDeterminism, OneShardMatchesClassicExactly) {
-  const scenario_result classic = run_classic();
-  const scenario_result one = run_sharded(1);
-  // Raw traces, not normalized: 1-shard mode shares the classic queue
-  // and seq stream, so even same-timestamp ordering must match.
-  ASSERT_EQ(classic.trace.size(), one.trace.size());
-  EXPECT_TRUE(classic.trace == one.trace);
-  expect_same(classic, one);
-  EXPECT_EQ(one.engine.windows, 0u);
-  EXPECT_EQ(one.engine.parcels, 0u);
-}
-
-TEST(ShardedDeterminism, OneShardMatchesClassicWithBitErrors) {
-  // Raw-trace equivalence at 1 shard with bit errors on: the counter
-  // streams depend only on traversal history, which a 1-shard engine
-  // shares event-for-event with the classic simulator.
-  const scenario_result classic = run_classic(1e-4);
-  const scenario_result one = run_sharded(1, 1e-4);
-  EXPECT_TRUE(classic.trace == one.trace);
-  expect_same(classic, one);
+/// One shard is one (time, seq) queue: the raw trace — not normalized,
+/// so same-timestamp ordering counts — must match the golden capture,
+/// and no window or parcel machinery may run.
+void expect_single_queue(const chain_golden& g, const scenario_result& r) {
+  EXPECT_EQ(trace_digest(r.trace), g.digest);
+  EXPECT_EQ(r.engine.windows, 0u);
+  EXPECT_EQ(r.engine.parcels, 0u);
 }
 
 TEST(ShardedDeterminism, GoldenTraceBitIdenticalAcrossShardCounts) {
-  const scenario_result classic = run_classic();
   // Sanity on the reference itself: traffic flowed, flaps killed some.
-  EXPECT_GE(classic.delivered, 20u);
-  EXPECT_GT(classic.drops.total(), 0u);
+  EXPECT_GE(kChainGolden.delivered, 20u);
+  EXPECT_GT(kChainGolden.drops_total, 0u);
 
-  for (const std::size_t shards : shard_count_sweep()) {
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const scenario_result r = run_sharded(shards);
-    expect_same(classic, r);
-    if (shards > 1) {
+    const scenario_result r = run_chain(shards);
+    expect_matches(kChainGolden, r);
+    if (shards == 1) {
+      expect_single_queue(kChainGolden, r);
+    } else {
       // The parallel machinery must actually have been exercised.
       EXPECT_GT(r.engine.windows, 0u);
       EXPECT_GT(r.engine.parcels, 0u);
@@ -221,19 +217,20 @@ TEST(ShardedDeterminism, GoldenTraceWithBitErrorsAcrossShardCounts) {
   // counter streams keyed by traversal history, so the delivery trace —
   // including which packets corrupt — is exact-double identical at any
   // shard count.
-  const scenario_result classic = run_classic(1e-4);
-  EXPECT_GE(classic.delivered, 10u);  // some corrupted headers get dropped
-  EXPECT_GT(classic.drops.total(), 0u);
-  EXPECT_GT(classic.corrupted, 0u);  // BER must actually bite
-  for (const std::size_t shards : shard_count_sweep()) {
+  EXPECT_GE(kChainGoldenBer.delivered, 10u);  // corrupted headers dropped
+  EXPECT_GT(kChainGoldenBer.drops_total, 0u);
+  EXPECT_GT(kChainGoldenBer.corrupted, 0u);  // BER must actually bite
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_same(classic, run_sharded(shards, 1e-4));
+    const scenario_result r = run_chain(shards, 1e-4);
+    expect_matches(kChainGoldenBer, r);
+    if (shards == 1) expect_single_queue(kChainGoldenBer, r);
   }
 }
 
 TEST(ShardedDeterminism, BitIdenticalAcrossReruns) {
-  const scenario_result a = run_sharded(4);
-  const scenario_result b = run_sharded(4);
+  const scenario_result a = run_chain(4);
+  const scenario_result b = run_chain(4);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   EXPECT_TRUE(a.trace == b.trace);
   EXPECT_EQ(a.engine.parcels, b.engine.parcels);
@@ -363,11 +360,11 @@ struct reliable_run {
 
 /// Figure-1 topology (4 nodes: A=0, B=1, C=2, D=3; links 0 A-B, 2 B-D
 /// flap), GEMV sites at B and C, 12 reliable A -> D tasks submitted at
-/// t = 0. Mirrors test_reliability.cpp's run_flap_scenario so the
-/// classic run here is the same scenario PR 2 pinned.
-template <class ScheduleAt>
-void drive_flap_reliable(core::onfiber_runtime& rt,
-                         ScheduleAt&& schedule_at) {
+/// t = 0. Mirrors test_reliability.cpp's run_flap_scenario, and is the
+/// same scenario test_spf.cpp's routing golden pins.
+reliable_run run_flap_reliable(std::size_t shards) {
+  net::shard_engine engine(shards);
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 4);
   for (double& w : task.weights.data) w = 0.5;
@@ -388,7 +385,7 @@ void drive_flap_reliable(core::onfiber_runtime& rt,
   cfg.failover_after = 2;
   rt.enable_reliability(cfg);
 
-  schedule_at(0.0, [&rt] {
+  engine.schedule_global(0.0, [&rt] {
     const std::vector<double> x(4, 0.5);
     for (std::uint32_t id = 0; id < 12; ++id) {
       rt.submit_reliable(
@@ -398,27 +395,21 @@ void drive_flap_reliable(core::onfiber_runtime& rt,
           0);
     }
   });
-}
-
-reliable_run run_flap_reliable_classic() {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
-  drive_flap_reliable(
-      rt, [&sim](double t, auto fn) { sim.schedule_at(t, std::move(fn)); });
-  sim.run(5'000'000);
-  EXPECT_FALSE(sim.overran());
-  return reliable_run{rt.recovery_trace(), rt.reliability()};
-}
-
-reliable_run run_flap_reliable_sharded(std::size_t shards) {
-  net::shard_engine engine(shards);
-  core::onfiber_runtime rt(engine, net::make_figure1_topology());
-  drive_flap_reliable(rt, [&engine](double t, auto fn) {
-    engine.schedule_global(t, std::move(fn));
-  });
   engine.run(5'000'000);
   EXPECT_FALSE(engine.overran());
   return reliable_run{rt.recovery_trace(), rt.reliability()};
+}
+
+void expect_same_stats(const core::onfiber_runtime::reliability_stats& a,
+                       const core::onfiber_runtime::reliability_stats& b) {
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.acks_sent, b.acks_sent);
+  EXPECT_EQ(a.duplicate_deliveries, b.duplicate_deliveries);
+  EXPECT_EQ(a.max_completion_s, b.max_completion_s);  // exact
 }
 
 void expect_same_recovery(const reliable_run& a, const reliable_run& b) {
@@ -432,32 +423,61 @@ void expect_same_recovery(const reliable_run& a, const reliable_run& b) {
     EXPECT_EQ(a.trace[i].time_s, b.trace[i].time_s) << "event " << i;
     EXPECT_EQ(a.trace[i].site, b.trace[i].site) << "event " << i;
   }
-  EXPECT_EQ(a.stats.submitted, b.stats.submitted);
-  EXPECT_EQ(a.stats.completed, b.stats.completed);
-  EXPECT_EQ(a.stats.failed, b.stats.failed);
-  EXPECT_EQ(a.stats.retransmits, b.stats.retransmits);
-  EXPECT_EQ(a.stats.failovers, b.stats.failovers);
-  EXPECT_EQ(a.stats.acks_sent, b.stats.acks_sent);
-  EXPECT_EQ(a.stats.duplicate_deliveries, b.stats.duplicate_deliveries);
-  EXPECT_EQ(a.stats.max_completion_s, b.stats.max_completion_s);
+  expect_same_stats(a.stats, b.stats);
+}
+
+/// Committed flap-recovery result, captured from the single-threaded
+/// event loop: trace length and digest plus every reliability counter.
+constexpr std::size_t kRecoveryTraceSize = 60;
+constexpr std::uint64_t kRecoveryDigest = 0xc0c60d4213e1104dull;
+
+core::onfiber_runtime::reliability_stats golden_recovery_stats() {
+  core::onfiber_runtime::reliability_stats g;
+  g.submitted = 12;
+  g.completed = 12;
+  g.failed = 0;
+  g.retransmits = 24;
+  g.failovers = 12;
+  g.acks_sent = 12;
+  g.duplicate_deliveries = 0;
+  g.max_completion_s = 0x1.17dbb97c6f595p-4;
+  return g;
 }
 
 TEST(ShardedReliability, FlapRecoveryEquivalentAcrossShardCounts) {
-  const reliable_run classic = run_flap_reliable_classic();
   // The reference really exercises recovery and everything completes.
-  EXPECT_EQ(classic.stats.submitted, 12u);
-  EXPECT_EQ(classic.stats.completed, 12u);
-  EXPECT_EQ(classic.stats.failed, 0u);
-  EXPECT_GT(classic.stats.retransmits, 0u);
-  for (const std::size_t shards : shard_count_sweep()) {
+  const auto golden_stats = golden_recovery_stats();
+  EXPECT_EQ(golden_stats.completed, golden_stats.submitted);
+  EXPECT_GT(golden_stats.retransmits, 0u);
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_same_recovery(classic, run_flap_reliable_sharded(shards));
+    const reliable_run r = run_flap_reliable(shards);
+    const std::uint64_t digest = golden::recovery_digest(r.trace);
+    if (golden::regold_requested()) {
+      const auto& st = r.stats;
+      std::printf(
+          "recovery size=%zu digest=0x%016llx submitted=%llu "
+          "completed=%llu failed=%llu retransmits=%llu failovers=%llu "
+          "acks_sent=%llu duplicates=%llu max_completion=%a\n",
+          r.trace.size(), static_cast<unsigned long long>(digest),
+          static_cast<unsigned long long>(st.submitted),
+          static_cast<unsigned long long>(st.completed),
+          static_cast<unsigned long long>(st.failed),
+          static_cast<unsigned long long>(st.retransmits),
+          static_cast<unsigned long long>(st.failovers),
+          static_cast<unsigned long long>(st.acks_sent),
+          static_cast<unsigned long long>(st.duplicate_deliveries),
+          st.max_completion_s);
+    }
+    EXPECT_EQ(r.trace.size(), kRecoveryTraceSize);
+    EXPECT_EQ(digest, kRecoveryDigest);
+    expect_same_stats(golden_stats, r.stats);
   }
 }
 
 TEST(ShardedReliability, RecoveryTraceBitIdenticalAcrossReruns) {
-  const reliable_run a = run_flap_reliable_sharded(4);
-  const reliable_run b = run_flap_reliable_sharded(4);
+  const reliable_run a = run_flap_reliable(4);
+  const reliable_run b = run_flap_reliable(4);
   expect_same_recovery(a, b);
   EXPECT_EQ(a.stats.completed, 12u);
 }

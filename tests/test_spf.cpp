@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "network/topology.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/compute_header.hpp"
+#include "golden_digest.hpp"
 
 namespace onfiber {
 namespace {
@@ -225,8 +227,8 @@ TEST(SpfEngine, TouchedCountsAreExactOnChainTailFailure) {
 void expect_fabrics_equal(net::wan_fabric& incr, const net::topology& topo,
                           const std::vector<bool>& up,
                           const std::string& where) {
-  net::simulator sim;
-  net::wan_fabric fresh(sim, topo);
+  net::shard_engine engine;
+  net::wan_fabric fresh(engine, topo);
   for (std::size_t li = 0; li < up.size(); ++li) {
     if (!up[li]) fresh.fail_link(li);
   }
@@ -257,8 +259,8 @@ void expect_fabrics_equal(net::wan_fabric& incr, const net::topology& topo,
 
 TEST(RoutingPatch, PatchedTablesMatchFreshInstallUnderFlapSequence) {
   const net::topology topo = net::make_waxman_topology(24, 3);
-  net::simulator sim;
-  net::wan_fabric fabric(sim, topo);
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, topo);
   fabric.install_shortest_path_routes();
   std::vector<bool> up(topo.links().size(), true);
   xorshift rng{1234567};
@@ -282,8 +284,8 @@ TEST(RoutingPatch, ReconvergenceWindowSemanticsPreserved) {
   // stale until install_shortest_path_routes() — the reconvergence
   // window — even though the engine's trees update eagerly.
   const net::topology topo = net::make_figure1_topology();
-  net::simulator sim;
-  net::wan_fabric fabric(sim, topo);
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, topo);
   fabric.install_shortest_path_routes();
   ASSERT_EQ(fabric.next_hop_to_node(0, 3), 1u);
   fabric.fail_link(0);  // A-B down
@@ -308,8 +310,8 @@ TEST(RoutingObs, RoutesTouchedAndReconvergeLatencySurface) {
   obs::set_enabled(true);
   {
     const net::topology topo = net::make_uswan_topology();
-    net::simulator sim;
-    net::wan_fabric fabric(sim, topo);
+    net::shard_engine engine;
+    net::wan_fabric fabric(engine, topo);
     fabric.install_shortest_path_routes();  // full sweep
     fabric.fail_link(0);
     fabric.install_shortest_path_routes();  // delta patch
@@ -326,19 +328,24 @@ TEST(RoutingObs, RoutesTouchedAndReconvergeLatencySurface) {
 }
 
 // ---------------------------------------------------------------------
-// Golden delivery/recovery traces across shard counts {1, 2, 4}: the
-// patch-based reconvergence path must not move a single timestamp.
+// Golden delivery/recovery traces across shard counts {1, 2, 4} (plus
+// ONFIBER_SHARDS): the patch-based reconvergence path must not move a
+// single timestamp. ONFIBER_REGOLD=1 prints the observed values.
 
+/// Delivery trace (task id, arrival time) and recovery trace, each as
+/// length + digest, plus the fabric counters.
 struct golden_run {
-  std::vector<std::uint32_t> delivery_tasks;
-  std::vector<double> delivery_times;
-  std::vector<core::onfiber_runtime::reliability_event> recovery;
+  std::size_t delivery_count = 0;
+  std::uint64_t delivery_digest = 0;
+  std::size_t recovery_count = 0;
+  std::uint64_t recovery_digest = 0;
   std::uint64_t delivered = 0;
   std::uint64_t reconvergences = 0;
 };
 
-template <class ScheduleAt>
-void drive_golden(core::onfiber_runtime& rt, ScheduleAt&& schedule_at) {
+golden_run run_golden(std::size_t shards) {
+  net::shard_engine engine(shards);
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(1, 4);
   for (double& w : task.weights.data) w = 0.5;
@@ -359,7 +366,7 @@ void drive_golden(core::onfiber_runtime& rt, ScheduleAt&& schedule_at) {
   cfg.failover_after = 2;
   rt.enable_reliability(cfg);
 
-  schedule_at(0.0, [&rt] {
+  engine.schedule_global(0.0, [&rt] {
     const std::vector<double> x(4, 0.5);
     for (std::uint32_t id = 0; id < 12; ++id) {
       rt.submit_reliable(
@@ -369,63 +376,53 @@ void drive_golden(core::onfiber_runtime& rt, ScheduleAt&& schedule_at) {
           0);
     }
   });
-}
+  engine.run(5'000'000);
+  EXPECT_FALSE(engine.overran());
 
-golden_run collect_golden(core::onfiber_runtime& rt) {
   golden_run g;
+  golden::fnv1a64 deliveries;
   for (const auto& d : rt.deliveries()) {
     const auto h = proto::peek_compute_header(d.pkt);
-    g.delivery_tasks.push_back(h ? h->task_id : ~std::uint32_t{0});
-    g.delivery_times.push_back(d.time_s);
+    deliveries.add(h ? h->task_id : ~std::uint32_t{0});
+    deliveries.add_bits(d.time_s);
+    ++g.delivery_count;
   }
-  g.recovery = rt.recovery_trace();
+  g.delivery_digest = deliveries.value();
+  g.recovery_count = rt.recovery_trace().size();
+  g.recovery_digest = golden::recovery_digest(rt.recovery_trace());
   g.delivered = rt.fabric().delivered();
   g.reconvergences = rt.fabric().reconvergences();
   return g;
 }
 
-golden_run run_golden(std::size_t shards) {
-  if (shards == 0) {
-    net::simulator sim;
-    core::onfiber_runtime rt(sim, net::make_figure1_topology());
-    drive_golden(rt, [&sim](double t, auto fn) {
-      sim.schedule_at(t, std::move(fn));
-    });
-    sim.run(5'000'000);
-    EXPECT_FALSE(sim.overran());
-    return collect_golden(rt);
-  }
-  net::shard_engine engine(shards);
-  core::onfiber_runtime rt(engine, net::make_figure1_topology());
-  drive_golden(rt, [&engine](double t, auto fn) {
-    engine.schedule_global(t, std::move(fn));
-  });
-  engine.run(5'000'000);
-  EXPECT_FALSE(engine.overran());
-  return collect_golden(rt);
-}
-
 TEST(RoutingGolden, DeliveryAndRecoveryTracesAcrossShardCounts) {
-  const golden_run classic = run_golden(0);
-  EXPECT_GT(classic.delivered, 0u);
-  EXPECT_EQ(classic.reconvergences, 4u);  // two flaps, fail + restore
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
+  // Captured from the single-threaded event loop. Digests cover exact
+  // double bit patterns: reconvergence-by-patch may not move a
+  // timestamp. The recovery trace is the one test_sharding.cpp pins.
+  constexpr golden_run kGolden{12, 0x34e23367d9b101d8ull, 60,
+                               0xc0c60d4213e1104dull, 24, 4};
+  EXPECT_GT(kGolden.delivered, 0u);
+  EXPECT_EQ(kGolden.reconvergences, 4u);  // two flaps, fail + restore
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const golden_run got = run_golden(shards);
-    EXPECT_EQ(classic.delivery_tasks, got.delivery_tasks);
-    // Exact doubles: reconvergence-by-patch may not move a timestamp.
-    EXPECT_EQ(classic.delivery_times, got.delivery_times);
-    ASSERT_EQ(classic.recovery.size(), got.recovery.size());
-    for (std::size_t i = 0; i < classic.recovery.size(); ++i) {
-      EXPECT_EQ(static_cast<int>(classic.recovery[i].what),
-                static_cast<int>(got.recovery[i].what));
-      EXPECT_EQ(classic.recovery[i].task_id, got.recovery[i].task_id);
-      EXPECT_EQ(classic.recovery[i].time_s, got.recovery[i].time_s);
-      EXPECT_EQ(classic.recovery[i].site, got.recovery[i].site);
+    if (golden::regold_requested()) {
+      std::printf(
+          "routing golden deliveries=%zu digest=0x%016llx recovery=%zu "
+          "digest=0x%016llx delivered=%llu reconvergences=%llu\n",
+          got.delivery_count,
+          static_cast<unsigned long long>(got.delivery_digest),
+          got.recovery_count,
+          static_cast<unsigned long long>(got.recovery_digest),
+          static_cast<unsigned long long>(got.delivered),
+          static_cast<unsigned long long>(got.reconvergences));
     }
-    EXPECT_EQ(classic.delivered, got.delivered);
-    EXPECT_EQ(classic.reconvergences, got.reconvergences);
+    EXPECT_EQ(got.delivery_count, kGolden.delivery_count);
+    EXPECT_EQ(got.delivery_digest, kGolden.delivery_digest);
+    EXPECT_EQ(got.recovery_count, kGolden.recovery_count);
+    EXPECT_EQ(got.recovery_digest, kGolden.recovery_digest);
+    EXPECT_EQ(got.delivered, kGolden.delivered);
+    EXPECT_EQ(got.reconvergences, kGolden.reconvergences);
   }
 }
 

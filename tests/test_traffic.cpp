@@ -6,7 +6,8 @@
 //     process (gap-first — historically generate_count started at t=0);
 //   * the workload plane's arrival streams and the resulting delivery
 //     traces are bit-identical across shard counts {1,2,4}, reruns, and
-//     ONFIBER_THREADS, with exact-double timestamps;
+//     ONFIBER_THREADS, with exact-double timestamps, and match a
+//     committed golden digest;
 //   * admission control bounds every site's compute queue: under
 //     deliberate overload the depth watermark stays <= the configured
 //     bound (defer forwards raw, drop discards and counts), where the
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "photonics/engine/pattern_matcher.hpp"
 #include "photonics/kernels.hpp"
 #include "protocol/compute_header.hpp"
+#include "golden_digest.hpp"
 
 namespace onfiber {
 namespace {
@@ -114,8 +117,8 @@ TEST(TrafficWorkload, BoundedParetoStaysInBounds) {
 }
 
 TEST(TrafficWorkload, RateFactorIsPureFunctionOfTime) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(4));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(4));
   net::workload_config cfg;
   cfg.diurnal = {0.5, 0.4, 0.1};
   cfg.bursts = {20.0, 2e-3, 6.0};
@@ -136,8 +139,8 @@ TEST(TrafficWorkload, RateFactorIsPureFunctionOfTime) {
 }
 
 TEST(TrafficWorkload, RejectsBadConfig) {
-  net::simulator sim;
-  net::wan_fabric fabric(sim, net::make_linear_topology(4));
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(4));
   net::workload_config bad;
   bad.tenants.clear();
   EXPECT_THROW(net::workload_plane(fabric, bad), std::invalid_argument);
@@ -191,9 +194,9 @@ std::vector<std::uint8_t> plane_signature() {
   return sig;
 }
 
-template <class Fabric>
-plane_result run_plane(core::onfiber_runtime& rt, Fabric& engine_or_sim,
-                       std::size_t cap) {
+plane_result run_plane(std::size_t shards, std::size_t cap = 24) {
+  net::shard_engine engine(shards);
+  core::onfiber_runtime rt(engine, net::make_linear_topology(16));
   core::match_task classifier;
   classifier.patterns.push_back(
       phot::to_ternary(phot::bytes_to_bits(plane_signature())));
@@ -272,8 +275,8 @@ plane_result run_plane(core::onfiber_runtime& rt, Fabric& engine_or_sim,
       });
   rt.set_record_deliveries(false);
 
-  engine_or_sim.run(20'000'000);
-  EXPECT_FALSE(engine_or_sim.overran());
+  engine.run(20'000'000);
+  EXPECT_FALSE(engine.overran());
 
   plane_result r;
   for (auto& bucket : per_shard) {
@@ -292,26 +295,8 @@ plane_result run_plane(core::onfiber_runtime& rt, Fabric& engine_or_sim,
   return r;
 }
 
-plane_result run_plane_classic(std::size_t cap = 24) {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_linear_topology(16));
-  return run_plane(rt, sim, cap);
-}
-
-plane_result run_plane_sharded(std::size_t shards, std::size_t cap = 24) {
-  net::shard_engine engine(shards);
-  core::onfiber_runtime rt(engine, net::make_linear_topology(16));
-  return run_plane(rt, engine, cap);
-}
-
-void expect_same_plane(const plane_result& a, const plane_result& b) {
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].id, b.trace[i].id) << "entry " << i;
-    EXPECT_EQ(a.trace[i].at, b.trace[i].at) << "entry " << i;
-    // Exact: sharding may not perturb a single ULP.
-    EXPECT_EQ(a.trace[i].time_s, b.trace[i].time_s) << "entry " << i;
-  }
+/// Every counter of two runs (the trace itself is compared separately).
+void expect_same_counters(const plane_result& a, const plane_result& b) {
   EXPECT_EQ(a.emitted.flows, b.emitted.flows);
   EXPECT_EQ(a.emitted.packets, b.emitted.packets);
   EXPECT_EQ(a.emitted.payload_bytes, b.emitted.payload_bytes);
@@ -325,22 +310,51 @@ void expect_same_plane(const plane_result& a, const plane_result& b) {
   EXPECT_EQ(a.p99_s, b.p99_s);  // exact: same latency multiset
 }
 
-/// Shard counts to sweep: {1, 2, 4} plus an optional extra from
-/// ONFIBER_SHARDS (the CI sharded gates set it).
-std::vector<std::size_t> shard_count_sweep() {
-  std::vector<std::size_t> counts = {1, 2, 4};
-  if (const char* env = std::getenv("ONFIBER_SHARDS")) {
-    const auto extra = static_cast<std::size_t>(std::atoi(env));
-    if (extra > 1 &&
-        std::find(counts.begin(), counts.end(), extra) == counts.end()) {
-      counts.push_back(extra);
-    }
+void expect_same_plane(const plane_result& a, const plane_result& b) {
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].id, b.trace[i].id) << "entry " << i;
+    EXPECT_EQ(a.trace[i].at, b.trace[i].at) << "entry " << i;
+    // Exact: sharding may not perturb a single ULP.
+    EXPECT_EQ(a.trace[i].time_s, b.trace[i].time_s) << "entry " << i;
   }
-  return counts;
+  expect_same_counters(a, b);
+}
+
+/// Golden plane run (cap 24), captured from the single-threaded engine:
+/// trace length and FNV-1a digest over (id, node, time bits), plus every
+/// counter expect_same_counters compares.
+constexpr std::size_t kPlaneTraceSize = 614;
+constexpr std::uint64_t kPlaneTraceDigest = 0x8545a444e51bb521ull;
+
+plane_result golden_plane() {
+  plane_result g;
+  g.emitted.flows = 203;
+  g.emitted.packets = 614;
+  g.emitted.payload_bytes = 0x1.39a3p+16;
+  g.emitted.thinning_rejects = 540;
+  g.delivered = 614;
+  g.computed = 289;
+  g.admission.admitted = 289;
+  g.admission.deferred = 464;
+  g.admission.dropped = 0;
+  g.admission.max_queue_depth = 24;
+  g.p99_s = 0x1.73cc0e23e6438p-6;
+  return g;
+}
+
+std::uint64_t plane_digest(const plane_result& r) {
+  golden::fnv1a64 d;
+  for (const auto& e : r.trace) {
+    d.add(e.id);
+    d.add(e.at);
+    d.add_bits(e.time_s);
+  }
+  return d.value();
 }
 
 TEST(TrafficPlaneDeterminism, WorkloadIsNonTrivial) {
-  const plane_result r = run_plane_classic();
+  const plane_result r = run_plane(1);
   // The scenario must actually exercise the plane: heavy-tailed flows,
   // compute at both sites, deferral under the small bound.
   EXPECT_GT(r.emitted.flows, 50u);
@@ -353,16 +367,38 @@ TEST(TrafficPlaneDeterminism, WorkloadIsNonTrivial) {
 }
 
 TEST(TrafficPlaneDeterminism, GoldenTraceAcrossShardCounts) {
-  const plane_result classic = run_plane_classic();
-  for (const std::size_t shards : shard_count_sweep()) {
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_same_plane(classic, run_plane_sharded(shards));
+    const plane_result r = run_plane(shards);
+    if (golden::regold_requested()) {
+      std::printf(
+          "plane shards=%zu size=%zu digest=0x%016llx flows=%llu "
+          "packets=%llu payload=%a thinning=%llu delivered=%llu "
+          "computed=%llu admitted=%llu deferred=%llu dropped=%llu "
+          "max_depth=%llu p99=%a\n",
+          shards, r.trace.size(),
+          static_cast<unsigned long long>(plane_digest(r)),
+          static_cast<unsigned long long>(r.emitted.flows),
+          static_cast<unsigned long long>(r.emitted.packets),
+          r.emitted.payload_bytes,
+          static_cast<unsigned long long>(r.emitted.thinning_rejects),
+          static_cast<unsigned long long>(r.delivered),
+          static_cast<unsigned long long>(r.computed),
+          static_cast<unsigned long long>(r.admission.admitted),
+          static_cast<unsigned long long>(r.admission.deferred),
+          static_cast<unsigned long long>(r.admission.dropped),
+          static_cast<unsigned long long>(r.admission.max_queue_depth),
+          r.p99_s);
+    }
+    EXPECT_EQ(r.trace.size(), kPlaneTraceSize);
+    EXPECT_EQ(plane_digest(r), kPlaneTraceDigest);
+    expect_same_counters(golden_plane(), r);
   }
 }
 
 TEST(TrafficPlaneDeterminism, RerunsAreBitIdentical) {
-  const plane_result a = run_plane_sharded(2);
-  const plane_result b = run_plane_sharded(2);
+  const plane_result a = run_plane(2);
+  const plane_result b = run_plane(2);
   EXPECT_TRUE(a.trace == b.trace);
   expect_same_plane(a, b);
 }
@@ -391,9 +427,9 @@ struct thread_env_guard {
 TEST(TrafficPlaneDeterminism, InvariantAcrossThreadCounts) {
   thread_env_guard env;
   env.set("1");
-  const plane_result one = run_plane_sharded(2);
+  const plane_result one = run_plane(2);
   env.set("4");
-  const plane_result four = run_plane_sharded(2);
+  const plane_result four = run_plane(2);
   expect_same_plane(one, four);
 }
 
@@ -402,13 +438,13 @@ TEST(TrafficPlaneDeterminism, InvariantAcrossThreadCounts) {
 /// Linear chain with one GEMV site at node 4; `n` identical requests
 /// submitted back to back at t=0 pile onto the site's serial engine.
 struct overload_rig {
-  net::simulator sim;
+  net::shard_engine engine;
   core::onfiber_runtime rt;
   net::ipv4 src, dst;
 
   explicit overload_rig(core::onfiber_runtime::admission_config cfg,
                         double batch_window_s = 0.0)
-      : rt(sim, net::make_linear_topology(8)) {
+      : rt(engine, net::make_linear_topology(8)) {
     core::gemv_task task;
     task.weights = phot::matrix(4, 16);
     for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
@@ -429,7 +465,7 @@ struct overload_rig {
                                         static_cast<std::uint32_t>(i)),
                 0);
     }
-    sim.run();
+    engine.run();
   }
 };
 
@@ -522,10 +558,9 @@ TEST(AdmissionControl, WorkloadOverloadDepthStaysBounded) {
   // plane at every swept shard count: queue depth watermark <= bound,
   // nonzero deferral (the overload is real), nonzero compute (goodput
   // degrades gracefully rather than collapsing).
-  for (const std::size_t shards : shard_count_sweep()) {
+  for (const std::size_t shards : golden::shard_count_sweep()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const plane_result r = shards == 1 ? run_plane_classic(16)
-                                       : run_plane_sharded(shards, 16);
+    const plane_result r = run_plane(shards, 16);
     EXPECT_LE(r.admission.max_queue_depth, 16u);
     EXPECT_GT(r.admission.deferred, 0u);
     EXPECT_GT(r.computed, 0u);

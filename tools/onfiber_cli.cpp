@@ -78,8 +78,8 @@ int cmd_simulate(const cli_args& args) {
   const auto requests = static_cast<int>(args.get_int("requests", 50));
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 32));
 
-  net::simulator sim;
-  core::onfiber_runtime rt(sim,
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine,
                            build_topology(args.get("topology", "fig1"), seed));
   const auto n = rt.fabric().topo().node_count();
   if (site_count == 0 || site_count >= n) {
@@ -116,7 +116,7 @@ int cmd_simulate(const cli_args& args) {
     pkt.flow_hash = static_cast<std::uint32_t>(g());
     rt.submit(std::move(pkt), src);
   }
-  sim.run();
+  engine.run();
 
   net::summary latency;
   for (const auto& d : rt.deliveries()) {

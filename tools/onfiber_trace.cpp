@@ -39,8 +39,8 @@ using namespace onfiber;
 /// Fig. 1 WAN, GEMV engines at B and C, both of B's links flapping, BER
 /// 1e-4 — the determinism suite's scenario, instrumented.
 void run_scenario() {
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
   task.weights = phot::matrix(4, 16);
   for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
@@ -59,7 +59,7 @@ void run_scenario() {
 
   std::vector<double> x(16);
   for (int i = 0; i < 48; ++i) {
-    sim.schedule_at(0.0004 * i, [&rt, &x, i]() mutable {
+    engine.schedule_global(0.0004 * i, [&rt, &x, i]() mutable {
       for (std::size_t k = 0; k < x.size(); ++k) {
         x[k] =
             -1.0 + 2.0 * static_cast<double>((k * 31 + i * 7) % 97) / 96.0;
@@ -71,7 +71,7 @@ void run_scenario() {
                 0);
     });
   }
-  sim.run(1'000'000);
+  engine.run(1'000'000);
 }
 
 void print_record(const obs::hop_record& r) {
