@@ -93,10 +93,12 @@ ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error -R 'Sharded|Reliability'
 
 # Routing-plane tsan gate: the golden shard-sweep and reconvergence
 # tests re-run at ONFIBER_SHARDS=4 under -fsanitize=thread. Shard
-# threads read the SPF trees (failover planning) while the control
-# plane is the only writer — any tree mutation leaking into the
-# datapath window is a race and fails here.
-ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error -R 'Spf|Routing'
+# threads read the SPF trees (failover planning) and the fabric's flat
+# routes (flow-spread steering) while the control plane is the only
+# writer — any route mutation leaking into the datapath window is a
+# race and fails here.
+ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error \
+  -R 'Spf|Routing|SpreadSteering|TrafficPlaneDeterminism'
 ONFIBER_SHARDS=4 ONFIBER_FABRIC_PACKETS=2000 ONFIBER_TRACE=1 \
   ./build-tsan/bench/bench_ext_fabric --json /tmp/bench_fabric_tsan.json \
   > /dev/null

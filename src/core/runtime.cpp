@@ -24,14 +24,11 @@ onfiber_runtime::onfiber_runtime(net::shard_engine& engine,
     rel_shards_.push_back(std::make_unique<rel_shard>());
   }
   fabric_.install_shortest_path_routes();
-  // Build every baseline tree now, on the construction thread: on_timeout
-  // queries this engine from shard threads, which must never trigger a
-  // first build over there.
-  baseline_spf_.ensure_all_trees();
-  // Keep route-derived steering state in sync with the routing plane:
-  // every reconvergence (scheduled flaps included) refreshes the
-  // spread-steering first-hop matrix.
-  fabric_.set_reconvergence_callback([this] { rebuild_spread_tables(); });
+  // The first install built every tree of the fabric's engine over the
+  // all-links-up topology: the baseline is a copy of it, taken here on
+  // the construction thread with every tree present, so on_timeout's
+  // shard-thread queries never trigger a first build over there.
+  baseline_spf_ = fabric_.spf();
   const auto n = static_cast<net::node_id>(fabric_.topo().node_count());
   for (net::node_id id = 0; id < n; ++id) {
     fabric_.set_hook(id, [this](net::node_id at, net::packet& pkt,
@@ -112,19 +109,6 @@ std::size_t onfiber_runtime::queue_depth_of(site& s, double now) {
 std::size_t onfiber_runtime::site_queue_depth(net::node_id at) {
   if (at >= sites_.size() || !sites_[at] || !sites_[at]->engine) return 0;
   return queue_depth_of(*sites_[at], sim_for(at).now());
-}
-
-void onfiber_runtime::rebuild_spread_tables() {
-  // Nothing to refresh until install_compute_routes_via_nearest_site()
-  // built the tables in the first place.
-  if (next_hop_toward_.empty()) return;
-  const auto n = static_cast<net::node_id>(fabric_.topo().node_count());
-  for (net::node_id u = 0; u < n; ++u) {
-    for (net::node_id v = 0; v < n; ++v) {
-      next_hop_toward_[u][v] =
-          u == v ? net::invalid_node : fabric_.next_hop_to_node(u, v);
-    }
-  }
 }
 
 onfiber_runtime::rel_shard* onfiber_runtime::owner_shard_of(
@@ -510,35 +494,28 @@ void onfiber_runtime::install_compute_routes_via_nearest_site() {
       proto::primitive_id::p1_p3_dnn,
   };
 
-  // Spread-steering tables: capable sites per primitive and the
-  // first-hop matrix (used when steering == flow_spread).
+  // Capable sites per primitive, in node order: the candidates below and
+  // the spread-steering targets (steering == flow_spread), which follow
+  // the fabric's installed routes toward them.
   for (auto& v : capable_sites_) v.clear();
-  for (const auto p : prims) {
-    for (const net::node_id s : sites()) {
+  for (const net::node_id s : sites()) {
+    for (const auto p : prims) {
       if (site_supports(s, p)) {
         capable_sites_[static_cast<std::size_t>(p)].push_back(s);
       }
-    }
-  }
-  next_hop_toward_.assign(n, std::vector<net::node_id>(n, net::invalid_node));
-  for (net::node_id u = 0; u < n; ++u) {
-    for (net::node_id v = 0; v < n; ++v) {
-      // first_hop is invalid_node when unreachable or u == v — exactly
-      // the pairs the old paths[u][v].size() >= 2 test filtered out.
-      if (u != v) next_hop_toward_[u][v] = spf.first_hop(u, v);
     }
   }
 
   for (net::node_id u = 0; u < n; ++u) {
     for (const auto p : prims) {
       if (site_supports(u, p)) continue;  // computed in transit here
+      const auto& capable = capable_sites_[static_cast<std::size_t>(p)];
       for (net::node_id d = 0; d < n; ++d) {
         if (d == u) continue;
         // Best supporting site by via-delay.
         net::node_id best_site = net::invalid_node;
         double best = std::numeric_limits<double>::infinity();
-        for (const net::node_id s : sites()) {
-          if (!site_supports(s, p) || s == u) continue;
+        for (const net::node_id s : capable) {  // never u: it lacks p
           const double via = spf.dist(u, s) + spf.dist(s, d);
           if (via < best) {
             best = via;
@@ -775,11 +752,10 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   if (steering_ == steering_policy::flow_spread) {
     const auto& candidates =
         capable_sites_[static_cast<std::size_t>(header->primitive)];
-    if (!candidates.empty() && !next_hop_toward_.empty()) {
+    if (!candidates.empty()) {
       const net::node_id target =
           candidates[pkt.flow_hash % candidates.size()];
-      const net::node_id hop =
-          target == at ? net::invalid_node : next_hop_toward_[at][target];
+      const net::node_id hop = fabric_.next_hop_to_node(at, target);
       if (hop != net::invalid_node) {
         ++stats_of(at).redirected;
         if (obs::enabled()) obs_redirected_->add();

@@ -68,8 +68,8 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// Built-in heuristic: for every (node, primitive, destination), steer
   /// via the supporting site minimizing total path delay. The centralized
   /// controller's optimizer (src/controller) produces better placements;
-  /// this gives examples/tests a working default. Also prepares the
-  /// spread-steering tables (below).
+  /// this gives examples/tests a working default. Also records the
+  /// capable sites that spread steering (below) picks from.
   void install_compute_routes_via_nearest_site();
 
   /// How compute packets pick among capable sites (§4: "this new policy
@@ -77,7 +77,10 @@ class onfiber_runtime final : public net::packet_event_sink {
   enum class steering_policy : std::uint8_t {
     nearest_site,  ///< all flows to the delay-optimal site (default)
     flow_spread,   ///< hash flows across ALL capable sites — relieves a
-                   ///< hot serial engine at some path-stretch cost
+                   ///< hot serial engine at some path-stretch cost.
+                   ///< Hops toward the chosen site follow the fabric's
+                   ///< installed routes (stale inside a reconvergence
+                   ///< window, like all forwarding).
   };
   void set_steering_policy(steering_policy p) { steering_ = p; }
 
@@ -343,14 +346,6 @@ class onfiber_runtime final : public net::packet_event_sink {
 
   net::hook_decision on_packet(net::node_id at, net::packet& pkt, double now);
 
-  /// Refresh the spread-steering first-hop matrix from the fabric's
-  /// converged flat route cache. Registered as the fabric's
-  /// reconvergence callback so flow_spread redirects follow reconverged
-  /// routes instead of chasing install-time first hops into downed
-  /// links. The compute tables deliberately stay as installed — only the
-  /// route-derived first hops are refreshed.
-  void rebuild_spread_tables();
-
   /// Run the queued batch at a site: one process_batch() call, one site
   /// overhead charge, then every computed packet re-enters the fabric
   /// when the shared analog evaluation finishes.
@@ -404,10 +399,12 @@ class onfiber_runtime final : public net::packet_event_sink {
   net::wan_fabric fabric_;
   /// All-links-up SPF baseline over the fabric's topology: answers the
   /// "which site would install-time routing have used?" question during
-  /// failover planning without re-running Dijkstra per timeout. Built
-  /// fully in the constructor and never mutated afterwards, so
-  /// shard-thread queries are pure reads (fabric_.spf() tracks *live*
-  /// link state and cannot serve as this baseline).
+  /// failover planning without re-running Dijkstra per timeout. Copied
+  /// in the constructor from fabric_.spf() right after the first route
+  /// install (every tree built, all links up) and never mutated
+  /// afterwards, so shard-thread queries are pure reads (fabric_.spf()
+  /// goes on tracking *live* link state and cannot serve as this
+  /// baseline).
   net::spf_engine baseline_spf_;
   std::vector<std::unique_ptr<site>> sites_;  // indexed by node id
   std::vector<proto::compute_routing_table<net::node_id>> compute_tables_;
@@ -427,13 +424,13 @@ class onfiber_runtime final : public net::packet_event_sink {
 
   steering_policy steering_ = steering_policy::nearest_site;
   double batching_window_s_ = 0.0;  ///< 0 = per-packet compute (default)
-  /// Sites supporting each primitive (filled with the compute routes).
+  /// Sites supporting each primitive, in node order (filled with the
+  /// compute routes; empty until then). Spread steering hashes a flow
+  /// onto one of them and forwards on fabric_.next_hop_to_node toward
+  /// it — the installed routes, so it follows every reconvergence.
   std::array<std::vector<net::node_id>,
              static_cast<std::size_t>(proto::primitive_id::p1_p3_dnn) + 1>
       capable_sites_{};
-  /// next_hop_toward_[u][v]: first hop of the shortest path u -> v
-  /// (invalid_node when unreachable), for spread steering.
-  std::vector<std::vector<net::node_id>> next_hop_toward_;
 
   // -------------------------------------------------- reliability state
   bool reliability_enabled_ = false;

@@ -201,9 +201,6 @@ void wan_fabric::install_shortest_path_routes() {
     obs_reconverge_ns_->observe(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
   }
-  // Let route-derived state upstairs (spread-steering tables) follow the
-  // reconverged plane instead of chasing pre-flap first hops.
-  if (on_reconverge_) on_reconverge_();
 }
 
 void wan_fabric::fail_link(std::size_t link_index) {

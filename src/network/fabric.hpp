@@ -119,15 +119,6 @@ class wan_fabric final : public packet_event_sink {
     return reconvergences_;
   }
 
-  /// Called synchronously at the end of every
-  /// install_shortest_path_routes() — scheduled-flap reconvergences and
-  /// manual reinstallation alike — so higher layers can refresh state
-  /// they derived from the routing plane (the runtime rebuilds its
-  /// spread-steering tables here; see ISSUE 5's stale-steering fix).
-  using reconvergence_fn = std::function<void()>;
-  void set_reconvergence_callback(reconvergence_fn cb) {
-    on_reconverge_ = std::move(cb);
-  }
   [[nodiscard]] bool link_is_up(std::size_t link_index) const {
     return link_up_.at(link_index);
   }
@@ -218,7 +209,11 @@ class wan_fabric final : public packet_event_sink {
   /// the flat post-convergence route cache (invalid_node when
   /// unreachable or out of range). Reflects exactly the routes the data
   /// plane forwards on — including staleness inside a flap's
-  /// reconvergence window.
+  /// reconvergence window — so higher layers steering by it (the
+  /// runtime's flow-spread policy) follow every reinstall with no
+  /// private copy to refresh. Written only by
+  /// install_shortest_path_routes (control plane), so shard-thread reads
+  /// are race-free.
   [[nodiscard]] node_id next_hop_to_node(node_id at, node_id dest) const;
 
   /// Typed packet-hop dispatch (packet_event_sink). Not for direct use;
@@ -292,7 +287,6 @@ class wan_fabric final : public packet_event_sink {
   std::vector<routing_table<route_entry>> tables_;  // one per node
   std::vector<hook_fn> hooks_;                      // one per node (may be null)
   deliver_fn on_deliver_;
-  reconvergence_fn on_reconverge_;
 
   /// attached_prefix -> owning node, for dest_hint resolution (built
   /// once; topology is immutable).

@@ -9,8 +9,8 @@
 // link in the simulator; anything in tests).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,34 +18,44 @@
 
 namespace onfiber::net {
 
-/// Binary-trie LPM table mapping prefix -> Value.
+/// Binary-trie LPM table mapping prefix -> Value. The trie's nodes live
+/// in one arena vector linked by uint32 indices (node 0 is the root, so
+/// child index 0 means "no child"): one allocation per table rather than
+/// one per bit, and the table copies like a value. An empty table holds
+/// no nodes until its first insert.
 template <typename Value>
 class routing_table {
  public:
   /// Insert/replace the value for a prefix.
   void insert(prefix p, Value v) {
-    trie_node* cur = &root_;
+    if (nodes_.empty()) nodes_.emplace_back();
+    std::uint32_t cur = 0;
     const std::uint32_t bits = p.network.value & p.mask();
     for (int depth = 0; depth < p.length; ++depth) {
       const int bit = (bits >> (31 - depth)) & 1;
-      auto& child = cur->children[bit];
-      if (!child) child = std::make_unique<trie_node>();
-      cur = child.get();
+      std::uint32_t child = nodes_[cur].children[bit];
+      if (child == 0) {
+        child = static_cast<std::uint32_t>(nodes_.size());
+        nodes_[cur].children[bit] = child;
+        nodes_.emplace_back();
+      }
+      cur = child;
     }
-    cur->value = std::move(v);
+    nodes_[cur].value = std::move(v);
   }
 
   /// Remove a prefix's entry (no-op if absent). Returns true if removed.
   bool erase(prefix p) {
-    trie_node* cur = &root_;
+    if (nodes_.empty()) return false;
+    std::uint32_t cur = 0;
     const std::uint32_t bits = p.network.value & p.mask();
     for (int depth = 0; depth < p.length; ++depth) {
       const int bit = (bits >> (31 - depth)) & 1;
-      cur = cur->children[bit].get();
-      if (cur == nullptr) return false;
+      cur = nodes_[cur].children[bit];
+      if (cur == 0) return false;
     }
-    const bool had = cur->value.has_value();
-    cur->value.reset();
+    const bool had = nodes_[cur].value.has_value();
+    nodes_[cur].value.reset();
     return had;
   }
 
@@ -60,35 +70,33 @@ class routing_table {
   /// insert/erase), or nullptr when no prefix matches. The datapath hot
   /// loop uses this to avoid materializing an optional per packet-hop.
   [[nodiscard]] const Value* lookup_ptr(ipv4 addr) const {
-    const Value* best = nullptr;
-    const trie_node* cur = &root_;
-    if (cur->value) best = &*cur->value;
-    for (int depth = 0; depth < 32 && cur != nullptr; ++depth) {
+    if (nodes_.empty()) return nullptr;
+    const trie_node* cur = &nodes_[0];
+    const Value* best = cur->value ? &*cur->value : nullptr;
+    for (int depth = 0; depth < 32; ++depth) {
       const int bit = (addr.value >> (31 - depth)) & 1;
-      cur = cur->children[bit].get();
-      if (cur != nullptr && cur->value) best = &*cur->value;
+      const std::uint32_t next = cur->children[bit];
+      if (next == 0) break;
+      cur = &nodes_[next];
+      if (cur->value) best = &*cur->value;
     }
     return best;
   }
 
   /// Number of stored entries.
-  [[nodiscard]] std::size_t size() const { return count(root_); }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(
+        std::count_if(nodes_.begin(), nodes_.end(),
+                      [](const trie_node& n) { return n.value.has_value(); }));
+  }
 
  private:
   struct trie_node {
     std::optional<Value> value;
-    std::unique_ptr<trie_node> children[2];
+    std::uint32_t children[2] = {0, 0};  ///< arena indices; 0 = none
   };
 
-  static std::size_t count(const trie_node& n) {
-    std::size_t c = n.value.has_value() ? 1 : 0;
-    for (const auto& child : n.children) {
-      if (child) c += count(*child);
-    }
-    return c;
-  }
-
-  trie_node root_;
+  std::vector<trie_node> nodes_;
 };
 
 /// Reference implementation: linear scan keeping the longest match.

@@ -11,19 +11,22 @@ namespace onfiber::phot {
 
 namespace {
 
-std::size_t parse_env_thread_count() {
+// ONFIBER_THREADS if set and positive, else the hardware thread count.
+std::size_t resolve_thread_count() {
   if (const char* env = std::getenv("ONFIBER_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed > 0) return static_cast<std::size_t>(parsed);
   }
-  return 0;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
 }
 
-// ONFIBER_THREADS is parsed once per process: the lookup sat on every
-// parallel kernel call, and getenv is not something to hammer from the
-// GEMV hot path. Tests that change the variable mid-process call
+// Resolved once per process: kernel_thread_count runs on every parallel
+// kernel call, and neither getenv nor hardware_concurrency (a
+// sysfs/affinity query on Linux) belongs on the GEMV hot path. Tests
+// that change ONFIBER_THREADS mid-process call
 // refresh_kernel_thread_count_cache().
-std::size_t& env_thread_count_cache() {
+std::size_t& thread_count_cache() {
   static std::size_t cached = 0;
   return cached;
 }
@@ -36,16 +39,14 @@ void refresh_kernel_thread_count_cache() {
   // Re-arm the cache from the current environment. Test-only: not safe
   // against concurrently running kernels.
   std::call_once(env_thread_count_once, [] {});
-  env_thread_count_cache() = parse_env_thread_count();
+  thread_count_cache() = resolve_thread_count();
 }
 
 std::size_t kernel_thread_count(std::size_t override_count) {
   if (override_count > 0) return override_count;
   std::call_once(env_thread_count_once,
-                 [] { env_thread_count_cache() = parse_env_thread_count(); });
-  if (const std::size_t env = env_thread_count_cache(); env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+                 [] { thread_count_cache() = resolve_thread_count(); });
+  return thread_count_cache();
 }
 
 void parallel_rows(std::size_t rows, std::size_t threads,

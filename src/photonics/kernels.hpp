@@ -21,10 +21,10 @@ namespace onfiber::phot {
 /// Never returns 0.
 [[nodiscard]] std::size_t kernel_thread_count(std::size_t override_count = 0);
 
-/// Re-read ONFIBER_THREADS from the environment. The variable is cached
-/// on first use (hot kernels must not call getenv per dispatch); tests
-/// that setenv mid-process call this to make the change visible. Not
-/// safe to call while parallel kernels are running.
+/// Re-read ONFIBER_THREADS and the hardware thread count. Both are
+/// cached on first use (hot kernels must not call getenv per dispatch);
+/// tests that setenv mid-process call this to make the change visible.
+/// Not safe to call while parallel kernels are running.
 void refresh_kernel_thread_count_cache();
 
 /// Run `fn(row)` for every row in [0, rows) on up to `threads` workers.

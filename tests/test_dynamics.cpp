@@ -314,11 +314,12 @@ TEST(SpreadSteering, NearestPolicyUsesOneSite) {
 }
 
 TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
-  // Regression: the spread-steering first-hop matrix used to be computed
-  // once at install time, so after A-B flapped and the routing plane
+  // Regression: spread steering once read a first-hop matrix computed at
+  // install time, so after A-B flapped and the routing plane
   // reconverged, flow_spread kept redirecting A's traffic for site B
-  // straight into the dead link. The fabric's reconvergence callback now
-  // rebuilds the matrix, so the post-reconvergence packet detours via C.
+  // straight into the dead link. It now forwards on the fabric's
+  // installed routes (next_hop_to_node), so the post-reconvergence
+  // packet detours via C.
   net::shard_engine engine;
   core::onfiber_runtime rt(engine, net::make_figure1_topology());
   core::gemv_task task;
@@ -354,6 +355,51 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
   // The detour toward B transits C, a capable site, so the compute
   // happens there — the point is the packet survived instead of chasing
   // the stale first hop into the dead A-B link.
+  EXPECT_GT(rt.site_busy_s(2), 0.0);
+  const auto h = proto::peek_compute_header(rt.deliveries()[0].pkt);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->task_id, 2u);
+}
+
+TEST(SpreadSteering, InstallInsideReconvergenceWindowFollowsInstalledRoutes) {
+  // Compute routes installed between fail_link and the next
+  // reconvergence. Spread steering forwards on the fabric's installed
+  // routes, the ones the datapath uses — not on the live SPF trees,
+  // which already detour via C — so inside the window it still sends
+  // A's traffic for site B over the dead A-B link, like plain
+  // forwarding.
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
+  core::gemv_task task;
+  task.weights = phot::matrix(2, 8);
+  for (double& w : task.weights.data) w = 0.5;
+  rt.deploy_engine(1, {}, 25).configure_gemv(task);  // B
+  rt.deploy_engine(2, {}, 26).configure_gemv(task);  // C
+  rt.fabric().fail_link(0);  // A-B down, routes not yet reinstalled
+  rt.install_compute_routes_via_nearest_site();
+  rt.set_steering_policy(
+      core::onfiber_runtime::steering_policy::flow_spread);
+  EXPECT_EQ(rt.fabric().next_hop_to_node(0, 1), 1u);  // installed: stale
+  EXPECT_EQ(rt.fabric().spf().first_hop(0, 1), 2u);   // live: via C
+
+  const std::vector<double> x(8, 0.5);
+  const auto send_at = [&](double t, std::uint32_t id) {
+    engine.schedule_global(t, [&rt, &x, id] {
+      net::packet pkt = core::make_gemv_request(
+          rt.fabric().topo().node_at(0).address,
+          rt.fabric().topo().node_at(3).address, x, 2, id);
+      pkt.flow_hash = 0;  // candidates [B, C]: 0 % 2 -> site B
+      rt.submit(std::move(pkt), 0);
+    });
+  };
+  send_at(0.001, 1);  // window: black-holed into A-B
+  engine.schedule_global(0.002,
+                         [&rt] { rt.fabric().install_shortest_path_routes(); });
+  send_at(0.003, 2);  // reconverged: detours via C toward B
+  engine.run();
+
+  EXPECT_EQ(rt.fabric().drops().link_down, 1u);
+  ASSERT_EQ(rt.deliveries().size(), 1u);
   EXPECT_GT(rt.site_busy_s(2), 0.0);
   const auto h = proto::peek_compute_header(rt.deliveries()[0].pkt);
   ASSERT_TRUE(h.has_value());

@@ -91,12 +91,38 @@ TEST(Routing, TrieMatchesLinearReferenceFuzz) {
   phot::rng g(77);
   routing_table<std::uint32_t> trie;
   linear_routing_ref<std::uint32_t> ref;
-  // Random inserts and erases.
+  // Probe addresses: random ones plus every inserted /32 and its
+  // neighbour, so host routes are hit exactly, not only by chance.
+  std::vector<ipv4> probes;
+  for (int i = 0; i < 2000; ++i) {
+    probes.emplace_back(static_cast<std::uint32_t>(g()));
+  }
+  // lookup, lookup_ptr and size of `t` must all agree with `r`.
+  const auto expect_matches = [&](const routing_table<std::uint32_t>& t,
+                                  const linear_routing_ref<std::uint32_t>& r,
+                                  const char* what) {
+    ASSERT_EQ(t.size(), r.size()) << what;
+    for (const ipv4 addr : probes) {
+      const auto want = r.lookup(addr);
+      ASSERT_EQ(t.lookup(addr), want) << what << " " << addr.to_string();
+      const std::uint32_t* ptr = t.lookup_ptr(addr);
+      ASSERT_EQ(ptr != nullptr, want.has_value()) << what;
+      if (ptr != nullptr) ASSERT_EQ(*ptr, *want) << what;
+    }
+  };
+  // Random inserts and erases; every 40th op is the /0 default route and
+  // every 5th a /32 host route, so both ends of the length range recur.
   for (int i = 0; i < 400; ++i) {
-    const int len = static_cast<int>(g.below(33));
+    const int len = i % 40 == 0  ? 0
+                    : i % 5 == 1 ? 32
+                                 : static_cast<int>(g.below(33));
     const std::uint32_t mask =
         len == 0 ? 0U : ~std::uint32_t{0} << (32 - len);
     const prefix p(ipv4(static_cast<std::uint32_t>(g()) & mask), len);
+    if (len == 32) {
+      probes.push_back(p.network);
+      probes.emplace_back(p.network.value ^ 1U);
+    }
     if (g.uniform() < 0.8) {
       const auto v = static_cast<std::uint32_t>(g.below(1000));
       trie.insert(p, v);
@@ -104,12 +130,26 @@ TEST(Routing, TrieMatchesLinearReferenceFuzz) {
     } else {
       EXPECT_EQ(trie.erase(p), ref.erase(p));
     }
+    ASSERT_EQ(trie.size(), ref.size()) << "after op " << i;
   }
   // Random lookups must agree exactly.
-  for (int i = 0; i < 2000; ++i) {
-    const ipv4 addr(static_cast<std::uint32_t>(g()));
-    EXPECT_EQ(trie.lookup(addr), ref.lookup(addr));
-  }
+  expect_matches(trie, ref, "original");
+  // The arena table copies and moves like a value.
+  const routing_table<std::uint32_t> copy = trie;
+  expect_matches(copy, ref, "copy");
+  const routing_table<std::uint32_t> moved = std::move(trie);
+  expect_matches(moved, ref, "moved");
+  // The default route covers every address; erasing it leaves misses.
+  // Edits to a copy never reach the table it was copied from.
+  routing_table<std::uint32_t> edited = copy;
+  linear_routing_ref<std::uint32_t> edited_ref = ref;
+  edited.insert(prefix(ipv4(0), 0), 7);
+  edited_ref.insert(prefix(ipv4(0), 0), 7);
+  expect_matches(edited, edited_ref, "with /0");
+  EXPECT_TRUE(edited.erase(prefix(ipv4(0), 0)));
+  edited_ref.erase(prefix(ipv4(0), 0));
+  expect_matches(edited, edited_ref, "without /0");
+  expect_matches(copy, ref, "copy after edits to its own copy");
 }
 
 // --------------------------------------------------------------- event sim

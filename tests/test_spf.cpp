@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -217,6 +218,53 @@ TEST(SpfEngine, TouchedCountsAreExactOnChainTailFailure) {
   EXPECT_EQ(drained, 62u);
   EXPECT_EQ(eng.dirty_count(), 0u);
   expect_trees_match_fresh(eng, topo, "after drain");
+}
+
+TEST(Spf, CopiedEngineMatchesFreshBuild) {
+  // The runtime's all-links-up failover baseline is a copy of the
+  // fabric's engine taken right after its first full build. A copy —
+  // constructed or assigned — must answer exactly like a fresh
+  // ensure_all_trees() engine, and keep doing so while the original is
+  // delta-repaired through later link events.
+  const net::topology topo = net::make_waxman_topology(48, 7);
+  net::spf_engine original(topo);
+  original.ensure_all_trees();
+  net::spf_engine copied = original;
+  net::spf_engine assigned(topo);
+  assigned = original;
+  net::spf_engine fresh(topo);
+  fresh.ensure_all_trees();
+  const auto n = static_cast<net::node_id>(topo.node_count());
+  const auto expect_fresh = [&](net::spf_engine& copy, const char* what) {
+    for (net::node_id s = 0; s < n; ++s) {
+      ASSERT_TRUE(copy.tree_built(s)) << what;
+      for (net::node_id v = 0; v < n; ++v) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(copy.dist(s, v)),
+                  std::bit_cast<std::uint64_t>(fresh.dist(s, v)))
+            << what << " " << s << "->" << v;
+        ASSERT_EQ(copy.first_hop(s, v), fresh.first_hop(s, v)) << what;
+        ASSERT_EQ(copy.parent_link(s, v), fresh.parent_link(s, v)) << what;
+      }
+    }
+  };
+  expect_fresh(copied, "copy-constructed");
+  expect_fresh(assigned, "copy-assigned");
+  xorshift rng{0x5bd1e995};
+  std::vector<bool> up(topo.links().size(), true);
+  std::uint64_t touched = 0;
+  for (int event = 0; event < 20; ++event) {
+    const std::size_t li = rng.below(topo.links().size());
+    up[li] = !up[li];
+    touched += original.set_link_state(li, up[li]);
+  }
+  EXPECT_GT(touched, 0u);  // the original's trees really changed
+  expect_fresh(copied, "copy-constructed, original flapped");
+  expect_fresh(assigned, "copy-assigned, original flapped");
+  for (std::size_t li = 0; li < up.size(); ++li) {
+    if (!up[li]) original.restore_link(li);
+  }
+  expect_fresh(copied, "copy-constructed, original healed");
+  expect_fresh(assigned, "copy-assigned, original healed");
 }
 
 // ---------------------------------------------------------------------
