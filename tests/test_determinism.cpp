@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/compute_packets.hpp"
+#include "core/photonic_engine.hpp"
 #include "core/runtime.hpp"
 #include "network/topology.hpp"
 #include "photonics/converter.hpp"
@@ -45,6 +46,8 @@
 #include "photonics/photodetector.hpp"
 #include "photonics/thread_pool.hpp"
 #include "protocol/compute_header.hpp"
+
+#include "golden_digest.hpp"
 
 namespace onfiber {
 namespace {
@@ -495,6 +498,131 @@ TEST(BatchedEngine, MultiPacketBatchIsDeterministic) {
     } else {
       for (std::size_t i = 0; i < pkts.size(); ++i) {
         EXPECT_EQ(pkts[i].payload, reference[i].payload) << "packet " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Engine golden: photonic_engine's outputs pinned as one FNV-1a digest
+// per case — payload bytes, report latency/symbols/conversions, and every
+// ledger category's joules and op count — over {P1 GEMV, DNN} x
+// {on_fiber, oeo_per_hop} x {process, process_batch of 1, one
+// process_batch of 12 packets (more pooled samples than one 8-sample
+// GEMM cell)} x {ledger off, on}. Each case must hold at 1 and 3 kernel
+// threads. Re-capture with ONFIBER_REGOLD=1 only after an intentional
+// change to the sample plane's noise or accounting.
+
+enum class engine_call { process, batch_of_one, batch_of_twelve };
+
+std::uint64_t engine_case_digest(bool dnn, core::compute_mode mode,
+                                 engine_call call, bool with_ledger,
+                                 std::size_t threads) {
+  phot::energy_ledger ledger;
+  core::engine_config cfg;
+  cfg.mode = mode;
+  core::photonic_engine engine(cfg, 1234, with_ledger ? &ledger : nullptr);
+  engine.set_threads(threads);
+  if (dnn) {
+    core::dnn_task task;
+    core::photonic_layer hidden;
+    hidden.weights = test_matrix(12, 16, 41);
+    hidden.bias.assign(12, 0.05);
+    core::photonic_layer out;
+    out.weights = test_matrix(4, 12, 42);
+    out.bias.assign(4, -0.02);
+    out.activation = false;
+    task.layers = {std::move(hidden), std::move(out)};
+    engine.configure_dnn(std::move(task));
+  } else {
+    core::gemv_task task;
+    task.weights = test_matrix(6, 16, 43);
+    task.bias.assign(6, 0.1);
+    task.relu_output = true;
+    engine.configure_gemv(std::move(task));
+  }
+
+  std::vector<net::packet> pkts;
+  phot::rng gen(44);
+  const net::ipv4 src(10, 0, 0, 2), dst(10, 0, 1, 2);
+  for (std::uint32_t t = 0; t < 12; ++t) {
+    std::vector<double> x(16);
+    for (double& v : x) v = dnn ? gen.uniform() : 2.0 * gen.uniform() - 1.0;
+    pkts.push_back(dnn ? core::make_dnn_request(src, dst, x, 4, t)
+                       : core::make_gemv_request(src, dst, x, 6, t));
+  }
+
+  golden::fnv1a64 d;
+  const auto add_costs = [&d](double latency_s, std::uint64_t symbols,
+                              std::uint64_t conversions) {
+    d.add_bits(latency_s);
+    d.add(symbols);
+    d.add(conversions);
+  };
+  if (call == engine_call::process) {
+    for (net::packet& p : pkts) {
+      const core::engine_report r = engine.process(p);
+      d.add(r.computed ? 1 : 0);
+      add_costs(r.compute_latency_s, r.optical_symbols, r.input_conversions);
+    }
+  } else if (call == engine_call::batch_of_one) {
+    for (net::packet& p : pkts) {
+      net::packet* one[] = {&p};
+      const core::batch_report r = engine.process_batch(one);
+      d.add(r.computed_packets);
+      add_costs(r.compute_latency_s, r.optical_symbols, r.input_conversions);
+    }
+  } else {
+    std::vector<net::packet*> ptrs;
+    for (net::packet& p : pkts) ptrs.push_back(&p);
+    const core::batch_report r = engine.process_batch(ptrs);
+    d.add(r.computed_packets);
+    add_costs(r.compute_latency_s, r.optical_symbols, r.input_conversions);
+  }
+  for (const net::packet& p : pkts) {
+    d.add(p.payload.size());
+    for (const std::uint8_t byte : p.payload) d.add(byte);
+  }
+  for (const auto& [name, e] : ledger.entries()) {
+    for (const char c : name) d.add(static_cast<std::uint8_t>(c));
+    d.add_bits(e.joules);
+    d.add(e.ops);
+  }
+  return d.value();
+}
+
+// Captured before the engine's GEMM moved onto vector_matrix_engine's
+// fused kernel; index = ((dnn * 2 + oeo) * 3 + call) * 2 + ledger.
+constexpr std::uint64_t kEngineGolden[24] = {
+    0x9d98548efb37efc4ull, 0x21fc2de50ff2ca9bull, 0x9d98548efb37efc4ull,
+    0x21fc2de50ff2ca9bull, 0x9f7ee781d9f09e8bull, 0x93cdb1e98bd049b9ull,
+    0xf88a9df7961b6d68ull, 0xe6f80c205db27522ull, 0xf88a9df7961b6d68ull,
+    0xe6f80c205db27522ull, 0xec867e0f2126d90aull, 0x400cc2bf8ab891eeull,
+    0x887dfd303689534bull, 0xf26b1bf4539bd22cull, 0x887dfd303689534bull,
+    0xf26b1bf4539bd22cull, 0x5de1aebb90e482a7ull, 0x9e4362ee00e34638ull,
+    0x25afd9f26b6064ecull, 0x0148d9033b5bb947ull, 0x25afd9f26b6064ecull,
+    0x0148d9033b5bb947ull, 0xbabd0ca4813fe32dull, 0x9fbf0bbe1e118248ull,
+};
+
+TEST(EngineGolden, DigestsHoldAtOneAndThreeThreads) {
+  const bool regold = golden::regold_requested();
+  std::size_t index = 0;
+  for (const bool dnn : {false, true}) {
+    for (const auto mode :
+         {core::compute_mode::on_fiber, core::compute_mode::oeo_per_hop}) {
+      for (const auto call : {engine_call::process, engine_call::batch_of_one,
+                              engine_call::batch_of_twelve}) {
+        for (const bool with_ledger : {false, true}) {
+          const std::uint64_t one =
+              engine_case_digest(dnn, mode, call, with_ledger, 1);
+          const std::uint64_t three =
+              engine_case_digest(dnn, mode, call, with_ledger, 3);
+          if (regold) std::printf("    0x%016llxull,\n",
+                                  static_cast<unsigned long long>(one));
+          EXPECT_EQ(one, kEngineGolden[index]) << "case " << index;
+          EXPECT_EQ(three, one) << "case " << index << " at 3 threads";
+          ++index;
+        }
       }
     }
   }
