@@ -69,7 +69,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|DotProductRekey' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD
@@ -77,11 +77,14 @@ unset ONFIBER_SIMD
 # Thread-sanitizer pass over the worker-pool surface: the persistent
 # pool, batched GEMM/engine paths, and the two-pass kernels run under
 # -fsanitize=thread to catch data races the deterministic fold could
-# mask. Scoped to the concurrency-relevant suites to keep it fast.
+# mask. Scoped to the concurrency-relevant suites to keep it fast. The
+# GEMM engines' row units are mutable state that persists across calls
+# and that pool workers re-key and drive at ONFIBER_THREADS>1, so the
+# engine golden (1 and 3 threads) and the re-key tests run here too.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \
-  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel'
+  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|DotProductRekey'
 
 # Sharded-engine tsan gate: the determinism and reliability suites
 # re-run with an extra ONFIBER_SHARDS=4 sweep entry, and the fabric

@@ -73,6 +73,11 @@ dac::dac(converter_config config, rng noise_stream, energy_ledger* ledger,
       ledger_(ledger),
       costs_(costs) {}
 
+void dac::rekey(std::uint64_t seed) {
+  noise_ =
+      counter_stream(counter_rng::key_of(rng::first_output(seed), kDacTag));
+}
+
 double dac::effective_bits() const {
   return effective_bits_of(config_, noise_sigma_);
 }
@@ -97,7 +102,7 @@ void dac::convert(std::span<const double> in, std::span<double> out) {
 }
 
 void dac::convert(std::span<const double> in, std::span<double> out,
-                  std::vector<double>& noise_scratch) {
+                  std::vector<double>& noise_scratch, std::size_t passes) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
   const double fs = config_.full_scale;
@@ -122,8 +127,8 @@ void dac::convert(std::span<const double> in, std::span<double> out,
     }
   }
   if (ledger_ != nullptr) {
-    ledger_->charge("dac", costs_.dac_conversion_j * static_cast<double>(n),
-                    n);
+    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
+                            passes);
   }
 }
 
@@ -143,6 +148,11 @@ adc::adc(converter_config config, rng noise_stream, energy_ledger* ledger,
       noise_sigma_(enob_noise_sigma(config)),
       ledger_(ledger),
       costs_(costs) {}
+
+void adc::rekey(std::uint64_t seed) {
+  noise_ =
+      counter_stream(counter_rng::key_of(rng::first_output(seed), kAdcTag));
+}
 
 double adc::effective_bits() const {
   return effective_bits_of(config_, noise_sigma_);

@@ -38,19 +38,23 @@ class dac {
   [[nodiscard]] double convert(double value);
 
   /// Batch convert into preallocated storage (`in.size()` values written
-  /// to `out`). Bit-identical to the scalar loop; one bulk ledger charge.
-  /// Two-pass: a counter-indexed noise fill into `noise_scratch` (same
-  /// draw indices as the scalar path, but generated branch-free through
-  /// the dispatched SIMD kernel), then a branch-free math pass over
-  /// contiguous data — both passes vectorize at the active ISA level.
+  /// to `out`). Bit-identical to the scalar loop; charged to the ledger
+  /// exactly as `passes` calls over equal slices would be. Two-pass: a
+  /// counter-indexed noise fill into `noise_scratch` (same draw indices
+  /// as the scalar path, but generated branch-free through the dispatched
+  /// SIMD kernel), then a branch-free math pass over contiguous data —
+  /// both passes vectorize at the active ISA level.
   void convert(std::span<const double> in, std::span<double> out,
-               std::vector<double>& noise_scratch);
+               std::vector<double>& noise_scratch, std::size_t passes = 1);
   void convert(std::span<const double> in, std::span<double> out);
 
   [[nodiscard]] std::vector<double> convert(std::span<const double> values);
 
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
+
+  /// Re-key in place: bit-identical to a dac built with rng{seed}.
+  void rekey(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }
 
@@ -93,6 +97,9 @@ class adc {
 
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
+
+  /// Re-key in place: bit-identical to an adc built with rng{seed}.
+  void rekey(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }
   [[nodiscard]] double lsb() const { return lsb_; }

@@ -1,8 +1,6 @@
 #include "photonics/engine/dot_product_unit.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "photonics/simd.hpp"
@@ -11,25 +9,37 @@ namespace onfiber::phot {
 
 namespace {
 
-/// Split a signed [-1,1] vector into non-negative rails (x+, x-).
-void split_rails(std::span<const double> x, std::vector<double>& pos,
-                 std::vector<double>& neg) {
-  pos.resize(x.size());
-  neg.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    pos[i] = x[i] > 0.0 ? x[i] : 0.0;
-    neg[i] = x[i] < 0.0 ? -x[i] : 0.0;
-  }
-}
+/// Device seed tags: each device keys from seed ^ tag (the laser: seed).
+constexpr std::uint64_t kModATag = 0x1111;
+constexpr std::uint64_t kModBTag = 0x2222;
+constexpr std::uint64_t kDetectorTag = 0x3333;
+constexpr std::uint64_t kDacATag = 0x4444;
+constexpr std::uint64_t kDacBTag = 0x5555;
+constexpr std::uint64_t kAdcTag = 0x6666;
 
-void require_pair(std::size_t a, std::size_t b) {
-  if (a != b || a == 0) {
+void require_passes(std::size_t a, std::size_t b, std::size_t passes) {
+  if (a != b || a == 0 || (passes != 1 && passes != 4) || a % passes != 0) {
     throw std::invalid_argument(
-        "dot_product_unit: vectors must be non-empty and equal length");
+        "dot_product_unit: need 1 or 4 equal, non-empty passes");
   }
 }
 
 }  // namespace
+
+void lay_out_rails(std::span<const double> x, rail_operand side,
+                   std::span<double> out) {
+  const std::size_t n = x.size();
+  double* pos = out.data();
+  double* neg = pos + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    pos[i] = x[i] > 0.0 ? x[i] : 0.0;
+    neg[i] = x[i] < 0.0 ? -x[i] : 0.0;
+  }
+  // Passes pn and np cross the rails: a repeats (x+, x-), b swaps them.
+  const bool a_side = side == rail_operand::a;
+  std::copy_n(a_side ? pos : neg, n, pos + 2 * n);
+  std::copy_n(a_side ? neg : pos, n, pos + 3 * n);
+}
 
 dot_product_unit::dot_product_unit(dot_product_config config,
                                    std::uint64_t seed, energy_ledger* ledger,
@@ -42,35 +52,31 @@ dot_product_unit::dot_product_unit(dot_product_config config,
         return config;
       }()),
       laser_(config_.laser, rng{seed}, ledger, costs),
-      mod_a_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ 0x1111}, ledger,
-             costs),
-      mod_b_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ 0x2222}, ledger,
-             costs),
-      detector_(config_.detector, rng{seed ^ 0x3333}, ledger, costs),
-      dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger, costs),
-      dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger, costs),
-      adc_out_(config_.adc, rng{seed ^ 0x6666}, ledger, costs),
+      mod_a_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ kModATag},
+             ledger, costs),
+      mod_b_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ kModBTag},
+             ledger, costs),
+      detector_(config_.detector, rng{seed ^ kDetectorTag}, ledger, costs),
+      dac_a_(config_.dac, rng{seed ^ kDacATag}, ledger, costs),
+      dac_b_(config_.dac, rng{seed ^ kDacBTag}, ledger, costs),
+      adc_out_(config_.adc, rng{seed ^ kAdcTag}, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
+
+void dot_product_unit::rekey(std::uint64_t seed) {
+  laser_.rekey(seed);
+  mod_a_.rekey(seed ^ kModATag);
+  mod_b_.rekey(seed ^ kModBTag);
+  detector_.rekey(seed ^ kDetectorTag);
+  dac_a_.rekey(seed ^ kDacATag);
+  dac_b_.rekey(seed ^ kDacBTag);
+  adc_out_.rekey(seed ^ kAdcTag);
+}
 
 double dot_product_unit::full_scale_power_mw() const {
   // Both modulators at unit transmission leave only their insertion loss.
   return config_.laser.power_mw *
          db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
-}
-
-dot_result dot_product_unit::read_out(const waveform& products,
-                                      double full_scale_mw,
-                                      std::size_t length) {
-  return read_out_current(detector_.integrate(products), full_scale_mw,
-                          length);
-}
-
-dot_result dot_product_unit::read_out_power(std::span<const double> product_mw,
-                                            double full_scale_mw,
-                                            std::size_t length) {
-  return read_out_current(detector_.integrate_power(product_mw),
-                          full_scale_mw, length);
 }
 
 dot_result dot_product_unit::read_out_current(double current_a,
@@ -108,14 +114,30 @@ dot_result dot_product_unit::read_out_current(double current_a,
   return r;
 }
 
-dot_result dot_product_unit::dot_unit_range(std::span<const double> a,
-                                            std::span<const double> b) {
-  require_pair(a.size(), b.size());
-  const std::size_t n = a.size();
+dot_result dot_product_unit::read_out_passes(std::size_t passes,
+                                             std::size_t length,
+                                             double full_scale_mw) {
+  dot_result pass[4];
+  for (std::size_t k = 0; k < passes; ++k) {
+    pass[k] = read_out_current(
+        detector_.integrate_power(
+            std::span(scratch_.product).subspan(k * length, length)),
+        full_scale_mw, length);
+  }
+  if (passes == 1) return pass[0];
+  const auto& [pp, nn, pn, np] = pass;
+  dot_result r;
+  r.value = pp.value + nn.value - pn.value - np.value;
+  r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
+  r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
+  return r;
+}
 
-  // Batched device passes. Each device owns an independent noise stream,
-  // so running devices batch-by-batch (instead of symbol-by-symbol) leaves
-  // every stream's draw order unchanged.
+dot_result dot_product_unit::dot_passes(std::span<const double> a,
+                                        std::span<const double> b,
+                                        std::size_t passes) {
+  require_passes(a.size(), b.size(), passes);
+  const std::size_t n = a.size();
   scratch_.dac_a.resize(n);
   scratch_.dac_b.resize(n);
   scratch_.trans_a.resize(n);
@@ -123,11 +145,13 @@ dot_result dot_product_unit::dot_unit_range(std::span<const double> a,
   scratch_.power.resize(n);
   scratch_.product.resize(n);
 
-  dac_a_.convert(a, scratch_.dac_a, scratch_.dac_noise_a);
-  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b);
-  laser_.emit_powers(scratch_.power);
-  mod_a_.encode_intensity(scratch_.dac_a, scratch_.trans_a);
-  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b);
+  // Batched device passes. Each device owns an independent noise stream,
+  // so running devices batch-by-batch leaves every draw order unchanged.
+  dac_a_.convert(a, scratch_.dac_a, scratch_.dac_noise_a, passes);
+  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b, passes);
+  laser_.emit_powers(scratch_.power, passes);
+  mod_a_.encode_intensity(scratch_.dac_a, scratch_.trans_a, passes);
+  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b, passes);
 
   // Product pass: P_i = P_laser,i * T_a,i * T_b,i. This is the
   // cascaded-MZM intensity product the field pipeline computes, minus the
@@ -136,12 +160,37 @@ dot_result dot_product_unit::dot_unit_range(std::span<const double> a,
   simd::active().triple_product(scratch_.power.data(), scratch_.trans_a.data(),
                                 scratch_.trans_b.data(), n,
                                 scratch_.product.data());
-  return read_out_power(scratch_.product, full_scale_power_mw(), n);
+  return read_out_passes(passes, n / passes, full_scale_power_mw());
+}
+
+dot_result dot_product_unit::dot_optical_passes(std::span<const double> a_mw,
+                                                std::span<const double> b,
+                                                double reference_power_mw,
+                                                std::size_t passes) {
+  require_passes(a_mw.size(), b.size(), passes);
+  if (reference_power_mw <= 0.0) {
+    throw std::invalid_argument(
+        "dot_product_unit: reference power must be positive");
+  }
+  const std::size_t n = b.size();
+  scratch_.dac_b.resize(n);
+  scratch_.trans_b.resize(n);
+  scratch_.product.resize(n);
+
+  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b, passes);
+  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b, passes);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch_.product[i] = a_mw[i] * scratch_.trans_b[i];
+  }
+  // Full scale: the incoming reference power through the b modulator.
+  const double full_scale_mw =
+      reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
+  return read_out_passes(passes, n / passes, full_scale_mw);
 }
 
 dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
                                                    std::span<const double> b) {
-  require_pair(a.size(), b.size());
+  require_passes(a.size(), b.size(), 1);
   waveform products;
   products.reserve(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -152,44 +201,27 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
     e = mod_b_.encode_unit(e, xb);
     products.push_back(e);
   }
-  return read_out(products, full_scale_power_mw(), a.size());
+  return read_out_current(detector_.integrate(products),
+                          full_scale_power_mw(), a.size());
 }
 
-void dot_product_unit::skip_signed_samples(std::uint64_t samples,
-                                           std::uint64_t dim) {
-  // Per dot_signed_rails sample of dimension n: four dot_unit_range
-  // passes, each consuming n DAC-a, n DAC-b, n RIN and n phase indices
-  // plus one detector readout and one ADC conversion.
-  const std::uint64_t per_device = 4 * samples * dim;
-  dac_a_.skip_draws(per_device);
-  dac_b_.skip_draws(per_device);
-  laser_.skip_symbols(per_device);
-  detector_.skip_readouts(4 * samples);
-  adc_out_.skip_draws(4 * samples);
+void dot_product_unit::skip_passes(std::uint64_t passes,
+                                   std::uint64_t dim) {
+  const std::uint64_t symbols = passes * dim;
+  dac_a_.skip_draws(symbols);
+  dac_b_.skip_draws(symbols);
+  laser_.skip_symbols(symbols);
+  detector_.skip_readouts(passes);
+  adc_out_.skip_draws(passes);
 }
 
 dot_result dot_product_unit::dot_signed(std::span<const double> a,
                                         std::span<const double> b) {
-  split_rails(a, scratch_.rail_a_pos, scratch_.rail_a_neg);
-  split_rails(b, scratch_.rail_b_pos, scratch_.rail_b_neg);
-  return dot_signed_rails(scratch_.rail_a_pos, scratch_.rail_a_neg,
-                          scratch_.rail_b_pos, scratch_.rail_b_neg);
-}
-
-dot_result dot_product_unit::dot_signed_rails(std::span<const double> a_pos,
-                                              std::span<const double> a_neg,
-                                              std::span<const double> b_pos,
-                                              std::span<const double> b_neg) {
-  const dot_result pp = dot_unit_range(a_pos, b_pos);
-  const dot_result nn = dot_unit_range(a_neg, b_neg);
-  const dot_result pn = dot_unit_range(a_pos, b_neg);
-  const dot_result np = dot_unit_range(a_neg, b_pos);
-
-  dot_result r;
-  r.value = pp.value + nn.value - pn.value - np.value;
-  r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
-  r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
-  return r;
+  scratch_.rail_a.resize(4 * a.size());
+  scratch_.rail_b.resize(4 * b.size());
+  lay_out_rails(a, rail_operand::a, scratch_.rail_a);
+  lay_out_rails(b, rail_operand::b, scratch_.rail_b);
+  return dot_passes(scratch_.rail_a, scratch_.rail_b, 4);
 }
 
 dot_result dot_product_unit::dot_unit_range_averaged(
@@ -226,31 +258,30 @@ void dot_product_unit::encode_to_optical(std::span<const double> a,
   mod_a_.encode(scratch_.dac_a, out);
 }
 
+void dot_product_unit::encode_rails_received(std::span<const double> x,
+                                             std::span<double> out_mw) {
+  const std::size_t n = x.size();
+  scratch_.rail_a.resize(4 * n);
+  lay_out_rails(x, rail_operand::a, scratch_.rail_a);
+  for (std::size_t rail = 0; rail < 2; ++rail) {
+    encode_to_optical(std::span<const double>(scratch_.rail_a)
+                          .subspan(rail * n, n),
+                      scratch_.wave);
+    for (std::size_t i = 0; i < n; ++i) {
+      out_mw[rail * n + i] = out_mw[(rail + 2) * n + i] =
+          power_mw(scratch_.wave[i]);
+    }
+  }
+}
+
 dot_result dot_product_unit::dot_with_optical_input(
     std::span<const field> optical_a, std::span<const double> b,
     double reference_power_mw) {
-  if (optical_a.size() != b.size() || optical_a.empty()) {
-    throw std::invalid_argument(
-        "dot_product_unit: waveform/vector must be non-empty, equal length");
+  scratch_.power.resize(optical_a.size());
+  for (std::size_t i = 0; i < optical_a.size(); ++i) {
+    scratch_.power[i] = power_mw(optical_a[i]);
   }
-  if (reference_power_mw <= 0.0) {
-    throw std::invalid_argument(
-        "dot_product_unit: reference power must be positive");
-  }
-  const std::size_t n = optical_a.size();
-  scratch_.dac_b.resize(n);
-  scratch_.trans_b.resize(n);
-  scratch_.product.resize(n);
-
-  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b);
-  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch_.product[i] = power_mw(optical_a[i]) * scratch_.trans_b[i];
-  }
-  // Full scale: the incoming reference power through the b modulator.
-  const double full_scale_mw =
-      reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
-  return read_out_power(scratch_.product, full_scale_mw, n);
+  return dot_optical_passes(scratch_.power, b, reference_power_mw, 1);
 }
 
 }  // namespace onfiber::phot

@@ -12,7 +12,8 @@
 //
 // Signed values use the standard differential (positive/negative rail)
 // decomposition: x = x+ - x-, so a·b expands into four non-negative
-// passes. `dot_signed` hides this; `dot_unit_range` is the raw primitive.
+// passes. `dot_signed` hides this; `dot_unit_range` is the raw primitive;
+// both run on the fused kernel `dot_passes`.
 //
 // On-fiber mode: when the data is *already optical* (arriving from the
 // fiber, per the paper's receive-path design in Fig. 4) the a-side DAC and
@@ -51,6 +52,17 @@ struct dot_result {
   std::uint64_t symbols = 0; ///< optical symbols consumed
 };
 
+/// Operand order of the four signed rail passes (pp, nn, pn, np).
+enum class rail_operand : std::uint8_t {
+  a,  ///< [x+, x-, x+, x-]
+  b,  ///< [x+, x-, x-, x+]
+};
+
+/// Split a signed vector into its rails (x = x+ - x-) laid out as one
+/// operand of the four signed passes; `out` holds 4 * x.size() values.
+void lay_out_rails(std::span<const double> x, rail_operand side,
+                   std::span<double> out);
+
 /// P1 primitive. One instance owns its devices and noise streams; a single
 /// experiment seed makes every evaluation reproducible.
 class dot_product_unit {
@@ -58,17 +70,17 @@ class dot_product_unit {
   dot_product_unit(dot_product_config config, std::uint64_t seed,
                    energy_ledger* ledger = nullptr, energy_costs costs = {});
 
+  /// Re-key every device in place: afterwards bit-identical to
+  /// dot_product_unit(config(), seed, ledger, costs), but allocation-free
+  /// and with the scratch arena's capacity kept.
+  void rekey(std::uint64_t seed);
+
   /// Dot product of two vectors with elements in [0, 1].
   /// Requires a.size() == b.size() and both non-empty.
-  ///
-  /// Hot path: fused intensity-domain kernel. Device noise streams are
-  /// consumed in the same per-device order as the element-wise reference
-  /// path, but the computation stays in the power domain (a square-law
-  /// detector cannot observe phase) and reuses the scratch arena — no
-  /// allocations after warm-up, no per-sample transcendentals when the
-  /// modulator bias is calibrated.
   [[nodiscard]] dot_result dot_unit_range(std::span<const double> a,
-                                          std::span<const double> b);
+                                          std::span<const double> b) {
+    return dot_passes(a, b, 1);
+  }
 
   /// Element-wise reference implementation of `dot_unit_range`: walks the
   /// full field-domain pipeline one symbol at a time. Numerically agrees
@@ -82,15 +94,24 @@ class dot_product_unit {
   [[nodiscard]] dot_result dot_signed(std::span<const double> a,
                                       std::span<const double> b);
 
-  /// dot_signed with the rails already split. The batched GEMM path uses
-  /// this to split each weight row once and stream many sample rails
-  /// through it; `dot_signed` is exactly `split + dot_signed_rails`, so a
-  /// batch of one is bit-identical to the unbatched call. Rail spans must
-  /// be non-empty, equal length, and must not alias this unit's scratch.
-  [[nodiscard]] dot_result dot_signed_rails(std::span<const double> a_pos,
-                                            std::span<const double> a_neg,
-                                            std::span<const double> b_pos,
-                                            std::span<const double> b_neg);
+  /// The fused intensity-domain kernel every dot runs on: `a` and `b`
+  /// hold 1 (unsigned) or 4 (signed, `lay_out_rails` order) equal passes
+  /// back to back. Each device runs one batched fill over all passes —
+  /// the draw indices of the pass-by-pass loop, as streams are
+  /// independent — then each pass is read out on its own, with detector,
+  /// ADC and ledger charges in pass order. Signed: pp + nn - pn - np.
+  /// Allocation-free after warm-up; spans must not alias the scratch.
+  [[nodiscard]] dot_result dot_passes(std::span<const double> a,
+                                      std::span<const double> b,
+                                      std::size_t passes);
+
+  /// On-fiber twin: `a_mw` holds the a operand's received per-symbol
+  /// powers [mW] relative to full-scale `reference_power_mw`. Only the
+  /// b-side DAC/modulator and the detector/ADC run.
+  [[nodiscard]] dot_result dot_optical_passes(std::span<const double> a_mw,
+                                              std::span<const double> b,
+                                              double reference_power_mw,
+                                              std::size_t passes);
 
   /// §4 noise mitigation ("new algorithms to mitigate photonic noise
   /// during computation"): repeat the analog evaluation `repeats` times
@@ -103,8 +124,7 @@ class dot_product_unit {
 
   /// On-fiber variant: `optical_a` is the incoming waveform whose sample
   /// powers encode a_i in [0,1] relative to `reference_power_mw` (the
-  /// calibrated full-scale receive power). Only the b-side modulator and
-  /// the shared detector/ADC run; no a-side DAC conversion is charged.
+  /// calibrated full-scale receive power).
   [[nodiscard]] dot_result dot_with_optical_input(
       std::span<const field> optical_a, std::span<const double> b,
       double reference_power_mw);
@@ -118,16 +138,16 @@ class dot_product_unit {
   /// repeated launches reuse one buffer.
   void encode_to_optical(std::span<const double> a, waveform& out);
 
-  /// Advance every device noise stream past `samples` signed-rail dot
-  /// products of dimension `dim`, in O(1), without computing anything:
-  /// each dot_signed_rails call consumes exactly 4*dim draw indices on
-  /// the a/b DACs and the laser's RIN/phase streams, and 4 on the
-  /// detector and output ADC. Only valid for the intensity-domain fused
-  /// path (the laser's phase accumulator is not walked forward). The
-  /// batched GEMM uses this to split one row's sample range into
-  /// independent work cells that still draw the exact indices the serial
-  /// loop would.
-  void skip_signed_samples(std::uint64_t samples, std::uint64_t dim);
+  /// Launch x's rails, x+ then x-, through encode_to_optical and write
+  /// their powers as the a operand of dot_optical_passes (4 * x.size()).
+  void encode_rails_received(std::span<const double> x,
+                             std::span<double> out_mw);
+
+  /// Advance every device noise stream past `passes` kernel passes of
+  /// dimension `dim` in O(1): each pass consumes `dim` indices on the
+  /// DACs and laser streams and one on the detector and ADC. Only valid
+  /// for the intensity-domain kernels (the laser phase is not walked).
+  void skip_passes(std::uint64_t passes, std::uint64_t dim);
 
   /// Calibrated full-scale receive power of this unit's own encode path
   /// [mW]: power seen when encoding 1.0 through both modulators at b=1.
@@ -140,29 +160,24 @@ class dot_product_unit {
   /// monotonically: after the first call at a given length every evaluation
   /// is allocation-free.
   struct kernel_scratch {
-    std::vector<double> rail_a_pos, rail_a_neg;  ///< signed-input rails
-    std::vector<double> rail_b_pos, rail_b_neg;
+    std::vector<double> rail_a, rail_b;    ///< signed-input rail layouts
     std::vector<double> dac_a, dac_b;      ///< post-DAC drive levels
     std::vector<double> dac_noise_a, dac_noise_b;  ///< DAC two-pass draws
     std::vector<double> trans_a, trans_b;  ///< MZM intensity transmissions
-    std::vector<double> power;             ///< laser per-symbol powers [mW]
+    std::vector<double> power;   ///< laser or received per-symbol powers [mW]
     std::vector<double> product;           ///< per-symbol product powers [mW]
+    waveform wave;                         ///< launch buffer
   };
-
-  /// Shared analog core: waveform of per-symbol products -> scalar.
-  [[nodiscard]] dot_result read_out(const waveform& products,
-                                    double full_scale_mw,
-                                    std::size_t length);
-
-  /// Intensity-domain twin: per-symbol product powers -> scalar.
-  [[nodiscard]] dot_result read_out_power(std::span<const double> product_mw,
-                                          double full_scale_mw,
-                                          std::size_t length);
 
   /// Common back half: integrated photocurrent -> digitized dot result.
   [[nodiscard]] dot_result read_out_current(double current_a,
                                             double full_scale_mw,
                                             std::size_t length);
+
+  /// Read the scratch product powers out pass by pass and combine them.
+  [[nodiscard]] dot_result read_out_passes(std::size_t passes,
+                                           std::size_t length,
+                                           double full_scale_mw);
 
   dot_product_config config_;
   laser laser_;

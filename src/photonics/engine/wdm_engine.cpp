@@ -37,6 +37,7 @@ gemv_result wdm_gemv_engine::gemv_signed(const matrix& w,
     throw std::invalid_argument("wdm_gemv_engine: shape mismatch");
   }
   gemv_result out;
+  out.batch = 1;
   out.values.assign(w.rows, 0.0);
   std::vector<double> lane_latency(lanes_.size(), 0.0);
   for (std::size_t r = 0; r < w.rows; ++r) {

@@ -13,8 +13,6 @@ namespace {
 constexpr std::uint64_t kRinTag = 0x6c61735249ULL;    // "lasRI"
 constexpr std::uint64_t kPhaseTag = 0x6c61735048ULL;  // "lasPH"
 
-std::uint64_t stream_base(rng& noise_stream) { return noise_stream(); }
-
 }  // namespace
 
 laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
@@ -24,12 +22,7 @@ laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
       phase_stream_(0),
       ledger_(ledger),
       costs_(costs) {
-  // Derive the two per-purpose counter keys from one draw of the seed
-  // stream: RIN and phase draws live on unrelated streams, so either can
-  // be filled, skipped, or vectorized without disturbing the other.
-  const std::uint64_t base = stream_base(noise_stream);
-  rin_stream_ = counter_stream(counter_rng::key_of(base, kRinTag));
-  phase_stream_ = counter_stream(counter_rng::key_of(base, kPhaseTag));
+  key_streams(noise_stream());
   if (config_.enable_phase_noise && config_.symbol_rate_hz > 0.0) {
     phase_step_sigma_ = std::sqrt(2.0 * std::numbers::pi *
                                   config_.linewidth_hz /
@@ -43,6 +36,19 @@ laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
         rin_sigma_mw(config_.power_mw, config_.rin_db_hz,
                      config_.symbol_rate_hz);
   }
+}
+
+void laser::key_streams(std::uint64_t base) {
+  // Two per-purpose counter keys from one draw of the seed stream: RIN
+  // and phase draws live on unrelated streams, so either can be filled,
+  // skipped, or vectorized without disturbing the other.
+  rin_stream_ = counter_stream(counter_rng::key_of(base, kRinTag));
+  phase_stream_ = counter_stream(counter_rng::key_of(base, kPhaseTag));
+}
+
+void laser::rekey(std::uint64_t seed) {
+  key_streams(rng::first_output(seed));
+  phase_ = 0.0;
 }
 
 void laser::skip_symbols(std::uint64_t symbols) {
@@ -121,7 +127,7 @@ void laser::emit(std::size_t symbols, waveform& out) {
   }
 }
 
-void laser::emit_powers(std::span<double> out_powers) {
+void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   const std::size_t symbols = out_powers.size();
   const bool has_rin = config_.enable_rin;
   const bool has_phase = phase_step_sigma_ > 0.0;
@@ -155,9 +161,8 @@ void laser::emit_powers(std::span<double> out_powers) {
     phase_stream_.skip(symbols);
   }
   if (ledger_ != nullptr && symbols > 0) {
-    ledger_->charge("laser",
-                    costs_.laser_j_per_symbol * static_cast<double>(symbols),
-                    symbols);
+    ledger_->charge_batches("laser", costs_.laser_j_per_symbol,
+                            symbols / passes, passes);
   }
 }
 

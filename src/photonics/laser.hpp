@@ -49,8 +49,9 @@ class laser {
   /// phasor construction. Draws the same counter-stream indices as
   /// `emit_one` (so the streams stay aligned), but the trigonometric
   /// projection of the phase is skipped — the carrier phase is
-  /// unobservable under direct square-law detection.
-  void emit_powers(std::span<double> out_powers);
+  /// unobservable under direct square-law detection. Charged to the
+  /// ledger exactly as `passes` calls over equal slices would be.
+  void emit_powers(std::span<double> out_powers, std::size_t passes = 1);
 
   /// Advance both noise streams past `symbols` symbols in O(1) without
   /// generating anything — the counter streams make draw index i
@@ -60,9 +61,15 @@ class laser {
   /// disjoint sample ranges of one row to different workers.
   void skip_symbols(std::uint64_t symbols);
 
+  /// Re-key in place: bit-identical to a laser built with rng{seed}
+  /// (streams at draw 0, phase walk at 0).
+  void rekey(std::uint64_t seed);
+
   [[nodiscard]] const laser_config& config() const { return config_; }
 
  private:
+  void key_streams(std::uint64_t base);
+
   laser_config config_;
   counter_stream rin_stream_;    ///< one draw index per symbol, always
   counter_stream phase_stream_;  ///< one draw index per symbol, always

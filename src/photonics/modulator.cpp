@@ -28,6 +28,12 @@ mzm_modulator::mzm_modulator(modulator_config config, double bias_rad,
   intensity_loss_ratio_ = db_to_ratio(-config_.insertion_loss_db);
 }
 
+void mzm_modulator::rekey(std::uint64_t seed) {
+  if (config_.bias_error_sigma_rad > 0.0) {
+    bias_error_rad_ = rng{seed}.normal(0.0, config_.bias_error_sigma_rad);
+  }
+}
+
 field mzm_modulator::apply_phase_arg(field in, double total_phase_rad) const {
   // Field transfer of a balanced MZM: cos(theta), where theta is half the
   // differential arm phase. Intensity transfer = cos^2(theta).
@@ -82,7 +88,8 @@ void mzm_modulator::encode(std::span<const double> x, waveform& io) {
 }
 
 void mzm_modulator::encode_intensity(std::span<const double> x,
-                                     std::span<double> t_out) {
+                                     std::span<double> t_out,
+                                     std::size_t passes) {
   const std::size_t n = std::min(x.size(), t_out.size());
   if (bias_error_rad_ == 0.0) {
     // Calibrated encode with a perfect bias: cos^2(acos(sqrt(x))) == x, so
@@ -111,8 +118,8 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
     }
   }
   if (ledger_ != nullptr && n > 0) {
-    ledger_->charge("modulator",
-                    costs_.modulator_drive_j * static_cast<double>(n), n);
+    ledger_->charge_batches("modulator", costs_.modulator_drive_j,
+                            n / passes, passes);
   }
 }
 

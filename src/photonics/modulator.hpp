@@ -59,8 +59,14 @@ class mzm_modulator {
   /// calibrated intensity transmission (extinction floor, bias error and
   /// insertion loss included) of each x into `t_out`. With a calibrated
   /// bias (no bias error) the transfer collapses algebraically to
-  /// max(clamp(x), floor) * loss — no trigonometry per symbol.
-  void encode_intensity(std::span<const double> x, std::span<double> t_out);
+  /// max(clamp(x), floor) * loss — no trigonometry per symbol. Charged
+  /// to the ledger exactly as `passes` calls over equal slices would be.
+  void encode_intensity(std::span<const double> x, std::span<double> t_out,
+                        std::size_t passes = 1);
+
+  /// Re-key in place: bit-identical to a modulator built with rng{seed}
+  /// (the bias error is re-drawn only when one is configured).
+  void rekey(std::uint64_t seed);
 
   /// Intensity transmission at drive voltage v (no noise), for tests.
   [[nodiscard]] double intensity_transfer(double drive_v) const;

@@ -31,11 +31,4 @@ using waveform = std::vector<field>;
   return std::polar(amplitude, phase_rad);
 }
 
-/// Total energy-equivalent power sum [mW·symbols] over a waveform.
-[[nodiscard]] inline double total_power_mw(std::span<const field> wf) {
-  double sum = 0.0;
-  for (const field& e : wf) sum += std::norm(e);
-  return sum;
-}
-
 }  // namespace onfiber::phot

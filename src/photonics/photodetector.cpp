@@ -18,6 +18,11 @@ photodetector::photodetector(photodetector_config config, rng noise_stream,
       ledger_(ledger),
       costs_(costs) {}
 
+void photodetector::rekey(std::uint64_t seed) {
+  noise_ = counter_stream(
+      counter_rng::key_of(rng::first_output(seed), kDetectorTag));
+}
+
 double photodetector::clip(double current_a) const {
   return std::clamp(current_a, -config_.saturation_current_a,
                     config_.saturation_current_a);

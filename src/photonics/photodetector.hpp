@@ -51,6 +51,9 @@ class photodetector {
   /// in O(1) — each readout consumes exactly one counter draw index.
   void skip_readouts(std::uint64_t readouts) { noise_.skip(readouts); }
 
+  /// Re-key in place: bit-identical to a detector built with rng{seed}.
+  void rekey(std::uint64_t seed);
+
   [[nodiscard]] const photodetector_config& config() const { return config_; }
 
   /// Noiseless expected current for a given optical power [mW] — the

@@ -166,6 +166,14 @@ class rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
+  /// rng{seed}(), from the two state words it reads (2 SplitMix64 steps).
+  [[nodiscard]] static constexpr result_type first_output(std::uint64_t seed) {
+    std::uint64_t s0 = seed;
+    std::uint64_t s3 = seed + 3 * 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t w0 = splitmix64(s0);
+    return rotl(w0 + splitmix64(s3), 23) + w0;
+  }
+
   constexpr result_type operator()() {
     const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
     const std::uint64_t t = state_[1] << 17;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/compute_packets.hpp"
+#include "core/photonic_engine.hpp"
 #include "core/runtime.hpp"
 #include "network/topology.hpp"
 #include "obs/exporter.hpp"
@@ -368,6 +369,56 @@ TEST(ObsExporter, AppendFlatPrefixesKeys) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// ------------------------------------------------------ kernel timers
+
+/// Four DNN packets through one process_batch; returns their payloads.
+std::vector<std::vector<std::uint8_t>> run_dnn_batch() {
+  core::dnn_task task;
+  core::photonic_layer hidden;
+  hidden.weights = phot::matrix(6, 8);
+  core::photonic_layer out;
+  out.weights = phot::matrix(3, 6);
+  out.activation = false;
+  for (std::size_t i = 0; i < hidden.weights.data.size(); ++i) {
+    hidden.weights.data[i] = 0.1 * static_cast<double>(i % 11) - 0.5;
+  }
+  for (std::size_t i = 0; i < out.weights.data.size(); ++i) {
+    out.weights.data[i] = 0.5 - 0.1 * static_cast<double>(i % 7);
+  }
+  task.layers = {std::move(hidden), std::move(out)};
+  core::photonic_engine engine({}, 17);
+  engine.configure_dnn(std::move(task));
+
+  std::vector<net::packet> pkts;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    std::vector<double> x(8);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      x[k] = static_cast<double>((k * 5 + t * 3) % 9) / 8.0;
+    }
+    pkts.push_back(core::make_dnn_request(net::ipv4(10, 0, 0, 2),
+                                          net::ipv4(10, 0, 1, 2), x, 3, t));
+  }
+  std::vector<net::packet*> ptrs;
+  for (net::packet& p : pkts) ptrs.push_back(&p);
+  EXPECT_EQ(engine.process_batch(ptrs).computed_packets, pkts.size());
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const net::packet& p : pkts) payloads.push_back(p.payload);
+  return payloads;
+}
+
+TEST(ObsKernelTimers, EngineBatchReachesGemmHistogram) {
+  obs_state_guard guard;
+  obs::histogram& gemm = obs::registry::global().get_histogram(
+      "kernel.gemm_wall_s");
+  obs::set_enabled(false);
+  const auto off = run_dnn_batch();
+  EXPECT_EQ(gemm.count(), 0u);
+  obs::set_enabled(true);
+  const auto on = run_dnn_batch();
+  EXPECT_GT(gemm.count(), 0u);
+  EXPECT_EQ(off, on);
 }
 
 // -------------------------------------------------------- scoped timer

@@ -15,6 +15,14 @@ TEST(Rng, SameSeedSameStream) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
 }
 
+TEST(Rng, FirstOutputMatchesGenerator) {
+  static_assert(rng::first_output(7) == rng{7}());
+  for (const std::uint64_t seed :
+       {0ULL, 1ULL, 42ULL, 0x1111ULL, 0x9e3779b97f4a7c15ULL, ~0ULL}) {
+    EXPECT_EQ(rng::first_output(seed), rng{seed}()) << seed;
+  }
+}
+
 TEST(Rng, DifferentSeedsDiffer) {
   rng a(123), b(124);
   int same = 0;
