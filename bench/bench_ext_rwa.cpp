@@ -7,6 +7,7 @@
 
 #include "bench_util.hpp"
 #include "controller/rwa.hpp"
+#include "network/spf.hpp"
 #include "network/topology.hpp"
 #include "photonics/rng.hpp"
 
@@ -16,7 +17,8 @@ using namespace onfiber::bench;
 namespace {
 
 std::vector<ctrl::lightpath_request> random_requests(
-    const net::topology& topo, std::size_t count, std::uint64_t seed) {
+    net::spf_engine& spf, std::size_t count, std::uint64_t seed) {
+  const net::topology& topo = spf.topo();
   phot::rng g(seed);
   std::vector<ctrl::lightpath_request> reqs;
   std::uint32_t id = 0;
@@ -26,7 +28,7 @@ std::vector<ctrl::lightpath_request> random_requests(
     do {
       dst = static_cast<net::node_id>(g.below(topo.node_count()));
     } while (dst == src);
-    auto path = topo.shortest_path(src, dst);
+    auto path = spf.path(src, dst);
     if (path.size() < 2) continue;
     ctrl::lightpath_request r;
     r.id = id++;
@@ -42,13 +44,14 @@ int main() {
   banner("E25 / Sec. 3 (RWA)", "wavelength assignment for compute lightpaths");
 
   const net::topology uswan = net::make_uswan_topology();
+  net::spf_engine spf(uswan);
 
   // ---- wavelengths vs demand count -----------------------------------------
   note("US-WAN, random lightpaths, first-fit vs congestion lower bound");
   std::printf("  %12s %16s %18s %10s\n", "lightpaths", "wavelengths",
               "congestion bound", "blocked");
   for (const std::size_t count : {10u, 40u, 160u, 640u}) {
-    const auto reqs = random_requests(uswan, count, 7);
+    const auto reqs = random_requests(spf, count, 7);
     const auto r = ctrl::assign_wavelengths_first_fit(uswan, reqs, 512);
     std::printf("  %12zu %16d %18zu %10zu\n", count, r.wavelengths_used,
                 r.max_congestion, r.blocked);
@@ -59,7 +62,7 @@ int main() {
   note("blocking vs C-band grid size (160 lightpaths)");
   std::printf("  %14s %12s %14s\n", "wavelengths", "blocked",
               "service rate");
-  const auto reqs = random_requests(uswan, 160, 7);
+  const auto reqs = random_requests(spf, 160, 7);
   for (const int grid : {8, 16, 32, 64, 96}) {
     const auto r = ctrl::assign_wavelengths_first_fit(uswan, reqs, grid);
     std::printf("  %14d %12zu %13.1f%%\n", grid, r.blocked,

@@ -119,10 +119,10 @@ int main(int argc, char** argv) {
     core::photonic_engine batch_engine({}, 99);
     batch_engine.configure_dnn(apps::to_photonic_task(aware));
     const auto warm_b =
-        apps::evaluate_photonic_batched(batch_engine, aware, data);
+        apps::evaluate_photonic(batch_engine, aware, data, 64);
     stopwatch sw_b;
     for (int p = 0; p < passes; ++p) {
-      (void)apps::evaluate_photonic_batched(batch_engine, aware, data);
+      (void)apps::evaluate_photonic(batch_engine, aware, data, 64);
     }
     const double batch_per_s = inferences / sw_b.elapsed_s();
     std::printf("  batched rate:   %.0f inferences/s (wall clock, accuracy "

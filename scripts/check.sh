@@ -43,9 +43,11 @@ ONFIBER_SHARDS=4 ctest --preset asan --no-tests=error \
 # admission-control overload pins re-run with an extra ONFIBER_SHARDS=4
 # sweep entry under Address/UB sanitizers — the bounded site queues and
 # the per-shard arrival streams are exactly where an off-by-one in the
-# depth accounting or a cross-shard write would hide.
+# depth accounting or a cross-shard write would hide. Every compute
+# packet is served through the site queue's flush, so the batching
+# suite runs here too.
 ONFIBER_SHARDS=4 ctest --preset asan --no-tests=error \
-  -R 'Traffic|Admission'
+  -R 'Traffic|Admission|Batching'
 
 # Routing-plane asan gate: the incremental-SPF engine's delta passes
 # (subtree clearing, boundary reseeding, equality-tight restore fronts)
@@ -91,8 +93,10 @@ ctest --preset tsan --no-tests=error \
 # bench drives the sharded sweep end to end (shrunk packet budget —
 # full-size sweeps under tsan take minutes). Any cross-shard race in
 # the window barrier, the SPSC channels, the per-shard reliability
-# tables, or the lock-free tracer fails here.
-ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error -R 'Sharded|Reliability'
+# tables, the lock-free tracer, or the site-queue flush that serves
+# every compute packet on its shard's thread fails here.
+ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error \
+  -R 'Sharded|Reliability|Batching'
 
 # Routing-plane tsan gate: the golden shard-sweep and reconvergence
 # tests re-run at ONFIBER_SHARDS=4 under -fsanitize=thread. Shard

@@ -28,68 +28,36 @@ core::dnn_task to_photonic_task(const digital::dnn_model& model) {
 
 photonic_eval evaluate_photonic(core::photonic_engine& engine,
                                 const digital::dnn_model& model,
-                                const digital::dataset& data) {
+                                const digital::dataset& data,
+                                std::size_t batch_size) {
   if (!engine.supports(proto::primitive_id::p1_p3_dnn)) {
     throw std::invalid_argument("evaluate_photonic: engine lacks DNN task");
   }
-  photonic_eval eval;
-  std::size_t correct = 0;
-  double total_latency = 0.0;
-  const net::ipv4 src(10, 0, 0, 2);
-  const net::ipv4 dst(10, 0, 1, 2);
-  for (std::size_t i = 0; i < data.samples.size(); ++i) {
-    net::packet pkt = core::make_dnn_request(
-        src, dst, data.samples[i], model.output_dim(),
-        static_cast<std::uint32_t>(i));
-    const core::engine_report report = engine.process(pkt);
-    if (!report.computed) {
-      throw std::runtime_error("evaluate_photonic: engine did not compute");
-    }
-    total_latency += report.compute_latency_s;
-    eval.optical_symbols += report.optical_symbols;
-    const auto result = core::read_dnn_result(pkt);
-    if (result && result->predicted_class == data.labels[i]) ++correct;
-  }
-  const auto n = static_cast<double>(data.samples.size());
-  eval.accuracy = n > 0 ? static_cast<double>(correct) / n : 0.0;
-  eval.mean_compute_latency_s = n > 0 ? total_latency / n : 0.0;
-  return eval;
-}
-
-photonic_eval evaluate_photonic_batched(core::photonic_engine& engine,
-                                        const digital::dnn_model& model,
-                                        const digital::dataset& data,
-                                        std::size_t batch_size) {
-  if (!engine.supports(proto::primitive_id::p1_p3_dnn)) {
-    throw std::invalid_argument(
-        "evaluate_photonic_batched: engine lacks DNN task");
-  }
   if (batch_size == 0) {
-    throw std::invalid_argument("evaluate_photonic_batched: batch_size 0");
+    throw std::invalid_argument("evaluate_photonic: batch_size 0");
   }
   photonic_eval eval;
   std::size_t correct = 0;
   double total_latency = 0.0;
   const net::ipv4 src(10, 0, 0, 2);
   const net::ipv4 dst(10, 0, 1, 2);
+  std::vector<net::packet> packets;
+  std::vector<net::packet*> ptrs;
   for (std::size_t begin = 0; begin < data.samples.size();
        begin += batch_size) {
     const std::size_t end =
         std::min(begin + batch_size, data.samples.size());
-    std::vector<net::packet> packets;
-    packets.reserve(end - begin);
+    packets.clear();
     for (std::size_t i = begin; i < end; ++i) {
       packets.push_back(core::make_dnn_request(
           src, dst, data.samples[i], model.output_dim(),
           static_cast<std::uint32_t>(i)));
     }
-    std::vector<net::packet*> ptrs;
-    ptrs.reserve(packets.size());
+    ptrs.clear();
     for (net::packet& p : packets) ptrs.push_back(&p);
     const core::batch_report report = engine.process_batch(ptrs);
     if (report.computed_packets != packets.size()) {
-      throw std::runtime_error(
-          "evaluate_photonic_batched: engine did not compute a packet");
+      throw std::runtime_error("evaluate_photonic: engine did not compute");
     }
     total_latency += report.compute_latency_s;
     eval.optical_symbols += report.optical_symbols;

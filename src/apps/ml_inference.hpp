@@ -22,9 +22,13 @@ namespace onfiber::apps {
 [[nodiscard]] core::dnn_task to_photonic_task(const digital::dnn_model& model);
 
 /// Classification accuracy of the photonic engine on a dataset. Each
-/// sample is wrapped in a compute packet and pushed through
-/// photonic_engine::process, exercising the same code path packets take
-/// in the network.
+/// sample is wrapped in a compute packet, and the packets go through
+/// photonic_engine::process_batch in chunks of `batch_size` — the same
+/// code path packets take at a network site. A chunk's layers run as
+/// pooled GEMMs (weight rails split once per row per chunk); at the
+/// default of 1 every packet is a batch of one, the per-packet datapath.
+/// Larger chunks draw noise in a different order, so accuracy is
+/// statistically equivalent rather than bit-identical across sizes.
 struct photonic_eval {
   double accuracy = 0.0;
   double mean_compute_latency_s = 0.0;
@@ -32,18 +36,8 @@ struct photonic_eval {
 };
 [[nodiscard]] photonic_eval evaluate_photonic(core::photonic_engine& engine,
                                               const digital::dnn_model& model,
-                                              const digital::dataset& data);
-
-/// Same evaluation through the batched datapath: samples are wrapped in
-/// per-sample packets and handed to photonic_engine::process_batch in
-/// chunks of `batch_size`, so each chunk's layers run as pooled GEMMs
-/// (weight rails split once per row per chunk). Accuracy is statistically
-/// equivalent to evaluate_photonic — noise draws differ because the
-/// batched engine runs layer-major — and throughput is what
-/// bench_table1_ml_inference reports as table1.batch_inferences_per_s.
-[[nodiscard]] photonic_eval evaluate_photonic_batched(
-    core::photonic_engine& engine, const digital::dnn_model& model,
-    const digital::dataset& data, std::size_t batch_size = 64);
+                                              const digital::dataset& data,
+                                              std::size_t batch_size = 1);
 
 /// Deployment latency model for one inference request of `input_bytes`
 /// issued at `src` for a consumer at `dst` (§4's three compute locations).

@@ -221,38 +221,10 @@ phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,
   return out;
 }
 
-engine_report photonic_engine::run_gemv(const proto::compute_header& h,
-                                        net::packet& pkt) {
-  engine_report report;
-  if (!gemv_) return report;
+std::size_t photonic_engine::run_match(const proto::compute_header& h,
+                                       net::packet& pkt,
+                                       engine_report& report) {
   const auto input = proto::compute_input(pkt, h);
-  const std::size_t batch = h.batch;
-  const std::size_t cols = gemv_->weights.cols;
-  const std::size_t rows = gemv_->weights.rows;
-  if (batch == 0 || input.size() != cols * batch) return report;
-  auto result_region = result_span(pkt, h, rows * batch);
-  if (result_region.empty()) return report;
-
-  // One batched GEMM over every sample of the packet.
-  std::vector<double> xs;
-  append_samples(xs, input, cols, batch, /*signed_encoding=*/h.hops == 0);
-  const phot::gemm_result y = analog_gemm(
-      *gemv_rails_, xs, config_.mode == compute_mode::on_fiber, report);
-  write_gemv_results(*gemv_, result_region, h, y, 0, batch);
-  report.computed = true;
-  report.result_bytes = static_cast<std::uint16_t>(rows * batch);
-  return report;
-}
-
-engine_report photonic_engine::run_match(const proto::compute_header& h,
-                                         net::packet& pkt) {
-  engine_report report;
-  if (!match_) return report;
-  const auto input = proto::compute_input(pkt, h);
-  if (input.empty()) return report;
-  auto result_region = result_span(pkt, h, 1);
-  if (result_region.empty()) return report;
-
   const std::vector<std::uint8_t> bits = phot::bytes_to_bits(input);
   const bool optical = config_.mode == compute_mode::on_fiber;
 
@@ -294,20 +266,15 @@ engine_report photonic_engine::run_match(const proto::compute_header& h,
       break;
     }
   }
-  result_region[0] = hit;
-  report.match_index = hit;
-  report.computed = true;
-  report.result_bytes = 1;
-  return report;
+  result_span(pkt, h, 1)[0] = hit;
+  return 1;
 }
 
-engine_report photonic_engine::run_nonlinear(const proto::compute_header& h,
-                                             net::packet& pkt) {
-  engine_report report;
+std::size_t photonic_engine::run_nonlinear(const proto::compute_header& h,
+                                           net::packet& pkt,
+                                           engine_report& report) {
   const auto input = proto::compute_input(pkt, h);
-  if (input.empty()) return report;
-  auto result_region = result_span(pkt, h, input.size());
-  if (result_region.empty()) return report;
+  const auto result_region = result_span(pkt, h, input.size());
 
   const std::vector<double> x = proto::decode_unit_vector(input);
   const double full_scale_mw = config_.dot.laser.power_mw;
@@ -341,41 +308,11 @@ engine_report photonic_engine::run_nonlinear(const proto::compute_header& h,
   report.compute_latency_s +=
       static_cast<double>(x.size()) / config_.nonlinear.symbol_rate_hz +
       config_.dot.fixed_latency_s;
-  report.computed = true;
-  report.result_bytes = static_cast<std::uint16_t>(x.size());
-  return report;
+  return x.size();
 }
 
-engine_report photonic_engine::run_dnn(const proto::compute_header& h,
-                                       net::packet& pkt) {
-  engine_report report;
-  if (!dnn_) return report;
-  const auto input = proto::compute_input(pkt, h);
-  const std::size_t in_dim = dnn_->layers.front().weights.cols;
-  const std::size_t out_dim = dnn_->layers.back().weights.rows;
-  const std::size_t batch = h.batch;
-  if (batch == 0 || input.size() != in_dim * batch) return report;
-  auto result_region = result_span(pkt, h, (1 + out_dim) * batch);
-  if (result_region.empty()) return report;
-
-  // Sample by sample: each runs the whole network before the next.
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::vector<double> act;
-    append_samples(act, input.subspan(b * in_dim, in_dim), in_dim, 1,
-                   /*signed_encoding=*/false);
-    act = run_dnn_layers(std::move(act),
-                         config_.mode == compute_mode::on_fiber, report);
-    write_dnn_result(result_region.subspan(b * (1 + out_dim), 1 + out_dim),
-                     act);
-  }
-  report.computed = true;
-  report.result_bytes = static_cast<std::uint16_t>((1 + out_dim) * batch);
-  return report;
-}
-
-std::vector<double> photonic_engine::run_dnn_layers(std::vector<double> acts,
-                                                    bool optical,
-                                                    engine_report& report) {
+void photonic_engine::run_dnn_layers(std::vector<double>& acts, bool optical,
+                                     engine_report& report) {
   const double full_scale_mw = config_.dot.laser.power_mw;
   const std::size_t total = acts.size() / dnn_->layers.front().weights.cols;
   for (std::size_t li = 0; li < dnn_->layers.size(); ++li) {
@@ -410,37 +347,24 @@ std::vector<double> photonic_engine::run_dnn_layers(std::vector<double> acts,
       }
     }
   }
-  return acts;
 }
 
 engine_report photonic_engine::process(net::packet& pkt) {
   const obs::scoped_timer timer(process_wall_hist());
-  engine_report report;
-  auto header = proto::peek_compute_header(pkt);
-  if (!header || header->has_result()) return report;
-  if (!supports(header->primitive)) return report;
+  net::packet* const one[] = {&pkt};
+  batch_report r;  // no per-packet flags: computed_packets says it
+  compute(one, r);
+  return {r.computed_packets == 1, r.compute_latency_s, r.input_conversions,
+          r.optical_symbols};
+}
 
-  switch (header->primitive) {
-    case proto::primitive_id::p1_dot_product:
-      report = run_gemv(*header, pkt);
-      break;
-    case proto::primitive_id::p2_pattern_match:
-      report = run_match(*header, pkt);
-      break;
-    case proto::primitive_id::p3_nonlinear:
-      report = run_nonlinear(*header, pkt);
-      break;
-    case proto::primitive_id::p1_p3_dnn:
-      report = run_dnn(*header, pkt);
-      break;
-    case proto::primitive_id::none:
-      return report;
-  }
-
-  if (report.computed) {
-    apply_postlude(pkt, *header, report.result_bytes);
-  }
-  return report;
+batch_report photonic_engine::process_batch(
+    std::span<net::packet* const> pkts) {
+  const obs::scoped_timer timer(batch_wall_hist());
+  batch_report out;
+  out.computed.assign(pkts.size(), false);
+  compute(pkts, out);
+  return out;
 }
 
 void photonic_engine::apply_postlude(net::packet& pkt,
@@ -459,130 +383,125 @@ void photonic_engine::apply_postlude(net::packet& pkt,
   rewrite_compute_header(pkt, h);
 }
 
-bool photonic_engine::can_process(const net::packet& pkt) const {
+std::optional<proto::compute_header> photonic_engine::admit(
+    const net::packet& pkt) const {
   const auto h = proto::peek_compute_header(pkt);
-  if (!h || h->has_result() || !supports(h->primitive)) return false;
-  const auto input = proto::compute_input(pkt, *h);
+  if (!h || h->has_result() || !supports(h->primitive)) return std::nullopt;
+  const std::size_t input = proto::compute_input(pkt, *h).size();
   const std::size_t batch = h->batch;
 
-  // Does a result region of `len` bytes fit at the header's offset?
-  const auto result_fits = [&](std::size_t len) {
-    const std::size_t begin = proto::compute_header_bytes + h->result_offset;
-    return len > 0 && begin + len <= pkt.payload.size();
-  };
-
+  // Does the input have the task's shape, and how long is the result?
+  bool shape_ok = input > 0;
+  std::size_t result_len = 0;
   switch (h->primitive) {
     case proto::primitive_id::p1_dot_product:
-      return batch > 0 && input.size() == gemv_->weights.cols * batch &&
-             result_fits(gemv_->weights.rows * batch);
+      shape_ok = batch > 0 && input == gemv_->weights.cols * batch;
+      result_len = gemv_->weights.rows * batch;
+      break;
     case proto::primitive_id::p2_pattern_match:
-      return !input.empty() && result_fits(1);
+      result_len = 1;
+      break;
     case proto::primitive_id::p3_nonlinear:
-      return !input.empty() && result_fits(input.size());
+      result_len = input;
+      break;
     case proto::primitive_id::p1_p3_dnn:
-      return batch > 0 &&
-             input.size() == dnn_->layers.front().weights.cols * batch &&
-             result_fits((1 + dnn_->layers.back().weights.rows) * batch);
+      shape_ok = batch > 0 &&
+                 input == dnn_->layers.front().weights.cols * batch;
+      result_len = (1 + dnn_->layers.back().weights.rows) * batch;
+      break;
     case proto::primitive_id::none:
-      return false;
+      return std::nullopt;
   }
-  return false;
+  if (!shape_ok) return std::nullopt;
+  const std::size_t begin = proto::compute_header_bytes + h->result_offset;
+  if (result_len == 0 || begin + result_len > pkt.payload.size()) {
+    return std::nullopt;
+  }
+  return h;
 }
 
-batch_report photonic_engine::process_batch(
-    std::span<net::packet* const> pkts) {
-  const obs::scoped_timer timer(batch_wall_hist());
-  batch_report out;
-  out.computed.assign(pkts.size(), false);
-
+void photonic_engine::compute(std::span<net::packet* const> pkts,
+                              batch_report& out) {
   const auto absorb = [&out](const engine_report& r) {
     out.compute_latency_s += r.compute_latency_s;
     out.input_conversions += r.input_conversions;
     out.optical_symbols += r.optical_symbols;
   };
-
-  // Admission: pool P1 packets and DNN packets; everything else (and
-  // anything a validation check rejects) runs through process() singly.
-  struct pooled_pkt {
-    std::size_t idx = 0;              ///< position in `pkts`
-    proto::compute_header h{};
-    std::size_t first_sample = 0;     ///< offset into the pooled sample set
-    std::size_t samples = 0;
+  const auto finish = [&](std::size_t idx, proto::compute_header& h,
+                          std::size_t bytes) {
+    apply_postlude(*pkts[idx], h, static_cast<std::uint16_t>(bytes));
+    if (!out.computed.empty()) out.computed[idx] = true;
+    ++out.computed_packets;
   };
-  std::vector<pooled_pkt> p1_group, dnn_group;
-  std::vector<double> p1_xs, dnn_xs;  ///< pooled decoded samples
 
+  // Admission: P2 and P3 packets compute here, in packet order; P1 and
+  // DNN packets pool their decoded samples. Rejected packets stay as
+  // they are.
+  p1_group_.clear();
+  dnn_group_.clear();
+  p1_xs_.clear();
+  dnn_xs_.clear();
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     net::packet& pkt = *pkts[i];
-    const auto h = proto::peek_compute_header(pkt);
-    const bool poolable =
-        h && can_process(pkt) &&
-        (h->primitive == proto::primitive_id::p1_dot_product ||
-         h->primitive == proto::primitive_id::p1_p3_dnn);
-    if (!poolable) {
-      const engine_report r = process(pkt);
-      if (r.computed) {
-        out.computed[i] = true;
-        ++out.computed_packets;
-        absorb(r);
-      }
+    auto h = admit(pkt);
+    if (!h) continue;
+    const bool p1 = h->primitive == proto::primitive_id::p1_dot_product;
+    if (!p1 && h->primitive != proto::primitive_id::p1_p3_dnn) {
+      engine_report r;
+      const std::size_t bytes =
+          h->primitive == proto::primitive_id::p2_pattern_match
+              ? run_match(*h, pkt, r)
+              : run_nonlinear(*h, pkt, r);
+      absorb(r);
+      finish(i, *h, bytes);
       continue;
     }
 
-    const auto input = proto::compute_input(pkt, *h);
-    const bool p1 = h->primitive == proto::primitive_id::p1_dot_product;
     const std::size_t cols = p1 ? gemv_->weights.cols
                                 : dnn_->layers.front().weights.cols;
-    auto& xs = p1 ? p1_xs : dnn_xs;
+    auto& xs = p1 ? p1_xs_ : dnn_xs_;
     const pooled_pkt entry{i, *h, xs.size() / cols,
                            static_cast<std::size_t>(h->batch)};
-    append_samples(xs, input, cols, entry.samples, p1 && h->hops == 0);
-    (p1 ? p1_group : dnn_group).push_back(entry);
+    append_samples(xs, proto::compute_input(pkt, *h), cols, entry.samples,
+                   p1 && h->hops == 0);
+    (p1 ? p1_group_ : dnn_group_).push_back(entry);
   }
 
   const bool optical = config_.mode == compute_mode::on_fiber;
 
-  const auto finish = [&](pooled_pkt& e, std::size_t bytes) {
-    apply_postlude(*pkts[e.idx], e.h, static_cast<std::uint16_t>(bytes));
-    out.computed[e.idx] = true;
-    ++out.computed_packets;
-  };
-
   // ---- pooled P1: one batched GEMM over every queued sample ----------
-  if (!p1_group.empty()) {
+  if (!p1_group_.empty()) {
     engine_report agg;
     const phot::gemm_result y =
-        analog_gemm(*gemv_rails_, p1_xs, optical, agg);
+        analog_gemm(*gemv_rails_, p1_xs_, optical, agg);
     absorb(agg);
     const std::size_t rows = gemv_->weights.rows;
-    for (pooled_pkt& e : p1_group) {
+    for (pooled_pkt& e : p1_group_) {
       write_gemv_results(*gemv_,
                          result_span(*pkts[e.idx], e.h, rows * e.samples),
                          e.h, y, e.first_sample, e.samples);
-      finish(e, rows * e.samples);
+      finish(e.idx, e.h, rows * e.samples);
     }
   }
 
   // ---- pooled DNN: layer-major GEMM over every queued sample ---------
-  if (!dnn_group.empty()) {
+  if (!dnn_group_.empty()) {
     engine_report agg;
-    const std::vector<double> acts =
-        run_dnn_layers(std::move(dnn_xs), optical, agg);
+    run_dnn_layers(dnn_xs_, optical, agg);
     absorb(agg);
     const std::size_t out_dim = dnn_->layers.back().weights.rows;
-    for (pooled_pkt& e : dnn_group) {
+    for (pooled_pkt& e : dnn_group_) {
       auto result_region =
           result_span(*pkts[e.idx], e.h, (1 + out_dim) * e.samples);
       for (std::size_t b = 0; b < e.samples; ++b) {
         write_dnn_result(
             result_region.subspan(b * (1 + out_dim), 1 + out_dim),
-            std::span(acts).subspan((e.first_sample + b) * out_dim, out_dim));
+            std::span(dnn_xs_).subspan((e.first_sample + b) * out_dim,
+                                       out_dim));
       }
-      finish(e, (1 + out_dim) * e.samples);
+      finish(e.idx, e.h, (1 + out_dim) * e.samples);
     }
   }
-
-  return out;
 }
 
 bool photonic_engine::detect_preamble(std::span<const phot::field> wave) {

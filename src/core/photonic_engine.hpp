@@ -80,8 +80,6 @@ struct engine_report {
   double compute_latency_s = 0.0;
   std::uint64_t input_conversions = 0;  ///< input-side DAC/ADC at this node
   std::uint64_t optical_symbols = 0;
-  std::uint16_t result_bytes = 0;  ///< bytes the stage wrote
-  std::optional<std::uint8_t> match_index;  ///< for P2 tasks
 };
 
 /// Aggregate cost of one process_batch() call.
@@ -128,7 +126,8 @@ class photonic_engine {
   /// result region, set flag_has_result and bump the hop count.
   /// Returns computed == false (and leaves the packet untouched) if the
   /// packet is not compute, already carries a result, asks for an
-  /// unconfigured primitive, or has malformed bounds.
+  /// unconfigured primitive, or has malformed bounds. A batch of one:
+  /// exactly process_batch() on a one-packet span.
   engine_report process(net::packet& pkt);
 
   /// Would process() compute this packet? Pure validation — parses the
@@ -136,15 +135,18 @@ class photonic_engine {
   /// bounds without touching any noise stream. Used by the runtime to
   /// admit packets into a site batch only when the later batched compute
   /// cannot fail.
-  [[nodiscard]] bool can_process(const net::packet& pkt) const;
+  [[nodiscard]] bool can_process(const net::packet& pkt) const {
+    return admit(pkt).has_value();
+  }
 
-  /// Process many compute packets as one batch. GEMV (P1) packets pool
-  /// their samples into a single batched GEMM — the per-row weight rails
-  /// are split once and every queued sample streams through them — and
-  /// DNN packets run layer-major over the pooled sample set. Other
-  /// primitives fall back to process() one by one. Each packet gets the
-  /// same in-place writeback and header postlude as process(); a batch of
-  /// one P1/DNN packet with batch field 1 is bit-identical to process().
+  /// Process many compute packets as one batch, the engine's only compute
+  /// path. GEMV (P1) packets pool their samples into a single batched
+  /// GEMM — the per-row weight rails are split once and every queued
+  /// sample streams through them — and DNN packets run layer-major over
+  /// the pooled sample set. P2 and P3 packets compute one by one, in
+  /// packet order, before the pooled GEMMs. Each computed packet gets its
+  /// result written in place, its hop count bumped, and flag_has_result
+  /// set (or its chain advanced to the next stage).
   batch_report process_batch(std::span<net::packet* const> pkts);
 
   /// Optical preamble detection (§3): does this waveform begin with the
@@ -156,11 +158,30 @@ class photonic_engine {
   [[nodiscard]] phot::waveform encode_preamble();
 
  private:
-  engine_report run_gemv(const proto::compute_header& h, net::packet& pkt);
-  engine_report run_match(const proto::compute_header& h, net::packet& pkt);
-  engine_report run_nonlinear(const proto::compute_header& h,
-                              net::packet& pkt);
-  engine_report run_dnn(const proto::compute_header& h, net::packet& pkt);
+  /// A P1 or DNN packet queued for its pool's GEMM.
+  struct pooled_pkt {
+    std::size_t idx = 0;           ///< position in the batch
+    proto::compute_header h{};
+    std::size_t first_sample = 0;  ///< offset into the pooled sample set
+    std::size_t samples = 0;
+  };
+
+  /// The packet's header if this engine can compute it: a compute header
+  /// without a result, a configured primitive, the input shape its task
+  /// expects and a result region that fits.
+  [[nodiscard]] std::optional<proto::compute_header> admit(
+      const net::packet& pkt) const;
+
+  /// The work behind process() and process_batch(), untimed. Sums costs
+  /// into `out`; sets out.computed[i] when the caller sized it.
+  void compute(std::span<net::packet* const> pkts, batch_report& out);
+
+  /// P2 / P3 compute of one admitted packet: writes the result, charges
+  /// `report`, and returns the result length.
+  std::size_t run_match(const proto::compute_header& h, net::packet& pkt,
+                        engine_report& report);
+  std::size_t run_nonlinear(const proto::compute_header& h, net::packet& pkt,
+                            engine_report& report);
 
   /// Batched signed GEMM on the vector_matrix_engine kernel over weights
   /// split at configuration: `xs` carries xs.size() / w.cols input
@@ -173,10 +194,9 @@ class photonic_engine {
                                               engine_report& report);
 
   /// The DNN's layers, layer-major over `acts` (input samples back to
-  /// back); returns the output activations, sample-major.
-  [[nodiscard]] std::vector<double> run_dnn_layers(std::vector<double> acts,
-                                                   bool optical,
-                                                   engine_report& report);
+  /// back), in place: `acts` ends as the output activations, sample-major.
+  void run_dnn_layers(std::vector<double>& acts, bool optical,
+                      engine_report& report);
 
   /// Shared post-compute packet rewrite: bump hops, record the result
   /// length, advance the chain stage or set flag_has_result.
@@ -195,6 +215,9 @@ class photonic_engine {
   phot::energy_ledger* ledger_ = nullptr;
   phot::energy_costs costs_{};
   std::vector<double> received_mw_;  ///< on-fiber sample powers, reused
+  // Per-call pools of compute(), reused across calls.
+  std::vector<pooled_pkt> p1_group_, dnn_group_;
+  std::vector<double> p1_xs_, dnn_xs_;  ///< pooled decoded samples
 
   std::optional<gemv_task> gemv_;
   std::optional<phot::rail_weights> gemv_rails_;

@@ -553,14 +553,12 @@ double onfiber_runtime::site_overhead_s(const site&) const {
 void onfiber_runtime::flush_site_batch(net::node_id at) {
   site& s = *sites_[at];
   s.flush_scheduled = false;
-  if (s.batch_queue.empty()) return;
-  std::vector<net::packet> batch = std::move(s.batch_queue);
-  s.batch_queue.clear();
+  std::vector<net::packet>& batch = s.batch_queue;
+  if (batch.empty()) return;
 
-  std::vector<net::packet*> ptrs;
-  ptrs.reserve(batch.size());
-  for (net::packet& p : batch) ptrs.push_back(&p);
-  const batch_report report = s.engine->process_batch(ptrs);
+  s.batch_ptrs.clear();
+  for (net::packet& p : batch) s.batch_ptrs.push_back(&p);
+  const batch_report report = s.engine->process_batch(s.batch_ptrs);
 
   // One site overhead for the whole flush — that is the amortization —
   // plus the shared analog evaluation time; the serial engine then queues
@@ -580,11 +578,16 @@ void onfiber_runtime::flush_site_batch(net::node_id at) {
     if (report.computed[i]) s.service_done.push_back(done);
   }
 
+  // A window-0 serve is the per-packet datapath and is traced as one: a
+  // compute record, no flush counters, an empty parked queue.
+  const bool windowed = batching_window_s_ > 0.0;
   const bool tracing = obs::enabled();
   if (tracing) {
-    obs_batch_flushes_->add();
-    obs_batched_packets_->add(batch.size());
-    sample_site_timeline(at, s, now, batch.size());
+    if (windowed) {
+      obs_batch_flushes_->add();
+      obs_batched_packets_->add(batch.size());
+    }
+    sample_site_timeline(at, s, now, windowed ? batch.size() : 0);
   }
   runtime_stats& st = stats_of(at);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -597,10 +600,18 @@ void onfiber_runtime::flush_site_batch(net::node_id at) {
         r.trace_id = batch[i].trace_id;
         r.node = at;
         r.time_s = now;
-        r.action = obs::hop_action::batch;
-        r.aux = static_cast<std::uint32_t>(batch.size());
+        if (windowed) {
+          r.action = obs::hop_action::batch;
+          r.aux = static_cast<std::uint32_t>(batch.size());
+        } else {
+          r.action = obs::hop_action::compute;
+        }
         obs::tracer::global().record(r);
       }
+      // Hold the packet until the analog evaluation finishes, then let
+      // it continue toward its destination (it now carries the result):
+      // op_inject re-enters it through fabric::send at `done` as a typed
+      // event — no per-packet closure or payload copy.
       sim_for(at).schedule_packet_at(done, std::move(batch[i]), at,
                                      net::wan_fabric::op_inject, &fabric_);
     } else {
@@ -611,6 +622,7 @@ void onfiber_runtime::flush_site_batch(net::node_id at) {
       if (tracing) obs_malformed_->add();
     }
   }
+  batch.clear();
 }
 
 net::hook_decision onfiber_runtime::on_packet(net::node_id at,
@@ -661,65 +673,28 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
         return keep_going;
       }
     }
-    // Site batching (opt-in): park the packet and execute everything that
-    // arrives within the window as one batched engine call. Admission is
-    // gated on can_process() so a queued packet can never fail compute —
-    // anything the engine would reject falls through to the per-packet
-    // path below (which forwards it raw, exactly as before).
-    if (batching_window_s_ > 0.0 && s.engine->can_process(pkt)) {
-      s.batch_queue.push_back(std::move(pkt));
-      admission_stats& ad = admission_of(at);
-      ++ad.admitted;
-      ad.max_queue_depth = std::max<std::uint64_t>(
-          ad.max_queue_depth, s.batch_queue.size() + s.service_done.size());
-      if (obs::enabled()) obs_adm_admitted_->add();
-      if (!s.flush_scheduled) {
-        s.flush_scheduled = true;
-        sim_for(at).schedule(batching_window_s_,
-                             [this, at] { flush_site_batch(at); });
-      }
-      return net::hook_decision{net::hook_decision::action_type::consume,
-                                net::invalid_node};
+    // Serve through the site queue. Admission is gated on can_process()
+    // so a queued packet can never fail compute; a parseable packet the
+    // engine would reject (wrong shape, bad bounds) falls through to
+    // normal forwarding, raw, so the destination can see the failure.
+    if (!s.engine->can_process(pkt)) return keep_going;
+    s.batch_queue.push_back(std::move(pkt));
+    admission_stats& ad = admission_of(at);
+    ++ad.admitted;
+    ad.max_queue_depth = std::max<std::uint64_t>(
+        ad.max_queue_depth, s.batch_queue.size() + s.service_done.size());
+    if (obs::enabled()) obs_adm_admitted_->add();
+    // Window 0 serves the packet on arrival, a batch of one; a positive
+    // window executes everything that arrives within it as one flush.
+    if (batching_window_s_ == 0.0) {
+      flush_site_batch(at);
+    } else if (!s.flush_scheduled) {
+      s.flush_scheduled = true;
+      sim_for(at).schedule(batching_window_s_,
+                           [this, at] { flush_site_batch(at); });
     }
-    const engine_report report = s.engine->process(pkt);
-    if (report.computed) {
-      ++stats_of(at).computed;
-      ++s.computed;
-      // Serial engine: queue behind in-progress work.
-      const double start = now > s.busy_until_s ? now : s.busy_until_s;
-      const double service = site_overhead_s(s) + report.compute_latency_s;
-      const double done = start + service;
-      s.busy_until_s = done;
-      s.total_busy_s += service;
-      s.service_done.push_back(done);
-      admission_stats& ad = admission_of(at);
-      ++ad.admitted;
-      ad.max_queue_depth = std::max<std::uint64_t>(
-          ad.max_queue_depth, s.batch_queue.size() + s.service_done.size());
-      if (obs::enabled()) {
-        obs_adm_admitted_->add();
-        obs_computed_->add();
-        obs::hop_record r;
-        r.trace_id = pkt.trace_id;
-        r.node = at;
-        r.time_s = now;
-        r.action = obs::hop_action::compute;
-        obs::tracer::global().record(r);
-        sample_site_timeline(at, s, now, s.batch_queue.size());
-      }
-      // Hold the packet until the analog evaluation finishes, then let it
-      // continue toward its destination (it now carries the result). The
-      // consume decision lets us steal the packet; op_inject re-enters it
-      // through fabric::send at `done`, exactly like the seed closure did,
-      // but as a typed event — no per-packet closure or payload copy.
-      sim_for(at).schedule_packet_at(done, std::move(pkt), at,
-                                     net::wan_fabric::op_inject, &fabric_);
-      return net::hook_decision{net::hook_decision::action_type::consume,
-                                net::invalid_node};
-    }
-    // Unable to compute (malformed bounds / wrong shape): fall through to
-    // normal forwarding so the destination can see the failure.
-    return keep_going;
+    return net::hook_decision{net::hook_decision::action_type::consume,
+                              net::invalid_node};
   }
 
   // An admission-deferred packet rides the plain routes from here on:

@@ -84,15 +84,14 @@ class onfiber_runtime final : public net::packet_event_sink {
   };
   void set_steering_policy(steering_policy p) { steering_ = p; }
 
-  /// Opt-in site batching: instead of running the analog engine once per
-  /// arriving packet, a site collects the compute packets that arrive
-  /// within `window_s` and executes them as one photonic_engine
-  /// process_batch() call — GEMV/DNN packets pool their samples into
-  /// batched GEMMs, and the whole flush pays the per-packet site overhead
-  /// (preamble detection + result insertion) once. Packets are only
-  /// admitted to the queue when can_process() guarantees the batched
-  /// compute cannot fail. 0 disables (the default: every packet computes
-  /// on arrival, exactly the historical behavior).
+  /// Site batching: every capable site serves compute packets through
+  /// one queue and photonic_engine::process_batch(). With `window_s` > 0
+  /// the site collects the packets that arrive within the window and
+  /// executes them as one flush — GEMV/DNN packets pool their samples
+  /// into batched GEMMs, and the whole flush pays the per-packet site
+  /// overhead (preamble detection + result insertion) once. 0 (the
+  /// default) flushes each packet on arrival, a batch of one. Packets are
+  /// only queued when can_process() guarantees the compute cannot fail.
   void enable_site_batching(double window_s) {
     batching_window_s_ = window_s > 0.0 ? window_s : 0.0;
   }
@@ -306,7 +305,8 @@ class onfiber_runtime final : public net::packet_event_sink {
     double busy_until_s = 0.0;  ///< serial analog engine availability
     double total_busy_s = 0.0;
     std::uint64_t computed = 0;
-    std::vector<net::packet> batch_queue;  ///< awaiting a batched flush
+    std::vector<net::packet> batch_queue;  ///< awaiting a flush
+    std::vector<net::packet*> batch_ptrs;  ///< flush scratch, reused
     bool flush_scheduled = false;
     /// Completion times of admitted-but-unfinished work (batch flushes
     /// and serial computes), lazily pruned against now: together with
@@ -423,7 +423,7 @@ class onfiber_runtime final : public net::packet_event_sink {
   delivery_observer_fn on_delivered_;
 
   steering_policy steering_ = steering_policy::nearest_site;
-  double batching_window_s_ = 0.0;  ///< 0 = per-packet compute (default)
+  double batching_window_s_ = 0.0;  ///< 0 = flush on arrival (default)
   /// Sites supporting each primitive, in node order (filled with the
   /// compute routes; empty until then). Spread steering hashes a flow
   /// onto one of them and forwards on fabric_.next_hop_to_node toward

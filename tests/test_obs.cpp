@@ -421,6 +421,32 @@ TEST(ObsKernelTimers, EngineBatchReachesGemmHistogram) {
   EXPECT_EQ(off, on);
 }
 
+TEST(ObsEngineTimers, EachEngineCallRecordsOneSample) {
+  // A P2 packet in a process_batch() is one engine call: one sample
+  // across the process and batch histograms, not one in each.
+  obs_state_guard guard;
+  obs::set_enabled(true);
+  obs::registry& reg = obs::registry::global();
+  obs::histogram& proc = reg.get_histogram("engine.process_wall_s");
+  obs::histogram& batch = reg.get_histogram("engine.batch_wall_s");
+  core::photonic_engine engine({}, 5);
+  core::match_task task;
+  task.patterns = {std::vector<phot::tbit>(8, phot::tbit::wildcard)};
+  task.patterns[0][0] = phot::tbit::zero;
+  engine.configure_match(std::move(task));
+  const std::uint8_t word[] = {0x5a};
+  net::packet a = core::make_match_request(net::ipv4(10, 0, 0, 2),
+                                           net::ipv4(10, 0, 1, 2), word);
+  net::packet b = a;
+  net::packet* one[] = {&a};
+  EXPECT_EQ(engine.process_batch(one).computed_packets, 1u);
+  EXPECT_EQ(proc.count() + batch.count(), 1u);
+  EXPECT_EQ(batch.count(), 1u);
+  EXPECT_TRUE(engine.process(b).computed);
+  EXPECT_EQ(proc.count(), 1u);
+  EXPECT_EQ(batch.count(), 1u);
+}
+
 // -------------------------------------------------------- scoped timer
 
 TEST(ObsScopedTimer, RecordsOnlyWhenEnabled) {
