@@ -506,16 +506,34 @@ TEST(BatchedEngine, MultiPacketBatchIsDeterministic) {
 // ---------------------------------------------------------------------
 // Engine golden: photonic_engine's outputs pinned as one FNV-1a digest
 // per case — payload bytes, report latency/symbols/conversions, and every
-// ledger category's joules and op count — over {P1 GEMV, DNN} x
-// {on_fiber, oeo_per_hop} x {process, process_batch of 1, one
-// process_batch of 12 packets (more pooled samples than one 8-sample
-// GEMM cell)} x {ledger off, on}. Each case must hold at 1 and 3 kernel
-// threads. Re-capture with ONFIBER_REGOLD=1 only after an intentional
-// change to the sample plane's noise or accounting.
+// ledger category's joules and op count — over {P1 GEMV, DNN, P2 match,
+// P3 nonlinear} x {on_fiber, oeo_per_hop} x {process, process_batch of
+// 1, one process_batch of 12 packets (more pooled samples than one
+// 8-sample GEMM cell)} x {ledger off, on}. Each case must hold at 1 and 3
+// kernel threads. Re-capture with ONFIBER_REGOLD=1 only after an
+// intentional change to the sample plane's noise or accounting.
 
 enum class engine_call { process, batch_of_one, batch_of_twelve };
+enum class engine_task { gemv, dnn, match, nonlinear };
 
-std::uint64_t engine_case_digest(bool dnn, core::compute_mode mode,
+/// P2 task of the engine golden: a 64-bit pattern with a wildcard run,
+/// a 32-bit exact pattern and a 64-bit pattern nothing matches. Words
+/// alternate 8 and 4 bytes; every third word hits one of the first two.
+core::match_task golden_match_task(
+    const std::vector<std::uint8_t>& word64,
+    const std::vector<std::uint8_t>& word32) {
+  core::match_task task;
+  std::vector<phot::tbit> wild = phot::to_ternary(phot::bytes_to_bits(word64));
+  for (std::size_t i = 20; i < 28; ++i) wild[i] = phot::tbit::wildcard;
+  task.patterns.push_back(std::move(wild));
+  task.patterns.push_back(phot::to_ternary(phot::bytes_to_bits(word32)));
+  std::vector<std::uint8_t> other = word64;
+  for (std::uint8_t& b : other) b = static_cast<std::uint8_t>(~b);
+  task.patterns.push_back(phot::to_ternary(phot::bytes_to_bits(other)));
+  return task;
+}
+
+std::uint64_t engine_case_digest(engine_task kind, core::compute_mode mode,
                                  engine_call call, bool with_ledger,
                                  std::size_t threads) {
   phot::energy_ledger ledger;
@@ -523,7 +541,21 @@ std::uint64_t engine_case_digest(bool dnn, core::compute_mode mode,
   cfg.mode = mode;
   core::photonic_engine engine(cfg, 1234, with_ledger ? &ledger : nullptr);
   engine.set_threads(threads);
-  if (dnn) {
+  const bool dnn = kind == engine_task::dnn;
+  phot::rng gen(44);
+  phot::rng word_gen(45);
+  const auto random_word = [&word_gen](std::size_t bytes) {
+    std::vector<std::uint8_t> w(bytes);
+    for (std::uint8_t& b : w) b = static_cast<std::uint8_t>(word_gen.below(256));
+    return w;
+  };
+  const std::vector<std::uint8_t> word64 = random_word(8);
+  const std::vector<std::uint8_t> word32 = random_word(4);
+  if (kind == engine_task::match) {
+    engine.configure_match(golden_match_task(word64, word32));
+  } else if (kind == engine_task::nonlinear) {
+    // P3 needs no task; the engine serves it unconfigured.
+  } else if (dnn) {
     core::dnn_task task;
     core::photonic_layer hidden;
     hidden.weights = test_matrix(12, 16, 41);
@@ -543,13 +575,32 @@ std::uint64_t engine_case_digest(bool dnn, core::compute_mode mode,
   }
 
   std::vector<net::packet> pkts;
-  phot::rng gen(44);
   const net::ipv4 src(10, 0, 0, 2), dst(10, 0, 1, 2);
   for (std::uint32_t t = 0; t < 12; ++t) {
+    if (kind == engine_task::match) {
+      std::vector<std::uint8_t> word =
+          t % 3 == 0 ? (t % 2 == 0 ? word64 : word32)
+                     : random_word(t % 2 == 0 ? 8 : 4);
+      // A flip inside the wildcard run still hits pattern 0.
+      if (t == 6) word[3] ^= 0x10;
+      pkts.push_back(core::make_match_request(src, dst, word, t));
+      continue;
+    }
     std::vector<double> x(16);
-    for (double& v : x) v = dnn ? gen.uniform() : 2.0 * gen.uniform() - 1.0;
-    pkts.push_back(dnn ? core::make_dnn_request(src, dst, x, 4, t)
-                       : core::make_gemv_request(src, dst, x, 6, t));
+    for (double& v : x) {
+      v = kind == engine_task::gemv ? 2.0 * gen.uniform() - 1.0 : gen.uniform();
+    }
+    switch (kind) {
+      case engine_task::gemv:
+        pkts.push_back(core::make_gemv_request(src, dst, x, 6, t));
+        break;
+      case engine_task::dnn:
+        pkts.push_back(core::make_dnn_request(src, dst, x, 4, t));
+        break;
+      default:
+        pkts.push_back(core::make_nonlinear_request(src, dst, x, t));
+        break;
+    }
   }
 
   golden::fnv1a64 d;
@@ -604,28 +655,53 @@ constexpr std::uint64_t kEngineGolden[24] = {
     0x0148d9033b5bb947ull, 0xbabd0ca4813fe32dull, 0x9fbf0bbe1e118248ull,
 };
 
-TEST(EngineGolden, DigestsHoldAtOneAndThreeThreads) {
+/// Check the 24 cases of two task kinds against `golden`, index =
+/// ((second kind * 2 + oeo) * 3 + call) * 2 + ledger.
+void expect_engine_goldens(engine_task first, engine_task second,
+                           const std::uint64_t (&golden)[24]) {
   const bool regold = golden::regold_requested();
   std::size_t index = 0;
-  for (const bool dnn : {false, true}) {
+  for (const engine_task kind : {first, second}) {
     for (const auto mode :
          {core::compute_mode::on_fiber, core::compute_mode::oeo_per_hop}) {
       for (const auto call : {engine_call::process, engine_call::batch_of_one,
                               engine_call::batch_of_twelve}) {
         for (const bool with_ledger : {false, true}) {
           const std::uint64_t one =
-              engine_case_digest(dnn, mode, call, with_ledger, 1);
+              engine_case_digest(kind, mode, call, with_ledger, 1);
           const std::uint64_t three =
-              engine_case_digest(dnn, mode, call, with_ledger, 3);
+              engine_case_digest(kind, mode, call, with_ledger, 3);
           if (regold) std::printf("    0x%016llxull,\n",
                                   static_cast<unsigned long long>(one));
-          EXPECT_EQ(one, kEngineGolden[index]) << "case " << index;
+          EXPECT_EQ(one, golden[index]) << "case " << index;
           EXPECT_EQ(three, one) << "case " << index << " at 3 threads";
           ++index;
         }
       }
     }
   }
+}
+
+TEST(EngineGolden, DigestsHoldAtOneAndThreeThreads) {
+  expect_engine_goldens(engine_task::gemv, engine_task::dnn, kEngineGolden);
+}
+
+// Captured before P2 moved onto batched device fills; index as above with
+// {P2 match, P3 nonlinear} in place of {GEMV, DNN}.
+constexpr std::uint64_t kEngineGoldenMatchNonlinear[24] = {
+    0xcf5f9e6042aedd35ull, 0xc2ef1ac665a5b22eull, 0xcf5f9e6042aedd35ull,
+    0xc2ef1ac665a5b22eull, 0x725075ca2d56d161ull, 0xefaee70bd80dd8d2ull,
+    0xac524a4f29489635ull, 0xb496b254658f883eull, 0xac524a4f29489635ull,
+    0xb496b254658f883eull, 0x5d6f721b2fefbf32ull, 0xf091be981a745a69ull,
+    0x73181e03d4f87a85ull, 0xe4c8516a5a76a0b2ull, 0x73181e03d4f87a85ull,
+    0xe4c8516a5a76a0b2ull, 0x9a7e91805560809bull, 0x5a09f20b996ca654ull,
+    0x3a78dcc3f008fd85ull, 0x90e8ea499092b239ull, 0x3a78dcc3f008fd85ull,
+    0x90e8ea499092b239ull, 0x8bb1d49fe2d78ed1ull, 0xd2cb453e42ead505ull,
+};
+
+TEST(EngineGolden, MatchAndNonlinearDigestsHoldAtOneAndThreeThreads) {
+  expect_engine_goldens(engine_task::match, engine_task::nonlinear,
+                        kEngineGoldenMatchNonlinear);
 }
 
 TEST(DatapathDropStats, FlapScenarioBreakdown) {

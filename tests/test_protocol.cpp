@@ -217,6 +217,20 @@ TEST(PacketHelpers, RewriteFailsWithoutHeader) {
   EXPECT_FALSE(rewrite_compute_header(pkt, sample_header()));
 }
 
+TEST(PacketHelpers, RewriteRejectsCorruptedHeaderAndKeepsPayload) {
+  net::packet pkt;
+  pkt.payload = {5, 6, 7, 8};
+  compute_header h = sample_header();
+  h.input_offset = 0;
+  h.input_length = 4;
+  attach_compute_header(pkt, h);
+  pkt.payload[9] ^= 0x04;  // in-flight bit flip inside the header
+  const std::vector<std::uint8_t> before = pkt.payload;
+  h.flags |= flag_has_result;
+  EXPECT_FALSE(rewrite_compute_header(pkt, h));
+  EXPECT_EQ(pkt.payload, before);
+}
+
 TEST(PacketHelpers, InputViewBounds) {
   net::packet pkt;
   pkt.payload = {10, 20, 30, 40};
