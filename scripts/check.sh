@@ -64,6 +64,8 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # vector kernels themselves run under Address/UB sanitizers. Outputs
 # are bit-identical across tiers by contract (test_simd_dispatch pins
 # exact double equality), so both passes must see identical results.
+# The P2 matcher runs on the dispatched counter fills and blocked sums,
+# so its reference and golden tests run at both tiers too.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
     unset ONFIBER_SIMD
@@ -71,7 +73,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|DotProductRekey' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|DotProductRekey|PatternMatch' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD

@@ -224,14 +224,13 @@ phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,
 std::size_t photonic_engine::run_match(const proto::compute_header& h,
                                        net::packet& pkt,
                                        engine_report& report) {
-  const auto input = proto::compute_input(pkt, h);
-  const std::vector<std::uint8_t> bits = phot::bytes_to_bits(input);
+  phot::bytes_to_bits(proto::compute_input(pkt, h), match_bits_);
+  const std::vector<std::uint8_t>& bits = match_bits_;
   const bool optical = config_.mode == compute_mode::on_fiber;
 
   // On-fiber: the word exists optically once (pilot-first BPSK).
-  phot::waveform wave;
   if (optical) {
-    wave = upstream_phase_encoder_.encode_bits_to_optical(bits);
+    upstream_phase_encoder_.encode_bits_to_optical(bits, match_wave_);
   } else {
     // Receive ADC digitized the word before matching.
     report.input_conversions += bits.size();
@@ -248,7 +247,7 @@ std::size_t photonic_engine::run_match(const proto::compute_header& h,
     if (pattern.size() != bits.size()) continue;
     phot::match_result m;
     if (optical) {
-      m = matcher_.match_optical(wave, pattern);
+      m = matcher_.match_optical(match_wave_, pattern);
     } else {
       // OEO: each trial re-drives the data phase modulator from digital.
       report.input_conversions += bits.size();

@@ -218,6 +218,8 @@ class photonic_engine {
   // Per-call pools of compute(), reused across calls.
   std::vector<pooled_pkt> p1_group_, dnn_group_;
   std::vector<double> p1_xs_, dnn_xs_;  ///< pooled decoded samples
+  std::vector<std::uint8_t> match_bits_;  ///< P2 word bits, reused
+  phot::waveform match_wave_;             ///< P2 on-fiber word, reused
 
   std::optional<gemv_task> gemv_;
   std::optional<phot::rail_weights> gemv_rails_;

@@ -11,7 +11,16 @@ namespace onfiber::phot {
 
 namespace {
 constexpr double pi = std::numbers::pi;
-}
+
+/// 90-degree static shim on the pattern arm.
+const field kShim = std::polar(1.0, -pi / 2.0);
+
+/// A masked (don't-care) slot: the mask modulator blanks both arms.
+const field kMasked{0.0, 0.0};
+
+/// BPSK drive phase of bit b (0 -> 0 rad, 1 -> pi rad).
+[[nodiscard]] double bpsk_phase(bool one) { return one ? pi : 0.0; }
+}  // namespace
 
 std::vector<tbit> to_ternary(std::span<const std::uint8_t> bits) {
   std::vector<tbit> out;
@@ -22,13 +31,19 @@ std::vector<tbit> to_ternary(std::span<const std::uint8_t> bits) {
 
 std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> bits;
-  bits.reserve(bytes.size() * 8);
+  bytes_to_bits(bytes, bits);
+  return bits;
+}
+
+void bytes_to_bits(std::span<const std::uint8_t> bytes,
+                   std::vector<std::uint8_t>& out) {
+  out.resize(bytes.size() * 8);
+  std::size_t i = 0;
   for (std::uint8_t byte : bytes) {
     for (int k = 7; k >= 0; --k) {
-      bits.push_back(static_cast<std::uint8_t>((byte >> k) & 1U));
+      out[i++] = static_cast<std::uint8_t>((byte >> k) & 1U);
     }
   }
-  return bits;
 }
 
 pattern_matcher::pattern_matcher(pattern_match_config config,
@@ -46,30 +61,28 @@ pattern_matcher::pattern_matcher(pattern_match_config config,
       det_mismatch_(config_.detector, rng{seed ^ 0xdddd}, ledger, costs),
       adc_out_(config_.adc, rng{seed ^ 0xeeee}, ledger, costs),
       ledger_(ledger),
-      costs_(costs) {}
+      costs_(costs),
+      split_scale_(split_50_50_scale()) {}
 
-match_result pattern_matcher::interfere_and_decide(const waveform& arm_data,
-                                                   const waveform& arm_pattern,
-                                                   std::size_t cared) {
-  if (arm_data.size() != arm_pattern.size() || cared == 0) {
-    throw std::invalid_argument(
-        "pattern_matcher: arms must be equal length with >=1 cared bit");
-  }
-  waveform port_match, port_mismatch;
-  port_match.reserve(arm_data.size());
-  port_mismatch.reserve(arm_data.size());
-  const field shim = std::polar(1.0, -pi / 2.0);  // 90-degree static shim
-  for (std::size_t i = 0; i < arm_data.size(); ++i) {
-    const coupler_output ports =
-        couple_50_50(arm_data[i], arm_pattern[i] * shim);
-    port_match.push_back(ports.port1);
-    port_mismatch.push_back(ports.port2);
-  }
+void pattern_matcher::size_ports(std::size_t symbols) {
+  port_match_mw_.resize(symbols);
+  port_mismatch_mw_.resize(symbols);
+}
 
+void pattern_matcher::couple_into(std::size_t i, field data_arm,
+                                  field pattern_arm) {
+  const coupler_output ports = couple_50_50(data_arm, pattern_arm);
+  port_match_mw_[i] = power_mw(ports.port1);
+  port_mismatch_mw_[i] = power_mw(ports.port2);
+}
+
+match_result pattern_matcher::decide(std::size_t symbols, std::size_t cared) {
   // Balanced integrate-and-dump on both ports; normalization removes the
   // dependence on absolute power and on how many symbols were masked out.
-  const double i_match = det_match_.integrate(port_match);
-  const double i_mismatch = det_mismatch_.integrate(port_mismatch);
+  const double i_match = det_match_.integrate_power(
+      std::span<const double>(port_match_mw_).first(symbols));
+  const double i_mismatch = det_mismatch_.integrate_power(
+      std::span<const double>(port_mismatch_mw_).first(symbols));
   const double dark = det_match_.config().dark_current_a;
   const double num = i_mismatch - dark;
   const double den = (i_match - dark) + (i_mismatch - dark);
@@ -87,8 +100,8 @@ match_result pattern_matcher::interfere_and_decide(const waveform& arm_data,
   match_result r;
   r.mismatch_fraction = fraction;
   r.matched = fraction <= config_.decision_threshold;
-  r.symbols = arm_data.size();
-  r.latency_s = static_cast<double>(arm_data.size()) / config_.symbol_rate_hz +
+  r.symbols = symbols;
+  r.latency_s = static_cast<double>(symbols) / config_.symbol_rate_hz +
                 config_.fixed_latency_s;
   if (ledger_ != nullptr) {
     ledger_->charge("photonic_match", costs_.photonic_mac_j *
@@ -104,30 +117,34 @@ match_result pattern_matcher::match_ternary(std::span<const std::uint8_t> data,
     throw std::invalid_argument(
         "pattern_matcher: data/pattern must be non-empty, equal length");
   }
+  const std::size_t n = data.size();
+  // One launch fill: every slot draws its carrier, masked or not.
+  laser_.emit(n, carrier_, n);
+  const field data_factor[2] = {mod_data_.phase_factor(bpsk_phase(false)),
+                                mod_data_.phase_factor(bpsk_phase(true))};
+  const field pattern_factor[2] = {
+      mod_pattern_.phase_factor(bpsk_phase(false)),
+      mod_pattern_.phase_factor(bpsk_phase(true))};
+  size_ports(n);
   std::size_t cared = 0;
-  waveform arm_data, arm_pattern;
-  arm_data.reserve(data.size());
-  arm_pattern.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    field carrier = laser_.emit_one();
-    auto [d_arm, p_arm] = split_50_50(carrier);
+  for (std::size_t i = 0; i < n; ++i) {
     if (pattern[i] == tbit::wildcard) {
-      // Mask modulator blanks both arms at don't-care positions.
-      arm_data.push_back(field{0.0, 0.0});
-      arm_pattern.push_back(field{0.0, 0.0});
+      couple_into(i, kMasked, kMasked * kShim);
       continue;
     }
     ++cared;
-    const double data_phase = data[i] ? pi : 0.0;
-    const double pattern_phase = pattern[i] == tbit::one ? pi : 0.0;
-    arm_data.push_back(mod_data_.encode_phase(d_arm, data_phase));
-    arm_pattern.push_back(mod_pattern_.encode_phase(p_arm, pattern_phase));
+    // Both splitter outputs carry the same field.
+    const field arm = carrier_[i] * split_scale_;
+    couple_into(i, arm * data_factor[data[i] != 0],
+                (arm * pattern_factor[pattern[i] == tbit::one]) * kShim);
   }
   if (cared == 0) {
     throw std::invalid_argument(
         "pattern_matcher: pattern must have at least one cared bit");
   }
-  return interfere_and_decide(arm_data, arm_pattern, cared);
+  mod_data_.charge_drives(cared);
+  mod_pattern_.charge_drives(cared);
+  return decide(n, cared);
 }
 
 match_result pattern_matcher::match_bits(std::span<const std::uint8_t> data,
@@ -147,13 +164,22 @@ match_result pattern_matcher::match_bytes(
 waveform pattern_matcher::encode_bits_to_optical(
     std::span<const std::uint8_t> bits) {
   waveform out;
-  out.reserve(bits.size() + 1);
-  // Pilot: known phase 0 at full carrier power.
-  out.push_back(mod_data_.encode_phase(laser_.emit_one(), 0.0));
-  for (std::uint8_t b : bits) {
-    out.push_back(mod_data_.encode_phase(laser_.emit_one(), b ? pi : 0.0));
-  }
+  encode_bits_to_optical(bits, out);
   return out;
+}
+
+void pattern_matcher::encode_bits_to_optical(std::span<const std::uint8_t> bits,
+                                             waveform& out) {
+  const std::size_t n = bits.size() + 1;
+  laser_.emit(n, out, n);
+  const field factor[2] = {mod_data_.phase_factor(bpsk_phase(false)),
+                           mod_data_.phase_factor(bpsk_phase(true))};
+  // Pilot: known phase 0 at full carrier power.
+  out[0] *= factor[0];
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    out[i + 1] *= factor[bits[i] != 0];
+  }
+  mod_data_.charge_drives(n);
 }
 
 match_result pattern_matcher::match_optical(std::span<const field> data_wave,
@@ -174,31 +200,32 @@ match_result pattern_matcher::match_optical(std::span<const field> data_wave,
   // The pattern arm passes through the local pattern modulator (insertion
   // loss and all); pre-scale its launch power so both interferometer arms
   // land at the same power — arm imbalance would otherwise put a floor
-  // under the mismatch metric.
-  const double arm_compensation =
-      db_to_ratio(config_.modulator.insertion_loss_db);
+  // under the mismatch metric. One carrier, two drive levels: the whole
+  // shimmed pattern arm takes two values per call.
+  const field carrier = make_field(
+      reference_power_mw * db_to_ratio(config_.modulator.insertion_loss_db));
+  const field pattern_arm[2] = {
+      (carrier * mod_pattern_.phase_factor(bpsk_phase(false))) * kShim,
+      (carrier * mod_pattern_.phase_factor(bpsk_phase(true))) * kShim};
 
+  const std::size_t n = pattern.size();
+  size_ports(n);
   std::size_t cared = 0;
-  waveform arm_data, arm_pattern;
-  arm_data.reserve(pattern.size());
-  arm_pattern.reserve(pattern.size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (pattern[i] == tbit::wildcard) {
-      arm_data.push_back(field{0.0, 0.0});
-      arm_pattern.push_back(field{0.0, 0.0});
+      couple_into(i, kMasked, kMasked * kShim);
       continue;
     }
     ++cared;
-    arm_data.push_back(data_wave[i + 1] * derotate);
-    const double pattern_phase = pattern[i] == tbit::one ? pi : 0.0;
-    arm_pattern.push_back(mod_pattern_.encode_phase(
-        make_field(reference_power_mw * arm_compensation), pattern_phase));
+    couple_into(i, data_wave[i + 1] * derotate,
+                pattern_arm[pattern[i] == tbit::one]);
   }
   if (cared == 0) {
     throw std::invalid_argument(
         "pattern_matcher: pattern must have at least one cared bit");
   }
-  return interfere_and_decide(arm_data, arm_pattern, cared);
+  mod_pattern_.charge_drives(cared);
+  return decide(n, cared);
 }
 
 std::vector<std::size_t> pattern_matcher::scan(

@@ -63,7 +63,16 @@ enum class tbit : std::uint8_t { zero = 0, one = 1, wildcard = 2 };
 [[nodiscard]] std::vector<std::uint8_t> bytes_to_bits(
     std::span<const std::uint8_t> bytes);
 
-/// P2 primitive.
+/// Same, into reused storage (`out` is overwritten).
+void bytes_to_bits(std::span<const std::uint8_t> bytes,
+                   std::vector<std::uint8_t>& out);
+
+/// P2 primitive. Every evaluation runs on batched device passes: one
+/// laser fill per word, the two BPSK drive factors of each modulator
+/// computed once, and the derotation, combiner and square law fused into
+/// two port-power buffers the matcher owns. Draws, fields and ledger
+/// charges are bit-identical to driving the devices one symbol at a
+/// time, and a steady-state call allocates nothing.
 class pattern_matcher {
  public:
   pattern_matcher(pattern_match_config config, std::uint64_t seed,
@@ -90,6 +99,10 @@ class pattern_matcher {
   [[nodiscard]] waveform encode_bits_to_optical(
       std::span<const std::uint8_t> bits);
 
+  /// Same, into reused storage (`out` is overwritten).
+  void encode_bits_to_optical(std::span<const std::uint8_t> bits,
+                              waveform& out);
+
   /// On-fiber variant: data arrives already phase-encoded (pilot-first,
   /// as produced by `encode_bits_to_optical`, possibly after fiber
   /// propagation); only the pattern arm is modulated locally. Carrier
@@ -108,10 +121,16 @@ class pattern_matcher {
   [[nodiscard]] const pattern_match_config& config() const { return config_; }
 
  private:
-  /// Core evaluation over pre-built arm waveforms.
-  [[nodiscard]] match_result interfere_and_decide(const waveform& arm_data,
-                                                  const waveform& arm_pattern,
-                                                  std::size_t cared);
+  /// Balanced integrate-and-dump over the first `symbols` port powers,
+  /// normalization, readout and the decision.
+  [[nodiscard]] match_result decide(std::size_t symbols, std::size_t cared);
+
+  /// Size both port-power buffers for a `symbols`-slot word.
+  void size_ports(std::size_t symbols);
+
+  /// Square-law port powers of slot `i` for combiner inputs `data_arm`
+  /// and the already shimmed `pattern_arm`.
+  void couple_into(std::size_t i, field data_arm, field pattern_arm);
 
   pattern_match_config config_;
   laser laser_;
@@ -122,6 +141,10 @@ class pattern_matcher {
   adc adc_out_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
+  double split_scale_ = 1.0;  ///< Y-splitter field scale, hoisted
+  waveform carrier_;          ///< laser fill of one word, reused
+  std::vector<double> port_match_mw_;     ///< match-port powers, reused
+  std::vector<double> port_mismatch_mw_;  ///< mismatch-port powers, reused
 };
 
 }  // namespace onfiber::phot

@@ -83,7 +83,7 @@ field laser::emit_one() {
   return make_field(power, phase_);
 }
 
-void laser::emit(std::size_t symbols, waveform& out) {
+void laser::emit(std::size_t symbols, waveform& out, std::size_t passes) {
   out.resize(symbols);
   const bool has_rin = config_.enable_rin;
   const bool has_phase = phase_step_sigma_ > 0.0;
@@ -121,9 +121,8 @@ void laser::emit(std::size_t symbols, waveform& out) {
     out[i] = make_field(power, phase_);
   }
   if (ledger_ != nullptr && symbols > 0) {
-    ledger_->charge("laser",
-                    costs_.laser_j_per_symbol * static_cast<double>(symbols),
-                    symbols);
+    ledger_->charge_batches("laser", costs_.laser_j_per_symbol,
+                            symbols / passes, passes);
   }
 }
 

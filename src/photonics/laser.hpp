@@ -38,9 +38,12 @@ class laser {
   [[nodiscard]] waveform emit(std::size_t symbols);
 
   /// Batch emit into preallocated storage (`out` is overwritten). Noise is
-  /// drawn with a single batched RNG fill; the result is bit-identical to
-  /// calling `emit_one` `symbols` times.
-  void emit(std::size_t symbols, waveform& out);
+  /// drawn with one batched counter fill per stream; the fields are
+  /// bit-identical to calling `emit_one` `symbols` times. The ledger is
+  /// charged as `passes` calls over equal slices would be: the default is
+  /// one bulk charge, whose joules round differently from `symbols`
+  /// per-symbol charges; `passes == symbols` charges like `emit_one`.
+  void emit(std::size_t symbols, waveform& out, std::size_t passes = 1);
 
   /// Emit a single carrier sample (advances the phase walk).
   [[nodiscard]] field emit_one();

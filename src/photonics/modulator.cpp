@@ -141,8 +141,8 @@ field phase_modulator::modulate(field in, double drive_v) {
 }
 
 field phase_modulator::encode_phase(field in, double phase_rad) {
-  if (ledger_ != nullptr) ledger_->charge("modulator", costs_.modulator_drive_j);
-  return in * std::polar(field_loss_scale_, phase_rad + phase_error_rad_);
+  charge_drives(1);
+  return in * phase_factor(phase_rad);
 }
 
 }  // namespace onfiber::phot

@@ -13,6 +13,7 @@
 // drift, which are the dominant static error sources in fabricated PICs.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "photonics/energy.hpp"
@@ -98,7 +99,23 @@ class phase_modulator {
   [[nodiscard]] field modulate(field in, double drive_v);
 
   /// Encode a phase directly in radians (driver computes v = phi*V_pi/pi).
+  /// Exactly `charge_drives(1)` then `in * phase_factor(phase_rad)`.
   [[nodiscard]] field encode_phase(field in, double phase_rad);
+
+  /// Field transfer of one drive at `phase_rad`: insertion loss and the
+  /// static phase error included, no ledger charge. A BPSK encoder has
+  /// two, so batched paths compute them once and multiply.
+  [[nodiscard]] field phase_factor(double phase_rad) const {
+    return std::polar(field_loss_scale_, phase_rad + phase_error_rad_);
+  }
+
+  /// Charge the ledger exactly as `drives` encode_phase calls would.
+  void charge_drives(std::uint64_t drives) {
+    if (ledger_ != nullptr) {
+      ledger_->charge_batches("modulator", costs_.modulator_drive_j, 1,
+                              drives);
+    }
+  }
 
   [[nodiscard]] const modulator_config& config() const { return config_; }
 

@@ -26,12 +26,17 @@ struct coupler_output {
   return {(a + j * b) * inv_sqrt2, (j * a + b) * inv_sqrt2};
 }
 
+/// Field scale of each Y-splitter output: the inherent 3 dB split times
+/// an excess loss in dB.
+[[nodiscard]] inline double split_50_50_scale(double excess_loss_db = 0.1) {
+  return 0.70710678118654752440 * field_loss_scale(excess_loss_db);
+}
+
 /// Y-splitter: divides one input into two equal outputs, with an excess
 /// loss in dB applied on top of the inherent 3 dB split.
 [[nodiscard]] inline std::pair<field, field> split_50_50(
     field in, double excess_loss_db = 0.1) {
-  const double scale =
-      0.70710678118654752440 * field_loss_scale(excess_loss_db);
+  const double scale = split_50_50_scale(excess_loss_db);
   return {in * scale, in * scale};
 }
 

@@ -74,9 +74,8 @@ std::vector<double> photodetector::detect(std::span<const field> in) {
   if (ledger_ != nullptr) {
     // Per-element charges, same sequence as the scalar loop (one bulk
     // joules multiply would round the ledger total differently).
-    for (std::size_t i = 0; i < n; ++i) {
-      ledger_->charge("photodetector", costs_.photodetector_readout_j);
-    }
+    ledger_->charge_batches("photodetector", costs_.photodetector_readout_j,
+                            1, n);
   }
   return out;
 }

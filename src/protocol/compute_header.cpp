@@ -1,21 +1,44 @@
 #include "protocol/compute_header.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace onfiber::proto {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
+void put_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 8);
+  out[1] = static_cast<std::uint8_t>(v & 0xff);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 24);
+  out[1] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+  out[2] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+  out[3] = static_cast<std::uint8_t>(v & 0xff);
+}
+
+/// Serialize into a fixed wire buffer (no allocation).
+void serialize_into(const compute_header& h,
+                    std::array<std::uint8_t, compute_header_bytes>& out) {
+  put_u16(&out[0], compute_magic);
+  out[2] = h.version;
+  out[3] = static_cast<std::uint8_t>(h.primitive);
+  put_u32(&out[4], h.task_id);
+  put_u16(&out[8], h.input_offset);
+  put_u16(&out[10], h.input_length);
+  put_u16(&out[12], h.result_offset);
+  put_u16(&out[14], h.result_length);
+  out[16] = h.flags;
+  out[17] = h.hops;
+  out[18] = static_cast<std::uint8_t>(h.stage2);
+  out[19] = static_cast<std::uint8_t>(h.stage3);
+  out[20] = h.batch == 0 ? 1 : h.batch;
+  out[21] = 0;  // reserved (alignment)
+  // Checksum over the header with the checksum field zeroed.
+  put_u16(&out[22], 0);
+  put_u16(&out[22], internet_checksum(out));
 }
 
 [[nodiscard]] std::uint16_t get_u16(std::span<const std::uint8_t> d,
@@ -48,28 +71,9 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
 }
 
 std::vector<std::uint8_t> serialize(const compute_header& h) {
-  std::vector<std::uint8_t> out;
-  out.reserve(compute_header_bytes);
-  put_u16(out, compute_magic);
-  out.push_back(h.version);
-  out.push_back(static_cast<std::uint8_t>(h.primitive));
-  put_u32(out, h.task_id);
-  put_u16(out, h.input_offset);
-  put_u16(out, h.input_length);
-  put_u16(out, h.result_offset);
-  put_u16(out, h.result_length);
-  out.push_back(h.flags);
-  out.push_back(h.hops);
-  out.push_back(static_cast<std::uint8_t>(h.stage2));
-  out.push_back(static_cast<std::uint8_t>(h.stage3));
-  out.push_back(h.batch == 0 ? 1 : h.batch);
-  out.push_back(0);  // reserved (alignment)
-  // Checksum over the header with the checksum field zeroed.
-  put_u16(out, 0);
-  const std::uint16_t sum = internet_checksum(out);
-  out[compute_header_bytes - 2] = static_cast<std::uint8_t>(sum >> 8);
-  out[compute_header_bytes - 1] = static_cast<std::uint8_t>(sum & 0xff);
-  return out;
+  std::array<std::uint8_t, compute_header_bytes> wire;
+  serialize_into(h, wire);
+  return {wire.begin(), wire.end()};
 }
 
 parse_result parse(std::span<const std::uint8_t> data) {
@@ -124,7 +128,8 @@ parse_result parse(std::span<const std::uint8_t> data) {
 }
 
 void attach_compute_header(net::packet& pkt, const compute_header& h) {
-  const std::vector<std::uint8_t> wire = serialize(h);
+  std::array<std::uint8_t, compute_header_bytes> wire;
+  serialize_into(h, wire);
   pkt.payload.insert(pkt.payload.begin(), wire.begin(), wire.end());
   pkt.proto = net::ip_proto::compute;
 }
@@ -142,7 +147,8 @@ bool rewrite_compute_header(net::packet& pkt, const compute_header& h) {
     return false;
   }
   if (!parse(pkt.payload)) return false;
-  const std::vector<std::uint8_t> wire = serialize(h);
+  std::array<std::uint8_t, compute_header_bytes> wire;
+  serialize_into(h, wire);
   std::copy(wire.begin(), wire.end(), pkt.payload.begin());
   return true;
 }

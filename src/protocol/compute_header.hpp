@@ -114,7 +114,7 @@ struct compute_header {
 /// Internet-style 16-bit ones'-complement checksum.
 [[nodiscard]] std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 
-/// Serialize to the 20-byte wire format (checksum computed and filled in).
+/// Serialize to the 24-byte wire format (checksum computed and filled in).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const compute_header& h);
 
 enum class parse_error {

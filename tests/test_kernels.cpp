@@ -68,6 +68,29 @@ TEST(KernelsDevices, LaserBatchEmitMatchesScalar) {
   }
 }
 
+TEST(KernelsDevices, LaserEmitLedgerPassesMatchEmitOne) {
+  // Fields match emit_one bit for bit with a ledger attached. Charged as
+  // `symbols` passes, the ledger matches emit_one's per-symbol charges
+  // exactly; the default single pass is one bulk charge of the same ops.
+  phot::energy_ledger per_symbol, bulk, scalar;
+  phot::laser per_symbol_laser({}, phot::rng{79}, &per_symbol);
+  phot::laser bulk_laser({}, phot::rng{79}, &bulk);
+  phot::laser scalar_laser({}, phot::rng{79}, &scalar);
+  phot::waveform a, b;
+  per_symbol_laser.emit(37, a, 37);
+  bulk_laser.emit(37, b);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const phot::field e = scalar_laser.emit_one();
+    EXPECT_EQ(a[i], e);
+    EXPECT_EQ(b[i], e);
+  }
+  EXPECT_EQ(per_symbol.joules("laser"), scalar.joules("laser"));
+  EXPECT_EQ(per_symbol.ops("laser"), 37u);
+  EXPECT_EQ(bulk.ops("laser"), 37u);
+  EXPECT_EQ(bulk.joules("laser"),
+            phot::energy_costs{}.laser_j_per_symbol * 37.0);
+}
+
 TEST(KernelsDevices, LaserEmitPowersMatchesScalarPowers) {
   // emit_powers returns the power directly; the scalar path round-trips it
   // through sqrt/polar/norm, so agreement is to rounding error, not bits.
