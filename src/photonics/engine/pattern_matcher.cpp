@@ -64,11 +64,6 @@ pattern_matcher::pattern_matcher(pattern_match_config config,
       costs_(costs),
       split_scale_(split_50_50_scale()) {}
 
-void pattern_matcher::size_ports(std::size_t symbols) {
-  port_match_mw_.resize(symbols);
-  port_mismatch_mw_.resize(symbols);
-}
-
 void pattern_matcher::couple_into(std::size_t i, field data_arm,
                                   field pattern_arm) {
   const coupler_output ports = couple_50_50(data_arm, pattern_arm);
@@ -125,7 +120,8 @@ match_result pattern_matcher::match_ternary(std::span<const std::uint8_t> data,
   const field pattern_factor[2] = {
       mod_pattern_.phase_factor(bpsk_phase(false)),
       mod_pattern_.phase_factor(bpsk_phase(true))};
-  size_ports(n);
+  port_match_mw_.resize(n);
+  port_mismatch_mw_.resize(n);
   std::size_t cared = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (pattern[i] == tbit::wildcard) {
@@ -209,7 +205,8 @@ match_result pattern_matcher::match_optical(std::span<const field> data_wave,
       (carrier * mod_pattern_.phase_factor(bpsk_phase(true))) * kShim};
 
   const std::size_t n = pattern.size();
-  size_ports(n);
+  port_match_mw_.resize(n);
+  port_mismatch_mw_.resize(n);
   std::size_t cared = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (pattern[i] == tbit::wildcard) {

@@ -125,9 +125,6 @@ class pattern_matcher {
   /// normalization, readout and the decision.
   [[nodiscard]] match_result decide(std::size_t symbols, std::size_t cared);
 
-  /// Size both port-power buffers for a `symbols`-slot word.
-  void size_ports(std::size_t symbols);
-
   /// Square-law port powers of slot `i` for combiner inputs `data_arm`
   /// and the already shimmed `pattern_arm`.
   void couple_into(std::size_t i, field data_arm, field pattern_arm);

@@ -546,7 +546,9 @@ std::uint64_t engine_case_digest(engine_task kind, core::compute_mode mode,
   phot::rng word_gen(45);
   const auto random_word = [&word_gen](std::size_t bytes) {
     std::vector<std::uint8_t> w(bytes);
-    for (std::uint8_t& b : w) b = static_cast<std::uint8_t>(word_gen.below(256));
+    for (std::uint8_t& b : w) {
+      b = static_cast<std::uint8_t>(word_gen.below(256));
+    }
     return w;
   };
   const std::vector<std::uint8_t> word64 = random_word(8);
@@ -656,7 +658,8 @@ constexpr std::uint64_t kEngineGolden[24] = {
 };
 
 /// Check the 24 cases of two task kinds against `golden`, index =
-/// ((second kind * 2 + oeo) * 3 + call) * 2 + ledger.
+/// ((k * 2 + oeo) * 3 + call) * 2 + ledger, k = 0 for `first`, 1 for
+/// `second`.
 void expect_engine_goldens(engine_task first, engine_task second,
                            const std::uint64_t (&golden)[24]) {
   const bool regold = golden::regold_requested();
