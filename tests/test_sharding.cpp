@@ -228,6 +228,40 @@ TEST(ShardedDeterminism, GoldenTraceWithBitErrorsAcrossShardCounts) {
   }
 }
 
+/// Committed window schedule of the chain scenario: how many
+/// conservative windows and cross-shard parcels the engine ran at a
+/// given shard count. The trace digest alone would not catch a handshake
+/// change that moved window boundaries without moving a delivery.
+struct window_golden {
+  std::size_t shards;
+  double ber;
+  std::uint64_t windows;
+  std::uint64_t parcels;
+};
+
+constexpr window_golden kWindowGolden[] = {
+    {2, 0.0, 58, 24},
+    {2, 1e-4, 58, 20},
+    {4, 0.0, 58, 88},
+    {4, 1e-4, 58, 73},
+};
+
+TEST(ShardedDeterminism, WindowScheduleMatchesParent) {
+  for (const window_golden& g : kWindowGolden) {
+    SCOPED_TRACE("shards=" + std::to_string(g.shards) +
+                 " ber=" + std::to_string(g.ber));
+    const scenario_result r = run_chain(g.shards, g.ber);
+    if (golden::regold_requested()) {
+      std::printf("window shards=%zu ber=%g windows=%llu parcels=%llu\n",
+                  g.shards, g.ber,
+                  static_cast<unsigned long long>(r.engine.windows),
+                  static_cast<unsigned long long>(r.engine.parcels));
+    }
+    EXPECT_EQ(r.engine.windows, g.windows);
+    EXPECT_EQ(r.engine.parcels, g.parcels);
+  }
+}
+
 TEST(ShardedDeterminism, BitIdenticalAcrossReruns) {
   const scenario_result a = run_chain(4);
   const scenario_result b = run_chain(4);
