@@ -29,9 +29,11 @@ ctest --preset asan -j"$(nproc)"
 
 # Observability gate: rerun the determinism and obs suites with the
 # tracing plane forced on. Golden traces must stay bit-identical —
-# instrumentation that perturbs a single timestamp fails here.
+# instrumentation that perturbs a single timestamp fails here. The
+# shard engine's window timers only run while tracing, so the sharded
+# goldens (traces and window schedule) rerun here too.
 ONFIBER_TRACE=1 ctest --preset asan --no-tests=error \
-  -R 'DatapathDeterminism|Obs' -j"$(nproc)"
+  -R 'DatapathDeterminism|ShardedDeterminism|Obs' -j"$(nproc)"
 
 # Sharded-reliability asan gate: the reliability layer's per-shard task
 # tables, cross-shard ack handoff, and failover planning re-run with an
@@ -96,9 +98,11 @@ ctest --preset tsan --no-tests=error \
 # full-size sweeps under tsan take minutes). Any cross-shard race in
 # the window barrier, the SPSC channels, the per-shard reliability
 # tables, the lock-free tracer, or the site-queue flush that serves
-# every compute packet on its shard's thread fails here.
+# every compute packet on its shard's thread fails here. The admission
+# suite's bounded site queues and defer path run on shard threads at
+# more than one shard, so it runs here too.
 ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error \
-  -R 'Sharded|Reliability|Batching'
+  -R 'Sharded|Reliability|Batching|Admission'
 
 # Routing-plane tsan gate: the golden shard-sweep and reconvergence
 # tests re-run at ONFIBER_SHARDS=4 under -fsanitize=thread. Shard

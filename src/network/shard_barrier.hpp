@@ -1,26 +1,33 @@
 // shard_barrier.hpp — the window handshake between the coordinator and
 // the shard workers.
 //
-// One conservative time window is a four-beat exchange:
+// Shard 0 runs on the coordinator (the thread that called run());
+// shards 1..K-1 each run on a persistent worker. One conservative time
+// window is:
 //
-//   1. publish  — the coordinator writes the window bound and bumps the
-//                 command generation (workers wake via atomic notify);
-//   2. execute  — every worker drains its local event queue strictly
-//                 below the bound, pushing cross-shard parcels;
-//   3. arrive   — a finished worker reports done, then keeps *draining
-//                 its inbound channels* while it waits: a producer
-//                 stalled on a full channel can only make progress if
-//                 its consumer keeps popping, so the wait loop is where
-//                 backpressure liveness comes from;
-//   4. quiesce  — once every worker has arrived (so no parcel can still
-//                 be produced), the coordinator asks the workers to stop
-//                 touching the channels and acknowledge; after the last
-//                 ack the coordinator owns every channel and staging
-//                 buffer exclusively and can merge parcels
-//                 deterministically.
+//   1. publish — the coordinator writes the window bound and the
+//                window's arrival target into each worker's mailbox and
+//                bumps its command generation (workers wake via atomic
+//                notify);
+//   2. execute — every shard, shard 0 included, drains its local event
+//                queue strictly below the bound, pushing cross-shard
+//                parcels;
+//   3. arrive  — a finished shard adds itself to the arrival barrier,
+//                then keeps *draining its inbound channels* until all K
+//                shards have arrived: a producer stalled on a full
+//                channel can only make progress if its consumer keeps
+//                popping, so the wait loop is where backpressure
+//                liveness comes from;
+//   4. merge   — once all K have arrived no parcel can still be
+//                produced, so each shard final-drains its own inbound
+//                channels, sorts its staging buffer by (time, src_shard,
+//                seq), schedules it into its own queue, and (a worker)
+//                sets its done flag. The coordinator waits on the done
+//                flags before it computes the next window.
 //
-// All beats are generation-numbered acquire/release atomics — no locks
-// anywhere near the per-window path.
+// A window therefore costs one publish, one arrival barrier and one done
+// flag per worker. Every beat is a generation-numbered acquire/release
+// atomic — no locks anywhere near the per-window path.
 #pragma once
 
 #include <atomic>
@@ -32,24 +39,28 @@ namespace onfiber::net {
 /// Per-worker mailbox for the window handshake. Cache-line separated so
 /// workers never false-share their progress counters.
 struct alignas(64) shard_mailbox {
-  /// Window bound, valid for command generation `cmd`. Written by the
-  /// coordinator strictly before the cmd store that publishes it.
+  /// Window bound and arrival target, valid for command generation
+  /// `cmd`. Written by the coordinator strictly before the cmd store
+  /// that publishes them.
   double window_end = 0.0;
-  std::atomic<std::uint64_t> cmd{0};       ///< coordinator -> worker
-  std::atomic<std::uint64_t> done{0};      ///< worker -> coordinator
-  std::atomic<std::uint64_t> quiesced{0};  ///< worker saw the quiesce beat
+  std::uint64_t arrive_target = 0;
+  std::atomic<std::uint64_t> cmd{0};   ///< coordinator -> worker
+  std::atomic<std::uint64_t> done{0};  ///< worker -> coordinator
   std::atomic<bool> stop{false};
 
-  /// Events the worker executed in the window it just reported done.
+  /// Events the shard executed in the window it just reported done.
   std::uint64_t executed = 0;
-  /// Full-channel push retries this worker has suffered (cumulative).
-  /// Plain field: only the owning worker writes it during a window, and
+  /// Parcels the shard merged into its own queue in that window.
+  std::uint64_t merged = 0;
+  /// Full-channel push retries this shard has suffered (cumulative).
+  /// Plain field: only the owning shard writes it during a window, and
   /// the coordinator reads it after the done handshake (or writes it
   /// itself while every worker is parked at a global event).
   std::uint64_t stalls = 0;
 
-  void publish(double end_s, std::uint64_t generation) {
+  void publish(double end_s, std::uint64_t target, std::uint64_t generation) {
     window_end = end_s;
+    arrive_target = target;
     cmd.store(generation, std::memory_order_release);
     cmd.notify_one();
   }
@@ -63,6 +74,20 @@ struct alignas(64) shard_mailbox {
       g = cmd.load(std::memory_order_acquire);
     }
     return g;
+  }
+};
+
+/// Generation-counted arrival barrier: each of the K shards arrives
+/// exactly once per window, so window n (counted from 1) is complete
+/// when the count reaches n * K. The count never resets. The arrivals
+/// form one release sequence, so a shard that sees the target also sees
+/// every parcel pushed before any arrival.
+struct alignas(64) arrival_barrier {
+  std::atomic<std::uint64_t> arrived{0};
+
+  void arrive() { arrived.fetch_add(1, std::memory_order_acq_rel); }
+  [[nodiscard]] bool complete(std::uint64_t target) const {
+    return arrived.load(std::memory_order_acquire) >= target;
   }
 };
 

@@ -6,9 +6,10 @@
 // pure function of the schedule, independent of thread interleaving.
 // Each ordered shard pair owns exactly one channel, so the ring is a
 // classic single-producer / single-consumer queue: the producer is the
-// source shard's worker, the consumer is the destination shard's worker
-// (or the coordinator while every worker is parked at the window
-// barrier — never both at once for the pop side).
+// source shard's thread, the consumer is the destination shard's thread
+// (or the coordinator while every worker is parked at a global event —
+// never both at once for the pop side). Shard 0's thread is the one
+// that called shard_engine::run().
 //
 // The ring is bounded on purpose: a producer that outruns its consumer
 // stalls (shard_engine spins it, draining its own inbound channels to

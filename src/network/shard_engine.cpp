@@ -1,6 +1,7 @@
 #include "network/shard_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,6 +9,17 @@
 #include "obs/metrics.hpp"
 
 namespace onfiber::net {
+
+namespace {
+
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
 
 shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity)
     : channel_capacity_(channel_capacity) {
@@ -25,9 +37,9 @@ shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity)
 shard_engine::~shard_engine() {
   if (workers_started_) {
     ++generation_;
-    for (auto& mb : mailboxes_) {
-      mb->stop.store(true, std::memory_order_release);
-      mb->publish(0.0, generation_);
+    for (std::size_t i = 1; i < shard_count(); ++i) {
+      mailboxes_[i]->stop.store(true, std::memory_order_release);
+      mailboxes_[i]->publish(0.0, 0, generation_);
     }
     for (auto& w : workers_) w.join();
   }
@@ -73,29 +85,31 @@ void shard_engine::drain_inbound(std::size_t dst) {
   }
 }
 
+std::uint64_t shard_engine::schedule_staged(std::size_t dst) {
+  auto& staged = staging_[dst];
+  if (staged.empty()) return 0;
+  // (time, src_shard, seq) is a strict total order over parcels — the
+  // merge is a pure function of the schedule, not of which thread won
+  // a race somewhere.
+  std::sort(staged.begin(), staged.end(),
+            [](const parcel& a, const parcel& b) {
+              if (a.time_s != b.time_s) return a.time_s < b.time_s;
+              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
+              return a.seq < b.seq;
+            });
+  simulator& sim = *shards_[dst];
+  for (parcel& p : staged) {
+    sim.schedule_packet_at(p.time_s, std::move(p.pkt), p.node, p.op, p.sink);
+  }
+  const std::uint64_t n = staged.size();
+  staged.clear();
+  return n;
+}
+
 void shard_engine::merge_staged_parcels() {
-  const std::size_t k = shard_count();
-  for (std::size_t dst = 0; dst < k; ++dst) drain_inbound(dst);
-  for (std::size_t dst = 0; dst < k; ++dst) {
-    auto& staged = staging_[dst];
-    if (staged.empty()) continue;
-    // (time, src_shard, seq) is a strict total order over parcels — the
-    // merge is a pure function of the schedule, not of which thread won
-    // a race somewhere.
-    std::sort(staged.begin(), staged.end(),
-              [](const parcel& a, const parcel& b) {
-                if (a.time_s != b.time_s) return a.time_s < b.time_s;
-                if (a.src_shard != b.src_shard)
-                  return a.src_shard < b.src_shard;
-                return a.seq < b.seq;
-              });
-    stats_.parcels += staged.size();
-    simulator& sim = *shards_[dst];
-    for (parcel& p : staged) {
-      sim.schedule_packet_at(p.time_s, std::move(p.pkt), p.node, p.op,
-                             p.sink);
-    }
-    staged.clear();
+  for (std::size_t dst = 0; dst < shard_count(); ++dst) {
+    drain_inbound(dst);
+    stats_.parcels += schedule_staged(dst);
   }
 }
 
@@ -127,51 +141,69 @@ void shard_engine::ensure_workers() {
   for (std::size_t i = 0; i < k * k; ++i) {
     channels_.push_back(std::make_unique<spsc_channel>(channel_capacity_));
   }
-  workers_.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
+  // Shard 0 runs on the thread that calls run().
+  workers_.reserve(k - 1);
+  for (std::size_t i = 1; i < k; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 void shard_engine::worker_loop(std::size_t shard_index) {
   shard_mailbox& mb = *mailboxes_[shard_index];
-  simulator& sim = *shards_[shard_index];
   std::uint64_t seen = 0;
   for (;;) {
     const std::uint64_t g = mb.await_command(seen);
     seen = g;
     if (mb.stop.load(std::memory_order_acquire)) return;
-    mb.executed = sim.run_window(mb.window_end);
+    run_shard_window(shard_index, mb.window_end, mb.arrive_target);
     mb.done.store(g, std::memory_order_release);
-    // Arrive beat: peers may still be producing into our inbound
-    // channels; keep popping so a full-channel producer can unblock.
-    while (quiesce_gen_.load(std::memory_order_acquire) != g) {
-      drain_inbound(shard_index);
-      std::this_thread::yield();
-    }
-    // Quiesce acknowledged: from here until the next publish the
-    // coordinator owns our channels and staging buffer.
-    mb.quiesced.store(g, std::memory_order_release);
+  }
+}
+
+void shard_engine::run_shard_window(std::size_t i, double window_end,
+                                    std::uint64_t arrive_target) noexcept {
+  shard_mailbox& mb = *mailboxes_[i];
+  const shard_timers* timers = timers_.empty() ? nullptr : &timers_[i];
+  const std::uint64_t t0 = timers != nullptr ? now_ns() : 0;
+  mb.executed = shards_[i]->run_window(window_end);
+  const std::uint64_t t1 = timers != nullptr ? now_ns() : 0;
+  arrivals_.arrive();
+  // Peers may still be producing into our inbound channels; keep popping
+  // so a full-channel producer can unblock.
+  while (!arrivals_.complete(arrive_target)) {
+    drain_inbound(i);
+    std::this_thread::yield();
+  }
+  const std::uint64_t t2 = timers != nullptr ? now_ns() : 0;
+  // Every shard has arrived, so no parcel can still be produced: after
+  // this drain our staging buffer holds all of the window's parcels.
+  drain_inbound(i);
+  mb.merged = schedule_staged(i);
+  if (timers != nullptr) {
+    const std::uint64_t t3 = now_ns();
+    timers->exec_ns->add(t1 - t0);
+    timers->wait_ns->add(t2 - t1);
+    timers->merge_ns->add(t3 - t2);
   }
 }
 
 std::uint64_t shard_engine::execute_window(double window_end) {
   ++generation_;
   const std::uint64_t g = generation_;
-  for (auto& mb : mailboxes_) mb->publish(window_end, g);
-  for (auto& mb : mailboxes_) {
-    spin_until([&] { return mb->done.load(std::memory_order_acquire) == g; });
+  arrive_target_ += shard_count();
+  for (std::size_t i = 1; i < shard_count(); ++i) {
+    mailboxes_[i]->publish(window_end, arrive_target_, g);
   }
-  // Every worker is done, so no parcel can still be produced. Ask the
-  // workers to stop draining and hand the channels over.
-  quiesce_gen_.store(g, std::memory_order_release);
-  for (auto& mb : mailboxes_) {
-    spin_until(
-        [&] { return mb->quiesced.load(std::memory_order_acquire) == g; });
+  run_shard_window(0, window_end, arrive_target_);
+  for (std::size_t i = 1; i < shard_count(); ++i) {
+    const shard_mailbox& mb = *mailboxes_[i];
+    spin_until([&] { return mb.done.load(std::memory_order_acquire) == g; });
   }
-  merge_staged_parcels();
   std::uint64_t executed = 0;
-  for (auto& mb : mailboxes_) executed += mb->executed;
+  for (const auto& mb : mailboxes_) {
+    executed += mb->executed;
+    stats_.parcels += mb->merged;
+  }
   ++stats_.windows;
   return executed;
 }
@@ -188,19 +220,37 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
   obs::counter* obs_windows = nullptr;
   obs::counter* obs_parcels = nullptr;
   obs::counter* obs_stalls = nullptr;
+  obs::counter* obs_global_ns = nullptr;
   std::vector<obs::counter*> obs_shard_events;
   std::vector<obs::gauge*> obs_inbox_depth;
+  // Workers read timers_ only inside a window, after the publish that
+  // follows this write.
+  timers_.clear();
   if (obs::enabled()) {
     auto& reg = obs::registry::global();
     obs_windows = &reg.get_counter("engine.windows");
     obs_parcels = &reg.get_counter("engine.parcels");
     obs_stalls = &reg.get_counter("engine.producer_stalls");
+    obs_global_ns = &reg.get_counter("engine.global_ns");
     for (std::size_t i = 0; i < shard_count(); ++i) {
       const std::string tag = "engine.shard" + std::to_string(i);
       obs_shard_events.push_back(&reg.get_counter(tag + ".events"));
       obs_inbox_depth.push_back(&reg.get_gauge(tag + ".inbox_depth"));
+      timers_.push_back(shard_timers{&reg.get_counter(tag + ".exec_ns"),
+                                     &reg.get_counter(tag + ".wait_ns"),
+                                     &reg.get_counter(tag + ".merge_ns")});
     }
   }
+  // The engine's own stalls so far; each report adds only the delta
+  // since the last one, so engines sharing the process-wide counter
+  // never mask one another.
+  const auto report_stalls = [&] {
+    std::uint64_t stalls = 0;
+    for (const auto& mb : mailboxes_) stalls += mb->stalls;
+    if (obs_stalls != nullptr) obs_stalls->add(stalls - reported_stalls_);
+    reported_stalls_ = stalls;
+    return stalls;
+  };
   std::uint64_t executed = 0;
   overran_ = false;
   while (executed < max_events) {
@@ -220,7 +270,13 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
       for (auto& s : shards_) s->advance_to(tg);
       global_event ev = std::move(const_cast<global_event&>(globals_.top()));
       globals_.pop();
-      ev.fn();
+      if (obs_global_ns != nullptr) {
+        const std::uint64_t t0 = now_ns();
+        ev.fn();
+        obs_global_ns->add(now_ns() - t0);
+      } else {
+        ev.fn();
+      }
       ++executed;
       ++stats_.global_events;
       // The handler may have emitted parcels (injection drivers do);
@@ -238,7 +294,6 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
     if (obs_windows != nullptr) {
       obs_windows->add(1);
       obs_parcels->add(stats_.parcels - before_parcels);
-      std::uint64_t stalls = 0;
       for (std::size_t i = 0; i < shard_count(); ++i) {
         obs_shard_events[i]->add(mailboxes_[i]->executed);
         // Channel-depth gauge: the deepest any inbound channel of this
@@ -248,16 +303,11 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
           if (src != i) depth = std::max(depth, channel(src, i).max_depth());
         }
         obs_inbox_depth[i]->set(static_cast<double>(depth));
-        stalls += mailboxes_[i]->stalls;
       }
-      if (stalls > obs_stalls->value()) {
-        obs_stalls->add(stalls - obs_stalls->value());
-      }
+      report_stalls();
     }
   }
-  std::uint64_t stalls = 0;
-  for (const auto& mb : mailboxes_) stalls += mb->stalls;
-  stats_.producer_stalls = stalls;
+  stats_.producer_stalls = report_stalls();
   for (const auto& ch : channels_) {
     stats_.max_channel_depth = std::max(stats_.max_channel_depth,
                                         ch->max_depth());

@@ -3,8 +3,10 @@
 // synchronization.
 //
 // The topology is partitioned into shards; each shard owns a private
-// net::simulator (the pooled-event slab) driven by a persistent worker
-// thread. Shards advance in conservative time windows:
+// net::simulator (the pooled-event slab). Shard 0 runs on the thread
+// that calls run(); shards 1..K-1 each run on a persistent worker
+// thread, so K shards use K - 1 extra threads. Shards advance in
+// conservative time windows:
 // with lookahead L = the minimum propagation delay over cross-shard
 // links, every shard may safely execute all events strictly below
 //
@@ -14,10 +16,11 @@
 // neighbor no earlier than that bound (arrival = departure + serialize
 // + link delay > departure + L >= global-min + L). Packets crossing a
 // boundary ride bounded SPSC channels as (timestamp, source-shard, seq)
-// parcels; at the window barrier the coordinator merges each shard's
-// inbound parcels in (time, src_shard, seq) order before scheduling
-// them, so the merge — and with it the whole simulation — is a pure
-// function of the schedule, not of thread interleaving.
+// parcels; once every shard has arrived at the window barrier, each
+// shard merges its own inbound parcels in (time, src_shard, seq) order
+// before scheduling them, so the merge — and with it the whole
+// simulation — is a pure function of the schedule, not of thread
+// interleaving (see shard_barrier.hpp for the handshake).
 //
 // Control-plane work (link flaps, reconvergence, workload injection)
 // runs as *global events*: the coordinator parks every worker, advances
@@ -53,6 +56,10 @@
 #include "network/shard_barrier.hpp"
 #include "network/shard_channel.hpp"
 
+namespace onfiber::obs {
+class counter;
+}  // namespace onfiber::obs
+
 namespace onfiber::net {
 
 /// Engine-level counters (plain members: they are only written by the
@@ -70,7 +77,7 @@ class shard_engine {
   using handler = simulator::handler;
 
   /// `shards` event loops with cross-shard channels of `channel_capacity`
-  /// parcels each, allocated with the worker threads by the first
+  /// parcels each, allocated with the K - 1 worker threads by the first
   /// multi-shard run(). Shard count is clamped to >= 1.
   explicit shard_engine(std::size_t shards = 1,
                         std::size_t channel_capacity =
@@ -102,7 +109,7 @@ class shard_engine {
   void schedule_global(double time_s, handler fn);
 
   /// Cross-shard hop: called by the fabric from the source shard's
-  /// worker. Blocks (with backpressure: stalls counted, own inbound
+  /// thread. Blocks (with backpressure: stalls counted, own inbound
   /// drained to keep the system live) until the channel accepts the
   /// parcel; parcels are never dropped.
   void emit_parcel(std::uint32_t src_shard, std::uint32_t dst_shard,
@@ -140,23 +147,43 @@ class shard_engine {
     return *channels_[src * shard_count() + dst];
   }
 
+  /// Per-shard window timers, resolved by run() while tracing is on.
+  struct shard_timers {
+    obs::counter* exec_ns = nullptr;
+    obs::counter* wait_ns = nullptr;
+    obs::counter* merge_ns = nullptr;
+  };
+
   void ensure_workers();
   void worker_loop(std::size_t shard_index);
 
+  /// Shard `i`'s part of one window, on its own thread: execute below
+  /// `window_end`, arrive and wait for the other shards while draining
+  /// inbound channels, then merge its own parcels. Fills the shard's
+  /// mailbox `executed` and `merged`. noexcept: an event that throws
+  /// would leave the other shards waiting at the barrier, so it ends the
+  /// program on shard 0's thread as it does on a worker's.
+  void run_shard_window(std::size_t i, double window_end,
+                        std::uint64_t arrive_target) noexcept;
+
   /// Pop every parcel from the channels into `dst`'s staging buffer.
-  /// Called by the owning worker (backpressure relief / barrier wait)
-  /// or by the coordinator once all workers are quiescent.
+  /// Called by `dst`'s own thread (backpressure relief, arrival wait,
+  /// merge) or by the coordinator while every worker is parked.
   void drain_inbound(std::size_t dst);
 
-  /// Coordinator only, workers quiescent: final-drain every channel,
-  /// sort each staging buffer by (time, src_shard, seq) and schedule
-  /// the parcels into the owning shard's queue.
+  /// Sort `dst`'s staging buffer by (time, src_shard, seq), schedule
+  /// the parcels into `dst`'s queue and empty the buffer. Returns the
+  /// number of parcels scheduled.
+  std::uint64_t schedule_staged(std::size_t dst);
+
+  /// Coordinator only, workers parked at a global event: drain every
+  /// channel and schedule each shard's staged parcels.
   void merge_staged_parcels();
 
   [[nodiscard]] double min_pending_time() const;
   [[nodiscard]] bool anything_pending() const;
 
-  /// Execute one window across all workers; returns events executed.
+  /// Execute one window across all shards; returns events executed.
   std::uint64_t execute_window(double window_end);
 
   std::vector<std::unique_ptr<simulator>> shards_;
@@ -166,8 +193,10 @@ class shard_engine {
   std::vector<std::vector<parcel>> staging_;  ///< per-dst merge buffer
 
   std::vector<std::unique_ptr<shard_mailbox>> mailboxes_;
-  std::atomic<std::uint64_t> quiesce_gen_{0};
-  std::vector<std::thread> workers_;
+  arrival_barrier arrivals_;
+  std::uint64_t arrive_target_ = 0;
+  std::vector<std::thread> workers_;  ///< shards 1..K-1
+  std::vector<shard_timers> timers_;  ///< empty unless tracing
   bool workers_started_ = false;
 
   std::priority_queue<global_event, std::vector<global_event>, global_later>
@@ -177,6 +206,8 @@ class shard_engine {
 
   double lookahead_s_ = std::numeric_limits<double>::infinity();
   bool overran_ = false;
+  /// Cumulative stalls already added to engine.producer_stalls.
+  std::uint64_t reported_stalls_ = 0;
   shard_engine_stats stats_;
 };
 

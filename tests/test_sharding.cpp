@@ -24,9 +24,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compute_packets.hpp"
@@ -34,6 +36,7 @@
 #include "network/shard_channel.hpp"
 #include "network/shard_engine.hpp"
 #include "network/topology.hpp"
+#include "obs/metrics.hpp"
 #include "protocol/compute_header.hpp"
 #include "golden_digest.hpp"
 
@@ -275,40 +278,167 @@ TEST(ShardedDeterminism, BitIdenticalAcrossReruns) {
 // producer (stalls counted, producer drains its own inbound to stay
 // live) and never drop a parcel.
 
-TEST(ShardedBackpressure, FullChannelStallsProducerWithoutDrops) {
-  constexpr std::size_t kCapacity = 8;
-  constexpr int kPackets = 400;
-  net::shard_engine engine(2, kCapacity);
+/// One delivery of the backpressure burst: exact arrival-time bits,
+/// delivering node and packet id.
+struct burst_delivery {
+  std::uint64_t time_bits;
+  net::node_id at;
+  std::uint64_t id;
+
+  bool operator==(const burst_delivery&) const = default;
+};
+
+struct burst_result {
+  std::vector<burst_delivery> deliveries;
+  std::uint64_t delivered = 0;
+  std::uint64_t drops = 0;
+  net::shard_engine_stats engine;
+};
+
+constexpr std::size_t kBurstPackets = 400;
+
+/// One burst on an 8-node chain: every packet travels node 0 -> 7 and
+/// crosses every shard boundary within a few conservative windows, far
+/// more parcels than a small channel holds.
+burst_result run_burst(std::size_t shards, std::size_t capacity) {
+  net::shard_engine engine(shards, capacity);
   net::wan_fabric fabric(engine, net::make_linear_topology(8));
   fabric.install_shortest_path_routes();
 
-  std::uint64_t delivered_cb = 0;
+  burst_result r;
+  // Every delivery happens at node 7, so only its shard's thread
+  // appends; run() returning orders the appends before the reads.
   fabric.set_deliver_callback(
-      [&](const net::packet&, net::node_id at, double) {
-        EXPECT_EQ(at, 7u);
-        ++delivered_cb;
+      [&r](const net::packet& pkt, net::node_id at, double t) {
+        r.deliveries.push_back(
+            burst_delivery{std::bit_cast<std::uint64_t>(t), at, pkt.id});
       });
-  // One burst: every packet crosses the shard boundary (3-4) within a
-  // few conservative windows, far exceeding the 8-parcel channel.
   engine.schedule_global(0.0, [&fabric] {
-    for (int i = 0; i < kPackets; ++i) {
+    for (std::size_t i = 0; i < kBurstPackets; ++i) {
       net::packet pkt;
       pkt.src = fabric.topo().node_at(0).address;
       pkt.dst = fabric.topo().node_at(7).address;
+      pkt.id = i;
       pkt.payload.resize(64);
       fabric.send(pkt, 0);
     }
   });
   engine.run();
   EXPECT_FALSE(engine.overran());
+  r.delivered = fabric.delivered();
+  r.drops = fabric.drops().total();
+  r.engine = engine.stats();
+  return r;
+}
 
-  EXPECT_EQ(fabric.delivered(), static_cast<std::uint64_t>(kPackets));
-  EXPECT_EQ(delivered_cb, static_cast<std::uint64_t>(kPackets));
-  EXPECT_EQ(fabric.drops().total(), 0u);
-  const net::shard_engine_stats& s = engine.stats();
-  EXPECT_EQ(s.parcels, static_cast<std::uint64_t>(kPackets));
-  EXPECT_GT(s.producer_stalls, 0u);
-  EXPECT_LE(s.max_channel_depth, kCapacity);
+TEST(ShardedBackpressure, FullChannelStallsProducerWithoutDrops) {
+  constexpr std::size_t kCapacity = 8;
+  const burst_result r = run_burst(2, kCapacity);
+
+  EXPECT_EQ(r.delivered, kBurstPackets);
+  ASSERT_EQ(r.deliveries.size(), kBurstPackets);
+  for (const burst_delivery& d : r.deliveries) EXPECT_EQ(d.at, 7u);
+  EXPECT_EQ(r.drops, 0u);
+  EXPECT_EQ(r.engine.parcels, kBurstPackets);
+  EXPECT_GT(r.engine.producer_stalls, 0u);
+  EXPECT_LE(r.engine.max_channel_depth, kCapacity);
+}
+
+TEST(ShardedBackpressure, CapacityOneMatchesDefaultCapacity) {
+  // With one-parcel channels nearly every push stalls, shard 0's on the
+  // calling thread included, so the arrival wait's draining carries the
+  // whole burst. The delivered sequence must not move by a single bit.
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const burst_result wide =
+        run_burst(shards, net::spsc_channel::kDefaultCapacity);
+    const burst_result tight = run_burst(shards, 1);
+    ASSERT_EQ(wide.deliveries.size(), kBurstPackets);
+    EXPECT_TRUE(tight.deliveries == wide.deliveries);
+    EXPECT_EQ(tight.drops, 0u);
+    EXPECT_GT(tight.engine.producer_stalls, 0u);
+    EXPECT_LE(tight.engine.max_channel_depth, 1u);
+    EXPECT_EQ(tight.engine.windows, wide.engine.windows);
+    EXPECT_EQ(tight.engine.parcels, wide.engine.parcels);
+  }
+}
+
+/// Tests below flip the process-wide tracing flag; the guard restores
+/// it (the suite may run under ONFIBER_TRACE=1) and zeroes the metrics.
+struct obs_state_guard {
+  bool prev = obs::enabled();
+  obs_state_guard() { obs::registry::global().reset_values(); }
+  ~obs_state_guard() {
+    obs::set_enabled(prev);
+    obs::registry::global().reset_values();
+  }
+};
+
+TEST(ShardedBackpressure, StallCounterSumsAcrossEngines) {
+  // Two engines in one process share engine.producer_stalls; each must
+  // add its own stalls, however many the other already reported.
+  obs_state_guard guard;
+  obs::set_enabled(true);
+  const burst_result a = run_burst(2, 8);
+  const burst_result b = run_burst(2, 8);
+  EXPECT_GT(a.engine.producer_stalls, 0u);
+  EXPECT_GT(b.engine.producer_stalls, 0u);
+  EXPECT_EQ(
+      obs::registry::global().get_counter("engine.producer_stalls").value(),
+      a.engine.producer_stalls + b.engine.producer_stalls);
+}
+
+TEST(ShardedEngine, ShardZeroRunsOnCallingThread) {
+  net::shard_engine engine(2);
+  net::wan_fabric fabric(engine, net::make_linear_topology(8));
+  fabric.install_shortest_path_routes();
+  ASSERT_EQ(fabric.shard_of(0), 0u);
+  ASSERT_EQ(fabric.shard_of(7), 1u);
+
+  // Each slot is written only by the thread that delivers at its node.
+  std::thread::id at_node0;
+  std::thread::id at_node7;
+  fabric.set_deliver_callback(
+      [&](const net::packet&, net::node_id at, double) {
+        (at == 0 ? at_node0 : at_node7) = std::this_thread::get_id();
+      });
+  engine.schedule_global(0.0, [&fabric] {
+    for (const net::node_id from : {0u, 7u}) {
+      net::packet pkt;
+      pkt.src = fabric.topo().node_at(from).address;
+      pkt.dst = fabric.topo().node_at(7 - from).address;
+      pkt.payload.resize(64);
+      fabric.send(pkt, from);
+    }
+  });
+  engine.run();
+  ASSERT_EQ(fabric.delivered(), 2u);
+  EXPECT_EQ(at_node0, std::this_thread::get_id());
+  EXPECT_NE(at_node7, std::this_thread::get_id());
+  EXPECT_NE(at_node7, std::thread::id{});
+}
+
+TEST(ShardedAttribution, WindowTimersRecordOnlyWhileTracing) {
+  obs_state_guard guard;
+  auto& reg = obs::registry::global();
+  const char* const kTimers[] = {
+      "engine.shard0.exec_ns",  "engine.shard1.exec_ns",
+      "engine.shard0.wait_ns",  "engine.shard1.wait_ns",
+      "engine.shard0.merge_ns", "engine.shard1.merge_ns",
+      "engine.global_ns"};
+
+  obs::set_enabled(false);
+  expect_matches(kChainGolden, run_chain(2));
+  for (const char* name : kTimers) {
+    EXPECT_EQ(reg.get_counter(name).value(), 0u) << name;
+  }
+
+  // Timing is host-side only: the traced run's digest may not move.
+  obs::set_enabled(true);
+  expect_matches(kChainGolden, run_chain(2));
+  EXPECT_GT(reg.get_counter("engine.shard0.exec_ns").value(), 0u);
+  EXPECT_GT(reg.get_counter("engine.shard1.exec_ns").value(), 0u);
+  EXPECT_GT(reg.get_counter("engine.global_ns").value(), 0u);
 }
 
 TEST(ShardedChannel, SpscPushPopBounds) {
