@@ -62,8 +62,8 @@ class counter;
 
 namespace onfiber::net {
 
-/// Engine-level counters (plain members: they are only written by the
-/// coordinator or by exactly one worker, and read when quiescent).
+/// Engine-level counters (plain members: only the coordinator writes
+/// them, between windows, and they are read when quiescent).
 struct shard_engine_stats {
   std::uint64_t windows = 0;          ///< conservative windows executed
   std::uint64_t global_events = 0;    ///< control-plane events executed
