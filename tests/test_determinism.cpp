@@ -30,6 +30,7 @@
 // this suite at scalar and native levels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -222,6 +223,112 @@ TEST(DatapathDeterminism, InvariantAcrossThreadCounts) {
   EXPECT_TRUE(one.trace == three.trace);
   expect_matches_golden(one);
   expect_matches_golden(three);
+}
+
+// ---------------------------------------------------------------------
+// Header corruption between compute hops: every hop's runtime hook reads
+// the compute header, so a bit flip that lands in the 24-byte header on
+// a later link — after earlier hops have already parsed it — must still
+// make the next hop drop the packet as malformed.
+
+struct header_flip_result {
+  std::uint64_t digest = 0;
+  std::size_t deliveries = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t computed = 0;
+  std::uint64_t malformed = 0;
+};
+
+/// 8-node chain, one GEMV site mid-chain at node 5, BER 2e-4 on small
+/// (header-dominated) requests travelling 0 -> 7 and 7 -> 0, so flips
+/// hit the header both before and after the compute hop.
+header_flip_result run_header_flip_scenario(std::size_t shards) {
+  net::shard_engine engine(shards);
+  core::onfiber_runtime rt(engine, net::make_linear_topology(8));
+  core::gemv_task task;
+  task.weights = phot::matrix(2, 4);
+  for (std::size_t i = 0; i < task.weights.data.size(); ++i) {
+    task.weights.data[i] = 0.1 + 0.05 * static_cast<double>(i % 5);
+  }
+  rt.deploy_engine(5, {}, 31).configure_gemv(task);
+  rt.install_compute_routes_via_nearest_site();
+  rt.fabric().set_bit_error_rate(2e-4, 7);
+
+  for (int i = 0; i < 120; ++i) {
+    engine.schedule_global(0.0002 * i, [&rt, i] {
+      std::vector<double> x(4);
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        x[k] = -1.0 + 2.0 * static_cast<double>((k * 13 + i * 5) % 41) / 40.0;
+      }
+      const bool up = i % 2 == 0;
+      const net::node_id src = up ? 0 : 7;
+      const net::node_id dst = up ? 7 : 0;
+      rt.submit(core::make_gemv_request(
+                    rt.fabric().topo().node_at(src).address,
+                    rt.fabric().topo().node_at(dst).address, x, 2,
+                    static_cast<std::uint32_t>(i)),
+                src);
+    });
+  }
+  engine.run(1'000'000);
+  EXPECT_FALSE(engine.overran());
+
+  // Deliveries come in raw event order at 1 shard and a (time, node)
+  // merge at more; sort to compare across shard counts.
+  std::vector<trace_entry> trace;
+  for (const auto& d : rt.deliveries()) {
+    const auto h = proto::peek_compute_header(d.pkt);
+    trace.push_back(
+        trace_entry{h ? h->task_id : ~std::uint32_t{0}, d.at, d.time_s});
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const trace_entry& a, const trace_entry& b) {
+                     if (a.time_s != b.time_s) return a.time_s < b.time_s;
+                     return a.at < b.at;
+                   });
+  golden::fnv1a64 digest;
+  for (const trace_entry& e : trace) {
+    digest.add(e.task_id);
+    digest.add(e.at);
+    digest.add_bits(e.time_s);
+  }
+  header_flip_result r;
+  r.digest = digest.value();
+  r.deliveries = trace.size();
+  r.delivered = rt.fabric().delivered();
+  r.corrupted = rt.fabric().corrupted();
+  r.computed = rt.stats().computed;
+  r.malformed = rt.stats().malformed_dropped;
+  return r;
+}
+
+TEST(DatapathDeterminism, HeaderFlipBetweenComputeHops) {
+  // Captured from the engine before the per-hop header memo existed.
+  constexpr header_flip_result kGolden{0xab01b8b3c1a7feb5ull, 97, 97, 33,
+                                       110, 23};
+  for (const std::size_t shards : golden::shard_count_sweep()) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const header_flip_result r = run_header_flip_scenario(shards);
+    if (golden::regold_requested()) {
+      std::printf(
+          "header-flip digest=0x%016llx deliveries=%zu delivered=%llu "
+          "corrupted=%llu computed=%llu malformed=%llu\n",
+          static_cast<unsigned long long>(r.digest), r.deliveries,
+          static_cast<unsigned long long>(r.delivered),
+          static_cast<unsigned long long>(r.corrupted),
+          static_cast<unsigned long long>(r.computed),
+          static_cast<unsigned long long>(r.malformed));
+    }
+    EXPECT_EQ(r.digest, kGolden.digest);
+    EXPECT_EQ(r.deliveries, kGolden.deliveries);
+    EXPECT_EQ(r.delivered, kGolden.delivered);
+    EXPECT_EQ(r.corrupted, kGolden.corrupted);
+    EXPECT_EQ(r.computed, kGolden.computed);
+    EXPECT_EQ(r.malformed, kGolden.malformed);
+  }
+  // The scenario must actually corrupt headers in flight.
+  EXPECT_GT(kGolden.malformed, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // simulator, topology, fabric, traffic, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "network/address.hpp"
@@ -297,6 +299,75 @@ TEST(EventSim, RecordSlotsAreRecycled) {
   sim.schedule_packet(0.0, std::move(pkt), 0, 0, &sink);
   sim.run();
   EXPECT_EQ(sink.hops, 1000);
+}
+
+TEST(EventSim, RandomTiesMatchReferenceOrder) {
+  // ~20k callback and typed events on times quantised to 1/4 s, so many
+  // tie exactly; handlers schedule more events, some into the past. The
+  // execution order must be a reference sort by (clamped time, schedule
+  // order), and the queue must get deep enough for multi-level sifts.
+  struct expected_event {
+    double time_s;
+    std::uint64_t seq;
+    std::uint64_t label;
+  };
+  struct driver final : packet_event_sink {
+    simulator sim;
+    phot::rng gen{2024};
+    std::vector<expected_event> scheduled;
+    std::vector<std::uint64_t> executed;
+    std::vector<double> executed_at;
+    std::size_t max_pending = 0;
+    std::uint64_t budget = 20'000;
+
+    void schedule_one() {
+      const double base = std::floor(sim.now() * 4.0) / 4.0;
+      const auto k = static_cast<double>(gen.below(48)) - 4.0;  // 4 past
+      const double t = base + 0.25 * k;
+      const std::uint64_t label = scheduled.size();
+      scheduled.push_back({std::max(t, sim.now()), label, label});
+      if (gen.below(2) == 0) {
+        sim.schedule_at(t, [this, label] { fire(label); });
+      } else {
+        packet pkt;
+        pkt.id = label;
+        sim.schedule_packet_at(t, std::move(pkt), 0, 0, this);
+      }
+    }
+    void fire(std::uint64_t label) {
+      executed.push_back(label);
+      executed_at.push_back(sim.now());
+      max_pending = std::max(max_pending, sim.pending());
+      const std::uint64_t more = gen.below(3);  // 0..2, mean 1
+      for (std::uint64_t i = 0; i < more && scheduled.size() < budget; ++i) {
+        schedule_one();
+      }
+    }
+    void on_packet_event(std::uint8_t, packet&& pkt, std::uint32_t) override {
+      fire(pkt.id);
+    }
+  } d;
+  for (int i = 0; i < 4000; ++i) d.schedule_one();
+  // Drain in windows (exclusive bound) and finish with run(): both loops
+  // must pop the same order.
+  while (d.sim.peek_next_time() < 40.0) {
+    d.sim.run_window(d.sim.peek_next_time() + 1.3);
+  }
+  d.sim.run();
+
+  std::vector<expected_event> ref = d.scheduled;
+  std::sort(ref.begin(), ref.end(),
+            [](const expected_event& a, const expected_event& b) {
+              if (a.time_s != b.time_s) return a.time_s < b.time_s;
+              return a.seq < b.seq;
+            });
+  EXPECT_EQ(d.scheduled.size(), d.budget);
+  EXPECT_GE(d.max_pending, 3000u);
+  ASSERT_EQ(d.executed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(d.executed[i], ref[i].label) << "position " << i;
+    ASSERT_EQ(d.executed_at[i], ref[i].time_s) << "position " << i;
+  }
 }
 
 // ------------------------------------------------------------ payload pool
