@@ -100,9 +100,11 @@ ctest --preset tsan --no-tests=error \
 # tables, the lock-free tracer, or the site-queue flush that serves
 # every compute packet on its shard's thread fails here. The admission
 # suite's bounded site queues and defer path run on shard threads at
-# more than one shard, so it runs here too.
+# more than one shard, so it runs here too. The datapath goldens run
+# here as well: packets carry their compute-header memo inside parcels
+# from one shard thread to another.
 ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error \
-  -R 'Sharded|Reliability|Batching|Admission'
+  -R 'Sharded|Reliability|Batching|Admission|DatapathDeterminism'
 
 # Routing-plane tsan gate: the golden shard-sweep and reconvergence
 # tests re-run at ONFIBER_SHARDS=4 under -fsanitize=thread. Shard

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -630,17 +631,28 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   net::hook_decision keep_going;
   if (pkt.proto != net::ip_proto::compute) return keep_going;
 
-  const auto header = proto::peek_compute_header(pkt);
-  if (!header) {
-    ++stats_of(at).malformed_dropped;
-    if (obs::enabled()) obs_malformed_->add();
-    return net::hook_decision{net::hook_decision::action_type::drop,
-                              net::invalid_node};
+  // One checksum-first parse per payload generation: the first hop to
+  // see this payload parses it and memoizes the primitive and flags on
+  // the packet; later hops read the memo until the fabric (injection, a
+  // bit flip) or the compute handoff below clears it. A header corrupted
+  // in flight therefore still fails the next hop's parse.
+  std::optional<proto::compute_header> parsed;
+  if (!pkt.memo.valid) {
+    parsed = proto::peek_compute_header(pkt);
+    if (!parsed) {
+      ++stats_of(at).malformed_dropped;
+      if (obs::enabled()) obs_malformed_->add();
+      return net::hook_decision{net::hook_decision::action_type::drop,
+                                net::invalid_node};
+    }
+    pkt.memo = net::packet::header_memo{
+        1, static_cast<std::uint8_t>(parsed->primitive), parsed->flags};
   }
-  if (header->has_result()) return keep_going;
+  const auto primitive = static_cast<proto::primitive_id>(pkt.memo.primitive);
+  if (pkt.memo.flags & proto::flag_has_result) return keep_going;
 
   // Compute here?
-  if (site_supports(at, header->primitive)) {
+  if (site_supports(at, primitive)) {
     site& s = *sites_[at];
     // Admission control: bound the site's compute queue (parked batch
     // packets + admitted serial work still in service) before committing
@@ -666,10 +678,15 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
         if (obs::enabled()) obs_adm_deferred_->add();
         // Mark the packet so downstream steering leaves it alone:
         // without the flag, every node between here and the destination
-        // would redirect it straight back to this (overloaded) site.
-        proto::compute_header deferred = *header;
-        deferred.flags |= proto::flag_deferred;
-        proto::rewrite_compute_header(pkt, deferred);
+        // would redirect it straight back to this (overloaded) site. The
+        // memo holds only primitive and flags, so the rewrite starts from
+        // a full parse; it refreshes the memo's flags.
+        if (!parsed) parsed = proto::peek_compute_header(pkt);
+        if (parsed) {
+          parsed->flags |= proto::flag_deferred;
+          proto::rewrite_compute_header(pkt, *parsed);
+          pkt.memo.flags = parsed->flags;
+        }
         return keep_going;
       }
     }
@@ -678,6 +695,8 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
     // engine would reject (wrong shape, bad bounds) falls through to
     // normal forwarding, raw, so the destination can see the failure.
     if (!s.engine->can_process(pkt)) return keep_going;
+    // The engine rewrites the header (result, chain promotion).
+    pkt.memo = {};
     s.batch_queue.push_back(std::move(pkt));
     admission_stats& ad = admission_of(at);
     ++ad.admitted;
@@ -700,7 +719,7 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   // An admission-deferred packet rides the plain routes from here on:
   // steering it (spread or compute tables) would bounce it back toward
   // the site that just shed it, ping-ponging until the TTL expires.
-  if (header->flags & proto::flag_deferred) return keep_going;
+  if (pkt.memo.flags & proto::flag_deferred) return keep_going;
 
   // Failover pinning: a retransmit copy the controller re-homed after
   // repeated timeouts carries its target site in the packet
@@ -726,7 +745,7 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   // agrees on the chosen site and the packet converges to it.
   if (steering_ == steering_policy::flow_spread) {
     const auto& candidates =
-        capable_sites_[static_cast<std::size_t>(header->primitive)];
+        capable_sites_[static_cast<std::size_t>(primitive)];
     if (!candidates.empty()) {
       const net::node_id target =
           candidates[pkt.flow_hash % candidates.size()];
@@ -741,7 +760,7 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   }
 
   // Steer toward a capable site if a compute route exists.
-  const auto next = compute_tables_[at].lookup(pkt.dst, header->primitive);
+  const auto next = compute_tables_[at].lookup(pkt.dst, primitive);
   if (next) {
     ++stats_of(at).redirected;
     if (obs::enabled()) obs_redirected_->add();

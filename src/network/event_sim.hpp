@@ -10,14 +10,22 @@
 //     datapath hot loop, zero heap allocations per hop at steady state;
 //   * std::function callbacks for everything else (timers, flaps,
 //     reconvergence), unchanged from the seed engine.
-// The priority queue itself holds only 24-byte (time, seq, record-index)
-// entries, so heap sifts never move packet payloads or closures.
+// The queue is a binary min-heap of 16-byte entries: the time's bit
+// pattern, then seq << 24 | record-index. Non-negative doubles order
+// like their bit patterns and seq is unique, so comparing the two words
+// as unsigned integers is exactly the (time, seq) order — and heap sifts
+// never move packet payloads or closures. Scheduled times are clamped to
+// now() (past times, -0.0 and NaN included), which keeps every key valid.
+// One simulator holds at most 2^24 pending events and schedules at most
+// 2^40 over its lifetime; past either limit scheduling throws
+// std::length_error.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "network/packet.hpp"
@@ -48,7 +56,8 @@ class simulator {
     schedule_at(now_s_ + (delay_s < 0.0 ? 0.0 : delay_s), std::move(fn));
   }
 
-  /// Schedule `fn` at an absolute time (clamped to now()).
+  /// Schedule `fn` at an absolute time (clamped to now(); NaN runs at
+  /// now() too).
   void schedule_at(double time_s, handler fn) {
     const std::uint32_t idx = acquire_record();
     event_record& rec = records_[idx];
@@ -90,11 +99,11 @@ class simulator {
   /// fails loudly instead of hanging.
   std::uint64_t run(std::uint64_t max_events = unlimited_events) {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && executed < max_events) {
+    while (!heap_.empty() && executed < max_events) {
       step();
       ++executed;
     }
-    overran_ = !queue_.empty() && executed >= max_events;
+    overran_ = !heap_.empty() && executed >= max_events;
     return executed;
   }
 
@@ -109,12 +118,12 @@ class simulator {
   std::uint64_t run_until(double until_s,
                           std::uint64_t max_events = unlimited_events) {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.top().time_s <= until_s &&
+    while (!heap_.empty() && top_time() <= until_s &&
            executed < max_events) {
       step();
       ++executed;
     }
-    overran_ = !queue_.empty() && queue_.top().time_s <= until_s &&
+    overran_ = !heap_.empty() && top_time() <= until_s &&
                executed >= max_events;
     if (now_s_ < until_s) now_s_ = until_s;
     return executed;
@@ -129,7 +138,7 @@ class simulator {
   std::uint64_t run_window(double end_s,
                            std::uint64_t max_events = unlimited_events) {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.top().time_s < end_s &&
+    while (!heap_.empty() && top_time() < end_s &&
            executed < max_events) {
       step();
       ++executed;
@@ -141,8 +150,8 @@ class simulator {
   /// The shard engine's window computation reads this while the shard's
   /// worker is parked at the barrier.
   [[nodiscard]] double peek_next_time() const {
-    return queue_.empty() ? std::numeric_limits<double>::infinity()
-                          : queue_.top().time_s;
+    return heap_.empty() ? std::numeric_limits<double>::infinity()
+                         : top_time();
   }
 
   /// Move the clock forward to `time_s` (never backward). Used by the
@@ -152,14 +161,20 @@ class simulator {
     if (time_s > now_s_) now_s_ = time_s;
   }
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
   static constexpr std::uint32_t npos = ~std::uint32_t{0};
+  static constexpr unsigned record_bits = 24;
+  static constexpr std::uint64_t record_mask =
+      (std::uint64_t{1} << record_bits) - 1;
+  /// Live-record and lifetime-event limits of the 16-byte heap key.
+  static constexpr std::size_t max_records = std::size_t{1} << record_bits;
+  static constexpr std::uint64_t max_events = std::uint64_t{1} << 40;
 
-  /// Event payloads live out-of-heap in a free-listed slab; the priority
-  /// queue orders lightweight references to them.
+  /// Event payloads live out-of-heap in a free-listed slab; the heap
+  /// orders lightweight references to them.
   struct event_record {
     handler fn;                        // callback events (sink == nullptr)
     packet pkt;                        // typed packet-hop payload
@@ -169,25 +184,38 @@ class simulator {
     std::uint32_t next_free = npos;
   };
 
+  /// (time, seq) packed as two unsigned words: `time_bits` is the bit
+  /// pattern of a non-negative, non-NaN time, `key` is seq << 24 |
+  /// record index.
   struct heap_entry {
-    double time_s;
-    std::uint64_t seq;
-    std::uint32_t record;
+    std::uint64_t time_bits;
+    std::uint64_t key;
   };
 
-  struct later {
-    bool operator()(const heap_entry& a, const heap_entry& b) const {
-      if (a.time_s != b.time_s) return a.time_s > b.time_s;
-      return a.seq > b.seq;  // FIFO among simultaneous events
-    }
-  };
+  /// Strict (time, seq) order. Branch-free: the heap compares on every
+  /// level of every sift.
+  static bool before(const heap_entry& a, const heap_entry& b) {
+    return (a.time_bits < b.time_bits) |
+           ((a.time_bits == b.time_bits) & (a.key < b.key));
+  }
+
+  [[nodiscard]] double top_time() const {
+    return std::bit_cast<double>(heap_.front().time_bits);
+  }
 
   std::uint32_t acquire_record() {
+    // Every acquired record is pushed exactly once, with the next seq.
+    if (next_seq_ >= max_events) {
+      throw std::length_error("simulator: 2^40 events scheduled");
+    }
     if (free_head_ != npos) {
       const std::uint32_t idx = free_head_;
       free_head_ = records_[idx].next_free;
       records_[idx].next_free = npos;
       return idx;
+    }
+    if (records_.size() >= max_records) {
+      throw std::length_error("simulator: 2^24 events pending");
     }
     records_.emplace_back();
     return static_cast<std::uint32_t>(records_.size() - 1);
@@ -199,15 +227,53 @@ class simulator {
   }
 
   void push_entry(double time_s, std::uint32_t idx) {
-    if (time_s < now_s_) time_s = now_s_;
-    queue_.push(heap_entry{time_s, next_seq_++, idx});
+    // Also catches NaN and -0.0: the key needs a non-negative time.
+    if (!(time_s > now_s_)) time_s = now_s_;
+    heap_.push_back({});
+    sift_up(heap_.size() - 1,
+            heap_entry{std::bit_cast<std::uint64_t>(time_s),
+                       (next_seq_++ << record_bits) | idx});
+  }
+
+  /// Place `e` at `hole` or above it, moving larger parents down.
+  void sift_up(std::size_t hole, heap_entry e) {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!before(e, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = e;
+  }
+
+  /// Remove the top entry (Floyd): walk the root hole down to a leaf
+  /// along the smaller children, then sift the last entry up into it.
+  void pop_top() {
+    const heap_entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child + 1 < n) {
+      child += static_cast<std::size_t>(before(heap_[child + 1], heap_[child]));
+      heap_[hole] = heap_[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    if (child < n) {
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    sift_up(hole, last);
   }
 
   void step() {
-    const heap_entry top = queue_.top();
-    queue_.pop();
-    now_s_ = top.time_s;
-    event_record& rec = records_[top.record];
+    const heap_entry top = heap_.front();
+    pop_top();
+    now_s_ = std::bit_cast<double>(top.time_bits);
+    const auto idx = static_cast<std::uint32_t>(top.key & record_mask);
+    event_record& rec = records_[idx];
     if (rec.sink != nullptr) {
       // Move the payload out and release the record before dispatching:
       // the sink will schedule the next hop, reusing this very slot.
@@ -216,11 +282,11 @@ class simulator {
       const std::uint32_t node = rec.node;
       const std::uint8_t op = rec.op;
       rec.sink = nullptr;
-      release_record(top.record);
+      release_record(idx);
       sink->on_packet_event(op, std::move(pkt), node);
     } else {
       handler fn = std::move(rec.fn);
-      release_record(top.record);
+      release_record(idx);
       fn();
     }
   }
@@ -230,7 +296,7 @@ class simulator {
   bool overran_ = false;
   std::vector<event_record> records_;
   std::uint32_t free_head_ = npos;
-  std::priority_queue<heap_entry, std::vector<heap_entry>, later> queue_;
+  std::vector<heap_entry> heap_;  ///< binary min-heap under before()
 };
 
 }  // namespace onfiber::net

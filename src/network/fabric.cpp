@@ -284,10 +284,14 @@ void wan_fabric::send(packet pkt, node_id ingress) {
   inject(std::move(pkt), ingress);
 }
 
-void wan_fabric::inject(packet pkt, node_id ingress) {
+void wan_fabric::inject(packet&& pkt, node_id ingress) {
   if (ingress >= topo_.node_count()) {
     throw std::out_of_range("wan_fabric: bad ingress node");
   }
+  // A new payload generation: whatever the runtime hook memoized about
+  // the compute header before (a retransmit's original, or the request
+  // before compute wrote its result) no longer holds.
+  pkt.memo = {};
   simulator& sim = sim_for(ingress);
   if (obs::enabled()) {
     if (pkt.trace_id == 0) {
@@ -354,6 +358,9 @@ void wan_fabric::apply_bit_errors(shard_state& ss, packet& pkt,
     pkt.payload[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
     ss.flip_scratch.push_back(bit);
   }
+  // Even a flip that later cancels out forces the next hook to re-check
+  // the checksum.
+  pkt.memo = {};
   // Positions are drawn with replacement, so the same bit flipped an even
   // number of times cancels out. Count the packet as corrupted only if
   // some bit's net parity actually changed.
@@ -410,11 +417,11 @@ node_id wan_fabric::resolve_dest(packet& pkt) const {
   return pkt.dest_hint;
 }
 
-void wan_fabric::forward_to(packet pkt, node_id from, node_id next) {
+void wan_fabric::forward_to(packet&& pkt, node_id from, node_id next) {
   forward_on(std::move(pkt), from, next, egress_link(from, next));
 }
 
-void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
+void wan_fabric::forward_on(packet&& pkt, node_id from, node_id next,
                             std::size_t li) {
   shard_state& ss = state_of(from);
   simulator& sim = sim_for(from);
@@ -463,7 +470,7 @@ void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
   sim.schedule_packet_at(arrival, std::move(pkt), next, op_arrive, this);
 }
 
-void wan_fabric::arrive(packet pkt, node_id at) {
+void wan_fabric::arrive(packet&& pkt, node_id at) {
   shard_state& ss = state_of(at);
   const double now = sim_for(at).now();
   // Node-level intercept (compute transponder attach point).

@@ -67,7 +67,9 @@ class wan_fabric final : public packet_event_sink {
   /// Per-node intercept, called on every packet transiting the node
   /// (including at the destination, before delivery). On `consume` the
   /// hook may steal the packet's payload (std::move) — the fabric is done
-  /// with it.
+  /// with it. A hook that writes payload bytes of a packet it lets
+  /// continue must clear `pkt.memo` (packet::header_memo): later hops'
+  /// hooks may read the memo instead of re-parsing the payload.
   using hook_fn = std::function<hook_decision(node_id, packet&, double)>;
 
   /// The topology is partitioned across the engine's shards
@@ -259,11 +261,14 @@ class wan_fabric final : public packet_event_sink {
   /// send() minus the default-TTL stamp: the op_inject re-entry path
   /// (runtime compute re-injection) must not refresh a packet's
   /// remaining TTL mid-journey.
-  void inject(packet pkt, node_id ingress);
+  /// Clears pkt.memo: every send and every compute re-entry starts a new
+  /// payload generation. The hop functions below take the packet by
+  /// rvalue reference, so one hop moves it once — into the next event.
+  void inject(packet&& pkt, node_id ingress);
 
-  void arrive(packet pkt, node_id at);
-  void forward_to(packet pkt, node_id from, node_id next);
-  void forward_on(packet pkt, node_id from, node_id next, std::size_t li);
+  void arrive(packet&& pkt, node_id at);
+  void forward_to(packet&& pkt, node_id from, node_id next);
+  void forward_on(packet&& pkt, node_id from, node_id next, std::size_t li);
 
   /// Egress link index from `from` toward adjacent `next`.
   [[nodiscard]] std::size_t egress_link(node_id from, node_id next) const;
@@ -319,6 +324,7 @@ class wan_fabric final : public packet_event_sink {
   /// Maybe corrupt a packet in flight (failure injection). `ss` is the
   /// forwarding shard's state (scratch + counter); `li`/`dir` identify
   /// the link direction being traversed, which keys the error stream.
+  /// Any flip clears pkt.memo.
   void apply_bit_errors(shard_state& ss, packet& pkt, std::size_t li,
                         int dir);
 

@@ -28,6 +28,25 @@ struct packet {
   ipv4 dst{};
   std::uint8_t ttl = 64;
   ip_proto proto = ip_proto::udp;
+
+  /// Compute-header memo (simulation bookkeeping, not on the wire): the
+  /// primitive and flags of the compute header at the front of `payload`,
+  /// valid only while `valid` is set. The on-fiber runtime's per-node
+  /// hook fills it on its first successful checksum-first parse and then
+  /// reads it instead of re-parsing at every hop; its meaning belongs to
+  /// the runtime and the protocol layer — the network never parses. Every
+  /// payload write clears it: wan_fabric injection (send and compute
+  /// re-entry), each BER bit flip, and the runtime handing the packet to
+  /// a compute engine. Any other code that writes payload bytes of a
+  /// packet in flight (a fabric hook, say) must clear it too. It sits in
+  /// the padding after `proto`, so it costs the struct no size.
+  struct header_memo {
+    std::uint8_t valid = 0;
+    std::uint8_t primitive = 0;
+    std::uint8_t flags = 0;
+  };
+  header_memo memo;
+
   std::vector<std::uint8_t> payload;
 
   // --- simulation bookkeeping (not on the wire) ----------------------
@@ -58,6 +77,10 @@ struct packet {
     return 20 + payload.size();
   }
 };
+
+// The hot path moves packets by value at every hop; the memo above must
+// stay in padding.
+static_assert(sizeof(packet) == 72, "net::packet grew past 72 bytes");
 
 /// Free list of payload buffers. Packets that die inside the fabric
 /// (delivered or dropped) donate their payload allocation back here, and

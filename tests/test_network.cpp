@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "network/address.hpp"
@@ -368,6 +369,41 @@ TEST(EventSim, RandomTiesMatchReferenceOrder) {
     ASSERT_EQ(d.executed[i], ref[i].label) << "position " << i;
     ASSERT_EQ(d.executed_at[i], ref[i].time_s) << "position " << i;
   }
+}
+
+TEST(EventSim, PastNegativeZeroAndNaNTimesRunAtNow) {
+  // schedule_at/schedule_packet_at clamp to now(): a past time, -0.0 and
+  // NaN all run at now(), FIFO with events already due then, and now()
+  // never goes backward or NaN.
+  simulator sim;
+  recording_sink sink;
+  std::vector<std::pair<int, double>> order;
+  const auto mark = [&](int id) {
+    return [&order, &sim, id] { order.emplace_back(id, sim.now()); };
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  sim.schedule_at(0.0, mark(1));
+  sim.schedule_at(-0.0, mark(2));  // ties with 0.0, FIFO after 1
+  sim.schedule_at(0.0, mark(3));
+  sim.schedule_at(2.0, mark(9));
+  sim.schedule_at(1.0, [&] {
+    order.emplace_back(4, sim.now());
+    sim.schedule_at(nan, mark(5));
+    sim.schedule_at(0.5, mark(6));
+    packet pkt;
+    pkt.id = 42;
+    sim.schedule_packet_at(nan, std::move(pkt), 3, 1, &sink);
+    sim.schedule_at(-0.0, mark(7));
+    sim.schedule(nan, mark(8));
+  });
+  sim.run();
+  const std::vector<std::pair<int, double>> want = {
+      {1, 0.0}, {2, 0.0}, {3, 0.0}, {4, 1.0}, {5, 1.0},
+      {6, 1.0}, {7, 1.0}, {8, 1.0}, {9, 2.0}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sink.ids, (std::vector<std::uint64_t>{42}));
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_FALSE(std::signbit(order[1].second));  // -0.0 ran at +0.0
 }
 
 // ------------------------------------------------------------ payload pool
