@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "photonics/converter.hpp"
 #include "photonics/rng.hpp"
+#include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 namespace {
@@ -205,6 +209,238 @@ TEST(DotProductRekey, FusedSignedKernelMatchesPassByPass) {
   for (const auto& [name, e] : loop_ledger.entries()) {
     EXPECT_EQ(fused_ledger.joules(name), e.joules) << name;
     EXPECT_EQ(fused_ledger.ops(name), e.ops) << name;
+  }
+}
+
+// ------------------------------------------------ per-pass readout oracle
+
+/// Test-local copy of the unit's kernels with the per-pass readout they
+/// had before it was batched: each pass integrates on its own, takes one
+/// scalar detector draw and one scalar ADC conversion, and charges the
+/// ledger pass by pass. The devices are keyed exactly as
+/// dot_product_unit keys them, so the unit must match it bit for bit,
+/// ledger included.
+class per_pass_reference {
+ public:
+  per_pass_reference(dot_product_config config, std::uint64_t seed,
+                     energy_ledger* ledger)
+      : config_([&] {
+          config.laser.symbol_rate_hz = config.symbol_rate_hz;
+          config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
+          return config;
+        }()),
+        laser_(config_.laser, rng{seed}, ledger),
+        mod_a_(config_.modulator, 0.0, rng{seed ^ 0x1111}, ledger),
+        mod_b_(config_.modulator, 0.0, rng{seed ^ 0x2222}, ledger),
+        detector_noise_(counter_rng::key_of(rng{seed ^ 0x3333}(), 0x706474)),
+        dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger),
+        dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger),
+        adc_(config_.adc, rng{seed ^ 0x6666}, ledger),
+        ledger_(ledger) {}
+
+  dot_result electrical(std::span<const double> a, std::span<const double> b,
+                        std::size_t passes) {
+    const std::size_t n = a.size();
+    std::vector<double> da(n), db(n), ta(n), tb(n), p(n), product(n), noise;
+    dac_a_.convert(a, da, noise, passes);
+    dac_b_.convert(b, db, noise, passes);
+    laser_.emit_powers(p, passes);
+    mod_a_.encode_intensity(da, ta, passes);
+    mod_b_.encode_intensity(db, tb, passes);
+    for (std::size_t i = 0; i < n; ++i) product[i] = p[i] * ta[i] * tb[i];
+    const double full_scale_mw =
+        config_.laser.power_mw *
+        db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
+    return read_out(product, passes, full_scale_mw);
+  }
+
+  dot_result optical(std::span<const double> a_mw, std::span<const double> b,
+                     double reference_power_mw, std::size_t passes) {
+    const std::size_t n = b.size();
+    std::vector<double> db(n), tb(n), product(n), noise;
+    dac_b_.convert(b, db, noise, passes);
+    mod_b_.encode_intensity(db, tb, passes);
+    for (std::size_t i = 0; i < n; ++i) product[i] = a_mw[i] * tb[i];
+    return read_out(product, passes,
+                    reference_power_mw *
+                        db_to_ratio(-config_.modulator.insertion_loss_db));
+  }
+
+ private:
+  double integrate_mean(double mean_power_mw, std::size_t symbols) {
+    const photodetector_config& d = config_.detector;
+    const double signal_a =
+        d.responsivity_a_w * mean_power_mw * 1e-3 + d.dark_current_a;
+    receiver_noise_config narrowed = d.noise;
+    narrowed.bandwidth_hz /= static_cast<double>(symbols);
+    const double noise_a =
+        narrowed.sample_current_noise_a(signal_a, detector_noise_);
+    if (ledger_ != nullptr) {
+      ledger_->charge("photodetector", costs_.photodetector_readout_j);
+    }
+    return std::clamp(signal_a + noise_a, -d.saturation_current_a,
+                      d.saturation_current_a);
+  }
+
+  dot_result read_out_current(double current_a, double full_scale_mw,
+                              std::size_t length) {
+    const photodetector_config& d = config_.detector;
+    const double full_scale_a =
+        d.responsivity_a_w * full_scale_mw * 1e-3 + d.dark_current_a;
+    const double normalized =
+        full_scale_a > 0.0 ? current_a / full_scale_a : 0.0;
+    const double digitized = adc_.convert(normalized);
+    const double responsivity_term = d.responsivity_a_w * full_scale_mw * 1e-3;
+    const double recovered_mean =
+        responsivity_term > 0.0
+            ? (digitized * full_scale_a - d.dark_current_a) / responsivity_term
+            : 0.0;
+    const double n = static_cast<double>(length);
+    dot_result r;
+    r.value = recovered_mean * n;
+    r.symbols = length;
+    r.latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
+    if (ledger_ != nullptr) {
+      ledger_->charge("photonic_mac", costs_.photonic_mac_j * n, length);
+    }
+    return r;
+  }
+
+  dot_result read_out(std::span<const double> product, std::size_t passes,
+                      double full_scale_mw) {
+    const std::size_t length = product.size() / passes;
+    dot_result pass[4];
+    for (std::size_t k = 0; k < passes; ++k) {
+      const double mean =
+          simd::active().blocked_sum(product.data() + k * length, length) /
+          static_cast<double>(length);
+      pass[k] = read_out_current(integrate_mean(mean, length), full_scale_mw,
+                                 length);
+    }
+    if (passes == 1) return pass[0];
+    const auto& [pp, nn, pn, np] = pass;
+    dot_result r;
+    r.value = pp.value + nn.value - pn.value - np.value;
+    r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
+    r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
+    return r;
+  }
+
+  dot_product_config config_;
+  energy_costs costs_{};
+  laser laser_;
+  mzm_modulator mod_a_;
+  mzm_modulator mod_b_;
+  counter_stream detector_noise_;
+  dac dac_a_;
+  dac dac_b_;
+  adc adc_;
+  energy_ledger* ledger_;
+};
+
+/// Operands of one kernel call: `passes` (1 or 4) passes of `dim`.
+struct pass_operands {
+  std::vector<double> a, b;
+};
+
+pass_operands draw_operands(std::size_t dim, std::size_t passes, rng& g) {
+  pass_operands op;
+  if (passes == 1) {
+    op.a = random_unit_vector(dim, g);
+    op.b = random_unit_vector(dim, g);
+    return op;
+  }
+  std::vector<double> a(dim), b(dim);
+  for (double& v : a) v = 2.0 * g.uniform() - 1.0;
+  for (double& v : b) v = 2.0 * g.uniform() - 1.0;
+  op.a.resize(4 * dim);
+  op.b.resize(4 * dim);
+  lay_out_rails(a, rail_operand::a, op.a);
+  lay_out_rails(b, rail_operand::b, op.b);
+  return op;
+}
+
+void expect_same_ledgers(const energy_ledger& got, const energy_ledger& want) {
+  ASSERT_EQ(got.entries().size(), want.entries().size());
+  for (const auto& [name, e] : want.entries()) {
+    EXPECT_EQ(got.joules(name), e.joules) << name;
+    EXPECT_EQ(got.ops(name), e.ops) << name;
+  }
+}
+
+/// Several rounds of both kernels on one unit and one reference, so every
+/// stream moves off its start. On-fiber weights are handed over on the
+/// unit's DAC grid, as the GEMM engine's split weights are.
+void expect_unit_matches_reference(const dot_product_config& cfg,
+                                   bool zero_power) {
+  for (const std::size_t passes : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool with_ledger : {false, true}) {
+      energy_ledger unit_ledger, ref_ledger;
+      dot_product_unit unit(cfg, 77, with_ledger ? &unit_ledger : nullptr);
+      per_pass_reference ref(cfg, 77, with_ledger ? &ref_ledger : nullptr);
+      rng g(78 + passes);
+      const double ref_mw = unit.full_scale_power_mw() > 0.0
+                                ? unit.full_scale_power_mw()
+                                : 1.0;
+      for (int round = 0; round < 4; ++round) {
+        const std::size_t dim = 9 + 7 * static_cast<std::size_t>(round);
+        const pass_operands op = draw_operands(dim, passes, g);
+        const std::string what = "passes=" + std::to_string(passes) +
+                                 " ledger=" + std::to_string(with_ledger) +
+                                 " round=" + std::to_string(round);
+        expect_same_bits(unit.dot_passes(op.a, op.b, passes),
+                         ref.electrical(op.a, op.b, passes));
+
+        std::vector<double> a_mw(op.a.size()), b_grid(op.b.size());
+        for (std::size_t i = 0; i < a_mw.size(); ++i) {
+          a_mw[i] = zero_power ? 0.0 : op.a[i] * ref_mw;
+          b_grid[i] =
+              quantize_to_grid(op.b[i], cfg.dac.full_scale, cfg.dac.bits);
+        }
+        const dot_result got =
+            unit.dot_optical_passes(a_mw, b_grid, ref_mw, passes);
+        const dot_result want = ref.optical(a_mw, b_grid, ref_mw, passes);
+        EXPECT_EQ(got.value, want.value) << what;
+        EXPECT_EQ(got.latency_s, want.latency_s) << what;
+        EXPECT_EQ(got.symbols, want.symbols) << what;
+      }
+      expect_same_ledgers(unit_ledger, ref_ledger);
+    }
+  }
+}
+
+TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
+  {
+    SCOPED_TRACE("default config");
+    expect_unit_matches_reference({}, false);
+  }
+  {
+    SCOPED_TRACE("shot, thermal and ENOB noise off");
+    dot_product_config cfg;
+    cfg.detector.noise.enable_shot = false;
+    cfg.detector.noise.enable_thermal = false;
+    cfg.dac.enob_penalty = 0.0;
+    cfg.adc.enob_penalty = 0.0;
+    expect_unit_matches_reference(cfg, false);
+  }
+  {
+    SCOPED_TRACE("zero-power carrier");
+    dot_product_config cfg;
+    cfg.laser.power_mw = 0.0;
+    expect_unit_matches_reference(cfg, true);
+  }
+  {
+    SCOPED_TRACE("6-bit DAC with full scale 0.8");
+    dot_product_config cfg;
+    cfg.dac.bits = 6;
+    cfg.dac.full_scale = 0.8;
+    expect_unit_matches_reference(cfg, false);
+  }
+  {
+    SCOPED_TRACE("modulator bias error");
+    dot_product_config cfg;
+    cfg.modulator.bias_error_sigma_rad = 0.05;
+    expect_unit_matches_reference(cfg, false);
   }
 }
 
