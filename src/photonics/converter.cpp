@@ -197,8 +197,8 @@ void adc::convert(std::span<const double> in, std::span<double> out,
     }
   }
   if (ledger_ != nullptr) {
-    ledger_->charge("adc", costs_.adc_conversion_j * static_cast<double>(n),
-                    n);
+    // Per-element charges, same sequence as the scalar loop.
+    ledger_->charge_batches("adc", costs_.adc_conversion_j, 1, n);
   }
 }
 

@@ -116,8 +116,11 @@ TEST(KernelsDevices, DacBatchConvertMatchesScalar) {
 }
 
 TEST(KernelsDevices, AdcBatchConvertMatchesScalar) {
-  phot::adc batch_adc({}, phot::rng{12});
-  phot::adc scalar_adc({}, phot::rng{12});
+  // With a ledger attached, the batch charges exactly as the scalar loop
+  // does: one conversion at a time, so the joules round identically.
+  phot::energy_ledger batch_ledger, scalar_ledger;
+  phot::adc batch_adc({}, phot::rng{12}, &batch_ledger);
+  phot::adc scalar_adc({}, phot::rng{12}, &scalar_ledger);
   std::vector<double> in(97), out(97);
   phot::rng gen(6);
   for (double& v : in) v = gen.uniform();
@@ -125,6 +128,8 @@ TEST(KernelsDevices, AdcBatchConvertMatchesScalar) {
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i], scalar_adc.convert(in[i]));
   }
+  EXPECT_EQ(batch_ledger.joules("adc"), scalar_ledger.joules("adc"));
+  EXPECT_EQ(batch_ledger.ops("adc"), scalar_ledger.ops("adc"));
 }
 
 TEST(KernelsDevices, MzmBatchEncodeMatchesScalar) {
