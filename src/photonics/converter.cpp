@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "photonics/quantize_detail.hpp"
 #include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 
 double quantize_to_grid(double value, double full_scale, int bits) {
-  const double clipped = std::clamp(value, 0.0, full_scale);
-  const double levels = static_cast<double>((1ULL << bits) - 1);
-  return std::round(clipped / full_scale * levels) / levels * full_scale;
+  return detail::quantize_bf(value, full_scale,
+                             static_cast<double>((1ULL << bits) - 1));
 }
 
 double quantization_noise_rms(double full_scale, int bits) {
@@ -46,18 +46,6 @@ double effective_bits_of(const converter_config& c, double noise_sigma) {
     return static_cast<double>(c.bits);
   }
   return std::log2(c.full_scale / (total * std::sqrt(12.0)));
-}
-
-/// Branch-free quantize_to_grid: same arithmetic in the same order, with
-/// the clip written as conditional moves (min/max) instead of the branchy
-/// std::clamp — identical results for all non-NaN inputs. Mirrors
-/// quantize_bf in simd_kernels_impl.hpp (the dispatched batch pass).
-inline double quantize_branch_free(double value, double full_scale,
-                                   double levels) {
-  double c = value;
-  c = c < 0.0 ? 0.0 : c;
-  c = c > full_scale ? full_scale : c;
-  return std::round(c / full_scale * levels) / levels * full_scale;
 }
 
 }  // namespace
@@ -123,7 +111,7 @@ void dac::convert(std::span<const double> in, std::span<double> out,
     noise_.skip(n);
     for (std::size_t i = 0; i < n; ++i) {
       // No noise: quantize already lands in [0, full_scale].
-      out[i] = quantize_branch_free(in[i], fs, levels);
+      out[i] = detail::quantize_bf(in[i], fs, levels);
     }
   }
   if (ledger_ != nullptr) {
@@ -193,7 +181,7 @@ void adc::convert(std::span<const double> in, std::span<double> out,
   } else {
     noise_.skip(n);
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = quantize_branch_free(in[i], fs, levels);
+      out[i] = detail::quantize_bf(in[i], fs, levels);
     }
   }
   if (ledger_ != nullptr) {

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "photonics/quantize_detail.hpp"
 #include "photonics/rng_counter_detail.hpp"
 #include "photonics/simd.hpp"
 
@@ -53,20 +54,11 @@ void rin_power_kernel(const double* noise, std::size_t n, double base_mw,
   }
 }
 
-/// Branch-free quantize-to-grid (clip as min/max, then snap). Must stay
-/// in this exact arithmetic order: the scalar converter paths compute the
-/// same expression.
-inline double quantize_bf(double value, double full_scale, double levels) {
-  double c = value < 0.0 ? 0.0 : value;
-  c = c > full_scale ? full_scale : c;
-  return std::round(c / full_scale * levels) / levels * full_scale;
-}
-
 void dac_pass_kernel(const double* in, const double* noise, std::size_t n,
                      double full_scale, double levels, double sigma,
                      double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double q = quantize_bf(in[i], full_scale, levels);
+    const double q = detail::quantize_bf(in[i], full_scale, levels);
     double o = q + sigma * noise[i];
     o = o < 0.0 ? 0.0 : o;
     o = o > full_scale ? full_scale : o;
@@ -78,7 +70,7 @@ void adc_pass_kernel(const double* in, const double* noise, std::size_t n,
                      double full_scale, double levels, double sigma,
                      double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = quantize_bf(in[i] + sigma * noise[i], full_scale, levels);
+    out[i] = detail::quantize_bf(in[i] + sigma * noise[i], full_scale, levels);
   }
 }
 

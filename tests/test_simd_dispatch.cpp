@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "photonics/engine/dot_product_unit.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
+#include "photonics/quantize_detail.hpp"
 #include "photonics/rng.hpp"
 
 namespace onfiber::phot {
@@ -151,6 +154,37 @@ TEST(SimdDispatch, BlockedSumHandlesShortAndRaggedLengths) {
           << simd::level_name(l) << " n=" << n;
     }
   }
+}
+
+// The grid snap's trunc-based rounding is std::round on every value a
+// snap can round: non-negative numbers, -0.0 and NaN.
+TEST(GridSnap, RoundHalfAwayMatchesStdRound) {
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            std::nextafter(0.5, 0.0),
+                            0x1p52,
+                            0x1p53 - 1.0,
+                            0x1p51 + 0.5,
+                            std::nextafter(0x1p51 + 0.5, 0.0),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max()};
+  for (int k = 0; k <= 300; ++k) {
+    const double half = k + 0.5;
+    xs.push_back(half);
+    xs.push_back(std::nextafter(half, 0.0));
+    xs.push_back(std::nextafter(half, 1e9));
+    xs.push_back(static_cast<double>(k));
+  }
+  rng gen(2718);
+  for (int i = 0; i < 1000; ++i) xs.push_back(300.0 * gen.uniform());
+  for (const double x : xs) {
+    const double got = detail::round_half_away(x);
+    const double want = std::round(x);
+    EXPECT_EQ(got, want) << "x = " << x;
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << "x = " << x;
+  }
+  EXPECT_TRUE(std::isnan(
+      detail::round_half_away(std::numeric_limits<double>::quiet_NaN())));
 }
 
 // Full laser -> DAC -> MZM -> photodetector -> ADC chains, evaluated with
