@@ -111,7 +111,7 @@ void photonic_engine::configure_gemv(gemv_task task) {
   if (!task.bias.empty() && task.bias.size() != task.weights.rows) {
     throw std::invalid_argument("photonic_engine: bias/rows mismatch");
   }
-  gemv_rails_.emplace(task.weights);
+  gemv_rails_.emplace(task.weights, config_.dot.dac);
   gemv_ = std::move(task);
 }
 
@@ -141,7 +141,7 @@ void photonic_engine::configure_dnn(dnn_task task) {
   }
   dnn_rails_.clear();
   for (const photonic_layer& layer : task.layers) {
-    dnn_rails_.emplace_back(layer.weights);
+    dnn_rails_.emplace_back(layer.weights, config_.dot.dac);
   }
   dnn_ = std::move(task);
 }
@@ -299,8 +299,9 @@ std::size_t photonic_engine::run_nonlinear(const proto::compute_header& h,
                     x.size());
   }
 
+  const double peak_mw = nonlinear_.transfer_mw(full_scale_mw);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double y = nonlinear_.activate(x[i], full_scale_mw);
+    const double y = nonlinear_.activate(x[i], full_scale_mw, peak_mw);
     result_region[i] = proto::encode_unit_u8(y);
   }
   report.optical_symbols += x.size();
@@ -313,6 +314,7 @@ std::size_t photonic_engine::run_nonlinear(const proto::compute_header& h,
 void photonic_engine::run_dnn_layers(std::vector<double>& acts, bool optical,
                                      engine_report& report) {
   const double full_scale_mw = config_.dot.laser.power_mw;
+  const double peak_mw = nonlinear_.transfer_mw(full_scale_mw);
   const std::size_t total = acts.size() / dnn_->layers.front().weights.cols;
   for (std::size_t li = 0; li < dnn_->layers.size(); ++li) {
     const photonic_layer& layer = dnn_->layers[li];
@@ -334,7 +336,7 @@ void photonic_engine::run_dnn_layers(std::vector<double>& acts, bool optical,
           // nonlinearity. Negative pre-activations carry no optical
           // power.
           const double u = std::clamp(v / layer.activation_scale, 0.0, 1.0);
-          acts[s * dim + i] = nonlinear_.activate(u, full_scale_mw);
+          acts[s * dim + i] = nonlinear_.activate(u, full_scale_mw, peak_mw);
         } else {
           acts[s * dim + i] = v;
         }

@@ -89,34 +89,42 @@ void dac::convert(std::span<const double> in, std::span<double> out) {
   convert(in, out, noise_scratch_);
 }
 
+void dac::draw_noise(std::span<double> out, std::size_t passes) {
+  const std::size_t n = out.size();
+  if (n == 0) return;
+  // Counter-indexed: element i consumes draw index cursor + i, exactly as
+  // the scalar loop does, generated branch-free at the active SIMD level.
+  if (noise_sigma_ > 0.0) {
+    noise_.fill_normal(out);
+  } else {
+    noise_.skip(n);
+    std::fill(out.begin(), out.end(), 0.0);
+  }
+  if (ledger_ != nullptr) {
+    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
+                            passes);
+  }
+}
+
 void dac::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch, std::size_t passes) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
   const double fs = config_.full_scale;
   const double levels = static_cast<double>((1ULL << config_.bits) - 1);
-  const double sigma = noise_sigma_;
-  const simd::kernel_table& k = simd::active();
-  if (sigma > 0.0) {
-    // Pass 1: counter-indexed noise fill — element i consumes draw index
-    // cursor + i, exactly as the scalar loop does, generated branch-free
-    // at the active SIMD level.
-    noise_scratch.resize(n);
-    noise_.fill_normal(std::span<double>(noise_scratch.data(), n));
+  // Pass 1: the noise draws (and the ledger charge).
+  noise_scratch.resize(n);
+  draw_noise(std::span<double>(noise_scratch.data(), n), passes);
+  if (noise_sigma_ > 0.0) {
     // Pass 2: quantize, add noise, clip — conditional moves over
     // contiguous arrays, dispatched.
-    k.dac_pass(in.data(), noise_scratch.data(), n, fs, levels, sigma,
-               out.data());
+    simd::active().dac_pass(in.data(), noise_scratch.data(), n, fs, levels,
+                            noise_sigma_, out.data());
   } else {
-    noise_.skip(n);
     for (std::size_t i = 0; i < n; ++i) {
       // No noise: quantize already lands in [0, full_scale].
       out[i] = detail::quantize_bf(in[i], fs, levels);
     }
-  }
-  if (ledger_ != nullptr) {
-    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
-                            passes);
   }
 }
 

@@ -50,6 +50,16 @@ class dac {
 
   [[nodiscard]] std::vector<double> convert(std::span<const double> values);
 
+  /// The noise half of a batch convert whose math runs fused downstream
+  /// (simd::kernel_table::weight_product, on inputs already on this
+  /// grid): the ENOB-penalty draws of the next out.size() conversions,
+  /// zeros when the converter is noiseless, charged to the ledger exactly
+  /// as convert(in, out, scratch, passes) would be.
+  void draw_noise(std::span<double> out, std::size_t passes = 1);
+
+  /// Standard deviation the ENOB-penalty draws are scaled by.
+  [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
+
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
 

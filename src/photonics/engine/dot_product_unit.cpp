@@ -1,6 +1,7 @@
 #include "photonics/engine/dot_product_unit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "photonics/simd.hpp"
@@ -79,15 +80,23 @@ double dot_product_unit::full_scale_power_mw() const {
          db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
 }
 
-dot_result dot_product_unit::read_out_current(double current_a,
-                                              double full_scale_mw,
-                                              std::size_t length) {
+dot_result dot_product_unit::read_out(std::size_t passes,
+                                      double full_scale_mw) {
+  const std::size_t length = scratch_.product.size() / passes;
+  // One readout per pass, all passes at once: the detector integrates
+  // each pass's product powers and the ADC digitizes the currents
+  // normalized to the calibrated full scale, each drawing the noise of
+  // every pass in one fill.
+  std::array<double, 4> current{};
+  std::array<double, 4> digitized{};
+  detector_.integrate_passes(scratch_.product, passes,
+                             std::span(current).first(passes));
   const double full_scale_a = detector_.expected_current_a(full_scale_mw);
-
-  // ADC sees the photocurrent normalized to the calibrated full scale.
-  const double normalized =
-      full_scale_a > 0.0 ? current_a / full_scale_a : 0.0;
-  const double digitized = adc_out_.convert(normalized);
+  for (std::size_t k = 0; k < passes; ++k) {
+    current[k] = full_scale_a > 0.0 ? current[k] / full_scale_a : 0.0;
+  }
+  adc_out_.convert(std::span<const double>(current).first(passes),
+                   std::span(digitized).first(passes));
 
   // Undo calibration: digitized * i_fs ~= R * mean(P) + dark, so the mean
   // product is recoverable, and the dot product is mean * n. A dead
@@ -95,34 +104,21 @@ dot_result dot_product_unit::read_out_current(double current_a,
   // rather than dividing by it.
   const double responsivity_term =
       detector_.config().responsivity_a_w * full_scale_mw * 1e-3;
-  const double recovered_mean =
-      responsivity_term > 0.0
-          ? (digitized * full_scale_a - detector_.config().dark_current_a) /
-                responsivity_term
-          : 0.0;
+  const double dark_a = detector_.config().dark_current_a;
   const double n = static_cast<double>(length);
-
-  dot_result r;
-  r.value = recovered_mean * n;
-  r.symbols = length;
-  r.latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
+  const double latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
+  std::array<dot_result, 4> pass{};
+  for (std::size_t k = 0; k < passes; ++k) {
+    const double recovered_mean =
+        responsivity_term > 0.0
+            ? (digitized[k] * full_scale_a - dark_a) / responsivity_term
+            : 0.0;
+    pass[k] = {recovered_mean * n, latency_s, length};
+  }
   if (ledger_ != nullptr) {
     // Optical energy of the analog MACs themselves (paper §2.2 number).
-    ledger_->charge("photonic_mac", costs_.photonic_mac_j * n,
-                    static_cast<std::uint64_t>(length));
-  }
-  return r;
-}
-
-dot_result dot_product_unit::read_out_passes(std::size_t passes,
-                                             std::size_t length,
-                                             double full_scale_mw) {
-  dot_result pass[4];
-  for (std::size_t k = 0; k < passes; ++k) {
-    pass[k] = read_out_current(
-        detector_.integrate_power(
-            std::span(scratch_.product).subspan(k * length, length)),
-        full_scale_mw, length);
+    ledger_->charge_batches("photonic_mac", costs_.photonic_mac_j, length,
+                            passes);
   }
   if (passes == 1) return pass[0];
   const auto& [pp, nn, pn, np] = pass;
@@ -160,7 +156,7 @@ dot_result dot_product_unit::dot_passes(std::span<const double> a,
   simd::active().triple_product(scratch_.power.data(), scratch_.trans_a.data(),
                                 scratch_.trans_b.data(), n,
                                 scratch_.product.data());
-  return read_out_passes(passes, n / passes, full_scale_power_mw());
+  return read_out(passes, full_scale_power_mw());
 }
 
 dot_result dot_product_unit::dot_optical_passes(std::span<const double> a_mw,
@@ -173,36 +169,37 @@ dot_result dot_product_unit::dot_optical_passes(std::span<const double> a_mw,
         "dot_product_unit: reference power must be positive");
   }
   const std::size_t n = b.size();
-  scratch_.dac_b.resize(n);
-  scratch_.trans_b.resize(n);
+  scratch_.dac_noise_b.resize(n);
   scratch_.product.resize(n);
 
-  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b, passes);
-  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b, passes);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch_.product[i] = a_mw[i] * scratch_.trans_b[i];
-  }
+  // Weight side in one pass: b is on the DAC grid already, so the DAC
+  // only adds its noise and clips, and the b modulator's transmission
+  // and the product with the received power follow in the same loop.
+  dac_b_.draw_noise(scratch_.dac_noise_b, passes);
+  mod_b_.encode_intensity_product(b, scratch_.dac_noise_b,
+                                  dac_b_.noise_sigma(),
+                                  config_.dac.full_scale, a_mw,
+                                  scratch_.product, passes);
   // Full scale: the incoming reference power through the b modulator.
   const double full_scale_mw =
       reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
-  return read_out_passes(passes, n / passes, full_scale_mw);
+  return read_out(passes, full_scale_mw);
 }
 
 dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
                                                    std::span<const double> b) {
   require_passes(a.size(), b.size(), 1);
-  waveform products;
-  products.reserve(a.size());
+  scratch_.product.resize(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double xa = dac_a_.convert(a[i]);
     const double xb = dac_b_.convert(b[i]);
     field e = laser_.emit_one();
     e = mod_a_.encode_unit(e, xa);
     e = mod_b_.encode_unit(e, xb);
-    products.push_back(e);
+    // The square-law detector sees only the power.
+    scratch_.product[i] = power_mw(e);
   }
-  return read_out_current(detector_.integrate(products),
-                          full_scale_power_mw(), a.size());
+  return read_out(1, full_scale_power_mw());
 }
 
 void dot_product_unit::skip_passes(std::uint64_t passes,
@@ -281,7 +278,13 @@ dot_result dot_product_unit::dot_with_optical_input(
   for (std::size_t i = 0; i < optical_a.size(); ++i) {
     scratch_.power[i] = power_mw(optical_a[i]);
   }
-  return dot_optical_passes(scratch_.power, b, reference_power_mw, 1);
+  scratch_.dac_b.resize(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    scratch_.dac_b[i] =
+        quantize_to_grid(b[i], config_.dac.full_scale, config_.dac.bits);
+  }
+  return dot_optical_passes(scratch_.power, scratch_.dac_b,
+                            reference_power_mw, 1);
 }
 
 }  // namespace onfiber::phot

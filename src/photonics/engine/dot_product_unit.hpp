@@ -98,16 +98,20 @@ class dot_product_unit {
   /// hold 1 (unsigned) or 4 (signed, `lay_out_rails` order) equal passes
   /// back to back. Each device runs one batched fill over all passes —
   /// the draw indices of the pass-by-pass loop, as streams are
-  /// independent — then each pass is read out on its own, with detector,
-  /// ADC and ledger charges in pass order. Signed: pp + nn - pn - np.
-  /// Allocation-free after warm-up; spans must not alias the scratch.
+  /// independent — and so does the readout: one detector fill and one
+  /// ADC fill cover every pass, with ledger charges in pass order.
+  /// Signed: pp + nn - pn - np. Allocation-free after warm-up; spans
+  /// must not alias the scratch.
   [[nodiscard]] dot_result dot_passes(std::span<const double> a,
                                       std::span<const double> b,
                                       std::size_t passes);
 
   /// On-fiber twin: `a_mw` holds the a operand's received per-symbol
   /// powers [mW] relative to full-scale `reference_power_mw`. Only the
-  /// b-side DAC/modulator and the detector/ADC run.
+  /// b-side DAC/modulator and the detector/ADC run. `b` must already lie
+  /// on this unit's DAC grid (`quantize_to_grid` with config().dac, as
+  /// `rail_weights::b` does): the b-side DAC then only adds its noise,
+  /// fused with the modulator and the product into one pass.
   [[nodiscard]] dot_result dot_optical_passes(std::span<const double> a_mw,
                                               std::span<const double> b,
                                               double reference_power_mw,
@@ -161,7 +165,7 @@ class dot_product_unit {
   /// is allocation-free.
   struct kernel_scratch {
     std::vector<double> rail_a, rail_b;    ///< signed-input rail layouts
-    std::vector<double> dac_a, dac_b;      ///< post-DAC drive levels
+    std::vector<double> dac_a, dac_b;      ///< DAC outputs or grid codes
     std::vector<double> dac_noise_a, dac_noise_b;  ///< DAC two-pass draws
     std::vector<double> trans_a, trans_b;  ///< MZM intensity transmissions
     std::vector<double> power;   ///< laser or received per-symbol powers [mW]
@@ -169,15 +173,10 @@ class dot_product_unit {
     waveform wave;                         ///< launch buffer
   };
 
-  /// Common back half: integrated photocurrent -> digitized dot result.
-  [[nodiscard]] dot_result read_out_current(double current_a,
-                                            double full_scale_mw,
-                                            std::size_t length);
-
-  /// Read the scratch product powers out pass by pass and combine them.
-  [[nodiscard]] dot_result read_out_passes(std::size_t passes,
-                                           std::size_t length,
-                                           double full_scale_mw);
+  /// Common back half: the scratch product powers, `passes` equal
+  /// passes, integrated, digitized and combined into one dot result.
+  [[nodiscard]] dot_result read_out(std::size_t passes,
+                                    double full_scale_mw);
 
   dot_product_config config_;
   laser laser_;

@@ -52,14 +52,14 @@ double nonlinear_unit::transfer_mw(double input_power_mw) const {
   return through_power_mw * through_mod_.intensity_transfer(drive_v);
 }
 
-double nonlinear_unit::activate(double x, double full_scale_mw) {
+double nonlinear_unit::activate(double x, double full_scale_mw,
+                                double peak_mw) {
   const double clamped = x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x);
   const field in = make_field(clamped * full_scale_mw);
   const field out = apply(in);
   // Normalize by the unit's own peak output so activations stay in [0,1].
-  const double peak = transfer_mw(full_scale_mw);
-  if (peak <= 0.0) return 0.0;
-  const double y = power_mw(out) / peak;
+  if (peak_mw <= 0.0) return 0.0;
+  const double y = power_mw(out) / peak_mw;
   return y < 0.0 ? 0.0 : (y > 1.0 ? 1.0 : y);
 }
 

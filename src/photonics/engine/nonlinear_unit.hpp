@@ -55,7 +55,15 @@ class nonlinear_unit {
   /// Digital-value activation used by DNN layers: `x` is the input as a
   /// fraction of `full_scale_mw` optical power; returns the output power
   /// as a fraction of the same scale (noisy, physical path).
-  [[nodiscard]] double activate(double x, double full_scale_mw);
+  [[nodiscard]] double activate(double x, double full_scale_mw) {
+    return activate(x, full_scale_mw, transfer_mw(full_scale_mw));
+  }
+
+  /// Same, with the unit's peak output `peak_mw` ==
+  /// transfer_mw(full_scale_mw) computed once by callers that activate
+  /// many samples at one scale.
+  [[nodiscard]] double activate(double x, double full_scale_mw,
+                                double peak_mw);
 
   [[nodiscard]] const nonlinear_config& config() const { return config_; }
 

@@ -18,14 +18,19 @@ obs::histogram& gemm_wall_hist() {
 }
 }  // namespace
 
-rail_weights::rail_weights(const matrix& w)
-    : rows(w.rows), cols(w.cols), a(4 * rows * cols), b(4 * rows * cols) {
+rail_weights::rail_weights(const matrix& w, const converter_config& dac)
+    : rows(w.rows),
+      cols(w.cols),
+      dac(dac),
+      a(4 * rows * cols),
+      b(4 * rows * cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     lay_out_rails(w.row(r), rail_operand::a,
                   std::span(a).subspan(4 * cols * r, 4 * cols));
     lay_out_rails(w.row(r), rail_operand::b,
                   std::span(b).subspan(4 * cols * r, 4 * cols));
   }
+  for (double& v : b) v = quantize_to_grid(v, dac.full_scale, dac.bits);
 }
 
 vector_matrix_engine::vector_matrix_engine(dot_product_config config,
@@ -117,7 +122,9 @@ gemm_result vector_matrix_engine::gemm_optical(
     const rail_weights& w, std::span<const double> received_mw,
     double reference_power_mw, std::size_t samples_per_cell) {
   if (w.rows == 0 || w.cols == 0 || received_mw.empty() ||
-      received_mw.size() % (4 * w.cols) != 0 || reference_power_mw <= 0.0) {
+      received_mw.size() % (4 * w.cols) != 0 || reference_power_mw <= 0.0 ||
+      w.dac.bits != config_.dac.bits ||
+      w.dac.full_scale != config_.dac.full_scale) {
     throw std::invalid_argument("vector_matrix_engine: bad optical gemm");
   }
   return run({w.b, received_mw, w.rows, w.cols, 4, reference_power_mw},
@@ -126,7 +133,7 @@ gemm_result vector_matrix_engine::gemm_optical(
 
 gemm_result vector_matrix_engine::gemm_signed(const matrix& w,
                                               std::span<const double> xs) {
-  return gemm_signed(rail_weights(w), xs);
+  return gemm_signed(rail_weights(w, config_.dac), xs);
 }
 
 gemv_result vector_matrix_engine::gemv_signed(const matrix& w,

@@ -53,12 +53,16 @@ using gemv_result = gemm_result;
 /// A signed weight matrix split into rails once, each row laid out as
 /// both operands of the fused signed kernel (`lay_out_rails`): electrical
 /// inputs drive the weights on the a side, on-fiber inputs on the b side.
+/// The b side is snapped to the grid of the DAC `dac` once, here, so the
+/// on-fiber cells skip the per-element quantize (`dot_optical_passes`);
+/// only an engine whose DAC is `dac` accepts it.
 struct rail_weights {
   std::size_t rows = 0;
   std::size_t cols = 0;
+  converter_config dac;
   std::vector<double> a, b;  ///< rows x 4*cols each
 
-  explicit rail_weights(const matrix& w);
+  rail_weights(const matrix& w, const converter_config& dac);
 };
 
 class vector_matrix_engine {
@@ -100,7 +104,8 @@ class vector_matrix_engine {
 
   /// On-fiber twin: the samples arrived optically, `received_mw` holding
   /// each one's received rail powers (`encode_rails_received`, 4 * w.cols
-  /// per sample), and the weights ride the b modulator.
+  /// per sample), and the weights ride the b modulator. `w` must be
+  /// snapped to this engine's DAC (`rail_weights(m, config.dac)`).
   [[nodiscard]] gemm_result gemm_optical(
       const rail_weights& w, std::span<const double> received_mw,
       double reference_power_mw,

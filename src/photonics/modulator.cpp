@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "photonics/simd.hpp"
+
 namespace onfiber::phot {
 
 namespace {
@@ -107,16 +109,44 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
       t_out[i] = c * loss;
     }
   } else {
+    for (std::size_t i = 0; i < n; ++i) t_out[i] = biased_transmission(x[i]);
+  }
+  charge_intensity_drives(n, passes);
+}
+
+void mzm_modulator::encode_intensity_product(
+    std::span<const double> codes, std::span<const double> dac_noise,
+    double dac_sigma, double dac_full_scale, std::span<const double> power_mw,
+    std::span<double> out, std::size_t passes) {
+  const std::size_t n = out.size();
+  if (bias_error_rad_ == 0.0) {
+    simd::active().weight_product(codes.data(), dac_noise.data(), n,
+                                  dac_full_scale, dac_sigma,
+                                  floor_transmission_, intensity_loss_ratio_,
+                                  power_mw.data(), out.data());
+  } else {
+    // The bias error needs acos/cos per symbol, which stay scalar so
+    // every SIMD tier sees the same libm bits.
     for (std::size_t i = 0; i < n; ++i) {
-      const double clamped = std::clamp(x[i], 0.0, 1.0);
-      const double theta =
-          std::acos(std::sqrt(clamped)) + 0.5 * bias_error_rad_;
-      const double t_field = std::cos(theta);
-      const double t_intensity =
-          std::max(t_field * t_field, floor_transmission_);
-      t_out[i] = t_intensity * intensity_loss_ratio_;
+      double o = codes[i] + dac_sigma * dac_noise[i];
+      o = o < 0.0 ? 0.0 : o;
+      o = o > dac_full_scale ? dac_full_scale : o;
+      out[i] = power_mw[i] * biased_transmission(o);
     }
   }
+  charge_intensity_drives(n, passes);
+}
+
+double mzm_modulator::biased_transmission(double x) const {
+  const double clamped = std::clamp(x, 0.0, 1.0);
+  const double theta = std::acos(std::sqrt(clamped)) + 0.5 * bias_error_rad_;
+  const double t_field = std::cos(theta);
+  return std::max(t_field * t_field, floor_transmission_) *
+         intensity_loss_ratio_;
+}
+
+void mzm_modulator::charge_intensity_drives(std::size_t n,
+                                            std::size_t passes) {
   if (ledger_ != nullptr && n > 0) {
     ledger_->charge_batches("modulator", costs_.modulator_drive_j,
                             n / passes, passes);

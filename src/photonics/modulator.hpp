@@ -65,6 +65,19 @@ class mzm_modulator {
   void encode_intensity(std::span<const double> x, std::span<double> t_out,
                         std::size_t passes = 1);
 
+  /// encode_intensity fused with the DAC driving it and the carrier it
+  /// modulates, in one pass: out[i] = power_mw[i] * T(o) with
+  /// o = clip(codes[i] + dac_sigma * dac_noise[i], 0, dac_full_scale),
+  /// the DAC output for codes already on its grid, and T the transfer
+  /// encode_intensity applies. Without a bias error it runs as the
+  /// dispatched simd::kernel_table::weight_product. Charged to the ledger
+  /// exactly as encode_intensity over the same `passes`.
+  void encode_intensity_product(std::span<const double> codes,
+                                std::span<const double> dac_noise,
+                                double dac_sigma, double dac_full_scale,
+                                std::span<const double> power_mw,
+                                std::span<double> out, std::size_t passes);
+
   /// Re-key in place: bit-identical to a modulator built with rng{seed}
   /// (the bias error is re-drawn only when one is configured).
   void rekey(std::uint64_t seed);
@@ -78,6 +91,10 @@ class mzm_modulator {
  private:
   [[nodiscard]] field apply_phase_arg(field in, double total_phase_rad) const;
   [[nodiscard]] field encode_unit_core(field in, double x) const;
+  /// Calibrated intensity transmission of x through the full transfer,
+  /// bias error included (acos/cos per call).
+  [[nodiscard]] double biased_transmission(double x) const;
+  void charge_intensity_drives(std::size_t n, std::size_t passes);
 
   modulator_config config_;
   double bias_rad_;

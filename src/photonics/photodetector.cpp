@@ -80,21 +80,45 @@ std::vector<double> photodetector::detect(std::span<const field> in) {
   return out;
 }
 
-double photodetector::integrate_mean(double mean_power_mw,
-                                     std::size_t symbols) {
-  const double signal_a = expected_current_a(mean_power_mw);
+void photodetector::integrate_passes(std::span<const double> power_mw,
+                                     std::size_t passes,
+                                     std::span<double> current_a) {
+  const std::size_t symbols = power_mw.size() / passes;
+  const simd::kernel_table& k = simd::active();
 
   // Integrating N symbols narrows the effective noise bandwidth by N:
   // sample the noise with B' = B / N by scaling the variance, which for
   // Gaussian noise equals scaling sigma by 1/sqrt(N).
-  receiver_noise_config narrowed = config_.noise;
-  narrowed.bandwidth_hz /= static_cast<double>(symbols);
-  const double noise_a = narrowed.sample_current_noise_a(signal_a, noise_);
-
-  if (ledger_ != nullptr) {
-    ledger_->charge("photodetector", costs_.photodetector_readout_j);
+  const receiver_noise_config& nz = config_.noise;
+  const double bandwidth = nz.bandwidth_hz / static_cast<double>(symbols);
+  double t_var = 0.0;
+  if (nz.enable_thermal) {
+    const double t =
+        thermal_noise_sigma_a(nz.load_ohm, nz.temperature_k, bandwidth);
+    t_var = t * t;
   }
-  return clip(signal_a + noise_a);
+  // One draw index per readout, noisy or not.
+  noise_scratch_.resize(passes);
+  noise_.fill_normal(noise_scratch_);
+  for (std::size_t p = 0; p < passes; ++p) {
+    const double mean_power_mw =
+        k.blocked_sum(power_mw.data() + p * symbols, symbols) /
+        static_cast<double>(symbols);
+    const double signal_a = expected_current_a(mean_power_mw);
+    double variance = 0.0;
+    if (nz.enable_shot) {
+      const double s = shot_noise_sigma_a(signal_a, bandwidth);
+      variance += s * s;
+    }
+    variance += t_var;
+    const double noise_a =
+        variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise_scratch_[p];
+    current_a[p] = clip(signal_a + noise_a);
+  }
+  if (ledger_ != nullptr) {
+    ledger_->charge_batches("photodetector", costs_.photodetector_readout_j,
+                            1, passes);
+  }
 }
 
 double photodetector::integrate(std::span<const field> in) {
@@ -110,10 +134,9 @@ double photodetector::integrate(std::span<const field> in) {
 
 double photodetector::integrate_power(std::span<const double> power_mw) {
   if (power_mw.empty()) return 0.0;
-  const double mean_power_mw =
-      simd::active().blocked_sum(power_mw.data(), power_mw.size()) /
-      static_cast<double>(power_mw.size());
-  return integrate_mean(mean_power_mw, power_mw.size());
+  double current_a = 0.0;
+  integrate_passes(power_mw, 1, std::span(&current_a, 1));
+  return current_a;
 }
 
 }  // namespace onfiber::phot

@@ -47,6 +47,14 @@ class photodetector {
   /// square-law detector cannot observe the field phase anyway).
   [[nodiscard]] double integrate_power(std::span<const double> power_mw);
 
+  /// `passes` integrate_power readouts over equal back-to-back slices of
+  /// `power_mw`, written to current_a[0 .. passes). The noise of every
+  /// readout comes from one fill, and the narrowed-bandwidth thermal
+  /// variance is computed once; bits, draw indices and ledger charges
+  /// equal `passes` integrate_power calls in slice order.
+  void integrate_passes(std::span<const double> power_mw, std::size_t passes,
+                        std::span<double> current_a);
+
   /// Advance the noise stream past `readouts` detect/integrate readouts
   /// in O(1) — each readout consumes exactly one counter draw index.
   void skip_readouts(std::uint64_t readouts) { noise_.skip(readouts); }
@@ -65,8 +73,6 @@ class photodetector {
 
  private:
   [[nodiscard]] double clip(double current_a) const;
-  [[nodiscard]] double integrate_mean(double mean_power_mw,
-                                      std::size_t symbols);
 
   photodetector_config config_;
   counter_stream noise_;  ///< one draw index per readout, always

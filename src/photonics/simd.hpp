@@ -1,7 +1,8 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
 // The hot per-symbol passes (counter-noise fill, DAC/ADC math, laser RIN
-// power, MZM-cascade product, blocked readout sum) are compiled four
+// power, MZM-cascade product, the fused on-fiber weight pass, blocked
+// readout sum) are compiled four
 // times — scalar, SSE4.1, AVX2, AVX-512 — in per-ISA translation units
 // (simd_kernels_*.cpp, each with its own -m flags), and the best level
 // the host supports is selected once at startup via cpuid.
@@ -56,6 +57,17 @@ struct kernel_table {
   /// Cascaded-MZM product pass: out[i] = p[i] * a[i] * b[i].
   void (*triple_product)(const double* p, const double* a, const double* b,
                          std::size_t n, double* out);
+
+  /// Fused on-fiber weight pass over codes already on the DAC grid: the
+  /// DAC adds its ENOB noise and clips to [0, full_scale]; the calibrated
+  /// MZM transmission clamps to [0, 1], holds the extinction floor and
+  /// applies the insertion loss; the received power multiplies it.
+  /// Same arithmetic in the same order as dac_pass on the unsnapped
+  /// code, then mzm_modulator::encode_intensity, then the product.
+  void (*weight_product)(const double* codes, const double* noise,
+                         std::size_t n, double full_scale, double sigma,
+                         double floor_t, double loss, const double* power_mw,
+                         double* out);
 
   /// Readout accumulation: 8-accumulator blocked sum with a fixed fold
   /// order, identical at every vector width (including scalar).

@@ -81,6 +81,22 @@ void triple_product_kernel(const double* p, const double* a, const double* b,
   }
 }
 
+void weight_product_kernel(const double* codes, const double* noise,
+                           std::size_t n, double full_scale, double sigma,
+                           double floor_t, double loss, const double* power_mw,
+                           double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double o = codes[i] + sigma * noise[i];
+    o = o < 0.0 ? 0.0 : o;
+    o = o > full_scale ? full_scale : o;
+    // The DAC clip already holds o >= 0, so the MZM clamp needs only
+    // its upper half.
+    double c = o > 1.0 ? 1.0 : o;
+    c = c < floor_t ? floor_t : c;
+    out[i] = power_mw[i] * (c * loss);
+  }
+}
+
 double blocked_sum_kernel(const double* x, std::size_t n) {
   // Eight independent accumulators, folded in a fixed tree: accumulator j
   // sees x[j], x[8+j], x[16+j], ... in order at every vector width, so
@@ -107,6 +123,7 @@ double blocked_sum_kernel(const double* x, std::size_t n) {
   t.dac_pass = &dac_pass_kernel;
   t.adc_pass = &adc_pass_kernel;
   t.triple_product = &triple_product_kernel;
+  t.weight_product = &weight_product_kernel;
   t.blocked_sum = &blocked_sum_kernel;
   return t;
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "photonics/converter.hpp"
+#include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/rng.hpp"
 #include "photonics/simd.hpp"
 
@@ -442,6 +443,45 @@ TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
     cfg.modulator.bias_error_sigma_rad = 0.05;
     expect_unit_matches_reference(cfg, false);
   }
+}
+
+// The GEMM engine snaps the on-fiber weights on its own DAC's grid, not
+// the default one: on a 6-bit DAC with full scale 0.8 every output
+// equals the per-pass reference run on the raw rails with each row's
+// forked seed, and weights snapped for another DAC are refused.
+TEST(DotProductUnit, OpticalGemmSnapsOnTheEngineDac) {
+  dot_product_config cfg;
+  cfg.dac.bits = 6;
+  cfg.dac.full_scale = 0.8;
+  constexpr std::size_t rows = 3, cols = 10, batch = 11;
+  rng g(91);
+  matrix w(rows, cols);
+  for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
+  const double ref_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
+  std::vector<double> received(batch * 4 * cols);
+  for (double& p : received) p = g.uniform() * ref_mw;
+
+  vector_matrix_engine engine(cfg, 92);
+  const rail_weights rails(w, cfg.dac);
+  const gemm_result got = engine.gemm_optical(rails, received, ref_mw);
+
+  rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's per-call row fork
+  std::vector<double> rail_b(4 * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    per_pass_reference ref(cfg, row_seeds(), nullptr);
+    lay_out_rails(w.row(r), rail_operand::b, rail_b);
+    for (std::size_t s = 0; s < batch; ++s) {
+      const auto x = std::span<const double>(received).subspan(
+          s * 4 * cols, 4 * cols);
+      EXPECT_EQ(got.values[s * rows + r],
+                ref.optical(x, rail_b, ref_mw, 4).value)
+          << "row " << r << " sample " << s;
+    }
+  }
+
+  EXPECT_THROW((void)engine.gemm_optical(rail_weights(w, {}), received,
+                                         ref_mw),
+               std::invalid_argument);
 }
 
 // Property: relative error stays within the quantization + noise budget

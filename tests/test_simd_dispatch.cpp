@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/converter.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
+#include "photonics/modulator.hpp"
 #include "photonics/quantize_detail.hpp"
 #include "photonics/rng.hpp"
 
@@ -185,6 +187,61 @@ TEST(GridSnap, RoundHalfAwayMatchesStdRound) {
   }
   EXPECT_TRUE(std::isnan(
       detail::round_half_away(std::numeric_limits<double>::quiet_NaN())));
+}
+
+// The fused on-fiber weight pass on grid-snapped codes equals the
+// unfused chain it replaces — DAC pass on the raw input, calibrated MZM
+// transmission, product with the received power — at every tier. The
+// inputs include values outside [0, 1], a DAC full scale above the
+// modulator's unit clamp, a noiseless DAC, and exact half-LSB points,
+// where the snap must round half away from zero.
+TEST(SimdDispatch, WeightProductMatchesUnfusedChainAtEveryLevel) {
+  constexpr int bits = 6;
+  const double levels = static_cast<double>((1 << bits) - 1);
+  rng gen(1618);
+  for (const double fs : {1.0, 0.8, 1.3}) {
+    std::vector<double> in;
+    std::size_t ties = 0;
+    for (int k = 0; k < (1 << bits); ++k) {
+      const double half = (k + 0.5) / levels * fs;
+      for (const double c : {std::nextafter(half, 0.0), half,
+                             std::nextafter(half, 2.0)}) {
+        in.push_back(c);
+        if (c / fs * levels == k + 0.5) ++ties;
+      }
+    }
+    ASSERT_GT(ties, 0u) << "fs = " << fs;
+    for (int i = 0; i < 301; ++i) in.push_back(2.0 * gen.uniform() - 0.5);
+    const std::size_t n = in.size();
+    std::vector<double> noise(n), power(n), codes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      noise[i] = gen.normal();
+      power[i] = 2.0 * gen.uniform();
+      codes[i] = quantize_to_grid(in[i], fs, bits);
+    }
+    modulator_config mcfg;
+    mcfg.extinction_ratio_db = 20.0;
+    mzm_modulator mod(mcfg, 0.0, rng{3});
+    const double floor_t = db_to_ratio(-mcfg.extinction_ratio_db);
+    const double loss = db_to_ratio(-mcfg.insertion_loss_db);
+
+    for (const double sigma : {0.0, 0.01}) {
+      const auto& scalar = simd::table_for(simd::level::scalar);
+      std::vector<double> dac_out(n), trans(n), want(n);
+      scalar.dac_pass(in.data(), noise.data(), n, fs, levels, sigma,
+                      dac_out.data());
+      mod.encode_intensity(dac_out, trans);
+      for (std::size_t i = 0; i < n; ++i) want[i] = power[i] * trans[i];
+      for (const simd::level l : supported_levels()) {
+        std::vector<double> got(n, -1.0);
+        simd::table_for(l).weight_product(codes.data(), noise.data(), n, fs,
+                                          sigma, floor_t, loss, power.data(),
+                                          got.data());
+        EXPECT_EQ(got, want) << simd::level_name(l) << " fs = " << fs
+                             << " sigma = " << sigma;
+      }
+    }
+  }
 }
 
 // Full laser -> DAC -> MZM -> photodetector -> ADC chains, evaluated with
