@@ -67,7 +67,9 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # are bit-identical across tiers by contract (test_simd_dispatch pins
 # exact double equality), so both passes must see identical results.
 # The P2 matcher runs on the dispatched counter fills and blocked sums,
-# so its reference and golden tests run at both tiers too.
+# so its reference and golden tests run at both tiers too, as do the
+# dot-product unit's per-pass readout oracle (its readout fills and
+# fused weight pass are dispatched) and the grid-snap rounding pins.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
     unset ONFIBER_SIMD
@@ -75,7 +77,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|DotProductRekey|PatternMatch' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|DotProductRekey|PatternMatch|DotProductUnit|GridSnap' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD
