@@ -16,6 +16,16 @@ obs::histogram& gemm_wall_hist() {
       obs::registry::global().get_histogram("kernel.gemm_wall_s");
   return h;
 }
+
+/// Lay out each `cols`-wide vector of `in` as one operand of the four
+/// signed passes (`lay_out_rails`), back to back in `out`.
+void lay_out_rail_rows(std::span<const double> in, std::size_t cols,
+                       rail_operand side, std::span<double> out) {
+  for (std::size_t r = 0; r * cols < in.size(); ++r) {
+    lay_out_rails(in.subspan(r * cols, cols), side,
+                  out.subspan(4 * cols * r, 4 * cols));
+  }
+}
 }  // namespace
 
 rail_weights::rail_weights(const matrix& w, const converter_config& dac)
@@ -24,12 +34,8 @@ rail_weights::rail_weights(const matrix& w, const converter_config& dac)
       dac(dac),
       a(4 * rows * cols),
       b(4 * rows * cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    lay_out_rails(w.row(r), rail_operand::a,
-                  std::span(a).subspan(4 * cols * r, 4 * cols));
-    lay_out_rails(w.row(r), rail_operand::b,
-                  std::span(b).subspan(4 * cols * r, 4 * cols));
-  }
+  lay_out_rail_rows(w.data, cols, rail_operand::a, a);
+  lay_out_rail_rows(w.data, cols, rail_operand::b, b);
   for (double& v : b) v = quantize_to_grid(v, dac.full_scale, dac.bits);
 }
 
@@ -102,20 +108,22 @@ gemm_result vector_matrix_engine::run(const operands& op,
   return out;
 }
 
-gemm_result vector_matrix_engine::gemm_signed(const rail_weights& w,
-                                              std::span<const double> xs,
-                                              std::size_t samples_per_cell) {
-  if (w.rows == 0 || w.cols == 0 || xs.empty() ||
-      xs.size() % w.cols != 0) {
+gemm_result vector_matrix_engine::run_signed(
+    std::span<const double> weight_rails, std::size_t rows, std::size_t cols,
+    std::span<const double> xs, std::size_t samples_per_cell) {
+  if (rows == 0 || cols == 0 || xs.empty() || xs.size() % cols != 0) {
     throw std::invalid_argument("vector_matrix_engine: gemm shape mismatch");
   }
   // Lay every sample's rails out once (b side); rows share them.
   sample_rails_.resize(4 * xs.size());
-  for (std::size_t s = 0; s < xs.size() / w.cols; ++s) {
-    lay_out_rails(xs.subspan(s * w.cols, w.cols), rail_operand::b,
-                  std::span(sample_rails_).subspan(4 * w.cols * s, 4 * w.cols));
-  }
-  return run({w.a, sample_rails_, w.rows, w.cols, 4}, samples_per_cell);
+  lay_out_rail_rows(xs, cols, rail_operand::b, sample_rails_);
+  return run({weight_rails, sample_rails_, rows, cols, 4}, samples_per_cell);
+}
+
+gemm_result vector_matrix_engine::gemm_signed(const rail_weights& w,
+                                              std::span<const double> xs,
+                                              std::size_t samples_per_cell) {
+  return run_signed(w.a, w.rows, w.cols, xs, samples_per_cell);
 }
 
 gemm_result vector_matrix_engine::gemm_optical(
@@ -133,7 +141,11 @@ gemm_result vector_matrix_engine::gemm_optical(
 
 gemm_result vector_matrix_engine::gemm_signed(const matrix& w,
                                               std::span<const double> xs) {
-  return gemm_signed(rail_weights(w, config_.dac), xs);
+  // Electrical weights ride only the a side: lay out just those rails,
+  // into reused storage, and skip the b side's grid snap.
+  weight_rails_.resize(4 * w.data.size());
+  lay_out_rail_rows(w.data, w.cols, rail_operand::a, weight_rails_);
+  return run_signed(weight_rails_, w.rows, w.cols, xs, kSamplesPerCell);
 }
 
 gemv_result vector_matrix_engine::gemv_signed(const matrix& w,

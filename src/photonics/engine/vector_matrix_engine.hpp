@@ -140,6 +140,12 @@ class vector_matrix_engine {
   [[nodiscard]] gemm_result run(const operands& op,
                                 std::size_t samples_per_cell);
 
+  /// Signed GEMM with the weights' a-side rails laid out already.
+  [[nodiscard]] gemm_result run_signed(std::span<const double> weight_rails,
+                                       std::size_t rows, std::size_t cols,
+                                       std::span<const double> xs,
+                                       std::size_t samples_per_cell);
+
   dot_product_config config_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
@@ -150,6 +156,7 @@ class vector_matrix_engine {
   std::vector<std::unique_ptr<row_slot>> slots_;
   std::vector<std::uint64_t> seeds_;
   std::vector<dot_result> cells_;
+  std::vector<double> weight_rails_;  ///< a-side rails of a matrix operand
   std::vector<double> sample_rails_;
 };
 

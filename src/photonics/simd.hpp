@@ -1,11 +1,11 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
 // The hot per-symbol passes (counter-noise fill, DAC/ADC math, laser RIN
-// power, MZM-cascade product, the fused on-fiber weight pass, blocked
-// readout sum) are compiled four
-// times — scalar, SSE4.1, AVX2, AVX-512 — in per-ISA translation units
-// (simd_kernels_*.cpp, each with its own -m flags), and the best level
-// the host supports is selected once at startup via cpuid.
+// power, MZM-cascade product, fused on-fiber weight pass, blocked
+// readout sum) are compiled four times — scalar, SSE4.1, AVX2, AVX-512 —
+// in per-ISA translation units (simd_kernels_*.cpp, each with its own -m
+// flags), and the best level the host supports is selected once at
+// startup via cpuid.
 //
 // Contract: every level produces bit-identical doubles. The kernels are
 // element-wise IEEE arithmetic (plus a fixed 8-accumulator reduction

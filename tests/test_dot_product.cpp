@@ -386,9 +386,9 @@ void expect_unit_matches_reference(const dot_product_config& cfg,
       for (int round = 0; round < 4; ++round) {
         const std::size_t dim = 9 + 7 * static_cast<std::size_t>(round);
         const pass_operands op = draw_operands(dim, passes, g);
-        const std::string what = "passes=" + std::to_string(passes) +
-                                 " ledger=" + std::to_string(with_ledger) +
-                                 " round=" + std::to_string(round);
+        SCOPED_TRACE("passes=" + std::to_string(passes) +
+                     " ledger=" + std::to_string(with_ledger) +
+                     " round=" + std::to_string(round));
         expect_same_bits(unit.dot_passes(op.a, op.b, passes),
                          ref.electrical(op.a, op.b, passes));
 
@@ -398,12 +398,8 @@ void expect_unit_matches_reference(const dot_product_config& cfg,
           b_grid[i] =
               quantize_to_grid(op.b[i], cfg.dac.full_scale, cfg.dac.bits);
         }
-        const dot_result got =
-            unit.dot_optical_passes(a_mw, b_grid, ref_mw, passes);
-        const dot_result want = ref.optical(a_mw, b_grid, ref_mw, passes);
-        EXPECT_EQ(got.value, want.value) << what;
-        EXPECT_EQ(got.latency_s, want.latency_s) << what;
-        EXPECT_EQ(got.symbols, want.symbols) << what;
+        expect_same_bits(unit.dot_optical_passes(a_mw, b_grid, ref_mw, passes),
+                         ref.optical(a_mw, b_grid, ref_mw, passes));
       }
       expect_same_ledgers(unit_ledger, ref_ledger);
     }
