@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -513,6 +514,83 @@ TEST(RoutingLookups, LinkBetweenMatchesAdjacencyScanAndInvalidates) {
   const std::size_t first = topo.link_between(0, x);
   topo.add_link(0, x, 20.0);
   EXPECT_EQ(topo.link_between(0, x), first);
+}
+
+TEST(RoutingLookups, NextHopAgreesWithFlatRoutesForEveryAddress) {
+  // The address-keyed next_hop() must answer exactly what the flat
+  // node-keyed route table holds, for a node's loopback and for any
+  // host inside its /24, through a flap sequence with reconvergence
+  // after every event. Addresses outside every node prefix have no
+  // route.
+  const net::topology topo = net::make_waxman_topology(240, 2023, 0.08);
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, topo);
+  fabric.install_shortest_path_routes();
+  const auto n = static_cast<net::node_id>(topo.node_count());
+  const net::ipv4 outside(192, 168, 0, 1);
+  const auto expect_agree = [&](const std::string& where) {
+    for (net::node_id at = 0; at < n; ++at) {
+      ASSERT_FALSE(fabric.next_hop(at, outside).has_value()) << where;
+      for (net::node_id dst = 0; dst < n; ++dst) {
+        const net::node_id want = fabric.next_hop_to_node(at, dst);
+        const std::optional<net::node_id> expected =
+            want == net::invalid_node ? std::nullopt
+                                      : std::optional<net::node_id>(want);
+        const net::prefix& p = topo.node_at(dst).attached_prefix;
+        const net::ipv4 host(p.network.value | 200U);
+        ASSERT_EQ(fabric.next_hop(at, topo.node_at(dst).address), expected)
+            << where << " at=" << at << " dst=" << dst;
+        ASSERT_EQ(fabric.next_hop(at, host), expected)
+            << where << " at=" << at << " dst=" << dst << " (host)";
+      }
+    }
+  };
+  expect_agree("converged");
+  std::vector<bool> up(topo.links().size(), true);
+  xorshift rng{0x2023};
+  for (int event = 0; event < 6; ++event) {
+    const std::size_t li = rng.below(topo.links().size());
+    up[li] = !up[li];
+    if (up[li]) {
+      fabric.restore_link(li);
+    } else {
+      fabric.fail_link(li);
+    }
+    fabric.install_shortest_path_routes();
+    expect_agree("event " + std::to_string(event));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RoutingLookups, UnroutableDestinationsDropAsNoRoute) {
+  // A chain n0-n1-n2-n3 with n2-n3 failed and reconverged: a packet for
+  // n3 has no route at n0, and neither has one for an address outside
+  // every node prefix. Each drops exactly once, as no_route, at any
+  // shard count.
+  const net::topology topo = net::make_linear_topology(4, 100.0);
+  const net::ipv4 targets[] = {net::ipv4(192, 168, 0, 1),
+                               topo.node_at(3).address};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    for (const net::ipv4 dst : targets) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " dst=" +
+                   dst.to_string());
+      net::shard_engine engine(shards);
+      net::wan_fabric fabric(engine, topo);
+      fabric.fail_link(2);
+      fabric.install_shortest_path_routes();
+      engine.schedule_global(0.0, [&fabric, &topo, dst] {
+        net::packet pkt;
+        pkt.src = topo.node_at(0).address;
+        pkt.dst = dst;
+        pkt.payload.assign(16, 0);
+        fabric.send(std::move(pkt), 0);
+      });
+      engine.run();
+      EXPECT_EQ(fabric.drops().no_route, 1u);
+      EXPECT_EQ(fabric.dropped(), 1u);
+      EXPECT_EQ(fabric.delivered(), 0u);
+    }
+  }
 }
 
 }  // namespace
