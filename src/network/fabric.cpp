@@ -240,6 +240,8 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
       ++reconvergences_;
     });
   };
+  // Validate the whole schedule first: a bad flap must not leave the
+  // flaps before it scheduled.
   for (const link_flap& f : flaps) {
     if (f.link_index >= link_up_.size()) {
       throw std::out_of_range("wan_fabric: bad flap link index");
@@ -247,6 +249,8 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
     if (f.restore_at_s < f.fail_at_s) {
       throw std::invalid_argument("wan_fabric: flap restores before failing");
     }
+  }
+  for (const link_flap& f : flaps) {
     engine_.schedule_global(f.fail_at_s,
                             [this, li = f.link_index] { fail_link(li); });
     reconverge_after(f.fail_at_s);

@@ -101,6 +101,14 @@ TEST(FlapSchedule, RejectsBadSchedules) {
   EXPECT_THROW(fabric.schedule_flaps({&backwards, 1}, 0.0),
                std::invalid_argument);
   EXPECT_THROW(fabric.schedule_flaps({}, -1.0), std::invalid_argument);
+  // A bad flap after a good one rejects the whole schedule: nothing of
+  // the good flap may have been scheduled before the throw.
+  const net::wan_fabric::link_flap mixed[] = {{0, 0.1, 0.2}, {9, 0.3, 0.4}};
+  EXPECT_THROW(fabric.schedule_flaps(mixed, 0.01, 7, 0.005),
+               std::out_of_range);
+  EXPECT_EQ(engine.run(), 0u);
+  EXPECT_EQ(fabric.reconvergences(), 0u);
+  EXPECT_TRUE(fabric.link_is_up(0));
 }
 
 // -------------------------------------------------- ack/retry lifecycle
