@@ -346,7 +346,7 @@ void onfiber_runtime::on_timeout(std::uint32_t task_id,
   // from SSSP trees (O(1) delay lookups) instead of per-leg Dijkstra:
   // the baseline from the never-mutated all-up engine, the live plan
   // from the fabric engine, whose trees are eagerly delta-repaired on
-  // every fail/restore and therefore mirror fabric_.links_up() exactly.
+  // every fail/restore and hold the fabric's only copy of link state.
   if (task.attempts >= reliability_cfg_.failover_after) {
     const net::topology& topo = fabric_.topo();
     const auto dst_node = topo.node_for_address(task.request.dst);

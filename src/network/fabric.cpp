@@ -15,21 +15,20 @@ wan_fabric::wan_fabric(shard_engine& engine, topology topo)
     : engine_(engine),
       topo_(std::move(topo)),
       spf_(topo_),
-      tables_(topo_.node_count()),
       hooks_(topo_.node_count()),
       link_free_at_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}),
       link_tx_seq_(topo_.links().size(),
                    std::array<std::uint64_t, 2>{0, 0}),
-      link_bytes_dir_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}),
-      link_up_(topo_.links().size(), true) {
+      link_bytes_dir_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}) {
   const std::size_t n = topo_.node_count();
   // Lookup caches (addr index, pair->link map) are built now, on the
   // construction thread: shard threads hit node_for_address and
   // link_between, and a lazy first build over there would race.
   topo_.prime_lookup_caches();
-  // Destination resolution trie: attached prefixes are assigned by
+  // Destination resolution: attached prefixes are assigned by
   // topology::add_node as distinct same-length prefixes, so containment
-  // identifies the owning node uniquely and matches LPM.
+  // identifies the owning node uniquely and matches LPM. Routes are
+  // then keyed by node, in flat_routes_.
   for (const node& nd : topo_.nodes()) {
     dest_of_.insert(nd.attached_prefix, nd.id);
   }
@@ -108,6 +107,7 @@ wan_fabric::wan_fabric(shard_engine& engine, topology topo)
   obs_reconvergences_ = &reg.get_counter("fabric.reconvergences");
   obs_routes_touched_ = &reg.get_counter("routing.routes_touched");
   obs_reconverge_ns_ = &reg.get_histogram("routing.reconverge_ns");
+  obs_spf_delta_ns_ = &reg.get_histogram("routing.spf_delta_ns");
   obs_drops_[0] = &reg.get_counter("fabric.drop.ttl_expired");
   obs_drops_[1] = &reg.get_counter("fabric.drop.link_down");
   obs_drops_[2] = &reg.get_counter("fabric.drop.no_route");
@@ -156,22 +156,20 @@ void wan_fabric::install_shortest_path_routes() {
   const auto n = static_cast<node_id>(topo_.node_count());
   std::uint64_t touched = 0;
   // Write the route for one (src, dst) pair from the engine's tree.
-  // `touched` counts actual next-hop changes to the flat cache — on the
-  // patch path that is (up to no-net-change flap pairs) the dirty set.
+  // `touched` counts actual next-hop changes — on the patch path that is
+  // (up to no-net-change flap pairs) the dirty set.
   const auto patch = [&](node_id src, node_id dst) {
     if (src == dst) return;
     flat_route& flat = flat_routes_[src * n + dst];
     const node_id nh = spf_.first_hop(src, dst);
     if (nh == invalid_node) {
       // Unreachable (possibly due to failures): retract any stale route.
-      tables_[src].erase(topo_.node_at(dst).attached_prefix);
       if (flat.next != invalid_node) {
         flat = flat_route{};
         ++touched;
       }
       return;
     }
-    tables_[src].insert(topo_.node_at(dst).attached_prefix, route_entry{nh});
     if (flat.next != nh) {
       flat.next = nh;
       flat.link = egress_matrix_[src * n + nh];
@@ -204,17 +202,27 @@ void wan_fabric::install_shortest_path_routes() {
 }
 
 void wan_fabric::fail_link(std::size_t link_index) {
-  link_up_.at(link_index) = false;
   // Delta-repair the SPF trees now (control plane; shards parked). The
   // datapath keeps forwarding on the stale installed routes until the
   // next install_shortest_path_routes() — the reconvergence window —
   // but live-path queries (failover planning) see the real state.
-  spf_.set_link_state(link_index, false);
+  set_link_state(link_index, false);
 }
 
 void wan_fabric::restore_link(std::size_t link_index) {
-  link_up_.at(link_index) = true;
-  spf_.set_link_state(link_index, true);
+  set_link_state(link_index, true);
+}
+
+void wan_fabric::set_link_state(std::size_t link_index, bool up) {
+  const bool timed = obs::enabled();
+  const auto t0 = timed ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
+  spf_.set_link_state(link_index, up);
+  if (timed) {
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    obs_spf_delta_ns_->observe(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
+  }
 }
 
 void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
@@ -228,7 +236,7 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
   // Draw all jitter up front, in flap order, so the schedule is fixed at
   // scheduling time regardless of event interleaving. Everything here is
   // control plane: these run as engine global events with every shard
-  // parked, so link_up_ and the route tables are never written while a
+  // parked, so link state and the route table are never written while a
   // datapath thread is in flight.
   phot::rng jitter{jitter_seed};
   const auto reconverge_after = [&](double event_s) {
@@ -243,7 +251,7 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
   // Validate the whole schedule first: a bad flap must not leave the
   // flaps before it scheduled.
   for (const link_flap& f : flaps) {
-    if (f.link_index >= link_up_.size()) {
+    if (f.link_index >= topo_.links().size()) {
       throw std::out_of_range("wan_fabric: bad flap link index");
     }
     if (f.restore_at_s < f.fail_at_s) {
@@ -260,11 +268,19 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
   }
 }
 
+bool wan_fabric::link_is_up(std::size_t link_index) const {
+  if (link_index >= topo_.links().size()) {
+    throw std::out_of_range("wan_fabric: bad link index");
+  }
+  return spf_.link_up(link_index);
+}
+
 std::optional<node_id> wan_fabric::next_hop(node_id at, ipv4 dst) const {
-  if (at >= tables_.size()) return std::nullopt;
-  const route_entry* entry = tables_[at].lookup_ptr(dst);
-  if (entry == nullptr) return std::nullopt;
-  return entry->next;
+  const node_id* dest = dest_of_.lookup_ptr(dst);
+  if (dest == nullptr) return std::nullopt;
+  const node_id next = next_hop_to_node(at, *dest);
+  if (next == invalid_node) return std::nullopt;
+  return next;
 }
 
 node_id wan_fabric::next_hop_to_node(node_id at, node_id dest) const {
@@ -429,7 +445,7 @@ void wan_fabric::forward_on(packet&& pkt, node_id from, node_id next,
                             std::size_t li) {
   shard_state& ss = state_of(from);
   simulator& sim = sim_for(from);
-  if (!link_up_[li]) {
+  if (!spf_.link_up(li)) {
     // Black-holed until routing reconverges.
     ++ss.drops.link_down;
     if (obs::enabled()) {
@@ -541,31 +557,12 @@ void wan_fabric::arrive(packet&& pkt, node_id at) {
     return;
   }
 
-  // Forwarding: flat post-convergence cache first, LPM trie as the
-  // authoritative fallback (stale hints, retracted routes).
-  const std::size_t n = topo_.node_count();
+  // Forwarding: the installed flat route toward the destination node.
   const node_id dest = resolve_dest(pkt);
-  if (dest != invalid_node) {
-    const flat_route flat = flat_routes_[at * n + dest];
-    if (flat.next != invalid_node) {
-      if (pkt.ttl == 0) {
-        ++ss.drops.ttl_expired;
-        warn_ttl_blackhole(ss);
-        if (obs::enabled()) {
-          obs_drops_[0]->add();
-          trace_hop(pkt, at, now, obs::hop_action::drop,
-                    obs::drop_reason::ttl_expired, 0);
-        }
-        ss.pool.recycle(std::move(pkt));
-        return;
-      }
-      --pkt.ttl;
-      forward_on(std::move(pkt), at, flat.next, flat.link);
-      return;
-    }
-  }
-  const route_entry* entry = tables_[at].lookup_ptr(pkt.dst);
-  if (entry == nullptr) {
+  const flat_route flat = dest != invalid_node
+                              ? flat_routes_[at * topo_.node_count() + dest]
+                              : flat_route{};
+  if (flat.next == invalid_node) {
     ++ss.drops.no_route;
     if (obs::enabled()) {
       obs_drops_[2]->add();
@@ -587,7 +584,7 @@ void wan_fabric::arrive(packet&& pkt, node_id at) {
     return;
   }
   --pkt.ttl;
-  forward_to(std::move(pkt), at, entry->next);
+  forward_on(std::move(pkt), at, flat.next, flat.link);
 }
 
 }  // namespace onfiber::net

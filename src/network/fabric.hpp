@@ -1,7 +1,9 @@
 // fabric.hpp — the packet-forwarding WAN: topology + routers + links,
 // driven by a shard_engine (one shard by default).
 //
-// Each node runs a longest-prefix-match router. Links model serialization
+// Each node forwards on a flat next-hop table keyed by destination node
+// (every node owns one distinct /24, so resolving an address to its node
+// is the whole longest-prefix match). Links model serialization
 // (bytes/capacity) plus fiber propagation delay, with FIFO queueing per
 // link direction. A per-node intercept hook lets higher layers (the
 // on-fiber runtime in src/core) examine and mutate packets in flight and
@@ -11,9 +13,8 @@
 //
 // The hot loop is allocation-free at steady state: hops ride typed
 // packet events (event_sim.hpp), payload buffers recycle through a
-// payload_pool, and converged routes are served from flat per-node
-// next-hop caches (the LPM trie stays the source of truth and the slow
-// path for anything the caches cannot prove fresh).
+// payload_pool, and routes are served from the flat next-hop table,
+// the only copy of the installed routes.
 #pragma once
 
 #include <array>
@@ -38,7 +39,7 @@ namespace onfiber::net {
 /// What a node-level hook wants done with a packet.
 struct hook_decision {
   enum class action_type {
-    continue_forwarding,  ///< normal LPM forwarding
+    continue_forwarding,  ///< normal next-hop forwarding
     redirect,             ///< forward toward `redirect_to` instead
     consume,              ///< packet is absorbed at this node
     drop,                 ///< discard (counts as a drop)
@@ -51,7 +52,7 @@ struct hook_decision {
 struct drop_stats {
   std::uint64_t ttl_expired = 0;   ///< TTL hit zero before delivery
   std::uint64_t link_down = 0;     ///< black-holed into a failed link
-  std::uint64_t no_route = 0;      ///< no LPM entry for the destination
+  std::uint64_t no_route = 0;      ///< no installed route to the destination
   std::uint64_t hook_drop = 0;     ///< a node hook said drop
   std::uint64_t bad_redirect = 0;  ///< hook redirect to an invalid node
 
@@ -91,7 +92,8 @@ class wan_fabric final : public packet_event_sink {
   /// Take a link out of service: packets queued onto it are lost, routes
   /// keep pointing at it until reinstalled (the reconvergence window —
   /// the SPF engine delta-updates its trees eagerly here, but the
-  /// datapath tables/caches stay stale until the install call).
+  /// datapath's next-hop table stays stale until the install call). The
+  /// delta pass is timed into `routing.spf_delta_ns` while obs is on.
   void fail_link(std::size_t link_index);
   void restore_link(std::size_t link_index);
 
@@ -121,11 +123,7 @@ class wan_fabric final : public packet_event_sink {
     return reconvergences_;
   }
 
-  [[nodiscard]] bool link_is_up(std::size_t link_index) const {
-    return link_up_.at(link_index);
-  }
-  /// Current link states (for higher layers computing their own paths).
-  [[nodiscard]] const std::vector<bool>& links_up() const { return link_up_; }
+  [[nodiscard]] bool link_is_up(std::size_t link_index) const;
 
   /// Install or replace the intercept hook at one node.
   void set_hook(node_id at, hook_fn hook);
@@ -165,10 +163,11 @@ class wan_fabric final : public packet_event_sink {
   }
 
   [[nodiscard]] const topology& topo() const { return topo_; }
-  /// The incremental-SPF engine tracking this fabric's link state. Its
-  /// trees always reflect the *current* link_up_ (eagerly delta-updated
-  /// by fail_link/restore_link), not the possibly stale installed
-  /// routes. Higher layers (controller failover planning, compute-route
+  /// The incremental-SPF engine, which holds this fabric's only copy of
+  /// link state (the per-hop check reads it). Its trees always reflect
+  /// the *current* link state (eagerly delta-updated by
+  /// fail_link/restore_link), not the possibly stale installed routes.
+  /// Higher layers (controller failover planning, compute-route
   /// install) query paths/delays here instead of re-running Dijkstra.
   /// Mutations happen on the control plane only; after the first
   /// install, shard-thread queries are pure reads.
@@ -201,8 +200,9 @@ class wan_fabric final : public packet_event_sink {
     return state_of(at).pool;
   }
 
-  /// Current routing-table next hop at `at` toward `dst` (nullopt when
-  /// the table has no route). Lets higher layers — the reliability
+  /// Installed next hop at `at` toward address `dst`: the flat route to
+  /// the node owning dst's /24 (nullopt when no node prefix covers dst
+  /// or no route is installed). Lets higher layers — the reliability
   /// layer's failover steering — follow the same converged routes the
   /// data plane uses instead of a stale private copy.
   [[nodiscard]] std::optional<node_id> next_hop(node_id at, ipv4 dst) const;
@@ -244,15 +244,11 @@ class wan_fabric final : public packet_event_sink {
   [[nodiscard]] const std::vector<double>& link_bytes() const;
 
  private:
-  struct route_entry {
-    node_id next = invalid_node;
-  };
-
   static constexpr std::uint32_t no_link = ~std::uint32_t{0};
 
   /// Flat post-convergence route: next hop + precomputed egress link for
-  /// one (node, destination-node) pair. `next == invalid_node` means the
-  /// trie must decide (unreachable, or a route the cache can't mirror).
+  /// one (node, destination-node) pair. `next == invalid_node` means no
+  /// route (unreachable, or not installed yet).
   struct flat_route {
     node_id next = invalid_node;
     std::uint32_t link = no_link;
@@ -266,6 +262,9 @@ class wan_fabric final : public packet_event_sink {
   /// rvalue reference, so one hop moves it once — into the next event.
   void inject(packet&& pkt, node_id ingress);
 
+  /// fail_link/restore_link: the SPF delta pass, timed while obs is on.
+  void set_link_state(std::size_t link_index, bool up);
+
   void arrive(packet&& pkt, node_id at);
   void forward_to(packet&& pkt, node_id from, node_id next);
   void forward_on(packet&& pkt, node_id from, node_id next, std::size_t li);
@@ -275,8 +274,8 @@ class wan_fabric final : public packet_event_sink {
 
   /// Destination node for `pkt.dst`, maintaining pkt.dest_hint: the hint
   /// is revalidated against the node's attached prefix and re-resolved
-  /// through the destination trie when stale. invalid_node when no
-  /// attached prefix covers dst.
+  /// through dest_of_ when stale. invalid_node when no attached prefix
+  /// covers dst.
   [[nodiscard]] node_id resolve_dest(packet& pkt) const;
 
   /// Record one lifecycle hop for `pkt` (tracing enabled only). `now_s`
@@ -288,15 +287,16 @@ class wan_fabric final : public packet_event_sink {
 
   shard_engine& engine_;
   topology topo_;
-  spf_engine spf_;  ///< per-source SSSP trees over topo_, delta-repaired
-  std::vector<routing_table<route_entry>> tables_;  // one per node
-  std::vector<hook_fn> hooks_;                      // one per node (may be null)
+  spf_engine spf_;  ///< SSSP trees + link state over topo_, delta-repaired
+  std::vector<hook_fn> hooks_;  // one per node (may be null)
   deliver_fn on_deliver_;
 
   /// attached_prefix -> owning node, for dest_hint resolution (built
   /// once; topology is immutable).
   routing_table<node_id> dest_of_;
-  /// flat_routes_[at * n + dest_node]; rebuilt on every reconvergence.
+  /// flat_routes_[at * n + dest_node]: the installed routes. Written only
+  /// by install_shortest_path_routes (every pair on the first install,
+  /// the dirty pairs on each reconvergence).
   std::vector<flat_route> flat_routes_;
   /// egress_matrix_[from * n + to]: first link index joining the pair in
   /// incident order, or no_link (mirrors egress_link()'s scan).
@@ -351,7 +351,6 @@ class wan_fabric final : public packet_event_sink {
 
   double bit_error_rate_ = 0.0;
   std::uint64_t ber_seed_ = 0;
-  std::vector<bool> link_up_;
   std::uint8_t recommended_ttl_ = 64;
 
   std::uint64_t reconvergences_ = 0;
@@ -367,6 +366,7 @@ class wan_fabric final : public packet_event_sink {
   obs::counter* obs_reconvergences_ = nullptr;
   obs::counter* obs_routes_touched_ = nullptr;
   obs::histogram* obs_reconverge_ns_ = nullptr;
+  obs::histogram* obs_spf_delta_ns_ = nullptr;
   std::array<obs::counter*, 5> obs_drops_{};  // indexed like drop_reason-1
   /// The global tracer, resolved once: tracer::global()'s init-guard
   /// check is off the per-hop path.

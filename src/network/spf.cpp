@@ -6,19 +6,31 @@
 
 namespace onfiber::net {
 
-spf_engine::spf_engine(const topology& topo, const std::vector<bool>* links_up)
+spf_engine::spf_engine(const topology& topo,
+                       std::span<const std::uint8_t> links_up)
     : topo_(&topo), n_(topo.node_count()) {
   const auto& links = topo.links();
-  weight_.reserve(links.size());
-  for (const link& l : links) weight_.push_back(l.delay_s());
-  if (links_up != nullptr) {
-    if (links_up->size() != links.size()) {
+  if (links_up.empty()) {
+    link_up_.assign(links.size(), 1);
+  } else {
+    if (links_up.size() != links.size()) {
       throw std::invalid_argument("spf_engine: link_up size mismatch");
     }
-    link_up_ = *links_up;
-  } else {
-    link_up_.assign(links.size(), true);
+    link_up_.reserve(links.size());
+    for (const std::uint8_t up : links_up) link_up_.push_back(up != 0);
   }
+  // CSR adjacency, built once (the topology is immutable): each node's
+  // arcs in incident_links order, which is ascending link index.
+  arc_begin_.reserve(n_ + 1);
+  arcs_.reserve(2 * links.size());
+  for (node_id v = 0; v < n_; ++v) {
+    arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+    for (const std::size_t li : topo.incident_links(v)) {
+      arcs_.push_back(arc{topo.neighbor(v, li), static_cast<std::uint32_t>(li),
+                          links[li].delay_s()});
+    }
+  }
+  arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
   trees_.resize(n_);
   stamp_.assign(n_, 0);
   stamp2_.assign(n_, 0);
@@ -86,22 +98,22 @@ void spf_engine::repair_parent(tree& t, node_id v) const {
   // Canonical argmin over exact-tight predecessors: the neighbor u
   // minimizing (dist[u], u), reached over the lowest-index tight link —
   // identical to what the seed heap's last strict improvement records
-  // (see the header contract). Adjacency lists are append-ordered by
-  // link index, so "first candidate kept" is "lowest link index".
+  // (see the header contract). Arcs are ordered by link index, so
+  // "first candidate kept" is "lowest link index".
   double bd = inf;
   node_id bu = invalid_node;
   std::uint32_t bl = no_link;
   const double dv = t.dist[v];
   if (dv < inf) {
-    for (const std::size_t li : topo_->incident_links(v)) {
-      if (!link_up_[li]) continue;
-      const node_id u = topo_->neighbor(v, li);
+    for (const arc& a : arcs_of(v)) {
+      if (link_up_[a.link] == 0) continue;
+      const node_id u = a.to;
       const double du = t.dist[u];
-      if (du == inf || du + weight_[li] != dv) continue;
+      if (du == inf || du + a.weight != dv) continue;
       if (bu == invalid_node || du < bd || (du == bd && u < bu)) {
         bd = du;
         bu = u;
-        bl = static_cast<std::uint32_t>(li);
+        bl = a.link;
       }
     }
   }
@@ -129,14 +141,14 @@ void spf_engine::build_tree(node_id src, tree& t) {
   while (heap_pop(d, u)) {
     if (d > t.dist[u]) continue;
     settle_order_.push_back(u);
-    for (const std::size_t li : topo_->incident_links(u)) {
-      if (!link_up_[li]) continue;
-      const node_id v = topo_->neighbor(u, li);
-      const double nd = d + weight_[li];
+    for (const arc& a : arcs_of(u)) {
+      if (link_up_[a.link] == 0) continue;
+      const node_id v = a.to;
+      const double nd = d + a.weight;
       if (nd < t.dist[v]) {
         t.dist[v] = nd;
         t.parent[v] = u;
-        t.parent_link[v] = static_cast<std::uint32_t>(li);
+        t.parent_link[v] = a.link;
         heap_push(nd, v);
       }
     }
@@ -160,21 +172,14 @@ void spf_engine::ensure_all_trees() {
   for (node_id s = 0; s < static_cast<node_id>(n_); ++s) ensure_tree(s);
 }
 
-void spf_engine::rebuild_all() {
-  for (node_id s = 0; s < static_cast<node_id>(n_); ++s) {
-    if (trees_[s].built) build_tree(s, trees_[s]);
-  }
-}
-
 // ----------------------------------------------------------- delta passes
 
-std::uint64_t spf_engine::delta_fail(node_id src, tree& t, std::size_t li) {
-  const link& l = topo_->links()[li];
-  const auto lidx = static_cast<std::uint32_t>(li);
+std::uint64_t spf_engine::delta_fail(node_id src, tree& t, const link& l,
+                                     std::uint32_t li) {
   node_id root = invalid_node;  // subtree root that lost its parent edge
-  if (t.parent_link[l.a] == lidx) {
+  if (t.parent_link[l.a] == li) {
     root = l.a;
-  } else if (t.parent_link[l.b] == lidx) {
+  } else if (t.parent_link[l.b] == li) {
     root = l.b;
   }
   if (root == invalid_node) {
@@ -213,13 +218,13 @@ std::uint64_t spf_engine::delta_fail(node_id src, tree& t, std::size_t li) {
   settle_order_.clear();
   for (const node_id v : affected_) {
     double best = inf;
-    for (const std::size_t li2 : topo_->incident_links(v)) {
-      if (!link_up_[li2]) continue;
-      const node_id u = topo_->neighbor(v, li2);
+    for (const arc& a : arcs_of(v)) {
+      if (link_up_[a.link] == 0) continue;
+      const node_id u = a.to;
       if (stamp_[u] == epoch_) continue;  // inside the hole
       const double du = t.dist[u];
       if (du == inf) continue;
-      const double cand = du + weight_[li2];
+      const double cand = du + a.weight;
       if (cand < best) best = cand;
     }
     if (best < inf) {
@@ -232,11 +237,11 @@ std::uint64_t spf_engine::delta_fail(node_id src, tree& t, std::size_t li) {
   while (heap_pop(d, u)) {
     if (d > t.dist[u]) continue;
     settle_order_.push_back(u);
-    for (const std::size_t li2 : topo_->incident_links(u)) {
-      if (!link_up_[li2]) continue;
-      const node_id v = topo_->neighbor(u, li2);
+    for (const arc& a : arcs_of(u)) {
+      if (link_up_[a.link] == 0) continue;
+      const node_id v = a.to;
       if (stamp_[v] != epoch_) continue;  // outside: dist already final
-      const double nd = d + weight_[li2];
+      const double nd = d + a.weight;
       if (nd < t.dist[v]) {
         t.dist[v] = nd;
         heap_push(nd, v);
@@ -258,10 +263,8 @@ std::uint64_t spf_engine::delta_fail(node_id src, tree& t, std::size_t li) {
   return touched;
 }
 
-std::uint64_t spf_engine::delta_restore(node_id src, tree& t,
-                                        std::size_t li) {
-  const link& l = topo_->links()[li];
-  const double w = weight_[li];
+std::uint64_t spf_engine::delta_restore(node_id src, tree& t, const link& l,
+                                        double w) {
   ++epoch_;
   heap_.clear();
   settle_order_.clear();
@@ -294,10 +297,10 @@ std::uint64_t spf_engine::delta_restore(node_id src, tree& t,
   while (heap_pop(d, u)) {
     if (d > t.dist[u]) continue;
     settle_order_.push_back(u);
-    for (const std::size_t li2 : topo_->incident_links(u)) {
-      if (!link_up_[li2]) continue;
-      const node_id v = topo_->neighbor(u, li2);
-      const double nd = d + weight_[li2];
+    for (const arc& a : arcs_of(u)) {
+      if (link_up_[a.link] == 0) continue;
+      const node_id v = a.to;
+      const double nd = d + a.weight;
       if (nd < t.dist[v]) {
         t.dist[v] = nd;
         stamp_[v] = epoch_;
@@ -369,14 +372,16 @@ std::uint64_t spf_engine::set_link_state(std::size_t link_index, bool up) {
   if (link_index >= link_up_.size()) {
     throw std::out_of_range("spf_engine: bad link index");
   }
-  if (link_up_[link_index] == up) return 0;
-  link_up_[link_index] = up;
+  if ((link_up_[link_index] != 0) == up) return 0;
+  link_up_[link_index] = up ? 1 : 0;
+  const link& l = topo_->links()[link_index];
+  const auto li = static_cast<std::uint32_t>(link_index);
+  const double w = l.delay_s();
   std::uint64_t touched = 0;
   for (node_id s = 0; s < static_cast<node_id>(n_); ++s) {
     tree& t = trees_[s];
     if (!t.built) continue;
-    touched += up ? delta_restore(s, t, link_index)
-                  : delta_fail(s, t, link_index);
+    touched += up ? delta_restore(s, t, l, w) : delta_fail(s, t, l, li);
   }
   return touched;
 }

@@ -5,10 +5,14 @@
 // in place when a link fails or is restored, Ramalingam–Reps style: a
 // delta pass touches only the destinations whose shortest path actually
 // changed instead of re-running Dijkstra for every pair. The fabric
-// patches its flat next-hop caches and prefix tables from the engine's
-// dirty set; the controller and RWA layers answer delay/path queries
-// from the shared trees instead of calling topology::shortest_path per
-// query.
+// patches its flat next-hop table from the engine's dirty set and reads
+// link state from the engine; the controller and RWA layers answer
+// delay/path queries from the shared trees instead of calling
+// topology::shortest_path per query.
+//
+// Every adjacency walk reads one flat arc array (CSR: per node, its
+// neighbours, link indices and delays in incident_links order), so the
+// lowest-index-link tie-break below holds by iteration order.
 //
 // Determinism contract: every tree is bit-identical — dist values,
 // parents, and first hops — to what a from-scratch run of the seed
@@ -25,7 +29,7 @@
 //
 // Thread-safety: not synchronized. Build/delta operations mutate the
 // trees and must run on the control plane (coordinator global events
-// with shards parked, exactly like wan_fabric's route tables). Query
+// with shards parked, exactly like wan_fabric's route table). Query
 // methods on an already-built tree are pure reads and safe from shard
 // threads under that same discipline; ensure the tree exists first
 // (ensure_all_trees) when sharing an engine across threads.
@@ -34,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,11 +51,12 @@ class spf_engine {
   static constexpr std::uint32_t no_link = ~std::uint32_t{0};
 
   /// Engine over `topo` (which must outlive the engine). `links_up`
-  /// (optional, size == links().size()) seeds the initial link state;
-  /// all links up when null. Construction is cheap — trees are built
-  /// lazily per source (ensure_tree) or in bulk (ensure_all_trees).
+  /// (one byte per link, nonzero = up, size == links().size()) seeds the
+  /// initial link state; all links up when empty. Construction is cheap
+  /// — trees are built lazily per source (ensure_tree) or in bulk
+  /// (ensure_all_trees).
   explicit spf_engine(const topology& topo,
-                      const std::vector<bool>* links_up = nullptr);
+                      std::span<const std::uint8_t> links_up = {});
 
   // ----------------------------------------------------------- link state
 
@@ -62,7 +68,13 @@ class spf_engine {
   std::uint64_t restore_link(std::size_t li) {
     return set_link_state(li, true);
   }
-  [[nodiscard]] const std::vector<bool>& links_up() const { return link_up_; }
+  /// Current link states, one byte per link (nonzero = up). The fabric's
+  /// datapath reads these; nothing else stores link state.
+  [[nodiscard]] std::span<const std::uint8_t> links_up() const {
+    return link_up_;
+  }
+  /// Unchecked single-link read (per-hop datapath check).
+  [[nodiscard]] bool link_up(std::size_t li) const { return link_up_[li] != 0; }
 
   // ---------------------------------------------------------------- trees
 
@@ -72,8 +84,6 @@ class spf_engine {
   [[nodiscard]] bool tree_built(node_id src) const {
     return trees_[src].built;
   }
-  /// Discard and rebuild every built tree from scratch (bench baseline).
-  void rebuild_all();
 
   // -------------------------------------------------------------- queries
   //
@@ -126,9 +136,21 @@ class spf_engine {
     std::vector<bool> dirty;  ///< per-destination dirty flag (drain clears)
   };
 
+  /// One adjacency entry of the CSR arc array.
+  struct arc {
+    node_id to = invalid_node;  ///< neighbour across the link
+    std::uint32_t link = 0;     ///< link index
+    double weight = 0.0;        ///< link delay [s]
+  };
+  [[nodiscard]] std::span<const arc> arcs_of(node_id v) const {
+    return {arcs_.data() + arc_begin_[v], arcs_.data() + arc_begin_[v + 1]};
+  }
+
   void build_tree(node_id src, tree& t);
-  std::uint64_t delta_fail(node_id src, tree& t, std::size_t li);
-  std::uint64_t delta_restore(node_id src, tree& t, std::size_t li);
+  std::uint64_t delta_fail(node_id src, tree& t, const link& l,
+                           std::uint32_t li);
+  std::uint64_t delta_restore(node_id src, tree& t, const link& l,
+                              double w);
 
   /// Recompute v's canonical parent + parent link from final dist values
   /// (see the determinism contract above). Writes t.parent / t.parent_link;
@@ -157,8 +179,9 @@ class spf_engine {
 
   const topology* topo_;
   std::size_t n_ = 0;
-  std::vector<double> weight_;  ///< per-link delay [s], cached once
-  std::vector<bool> link_up_;
+  std::vector<std::uint32_t> arc_begin_;  ///< v's arcs: [begin[v], begin[v+1])
+  std::vector<arc> arcs_;                 ///< per node, incident_links order
+  std::vector<std::uint8_t> link_up_;     ///< one byte per link, 1 = up
   std::vector<tree> trees_;
   std::vector<std::pair<node_id, node_id>> dirty_pairs_;
 

@@ -2,8 +2,8 @@
 // exact double dists, exact parents, exact next hops — to a from-scratch
 // rebuild (and to the seed topology::shortest_path Dijkstra) after every
 // link event, on chains, meshes, and equal-cost-heavy fat-trees. The
-// fabric's patch-based reconvergence must produce bit-identical routing
-// tables and flat caches to a fresh full install, and the golden
+// fabric's patch-based reconvergence must produce a next-hop table
+// bit-identical to a fresh full install, and the golden
 // delivery/recovery traces must stay unchanged across shard counts.
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ struct xorshift {
 /// parent, parent link, and first hop, for every (source, node) pair.
 void expect_trees_match_fresh(net::spf_engine& inc, const net::topology& topo,
                               const std::string& where) {
-  net::spf_engine fresh(topo, &inc.links_up());
+  net::spf_engine fresh(topo, inc.links_up());
   const auto n = static_cast<net::node_id>(topo.node_count());
   for (net::node_id s = 0; s < n; ++s) {
     for (net::node_id v = 0; v < n; ++v) {
@@ -78,7 +78,8 @@ void expect_trees_match_fresh(net::spf_engine& inc, const net::topology& topo,
 void expect_matches_seed(net::spf_engine& eng, const net::topology& topo,
                          const std::string& where) {
   const auto n = static_cast<net::node_id>(topo.node_count());
-  const std::vector<bool>& links = eng.links_up();
+  const auto state = eng.links_up();
+  const std::vector<bool> links(state.begin(), state.end());
   for (net::node_id u = 0; u < n; ++u) {
     for (net::node_id v = 0; v < n; ++v) {
       const auto seed = topo.shortest_path(u, v, &links);
@@ -289,7 +290,7 @@ void expect_fabrics_equal(net::wan_fabric& incr, const net::topology& topo,
       // Flat post-convergence caches.
       const net::node_id got = incr.next_hop_to_node(at, dst);
       const net::node_id want = fresh.next_hop_to_node(at, dst);
-      // LPM trie routes.
+      // Address-keyed lookups.
       const auto trie_got = incr.next_hop(at, topo.node_at(dst).address);
       const auto trie_want = fresh.next_hop(at, topo.node_at(dst).address);
       // From-scratch seed Dijkstra under the same link state.
@@ -349,12 +350,28 @@ TEST(RoutingPatch, ReconvergenceWindowSemanticsPreserved) {
   EXPECT_EQ(fabric.next_hop_to_node(0, 3), 1u);
 }
 
+/// Delivery trace (task id, arrival time) and recovery trace, each as
+/// length + digest, plus the fabric counters.
+struct golden_run {
+  std::size_t delivery_count = 0;
+  std::uint64_t delivery_digest = 0;
+  std::size_t recovery_count = 0;
+  std::uint64_t recovery_digest = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t reconvergences = 0;
+};
+
+golden_run run_golden(std::size_t shards);
+
 TEST(RoutingObs, RoutesTouchedAndReconvergeLatencySurface) {
   obs::registry& reg = obs::registry::global();
   obs::counter& touched = reg.get_counter("routing.routes_touched");
   obs::histogram& latency = reg.get_histogram("routing.reconverge_ns");
+  obs::histogram& delta = reg.get_histogram("routing.spf_delta_ns");
+  const bool was_enabled = obs::enabled();
   const std::uint64_t touched0 = touched.value();
   const std::uint64_t count0 = latency.count();
+  const std::uint64_t delta0 = delta.count();
 
   obs::set_enabled(true);
   {
@@ -374,23 +391,30 @@ TEST(RoutingObs, RoutesTouchedAndReconvergeLatencySurface) {
   EXPECT_GE(full, 132u);
   EXPECT_LT(full, 2u * 132u);
   EXPECT_EQ(latency.count() - count0, 2u);
+  // One SPF delta-pass sample per link event: the fail_link above.
+  EXPECT_EQ(delta.count() - delta0, 1u);
+
+  // The golden flap scenario (two flaps: four link events) with obs off
+  // and on: one delta-pass sample per link event, and timing the passes
+  // moves no delivery or recovery timestamp.
+  const golden_run off = run_golden(1);
+  EXPECT_EQ(delta.count() - delta0, 1u);
+  obs::set_enabled(true);
+  const golden_run on = run_golden(1);
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(delta.count() - delta0, 1u + 4u);
+  EXPECT_EQ(on.delivery_count, off.delivery_count);
+  EXPECT_EQ(on.delivery_digest, off.delivery_digest);
+  EXPECT_EQ(on.recovery_count, off.recovery_count);
+  EXPECT_EQ(on.recovery_digest, off.recovery_digest);
+  EXPECT_EQ(on.delivered, off.delivered);
+  EXPECT_EQ(on.reconvergences, off.reconvergences);
 }
 
 // ---------------------------------------------------------------------
 // Golden delivery/recovery traces across shard counts {1, 2, 4} (plus
 // ONFIBER_SHARDS): the patch-based reconvergence path must not move a
 // single timestamp. ONFIBER_REGOLD=1 prints the observed values.
-
-/// Delivery trace (task id, arrival time) and recovery trace, each as
-/// length + digest, plus the fabric counters.
-struct golden_run {
-  std::size_t delivery_count = 0;
-  std::uint64_t delivery_digest = 0;
-  std::size_t recovery_count = 0;
-  std::uint64_t recovery_digest = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t reconvergences = 0;
-};
 
 golden_run run_golden(std::size_t shards) {
   net::shard_engine engine(shards);
