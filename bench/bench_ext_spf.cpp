@@ -11,7 +11,8 @@
 // reconvergence latency, the full-rebuild baseline on the same link
 // state, and the fraction of routes touched — the acceptance bar is
 // <10% of routes touched and >=10x over full rebuild on the >=1024-node
-// topology. Results land in BENCH_controller.json.
+// topology; the bench exits 1 when either bar fails. Results land in
+// BENCH_controller.json.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -213,5 +214,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n");
+  const bool bars_met = speedup >= 10.0 && dc_rep.touched_frac < 0.10;
+  if (!bars_met) {
+    std::fprintf(stderr, "bench_ext_spf: acceptance bar missed\n");
+    return 1;
+  }
   return 0;
 }

@@ -120,3 +120,9 @@ ONFIBER_SHARDS=4 ONFIBER_FABRIC_PACKETS=2000 ONFIBER_TRACE=1 \
   ./build-tsan/bench/bench_ext_fabric --json /tmp/bench_fabric_tsan.json \
   > /dev/null
 rm -f /tmp/bench_fabric_tsan.json
+
+# Incremental-SPF bench smoke: the fat-tree run exits 1 when it misses
+# its acceptance bars (>=10x over a full rebuild, <10% of routes
+# touched per flap), so a delta-pass regression fails here.
+./build-tsan/bench/bench_ext_spf --json /tmp/bench_spf_tsan.json > /dev/null
+rm -f /tmp/bench_spf_tsan.json
