@@ -16,8 +16,7 @@ spf_engine::spf_engine(const topology& topo,
     if (links_up.size() != links.size()) {
       throw std::invalid_argument("spf_engine: link_up size mismatch");
     }
-    link_up_.reserve(links.size());
-    for (const std::uint8_t up : links_up) link_up_.push_back(up != 0);
+    link_up_.assign(links_up.begin(), links_up.end());
   }
   // CSR adjacency, built once (the topology is immutable): each node's
   // arcs in incident_links order, which is ascending link index.
@@ -26,8 +25,8 @@ spf_engine::spf_engine(const topology& topo,
   for (node_id v = 0; v < n_; ++v) {
     arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
     for (const std::size_t li : topo.incident_links(v)) {
-      arcs_.push_back(arc{topo.neighbor(v, li), static_cast<std::uint32_t>(li),
-                          links[li].delay_s()});
+      arcs_.push_back(arc{topo.neighbor(v, li),
+                          static_cast<std::uint32_t>(li), links[li].delay_s()});
     }
   }
   arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));

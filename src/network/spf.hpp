@@ -181,7 +181,7 @@ class spf_engine {
   std::size_t n_ = 0;
   std::vector<std::uint32_t> arc_begin_;  ///< v's arcs: [begin[v], begin[v+1])
   std::vector<arc> arcs_;                 ///< per node, incident_links order
-  std::vector<std::uint8_t> link_up_;     ///< one byte per link, 1 = up
+  std::vector<std::uint8_t> link_up_;     ///< one byte per link, 0 = down
   std::vector<tree> trees_;
   std::vector<std::pair<node_id, node_id>> dirty_pairs_;
 
