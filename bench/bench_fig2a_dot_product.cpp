@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -181,6 +182,52 @@ int main(int argc, char** argv) {
         gemm_best_s * 1e9 /
         (static_cast<double>(gemm_reps) * rows * batch * dim);
 
+    // Batch-one on-fiber GEMMs at the shapes of the Fig. 1 MLP's two
+    // layers (12x16, then 4x12) on one thread: the sample-plane cost of
+    // one on-fiber DNN request. Best of 5 passes.
+    double optical_b1_ns = 0.0;
+    {
+      phot::vector_matrix_engine optical_engine({}, 800);
+      optical_engine.set_threads(1);
+      phot::dot_product_unit launcher({}, 801);
+      const double ref_mw =
+          launcher.config().laser.power_mw *
+          phot::db_to_ratio(-launcher.config().modulator.insertion_loss_db);
+      struct layer {
+        phot::rail_weights rails;
+        std::vector<double> received;
+      };
+      std::vector<layer> layers;
+      for (const auto [out_dim, in_dim] :
+           {std::pair<std::size_t, std::size_t>{12, 16}, {4, 12}}) {
+        phot::matrix lw(out_dim, in_dim);
+        for (double& v : lw.data) v = 2.0 * gen.uniform() - 1.0;
+        std::vector<double> lx(in_dim);
+        for (double& v : lx) v = 2.0 * gen.uniform() - 1.0;
+        std::vector<double> received(4 * in_dim);
+        launcher.encode_rails_received(lx, received);
+        layers.push_back({phot::rail_weights(lw, launcher.config().dac),
+                          std::move(received)});
+      }
+      const auto request = [&] {
+        for (const layer& l : layers) {
+          sink = sink + optical_engine
+                            .gemm_optical(l.rails, l.received, ref_mw, 1)
+                            .values[0];
+        }
+      };
+      request();  // warm-up
+      const int optical_reps = 2000;
+      double optical_best_s = 1e30;
+      for (int pass = 0; pass < 5; ++pass) {
+        stopwatch sw_optical;
+        for (int t = 0; t < optical_reps; ++t) request();
+        optical_best_s = std::min(optical_best_s, sw_optical.elapsed_s());
+      }
+      optical_b1_ns = optical_best_s * 1e9 /
+                      (static_cast<double>(optical_reps) * (12 * 16 + 4 * 12));
+    }
+
     // Accuracy/energy context for the speed numbers: the effective
     // resolution the converters deliver under their modeled noise, and
     // the analog energy one MAC costs — ns/MAC alone rewards a simulator
@@ -204,6 +251,9 @@ int main(int argc, char** argv) {
     std::printf("  batched GEMM      %10.2f ns/MAC (batch %zu, %zux%zu "
                 "signed)\n",
                 batch_ns, batch, rows, dim);
+    std::printf("  on-fiber GEMM     %10.2f ns/MAC (batch 1, 12x16 then "
+                "4x12, 1 thread)\n",
+                optical_b1_ns);
     std::printf("  simd dispatch     %10s (detected %s)\n",
                 simd_active_name(),
                 phot::simd::level_name(phot::simd::detected_level()));
@@ -223,6 +273,7 @@ int main(int argc, char** argv) {
       report.set("fig2a.speedup_x", scalar_ns / fused_ns);
       report.set("fig2a.gemv_rows_per_s", rows_per_s);
       report.set("fig2a.batch_ns_per_mac", batch_ns);
+      report.set("fig2a.optical_gemm_b1_ns_per_mac", optical_b1_ns);
       report.set("fig2a.threads",
                  static_cast<double>(phot::kernel_thread_count()));
       report.set("fig2a.dac_enob_bits", enob_dac.effective_bits());

@@ -68,8 +68,9 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # exact double equality), so both passes must see identical results.
 # The P2 matcher runs on the dispatched counter fills and blocked sums,
 # so its reference and golden tests run at both tiers too, as do the
-# dot-product unit's per-pass readout oracle (its readout fills and
-# fused weight pass are dispatched) and the grid-snap rounding pins.
+# dot-product unit's per-pass readout and on-fiber GEMM oracles (their
+# readout fills and fused weight pass are dispatched) and the grid-snap
+# rounding pins.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
     unset ONFIBER_SIMD
@@ -88,11 +89,13 @@ unset ONFIBER_SIMD
 # mask. Scoped to the concurrency-relevant suites to keep it fast. The
 # GEMM engines' row units are mutable state that persists across calls
 # and that pool workers re-key and drive at ONFIBER_THREADS>1, so the
-# engine golden (1 and 3 threads) and the re-key tests run here too.
+# engine golden (1 and 3 threads) and the re-key tests run here too, as
+# does the on-fiber GEMM oracle: its rows fill their streams on pool
+# workers into shared per-call buffers at 3 threads.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \
-  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|DotProductRekey'
+  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|DotProductRekey|OpticalGemmMatchesPerPassReference'
 
 # Sharded-engine tsan gate: the determinism and reliability suites
 # re-run with an extra ONFIBER_SHARDS=4 sweep entry, and the fabric

@@ -61,9 +61,8 @@ dac::dac(converter_config config, rng noise_stream, energy_ledger* ledger,
       ledger_(ledger),
       costs_(costs) {}
 
-void dac::rekey(std::uint64_t seed) {
-  noise_ =
-      counter_stream(counter_rng::key_of(rng::first_output(seed), kDacTag));
+std::uint64_t dac::noise_key(std::uint64_t seed) {
+  return counter_rng::key_of(rng::first_output(seed), kDacTag);
 }
 
 double dac::effective_bits() const {
@@ -89,38 +88,27 @@ void dac::convert(std::span<const double> in, std::span<double> out) {
   convert(in, out, noise_scratch_);
 }
 
-void dac::draw_noise(std::span<double> out, std::size_t passes) {
-  const std::size_t n = out.size();
-  if (n == 0) return;
-  // Counter-indexed: element i consumes draw index cursor + i, exactly as
-  // the scalar loop does, generated branch-free at the active SIMD level.
-  if (noise_sigma_ > 0.0) {
-    noise_.fill_normal(out);
-  } else {
-    noise_.skip(n);
-    std::fill(out.begin(), out.end(), 0.0);
-  }
-  if (ledger_ != nullptr) {
-    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
-                            passes);
-  }
-}
-
 void dac::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch, std::size_t passes) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
   const double fs = config_.full_scale;
   const double levels = static_cast<double>((1ULL << config_.bits) - 1);
-  // Pass 1: the noise draws (and the ledger charge).
-  noise_scratch.resize(n);
-  draw_noise(std::span<double>(noise_scratch.data(), n), passes);
+  if (ledger_ != nullptr) {
+    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
+                            passes);
+  }
   if (noise_sigma_ > 0.0) {
+    // Pass 1: counter-indexed noise draws, element i at cursor + i
+    // exactly as the scalar loop, generated at the active SIMD level.
+    noise_scratch.resize(n);
+    noise_.fill_normal(std::span<double>(noise_scratch.data(), n));
     // Pass 2: quantize, add noise, clip — conditional moves over
     // contiguous arrays, dispatched.
     simd::active().dac_pass(in.data(), noise_scratch.data(), n, fs, levels,
                             noise_sigma_, out.data());
   } else {
+    noise_.skip(n);
     for (std::size_t i = 0; i < n; ++i) {
       // No noise: quantize already lands in [0, full_scale].
       out[i] = detail::quantize_bf(in[i], fs, levels);
@@ -145,9 +133,8 @@ adc::adc(converter_config config, rng noise_stream, energy_ledger* ledger,
       ledger_(ledger),
       costs_(costs) {}
 
-void adc::rekey(std::uint64_t seed) {
-  noise_ =
-      counter_stream(counter_rng::key_of(rng::first_output(seed), kAdcTag));
+std::uint64_t adc::noise_key(std::uint64_t seed) {
+  return counter_rng::key_of(rng::first_output(seed), kAdcTag);
 }
 
 double adc::effective_bits() const {
@@ -177,24 +164,37 @@ void adc::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
-  const double fs = config_.full_scale;
-  const double levels = static_cast<double>((1ULL << config_.bits) - 1);
-  const double sigma = noise_sigma_;
-  const simd::kernel_table& k = simd::active();
-  if (sigma > 0.0) {
-    noise_scratch.resize(n);
-    noise_.fill_normal(std::span<double>(noise_scratch.data(), n));
-    k.adc_pass(in.data(), noise_scratch.data(), n, fs, levels, sigma,
-               out.data());
+  noise_scratch.resize(n);
+  const std::span<double> noise(noise_scratch.data(), n);
+  draw_noise(noise);
+  digitize(in.first(n), noise, out.first(n));
+}
+
+void adc::draw_noise(std::span<double> out) {
+  const std::size_t n = out.size();
+  if (noise_sigma_ > 0.0) {
+    noise_.fill_normal(out);
   } else {
     noise_.skip(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = detail::quantize_bf(in[i], fs, levels);
-    }
   }
   if (ledger_ != nullptr) {
     // Per-element charges, same sequence as the scalar loop.
     ledger_->charge_batches("adc", costs_.adc_conversion_j, 1, n);
+  }
+}
+
+void adc::digitize(std::span<const double> in, std::span<const double> noise,
+                   std::span<double> out) const {
+  const std::size_t n = in.size();
+  const double fs = config_.full_scale;
+  const double levels = static_cast<double>((1ULL << config_.bits) - 1);
+  if (noise_sigma_ > 0.0) {
+    simd::active().adc_pass(in.data(), noise.data(), n, fs, levels,
+                            noise_sigma_, out.data());
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = detail::quantize_bf(in[i], fs, levels);
+    }
   }
 }
 

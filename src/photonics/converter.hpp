@@ -50,13 +50,6 @@ class dac {
 
   [[nodiscard]] std::vector<double> convert(std::span<const double> values);
 
-  /// The noise half of a batch convert whose math runs fused downstream
-  /// (simd::kernel_table::weight_product, on inputs already on this
-  /// grid): the ENOB-penalty draws of the next out.size() conversions,
-  /// zeros when the converter is noiseless, charged to the ledger exactly
-  /// as convert(in, out, scratch, passes) would be.
-  void draw_noise(std::span<double> out, std::size_t passes = 1);
-
   /// Standard deviation the ENOB-penalty draws are scaled by.
   [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
 
@@ -64,7 +57,10 @@ class dac {
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
 
   /// Re-key in place: bit-identical to a dac built with rng{seed}.
-  void rekey(std::uint64_t seed);
+  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
+
+  /// Key of the noise stream rekey(seed) installs.
+  [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }
 
@@ -105,11 +101,29 @@ class adc {
 
   [[nodiscard]] std::vector<double> convert(std::span<const double> values);
 
+  /// The noise half of a batch convert: the ENOB-penalty draws of the
+  /// next out.size() conversions when the converter is noisy (`out` is
+  /// left untouched otherwise; the cursor advances either way), charged
+  /// to the ledger as convert would charge them.
+  void draw_noise(std::span<double> out);
+
+  /// The math half of a batch convert: out[i] digitizes in[i] plus
+  /// noise[i] scaled by noise_sigma(), with `noise` unread when the
+  /// converter is noiseless. `out` may alias `in`.
+  void digitize(std::span<const double> in, std::span<const double> noise,
+                std::span<double> out) const;
+
+  /// Standard deviation the ENOB-penalty draws are scaled by.
+  [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
+
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
 
   /// Re-key in place: bit-identical to an adc built with rng{seed}.
-  void rekey(std::uint64_t seed);
+  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
+
+  /// Key of the noise stream rekey(seed) installs.
+  [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }
   [[nodiscard]] double lsb() const { return lsb_; }

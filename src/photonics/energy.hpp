@@ -60,8 +60,20 @@ class energy_ledger {
   /// ops): fused multi-pass device fills charge like the pass loop.
   void charge_batches(std::string_view category, double joules_per_op,
                       std::uint64_t ops, std::uint64_t batches) {
-    const double joules = joules_per_op * static_cast<double>(ops);
-    for (std::uint64_t b = 0; b < batches; ++b) charge(category, joules, ops);
+    charge_repeated(category, joules_per_op * static_cast<double>(ops), ops,
+                    batches);
+  }
+
+  /// Exactly `times` calls of charge(category, joules, ops), with one
+  /// category lookup.
+  void charge_repeated(std::string_view category, double joules,
+                       std::uint64_t ops, std::uint64_t times) {
+    if (times == 0) return;
+    entry& e = slot(category);
+    for (std::uint64_t t = 0; t < times; ++t) {
+      e.joules += joules;
+      e.ops += ops;
+    }
   }
 
   /// Total energy across all categories [J].

@@ -64,6 +64,16 @@ dot_product_unit::dot_product_unit(dot_product_config config,
       ledger_(ledger),
       costs_(costs) {}
 
+dot_result readout_plan::combine(const double* values,
+                                 std::size_t passes) const {
+  if (passes == 1) return {values[0], latency_s, symbols};
+  dot_result r;
+  r.value = values[0] + values[1] - values[2] - values[3];
+  r.symbols = 4 * symbols;
+  r.latency_s = latency_s + latency_s + latency_s + latency_s;
+  return r;
+}
+
 void dot_product_unit::rekey(std::uint64_t seed) {
   laser_.rekey(seed);
   mod_a_.rekey(seed ^ kModATag);
@@ -80,53 +90,76 @@ double dot_product_unit::full_scale_power_mw() const {
          db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
 }
 
-dot_result dot_product_unit::read_out(std::size_t passes,
-                                      double full_scale_mw) {
-  const std::size_t length = scratch_.product.size() / passes;
-  // One readout per pass, all passes at once: the detector integrates
-  // each pass's product powers and the ADC digitizes the currents
-  // normalized to the calibrated full scale, each drawing the noise of
-  // every pass in one fill.
-  std::array<double, 4> current{};
-  std::array<double, 4> digitized{};
-  detector_.integrate_passes(scratch_.product, passes,
-                             std::span(current).first(passes));
-  const double full_scale_a = detector_.expected_current_a(full_scale_mw);
-  for (std::size_t k = 0; k < passes; ++k) {
-    current[k] = full_scale_a > 0.0 ? current[k] / full_scale_a : 0.0;
-  }
-  adc_out_.convert(std::span<const double>(current).first(passes),
-                   std::span(digitized).first(passes));
+on_fiber_streams dot_product_unit::on_fiber_streams_for(
+    std::uint64_t seed) const {
+  return {dac::noise_key(seed ^ kDacBTag),
+          photodetector::noise_key(seed ^ kDetectorTag),
+          adc::noise_key(seed ^ kAdcTag),
+          mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag)};
+}
+
+readout_plan dot_product_unit::plan_readout(std::size_t symbols,
+                                            double full_scale_mw) const {
+  readout_plan plan;
+  plan.symbols = symbols;
+  plan.noise = detector_.integration_noise_for(symbols);
+  plan.full_scale_a = detector_.expected_current_a(full_scale_mw);
+  plan.responsivity_term =
+      detector_.config().responsivity_a_w * full_scale_mw * 1e-3;
+  plan.latency_s = static_cast<double>(symbols) / config_.symbol_rate_hz +
+                   config_.fixed_latency_s;
+  return plan;
+}
+
+void dot_product_unit::read_out(const readout_plan& plan,
+                                std::span<const double> product,
+                                std::span<const double> detector_noise,
+                                std::span<const double> adc_noise,
+                                std::span<double> values) const {
+  // The detector integrates each readout's product powers; the ADC
+  // digitizes the currents normalized to the calibrated full scale.
+  detector_.integrate_readouts(product, plan.symbols, plan.noise,
+                               detector_noise, values);
+  const double full_scale_a = plan.full_scale_a;
+  for (double& v : values) v = full_scale_a > 0.0 ? v / full_scale_a : 0.0;
+  adc_out_.digitize(values, adc_noise, values);
 
   // Undo calibration: digitized * i_fs ~= R * mean(P) + dark, so the mean
   // product is recoverable, and the dot product is mean * n. A dead
   // carrier (zero full-scale power) carries no information: read zero
   // rather than dividing by it.
-  const double responsivity_term =
-      detector_.config().responsivity_a_w * full_scale_mw * 1e-3;
+  const double responsivity_term = plan.responsivity_term;
   const double dark_a = detector_.config().dark_current_a;
-  const double n = static_cast<double>(length);
-  const double latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
-  std::array<dot_result, 4> pass{};
-  for (std::size_t k = 0; k < passes; ++k) {
+  const double n = static_cast<double>(plan.symbols);
+  for (double& v : values) {
     const double recovered_mean =
         responsivity_term > 0.0
-            ? (digitized[k] * full_scale_a - dark_a) / responsivity_term
+            ? (v * full_scale_a - dark_a) / responsivity_term
             : 0.0;
-    pass[k] = {recovered_mean * n, latency_s, length};
+    v = recovered_mean * n;
   }
+}
+
+dot_result dot_product_unit::read_out_passes(std::size_t passes,
+                                             double full_scale_mw) {
+  const std::size_t length = scratch_.product.size() / passes;
+  // One readout per pass, all passes at once: the detector and the ADC
+  // each draw the noise of every pass in one fill.
+  std::array<double, 4> detector_noise{};
+  std::array<double, 4> adc_noise{};
+  std::array<double, 4> values{};
+  detector_.draw_readout_noise(std::span(detector_noise).first(passes));
+  adc_out_.draw_noise(std::span(adc_noise).first(passes));
+  const readout_plan plan = plan_readout(length, full_scale_mw);
+  read_out(plan, scratch_.product, std::span(detector_noise).first(passes),
+           std::span(adc_noise).first(passes),
+           std::span(values).first(passes));
   if (ledger_ != nullptr) {
     // Optical energy of the analog MACs themselves (paper §2.2 number).
     ledger_->charge_batches("photonic_mac", costs_.photonic_mac_j, length,
                             passes);
   }
-  if (passes == 1) return pass[0];
-  const auto& [pp, nn, pn, np] = pass;
-  dot_result r;
-  r.value = pp.value + nn.value - pn.value - np.value;
-  r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
-  r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
-  return r;
+  return plan.combine(values.data(), passes);
 }
 
 dot_result dot_product_unit::dot_passes(std::span<const double> a,
@@ -156,34 +189,7 @@ dot_result dot_product_unit::dot_passes(std::span<const double> a,
   simd::active().triple_product(scratch_.power.data(), scratch_.trans_a.data(),
                                 scratch_.trans_b.data(), n,
                                 scratch_.product.data());
-  return read_out(passes, full_scale_power_mw());
-}
-
-dot_result dot_product_unit::dot_optical_passes(std::span<const double> a_mw,
-                                                std::span<const double> b,
-                                                double reference_power_mw,
-                                                std::size_t passes) {
-  require_passes(a_mw.size(), b.size(), passes);
-  if (reference_power_mw <= 0.0) {
-    throw std::invalid_argument(
-        "dot_product_unit: reference power must be positive");
-  }
-  const std::size_t n = b.size();
-  scratch_.dac_noise_b.resize(n);
-  scratch_.product.resize(n);
-
-  // Weight side in one pass: b is on the DAC grid already, so the DAC
-  // only adds its noise and clips, and the b modulator's transmission
-  // and the product with the received power follow in the same loop.
-  dac_b_.draw_noise(scratch_.dac_noise_b, passes);
-  mod_b_.encode_intensity_product(b, scratch_.dac_noise_b,
-                                  dac_b_.noise_sigma(),
-                                  config_.dac.full_scale, a_mw,
-                                  scratch_.product, passes);
-  // Full scale: the incoming reference power through the b modulator.
-  const double full_scale_mw =
-      reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
-  return read_out(passes, full_scale_mw);
+  return read_out_passes(passes, full_scale_power_mw());
 }
 
 dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
@@ -199,7 +205,7 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
     // The square-law detector sees only the power.
     scratch_.product[i] = power_mw(e);
   }
-  return read_out(1, full_scale_power_mw());
+  return read_out_passes(1, full_scale_power_mw());
 }
 
 void dot_product_unit::skip_passes(std::uint64_t passes,
@@ -269,22 +275,6 @@ void dot_product_unit::encode_rails_received(std::span<const double> x,
           power_mw(scratch_.wave[i]);
     }
   }
-}
-
-dot_result dot_product_unit::dot_with_optical_input(
-    std::span<const field> optical_a, std::span<const double> b,
-    double reference_power_mw) {
-  scratch_.power.resize(optical_a.size());
-  for (std::size_t i = 0; i < optical_a.size(); ++i) {
-    scratch_.power[i] = power_mw(optical_a[i]);
-  }
-  scratch_.dac_b.resize(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    scratch_.dac_b[i] =
-        quantize_to_grid(b[i], config_.dac.full_scale, config_.dac.bits);
-  }
-  return dot_optical_passes(scratch_.power, scratch_.dac_b,
-                            reference_power_mw, 1);
 }
 
 }  // namespace onfiber::phot

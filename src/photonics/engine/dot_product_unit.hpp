@@ -17,9 +17,11 @@
 //
 // On-fiber mode: when the data is *already optical* (arriving from the
 // fiber, per the paper's receive-path design in Fig. 4) the a-side DAC and
-// modulator are skipped — `dot_with_optical_input` starts from a waveform
-// whose per-symbol power encodes a_i. This is the paper's key saving and
-// is what bench E17 ablates.
+// modulator are skipped — the on-fiber GEMM
+// (`vector_matrix_engine::gemm_optical`) starts from received per-symbol
+// powers that encode a_i and runs only the b side and the readout, on
+// the streams `on_fiber_streams` names. This is the paper's key saving
+// and is what bench E17 ablates.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +58,31 @@ struct dot_result {
 enum class rail_operand : std::uint8_t {
   a,  ///< [x+, x-, x+, x-]
   b,  ///< [x+, x-, x-, x+]
+};
+
+/// The shape invariants of P1 readouts: `symbols` integrated per readout
+/// at a calibrated full-scale power. Computed once per dot, or once per
+/// on-fiber GEMM call.
+struct readout_plan {
+  std::size_t symbols = 0;
+  photodetector::integration_noise noise;  ///< at bandwidth B / symbols
+  double full_scale_a = 0.0;       ///< detector current at full scale
+  double responsivity_term = 0.0;  ///< R * full-scale power [A]
+  double latency_s = 0.0;          ///< analog time of one readout
+
+  /// One dot result from 1 or 4 (pp, nn, pn, np) pass readouts:
+  /// pp + nn - pn - np when signed.
+  [[nodiscard]] dot_result combine(const double* values,
+                                   std::size_t passes) const;
+};
+
+/// The noise an on-fiber pass draws under a row seed, derived exactly as
+/// dot_product_unit::rekey(seed) keys those devices.
+struct on_fiber_streams {
+  std::uint64_t dac_b = 0;     ///< b-side DAC noise key
+  std::uint64_t detector = 0;  ///< detector noise key
+  std::uint64_t adc = 0;       ///< readout ADC noise key
+  double bias_error_b_rad = 0.0;  ///< b modulator bias error (0 unless set)
 };
 
 /// Split a signed vector into its rails (x = x+ - x-) laid out as one
@@ -106,17 +133,6 @@ class dot_product_unit {
                                       std::span<const double> b,
                                       std::size_t passes);
 
-  /// On-fiber twin: `a_mw` holds the a operand's received per-symbol
-  /// powers [mW] relative to full-scale `reference_power_mw`. Only the
-  /// b-side DAC/modulator and the detector/ADC run. `b` must already lie
-  /// on this unit's DAC grid (`quantize_to_grid` with config().dac, as
-  /// `rail_weights::b` does): the b-side DAC then only adds its noise,
-  /// fused with the modulator and the product into one pass.
-  [[nodiscard]] dot_result dot_optical_passes(std::span<const double> a_mw,
-                                              std::span<const double> b,
-                                              double reference_power_mw,
-                                              std::size_t passes);
-
   /// §4 noise mitigation ("new algorithms to mitigate photonic noise
   /// during computation"): repeat the analog evaluation `repeats` times
   /// and average. Analog noise shrinks ~1/sqrt(repeats); the readout
@@ -125,13 +141,6 @@ class dot_product_unit {
   [[nodiscard]] dot_result dot_unit_range_averaged(std::span<const double> a,
                                                    std::span<const double> b,
                                                    int repeats);
-
-  /// On-fiber variant: `optical_a` is the incoming waveform whose sample
-  /// powers encode a_i in [0,1] relative to `reference_power_mw` (the
-  /// calibrated full-scale receive power).
-  [[nodiscard]] dot_result dot_with_optical_input(
-      std::span<const field> optical_a, std::span<const double> b,
-      double reference_power_mw);
 
   /// Encode a [0,1] vector onto the carrier as an optical waveform — the
   /// transmit half of the on-fiber story (used by transponders to launch
@@ -143,7 +152,7 @@ class dot_product_unit {
   void encode_to_optical(std::span<const double> a, waveform& out);
 
   /// Launch x's rails, x+ then x-, through encode_to_optical and write
-  /// their powers as the a operand of dot_optical_passes (4 * x.size()).
+  /// their powers as one sample of the on-fiber GEMM (4 * x.size()).
   void encode_rails_received(std::span<const double> x,
                              std::span<double> out_mw);
 
@@ -157,6 +166,39 @@ class dot_product_unit {
   /// [mW]: power seen when encoding 1.0 through both modulators at b=1.
   [[nodiscard]] double full_scale_power_mw() const;
 
+  /// Readout invariants for `symbols` per readout at calibrated
+  /// full-scale power `full_scale_mw`.
+  [[nodiscard]] readout_plan plan_readout(std::size_t symbols,
+                                          double full_scale_mw) const;
+
+  /// The one P1 readout math, over values.size() readouts: readout k
+  /// integrates plan.symbols product powers from product[k * symbols]
+  /// with detector draw detector_noise[k], is normalized to the full
+  /// scale, digitized with ADC draw adc_noise[k] (unread when the ADC is
+  /// noiseless) and recovered to a product sum, into values[k]. Uses
+  /// only this unit's device models, never its streams or ledger.
+  void read_out(const readout_plan& plan, std::span<const double> product,
+                std::span<const double> detector_noise,
+                std::span<const double> adc_noise,
+                std::span<double> values) const;
+
+  /// Keys and bias error the on-fiber pass draws under `seed`.
+  [[nodiscard]] on_fiber_streams on_fiber_streams_for(
+      std::uint64_t seed) const;
+
+  /// Standard deviation of the DAC draws, the b side's in an on-fiber
+  /// pass.
+  [[nodiscard]] double dac_noise_sigma() const { return dac_b_.noise_sigma(); }
+
+  /// Whether the readout ADC draws noise at all.
+  [[nodiscard]] bool adc_noisy() const { return adc_out_.noise_sigma() > 0.0; }
+
+  /// The b modulator's transfer; an on-fiber pass sets each row's own
+  /// bias error on it.
+  [[nodiscard]] const mzm_transfer& weight_transfer() const {
+    return mod_b_.transfer();
+  }
+
   [[nodiscard]] const dot_product_config& config() const { return config_; }
 
  private:
@@ -165,18 +207,19 @@ class dot_product_unit {
   /// is allocation-free.
   struct kernel_scratch {
     std::vector<double> rail_a, rail_b;    ///< signed-input rail layouts
-    std::vector<double> dac_a, dac_b;      ///< DAC outputs or grid codes
+    std::vector<double> dac_a, dac_b;      ///< DAC outputs
     std::vector<double> dac_noise_a, dac_noise_b;  ///< DAC two-pass draws
     std::vector<double> trans_a, trans_b;  ///< MZM intensity transmissions
-    std::vector<double> power;   ///< laser or received per-symbol powers [mW]
+    std::vector<double> power;   ///< laser per-symbol powers [mW]
     std::vector<double> product;           ///< per-symbol product powers [mW]
     waveform wave;                         ///< launch buffer
   };
 
   /// Common back half: the scratch product powers, `passes` equal
-  /// passes, integrated, digitized and combined into one dot result.
-  [[nodiscard]] dot_result read_out(std::size_t passes,
-                                    double full_scale_mw);
+  /// passes, read out on this unit's own streams and ledger and
+  /// combined into one dot result.
+  [[nodiscard]] dot_result read_out_passes(std::size_t passes,
+                                           double full_scale_mw);
 
   dot_product_config config_;
   laser laser_;

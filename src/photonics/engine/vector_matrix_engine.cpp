@@ -43,10 +43,18 @@ vector_matrix_engine::vector_matrix_engine(dot_product_config config,
                                            std::uint64_t seed,
                                            energy_ledger* ledger,
                                            energy_costs costs)
-    : config_(config),
+    : models_(config, 0),
       ledger_(ledger),
       costs_(costs),
       row_seed_stream_(seed ^ 0x726f7773ULL /* "rows" */) {}
+
+void vector_matrix_engine::fork_row_seeds(std::size_t rows) {
+  // Fork every row's seed up front, in row order: the only RNG state the
+  // workers touch afterwards is row-private, so scheduling cannot change
+  // any draw.
+  seeds_.resize(rows);
+  for (std::uint64_t& s : seeds_) s = row_seed_stream_();
+}
 
 gemm_result vector_matrix_engine::run(const operands& op,
                                       std::size_t samples_per_cell) {
@@ -54,18 +62,14 @@ gemm_result vector_matrix_engine::run(const operands& op,
   const std::size_t rows = op.rows;
   const std::size_t width = op.passes * op.cols;
   const std::size_t batch = op.samples.size() / width;
+  fork_row_seeds(rows);
 
-  // Fork every row's seed up front, in row order: the only RNG state the
-  // workers touch afterwards is row-private, so scheduling cannot change
-  // any draw.
-  seeds_.resize(rows);
-  for (std::uint64_t& s : seeds_) s = row_seed_stream_();
-
-  const std::size_t chunks = (batch + samples_per_cell - 1) / samples_per_cell;
+  const std::size_t chunks =
+      batch / samples_per_cell + (batch % samples_per_cell != 0 ? 1 : 0);
   const std::size_t n_cells = rows * chunks;
   while (slots_.size() < n_cells) {
-    slots_.push_back(
-        std::make_unique<row_slot>(config_, ledger_ != nullptr, costs_));
+    slots_.push_back(std::make_unique<row_slot>(
+        models_.config(), ledger_ != nullptr, costs_));
   }
   cells_.resize(rows * batch);
 
@@ -80,12 +84,8 @@ gemm_result vector_matrix_engine::run(const operands& op,
         slot.unit.skip_passes(s_begin * op.passes, op.cols);
         const auto w_row = op.weights.subspan(r * width, width);
         for (std::size_t s = s_begin; s < s_end; ++s) {
-          const auto x = op.samples.subspan(s * width, width);
-          cells_[r * batch + s] =
-              op.optical_reference_mw > 0.0
-                  ? slot.unit.dot_optical_passes(
-                        x, w_row, op.optical_reference_mw, op.passes)
-                  : slot.unit.dot_passes(w_row, x, op.passes);
+          cells_[r * batch + s] = slot.unit.dot_passes(
+              w_row, op.samples.subspan(s * width, width), op.passes);
         }
       });
 
@@ -111,7 +111,8 @@ gemm_result vector_matrix_engine::run(const operands& op,
 gemm_result vector_matrix_engine::run_signed(
     std::span<const double> weight_rails, std::size_t rows, std::size_t cols,
     std::span<const double> xs, std::size_t samples_per_cell) {
-  if (rows == 0 || cols == 0 || xs.empty() || xs.size() % cols != 0) {
+  if (rows == 0 || cols == 0 || xs.empty() || xs.size() % cols != 0 ||
+      samples_per_cell == 0) {
     throw std::invalid_argument("vector_matrix_engine: gemm shape mismatch");
   }
   // Lay every sample's rails out once (b side); rows share them.
@@ -129,14 +130,136 @@ gemm_result vector_matrix_engine::gemm_signed(const rail_weights& w,
 gemm_result vector_matrix_engine::gemm_optical(
     const rail_weights& w, std::span<const double> received_mw,
     double reference_power_mw, std::size_t samples_per_cell) {
+  const dot_product_config& cfg = models_.config();
   if (w.rows == 0 || w.cols == 0 || received_mw.empty() ||
       received_mw.size() % (4 * w.cols) != 0 || reference_power_mw <= 0.0 ||
-      w.dac.bits != config_.dac.bits ||
-      w.dac.full_scale != config_.dac.full_scale) {
+      samples_per_cell == 0 || w.dac.bits != cfg.dac.bits ||
+      w.dac.full_scale != cfg.dac.full_scale) {
     throw std::invalid_argument("vector_matrix_engine: bad optical gemm");
   }
-  return run({w.b, received_mw, w.rows, w.cols, 4, reference_power_mw},
-             samples_per_cell);
+  const obs::scoped_timer timer(gemm_wall_hist());
+  const std::size_t rows = w.rows;
+  const std::size_t cols = w.cols;
+  const std::size_t width = 4 * cols;
+  const std::size_t batch = received_mw.size() / width;
+  const std::size_t readouts = 4 * batch;  // per row
+  fork_row_seeds(rows);
+
+  // Invariants of the call. Full scale: the incoming reference power
+  // through the b modulator's insertion loss.
+  const mzm_transfer transfer = models_.weight_transfer();
+  const readout_plan plan =
+      models_.plan_readout(cols, reference_power_mw * transfer.loss);
+  const double dac_sigma = models_.dac_noise_sigma();
+  const double dac_full_scale = cfg.dac.full_scale;
+  const bool adc_noisy = models_.adc_noisy();
+
+  dac_noise_.resize(rows * batch * width);
+  product_.resize(rows * batch * width);
+  detector_noise_.resize(rows * readouts);
+  adc_noise_.resize(rows * readouts);
+  readouts_.resize(rows * readouts);
+
+  const auto row = [&](std::size_t r) {
+    // One fill per stream the row draws from: sample s takes DAC draws
+    // from s * width and readout draws from s * 4, the indices a unit
+    // re-keyed from the row seed consumes sample by sample.
+    const on_fiber_streams keys = models_.on_fiber_streams_for(seeds_[r]);
+    const std::span<double> dac_noise(dac_noise_.data() + r * batch * width,
+                                      batch * width);
+    if (dac_sigma > 0.0) {
+      counter_stream(keys.dac_b).fill_normal(dac_noise);
+    } else {
+      std::fill(dac_noise.begin(), dac_noise.end(), 0.0);
+    }
+    counter_stream(keys.detector)
+        .fill_normal(std::span(detector_noise_).subspan(r * readouts,
+                                                        readouts));
+    if (adc_noisy) {
+      counter_stream(keys.adc).fill_normal(
+          std::span(adc_noise_).subspan(r * readouts, readouts));
+    }
+    // Weight pass per sample: b is on the DAC grid already, so the DAC
+    // only adds its noise and clips, fused with the b modulator's
+    // transmission and the product with the received power.
+    mzm_transfer row_transfer = transfer;
+    row_transfer.bias_error_rad = keys.bias_error_b_rad;
+    const double* codes = w.b.data() + r * width;
+    for (std::size_t s = 0; s < batch; ++s) {
+      row_transfer.weight_product(
+          codes, dac_noise.data() + s * width, dac_sigma, dac_full_scale,
+          received_mw.data() + s * width,
+          product_.data() + (r * batch + s) * width, width);
+    }
+  };
+  // One captured reference keeps the std::function allocation-free.
+  parallel_rows(rows, kernel_thread_count(threads_override_),
+                [&row](std::size_t r) { row(r); });
+  models_.read_out(plan, product_, detector_noise_, adc_noise_, readouts_);
+
+  gemm_result out;
+  out.batch = batch;
+  out.values.assign(batch * rows, 0.0);
+  // Fold rows-outer / samples-inner, as the electrical GEMM does.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t s = 0; s < batch; ++s) {
+      const dot_result d =
+          plan.combine(readouts_.data() + (r * batch + s) * 4, 4);
+      out.values[s * rows + r] = d.value;
+      out.latency_s += d.latency_s;
+      out.symbols += d.symbols;
+    }
+  }
+  if (ledger_ != nullptr) {
+    charge_on_fiber_cells(rows, batch, cols, samples_per_cell);
+  }
+  return out;
+}
+
+void vector_matrix_engine::charge_on_fiber_cells(std::size_t rows,
+                                                 std::size_t batch,
+                                                 std::size_t cols,
+                                                 std::size_t samples_per_cell) {
+  // A cell's ledger took, per sample, four equal charges per category;
+  // the cells merged in (row, cell) order. Every row has chunks - 1 cells
+  // of samples_per_cell samples and a last one of `tail`.
+  const std::size_t chunks =
+      batch / samples_per_cell + (batch % samples_per_cell != 0 ? 1 : 0);
+  const std::size_t tail = batch - (chunks - 1) * samples_per_cell;
+  const bool uniform = chunks == 1 || tail == samples_per_cell;
+  struct category {
+    const char* name;
+    double joules_per_op;
+    std::uint64_t ops_per_pass;
+  };
+  const category categories[] = {
+      {"dac", costs_.dac_conversion_j, cols},
+      {"modulator", costs_.modulator_drive_j, cols},
+      {"photodetector", costs_.photodetector_readout_j, 1},
+      {"adc", costs_.adc_conversion_j, 1},
+      {"photonic_mac", costs_.photonic_mac_j, cols},
+  };
+  for (const category& c : categories) {
+    const double per_pass =
+        c.joules_per_op * static_cast<double>(c.ops_per_pass);
+    const auto cell_joules = [&](std::size_t samples) {
+      double j = 0.0;
+      for (std::size_t k = 0; k < 4 * samples; ++k) j += per_pass;
+      return j;
+    };
+    const double tail_j = cell_joules(tail);
+    const std::uint64_t tail_ops = 4 * tail * c.ops_per_pass;
+    if (uniform) {
+      ledger_->charge_repeated(c.name, tail_j, tail_ops, rows * chunks);
+      continue;
+    }
+    const double full_j = cell_joules(samples_per_cell);
+    const std::uint64_t full_ops = 4 * samples_per_cell * c.ops_per_pass;
+    for (std::size_t r = 0; r < rows; ++r) {
+      ledger_->charge_repeated(c.name, full_j, full_ops, chunks - 1);
+      ledger_->charge(c.name, tail_j, tail_ops);
+    }
+  }
 }
 
 gemm_result vector_matrix_engine::gemm_signed(const matrix& w,

@@ -54,8 +54,8 @@ using gemv_result = gemm_result;
 /// both operands of the fused signed kernel (`lay_out_rails`): electrical
 /// inputs drive the weights on the a side, on-fiber inputs on the b side.
 /// The b side is snapped to the grid of the DAC `dac` once, here, so the
-/// on-fiber cells skip the per-element quantize (`dot_optical_passes`);
-/// only an engine whose DAC is `dac` accepts it.
+/// on-fiber GEMM skips the per-element quantize; only an engine whose
+/// DAC is `dac` accepts it.
 struct rail_weights {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -106,6 +106,12 @@ class vector_matrix_engine {
   /// each one's received rail powers (`encode_rails_received`, 4 * w.cols
   /// per sample), and the weights ride the b modulator. `w` must be
   /// snapped to this engine's DAC (`rail_weights(m, config.dac)`).
+  /// Bit-identical to per-cell units re-keyed from the row seeds, but run
+  /// as device passes over the whole GEMM: each row makes one fill per
+  /// stream it draws from (b-side DAC, detector, ADC) and one weight pass
+  /// per sample, and one readout covers every (row, sample, pass) of the
+  /// call. `samples_per_cell` only groups the ledger charges, which merge
+  /// in (row, cell) order as the per-cell units' ledgers did.
   [[nodiscard]] gemm_result gemm_optical(
       const rail_weights& w, std::span<const double> received_mw,
       double reference_power_mw,
@@ -122,8 +128,7 @@ class vector_matrix_engine {
     std::span<const double> samples;  ///< batch x passes*cols
     std::size_t rows = 0;
     std::size_t cols = 0;
-    std::size_t passes = 0;             ///< 1 (unsigned) or 4 (signed)
-    double optical_reference_mw = 0.0;  ///< > 0: samples are received powers
+    std::size_t passes = 0;  ///< 1 (unsigned) or 4 (signed)
   };
 
   /// An engine-owned unit and the private ledger it charges.
@@ -137,8 +142,17 @@ class vector_matrix_engine {
     row_slot& operator=(const row_slot&) = delete;
   };
 
+  /// The electrical GEMM: rows x cells of re-keyed engine-owned units.
   [[nodiscard]] gemm_result run(const operands& op,
                                 std::size_t samples_per_cell);
+
+  /// Fork one seed per row, in row order, into seeds_.
+  void fork_row_seeds(std::size_t rows);
+
+  /// Charge the on-fiber GEMM's energy as its per-cell units did: each
+  /// cell's sums in sample order, merged in (row, cell) order.
+  void charge_on_fiber_cells(std::size_t rows, std::size_t batch,
+                             std::size_t cols, std::size_t samples_per_cell);
 
   /// Signed GEMM with the weights' a-side rails laid out already.
   [[nodiscard]] gemm_result run_signed(std::span<const double> weight_rails,
@@ -146,18 +160,25 @@ class vector_matrix_engine {
                                        std::span<const double> xs,
                                        std::size_t samples_per_cell);
 
-  dot_product_config config_;
+  /// Device models of the on-fiber GEMM: its invariants, its row keys
+  /// and the readout math. Its own streams are never drawn.
+  dot_product_unit models_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
   rng row_seed_stream_;  ///< forked per row, in row order
   std::size_t threads_override_ = 0;
-  /// One slot per work cell, kept for the engine's lifetime; pool workers
-  /// touch disjoint slots. The rest is per-call scratch.
+  /// One slot per electrical work cell, kept for the engine's lifetime;
+  /// pool workers touch disjoint slots. The rest is per-call scratch.
   std::vector<std::unique_ptr<row_slot>> slots_;
   std::vector<std::uint64_t> seeds_;
   std::vector<dot_result> cells_;
   std::vector<double> weight_rails_;  ///< a-side rails of a matrix operand
   std::vector<double> sample_rails_;
+  /// On-fiber GEMM, row-major over (row, sample): b-side DAC draws and
+  /// product powers per symbol; detector and ADC draws and readouts per
+  /// pass.
+  std::vector<double> dac_noise_, product_;
+  std::vector<double> detector_noise_, adc_noise_, readouts_;
 };
 
 /// Reference (infinite-precision) GEMV for accuracy comparisons.

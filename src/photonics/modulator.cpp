@@ -12,6 +12,34 @@ namespace {
 constexpr double pi = std::numbers::pi;
 }
 
+// ------------------------------------------------------------ mzm_transfer
+
+double mzm_transfer::transmission(double x) const {
+  const double clamped = std::clamp(x, 0.0, 1.0);
+  const double theta = std::acos(std::sqrt(clamped)) + 0.5 * bias_error_rad;
+  const double t_field = std::cos(theta);
+  return std::max(t_field * t_field, floor_t) * loss;
+}
+
+void mzm_transfer::weight_product(const double* codes, const double* dac_noise,
+                                  double dac_sigma, double dac_full_scale,
+                                  const double* power_mw, double* out,
+                                  std::size_t n) const {
+  if (bias_error_rad == 0.0) {
+    simd::active().weight_product(codes, dac_noise, n, dac_full_scale,
+                                  dac_sigma, floor_t, loss, power_mw, out);
+    return;
+  }
+  // The bias error needs acos/cos per symbol, which stay scalar so every
+  // SIMD tier sees the same libm bits.
+  for (std::size_t i = 0; i < n; ++i) {
+    double o = codes[i] + dac_sigma * dac_noise[i];
+    o = o < 0.0 ? 0.0 : o;
+    o = o > dac_full_scale ? dac_full_scale : o;
+    out[i] = power_mw[i] * transmission(o);
+  }
+}
+
 // ----------------------------------------------------------- mzm_modulator
 
 mzm_modulator::mzm_modulator(modulator_config config, double bias_rad,
@@ -22,18 +50,19 @@ mzm_modulator::mzm_modulator(modulator_config config, double bias_rad,
       ledger_(ledger),
       costs_(costs) {
   if (config_.bias_error_sigma_rad > 0.0) {
-    bias_error_rad_ = bias_noise.normal(0.0, config_.bias_error_sigma_rad);
+    transfer_.bias_error_rad =
+        bias_noise.normal(0.0, config_.bias_error_sigma_rad);
   }
   // Finite extinction ratio: transmission never falls below this floor.
-  floor_transmission_ = db_to_ratio(-config_.extinction_ratio_db);
+  transfer_.floor_t = db_to_ratio(-config_.extinction_ratio_db);
   field_loss_scale_ = field_loss_scale(config_.insertion_loss_db);
-  intensity_loss_ratio_ = db_to_ratio(-config_.insertion_loss_db);
+  transfer_.loss = db_to_ratio(-config_.insertion_loss_db);
 }
 
-void mzm_modulator::rekey(std::uint64_t seed) {
-  if (config_.bias_error_sigma_rad > 0.0) {
-    bias_error_rad_ = rng{seed}.normal(0.0, config_.bias_error_sigma_rad);
-  }
+double mzm_modulator::bias_error_for(const modulator_config& config,
+                                     std::uint64_t seed) {
+  if (config.bias_error_sigma_rad <= 0.0) return 0.0;
+  return rng{seed}.normal(0.0, config.bias_error_sigma_rad);
 }
 
 field mzm_modulator::apply_phase_arg(field in, double total_phase_rad) const {
@@ -41,7 +70,7 @@ field mzm_modulator::apply_phase_arg(field in, double total_phase_rad) const {
   // differential arm phase. Intensity transfer = cos^2(theta).
   double t_field = std::cos(total_phase_rad);
   double t_intensity = t_field * t_field;
-  t_intensity = std::max(t_intensity, floor_transmission_);
+  t_intensity = std::max(t_intensity, transfer_.floor_t);
   const double scale = std::sqrt(t_intensity) * field_loss_scale_;
   // The sign of the field transfer matters for coherent cascades.
   return in * (t_field < 0.0 ? -scale : scale);
@@ -51,8 +80,8 @@ field mzm_modulator::modulate(field in, double drive_v) {
   const double v =
       std::clamp(drive_v, -config_.max_drive_v, config_.max_drive_v);
   if (ledger_ != nullptr) ledger_->charge("modulator", costs_.modulator_drive_j);
-  const double theta =
-      0.5 * (bias_rad_ + bias_error_rad_) + 0.5 * pi * v / config_.v_pi;
+  const double theta = 0.5 * (bias_rad_ + transfer_.bias_error_rad) +
+                       0.5 * pi * v / config_.v_pi;
   return apply_phase_arg(in, theta);
 }
 
@@ -61,7 +90,7 @@ double mzm_modulator::intensity_transfer(double drive_v) const {
       std::clamp(drive_v, -config_.max_drive_v, config_.max_drive_v);
   const double theta = 0.5 * bias_rad_ + 0.5 * pi * v / config_.v_pi;
   const double t = std::cos(theta);
-  return std::max(t * t, floor_transmission_) * intensity_loss_ratio_;
+  return std::max(t * t, transfer_.floor_t) * transfer_.loss;
 }
 
 field mzm_modulator::encode_unit_core(field in, double x) const {
@@ -70,7 +99,7 @@ field mzm_modulator::encode_unit_core(field in, double x) const {
   // so calibration is imperfect exactly the way real hardware is.
   const double clamped = std::clamp(x, 0.0, 1.0);
   const double theta = std::acos(std::sqrt(clamped));
-  return apply_phase_arg(in, theta + 0.5 * bias_error_rad_);
+  return apply_phase_arg(in, theta + 0.5 * transfer_.bias_error_rad);
 }
 
 field mzm_modulator::encode_unit(field in, double x) {
@@ -93,14 +122,14 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
                                      std::span<double> t_out,
                                      std::size_t passes) {
   const std::size_t n = std::min(x.size(), t_out.size());
-  if (bias_error_rad_ == 0.0) {
+  if (transfer_.bias_error_rad == 0.0) {
     // Calibrated encode with a perfect bias: cos^2(acos(sqrt(x))) == x, so
     // the transmission is the clamped input held above the extinction
     // floor — the hot path needs no transcendentals at all. Written as
     // conditional moves so rail inputs (exact zeros mixed with positives)
     // cannot stall on clamp branches.
-    const double floor_t = floor_transmission_;
-    const double loss = intensity_loss_ratio_;
+    const double floor_t = transfer_.floor_t;
+    const double loss = transfer_.loss;
     for (std::size_t i = 0; i < n; ++i) {
       double c = x[i];
       c = c < 0.0 ? 0.0 : c;
@@ -109,44 +138,10 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
       t_out[i] = c * loss;
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) t_out[i] = biased_transmission(x[i]);
-  }
-  charge_intensity_drives(n, passes);
-}
-
-void mzm_modulator::encode_intensity_product(
-    std::span<const double> codes, std::span<const double> dac_noise,
-    double dac_sigma, double dac_full_scale, std::span<const double> power_mw,
-    std::span<double> out, std::size_t passes) {
-  const std::size_t n = out.size();
-  if (bias_error_rad_ == 0.0) {
-    simd::active().weight_product(codes.data(), dac_noise.data(), n,
-                                  dac_full_scale, dac_sigma,
-                                  floor_transmission_, intensity_loss_ratio_,
-                                  power_mw.data(), out.data());
-  } else {
-    // The bias error needs acos/cos per symbol, which stay scalar so
-    // every SIMD tier sees the same libm bits.
     for (std::size_t i = 0; i < n; ++i) {
-      double o = codes[i] + dac_sigma * dac_noise[i];
-      o = o < 0.0 ? 0.0 : o;
-      o = o > dac_full_scale ? dac_full_scale : o;
-      out[i] = power_mw[i] * biased_transmission(o);
+      t_out[i] = transfer_.transmission(x[i]);
     }
   }
-  charge_intensity_drives(n, passes);
-}
-
-double mzm_modulator::biased_transmission(double x) const {
-  const double clamped = std::clamp(x, 0.0, 1.0);
-  const double theta = std::acos(std::sqrt(clamped)) + 0.5 * bias_error_rad_;
-  const double t_field = std::cos(theta);
-  return std::max(t_field * t_field, floor_transmission_) *
-         intensity_loss_ratio_;
-}
-
-void mzm_modulator::charge_intensity_drives(std::size_t n,
-                                            std::size_t passes) {
   if (ledger_ != nullptr && n > 0) {
     ledger_->charge_batches("modulator", costs_.modulator_drive_j,
                             n / passes, passes);

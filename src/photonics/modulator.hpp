@@ -32,6 +32,32 @@ struct modulator_config {
   double max_drive_v = 8.0;       ///< driver clipping voltage
 };
 
+/// The calibrated intensity transfer of an MZM drive, as
+/// mzm_modulator::encode_intensity applies it: an input x in [0, 1]
+/// leaves with transmission max(cos^2(acos(sqrt(x)) + bias/2), floor)
+/// times the insertion loss. Plain data, so a weight pass can run the
+/// transfer of any modulator keyed from any seed.
+struct mzm_transfer {
+  double floor_t = 0.0;         ///< finite-extinction transmission floor
+  double loss = 1.0;            ///< insertion loss, intensity ratio
+  double bias_error_rad = 0.0;  ///< static bias-point error
+
+  /// Transmission of x through the full transfer, bias error included
+  /// (acos/cos per call, scalar libm at every SIMD tier).
+  [[nodiscard]] double transmission(double x) const;
+
+  /// The weight side of an on-fiber pass, fused with the DAC driving the
+  /// modulator and the carrier it modulates: out[i] = power_mw[i] * T(o)
+  /// with o = clip(codes[i] + dac_sigma * dac_noise[i], 0, dac_full_scale),
+  /// the DAC output for codes already on its grid. Without a bias error
+  /// it runs as the dispatched simd::kernel_table::weight_product. No
+  /// ledger charge.
+  void weight_product(const double* codes, const double* dac_noise,
+                      double dac_sigma, double dac_full_scale,
+                      const double* power_mw, double* out,
+                      std::size_t n) const;
+};
+
 /// Mach-Zehnder intensity modulator.
 ///
 /// Drive conventions: `modulate(E, v)` applies the physical transfer
@@ -65,22 +91,18 @@ class mzm_modulator {
   void encode_intensity(std::span<const double> x, std::span<double> t_out,
                         std::size_t passes = 1);
 
-  /// encode_intensity fused with the DAC driving it and the carrier it
-  /// modulates, in one pass: out[i] = power_mw[i] * T(o) with
-  /// o = clip(codes[i] + dac_sigma * dac_noise[i], 0, dac_full_scale),
-  /// the DAC output for codes already on its grid, and T the transfer
-  /// encode_intensity applies. Without a bias error it runs as the
-  /// dispatched simd::kernel_table::weight_product. Charged to the ledger
-  /// exactly as encode_intensity over the same `passes`.
-  void encode_intensity_product(std::span<const double> codes,
-                                std::span<const double> dac_noise,
-                                double dac_sigma, double dac_full_scale,
-                                std::span<const double> power_mw,
-                                std::span<double> out, std::size_t passes);
-
   /// Re-key in place: bit-identical to a modulator built with rng{seed}
   /// (the bias error is re-drawn only when one is configured).
-  void rekey(std::uint64_t seed);
+  void rekey(std::uint64_t seed) {
+    transfer_.bias_error_rad = bias_error_for(config_, seed);
+  }
+
+  /// The bias error rekey(seed) draws: zero unless one is configured.
+  [[nodiscard]] static double bias_error_for(const modulator_config& config,
+                                             std::uint64_t seed);
+
+  /// The calibrated intensity transfer encode_intensity applies.
+  [[nodiscard]] const mzm_transfer& transfer() const { return transfer_; }
 
   /// Intensity transmission at drive voltage v (no noise), for tests.
   [[nodiscard]] double intensity_transfer(double drive_v) const;
@@ -91,17 +113,11 @@ class mzm_modulator {
  private:
   [[nodiscard]] field apply_phase_arg(field in, double total_phase_rad) const;
   [[nodiscard]] field encode_unit_core(field in, double x) const;
-  /// Calibrated intensity transmission of x through the full transfer,
-  /// bias error included (acos/cos per call).
-  [[nodiscard]] double biased_transmission(double x) const;
-  void charge_intensity_drives(std::size_t n, std::size_t passes);
 
   modulator_config config_;
   double bias_rad_;
-  double bias_error_rad_ = 0.0;  ///< fixed fabrication/bias-control error
-  double floor_transmission_ = 0.0;
-  double field_loss_scale_ = 1.0;      ///< insertion loss, field amplitude
-  double intensity_loss_ratio_ = 1.0;  ///< insertion loss, intensity
+  mzm_transfer transfer_;          ///< its bias error: fabrication error
+  double field_loss_scale_ = 1.0;  ///< insertion loss, field amplitude
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
 };

@@ -18,9 +18,8 @@ photodetector::photodetector(photodetector_config config, rng noise_stream,
       ledger_(ledger),
       costs_(costs) {}
 
-void photodetector::rekey(std::uint64_t seed) {
-  noise_ = counter_stream(
-      counter_rng::key_of(rng::first_output(seed), kDetectorTag));
+std::uint64_t photodetector::noise_key(std::uint64_t seed) {
+  return counter_rng::key_of(rng::first_output(seed), kDetectorTag);
 }
 
 double photodetector::clip(double current_a) const {
@@ -80,44 +79,51 @@ std::vector<double> photodetector::detect(std::span<const field> in) {
   return out;
 }
 
-void photodetector::integrate_passes(std::span<const double> power_mw,
-                                     std::size_t passes,
-                                     std::span<double> current_a) {
-  const std::size_t symbols = power_mw.size() / passes;
-  const simd::kernel_table& k = simd::active();
-
+photodetector::integration_noise photodetector::integration_noise_for(
+    std::size_t symbols) const {
   // Integrating N symbols narrows the effective noise bandwidth by N:
   // sample the noise with B' = B / N by scaling the variance, which for
   // Gaussian noise equals scaling sigma by 1/sqrt(N).
   const receiver_noise_config& nz = config_.noise;
-  const double bandwidth = nz.bandwidth_hz / static_cast<double>(symbols);
-  double t_var = 0.0;
+  integration_noise out;
+  out.bandwidth_hz = nz.bandwidth_hz / static_cast<double>(symbols);
   if (nz.enable_thermal) {
     const double t =
-        thermal_noise_sigma_a(nz.load_ohm, nz.temperature_k, bandwidth);
-    t_var = t * t;
+        thermal_noise_sigma_a(nz.load_ohm, nz.temperature_k, out.bandwidth_hz);
+    out.thermal_var = t * t;
   }
-  // One draw index per readout, noisy or not.
-  noise_scratch_.resize(passes);
-  noise_.fill_normal(noise_scratch_);
-  for (std::size_t p = 0; p < passes; ++p) {
+  return out;
+}
+
+void photodetector::draw_readout_noise(std::span<double> out) {
+  noise_.fill_normal(out);
+  if (ledger_ != nullptr) {
+    ledger_->charge_batches("photodetector", costs_.photodetector_readout_j,
+                            1, out.size());
+  }
+}
+
+void photodetector::integrate_readouts(std::span<const double> power_mw,
+                                       std::size_t symbols,
+                                       const integration_noise& nz,
+                                       std::span<const double> noise,
+                                       std::span<double> current_a) const {
+  const simd::kernel_table& k = simd::active();
+  const bool shot = config_.noise.enable_shot;
+  for (std::size_t p = 0; p < current_a.size(); ++p) {
     const double mean_power_mw =
         k.blocked_sum(power_mw.data() + p * symbols, symbols) /
         static_cast<double>(symbols);
     const double signal_a = expected_current_a(mean_power_mw);
     double variance = 0.0;
-    if (nz.enable_shot) {
-      const double s = shot_noise_sigma_a(signal_a, bandwidth);
+    if (shot) {
+      const double s = shot_noise_sigma_a(signal_a, nz.bandwidth_hz);
       variance += s * s;
     }
-    variance += t_var;
+    variance += nz.thermal_var;
     const double noise_a =
-        variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise_scratch_[p];
+        variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise[p];
     current_a[p] = clip(signal_a + noise_a);
-  }
-  if (ledger_ != nullptr) {
-    ledger_->charge_batches("photodetector", costs_.photodetector_readout_j,
-                            1, passes);
   }
 }
 
@@ -134,8 +140,12 @@ double photodetector::integrate(std::span<const field> in) {
 
 double photodetector::integrate_power(std::span<const double> power_mw) {
   if (power_mw.empty()) return 0.0;
+  double noise = 0.0;
   double current_a = 0.0;
-  integrate_passes(power_mw, 1, std::span(&current_a, 1));
+  draw_readout_noise(std::span(&noise, 1));
+  integrate_readouts(power_mw, power_mw.size(),
+                     integration_noise_for(power_mw.size()),
+                     std::span(&noise, 1), std::span(&current_a, 1));
   return current_a;
 }
 

@@ -47,20 +47,38 @@ class photodetector {
   /// square-law detector cannot observe the field phase anyway).
   [[nodiscard]] double integrate_power(std::span<const double> power_mw);
 
-  /// `passes` integrate_power readouts over equal back-to-back slices of
-  /// `power_mw`, written to current_a[0 .. passes). The noise of every
-  /// readout comes from one fill, and the narrowed-bandwidth thermal
-  /// variance is computed once; bits, draw indices and ledger charges
-  /// equal `passes` integrate_power calls in slice order.
-  void integrate_passes(std::span<const double> power_mw, std::size_t passes,
-                        std::span<double> current_a);
+  /// Noise parameters of a readout integrating `symbols` symbols: the
+  /// bandwidth narrowed by the symbol count and the thermal variance at
+  /// that bandwidth, computed once per readout shape.
+  struct integration_noise {
+    double bandwidth_hz = 0.0;
+    double thermal_var = 0.0;
+  };
+  [[nodiscard]] integration_noise integration_noise_for(
+      std::size_t symbols) const;
+
+  /// The noise half of integrate_power readouts: the next out.size()
+  /// draws (one per readout, noisy or not), charged to the ledger as
+  /// that many readouts.
+  void draw_readout_noise(std::span<double> out);
+
+  /// The math half: readout k integrates `symbols` powers starting at
+  /// power_mw[k * symbols] with standard normal draw noise[k], into
+  /// current_a[k], for current_a.size() readouts.
+  void integrate_readouts(std::span<const double> power_mw,
+                          std::size_t symbols, const integration_noise& nz,
+                          std::span<const double> noise,
+                          std::span<double> current_a) const;
 
   /// Advance the noise stream past `readouts` detect/integrate readouts
   /// in O(1) — each readout consumes exactly one counter draw index.
   void skip_readouts(std::uint64_t readouts) { noise_.skip(readouts); }
 
   /// Re-key in place: bit-identical to a detector built with rng{seed}.
-  void rekey(std::uint64_t seed);
+  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
+
+  /// Key of the noise stream rekey(seed) installs.
+  [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const photodetector_config& config() const { return config_; }
 

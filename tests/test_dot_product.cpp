@@ -90,27 +90,39 @@ TEST(DotProduct, SignedFourPass) {
   EXPECT_EQ(r.symbols, 16u);  // 4 passes x 4 elements
 }
 
+// On-fiber input: the sample's rails launched through the unit's own
+// encode path and read by a one-row, batch-one on-fiber GEMM.
 TEST(DotProduct, OpticalInputMatchesElectrical) {
   dot_product_unit u({}, 8);
   rng g(100);
   const auto a = random_unit_vector(32, g);
   const auto b = random_unit_vector(32, g);
-  const waveform wave = u.encode_to_optical(a);
+  std::vector<double> received(4 * a.size());
+  u.encode_rails_received(a, received);
   const double ref_mw =
       u.config().laser.power_mw *
       db_to_ratio(-u.config().modulator.insertion_loss_db);
-  const dot_result r = u.dot_with_optical_input(wave, b, ref_mw);
-  EXPECT_NEAR(r.value, exact_dot(a, b), 0.06 * 32);
+  matrix w(1, b.size());
+  w.data = b;
+  vector_matrix_engine engine({}, 8);
+  const gemm_result r =
+      engine.gemm_optical(rail_weights(w, u.config().dac), received, ref_mw);
+  ASSERT_EQ(r.values.size(), 1u);
+  EXPECT_NEAR(r.values[0], exact_dot(a, b), 0.06 * 32);
+  EXPECT_EQ(r.symbols, 4 * 32u);
 }
 
 TEST(DotProduct, OpticalInputValidation) {
-  dot_product_unit u({}, 9);
-  const std::vector<double> b(4, 0.5);
-  const waveform wave(4, make_field(1.0));
-  EXPECT_THROW((void)u.dot_with_optical_input(wave, b, 0.0),
+  vector_matrix_engine engine({}, 9);
+  matrix w(1, 4);
+  const rail_weights rails(w, converter_config{});
+  const std::vector<double> received(4 * 4, 0.5);
+  EXPECT_THROW((void)engine.gemm_optical(rails, received, 0.0),
                std::invalid_argument);
-  const waveform short_wave(3, make_field(1.0));
-  EXPECT_THROW((void)u.dot_with_optical_input(short_wave, b, 1.0),
+  const std::vector<double> short_received(4 * 4 - 1, 0.5);
+  EXPECT_THROW((void)engine.gemm_optical(rails, short_received, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.gemm_optical(rails, {}, 1.0),
                std::invalid_argument);
 }
 
@@ -161,9 +173,6 @@ void expect_rekey_matches_fresh(const dot_product_config& cfg) {
     const waveform fresh_wave = fresh.encode_to_optical(a);
     EXPECT_EQ(used_wave, fresh_wave);
     expect_same_bits(used.dot_signed(sa, sb), fresh.dot_signed(sa, sb));
-    const double ref_mw = used.full_scale_power_mw();
-    expect_same_bits(used.dot_with_optical_input(used_wave, b, ref_mw),
-                     fresh.dot_with_optical_input(fresh_wave, b, ref_mw));
     expect_same_bits(used.dot_unit_range_scalar(a, b),
                      fresh.dot_unit_range_scalar(a, b));
     expect_same_bits(used.dot_unit_range(a, b), fresh.dot_unit_range(a, b));
@@ -369,20 +378,15 @@ void expect_same_ledgers(const energy_ledger& got, const energy_ledger& want) {
   }
 }
 
-/// Several rounds of both kernels on one unit and one reference, so every
-/// stream moves off its start. On-fiber weights are handed over on the
-/// unit's DAC grid, as the GEMM engine's split weights are.
-void expect_unit_matches_reference(const dot_product_config& cfg,
-                                   bool zero_power) {
+/// Several rounds of the kernel on one unit and one reference, so every
+/// stream moves off its start.
+void expect_unit_matches_reference(const dot_product_config& cfg) {
   for (const std::size_t passes : {std::size_t{1}, std::size_t{4}}) {
     for (const bool with_ledger : {false, true}) {
       energy_ledger unit_ledger, ref_ledger;
       dot_product_unit unit(cfg, 77, with_ledger ? &unit_ledger : nullptr);
       per_pass_reference ref(cfg, 77, with_ledger ? &ref_ledger : nullptr);
       rng g(78 + passes);
-      const double ref_mw = unit.full_scale_power_mw() > 0.0
-                                ? unit.full_scale_power_mw()
-                                : 1.0;
       for (int round = 0; round < 4; ++round) {
         const std::size_t dim = 9 + 7 * static_cast<std::size_t>(round);
         const pass_operands op = draw_operands(dim, passes, g);
@@ -391,15 +395,6 @@ void expect_unit_matches_reference(const dot_product_config& cfg,
                      " round=" + std::to_string(round));
         expect_same_bits(unit.dot_passes(op.a, op.b, passes),
                          ref.electrical(op.a, op.b, passes));
-
-        std::vector<double> a_mw(op.a.size()), b_grid(op.b.size());
-        for (std::size_t i = 0; i < a_mw.size(); ++i) {
-          a_mw[i] = zero_power ? 0.0 : op.a[i] * ref_mw;
-          b_grid[i] =
-              quantize_to_grid(op.b[i], cfg.dac.full_scale, cfg.dac.bits);
-        }
-        expect_same_bits(unit.dot_optical_passes(a_mw, b_grid, ref_mw, passes),
-                         ref.optical(a_mw, b_grid, ref_mw, passes));
       }
       expect_same_ledgers(unit_ledger, ref_ledger);
     }
@@ -409,7 +404,7 @@ void expect_unit_matches_reference(const dot_product_config& cfg,
 TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
   {
     SCOPED_TRACE("default config");
-    expect_unit_matches_reference({}, false);
+    expect_unit_matches_reference({});
   }
   {
     SCOPED_TRACE("shot, thermal and ENOB noise off");
@@ -418,66 +413,173 @@ TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
     cfg.detector.noise.enable_thermal = false;
     cfg.dac.enob_penalty = 0.0;
     cfg.adc.enob_penalty = 0.0;
-    expect_unit_matches_reference(cfg, false);
+    expect_unit_matches_reference(cfg);
   }
   {
     SCOPED_TRACE("zero-power carrier");
     dot_product_config cfg;
     cfg.laser.power_mw = 0.0;
-    expect_unit_matches_reference(cfg, true);
+    expect_unit_matches_reference(cfg);
   }
   {
     SCOPED_TRACE("6-bit DAC with full scale 0.8");
     dot_product_config cfg;
     cfg.dac.bits = 6;
     cfg.dac.full_scale = 0.8;
-    expect_unit_matches_reference(cfg, false);
+    expect_unit_matches_reference(cfg);
   }
   {
     SCOPED_TRACE("modulator bias error");
     dot_product_config cfg;
     cfg.modulator.bias_error_sigma_rad = 0.05;
-    expect_unit_matches_reference(cfg, false);
+    expect_unit_matches_reference(cfg);
   }
 }
 
-// The GEMM engine snaps the on-fiber weights on its own DAC's grid, not
-// the default one: on a 6-bit DAC with full scale 0.8 every output
-// equals the per-pass reference run on the raw rails with each row's
-// forked seed, and weights snapped for another DAC are refused.
-TEST(DotProductUnit, OpticalGemmSnapsOnTheEngineDac) {
-  dot_product_config cfg;
-  cfg.dac.bits = 6;
-  cfg.dac.full_scale = 0.8;
-  constexpr std::size_t rows = 3, cols = 10, batch = 11;
-  rng g(91);
-  matrix w(rows, cols);
-  for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
-  const double ref_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
-  std::vector<double> received(batch * 4 * cols);
-  for (double& p : received) p = g.uniform() * ref_mw;
+// ------------------------------------------------ on-fiber GEMM oracle
 
-  vector_matrix_engine engine(cfg, 92);
-  const rail_weights rails(w, cfg.dac);
-  const gemm_result got = engine.gemm_optical(rails, received, ref_mw);
+/// gemm_optical against one per_pass_reference per row, keyed from the
+/// engine's per-call row fork: every output, the latency and symbol
+/// folds, and (ledger on) the ledger of reference cells merged in
+/// (row, cell) order, over row counts, batches, cell sizes and thread
+/// counts. The engine's weights are snapped on its own DAC's grid; the
+/// reference converts the raw rails, so the snap must land on the grid
+/// the DAC would quantize to.
+void expect_optical_gemm_matches_reference(const dot_product_config& cfg,
+                                           bool zero_power) {
+  const double unit_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
+  const double ref_mw = unit_mw > 0.0 ? unit_mw : 1.0;
+  for (const std::size_t rows : {1, 4, 12}) {
+    const std::size_t cols = 5 + rows;
+    rng g(90 + rows);
+    matrix w(rows, cols);
+    for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
+    const rail_weights rails(w, cfg.dac);
+    for (const std::size_t batch : {1, 8, 9, 12}) {
+      std::vector<double> received(batch * 4 * cols);
+      for (double& p : received) p = zero_power ? 0.0 : g.uniform() * ref_mw;
+      std::vector<std::size_t> cell_sizes{1, 8, batch};
+      std::sort(cell_sizes.begin(), cell_sizes.end());
+      cell_sizes.erase(std::unique(cell_sizes.begin(), cell_sizes.end()),
+                       cell_sizes.end());
+      for (const std::size_t per_cell : cell_sizes) {
+        for (const std::size_t threads : {1, 3}) {
+          for (const bool with_ledger : {false, true}) {
+            SCOPED_TRACE("rows=" + std::to_string(rows) +
+                         " batch=" + std::to_string(batch) +
+                         " per_cell=" + std::to_string(per_cell) +
+                         " threads=" + std::to_string(threads) +
+                         " ledger=" + std::to_string(with_ledger));
+            energy_ledger engine_ledger, want_ledger, cell_ledger;
+            vector_matrix_engine engine(
+                cfg, 92, with_ledger ? &engine_ledger : nullptr);
+            engine.set_threads(threads);
+            const gemm_result got =
+                engine.gemm_optical(rails, received, ref_mw, per_cell);
+            ASSERT_EQ(got.batch, batch);
+            ASSERT_EQ(got.values.size(), rows * batch);
 
-  rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's per-call row fork
-  std::vector<double> rail_b(4 * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    per_pass_reference ref(cfg, row_seeds(), nullptr);
-    lay_out_rails(w.row(r), rail_operand::b, rail_b);
-    for (std::size_t s = 0; s < batch; ++s) {
-      const auto x = std::span<const double>(received).subspan(
-          s * 4 * cols, 4 * cols);
-      EXPECT_EQ(got.values[s * rows + r],
-                ref.optical(x, rail_b, ref_mw, 4).value)
-          << "row " << r << " sample " << s;
+            rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's row fork
+            std::vector<double> rail_b(4 * cols);
+            std::vector<dot_result> want(rows * batch);
+            for (std::size_t r = 0; r < rows; ++r) {
+              per_pass_reference ref(cfg, row_seeds(),
+                                     with_ledger ? &cell_ledger : nullptr);
+              lay_out_rails(w.row(r), rail_operand::b, rail_b);
+              for (std::size_t s = 0; s < batch; ++s) {
+                if (s % per_cell == 0) cell_ledger.reset();
+                const auto x = std::span<const double>(received).subspan(
+                    s * 4 * cols, 4 * cols);
+                want[r * batch + s] = ref.optical(x, rail_b, ref_mw, 4);
+                if ((s + 1) % per_cell == 0 || s + 1 == batch) {
+                  want_ledger.merge(cell_ledger);
+                }
+              }
+            }
+            double latency_s = 0.0;
+            std::uint64_t symbols = 0;
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t s = 0; s < batch; ++s) {
+                const dot_result& d = want[r * batch + s];
+                EXPECT_EQ(got.values[s * rows + r], d.value)
+                    << "row " << r << " sample " << s;
+                latency_s += d.latency_s;
+                symbols += d.symbols;
+              }
+            }
+            EXPECT_EQ(got.latency_s, latency_s);
+            EXPECT_EQ(got.symbols, symbols);
+            expect_same_ledgers(engine_ledger, want_ledger);
+          }
+        }
+      }
     }
   }
 
-  EXPECT_THROW((void)engine.gemm_optical(rail_weights(w, {}), received,
-                                         ref_mw),
+  // Weights snapped for another DAC are refused.
+  if (cfg.dac.bits != converter_config{}.bits) {
+    vector_matrix_engine engine(cfg, 92);
+    matrix w(2, 3);
+    const std::vector<double> received(4 * 3, 0.5);
+    EXPECT_THROW((void)engine.gemm_optical(rail_weights(w, {}), received,
+                                           ref_mw),
+                 std::invalid_argument);
+  }
+}
+
+TEST(DotProductUnit, OpticalGemmMatchesPerPassReference) {
+  {
+    SCOPED_TRACE("default config");
+    expect_optical_gemm_matches_reference({}, false);
+  }
+  {
+    SCOPED_TRACE("shot, thermal and ENOB noise off");
+    dot_product_config cfg;
+    cfg.detector.noise.enable_shot = false;
+    cfg.detector.noise.enable_thermal = false;
+    cfg.dac.enob_penalty = 0.0;
+    cfg.adc.enob_penalty = 0.0;
+    expect_optical_gemm_matches_reference(cfg, false);
+  }
+  {
+    SCOPED_TRACE("zero-power carrier");
+    dot_product_config cfg;
+    cfg.laser.power_mw = 0.0;
+    expect_optical_gemm_matches_reference(cfg, true);
+  }
+  {
+    SCOPED_TRACE("6-bit DAC with full scale 0.8");
+    dot_product_config cfg;
+    cfg.dac.bits = 6;
+    cfg.dac.full_scale = 0.8;
+    expect_optical_gemm_matches_reference(cfg, false);
+  }
+  {
+    SCOPED_TRACE("modulator bias error");
+    dot_product_config cfg;
+    cfg.modulator.bias_error_sigma_rad = 0.05;
+    expect_optical_gemm_matches_reference(cfg, false);
+  }
+}
+
+// A cell of zero samples is a caller error on both GEMM entry points,
+// refused before any row seed is forked: the next call still draws the
+// noise a fresh engine's first call draws.
+TEST(DotProductUnit, GemmRejectsZeroSamplesPerCell) {
+  matrix w(3, 4);
+  rng g(93);
+  for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
+  const rail_weights rails(w, converter_config{});
+  std::vector<double> xs(2 * 4), received(2 * 4 * 4);
+  for (double& v : xs) v = 2.0 * g.uniform() - 1.0;
+  for (double& p : received) p = g.uniform();
+
+  vector_matrix_engine engine({}, 94), fresh({}, 94);
+  EXPECT_THROW((void)engine.gemm_signed(rails, xs, 0), std::invalid_argument);
+  EXPECT_THROW((void)engine.gemm_optical(rails, received, 1.0, 0),
                std::invalid_argument);
+  EXPECT_EQ(engine.gemm_signed(rails, xs).values,
+            fresh.gemm_signed(rails, xs).values);
 }
 
 // Property: relative error stays within the quantization + noise budget

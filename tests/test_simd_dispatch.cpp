@@ -89,19 +89,24 @@ TEST(SimdDispatch, EnvOverrideClampsAndSelects) {
 }
 
 TEST(SimdDispatch, FillNormalBitIdenticalAcrossLevels) {
+  // Every draw of every tier equals the per-index function, at an odd
+  // base and at lengths that straddle the fill's 64-draw tail-mask words
+  // and its 512-draw blocks, so a tail lane dropped or misplaced by any
+  // tier (or by all of them alike) fails here.
   const std::uint64_t key = counter_rng::key_of(1234, 5);
+  constexpr std::uint64_t base = 17;
   for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{511},
-        std::size_t{512}, std::size_t{513}, std::size_t{4096}}) {
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{63},
+        std::size_t{64}, std::size_t{65}, std::size_t{127}, std::size_t{128},
+        std::size_t{129}, std::size_t{511}, std::size_t{512},
+        std::size_t{513}, std::size_t{4096}}) {
     std::vector<double> reference(n);
-    simd::table_for(simd::level::scalar)
-        .fill_normal(key, /*base=*/17, reference.data(), n);
-    // Spot-check the scalar table against the pure per-index function.
-    EXPECT_EQ(reference[0], counter_normal(key, 17));
-    EXPECT_EQ(reference[n - 1], counter_normal(key, 17 + n - 1));
+    for (std::size_t i = 0; i < n; ++i) {
+      reference[i] = counter_normal(key, base + i);
+    }
     for (const simd::level l : supported_levels()) {
       std::vector<double> out(n, -1.0);
-      simd::table_for(l).fill_normal(key, 17, out.data(), n);
+      simd::table_for(l).fill_normal(key, base, out.data(), n);
       EXPECT_EQ(out, reference) << "level " << simd::level_name(l)
                                 << ", n = " << n;
     }
