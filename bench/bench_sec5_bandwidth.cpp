@@ -10,7 +10,7 @@
 #include "bench_util.hpp"
 #include "network/fabric.hpp"
 #include "network/stats.hpp"
-#include "network/traffic.hpp"
+#include "network/workload.hpp"
 #include "photonics/wdm.hpp"
 
 using namespace onfiber;
@@ -66,33 +66,32 @@ int main() {
     net::wan_fabric fabric(engine, topo);
     fabric.install_shortest_path_routes();
 
+    // Each user is one injector of one-packet flows: 1480 B payloads,
+    // offered at ~2x its fair share so the link saturates. The plane
+    // keys every packet id on its injector (bits 44 and up hold
+    // injector + 1), so per-user accounting reads it back from the id.
+    constexpr double window_s = 2e-3;
+    net::workload_config wc;
+    net::flow_class& one_packet = wc.tenants[0];
+    one_packet.flow_rate_fps =
+        2.0 * ch.net_rate_bps() / static_cast<double>(users) /
+        (1500.0 * 8.0);
+    one_packet.mice_fraction = 1.0;
+    one_packet.mice = {1.3, 1480.0, 1480.0};
+    one_packet.mtu_bytes = 1480;
+    wc.seed = 100;
+    net::workload_plane plane(fabric, wc);
+    for (std::size_t u = 0; u < users; ++u) {
+      plane.add_injector({a, topo.node_at(b).address, 0, {}});
+    }
+
     std::vector<double> user_bytes(users, 0.0);
     fabric.set_deliver_callback(
         [&](const net::packet& pkt, net::node_id, double) {
-          user_bytes[pkt.flow_hash % users] +=
+          user_bytes[(pkt.id >> 44) - 1] +=
               static_cast<double>(pkt.wire_bytes());
         });
-
-    constexpr double window_s = 2e-3;
-    for (std::size_t u = 0; u < users; ++u) {
-      net::traffic_config tc;
-      // Each user offers ~2x its fair share so the link saturates.
-      tc.packet_rate_pps =
-          2.0 * ch.net_rate_bps() / static_cast<double>(users) /
-          (1500.0 * 8.0);
-      tc.min_payload_bytes = 1480;
-      tc.max_payload_bytes = 1480;
-      tc.flow_count = 1;
-      net::traffic_generator gen(tc, net::ipv4(10, 0, 0, 2),
-                                 topo.node_at(b).address, 100 + u);
-      for (auto& arr : gen.generate(window_s)) {
-        arr.pkt.flow_hash = static_cast<std::uint32_t>(u);
-        engine.schedule_global(arr.time_s,
-                               [&fabric, pkt = arr.pkt]() mutable {
-                                 fabric.send(std::move(pkt), 0);
-                               });
-      }
-    }
+    plane.start(window_s);
     // Count deliveries for transmissions inside the window (shift the
     // horizon by the propagation delay so in-flight packets land); the
     // backlog beyond it is exactly the over-subscription.

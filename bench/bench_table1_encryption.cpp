@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "apps/encryption.hpp"
+#include "apps/intrusion_detection.hpp"
 #include "bench_util.hpp"
-#include "network/traffic.hpp"
 
 using namespace onfiber;
 using namespace onfiber::bench;
@@ -23,7 +23,7 @@ int main() {
               "eavesdropper BER");
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<std::uint8_t> plain(1024);
-    net::fill_random_bytes(plain, 100 + static_cast<std::uint64_t>(trial));
+    apps::fill_random_bytes(plain, 100 + static_cast<std::uint64_t>(trial));
     apps::photonic_crypto crypto({}, 31 + static_cast<std::uint64_t>(trial));
     digital::stream_cipher enc(key, static_cast<std::uint64_t>(trial));
     digital::stream_cipher dec(key, static_cast<std::uint64_t>(trial));
@@ -55,7 +55,7 @@ int main() {
     apps::photonic_crypto crypto({}, 43, &ledger);
     digital::stream_cipher enc(key, 99);
     std::vector<std::uint8_t> plain(1024);
-    net::fill_random_bytes(plain, 777);
+    apps::fill_random_bytes(plain, 777);
     (void)crypto.encrypt(plain, enc);
     const double bits = 1024.0 * 8.0;
     // Digital XOR path: ~2 pJ/bit (ARX rounds + memory on a CPU NIC).

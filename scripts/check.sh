@@ -129,3 +129,10 @@ rm -f /tmp/bench_fabric_tsan.json
 # touched per flap), so a delta-pass regression fails here.
 ./build-tsan/bench/bench_ext_spf --json /tmp/bench_spf_tsan.json > /dev/null
 rm -f /tmp/bench_spf_tsan.json
+
+# Reachability gate: every out-of-line src/ library function must be
+# reached by a shipped binary (bench/, examples/, tools/, perfbench) or
+# be allow-listed with a reason in scripts/unused_symbols.allow, so code
+# that only tests call cannot pile up unnoticed. Header-only code is out
+# of its scope.
+scripts/unused_symbols.sh > /dev/null

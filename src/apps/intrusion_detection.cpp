@@ -4,7 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "network/traffic.hpp"
 #include "photonics/rng.hpp"
 
 namespace onfiber::apps {
@@ -105,6 +104,23 @@ std::vector<detection> digital_ids_scan(
   return out;
 }
 
+void fill_random_bytes(std::span<std::uint8_t> out, std::uint64_t seed) {
+  phot::rng gen(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(gen.below(256));
+}
+
+void plant_signature(std::span<std::uint8_t> payload,
+                     std::span<const std::uint8_t> signature,
+                     std::size_t offset) {
+  // Written so that no sum can wrap: offset + size overflows at SIZE_MAX.
+  if (offset > payload.size() ||
+      signature.size() > payload.size() - offset) {
+    throw std::invalid_argument("plant_signature: signature out of bounds");
+  }
+  std::copy(signature.begin(), signature.end(), payload.begin() +
+            static_cast<std::ptrdiff_t>(offset));
+}
+
 ids_workload make_ids_workload(
     std::span<const std::vector<std::uint8_t>> signatures,
     std::size_t payload_count, std::size_t payload_bytes,
@@ -124,12 +140,12 @@ ids_workload make_ids_workload(
 
   for (std::size_t i = 0; i < payload_count; ++i) {
     std::vector<std::uint8_t> payload(payload_bytes);
-    net::fill_random_bytes(payload, gen());
+    fill_random_bytes(payload, gen());
     if (gen.uniform() < plant_fraction) {
       const std::size_t si = gen.below(sigs.size());
       if (sigs[si].size() <= payload.size()) {
         const std::size_t max_off = payload.size() - sigs[si].size();
-        net::plant_signature(payload, sigs[si], gen.below(max_off + 1));
+        plant_signature(payload, sigs[si], gen.below(max_off + 1));
       }
     }
     std::vector<detection> truth;

@@ -63,6 +63,16 @@ class photonic_ids {
     std::span<const std::uint8_t> payload,
     std::span<const std::vector<std::uint8_t>> signatures);
 
+/// Fill `out` with pseudo-random bytes from `seed` (deterministic).
+void fill_random_bytes(std::span<std::uint8_t> out, std::uint64_t seed);
+
+/// Plant `signature` into `payload` at `offset` (for IDS ground truth).
+/// Throws std::invalid_argument unless the signature fits entirely inside
+/// the payload at that offset.
+void plant_signature(std::span<std::uint8_t> payload,
+                     std::span<const std::uint8_t> signature,
+                     std::size_t offset);
+
 /// Deterministic workload: payloads of `payload_bytes` random bytes, with
 /// a known signature planted in a `plant_fraction` of them. Returns the
 /// payloads and the ground-truth detections per payload.

@@ -114,13 +114,6 @@ std::vector<double> cnn_features_reference(const photonic_cnn& cnn,
   return pool_and_normalize(maps, cnn.pooled_w, cnn.pooled_h, feature_scale);
 }
 
-std::vector<double> cnn_features_photonic(const photonic_cnn& cnn,
-                                          const frame& image,
-                                          phot::wdm_gemv_engine& conv_engine) {
-  const feature_maps maps = conv2d_photonic(image, cnn.bank, conv_engine);
-  return pool_and_normalize(maps, cnn.pooled_w, cnn.pooled_h, feature_scale);
-}
-
 photonic_cnn train_photonic_cnn(const image_dataset& data, std::size_t hidden,
                                 std::size_t epochs, std::uint64_t seed) {
   if (data.images.empty()) {

@@ -49,11 +49,6 @@ struct photonic_cnn {
 [[nodiscard]] std::vector<double> cnn_features_reference(
     const photonic_cnn& cnn, const frame& image);
 
-/// Extract features with the photonic conv engine.
-[[nodiscard]] std::vector<double> cnn_features_photonic(
-    const photonic_cnn& cnn, const frame& image,
-    phot::wdm_gemv_engine& conv_engine);
-
 /// Train a CNN on the dataset: the conv bank is the fixed edge extractor,
 /// the MLP head is trained (photonic-aware) on the float features.
 [[nodiscard]] photonic_cnn train_photonic_cnn(const image_dataset& data,

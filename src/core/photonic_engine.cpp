@@ -146,14 +146,6 @@ void photonic_engine::configure_dnn(dnn_task task) {
   dnn_ = std::move(task);
 }
 
-void photonic_engine::clear_tasks() {
-  gemv_.reset();
-  gemv_rails_.reset();
-  match_.reset();
-  dnn_.reset();
-  dnn_rails_.clear();
-}
-
 bool photonic_engine::supports(proto::primitive_id p) const {
   switch (p) {
     case proto::primitive_id::p1_dot_product:
@@ -168,15 +160,6 @@ bool photonic_engine::supports(proto::primitive_id p) const {
       return false;
   }
   return false;
-}
-
-std::vector<proto::primitive_id> photonic_engine::configured() const {
-  std::vector<proto::primitive_id> out;
-  if (gemv_) out.push_back(proto::primitive_id::p1_dot_product);
-  if (match_) out.push_back(proto::primitive_id::p2_pattern_match);
-  out.push_back(proto::primitive_id::p3_nonlinear);
-  if (dnn_) out.push_back(proto::primitive_id::p1_p3_dnn);
-  return out;
 }
 
 phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,

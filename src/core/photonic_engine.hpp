@@ -103,7 +103,6 @@ class photonic_engine {
   void configure_gemv(gemv_task task);
   void configure_match(match_task task);
   void configure_dnn(dnn_task task);
-  void clear_tasks();
 
   void set_mode(compute_mode mode) { config_.mode = mode; }
   [[nodiscard]] compute_mode mode() const { return config_.mode; }
@@ -115,9 +114,6 @@ class photonic_engine {
 
   /// Can this engine serve packets asking for `p`?
   [[nodiscard]] bool supports(proto::primitive_id p) const;
-
-  /// All primitives currently configured.
-  [[nodiscard]] std::vector<proto::primitive_id> configured() const;
 
   // ------------------------------------------------------------ data plane
 

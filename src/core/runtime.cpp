@@ -107,11 +107,6 @@ std::size_t onfiber_runtime::queue_depth_of(site& s, double now) {
   return s.batch_queue.size() + q.size();
 }
 
-std::size_t onfiber_runtime::site_queue_depth(net::node_id at) {
-  if (at >= sites_.size() || !sites_[at] || !sites_[at]->engine) return 0;
-  return queue_depth_of(*sites_[at], sim_for(at).now());
-}
-
 onfiber_runtime::rel_shard* onfiber_runtime::owner_shard_of(
     std::uint32_t task_id) {
   const auto it = task_ingress_.find(task_id);

@@ -131,10 +131,6 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// Counters kept per shard and summed on read (max for the watermark).
   [[nodiscard]] const admission_stats& admission() const;
 
-  /// Current compute-queue depth at `at` (0 for nodes without engines):
-  /// parked batch packets plus serial admissions still in service.
-  [[nodiscard]] std::size_t site_queue_depth(net::node_id at);
-
   /// Delivery-log control for open-loop workloads: the per-delivery log
   /// (deliveries()) materializes every delivered packet, which cannot
   /// reach millions of packets. Turn it off and attach an observer —

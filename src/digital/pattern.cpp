@@ -75,15 +75,6 @@ std::vector<pattern_hit> aho_corasick::find_all(
   return hits;
 }
 
-bool aho_corasick::any_match(std::span<const std::uint8_t> text) const {
-  std::int32_t state = 0;
-  for (std::uint8_t byte : text) {
-    state = nodes_[static_cast<std::size_t>(state)].next[byte];
-    if (!nodes_[static_cast<std::size_t>(state)].output.empty()) return true;
-  }
-  return false;
-}
-
 std::vector<pattern_hit> naive_scan(
     std::span<const std::uint8_t> text,
     std::span<const std::vector<std::uint8_t>> patterns) {

@@ -18,8 +18,7 @@ wan_fabric::wan_fabric(shard_engine& engine, topology topo)
       hooks_(topo_.node_count()),
       link_free_at_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}),
       link_tx_seq_(topo_.links().size(),
-                   std::array<std::uint64_t, 2>{0, 0}),
-      link_bytes_dir_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}) {
+                   std::array<std::uint64_t, 2>{0, 0}) {
   const std::size_t n = topo_.node_count();
   // Lookup caches (addr index, pair->link map) are built now, on the
   // construction thread: shard threads hit node_for_address and
@@ -126,14 +125,6 @@ const drop_stats& wan_fabric::drops() const {
     drops_cache_.bad_redirect += s->drops.bad_redirect;
   }
   return drops_cache_;
-}
-
-const std::vector<double>& wan_fabric::link_bytes() const {
-  link_bytes_cache_.resize(link_bytes_dir_.size());
-  for (std::size_t i = 0; i < link_bytes_dir_.size(); ++i) {
-    link_bytes_cache_[i] = link_bytes_dir_[i][0] + link_bytes_dir_[i][1];
-  }
-  return link_bytes_cache_;
 }
 
 void wan_fabric::trace_hop(const packet& pkt, node_id at, double now_s,
@@ -266,13 +257,6 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
                             [this, li = f.link_index] { restore_link(li); });
     reconverge_after(f.restore_at_s);
   }
-}
-
-bool wan_fabric::link_is_up(std::size_t link_index) const {
-  if (link_index >= topo_.links().size()) {
-    throw std::out_of_range("wan_fabric: bad link index");
-  }
-  return spf_.link_up(link_index);
 }
 
 std::optional<node_id> wan_fabric::next_hop(node_id at, ipv4 dst) const {
@@ -468,8 +452,6 @@ void wan_fabric::forward_on(packet&& pkt, node_id from, node_id next,
   if (start < now) start = now;
   const double done = start + serialize_s;
   link_free_at_[li][static_cast<std::size_t>(dir)] = done;
-  link_bytes_dir_[li][static_cast<std::size_t>(dir)] +=
-      static_cast<double>(pkt.wire_bytes());
 
   const double arrival = done + l.delay_s();
   apply_bit_errors(ss, pkt, li, dir);

@@ -123,8 +123,6 @@ class wan_fabric final : public packet_event_sink {
     return reconvergences_;
   }
 
-  [[nodiscard]] bool link_is_up(std::size_t link_index) const;
-
   /// Install or replace the intercept hook at one node.
   void set_hook(node_id at, hook_fn hook);
 
@@ -240,8 +238,6 @@ class wan_fabric final : public packet_event_sink {
   [[nodiscard]] std::uint64_t dropped() const { return drops().total(); }
   /// Per-reason drop breakdown (summed across shards).
   [[nodiscard]] const drop_stats& drops() const;
-  /// Bytes carried per link index (both directions), for load metrics.
-  [[nodiscard]] const std::vector<double>& link_bytes() const;
 
  private:
   static constexpr std::uint32_t no_link = ~std::uint32_t{0};
@@ -342,11 +338,6 @@ class wan_fabric final : public packet_event_sink {
   /// advanced on every traversal (BER on or off) so the stream a given
   /// traversal draws from never depends on when BER was (re)configured.
   std::vector<std::array<std::uint64_t, 2>> link_tx_seq_;
-  /// Bytes carried, split per direction for the same single-writer
-  /// reason; link_bytes() sums a+b in fixed order (wire bytes are
-  /// integer-valued doubles, so the split sum is bit-exact regardless).
-  std::vector<std::array<double, 2>> link_bytes_dir_;
-  mutable std::vector<double> link_bytes_cache_;
   mutable drop_stats drops_cache_;
 
   double bit_error_rate_ = 0.0;

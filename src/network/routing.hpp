@@ -5,8 +5,10 @@
 //   * `linear_routing_ref` — O(n) scan reference used by property tests
 //     to check the trie against first principles.
 //
-// The table maps prefixes to an opaque next-hop value (node id + egress
-// link in the simulator; anything in tests).
+// The table maps prefixes to an opaque value. The fabric's table maps a
+// destination prefix to the node that owns it (hops then read the flat
+// per-node routes); the runtime's per-primitive compute tables map to a
+// next-hop node; the IP-routing use case maps to a next-hop id.
 #pragma once
 
 #include <algorithm>

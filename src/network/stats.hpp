@@ -42,8 +42,12 @@ class summary {
     return samples_.empty() ? 0.0 : sorted().back();
   }
 
-  /// Percentile in [0, 100] by nearest-rank on the sorted samples.
+  /// Percentile in [0, 100] by nearest-rank on the sorted samples; 0
+  /// when empty. A NaN pct throws std::invalid_argument.
   [[nodiscard]] double percentile(double pct) const {
+    if (std::isnan(pct)) {
+      throw std::invalid_argument("summary: NaN percentile");
+    }
     if (samples_.empty()) return 0.0;
     if (pct < 0.0 || pct > 100.0) {
       throw std::invalid_argument("summary: percentile out of range");

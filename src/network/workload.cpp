@@ -251,7 +251,6 @@ completion_recorder::completion_recorder(wan_fabric& fabric)
 void completion_recorder::record(const packet& pkt, node_id at, double now) {
   shard_bucket& b = *shards_[fabric_->shard_of(at)];
   b.latencies.push_back(now - pkt.created_s);
-  b.bytes += static_cast<double>(pkt.payload.size());
 }
 
 std::uint64_t completion_recorder::delivered() const {
@@ -260,13 +259,10 @@ std::uint64_t completion_recorder::delivered() const {
   return n;
 }
 
-double completion_recorder::payload_bytes() const {
-  double n = 0.0;
-  for (const auto& b : shards_) n += b->bytes;
-  return n;
-}
-
 double completion_recorder::latency_percentile(double p) const {
+  if (std::isnan(p)) {
+    throw std::invalid_argument("completion_recorder: NaN percentile");
+  }
   std::vector<double> all;
   all.reserve(delivered());
   for (const auto& b : shards_) {
@@ -280,13 +276,6 @@ double completion_recorder::latency_percentile(double p) const {
       std::clamp(p, 0.0, 100.0) / 100.0 *
       static_cast<double>(all.size() - 1);
   return all[static_cast<std::size_t>(rank + 0.5)];
-}
-
-void completion_recorder::clear() {
-  for (auto& b : shards_) {
-    b->latencies.clear();
-    b->bytes = 0.0;
-  }
 }
 
 }  // namespace onfiber::net

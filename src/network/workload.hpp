@@ -90,7 +90,9 @@ struct flow_packet_view {
   ipv4 src{};
   ipv4 dst{};
   double time_s = 0.0;
-  std::uint64_t packet_id = 0;     ///< unique across the plane
+  /// Unique across the plane: (injector + 1) << 44 | the injector's
+  /// 1-based packet count, so the id names its injector.
+  std::uint64_t packet_id = 0;
 };
 
 /// Open-loop traffic source driving a wan_fabric from inside its event
@@ -188,16 +190,14 @@ class completion_recorder {
   void record(const packet& pkt, node_id at, double now);
 
   [[nodiscard]] std::uint64_t delivered() const;
-  [[nodiscard]] double payload_bytes() const;
-  /// Exact percentile (p in [0, 100]) of delivery latency over all
-  /// shards; 0 when nothing was delivered.
+  /// Exact percentile of delivery latency over all shards; p is clamped
+  /// to [0, 100], and a NaN p throws std::invalid_argument. 0 when
+  /// nothing was delivered.
   [[nodiscard]] double latency_percentile(double p) const;
-  void clear();
 
  private:
   struct alignas(64) shard_bucket {
     std::vector<double> latencies;
-    double bytes = 0.0;
   };
 
   wan_fabric* fabric_;

@@ -34,23 +34,11 @@ const char* to_string(drop_reason r) {
   return "?";
 }
 
-tracer::tracer() : slots_(new slot[kDefaultCapacity]()) {}
+tracer::tracer() : slots_(new slot[kCapacity]()) {}
 
 tracer& tracer::global() {
   static tracer t;
   return t;
-}
-
-void tracer::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(m_);
-  capacity_ = n == 0 ? 1 : n;
-  slots_.reset(new slot[capacity_]());
-  total_.store(0, std::memory_order_release);
-}
-
-std::size_t tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return capacity_;
 }
 
 std::uint32_t tracer::next_trace_id() {
@@ -66,7 +54,7 @@ void tracer::record(const hop_record& r) {
   std::memcpy(words, &r, sizeof(words));
   const std::uint64_t ticket =
       total_.fetch_add(1, std::memory_order_release);
-  slot& s = slots_[ticket % capacity_];
+  slot& s = slots_[ticket % kCapacity];
   for (std::size_t i = 0; i < kWords; ++i) {
     s.w[i].store(words[i], std::memory_order_relaxed);
   }
@@ -90,15 +78,15 @@ std::vector<hop_record> tracer::snapshot() const {
   std::lock_guard<std::mutex> lock(m_);
   const std::uint64_t total = total_.load(std::memory_order_acquire);
   const std::size_t kept =
-      static_cast<std::size_t>(total < capacity_ ? total : capacity_);
+      static_cast<std::size_t>(total < kCapacity ? total : kCapacity);
   std::vector<hop_record> out;
   out.reserve(kept);
   // Oldest record lives at total % capacity once the ring has wrapped,
   // at 0 before that.
   const std::size_t head =
-      total <= capacity_ ? 0 : static_cast<std::size_t>(total % capacity_);
+      total <= kCapacity ? 0 : static_cast<std::size_t>(total % kCapacity);
   for (std::size_t i = 0; i < kept; ++i) {
-    out.push_back(load_slot((head + i) % capacity_));
+    out.push_back(load_slot((head + i) % kCapacity));
   }
   return out;
 }

@@ -6,7 +6,7 @@
 // on-fiber runtime then append one hop_record per meaningful event —
 // inject, forward, redirect, compute, batch, deliver, drop (with a
 // reason). The ring is fixed-capacity: the slot array is laid out once
-// (at construction or set_capacity), recording never allocates, old
+// at construction, recording never allocates, old
 // records are overwritten, and total_recorded() keeps the true event
 // count so wraparound is observable. tools/onfiber_trace pretty-prints
 // a packet's life from these records.
@@ -15,10 +15,9 @@
 // fetch_add reserves a ticket, and the 24-byte record is stored into
 // its slot as three relaxed atomic words. This keeps tracing off the
 // hot path's lock ranks and makes it safe to call from every shard
-// thread of the sharded event engine concurrently. snapshot(), clear()
-// and set_capacity() serialize against each other with a mutex;
-// reconfiguring (clear / set_capacity) while threads are still
-// recording is not supported. A snapshot taken while recording is in
+// thread of the sharded event engine concurrently. snapshot() and
+// clear() serialize against each other with a mutex; clearing while
+// threads are still recording is not supported. A snapshot taken while recording is in
 // flight is safe (no torn words, no UB) but may observe a slot
 // mid-overwrite after wraparound; take snapshots at quiescence for
 // exact results — every in-tree consumer does.
@@ -77,16 +76,13 @@ struct hop_record {
 
 class tracer {
  public:
-  static constexpr std::size_t kDefaultCapacity = 8192;
+  static constexpr std::size_t kCapacity = 8192;
 
   tracer();
 
   [[nodiscard]] static tracer& global();
 
-  /// Resize the ring (drops existing records). Capacity 0 is clamped
-  /// to 1. Must not run concurrently with record().
-  void set_capacity(std::size_t n);
-  [[nodiscard]] std::size_t capacity() const;
+  [[nodiscard]] std::size_t capacity() const { return kCapacity; }
 
   /// Allocate a fresh packet trace id (1-based; 0 means "untraced").
   /// Lock-free.
@@ -122,9 +118,8 @@ class tracer {
 
   [[nodiscard]] hop_record load_slot(std::size_t i) const;
 
-  mutable std::mutex m_;  ///< serializes snapshot/clear/set_capacity
+  mutable std::mutex m_;  ///< serializes snapshot/clear
   std::unique_ptr<slot[]> slots_;
-  std::size_t capacity_ = kDefaultCapacity;
   std::atomic<std::uint64_t> total_{0};
   std::atomic<std::uint32_t> next_id_{0};
 };

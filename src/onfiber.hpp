@@ -40,7 +40,6 @@
 #include "network/routing.hpp"
 #include "network/stats.hpp"
 #include "network/topology.hpp"
-#include "network/traffic.hpp"
 #include "network/workload.hpp"
 
 // compute-communication protocol (paper §3)
@@ -50,7 +49,6 @@
 
 // the paper's contribution (Figs. 1, 3, 4)
 #include "core/compute_packets.hpp"
-#include "core/optical_frame.hpp"
 #include "core/photonic_engine.hpp"
 #include "core/runtime.hpp"
 #include "core/transponder.hpp"

@@ -84,10 +84,6 @@ double dac::convert(double value) {
   return convert_core(value);
 }
 
-void dac::convert(std::span<const double> in, std::span<double> out) {
-  convert(in, out, noise_scratch_);
-}
-
 void dac::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch, std::size_t passes) {
   const std::size_t n = std::min(in.size(), out.size());
@@ -114,12 +110,6 @@ void dac::convert(std::span<const double> in, std::span<double> out,
       out[i] = detail::quantize_bf(in[i], fs, levels);
     }
   }
-}
-
-std::vector<double> dac::convert(std::span<const double> values) {
-  std::vector<double> out(values.size());
-  convert(values, out);
-  return out;
 }
 
 // ------------------------------------------------------------------- adc
@@ -156,20 +146,6 @@ double adc::convert(double value) {
   return convert_core(value);
 }
 
-void adc::convert(std::span<const double> in, std::span<double> out) {
-  convert(in, out, noise_scratch_);
-}
-
-void adc::convert(std::span<const double> in, std::span<double> out,
-                  std::vector<double>& noise_scratch) {
-  const std::size_t n = std::min(in.size(), out.size());
-  if (n == 0) return;
-  noise_scratch.resize(n);
-  const std::span<double> noise(noise_scratch.data(), n);
-  draw_noise(noise);
-  digitize(in.first(n), noise, out.first(n));
-}
-
 void adc::draw_noise(std::span<double> out) {
   const std::size_t n = out.size();
   if (noise_sigma_ > 0.0) {
@@ -196,12 +172,6 @@ void adc::digitize(std::span<const double> in, std::span<const double> noise,
       out[i] = detail::quantize_bf(in[i], fs, levels);
     }
   }
-}
-
-std::vector<double> adc::convert(std::span<const double> values) {
-  std::vector<double> out(values.size());
-  convert(values, out);
-  return out;
 }
 
 }  // namespace onfiber::phot

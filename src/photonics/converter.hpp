@@ -46,9 +46,6 @@ class dac {
   /// both passes vectorize at the active ISA level.
   void convert(std::span<const double> in, std::span<double> out,
                std::vector<double>& noise_scratch, std::size_t passes = 1);
-  void convert(std::span<const double> in, std::span<double> out);
-
-  [[nodiscard]] std::vector<double> convert(std::span<const double> values);
 
   /// Standard deviation the ENOB-penalty draws are scaled by.
   [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
@@ -82,7 +79,6 @@ class dac {
   double noise_sigma_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
-  std::vector<double> noise_scratch_;
 };
 
 /// Analog-to-digital converter: same model in the opposite direction.
@@ -93,23 +89,16 @@ class adc {
 
   [[nodiscard]] double convert(double value);
 
-  /// Batch convert into preallocated storage; see dac::convert for the
-  /// two-pass (noise fill, then branch-free math) structure.
-  void convert(std::span<const double> in, std::span<double> out,
-               std::vector<double>& noise_scratch);
-  void convert(std::span<const double> in, std::span<double> out);
-
-  [[nodiscard]] std::vector<double> convert(std::span<const double> values);
-
-  /// The noise half of a batch convert: the ENOB-penalty draws of the
-  /// next out.size() conversions when the converter is noisy (`out` is
-  /// left untouched otherwise; the cursor advances either way), charged
-  /// to the ledger as convert would charge them.
+  /// A batch convert is two passes, bit-identical to the scalar loop.
+  /// The noise half: the ENOB-penalty draws of the next out.size()
+  /// conversions when the converter is noisy (`out` is left untouched
+  /// otherwise; the cursor advances either way), charged to the ledger
+  /// one conversion at a time, as the scalar loop charges them.
   void draw_noise(std::span<double> out);
 
-  /// The math half of a batch convert: out[i] digitizes in[i] plus
-  /// noise[i] scaled by noise_sigma(), with `noise` unread when the
-  /// converter is noiseless. `out` may alias `in`.
+  /// The math half: out[i] digitizes in[i] plus noise[i] scaled by
+  /// noise_sigma(), with `noise` unread when the converter is noiseless.
+  /// `out` may alias `in`.
   void digitize(std::span<const double> in, std::span<const double> noise,
                 std::span<double> out) const;
 
@@ -140,7 +129,6 @@ class adc {
   double noise_sigma_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
-  std::vector<double> noise_scratch_;
 };
 
 /// Shared quantizer math: clip to [0, full_scale] and snap to an N-bit grid.

@@ -244,12 +244,6 @@ dot_result dot_product_unit::dot_unit_range_averaged(
   return acc;
 }
 
-waveform dot_product_unit::encode_to_optical(std::span<const double> a) {
-  waveform out;
-  encode_to_optical(a, out);
-  return out;
-}
-
 void dot_product_unit::encode_to_optical(std::span<const double> a,
                                          waveform& out) {
   // Launch path keeps the full field representation (the waveform really

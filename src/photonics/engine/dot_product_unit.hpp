@@ -144,11 +144,8 @@ class dot_product_unit {
 
   /// Encode a [0,1] vector onto the carrier as an optical waveform — the
   /// transmit half of the on-fiber story (used by transponders to launch
-  /// compute data).
-  [[nodiscard]] waveform encode_to_optical(std::span<const double> a);
-
-  /// Same, writing into caller-owned storage (resized to a.size()) so
-  /// repeated launches reuse one buffer.
+  /// compute data). Writes into caller-owned storage (resized to
+  /// a.size()) so repeated launches reuse one buffer.
   void encode_to_optical(std::span<const double> a, waveform& out);
 
   /// Launch x's rails, x+ then x-, through encode_to_optical and write

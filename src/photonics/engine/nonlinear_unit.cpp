@@ -35,13 +35,6 @@ field nonlinear_unit::apply(field in) {
   return through_mod_.modulate(through_field, drive_v);
 }
 
-waveform nonlinear_unit::apply(std::span<const field> in) {
-  waveform out;
-  out.reserve(in.size());
-  for (const field& e : in) out.push_back(apply(e));
-  return out;
-}
-
 double nonlinear_unit::transfer_mw(double input_power_mw) const {
   const double tap_power_mw = input_power_mw * config_.tap_ratio;
   const double through_power_mw = input_power_mw * (1.0 - config_.tap_ratio);

@@ -45,9 +45,6 @@ class nonlinear_unit {
   /// Apply the activation to one optical sample (noise included).
   [[nodiscard]] field apply(field in);
 
-  /// Apply to a whole waveform.
-  [[nodiscard]] waveform apply(std::span<const field> in);
-
   /// Noiseless transfer curve: output power for a given input power [mW].
   /// Tests and the Fig. 2c bench sample this.
   [[nodiscard]] double transfer_mw(double input_power_mw) const;

@@ -225,21 +225,4 @@ match_result pattern_matcher::match_optical(std::span<const field> data_wave,
   return decide(n, cared);
 }
 
-std::vector<std::size_t> pattern_matcher::scan(
-    std::span<const std::uint8_t> stream_bits, std::span<const tbit> pattern,
-    std::size_t stride_bits) {
-  std::vector<std::size_t> hits;
-  if (pattern.empty() || stream_bits.size() < pattern.size() ||
-      stride_bits == 0) {
-    return hits;
-  }
-  for (std::size_t off = 0; off + pattern.size() <= stream_bits.size();
-       off += stride_bits) {
-    const match_result r =
-        match_ternary(stream_bits.subspan(off, pattern.size()), pattern);
-    if (r.matched) hits.push_back(off);
-  }
-  return hits;
-}
-
 }  // namespace onfiber::phot

@@ -112,12 +112,6 @@ class pattern_matcher {
   [[nodiscard]] match_result match_optical(std::span<const field> data_wave,
                                            std::span<const tbit> pattern);
 
-  /// Scan a long bit stream for the pattern at every alignment; returns
-  /// the offsets that matched. Each alignment is one analog evaluation.
-  [[nodiscard]] std::vector<std::size_t> scan(
-      std::span<const std::uint8_t> stream_bits,
-      std::span<const tbit> pattern, std::size_t stride_bits = 1);
-
   [[nodiscard]] const pattern_match_config& config() const { return config_; }
 
  private:

@@ -60,7 +60,7 @@ gemm_result vector_matrix_engine::run(const operands& op,
                                       std::size_t samples_per_cell) {
   const obs::scoped_timer timer(gemm_wall_hist());
   const std::size_t rows = op.rows;
-  const std::size_t width = op.passes * op.cols;
+  const std::size_t width = kSignedPasses * op.cols;
   const std::size_t batch = op.samples.size() / width;
   fork_row_seeds(rows);
 
@@ -81,11 +81,11 @@ gemm_result vector_matrix_engine::run(const operands& op,
         row_slot& slot = *slots_[cell];
         slot.ledger.reset();
         slot.unit.rekey(seeds_[r]);
-        slot.unit.skip_passes(s_begin * op.passes, op.cols);
+        slot.unit.skip_passes(s_begin * kSignedPasses, op.cols);
         const auto w_row = op.weights.subspan(r * width, width);
         for (std::size_t s = s_begin; s < s_end; ++s) {
           cells_[r * batch + s] = slot.unit.dot_passes(
-              w_row, op.samples.subspan(s * width, width), op.passes);
+              w_row, op.samples.subspan(s * width, width), kSignedPasses);
         }
       });
 
@@ -118,7 +118,7 @@ gemm_result vector_matrix_engine::run_signed(
   // Lay every sample's rails out once (b side); rows share them.
   sample_rails_.resize(4 * xs.size());
   lay_out_rail_rows(xs, cols, rail_operand::b, sample_rails_);
-  return run({weight_rails, sample_rails_, rows, cols, 4}, samples_per_cell);
+  return run({weight_rails, sample_rails_, rows, cols}, samples_per_cell);
 }
 
 gemm_result vector_matrix_engine::gemm_signed(const rail_weights& w,
@@ -277,14 +277,6 @@ gemv_result vector_matrix_engine::gemv_signed(const matrix& w,
     throw std::invalid_argument("vector_matrix_engine: shape mismatch");
   }
   return gemm_signed(w, x);
-}
-
-gemv_result vector_matrix_engine::gemv_unit_range(const matrix& w,
-                                                  std::span<const double> x) {
-  if (w.rows == 0 || w.cols == 0 || w.cols != x.size()) {
-    throw std::invalid_argument("vector_matrix_engine: shape mismatch");
-  }
-  return run({w.data, x, w.rows, w.cols, 1}, kSamplesPerCell);
 }
 
 std::vector<double> gemv_reference(const matrix& w,

@@ -79,10 +79,6 @@ class vector_matrix_engine {
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
                                         std::span<const double> x);
 
-  /// y = W x for non-negative W, x in [0, 1] (single-pass per row).
-  [[nodiscard]] gemv_result gemv_unit_range(const matrix& w,
-                                            std::span<const double> x);
-
   /// Batched GEMM: `xs` holds batch = xs.size() / w.cols signed input
   /// vectors back to back; every sample streams through the same per-row
   /// weight rails (the photonic analogue of holding the MZM weight bank
@@ -122,13 +118,14 @@ class vector_matrix_engine {
   void set_threads(std::size_t threads) { threads_override_ = threads; }
 
  private:
-  /// One kernel call: `passes` passes of `cols` symbols per (row, sample).
+  /// One kernel call: kSignedPasses passes of `cols` symbols per (row,
+  /// sample), one per signed rail product (pp, nn, pn, np).
+  static constexpr std::size_t kSignedPasses = 4;
   struct operands {
-    std::span<const double> weights;  ///< rows x passes*cols
-    std::span<const double> samples;  ///< batch x passes*cols
+    std::span<const double> weights;  ///< rows x kSignedPasses*cols
+    std::span<const double> samples;  ///< batch x kSignedPasses*cols
     std::size_t rows = 0;
     std::size_t cols = 0;
-    std::size_t passes = 0;  ///< 1 (unsigned) or 4 (signed)
   };
 
   /// An engine-owned unit and the private ledger it charges.

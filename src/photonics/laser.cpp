@@ -165,10 +165,4 @@ void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   }
 }
 
-waveform laser::emit(std::size_t symbols) {
-  waveform out;
-  emit(symbols, out);
-  return out;
-}
-
 }  // namespace onfiber::phot

@@ -34,14 +34,11 @@ class laser {
   laser(laser_config config, rng noise_stream,
         energy_ledger* ledger = nullptr, energy_costs costs = {});
 
-  /// Emit `symbols` consecutive carrier samples.
-  [[nodiscard]] waveform emit(std::size_t symbols);
-
-  /// Batch emit into preallocated storage (`out` is overwritten). Noise is
-  /// drawn with one batched counter fill per stream; the fields are
-  /// bit-identical to calling `emit_one` `symbols` times. The ledger is
-  /// charged as `passes` calls over equal slices would be: the default is
-  /// one bulk charge, whose joules round differently from `symbols`
+  /// Emit `symbols` consecutive carrier samples into `out` (overwritten).
+  /// Noise is drawn with one batched counter fill per stream; the fields
+  /// are bit-identical to calling `emit_one` `symbols` times. The ledger
+  /// is charged as `passes` calls over equal slices would be: the default
+  /// is one bulk charge, whose joules round differently from `symbols`
   /// per-symbol charges; `passes == symbols` charges like `emit_one`.
   void emit(std::size_t symbols, waveform& out, std::size_t passes = 1);
 

@@ -159,12 +159,6 @@ phase_modulator::phase_modulator(modulator_config config, rng bias_noise,
   field_loss_scale_ = field_loss_scale(config_.insertion_loss_db);
 }
 
-field phase_modulator::modulate(field in, double drive_v) {
-  const double v =
-      std::clamp(drive_v, -config_.max_drive_v, config_.max_drive_v);
-  return encode_phase(in, pi * v / config_.v_pi);
-}
-
 field phase_modulator::encode_phase(field in, double phase_rad) {
   charge_drives(1);
   return in * phase_factor(phase_rad);

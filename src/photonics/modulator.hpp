@@ -128,9 +128,6 @@ class phase_modulator {
   phase_modulator(modulator_config config, rng bias_noise,
                   energy_ledger* ledger = nullptr, energy_costs costs = {});
 
-  /// Apply a drive voltage; phase shift = pi * v / V_pi (+ static error).
-  [[nodiscard]] field modulate(field in, double drive_v);
-
   /// Encode a phase directly in radians (driver computes v = phi*V_pi/pi).
   /// Exactly `charge_drives(1)` then `in * phase_factor(phase_rad)`.
   [[nodiscard]] field encode_phase(field in, double phase_rad);

@@ -37,48 +37,6 @@ double photodetector::detect(field in) {
   return clip(signal_a + noise_a);
 }
 
-std::vector<double> photodetector::detect(std::span<const field> in) {
-  const std::size_t n = in.size();
-  std::vector<double> out(n);
-  if (n == 0) return out;
-  // Two-pass, unconditionally: a readout consumes one counter draw index
-  // whether or not its variance is positive (a zero variance multiplies
-  // the draw by exactly 0.0), so the fill needs no gating on the noise
-  // configuration and batch stays bit-identical to the scalar loop.
-  const receiver_noise_config& nz = config_.noise;
-  const double t_sigma =
-      nz.enable_thermal
-          ? thermal_noise_sigma_a(nz.load_ohm, nz.temperature_k,
-                                  nz.bandwidth_hz)
-          : 0.0;
-  const double t_var = t_sigma * t_sigma;
-  noise_scratch_.resize(n);
-  noise_.fill_normal(noise_scratch_);
-  const double sat = config_.saturation_current_a;
-  const bool shot = nz.enable_shot;
-  const double bandwidth = nz.bandwidth_hz;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double signal_a = expected_current_a(power_mw(in[i]));
-    double variance = 0.0;
-    if (shot) {
-      const double s = shot_noise_sigma_a(signal_a, bandwidth);
-      variance += s * s;
-    }
-    variance += t_var;
-    double c = signal_a + std::sqrt(variance) * noise_scratch_[i];
-    c = c < -sat ? -sat : c;
-    c = c > sat ? sat : c;
-    out[i] = c;
-  }
-  if (ledger_ != nullptr) {
-    // Per-element charges, same sequence as the scalar loop (one bulk
-    // joules multiply would round the ledger total differently).
-    ledger_->charge_batches("photodetector", costs_.photodetector_readout_j,
-                            1, n);
-  }
-  return out;
-}
-
 photodetector::integration_noise photodetector::integration_noise_for(
     std::size_t symbols) const {
   // Integrating N symbols narrows the effective noise bandwidth by N:
@@ -125,17 +83,6 @@ void photodetector::integrate_readouts(std::span<const double> power_mw,
         variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise[p];
     current_a[p] = clip(signal_a + noise_a);
   }
-}
-
-double photodetector::integrate(std::span<const field> in) {
-  if (in.empty()) return 0.0;
-  // Project to powers first so field- and power-domain integration sum
-  // identical values in the identical (blocked) order.
-  power_scratch_.resize(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    power_scratch_[i] = power_mw(in[i]);
-  }
-  return integrate_power(power_scratch_);
 }
 
 double photodetector::integrate_power(std::span<const double> power_mw) {

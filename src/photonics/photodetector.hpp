@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "photonics/energy.hpp"
 #include "photonics/noise.hpp"
@@ -33,18 +32,12 @@ class photodetector {
   /// Detect a single field sample -> photocurrent [A].
   [[nodiscard]] double detect(field in);
 
-  /// Detect a whole waveform sample-by-sample -> currents [A].
-  [[nodiscard]] std::vector<double> detect(std::span<const field> in);
-
-  /// Integrate-and-dump over a waveform: the averaged photocurrent of all
-  /// samples, i.e. the analog accumulation used by P1. Noise is applied to
-  /// the integrated value with the noise bandwidth reduced by the symbol
-  /// count (coherent integration gain).
-  [[nodiscard]] double integrate(std::span<const field> in);
-
-  /// Intensity-domain twin of `integrate`: the per-symbol optical powers
-  /// [mW] are already known (fused kernels track power directly, since a
-  /// square-law detector cannot observe the field phase anyway).
+  /// Integrate-and-dump over per-symbol optical powers [mW]: the averaged
+  /// photocurrent of all symbols, i.e. the analog accumulation used by
+  /// P1. Noise is applied to the integrated value with the noise
+  /// bandwidth reduced by the symbol count (coherent integration gain).
+  /// Powers, not fields: a square-law detector cannot observe the field
+  /// phase, so the fused kernels track power directly.
   [[nodiscard]] double integrate_power(std::span<const double> power_mw);
 
   /// Noise parameters of a readout integrating `symbols` symbols: the
@@ -96,8 +89,6 @@ class photodetector {
   counter_stream noise_;  ///< one draw index per readout, always
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
-  std::vector<double> noise_scratch_;  ///< batched noise draws, reused
-  std::vector<double> power_scratch_;  ///< per-sample powers for integrate
 };
 
 }  // namespace onfiber::phot

@@ -37,11 +37,6 @@ thread_pool::~thread_pool() {
 
 bool thread_pool::in_worker() { return in_worker_flag(); }
 
-std::size_t thread_pool::workers_alive() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return workers_.size();
-}
-
 void thread_pool::ensure_workers(std::size_t helpers) {
   std::lock_guard<std::mutex> lk(m_);
   while (workers_.size() < helpers) {

@@ -55,9 +55,6 @@ class thread_pool {
     return startups_.load(std::memory_order_relaxed);
   }
 
-  /// Workers currently parked/alive.
-  [[nodiscard]] std::size_t workers_alive() const;
-
  private:
   void worker_loop_from(std::size_t index, std::uint64_t seen_generation);
   void ensure_workers(std::size_t helpers);
@@ -72,7 +69,7 @@ class thread_pool {
   std::exception_ptr first_error_;
   std::mutex error_m_;
 
-  mutable std::mutex m_;
+  std::mutex m_;
   std::condition_variable work_cv_;   ///< wakes parked workers on a batch
   std::condition_variable done_cv_;   ///< wakes the caller on completion
   std::uint64_t generation_ = 0;      ///< batch sequence number

@@ -162,12 +162,4 @@ std::span<const std::uint8_t> compute_input(const net::packet& pkt,
                                                             h.input_length);
 }
 
-std::span<std::uint8_t> compute_result_region(net::packet& pkt,
-                                              const compute_header& h) {
-  const std::size_t begin = compute_header_bytes + h.result_offset;
-  const std::size_t end = begin + h.result_length;
-  if (end > pkt.payload.size() || h.result_length == 0) return {};
-  return std::span<std::uint8_t>(pkt.payload).subspan(begin, h.result_length);
-}
-
 }  // namespace onfiber::proto

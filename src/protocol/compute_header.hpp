@@ -156,8 +156,4 @@ bool rewrite_compute_header(net::packet& pkt, const compute_header& h);
 [[nodiscard]] std::span<const std::uint8_t> compute_input(
     const net::packet& pkt, const compute_header& h);
 
-/// Mutable view of the result region. Empty span if bounds are invalid.
-[[nodiscard]] std::span<std::uint8_t> compute_result_region(
-    net::packet& pkt, const compute_header& h);
-
 }  // namespace onfiber::proto

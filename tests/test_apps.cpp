@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "apps/encryption.hpp"
 #include "apps/intrusion_detection.hpp"
@@ -10,7 +11,6 @@
 #include "apps/mimo.hpp"
 #include "apps/ml_inference.hpp"
 #include "apps/video_encoding.hpp"
-#include "network/traffic.hpp"
 
 namespace onfiber::apps {
 namespace {
@@ -255,6 +255,23 @@ TEST(IdsApp, Validation) {
                std::invalid_argument);
 }
 
+TEST(IdsApp, PlantSignatureBounds) {
+  std::vector<std::uint8_t> payload(16, 0);
+  const std::vector<std::uint8_t> sig{1, 2, 3, 4};
+  plant_signature(payload, sig, 12);
+  EXPECT_EQ(payload[12], 1);
+  EXPECT_EQ(payload[15], 4);
+  EXPECT_THROW(plant_signature(payload, sig, 13), std::invalid_argument);
+  EXPECT_THROW(plant_signature(payload, sig, 17), std::invalid_argument);
+  // offset + signature.size() wraps past SIZE_MAX to a small sum; the
+  // check must still reject it rather than write before the payload.
+  const std::vector<std::uint8_t> before = payload;
+  EXPECT_THROW(plant_signature(payload, sig, SIZE_MAX), std::invalid_argument);
+  EXPECT_THROW(plant_signature(payload, sig, SIZE_MAX - 2),
+               std::invalid_argument);
+  EXPECT_EQ(payload, before);
+}
+
 // ---------------------------------------------------------------- encryption
 
 TEST(CryptoApp, DecryptRecoversPlaintext) {
@@ -271,7 +288,7 @@ TEST(CryptoApp, DecryptRecoversPlaintext) {
 TEST(CryptoApp, EavesdropperSeesNoise) {
   std::vector<std::uint8_t> key(32, 9);
   std::vector<std::uint8_t> plain(64);
-  net::fill_random_bytes(plain, 77);
+  apps::fill_random_bytes(plain, 77);
   photonic_crypto crypto({}, 32);
   digital::stream_cipher enc_key(key, 6);
   const phot::waveform wave = crypto.encrypt(plain, enc_key);
@@ -285,7 +302,7 @@ TEST(CryptoApp, EavesdropperSeesNoise) {
 TEST(CryptoApp, WrongKeyFailsToDecrypt) {
   std::vector<std::uint8_t> key(32, 1), wrong(32, 2);
   std::vector<std::uint8_t> plain(32);
-  net::fill_random_bytes(plain, 88);
+  apps::fill_random_bytes(plain, 88);
   photonic_crypto crypto({}, 33);
   digital::stream_cipher enc_key(key, 7), bad_key(wrong, 7);
   const phot::waveform wave = crypto.encrypt(plain, enc_key);

@@ -301,17 +301,6 @@ TEST(Engine, ConfigValidation) {
   EXPECT_THROW(e.configure_gemv(bad_bias), std::invalid_argument);
 }
 
-TEST(Engine, ClearTasksDropsSupport) {
-  photonic_engine e(quiet_engine_config(), 13);
-  gemv_task task;
-  task.weights = phot::matrix(1, 1);
-  task.weights.at(0, 0) = 1.0;
-  e.configure_gemv(task);
-  EXPECT_TRUE(e.supports(proto::primitive_id::p1_dot_product));
-  e.clear_tasks();
-  EXPECT_FALSE(e.supports(proto::primitive_id::p1_dot_product));
-}
-
 // --------------------------------------------------------- compute packets
 
 TEST(ComputePackets, GemvRequestLayout) {

@@ -425,7 +425,7 @@ TEST(PoolDeterminism, WarmPoolSpawnsNoThreadsPerCall) {
   (void)engine.gemv_signed(w, x);  // warm-up: pool workers start here
 
   auto& pool = phot::thread_pool::instance();
-  EXPECT_GE(pool.workers_alive(), 1u);
+  EXPECT_GE(pool.startups(), 1u);
   const std::uint64_t startups_before = pool.startups();
   for (int rep = 0; rep < 8; ++rep) {
     (void)engine.gemv_signed(w, x);
@@ -453,14 +453,14 @@ TEST(TwoPassKernels, DacBatchMatchesScalarExactly) {
   phot::converter_config cfg;
   phot::dac batch_dac(cfg, phot::rng{55});
   phot::dac scalar_dac(cfg, phot::rng{55});
-  std::vector<double> batch_out(in.size());
-  batch_dac.convert(in, batch_out);
+  std::vector<double> batch_out(in.size()), scratch;
+  batch_dac.convert(in, batch_out, scratch);
   std::vector<double> scalar_out;
   for (const double v : in) scalar_out.push_back(scalar_dac.convert(v));
   EXPECT_TRUE(bits_equal(batch_out, scalar_out));
 
   // Second batch on the same devices: streams must stay aligned.
-  batch_dac.convert(in, batch_out);
+  batch_dac.convert(in, batch_out, scratch);
   scalar_out.clear();
   for (const double v : in) scalar_out.push_back(scalar_dac.convert(v));
   EXPECT_TRUE(bits_equal(batch_out, scalar_out));
@@ -474,8 +474,9 @@ TEST(TwoPassKernels, AdcBatchMatchesScalarExactly) {
   phot::converter_config cfg;
   phot::adc batch_adc(cfg, phot::rng{66});
   phot::adc scalar_adc(cfg, phot::rng{66});
-  std::vector<double> batch_out(in.size());
-  batch_adc.convert(in, batch_out);
+  std::vector<double> noise(in.size()), batch_out(in.size());
+  batch_adc.draw_noise(noise);
+  batch_adc.digitize(in, noise, batch_out);
   std::vector<double> scalar_out;
   for (const double v : in) scalar_out.push_back(scalar_adc.convert(v));
   EXPECT_TRUE(bits_equal(batch_out, scalar_out));
@@ -487,23 +488,30 @@ TEST(TwoPassKernels, NoiselessConverterBatchMatchesScalar) {
   std::vector<double> in = {0.0, 0.1, 0.5, 0.999, 1.0, -0.5, 1.5};
   phot::dac batch_dac(cfg, phot::rng{9});
   phot::dac scalar_dac(cfg, phot::rng{9});
-  std::vector<double> batch_out(in.size());
-  batch_dac.convert(in, batch_out);
+  std::vector<double> batch_out(in.size()), scratch;
+  batch_dac.convert(in, batch_out, scratch);
   std::vector<double> scalar_out;
   for (const double v : in) scalar_out.push_back(scalar_dac.convert(v));
   EXPECT_TRUE(bits_equal(batch_out, scalar_out));
 }
 
 TEST(TwoPassKernels, DetectorBatchMatchesScalarExactly) {
+  // One-symbol readouts through the batched halves (one noise fill, then
+  // integrate_readouts over the span) equal the scalar detect loop.
   phot::laser_config lcfg;
   phot::laser source(lcfg, phot::rng{2});
   phot::waveform wave;
   source.emit(96, wave);
+  std::vector<double> powers;
+  for (const phot::field& f : wave) powers.push_back(phot::power_mw(f));
 
   phot::photodetector_config dcfg;
   phot::photodetector batch_det(dcfg, phot::rng{77});
   phot::photodetector scalar_det(dcfg, phot::rng{77});
-  const std::vector<double> batch_out = batch_det.detect(wave);
+  std::vector<double> noise(wave.size()), batch_out(wave.size());
+  batch_det.draw_readout_noise(noise);
+  batch_det.integrate_readouts(powers, 1, batch_det.integration_noise_for(1),
+                               noise, batch_out);
   std::vector<double> scalar_out;
   for (const phot::field& f : wave) scalar_out.push_back(scalar_det.detect(f));
   EXPECT_TRUE(bits_equal(batch_out, scalar_out));

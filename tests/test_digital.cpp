@@ -176,14 +176,6 @@ TEST(AhoCorasick, FindsAllOverlapping) {
   EXPECT_EQ(hits.size(), 4u);
 }
 
-TEST(AhoCorasick, AnyMatchShortCircuits) {
-  const aho_corasick ac({{1, 2, 3}});
-  const std::vector<std::uint8_t> yes{0, 1, 2, 3, 4};
-  const std::vector<std::uint8_t> no{0, 1, 2, 4, 3};
-  EXPECT_TRUE(ac.any_match(yes));
-  EXPECT_FALSE(ac.any_match(no));
-}
-
 TEST(AhoCorasick, RejectsEmptyPattern) {
   std::vector<std::vector<std::uint8_t>> patterns;
   patterns.emplace_back();  // one empty pattern

@@ -160,7 +160,8 @@ void expect_rekey_matches_fresh(const dot_product_config& cfg) {
   dot_product_unit used(cfg, 11, &used_ledger);
   // Move every stream and the phase walk off their starting points.
   (void)used.dot_signed(sa, sb);
-  (void)used.encode_to_optical(a);
+  waveform used_wave, fresh_wave;
+  used.encode_to_optical(a, used_wave);
   (void)used.dot_unit_range_scalar(a, b);
   used.rekey(99);
   used_ledger.reset();
@@ -169,8 +170,8 @@ void expect_rekey_matches_fresh(const dot_product_config& cfg) {
   // Several rounds: one readout can round to the same ADC code under
   // different noise, many cannot.
   for (int round = 0; round < 4; ++round) {
-    const waveform used_wave = used.encode_to_optical(a);
-    const waveform fresh_wave = fresh.encode_to_optical(a);
+    used.encode_to_optical(a, used_wave);
+    fresh.encode_to_optical(a, fresh_wave);
     EXPECT_EQ(used_wave, fresh_wave);
     expect_same_bits(used.dot_signed(sa, sb), fresh.dot_signed(sa, sb));
     expect_same_bits(used.dot_unit_range_scalar(a, b),

@@ -427,7 +427,7 @@ TEST(LinkFailure, TrafficBlackholedUntilReconvergence) {
 
   // Fail A-B (link 0). Routes still point at it: packet black-holed.
   fabric.fail_link(0);
-  EXPECT_FALSE(fabric.link_is_up(0));
+  EXPECT_FALSE(fabric.spf().link_up(0));
   send_one();
   EXPECT_EQ(fabric.delivered(), 1u);
   EXPECT_EQ(fabric.dropped(), 1u);

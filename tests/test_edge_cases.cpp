@@ -72,15 +72,6 @@ TEST(EdgeCases, SingleBitPattern) {
   EXPECT_FALSE(m.match_bits(one, zero).matched);
 }
 
-TEST(EdgeCases, ScanStrideRespected) {
-  phot::pattern_matcher m({}, 7);
-  // Pattern "11" occurs at offsets 0..3 of "11111"; stride 2 reports 0,2.
-  const std::vector<std::uint8_t> stream(5, 1);
-  const std::vector<phot::tbit> pattern{phot::tbit::one, phot::tbit::one};
-  const auto hits = m.scan(stream, pattern, 2);
-  EXPECT_EQ(hits, (std::vector<std::size_t>{0, 2}));
-}
-
 TEST(EdgeCases, MatcherThresholdConfigurable) {
   // A generous threshold accepts near-matches: fuzzy matching knob.
   phot::pattern_match_config cfg;

@@ -7,7 +7,7 @@
 #include "core/runtime.hpp"
 #include "core/transponder.hpp"
 #include "digital/dnn.hpp"
-#include "network/traffic.hpp"
+#include "network/workload.hpp"
 #include "photonics/fiber.hpp"
 
 namespace onfiber {
@@ -249,22 +249,25 @@ TEST(Integration, ComputeAndPlainTrafficCoexist) {
   const net::ipv4 src = rt.fabric().topo().node_at(0).address;
   const net::ipv4 dst = rt.fabric().topo().node_at(3).address;
 
-  // Background: 100 plain packets.
-  net::traffic_config tc;
-  tc.packet_rate_pps = 1e6;
-  net::traffic_generator gen(tc, src, dst, 602);
-  for (auto& a : gen.generate_count(100)) {
-    engine.schedule_global(a.time_s, [&rt, pkt = a.pkt]() mutable {
-      rt.submit(std::move(pkt), 0);
-    });
-  }
+  // Background: a plain workload-plane injector of one-packet flows,
+  // about 100 packets in 100 us.
+  net::workload_config wc;
+  wc.tenants[0].flow_rate_fps = 1e6;
+  wc.tenants[0].mice_fraction = 1.0;
+  wc.tenants[0].mice = {1.3, 64.0, 1400.0};
+  wc.seed = 602;
+  net::workload_plane plane(rt.fabric(), wc);
+  plane.add_injector({0, dst, 0, {}});
+  plane.start(1e-4);
   // Foreground: 5 compute packets.
   const std::vector<double> x(8, 0.5);
   for (int i = 0; i < 5; ++i) {
     rt.submit(core::make_gemv_request(src, dst, x, 1), 0);
   }
   engine.run();
-  EXPECT_EQ(rt.deliveries().size(), 105u);
+  const std::uint64_t background = plane.stats().packets;
+  EXPECT_GT(background, 50u);
+  EXPECT_EQ(rt.deliveries().size(), 5u + background);
   EXPECT_EQ(rt.stats().computed, 5u);
   EXPECT_EQ(rt.fabric().dropped(), 0u);
 }

@@ -14,16 +14,19 @@ namespace onfiber {
 namespace {
 
 TEST(Misc, PhotodetectorSpanDetect) {
+  // Noiseless one-symbol readouts over a span of powers.
   phot::photodetector_config cfg;
   cfg.noise.enable_shot = false;
   cfg.noise.enable_thermal = false;
   phot::photodetector d(cfg, phot::rng{1});
-  const phot::waveform wave{phot::make_field(1.0), phot::make_field(2.0),
-                            phot::make_field(0.0)};
-  const auto currents = d.detect(wave);
-  ASSERT_EQ(currents.size(), 3u);
+  const std::vector<double> powers{1.0, 2.0, 0.0};
+  std::vector<double> noise(3), currents(3);
+  d.draw_readout_noise(noise);
+  d.integrate_readouts(powers, 1, d.integration_noise_for(1), noise,
+                       currents);
   EXPECT_GT(currents[1], currents[0]);
   EXPECT_GT(currents[0], currents[2]);
+  EXPECT_DOUBLE_EQ(currents[0], d.expected_current_a(1.0));
 }
 
 TEST(Misc, LaserPhaseContinuityAcrossCalls) {
@@ -33,7 +36,8 @@ TEST(Misc, LaserPhaseContinuityAcrossCalls) {
   cfg.enable_rin = false;
   phot::laser l1(cfg, phot::rng{7});
   phot::laser l2(cfg, phot::rng{7});
-  const auto batch = l1.emit(4);
+  phot::waveform batch;
+  l1.emit(4, batch);
   phot::waveform singles;
   for (int i = 0; i < 4; ++i) singles.push_back(l2.emit_one());
   for (std::size_t i = 0; i < 4; ++i) {
@@ -111,16 +115,17 @@ TEST(Misc, ServiceWithNoDemandsRunsOneEpoch) {
 
 TEST(Misc, EngineConfiguredListing) {
   core::photonic_engine e({}, 5);
-  auto prims = e.configured();
-  // P3 always on.
-  ASSERT_EQ(prims.size(), 1u);
-  EXPECT_EQ(prims[0], proto::primitive_id::p3_nonlinear);
+  // P3 always on; nothing else until configured.
+  EXPECT_TRUE(e.supports(proto::primitive_id::p3_nonlinear));
+  EXPECT_FALSE(e.supports(proto::primitive_id::p1_dot_product));
+  EXPECT_FALSE(e.supports(proto::primitive_id::p2_pattern_match));
+  EXPECT_FALSE(e.supports(proto::primitive_id::p1_p3_dnn));
   core::gemv_task g;
   g.weights = phot::matrix(1, 1);
   g.weights.at(0, 0) = 1.0;
   e.configure_gemv(g);
-  prims = e.configured();
-  EXPECT_EQ(prims.size(), 2u);
+  EXPECT_TRUE(e.supports(proto::primitive_id::p1_dot_product));
+  EXPECT_FALSE(e.supports(proto::primitive_id::p1_p3_dnn));
 }
 
 TEST(Misc, ChainReaderMatchesFinalStagePrimitive) {

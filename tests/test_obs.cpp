@@ -89,24 +89,22 @@ TEST(ObsRegistry, HistogramBucketsAndAggregates) {
 // ------------------------------------------------------------- tracer
 
 TEST(ObsTracer, RingWrapsAndKeepsNewest) {
-  obs_state_guard guard;
-  obs::tracer& tr = obs::tracer::global();
-  tr.set_capacity(4);
-  for (std::uint32_t i = 0; i < 10; ++i) {
+  obs::tracer tr;
+  constexpr std::size_t cap = obs::tracer::kCapacity;
+  for (std::uint32_t i = 0; i < cap + 6; ++i) {
     obs::hop_record r;
     r.trace_id = 1;
     r.node = i;
     r.time_s = static_cast<double>(i);
     tr.record(r);
   }
-  EXPECT_EQ(tr.total_recorded(), 10u);
+  EXPECT_EQ(tr.total_recorded(), cap + 6);
   const auto snap = tr.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  // Oldest to newest: records 6, 7, 8, 9 survive.
+  ASSERT_EQ(snap.size(), cap);
+  // Oldest to newest: records 6 .. cap + 5 survive.
   for (std::size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(snap[i].node, 6u + i);
   }
-  tr.set_capacity(obs::tracer::kDefaultCapacity);
 }
 
 // ---------------------------------------------- golden-parity scenario

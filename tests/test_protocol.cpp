@@ -254,19 +254,6 @@ TEST(PacketHelpers, InputViewRejectsOutOfBounds) {
   EXPECT_TRUE(compute_input(pkt, *peek_compute_header(pkt)).empty());
 }
 
-TEST(PacketHelpers, ResultRegionWritable) {
-  net::packet pkt;
-  pkt.payload = {0, 0, 0};
-  compute_header h;
-  h.result_offset = 1;
-  h.result_length = 2;
-  attach_compute_header(pkt, h);
-  auto region = compute_result_region(pkt, *peek_compute_header(pkt));
-  ASSERT_EQ(region.size(), 2u);
-  region[0] = 0xaa;
-  EXPECT_EQ(pkt.payload[compute_header_bytes + 1], 0xaa);
-}
-
 // ------------------------------------------------------------------ codec
 
 TEST(Codec, UnitRoundTripWithinLsb) {

@@ -85,7 +85,7 @@ TEST(FlapSchedule, FailsRestoresAndReconverges) {
   send_at(0.030);  // restored: delivered
   engine.run();
 
-  EXPECT_TRUE(fabric.link_is_up(0));
+  EXPECT_TRUE(fabric.spf().link_up(0));
   EXPECT_EQ(fabric.reconvergences(), 2u);
   EXPECT_EQ(fabric.delivered(), 2u);
   EXPECT_EQ(fabric.dropped(), 1u);
@@ -108,7 +108,7 @@ TEST(FlapSchedule, RejectsBadSchedules) {
                std::out_of_range);
   EXPECT_EQ(engine.run(), 0u);
   EXPECT_EQ(fabric.reconvergences(), 0u);
-  EXPECT_TRUE(fabric.link_is_up(0));
+  EXPECT_TRUE(fabric.spf().link_up(0));
 }
 
 // -------------------------------------------------- ack/retry lifecycle

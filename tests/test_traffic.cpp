@@ -1,9 +1,6 @@
 // Open-loop traffic plane + runtime admission control (ISSUE 10).
 //
-// Three contracts under test:
-//   * the traffic_generator is a stream: next() is the primitive,
-//     generate()/generate_count() are prefixes of the SAME Poisson
-//     process (gap-first — historically generate_count started at t=0);
+// Two contracts under test:
 //   * the workload plane's arrival streams and the resulting delivery
 //     traces are bit-identical across shard counts {1,2,4}, reruns, and
 //     ONFIBER_THREADS, with exact-double timestamps, and match a
@@ -25,7 +22,6 @@
 #include "core/runtime.hpp"
 #include "network/shard_engine.hpp"
 #include "network/topology.hpp"
-#include "network/traffic.hpp"
 #include "network/workload.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
 #include "photonics/kernels.hpp"
@@ -34,65 +30,6 @@
 
 namespace onfiber {
 namespace {
-
-// ------------------------------------------------------------------ stream
-
-net::traffic_config stream_config() {
-  net::traffic_config tc;
-  tc.packet_rate_pps = 5e4;
-  tc.min_payload_bytes = 32;
-  tc.max_payload_bytes = 256;
-  tc.flow_count = 8;
-  return tc;
-}
-
-void expect_same_arrival(const net::arrival& a, const net::arrival& b,
-                         std::size_t i) {
-  EXPECT_EQ(a.time_s, b.time_s) << "arrival " << i;  // exact double
-  EXPECT_EQ(a.pkt.id, b.pkt.id) << "arrival " << i;
-  EXPECT_EQ(a.pkt.flow_hash, b.pkt.flow_hash) << "arrival " << i;
-  EXPECT_EQ(a.pkt.payload, b.pkt.payload) << "arrival " << i;
-}
-
-TEST(TrafficStream, NextMatchesGenerateByteForByte) {
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator batch(stream_config(), src, dst, 42);
-  net::traffic_generator stream(stream_config(), src, dst, 42);
-  const auto arrivals = batch.generate(0.01);
-  ASSERT_FALSE(arrivals.empty());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    expect_same_arrival(arrivals[i], stream.next(), i);
-  }
-}
-
-TEST(TrafficStream, GenerateCountIsSameProcessAsGenerate) {
-  // The satellite-3 unification pin: generate_count(n) must be the first
-  // n arrivals of the one Poisson process — gap-first, so no arrival at
-  // exactly t = 0 (historically generate_count placed one there).
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator a(stream_config(), src, dst, 7);
-  net::traffic_generator b(stream_config(), src, dst, 7);
-  const auto horizon = a.generate(0.01);
-  ASSERT_GE(horizon.size(), 16u);
-  const auto counted = b.generate_count(16);
-  ASSERT_EQ(counted.size(), 16u);
-  EXPECT_GT(counted.front().time_s, 0.0);
-  for (std::size_t i = 0; i < counted.size(); ++i) {
-    expect_same_arrival(horizon[i], counted[i], i);
-  }
-}
-
-TEST(TrafficStream, StreamIsResumable) {
-  // generate() must leave the clock where the stream stopped, so a
-  // follow-up next() continues the same process past the horizon.
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator g(stream_config(), src, dst, 3);
-  const auto first = g.generate(0.005);
-  const net::arrival resumed = g.next();
-  EXPECT_GE(resumed.time_s, 0.005);
-  EXPECT_GT(resumed.time_s, first.back().time_s);
-  EXPECT_EQ(g.clock_s(), resumed.time_s);
-}
 
 // ---------------------------------------------------------------- workload
 
@@ -158,6 +95,17 @@ TEST(TrafficWorkload, RejectsBadConfig) {
   net::workload_plane::injector_config inj;
   inj.tenant = 3;  // out of range
   EXPECT_THROW(plane.add_injector(inj), std::invalid_argument);
+}
+
+TEST(TrafficWorkload, RecorderPercentileRejectsNaN) {
+  // NaN survives the clamp; it must throw, not become a rank index.
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2));
+  net::completion_recorder rec(fabric);
+  rec.record(net::packet{}, 0, 1e-3);
+  EXPECT_DOUBLE_EQ(rec.latency_percentile(150.0), 1e-3);  // clamped
+  EXPECT_THROW((void)rec.latency_percentile(std::nan("")),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------- plane golden trace sweep
