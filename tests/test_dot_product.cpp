@@ -437,17 +437,19 @@ TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
   }
 }
 
-// ------------------------------------------------ on-fiber GEMM oracle
+// ------------------------------------------------------ GEMM oracle
 
-/// gemm_optical against one per_pass_reference per row, keyed from the
-/// engine's per-call row fork: every output, the latency and symbol
+/// Both GEMMs against per-row references keyed from the engine's
+/// per-call row fork: gemm_optical against one per_pass_reference per
+/// row, gemm_signed against one fresh dot_product_unit per row running
+/// dot_passes sample by sample. Every output, the latency and symbol
 /// folds, and (ledger on) the ledger of reference cells merged in
-/// (row, cell) order, over row counts, batches, cell sizes and thread
-/// counts. The engine's weights are snapped on its own DAC's grid; the
-/// reference converts the raw rails, so the snap must land on the grid
-/// the DAC would quantize to.
-void expect_optical_gemm_matches_reference(const dot_product_config& cfg,
-                                           bool zero_power) {
+/// (row, cell) order are compared, over row counts, batches, cell sizes
+/// and thread counts. The engine's weights are snapped on its own DAC's
+/// grid; the references convert the raw rails, so the snap must land on
+/// the grid the DAC would quantize to.
+void expect_gemm_matches_reference(const dot_product_config& cfg,
+                                   bool zero_power) {
   const double unit_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
   const double ref_mw = unit_mw > 0.0 ? unit_mw : 1.0;
   for (const std::size_t rows : {1, 4, 12}) {
@@ -459,58 +461,77 @@ void expect_optical_gemm_matches_reference(const dot_product_config& cfg,
     for (const std::size_t batch : {1, 8, 9, 12}) {
       std::vector<double> received(batch * 4 * cols);
       for (double& p : received) p = zero_power ? 0.0 : g.uniform() * ref_mw;
+      std::vector<double> xs(batch * cols);
+      for (double& v : xs) v = 2.0 * g.uniform() - 1.0;
       std::vector<std::size_t> cell_sizes{1, 8, batch};
       std::sort(cell_sizes.begin(), cell_sizes.end());
       cell_sizes.erase(std::unique(cell_sizes.begin(), cell_sizes.end()),
                        cell_sizes.end());
-      for (const std::size_t per_cell : cell_sizes) {
-        for (const std::size_t threads : {1, 3}) {
-          for (const bool with_ledger : {false, true}) {
-            SCOPED_TRACE("rows=" + std::to_string(rows) +
-                         " batch=" + std::to_string(batch) +
-                         " per_cell=" + std::to_string(per_cell) +
-                         " threads=" + std::to_string(threads) +
-                         " ledger=" + std::to_string(with_ledger));
-            energy_ledger engine_ledger, want_ledger, cell_ledger;
-            vector_matrix_engine engine(
-                cfg, 92, with_ledger ? &engine_ledger : nullptr);
-            engine.set_threads(threads);
-            const gemm_result got =
-                engine.gemm_optical(rails, received, ref_mw, per_cell);
-            ASSERT_EQ(got.batch, batch);
-            ASSERT_EQ(got.values.size(), rows * batch);
+      for (const bool optical : {true, false}) {
+        for (const std::size_t per_cell : cell_sizes) {
+          for (const std::size_t threads : {1, 3}) {
+            for (const bool with_ledger : {false, true}) {
+              SCOPED_TRACE(std::string(optical ? "optical" : "signed") +
+                           " rows=" + std::to_string(rows) +
+                           " batch=" + std::to_string(batch) +
+                           " per_cell=" + std::to_string(per_cell) +
+                           " threads=" + std::to_string(threads) +
+                           " ledger=" + std::to_string(with_ledger));
+              energy_ledger engine_ledger, want_ledger, cell_ledger;
+              energy_ledger* const ref_ledger =
+                  with_ledger ? &cell_ledger : nullptr;
+              vector_matrix_engine engine(
+                  cfg, 92, with_ledger ? &engine_ledger : nullptr);
+              engine.set_threads(threads);
+              const gemm_result got =
+                  optical
+                      ? engine.gemm_optical(rails, received, ref_mw, per_cell)
+                      : engine.gemm_signed(rails, xs, per_cell);
+              ASSERT_EQ(got.batch, batch);
+              ASSERT_EQ(got.values.size(), rows * batch);
 
-            rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's row fork
-            std::vector<double> rail_b(4 * cols);
-            std::vector<dot_result> want(rows * batch);
-            for (std::size_t r = 0; r < rows; ++r) {
-              per_pass_reference ref(cfg, row_seeds(),
-                                     with_ledger ? &cell_ledger : nullptr);
-              lay_out_rails(w.row(r), rail_operand::b, rail_b);
-              for (std::size_t s = 0; s < batch; ++s) {
-                if (s % per_cell == 0) cell_ledger.reset();
-                const auto x = std::span<const double>(received).subspan(
-                    s * 4 * cols, 4 * cols);
-                want[r * batch + s] = ref.optical(x, rail_b, ref_mw, 4);
-                if ((s + 1) % per_cell == 0 || s + 1 == batch) {
-                  want_ledger.merge(cell_ledger);
+              rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's row fork
+              std::vector<double> rail_w(4 * cols), rail_x(4 * cols);
+              std::vector<dot_result> want(rows * batch);
+              for (std::size_t r = 0; r < rows; ++r) {
+                const std::uint64_t seed = row_seeds();
+                per_pass_reference ref(cfg, seed, ref_ledger);
+                dot_product_unit unit(cfg, seed, ref_ledger);
+                lay_out_rails(w.row(r),
+                              optical ? rail_operand::b : rail_operand::a,
+                              rail_w);
+                for (std::size_t s = 0; s < batch; ++s) {
+                  if (s % per_cell == 0) cell_ledger.reset();
+                  if (optical) {
+                    const auto x = std::span<const double>(received).subspan(
+                        s * 4 * cols, 4 * cols);
+                    want[r * batch + s] = ref.optical(x, rail_w, ref_mw, 4);
+                  } else {
+                    lay_out_rails(std::span<const double>(xs).subspan(
+                                      s * cols, cols),
+                                  rail_operand::b, rail_x);
+                    want[r * batch + s] = unit.dot_passes(rail_w, rail_x, 4);
+                  }
+                  if ((s + 1) % per_cell == 0 || s + 1 == batch) {
+                    want_ledger.merge(cell_ledger);
+                  }
                 }
               }
-            }
-            double latency_s = 0.0;
-            std::uint64_t symbols = 0;
-            for (std::size_t r = 0; r < rows; ++r) {
-              for (std::size_t s = 0; s < batch; ++s) {
-                const dot_result& d = want[r * batch + s];
-                EXPECT_EQ(got.values[s * rows + r], d.value)
-                    << "row " << r << " sample " << s;
-                latency_s += d.latency_s;
-                symbols += d.symbols;
+              double latency_s = 0.0;
+              std::uint64_t symbols = 0;
+              for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t s = 0; s < batch; ++s) {
+                  const dot_result& d = want[r * batch + s];
+                  EXPECT_EQ(got.values[s * rows + r], d.value)
+                      << "row " << r << " sample " << s;
+                  latency_s += d.latency_s;
+                  symbols += d.symbols;
+                }
               }
+              EXPECT_EQ(got.latency_s, latency_s);
+              EXPECT_EQ(got.symbols, symbols);
+              expect_same_ledgers(engine_ledger, want_ledger);
             }
-            EXPECT_EQ(got.latency_s, latency_s);
-            EXPECT_EQ(got.symbols, symbols);
-            expect_same_ledgers(engine_ledger, want_ledger);
           }
         }
       }
@@ -528,10 +549,10 @@ void expect_optical_gemm_matches_reference(const dot_product_config& cfg,
   }
 }
 
-TEST(DotProductUnit, OpticalGemmMatchesPerPassReference) {
+TEST(DotProductUnit, GemmMatchesPerPassReference) {
   {
     SCOPED_TRACE("default config");
-    expect_optical_gemm_matches_reference({}, false);
+    expect_gemm_matches_reference({}, false);
   }
   {
     SCOPED_TRACE("shot, thermal and ENOB noise off");
@@ -540,26 +561,26 @@ TEST(DotProductUnit, OpticalGemmMatchesPerPassReference) {
     cfg.detector.noise.enable_thermal = false;
     cfg.dac.enob_penalty = 0.0;
     cfg.adc.enob_penalty = 0.0;
-    expect_optical_gemm_matches_reference(cfg, false);
+    expect_gemm_matches_reference(cfg, false);
   }
   {
     SCOPED_TRACE("zero-power carrier");
     dot_product_config cfg;
     cfg.laser.power_mw = 0.0;
-    expect_optical_gemm_matches_reference(cfg, true);
+    expect_gemm_matches_reference(cfg, true);
   }
   {
     SCOPED_TRACE("6-bit DAC with full scale 0.8");
     dot_product_config cfg;
     cfg.dac.bits = 6;
     cfg.dac.full_scale = 0.8;
-    expect_optical_gemm_matches_reference(cfg, false);
+    expect_gemm_matches_reference(cfg, false);
   }
   {
     SCOPED_TRACE("modulator bias error");
     dot_product_config cfg;
     cfg.modulator.bias_error_sigma_rad = 0.05;
-    expect_optical_gemm_matches_reference(cfg, false);
+    expect_gemm_matches_reference(cfg, false);
   }
 }
 
