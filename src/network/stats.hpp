@@ -9,6 +9,17 @@
 
 namespace onfiber::net {
 
+/// Nearest-rank percentile of non-empty ascending samples: the
+/// ceil(pct/100 * n)-th smallest, the smallest at pct = 0. The caller
+/// checks pct is in [0, 100].
+[[nodiscard]] inline double nearest_rank(const std::vector<double>& sorted,
+                                         double pct) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(pct / 100.0 * static_cast<double>(sorted.size())));
+  const std::size_t idx = rank == 0 ? 0 : rank - 1;
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
+
 /// Accumulates samples and reports summary statistics.
 class summary {
  public:
@@ -52,11 +63,7 @@ class summary {
     if (pct < 0.0 || pct > 100.0) {
       throw std::invalid_argument("summary: percentile out of range");
     }
-    const std::vector<double>& s = sorted();
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(s.size())));
-    const std::size_t idx = rank == 0 ? 0 : rank - 1;
-    return s[std::min(idx, s.size() - 1)];
+    return nearest_rank(sorted(), pct);
   }
 
   /// The samples in insertion order — guaranteed: order statistics work

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "network/event_sim.hpp"
+#include "network/stats.hpp"
 #include "network/topology.hpp"
 
 namespace onfiber::net {
@@ -272,10 +273,7 @@ double completion_recorder::latency_percentile(double p) const {
   // Sorting by value makes the merge order irrelevant: the percentile is
   // a function of the multiset, hence identical at every shard count.
   std::sort(all.begin(), all.end());
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 *
-      static_cast<double>(all.size() - 1);
-  return all[static_cast<std::size_t>(rank + 0.5)];
+  return nearest_rank(all, std::clamp(p, 0.0, 100.0));
 }
 
 }  // namespace onfiber::net

@@ -190,9 +190,9 @@ class completion_recorder {
   void record(const packet& pkt, node_id at, double now);
 
   [[nodiscard]] std::uint64_t delivered() const;
-  /// Exact percentile of delivery latency over all shards; p is clamped
-  /// to [0, 100], and a NaN p throws std::invalid_argument. 0 when
-  /// nothing was delivered.
+  /// Exact nearest-rank percentile of delivery latency over all shards
+  /// (as summary::percentile); p is clamped to [0, 100], and a NaN p
+  /// throws std::invalid_argument. 0 when nothing was delivered.
   [[nodiscard]] double latency_percentile(double p) const;
 
  private:

@@ -21,6 +21,7 @@
 #include "core/compute_packets.hpp"
 #include "core/runtime.hpp"
 #include "network/shard_engine.hpp"
+#include "network/stats.hpp"
 #include "network/topology.hpp"
 #include "network/workload.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
@@ -106,6 +107,24 @@ TEST(TrafficWorkload, RecorderPercentileRejectsNaN) {
   EXPECT_DOUBLE_EQ(rec.latency_percentile(150.0), 1e-3);  // clamped
   EXPECT_THROW((void)rec.latency_percentile(std::nan("")),
                std::invalid_argument);
+}
+
+TEST(TrafficWorkload, RecorderPercentileIsSummaryNearestRank) {
+  // The recorder and net::summary report the same statistic: on latencies
+  // 1..10 both give 5 at p50 (not the rounded-index 6) and 10 at p99.
+  net::shard_engine engine;
+  net::wan_fabric fabric(engine, net::make_linear_topology(2));
+  net::completion_recorder rec(fabric);
+  net::summary sum;
+  for (int i = 10; i >= 1; --i) {
+    rec.record(net::packet{}, 0, static_cast<double>(i));
+    sum.add(static_cast<double>(i));
+  }
+  for (const double p : {0.0, 10.0, 25.0, 50.0, 55.0, 99.0, 100.0}) {
+    EXPECT_EQ(rec.latency_percentile(p), sum.percentile(p)) << "p=" << p;
+  }
+  EXPECT_EQ(rec.latency_percentile(50.0), 5.0);
+  EXPECT_EQ(rec.latency_percentile(99.0), 10.0);
 }
 
 // ----------------------------------------------- plane golden trace sweep
