@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
         std::vector<double> received;
       };
       std::vector<layer> layers;
-      for (const auto [out_dim, in_dim] :
+      for (const auto& [out_dim, in_dim] :
            {std::pair<std::size_t, std::size_t>{12, 16}, {4, 12}}) {
         phot::matrix lw(out_dim, in_dim);
         for (double& v : lw.data) v = 2.0 * gen.uniform() - 1.0;
@@ -211,9 +211,9 @@ int main(int argc, char** argv) {
       }
       const auto request = [&] {
         for (const layer& l : layers) {
-          sink = sink + optical_engine
-                            .gemm_optical(l.rails, l.received, ref_mw, 1)
-                            .values[0];
+          sink = sink +
+                 optical_engine.gemm_optical(l.rails, l.received, ref_mw)
+                     .values[0];
         }
       };
       request();  // warm-up
