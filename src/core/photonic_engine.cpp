@@ -184,10 +184,10 @@ phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,
     const double ref_mw =
         config_.dot.laser.power_mw *
         phot::db_to_ratio(-config_.dot.modulator.insertion_loss_db);
-    out = gemm_.gemm_optical(w, received_mw_, ref_mw, batch);
+    out = gemm_.gemm_optical(w, received_mw_, ref_mw);
   } else {
     // OEO path: every sample was digitized by the receive ADC (cols
-    // conversions each) and is re-encoded through the a-side DAC inside
+    // conversions each) and is re-encoded through the b-side DAC inside
     // every pass.
     report.input_conversions += xs.size();
     if (ledger_ != nullptr) {
@@ -195,7 +195,7 @@ phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,
                                  static_cast<double>(xs.size()),
                       xs.size());
     }
-    out = gemm_.gemm_signed(w, xs, batch);
+    out = gemm_.gemm_signed(w, xs);
     // DACs inside the rail passes: four per row per sample.
     report.input_conversions += 4 * xs.size() * w.rows;
   }

@@ -182,8 +182,7 @@ class photonic_engine {
   /// Batched signed GEMM on the vector_matrix_engine kernel over weights
   /// split at configuration: `xs` carries xs.size() / w.cols input
   /// vectors back to back; `input_is_optical` selects the on-fiber input
-  /// path. Each row is one work cell, so its ledger folds every sample's
-  /// charges in order. Returns sample-major values.
+  /// path. Returns sample-major values.
   [[nodiscard]] phot::gemm_result analog_gemm(const phot::rail_weights& w,
                                               std::span<const double> xs,
                                               bool input_is_optical,

@@ -50,13 +50,7 @@ class dac {
   /// Standard deviation the ENOB-penalty draws are scaled by.
   [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
 
-  /// Advance the noise stream past `elements` conversions in O(1).
-  void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
-
-  /// Re-key in place: bit-identical to a dac built with rng{seed}.
-  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
-
-  /// Key of the noise stream rekey(seed) installs.
+  /// Key of the noise stream a dac built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }
@@ -105,13 +99,7 @@ class adc {
   /// Standard deviation the ENOB-penalty draws are scaled by.
   [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
 
-  /// Advance the noise stream past `elements` conversions in O(1).
-  void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
-
-  /// Re-key in place: bit-identical to an adc built with rng{seed}.
-  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
-
-  /// Key of the noise stream rekey(seed) installs.
+  /// Key of the noise stream an adc built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const converter_config& config() const { return config_; }

@@ -74,28 +74,27 @@ dot_result readout_plan::combine(const double* values,
   return r;
 }
 
-void dot_product_unit::rekey(std::uint64_t seed) {
-  laser_.rekey(seed);
-  mod_a_.rekey(seed ^ kModATag);
-  mod_b_.rekey(seed ^ kModBTag);
-  detector_.rekey(seed ^ kDetectorTag);
-  dac_a_.rekey(seed ^ kDacATag);
-  dac_b_.rekey(seed ^ kDacBTag);
-  adc_out_.rekey(seed ^ kAdcTag);
-}
-
 double dot_product_unit::full_scale_power_mw() const {
   // Both modulators at unit transmission leave only their insertion loss.
   return config_.laser.power_mw *
          db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
 }
 
-on_fiber_streams dot_product_unit::on_fiber_streams_for(
-    std::uint64_t seed) const {
-  return {dac::noise_key(seed ^ kDacBTag),
-          photodetector::noise_key(seed ^ kDetectorTag),
-          adc::noise_key(seed ^ kAdcTag),
-          mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag)};
+row_streams dot_product_unit::row_streams_for(std::uint64_t seed,
+                                              bool a_side) const {
+  row_streams k;
+  k.dac_b = dac::noise_key(seed ^ kDacBTag);
+  k.detector = photodetector::noise_key(seed ^ kDetectorTag);
+  k.adc = adc::noise_key(seed ^ kAdcTag);
+  k.bias_error_b_rad =
+      mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag);
+  if (a_side) {
+    k.dac_a = dac::noise_key(seed ^ kDacATag);
+    k.rin = laser::rin_key(seed);
+    k.bias_error_a_rad =
+        mzm_modulator::bias_error_for(config_.modulator, seed ^ kModATag);
+  }
+  return k;
 }
 
 readout_plan dot_product_unit::plan_readout(std::size_t symbols,
@@ -206,16 +205,6 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
     scratch_.product[i] = power_mw(e);
   }
   return read_out_passes(1, full_scale_power_mw());
-}
-
-void dot_product_unit::skip_passes(std::uint64_t passes,
-                                   std::uint64_t dim) {
-  const std::uint64_t symbols = passes * dim;
-  dac_a_.skip_draws(symbols);
-  dac_b_.skip_draws(symbols);
-  laser_.skip_symbols(symbols);
-  detector_.skip_readouts(passes);
-  adc_out_.skip_draws(passes);
 }
 
 dot_result dot_product_unit::dot_signed(std::span<const double> a,

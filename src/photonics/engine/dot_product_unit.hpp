@@ -16,12 +16,12 @@
 // both run on the fused kernel `dot_passes`.
 //
 // On-fiber mode: when the data is *already optical* (arriving from the
-// fiber, per the paper's receive-path design in Fig. 4) the a-side DAC and
-// modulator are skipped — the on-fiber GEMM
+// fiber, per the paper's receive-path design in Fig. 4) the laser, the
+// a-side DAC and the a modulator are skipped — the on-fiber GEMM
 // (`vector_matrix_engine::gemm_optical`) starts from received per-symbol
 // powers that encode a_i and runs only the b side and the readout, on
-// the streams `on_fiber_streams` names. This is the paper's key saving
-// and is what bench E17 ablates.
+// the streams `row_streams` names. This is the paper's key saving and is
+// what bench E17 ablates.
 #pragma once
 
 #include <cstdint>
@@ -76,12 +76,16 @@ struct readout_plan {
                                    std::size_t passes) const;
 };
 
-/// The noise an on-fiber pass draws under a row seed, derived exactly as
-/// dot_product_unit::rekey(seed) keys those devices.
-struct on_fiber_streams {
+/// The noise a GEMM row draws under a row seed: the keys and bias errors
+/// of dot_product_unit(config, seed)'s devices. The on-fiber pass draws
+/// only the b side and the readout, and leaves the a-side fields zero.
+struct row_streams {
+  std::uint64_t dac_a = 0;     ///< a-side DAC noise key
   std::uint64_t dac_b = 0;     ///< b-side DAC noise key
+  std::uint64_t rin = 0;       ///< laser RIN key
   std::uint64_t detector = 0;  ///< detector noise key
   std::uint64_t adc = 0;       ///< readout ADC noise key
+  double bias_error_a_rad = 0.0;  ///< a modulator bias error (0 unless set)
   double bias_error_b_rad = 0.0;  ///< b modulator bias error (0 unless set)
 };
 
@@ -96,11 +100,6 @@ class dot_product_unit {
  public:
   dot_product_unit(dot_product_config config, std::uint64_t seed,
                    energy_ledger* ledger = nullptr, energy_costs costs = {});
-
-  /// Re-key every device in place: afterwards bit-identical to
-  /// dot_product_unit(config(), seed, ledger, costs), but allocation-free
-  /// and with the scratch arena's capacity kept.
-  void rekey(std::uint64_t seed);
 
   /// Dot product of two vectors with elements in [0, 1].
   /// Requires a.size() == b.size() and both non-empty.
@@ -153,12 +152,6 @@ class dot_product_unit {
   void encode_rails_received(std::span<const double> x,
                              std::span<double> out_mw);
 
-  /// Advance every device noise stream past `passes` kernel passes of
-  /// dimension `dim` in O(1): each pass consumes `dim` indices on the
-  /// DACs and laser streams and one on the detector and ADC. Only valid
-  /// for the intensity-domain kernels (the laser phase is not walked).
-  void skip_passes(std::uint64_t passes, std::uint64_t dim);
-
   /// Calibrated full-scale receive power of this unit's own encode path
   /// [mW]: power seen when encoding 1.0 through both modulators at b=1.
   [[nodiscard]] double full_scale_power_mw() const;
@@ -179,22 +172,25 @@ class dot_product_unit {
                 std::span<const double> adc_noise,
                 std::span<double> values) const;
 
-  /// Keys and bias error the on-fiber pass draws under `seed`.
-  [[nodiscard]] on_fiber_streams on_fiber_streams_for(
-      std::uint64_t seed) const;
+  /// Keys and bias errors a GEMM row draws under `seed`; the a-side ones
+  /// (DAC-a, laser RIN, a modulator) only when `a_side`.
+  [[nodiscard]] row_streams row_streams_for(std::uint64_t seed,
+                                            bool a_side) const;
 
-  /// Standard deviation of the DAC draws, the b side's in an on-fiber
-  /// pass.
+  /// Standard deviation of the draws of either DAC (one config).
   [[nodiscard]] double dac_noise_sigma() const { return dac_b_.noise_sigma(); }
 
   /// Whether the readout ADC draws noise at all.
   [[nodiscard]] bool adc_noisy() const { return adc_out_.noise_sigma() > 0.0; }
 
-  /// The b modulator's transfer; an on-fiber pass sets each row's own
-  /// bias error on it.
-  [[nodiscard]] const mzm_transfer& weight_transfer() const {
+  /// The transfer both modulators share but for the bias error, which a
+  /// GEMM pass sets per row and side.
+  [[nodiscard]] const mzm_transfer& modulator_transfer() const {
     return mod_b_.transfer();
   }
+
+  /// The carrier: a GEMM row draws its powers on the row's RIN stream.
+  [[nodiscard]] const laser& carrier() const { return laser_; }
 
   [[nodiscard]] const dot_product_config& config() const { return config_; }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,11 +50,11 @@ struct gemm_result {
 using gemv_result = gemm_result;
 
 /// A signed weight matrix split into rails once, each row laid out as
-/// both operands of the fused signed kernel (`lay_out_rails`): electrical
-/// inputs drive the weights on the a side, on-fiber inputs on the b side.
-/// The b side is snapped to the grid of the DAC `dac` once, here, so the
-/// on-fiber GEMM skips the per-element quantize; only an engine whose
-/// DAC is `dac` accepts it.
+/// both operands of the fused signed kernel (`lay_out_rails`) and
+/// snapped to the grid of the DAC `dac`: electrical inputs drive the
+/// weights on the a side, on-fiber inputs on the b side. The snap lets
+/// every GEMM pass skip the per-element quantize; only an engine whose
+/// DAC is `dac` accepts the weights.
 struct rail_weights {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -65,15 +64,22 @@ struct rail_weights {
   rail_weights(const matrix& w, const converter_config& dac);
 };
 
+/// The analog GEMM kernel. Both compute modes run as device passes over
+/// the whole GEMM: each row makes one fill per noise stream it draws
+/// from and one weight pass per sample and modulator, and one readout
+/// covers every (row, sample, pass) of the call. Row seeds are forked in
+/// row order before dispatch, one per row per call whatever the batch,
+/// and row r draws exactly what a fresh dot_product_unit(config, row
+/// seed) draws running dot_passes sample by sample, so results are
+/// bit-identical at any thread count and a batch of one is
+/// bit-identical to gemv_signed. Latency models the single
+/// time-multiplexed analog unit and adds up across rows; the ledger
+/// takes one cell per row, merged in row order.
 class vector_matrix_engine {
  public:
   vector_matrix_engine(dot_product_config config, std::uint64_t seed,
                        energy_ledger* ledger = nullptr,
                        energy_costs costs = {});
-
-  /// Samples per work cell: a constant, never derived from the thread
-  /// count, so every float fold is identical at any ONFIBER_THREADS.
-  static constexpr std::size_t kSamplesPerCell = 8;
 
   /// y = W x for signed W, x in [-1, 1]: a batch-one gemm_signed.
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
@@ -86,94 +92,61 @@ class vector_matrix_engine {
   [[nodiscard]] gemm_result gemm_signed(const matrix& w,
                                         std::span<const double> xs);
 
-  /// The one GEMM kernel, on weights split once. Row seeds are forked in
-  /// row order before dispatch, one per row per call whatever the batch,
-  /// so a batch of one is bit-identical to gemv_signed. Work runs as rows
-  /// x `samples_per_cell` cells, each on an engine-owned unit re-keyed
-  /// from its row seed and seeked past earlier samples in O(1), so every
-  /// sample draws the serial loop's noise indices at any thread count.
-  /// Cell ledgers merge in (row, cell) order; latency models the single
-  /// time-multiplexed analog unit and adds up across rows.
-  [[nodiscard]] gemm_result gemm_signed(
-      const rail_weights& w, std::span<const double> xs,
-      std::size_t samples_per_cell = kSamplesPerCell);
+  /// The electrical (OEO) GEMM on weights split once: the samples were
+  /// digitized, so every pass puts the carrier through the weights on
+  /// the a side and re-encodes the sample through the b-side DAC and
+  /// modulator. `w` must be snapped to this engine's DAC
+  /// (`rail_weights(m, config.dac)`).
+  [[nodiscard]] gemm_result gemm_signed(const rail_weights& w,
+                                        std::span<const double> xs);
 
   /// On-fiber twin: the samples arrived optically, `received_mw` holding
   /// each one's received rail powers (`encode_rails_received`, 4 * w.cols
-  /// per sample), and the weights ride the b modulator. `w` must be
-  /// snapped to this engine's DAC (`rail_weights(m, config.dac)`).
-  /// Bit-identical to per-cell units re-keyed from the row seeds, but run
-  /// as device passes over the whole GEMM: each row makes one fill per
-  /// stream it draws from (b-side DAC, detector, ADC) and one weight pass
-  /// per sample, and one readout covers every (row, sample, pass) of the
-  /// call. `samples_per_cell` only groups the ledger charges, which merge
-  /// in (row, cell) order as the per-cell units' ledgers did.
-  [[nodiscard]] gemm_result gemm_optical(
-      const rail_weights& w, std::span<const double> received_mw,
-      double reference_power_mw,
-      std::size_t samples_per_cell = kSamplesPerCell);
+  /// per sample), and the weights ride the b modulator alone. `w` must be
+  /// snapped to this engine's DAC.
+  [[nodiscard]] gemm_result gemm_optical(const rail_weights& w,
+                                         std::span<const double> received_mw,
+                                         double reference_power_mw);
 
   /// Override the worker count (0 = auto: ONFIBER_THREADS env var, else
   /// hardware concurrency). Any value yields bit-identical results.
   void set_threads(std::size_t threads) { threads_override_ = threads; }
 
  private:
-  /// One kernel call: kSignedPasses passes of `cols` symbols per (row,
-  /// sample), one per signed rail product (pp, nn, pn, np).
-  static constexpr std::size_t kSignedPasses = 4;
-  struct operands {
-    std::span<const double> weights;  ///< rows x kSignedPasses*cols
-    std::span<const double> samples;  ///< batch x kSignedPasses*cols
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-  };
-
-  /// An engine-owned unit and the private ledger it charges.
-  struct row_slot {
-    energy_ledger ledger;
-    dot_product_unit unit;
-    row_slot(const dot_product_config& config, bool with_ledger,
-             energy_costs costs)
-        : unit(config, 0, with_ledger ? &ledger : nullptr, costs) {}
-    row_slot(const row_slot&) = delete;  // `unit` points at `ledger`
-    row_slot& operator=(const row_slot&) = delete;
-  };
-
-  /// The electrical GEMM: rows x cells of re-keyed engine-owned units.
-  [[nodiscard]] gemm_result run(const operands& op,
-                                std::size_t samples_per_cell);
-
-  /// Fork one seed per row, in row order, into seeds_.
-  void fork_row_seeds(std::size_t rows);
-
-  /// Charge the on-fiber GEMM's energy as its per-cell units did: each
-  /// cell's sums in sample order, merged in (row, cell) order.
-  void charge_on_fiber_cells(std::size_t rows, std::size_t batch,
-                             std::size_t cols, std::size_t samples_per_cell);
-
-  /// Signed GEMM with the weights' a-side rails laid out already.
+  /// Signed GEMM on snapped a-side weight rails: snaps the samples'
+  /// b-side rails once and runs the passes.
   [[nodiscard]] gemm_result run_signed(std::span<const double> weight_rails,
                                        std::size_t rows, std::size_t cols,
-                                       std::span<const double> xs,
-                                       std::size_t samples_per_cell);
+                                       std::span<const double> xs);
 
-  /// Device models of the on-fiber GEMM: its invariants, its row keys
-  /// and the readout math. Its own streams are never drawn.
+  /// The one GEMM driver. `weights` holds each row's snapped rails for
+  /// the side they drive. `samples` holds batch x 4*cols values: the
+  /// samples' snapped b-side codes (electrical, after an a-side pass of
+  /// the carrier through the weights) or their received powers
+  /// (optical). `full_scale_mw` calibrates the readout.
+  [[nodiscard]] gemm_result run_passes(std::span<const double> weights,
+                                       std::size_t rows, std::size_t cols,
+                                       std::span<const double> samples,
+                                       double full_scale_mw, bool optical);
+
+  /// Charge the ledger as one unit per row did over the whole batch,
+  /// rows merged in row order.
+  void charge_row_cells(std::size_t rows, std::size_t batch,
+                        std::size_t cols, bool optical);
+
+  /// Device models of the GEMM: its invariants, its row keys and the
+  /// readout math. Its own streams are never drawn.
   dot_product_unit models_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
   rng row_seed_stream_;  ///< forked per row, in row order
   std::size_t threads_override_ = 0;
-  /// One slot per electrical work cell, kept for the engine's lifetime;
-  /// pool workers touch disjoint slots. The rest is per-call scratch.
-  std::vector<std::unique_ptr<row_slot>> slots_;
+  /// Per-call scratch.
   std::vector<std::uint64_t> seeds_;
-  std::vector<dot_result> cells_;
   std::vector<double> weight_rails_;  ///< a-side rails of a matrix operand
-  std::vector<double> sample_rails_;
-  /// On-fiber GEMM, row-major over (row, sample): b-side DAC draws and
-  /// product powers per symbol; detector and ADC draws and readouts per
-  /// pass.
+  std::vector<double> sample_rails_;  ///< snapped b-side rails of xs
+  /// Row-major over (row, sample): DAC draws and product powers per
+  /// symbol; detector and ADC draws and readouts per pass.
   std::vector<double> dac_noise_, product_;
   std::vector<double> detector_noise_, adc_noise_, readouts_;
 };

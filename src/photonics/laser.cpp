@@ -22,7 +22,12 @@ laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
       phase_stream_(0),
       ledger_(ledger),
       costs_(costs) {
-  key_streams(noise_stream());
+  // Two per-purpose counter keys from one draw of the seed stream: RIN
+  // and phase draws live on unrelated streams, so either can be filled
+  // or vectorized without disturbing the other.
+  const std::uint64_t base = noise_stream();
+  rin_stream_ = counter_stream(counter_rng::key_of(base, kRinTag));
+  phase_stream_ = counter_stream(counter_rng::key_of(base, kPhaseTag));
   if (config_.enable_phase_noise && config_.symbol_rate_hz > 0.0) {
     phase_step_sigma_ = std::sqrt(2.0 * std::numbers::pi *
                                   config_.linewidth_hz /
@@ -38,29 +43,15 @@ laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
   }
 }
 
-void laser::key_streams(std::uint64_t base) {
-  // Two per-purpose counter keys from one draw of the seed stream: RIN
-  // and phase draws live on unrelated streams, so either can be filled,
-  // skipped, or vectorized without disturbing the other.
-  rin_stream_ = counter_stream(counter_rng::key_of(base, kRinTag));
-  phase_stream_ = counter_stream(counter_rng::key_of(base, kPhaseTag));
-}
-
-void laser::rekey(std::uint64_t seed) {
-  key_streams(rng::first_output(seed));
-  phase_ = 0.0;
-}
-
-void laser::skip_symbols(std::uint64_t symbols) {
-  rin_stream_.skip(symbols);
-  phase_stream_.skip(symbols);
+std::uint64_t laser::rin_key(std::uint64_t seed) {
+  return counter_rng::key_of(rng::first_output(seed), kRinTag);
 }
 
 field laser::emit_one() {
   // Every symbol consumes exactly one index of each stream — disabled
   // noise skips the index rather than not consuming it — so stream
   // positions are a pure function of symbols emitted, whatever the
-  // config. That invariant is what makes skip_symbols O(1).
+  // config.
   double power = config_.power_mw;
   if (config_.enable_rin) {
     power += rin_sigma_mw_ * rin_stream_.normal();
@@ -128,19 +119,8 @@ void laser::emit(std::size_t symbols, waveform& out, std::size_t passes) {
 
 void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   const std::size_t symbols = out_powers.size();
-  const bool has_rin = config_.enable_rin;
   const bool has_phase = phase_step_sigma_ > 0.0;
-  // RIN pass: dispatched counter fill + branch-free power pass, both
-  // vectorized at the active SIMD level (same draw indices as emit_one).
-  if (has_rin) {
-    rin_scratch_.resize(symbols);
-    rin_stream_.fill_normal(rin_scratch_);
-    simd::active().rin_power(rin_scratch_.data(), symbols, config_.power_mw,
-                             rin_sigma_mw_, out_powers.data());
-  } else {
-    rin_stream_.skip(symbols);
-    for (std::size_t i = 0; i < symbols; ++i) out_powers[i] = config_.power_mw;
-  }
+  draw_powers(rin_stream_, out_powers);
   // Phase pass: the walk is a running sum, so its additions stay in
   // symbol order to keep phase_ bit-exact with the scalar path; only the
   // draw generation is vectorized.
@@ -162,6 +142,22 @@ void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   if (ledger_ != nullptr && symbols > 0) {
     ledger_->charge_batches("laser", costs_.laser_j_per_symbol,
                             symbols / passes, passes);
+  }
+}
+
+void laser::draw_powers(counter_stream& rin,
+                        std::span<double> out_powers) const {
+  const std::size_t symbols = out_powers.size();
+  // RIN pass: dispatched counter fill + branch-free power pass in place,
+  // both vectorized at the active SIMD level (same draw indices as
+  // emit_one).
+  if (config_.enable_rin) {
+    rin.fill_normal(out_powers);
+    simd::active().rin_power(out_powers.data(), symbols, config_.power_mw,
+                             rin_sigma_mw_, out_powers.data());
+  } else {
+    rin.skip(symbols);
+    for (double& p : out_powers) p = config_.power_mw;
   }
 }
 

@@ -53,23 +53,18 @@ class laser {
   /// ledger exactly as `passes` calls over equal slices would be.
   void emit_powers(std::span<double> out_powers, std::size_t passes = 1);
 
-  /// Advance both noise streams past `symbols` symbols in O(1) without
-  /// generating anything — the counter streams make draw index i
-  /// addressable directly. The phase accumulator is NOT walked forward,
-  /// so this is only valid on intensity-domain paths (emit_powers),
-  /// where phase is unobservable; the batched GEMM uses it to hand
-  /// disjoint sample ranges of one row to different workers.
-  void skip_symbols(std::uint64_t symbols);
+  /// The power half of emit_powers on any RIN stream: the next
+  /// out_powers.size() per-symbol powers drawn from `rin`, which
+  /// advances by that many indices whether RIN is on or not. No ledger
+  /// charge, no phase walk.
+  void draw_powers(counter_stream& rin, std::span<double> out_powers) const;
 
-  /// Re-key in place: bit-identical to a laser built with rng{seed}
-  /// (streams at draw 0, phase walk at 0).
-  void rekey(std::uint64_t seed);
+  /// Key of the RIN stream a laser built with rng{seed} draws from.
+  [[nodiscard]] static std::uint64_t rin_key(std::uint64_t seed);
 
   [[nodiscard]] const laser_config& config() const { return config_; }
 
  private:
-  void key_streams(std::uint64_t base);
-
   laser_config config_;
   counter_stream rin_stream_;    ///< one draw index per symbol, always
   counter_stream phase_stream_;  ///< one draw index per symbol, always

@@ -46,12 +46,12 @@ struct mzm_transfer {
   /// (acos/cos per call, scalar libm at every SIMD tier).
   [[nodiscard]] double transmission(double x) const;
 
-  /// The weight side of an on-fiber pass, fused with the DAC driving the
-  /// modulator and the carrier it modulates: out[i] = power_mw[i] * T(o)
-  /// with o = clip(codes[i] + dac_sigma * dac_noise[i], 0, dac_full_scale),
-  /// the DAC output for codes already on its grid. Without a bias error
-  /// it runs as the dispatched simd::kernel_table::weight_product. No
-  /// ledger charge.
+  /// One modulator of a GEMM pass, fused with the DAC driving it and the
+  /// carrier it modulates: out[i] = power_mw[i] * T(o) with
+  /// o = clip(codes[i] + dac_sigma * dac_noise[i], 0, dac_full_scale), the
+  /// DAC output for codes already on its grid. Without a bias error it
+  /// runs as the dispatched simd::kernel_table::weight_product. `out` may
+  /// alias `power_mw`. No ledger charge.
   void weight_product(const double* codes, const double* dac_noise,
                       double dac_sigma, double dac_full_scale,
                       const double* power_mw, double* out,
@@ -91,13 +91,8 @@ class mzm_modulator {
   void encode_intensity(std::span<const double> x, std::span<double> t_out,
                         std::size_t passes = 1);
 
-  /// Re-key in place: bit-identical to a modulator built with rng{seed}
-  /// (the bias error is re-drawn only when one is configured).
-  void rekey(std::uint64_t seed) {
-    transfer_.bias_error_rad = bias_error_for(config_, seed);
-  }
-
-  /// The bias error rekey(seed) draws: zero unless one is configured.
+  /// The bias error a modulator built with rng{seed} draws: zero unless
+  /// one is configured.
   [[nodiscard]] static double bias_error_for(const modulator_config& config,
                                              std::uint64_t seed);
 

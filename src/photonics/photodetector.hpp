@@ -63,14 +63,8 @@ class photodetector {
                           std::span<const double> noise,
                           std::span<double> current_a) const;
 
-  /// Advance the noise stream past `readouts` detect/integrate readouts
-  /// in O(1) — each readout consumes exactly one counter draw index.
-  void skip_readouts(std::uint64_t readouts) { noise_.skip(readouts); }
-
-  /// Re-key in place: bit-identical to a detector built with rng{seed}.
-  void rekey(std::uint64_t seed) { noise_ = counter_stream(noise_key(seed)); }
-
-  /// Key of the noise stream rekey(seed) installs.
+  /// Key of the noise stream a detector built with rng{seed} draws from;
+  /// each readout consumes exactly one of its draw indices.
   [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
   [[nodiscard]] const photodetector_config& config() const { return config_; }

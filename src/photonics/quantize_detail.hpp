@@ -1,6 +1,7 @@
 // quantize_detail.hpp — the converters' grid snap, shared by the scalar
-// converter paths (converter.cpp) and the dispatched SIMD passes
-// (simd_kernels_impl.hpp), so every path snaps with one expression.
+// converter paths (converter.cpp), the dispatched SIMD passes
+// (simd_kernels_impl.hpp) and the GEMM's code snap
+// (vector_matrix_engine.cpp), so every path snaps with one expression.
 //
 // Internal linkage on purpose: the per-ISA kernel TUs compile these with
 // different -m flags, and an inline function with external linkage would

@@ -40,6 +40,7 @@ struct kernel_table {
                       std::size_t n);
 
   /// Laser RIN power pass: out[i] = max(base_mw + sigma_mw * noise[i], 0).
+  /// `out` may alias `noise`.
   void (*rin_power)(const double* noise, std::size_t n, double base_mw,
                     double sigma_mw, double* out);
 
@@ -64,6 +65,7 @@ struct kernel_table {
   /// applies the insertion loss; the received power multiplies it.
   /// Same arithmetic in the same order as dac_pass on the unsnapped
   /// code, then mzm_modulator::encode_intensity, then the product.
+  /// `out` may alias `power_mw`.
   void (*weight_product)(const double* codes, const double* noise,
                          std::size_t n, double full_scale, double sigma,
                          double floor_t, double loss, const double* power_mw,

@@ -136,67 +136,15 @@ TEST(DotProduct, ChargesPhotonicMacEnergy) {
   EXPECT_EQ(ledger.ops("adc"), 1u);  // one readout per dot product
 }
 
-// Re-keying: a used unit re-keyed to seed s must be bit-identical to a
-// fresh dot_product_unit(cfg, s) on every entry point. Each device's
-// streams are exercised, so a re-key that forgets one fails here;
-// encode_to_optical exposes the laser phase walk, which must restart.
 void expect_same_bits(const dot_result& x, const dot_result& y) {
   EXPECT_EQ(x.value, y.value);
   EXPECT_EQ(x.latency_s, y.latency_s);
   EXPECT_EQ(x.symbols, y.symbols);
 }
 
-void expect_rekey_matches_fresh(const dot_product_config& cfg) {
-  rng g(5000);
-  const auto a = random_unit_vector(24, g);
-  const auto b = random_unit_vector(24, g);
-  std::vector<double> sa(24), sb(24);
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    sa[i] = 2.0 * a[i] - 1.0;
-    sb[i] = 1.0 - 2.0 * b[i];
-  }
-
-  energy_ledger used_ledger, fresh_ledger;
-  dot_product_unit used(cfg, 11, &used_ledger);
-  // Move every stream and the phase walk off their starting points.
-  (void)used.dot_signed(sa, sb);
-  waveform used_wave, fresh_wave;
-  used.encode_to_optical(a, used_wave);
-  (void)used.dot_unit_range_scalar(a, b);
-  used.rekey(99);
-  used_ledger.reset();
-  dot_product_unit fresh(cfg, 99, &fresh_ledger);
-
-  // Several rounds: one readout can round to the same ADC code under
-  // different noise, many cannot.
-  for (int round = 0; round < 4; ++round) {
-    used.encode_to_optical(a, used_wave);
-    fresh.encode_to_optical(a, fresh_wave);
-    EXPECT_EQ(used_wave, fresh_wave);
-    expect_same_bits(used.dot_signed(sa, sb), fresh.dot_signed(sa, sb));
-    expect_same_bits(used.dot_unit_range_scalar(a, b),
-                     fresh.dot_unit_range_scalar(a, b));
-    expect_same_bits(used.dot_unit_range(a, b), fresh.dot_unit_range(a, b));
-  }
-  for (const auto& [name, e] : fresh_ledger.entries()) {
-    EXPECT_EQ(used_ledger.joules(name), e.joules) << name;
-    EXPECT_EQ(used_ledger.ops(name), e.ops) << name;
-  }
-}
-
-TEST(DotProductRekey, MatchesFreshUnitBitForBit) {
-  expect_rekey_matches_fresh({});
-}
-
-TEST(DotProductRekey, RedrawsConfiguredBiasError) {
-  dot_product_config cfg;
-  cfg.modulator.bias_error_sigma_rad = 0.05;
-  expect_rekey_matches_fresh(cfg);
-}
-
 // The fused kernel is the pass-by-pass loop: four dot_unit_range calls
 // over the rail passes give the same bits and the same ledger.
-TEST(DotProductRekey, FusedSignedKernelMatchesPassByPass) {
+TEST(DotProductUnit, FusedSignedKernelMatchesPassByPass) {
   rng g(6000);
   std::vector<double> a(20), b(20);
   for (double& v : a) v = 2.0 * g.uniform() - 1.0;
@@ -443,11 +391,11 @@ TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
 /// per-call row fork: gemm_optical against one per_pass_reference per
 /// row, gemm_signed against one fresh dot_product_unit per row running
 /// dot_passes sample by sample. Every output, the latency and symbol
-/// folds, and (ledger on) the ledger of reference cells merged in
-/// (row, cell) order are compared, over row counts, batches, cell sizes
-/// and thread counts. The engine's weights are snapped on its own DAC's
-/// grid; the references convert the raw rails, so the snap must land on
-/// the grid the DAC would quantize to.
+/// folds, and (ledger on) the references' ledgers merged in row order
+/// are compared, over row counts, batches and thread counts. The
+/// engine's weights and samples are snapped on its own DAC's grid; the
+/// references convert the raw rails, so the snap must land on the grid
+/// the DAC would quantize to.
 void expect_gemm_matches_reference(const dot_product_config& cfg,
                                    bool zero_power) {
   const double unit_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
@@ -463,89 +411,82 @@ void expect_gemm_matches_reference(const dot_product_config& cfg,
       for (double& p : received) p = zero_power ? 0.0 : g.uniform() * ref_mw;
       std::vector<double> xs(batch * cols);
       for (double& v : xs) v = 2.0 * g.uniform() - 1.0;
-      std::vector<std::size_t> cell_sizes{1, 8, batch};
-      std::sort(cell_sizes.begin(), cell_sizes.end());
-      cell_sizes.erase(std::unique(cell_sizes.begin(), cell_sizes.end()),
-                       cell_sizes.end());
       for (const bool optical : {true, false}) {
-        for (const std::size_t per_cell : cell_sizes) {
-          for (const std::size_t threads : {1, 3}) {
-            for (const bool with_ledger : {false, true}) {
-              SCOPED_TRACE(std::string(optical ? "optical" : "signed") +
-                           " rows=" + std::to_string(rows) +
-                           " batch=" + std::to_string(batch) +
-                           " per_cell=" + std::to_string(per_cell) +
-                           " threads=" + std::to_string(threads) +
-                           " ledger=" + std::to_string(with_ledger));
-              energy_ledger engine_ledger, want_ledger, cell_ledger;
-              energy_ledger* const ref_ledger =
-                  with_ledger ? &cell_ledger : nullptr;
-              vector_matrix_engine engine(
-                  cfg, 92, with_ledger ? &engine_ledger : nullptr);
-              engine.set_threads(threads);
-              const gemm_result got =
-                  optical
-                      ? engine.gemm_optical(rails, received, ref_mw, per_cell)
-                      : engine.gemm_signed(rails, xs, per_cell);
-              ASSERT_EQ(got.batch, batch);
-              ASSERT_EQ(got.values.size(), rows * batch);
+        for (const std::size_t threads : {1, 3}) {
+          for (const bool with_ledger : {false, true}) {
+            SCOPED_TRACE(std::string(optical ? "optical" : "signed") +
+                         " rows=" + std::to_string(rows) +
+                         " batch=" + std::to_string(batch) +
+                         " threads=" + std::to_string(threads) +
+                         " ledger=" + std::to_string(with_ledger));
+            energy_ledger engine_ledger, want_ledger, row_ledger;
+            energy_ledger* const ref_ledger =
+                with_ledger ? &row_ledger : nullptr;
+            vector_matrix_engine engine(
+                cfg, 92, with_ledger ? &engine_ledger : nullptr);
+            engine.set_threads(threads);
+            const gemm_result got = optical
+                                        ? engine.gemm_optical(rails, received,
+                                                              ref_mw)
+                                        : engine.gemm_signed(rails, xs);
+            ASSERT_EQ(got.batch, batch);
+            ASSERT_EQ(got.values.size(), rows * batch);
 
-              rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's row fork
-              std::vector<double> rail_w(4 * cols), rail_x(4 * cols);
-              std::vector<dot_result> want(rows * batch);
-              for (std::size_t r = 0; r < rows; ++r) {
-                const std::uint64_t seed = row_seeds();
-                per_pass_reference ref(cfg, seed, ref_ledger);
-                dot_product_unit unit(cfg, seed, ref_ledger);
-                lay_out_rails(w.row(r),
-                              optical ? rail_operand::b : rail_operand::a,
-                              rail_w);
-                for (std::size_t s = 0; s < batch; ++s) {
-                  if (s % per_cell == 0) cell_ledger.reset();
-                  if (optical) {
-                    const auto x = std::span<const double>(received).subspan(
-                        s * 4 * cols, 4 * cols);
-                    want[r * batch + s] = ref.optical(x, rail_w, ref_mw, 4);
-                  } else {
-                    lay_out_rails(std::span<const double>(xs).subspan(
-                                      s * cols, cols),
-                                  rail_operand::b, rail_x);
-                    want[r * batch + s] = unit.dot_passes(rail_w, rail_x, 4);
-                  }
-                  if ((s + 1) % per_cell == 0 || s + 1 == batch) {
-                    want_ledger.merge(cell_ledger);
-                  }
+            rng row_seeds(92 ^ 0x726f7773ULL);  // the engine's row fork
+            std::vector<double> rail_w(4 * cols), rail_x(4 * cols);
+            std::vector<dot_result> want(rows * batch);
+            for (std::size_t r = 0; r < rows; ++r) {
+              const std::uint64_t seed = row_seeds();
+              row_ledger.reset();
+              per_pass_reference ref(cfg, seed, ref_ledger);
+              dot_product_unit unit(cfg, seed, ref_ledger);
+              lay_out_rails(w.row(r),
+                            optical ? rail_operand::b : rail_operand::a,
+                            rail_w);
+              for (std::size_t s = 0; s < batch; ++s) {
+                if (optical) {
+                  const auto x = std::span<const double>(received).subspan(
+                      s * 4 * cols, 4 * cols);
+                  want[r * batch + s] = ref.optical(x, rail_w, ref_mw, 4);
+                } else {
+                  lay_out_rails(
+                      std::span<const double>(xs).subspan(s * cols, cols),
+                      rail_operand::b, rail_x);
+                  want[r * batch + s] = unit.dot_passes(rail_w, rail_x, 4);
                 }
               }
-              double latency_s = 0.0;
-              std::uint64_t symbols = 0;
-              for (std::size_t r = 0; r < rows; ++r) {
-                for (std::size_t s = 0; s < batch; ++s) {
-                  const dot_result& d = want[r * batch + s];
-                  EXPECT_EQ(got.values[s * rows + r], d.value)
-                      << "row " << r << " sample " << s;
-                  latency_s += d.latency_s;
-                  symbols += d.symbols;
-                }
-              }
-              EXPECT_EQ(got.latency_s, latency_s);
-              EXPECT_EQ(got.symbols, symbols);
-              expect_same_ledgers(engine_ledger, want_ledger);
+              want_ledger.merge(row_ledger);
             }
+            double latency_s = 0.0;
+            std::uint64_t symbols = 0;
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t s = 0; s < batch; ++s) {
+                const dot_result& d = want[r * batch + s];
+                EXPECT_EQ(got.values[s * rows + r], d.value)
+                    << "row " << r << " sample " << s;
+                latency_s += d.latency_s;
+                symbols += d.symbols;
+              }
+            }
+            EXPECT_EQ(got.latency_s, latency_s);
+            EXPECT_EQ(got.symbols, symbols);
+            expect_same_ledgers(engine_ledger, want_ledger);
           }
         }
       }
     }
   }
 
-  // Weights snapped for another DAC are refused.
+  // Weights snapped for another DAC are refused by both GEMMs.
   if (cfg.dac.bits != converter_config{}.bits) {
     vector_matrix_engine engine(cfg, 92);
     matrix w(2, 3);
+    const rail_weights other(w, {});
     const std::vector<double> received(4 * 3, 0.5);
-    EXPECT_THROW((void)engine.gemm_optical(rail_weights(w, {}), received,
-                                           ref_mw),
+    const std::vector<double> xs(3, 0.5);
+    EXPECT_THROW((void)engine.gemm_optical(other, received, ref_mw),
                  std::invalid_argument);
+    EXPECT_THROW((void)engine.gemm_signed(other, xs), std::invalid_argument);
   }
 }
 
@@ -584,10 +525,9 @@ TEST(DotProductUnit, GemmMatchesPerPassReference) {
   }
 }
 
-// A cell of zero samples is a caller error on both GEMM entry points,
-// refused before any row seed is forked: the next call still draws the
-// noise a fresh engine's first call draws.
-TEST(DotProductUnit, GemmRejectsZeroSamplesPerCell) {
+// A refused call on either GEMM entry point forks no row seed: the next
+// call still draws the noise a fresh engine's first call draws.
+TEST(DotProductUnit, GemmRefusalForksNoSeed) {
   matrix w(3, 4);
   rng g(93);
   for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
@@ -597,8 +537,9 @@ TEST(DotProductUnit, GemmRejectsZeroSamplesPerCell) {
   for (double& p : received) p = g.uniform();
 
   vector_matrix_engine engine({}, 94), fresh({}, 94);
-  EXPECT_THROW((void)engine.gemm_signed(rails, xs, 0), std::invalid_argument);
-  EXPECT_THROW((void)engine.gemm_optical(rails, received, 1.0, 0),
+  EXPECT_THROW((void)engine.gemm_signed(rails, std::span(xs).first(7)),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.gemm_optical(rails, received, 0.0),
                std::invalid_argument);
   EXPECT_EQ(engine.gemm_signed(rails, xs).values,
             fresh.gemm_signed(rails, xs).values);
