@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
         std::vector<double> lx(in_dim);
         for (double& v : lx) v = 2.0 * gen.uniform() - 1.0;
         std::vector<double> received(4 * in_dim);
-        launcher.encode_rails_received(lx, received);
+        launcher.encode_rails_received(lx, in_dim, received);
         layers.push_back({phot::rail_weights(lw, launcher.config().dac),
                           std::move(received)});
       }

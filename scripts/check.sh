@@ -70,7 +70,10 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # so its reference and golden tests run at both tiers too, as do the
 # dot-product unit's per-pass readout oracle and the GEMM oracle of both
 # modes (their readout fills and fused weight passes are dispatched) and
-# the grid-snap rounding pins.
+# the grid-snap rounding pins. The cross-row fill and the batched readout
+# sums are pinned against their per-row and per-readout forms at every
+# tier, and the pool-dispatch test runs GEMMs on both sides of the
+# break-even size.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
     unset ONFIBER_SIMD
@@ -78,7 +81,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|PatternMatch|DotProductUnit|GridSnap' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|PatternMatch|DotProductUnit|GridSnap|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|PoolDispatch' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD
@@ -90,11 +93,14 @@ unset ONFIBER_SIMD
 # GEMM's rows fill their streams and run their weight passes on pool
 # workers into shared per-call engine buffers at ONFIBER_THREADS>1, so
 # the engine golden (1 and 3 threads) and the GEMM oracle of both modes
-# (3 threads) run here too.
+# (3 threads) run here too. Only a GEMM above the pool's break-even size
+# runs on the workers, as row ranges written into those shared buffers;
+# the pool-dispatch test runs one at 3 threads, and the cross-row fill
+# and batched readout sums those ranges call run here with it.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \
-  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|GemmMatchesPerPassReference'
+  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|GemmMatchesPerPassReference|PoolDispatch|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums'
 
 # Sharded-engine tsan gate: the determinism and reliability suites
 # re-run with an extra ONFIBER_SHARDS=4 sweep entry, and the fabric

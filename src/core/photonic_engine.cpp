@@ -166,21 +166,16 @@ phot::gemm_result photonic_engine::analog_gemm(const phot::rail_weights& w,
                                                std::span<const double> xs,
                                                bool input_is_optical,
                                                engine_report& report) {
-  const std::size_t cols = w.cols;
-  const std::size_t batch = xs.size() / cols;  // callers validate the shape
+  const std::size_t cols = w.cols;  // callers validate xs's shape
   phot::gemm_result out;
   if (input_is_optical) {
     // On-fiber path: each sample's rails exist as optical waveforms
     // (encoded upstream; reconstruction here is ledger-free), produced in
-    // sample order on the continuing upstream-encoder streams. Every row
-    // reads the same received powers — wavelength/splitter fan-out in
-    // hardware.
+    // sample order by one launch on the continuing upstream-encoder
+    // streams. Every row reads the same received powers —
+    // wavelength/splitter fan-out in hardware.
     received_mw_.resize(4 * xs.size());
-    for (std::size_t s = 0; s < batch; ++s) {
-      upstream_encoder_.encode_rails_received(
-          xs.subspan(s * cols, cols),
-          std::span<double>(received_mw_).subspan(4 * cols * s, 4 * cols));
-    }
+    upstream_encoder_.encode_rails_received(xs, cols, received_mw_);
     const double ref_mw =
         config_.dot.laser.power_mw *
         phot::db_to_ratio(-config_.dot.modulator.insertion_loss_db);

@@ -72,7 +72,7 @@ struct microburst_config {
 };
 
 struct workload_config {
-  std::vector<flow_class> tenants{flow_class{}};
+  std::vector<flow_class> tenants = std::vector<flow_class>(1);  ///< one default class
   diurnal_config diurnal{};
   microburst_config bursts{};
   std::uint64_t seed = 1;

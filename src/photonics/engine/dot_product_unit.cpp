@@ -80,21 +80,30 @@ double dot_product_unit::full_scale_power_mw() const {
          db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
 }
 
-row_streams dot_product_unit::row_streams_for(std::uint64_t seed,
-                                              bool a_side) const {
-  row_streams k;
-  k.dac_b = dac::noise_key(seed ^ kDacBTag);
-  k.detector = photodetector::noise_key(seed ^ kDetectorTag);
-  k.adc = adc::noise_key(seed ^ kAdcTag);
-  k.bias_error_b_rad =
-      mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag);
-  if (a_side) {
-    k.dac_a = dac::noise_key(seed ^ kDacATag);
-    k.rin = laser::rin_key(seed);
-    k.bias_error_a_rad =
-        mzm_modulator::bias_error_for(config_.modulator, seed ^ kModATag);
+void dot_product_unit::row_keys_for(std::span<const std::uint64_t> seeds,
+                                    bool a_side, row_keys& out) const {
+  const std::size_t rows = seeds.size();
+  out.dac_b.resize(rows);
+  out.detector.resize(rows);
+  out.adc.resize(rows);
+  out.bias_error_b_rad.resize(rows);
+  out.dac_a.resize(a_side ? rows : 0);
+  out.rin.resize(a_side ? rows : 0);
+  out.bias_error_a_rad.resize(a_side ? rows : 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t seed = seeds[r];
+    out.dac_b[r] = dac::noise_key(seed ^ kDacBTag);
+    out.detector[r] = photodetector::noise_key(seed ^ kDetectorTag);
+    out.adc[r] = adc::noise_key(seed ^ kAdcTag);
+    out.bias_error_b_rad[r] =
+        mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag);
+    if (a_side) {
+      out.dac_a[r] = dac::noise_key(seed ^ kDacATag);
+      out.rin[r] = laser::rin_key(seed);
+      out.bias_error_a_rad[r] =
+          mzm_modulator::bias_error_for(config_.modulator, seed ^ kModATag);
+    }
   }
-  return k;
 }
 
 readout_plan dot_product_unit::plan_readout(std::size_t symbols,
@@ -244,18 +253,26 @@ void dot_product_unit::encode_to_optical(std::span<const double> a,
   mod_a_.encode(scratch_.dac_a, out);
 }
 
-void dot_product_unit::encode_rails_received(std::span<const double> x,
+void dot_product_unit::encode_rails_received(std::span<const double> xs,
+                                             std::size_t cols,
                                              std::span<double> out_mw) {
-  const std::size_t n = x.size();
-  scratch_.rail_a.resize(4 * n);
-  lay_out_rails(x, rail_operand::a, scratch_.rail_a);
-  for (std::size_t rail = 0; rail < 2; ++rail) {
-    encode_to_optical(std::span<const double>(scratch_.rail_a)
-                          .subspan(rail * n, n),
-                      scratch_.wave);
-    for (std::size_t i = 0; i < n; ++i) {
-      out_mw[rail * n + i] = out_mw[(rail + 2) * n + i] =
-          power_mw(scratch_.wave[i]);
+  // Sample s's rails (x+, x-) sit at 2 * cols * s of one launch; the
+  // crossed passes pn and np reuse them.
+  const std::size_t batch = xs.size() / cols;
+  scratch_.rail_a.resize(2 * xs.size());
+  for (std::size_t s = 0; s < batch; ++s) {
+    for (std::size_t i = 0; i < cols; ++i) {
+      const double x = xs[s * cols + i];
+      scratch_.rail_a[2 * cols * s + i] = x > 0.0 ? x : 0.0;
+      scratch_.rail_a[2 * cols * s + cols + i] = x < 0.0 ? -x : 0.0;
+    }
+  }
+  encode_to_optical(scratch_.rail_a, scratch_.wave);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const field* launched = scratch_.wave.data() + 2 * cols * s;
+    double* out = out_mw.data() + 4 * cols * s;
+    for (std::size_t i = 0; i < 2 * cols; ++i) {
+      out[i] = out[2 * cols + i] = power_mw(launched[i]);
     }
   }
 }

@@ -20,7 +20,7 @@
 // a-side DAC and the a modulator are skipped — the on-fiber GEMM
 // (`vector_matrix_engine::gemm_optical`) starts from received per-symbol
 // powers that encode a_i and runs only the b side and the readout, on
-// the streams `row_streams` names. This is the paper's key saving and is
+// the streams `row_keys` names. This is the paper's key saving and is
 // what bench E17 ablates.
 #pragma once
 
@@ -76,17 +76,18 @@ struct readout_plan {
                                    std::size_t passes) const;
 };
 
-/// The noise a GEMM row draws under a row seed: the keys and bias errors
-/// of dot_product_unit(config, seed)'s devices. The on-fiber pass draws
-/// only the b side and the readout, and leaves the a-side fields zero.
-struct row_streams {
-  std::uint64_t dac_a = 0;     ///< a-side DAC noise key
-  std::uint64_t dac_b = 0;     ///< b-side DAC noise key
-  std::uint64_t rin = 0;       ///< laser RIN key
-  std::uint64_t detector = 0;  ///< detector noise key
-  std::uint64_t adc = 0;       ///< readout ADC noise key
-  double bias_error_a_rad = 0.0;  ///< a modulator bias error (0 unless set)
-  double bias_error_b_rad = 0.0;  ///< b modulator bias error (0 unless set)
+/// The noise GEMM rows draw under their row seeds, one array per stream
+/// kind: entry r holds the key or bias error of dot_product_unit(config,
+/// seeds[r])'s device. The on-fiber pass draws only the b side and the
+/// readout, and leaves the a-side arrays empty.
+struct row_keys {
+  std::vector<std::uint64_t> dac_a;  ///< a-side DAC noise keys
+  std::vector<std::uint64_t> dac_b;  ///< b-side DAC noise keys
+  std::vector<std::uint64_t> rin;    ///< laser RIN keys
+  std::vector<std::uint64_t> detector;  ///< detector noise keys
+  std::vector<std::uint64_t> adc;       ///< readout ADC noise keys
+  std::vector<double> bias_error_a_rad;  ///< a modulator (0 unless set)
+  std::vector<double> bias_error_b_rad;  ///< b modulator (0 unless set)
 };
 
 /// Split a signed vector into its rails (x = x+ - x-) laid out as one
@@ -147,9 +148,12 @@ class dot_product_unit {
   /// a.size()) so repeated launches reuse one buffer.
   void encode_to_optical(std::span<const double> a, waveform& out);
 
-  /// Launch x's rails, x+ then x-, through encode_to_optical and write
-  /// their powers as one sample of the on-fiber GEMM (4 * x.size()).
-  void encode_rails_received(std::span<const double> x,
+  /// Launch the rails of each `cols`-wide sample of xs, x+ then x-,
+  /// sample by sample, as one encode_to_optical call, and write their
+  /// powers as the samples of the on-fiber GEMM (4 * cols each). The
+  /// streams continue across the rails, so this draws what one launch
+  /// per rail would.
+  void encode_rails_received(std::span<const double> xs, std::size_t cols,
                              std::span<double> out_mw);
 
   /// Calibrated full-scale receive power of this unit's own encode path
@@ -172,10 +176,11 @@ class dot_product_unit {
                 std::span<const double> adc_noise,
                 std::span<double> values) const;
 
-  /// Keys and bias errors a GEMM row draws under `seed`; the a-side ones
-  /// (DAC-a, laser RIN, a modulator) only when `a_side`.
-  [[nodiscard]] row_streams row_streams_for(std::uint64_t seed,
-                                            bool a_side) const;
+  /// Keys and bias errors of every GEMM row, one pass over the row
+  /// seeds into `out`; the a-side ones (DAC-a, laser RIN, a modulator)
+  /// only when `a_side`.
+  void row_keys_for(std::span<const std::uint64_t> seeds, bool a_side,
+                    row_keys& out) const;
 
   /// Standard deviation of the draws of either DAC (one config).
   [[nodiscard]] double dac_noise_sigma() const { return dac_b_.noise_sigma(); }

@@ -123,11 +123,12 @@ gemm_result vector_matrix_engine::run_passes(std::span<const double> weights,
   const std::size_t batch = samples.size() / width;
   const std::size_t symbols = batch * width;  // per row
   const std::size_t readouts = 4 * batch;     // per row
-  // Fork every row's seed up front, in row order: the only RNG state the
-  // workers touch afterwards is row-private, so scheduling cannot change
-  // any draw.
+  // Fork every row's seed up front, in row order, and derive every row's
+  // keys from them: the only RNG state the workers touch afterwards is
+  // row-private, so scheduling cannot change any draw.
   seeds_.resize(rows);
   for (std::uint64_t& s : seeds_) s = row_seed_stream_();
+  models_.row_keys_for(seeds_, !optical, keys_);
 
   // Invariants of the call.
   const mzm_transfer transfer = models_.modulator_transfer();
@@ -142,63 +143,81 @@ gemm_result vector_matrix_engine::run_passes(std::span<const double> weights,
   adc_noise_.resize(rows * readouts);
   readouts_.resize(rows * readouts);
 
-  const auto row = [&](std::size_t r) {
-    // One fill per stream the row draws from: sample s takes DAC and RIN
-    // draws from s * width and readout draws from s * 4, the indices a
-    // unit keyed from the row seed consumes sample by sample. The laser
-    // phase walk is unobservable in an intensity product and is not
-    // drawn.
-    const row_streams keys = models_.row_streams_for(seeds_[r], !optical);
-    const std::span<double> noise(dac_noise_.data() + r * symbols, symbols);
-    double* const product = product_.data() + r * symbols;
-    const auto fill_dac_noise = [&](std::uint64_t key) {
+  // Rows [first, last): one fill per stream kind for the whole range, row
+  // r's draws at r * symbols (DAC, RIN) or r * readouts (detector, ADC) —
+  // sample s takes DAC and RIN draws from s * width and readout draws
+  // from s * 4, the indices a unit keyed from the row seed consumes
+  // sample by sample. The laser phase walk is unobservable in an
+  // intensity product and is not drawn.
+  const auto range = [&](std::size_t first, std::size_t last) {
+    const std::size_t n = last - first;
+    const auto range_keys = [&](const std::vector<std::uint64_t>& k) {
+      return std::span(k).subspan(first, n);
+    };
+    const auto range_rows = [&](std::vector<double>& v, std::size_t per_row) {
+      return std::span(v).subspan(first * per_row, n * per_row);
+    };
+    const std::span<double> noise = range_rows(dac_noise_, symbols);
+    const auto fill_dac_noise = [&](const std::vector<std::uint64_t>& k) {
       if (dac_sigma > 0.0) {
-        counter_stream(key).fill_normal(noise);
+        fill_normal_rows(range_keys(k), 0, noise);
       } else {
         std::fill(noise.begin(), noise.end(), 0.0);
       }
     };
-    // Each side's weight pass: the codes are on the DAC grid already, so
-    // the DAC only adds its noise and clips, fused with the modulator's
-    // transmission and the product with the power it modulates.
-    const double* weight_row = weights.data() + r * width;
+    // Each side's weight pass, row by row: the codes are on the DAC grid
+    // already, so the DAC only adds its noise and clips, fused with the
+    // modulator's transmission and the product with the power it
+    // modulates.
     mzm_transfer side = transfer;
     if (!optical) {
       // a side: the carrier's powers through the weights, in place.
-      counter_stream rin(keys.rin);
-      models_.carrier().draw_powers(rin, std::span(product, symbols));
-      fill_dac_noise(keys.dac_a);
-      side.bias_error_rad = keys.bias_error_a_rad;
-      for (std::size_t s = 0; s < batch; ++s) {
-        double* p = product + s * width;
-        side.weight_product(weight_row, noise.data() + s * width, dac_sigma,
-                            dac_full_scale, p, p, width);
+      models_.carrier().draw_powers(range_keys(keys_.rin), 0,
+                                    range_rows(product_, symbols));
+      fill_dac_noise(keys_.dac_a);
+      for (std::size_t r = first; r < last; ++r) {
+        side.bias_error_rad = keys_.bias_error_a_rad[r];
+        for (std::size_t s = 0; s < batch; ++s) {
+          double* p = product_.data() + r * symbols + s * width;
+          side.weight_product(weights.data() + r * width,
+                              dac_noise_.data() + r * symbols + s * width,
+                              dac_sigma, dac_full_scale, p, p, width);
+        }
       }
     }
-    fill_dac_noise(keys.dac_b);
-    counter_stream(keys.detector)
-        .fill_normal(std::span(detector_noise_).subspan(r * readouts,
-                                                        readouts));
+    fill_dac_noise(keys_.dac_b);
+    fill_normal_rows(range_keys(keys_.detector), 0,
+                     range_rows(detector_noise_, readouts));
     if (adc_noisy) {
-      counter_stream(keys.adc).fill_normal(
-          std::span(adc_noise_).subspan(r * readouts, readouts));
+      fill_normal_rows(range_keys(keys_.adc), 0,
+                       range_rows(adc_noise_, readouts));
     }
     // b side: the weights onto the received powers (optical), or the
     // samples through their DAC onto the a side's output (electrical).
-    const double* codes = optical ? weight_row : samples.data();
     const std::size_t codes_step = optical ? 0 : width;
-    const double* powers = optical ? samples.data() : product;
-    side.bias_error_rad = keys.bias_error_b_rad;
-    for (std::size_t s = 0; s < batch; ++s) {
-      side.weight_product(codes + s * codes_step, noise.data() + s * width,
-                          dac_sigma, dac_full_scale, powers + s * width,
-                          product + s * width, width);
+    for (std::size_t r = first; r < last; ++r) {
+      const double* codes = optical ? weights.data() + r * width
+                                    : samples.data();
+      double* product = product_.data() + r * symbols;
+      const double* powers = optical ? samples.data() : product;
+      side.bias_error_rad = keys_.bias_error_b_rad[r];
+      for (std::size_t s = 0; s < batch; ++s) {
+        side.weight_product(codes + s * codes_step,
+                            dac_noise_.data() + r * symbols + s * width,
+                            dac_sigma, dac_full_scale, powers + s * width,
+                            product + s * width, width);
+      }
     }
+    models_.read_out(plan, range_rows(product_, symbols),
+                     range_rows(detector_noise_, readouts),
+                     range_rows(adc_noise_, readouts),
+                     range_rows(readouts_, readouts));
   };
   // One captured reference keeps the std::function allocation-free.
-  parallel_rows(rows, kernel_thread_count(threads_override_),
-                [&row](std::size_t r) { row(r); });
-  models_.read_out(plan, product_, detector_noise_, adc_noise_, readouts_);
+  parallel_rows(rows, symbols, kernel_thread_count(threads_override_),
+                [&range](std::size_t first, std::size_t last) {
+                  range(first, last);
+                });
 
   gemm_result out;
   out.batch = batch;

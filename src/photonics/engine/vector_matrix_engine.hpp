@@ -65,14 +65,15 @@ struct rail_weights {
 };
 
 /// The analog GEMM kernel. Both compute modes run as device passes over
-/// the whole GEMM: each row makes one fill per noise stream it draws
-/// from and one weight pass per sample and modulator, and one readout
-/// covers every (row, sample, pass) of the call. Row seeds are forked in
-/// row order before dispatch, one per row per call whatever the batch,
-/// and row r draws exactly what a fresh dot_product_unit(config, row
-/// seed) draws running dot_passes sample by sample, so results are
-/// bit-identical at any thread count and a batch of one is
-/// bit-identical to gemv_signed. Latency models the single
+/// row ranges: a range makes one fill per noise stream kind for all its
+/// rows, one weight pass per row, sample and modulator, and one readout
+/// of all its (row, sample, pass) readouts. The whole call is one range
+/// unless it is large enough to pay for the pool (kPoolBreakEvenWork).
+/// Row seeds are forked in row order before dispatch, one per row per
+/// call whatever the batch, and row r draws exactly what a fresh
+/// dot_product_unit(config, row seed) draws running dot_passes sample
+/// by sample, so results are bit-identical at any thread count and a
+/// batch of one is bit-identical to gemv_signed. Latency models the single
 /// time-multiplexed analog unit and adds up across rows; the ledger
 /// takes one cell per row, merged in row order.
 class vector_matrix_engine {
@@ -143,6 +144,7 @@ class vector_matrix_engine {
   std::size_t threads_override_ = 0;
   /// Per-call scratch.
   std::vector<std::uint64_t> seeds_;
+  row_keys keys_;  ///< every row's stream keys, per stream kind
   std::vector<double> weight_rails_;  ///< a-side rails of a matrix operand
   std::vector<double> sample_rails_;  ///< snapped b-side rails of xs
   /// Row-major over (row, sample): DAC draws and product powers per

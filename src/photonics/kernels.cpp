@@ -5,6 +5,7 @@
 #include <mutex>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "photonics/thread_pool.hpp"
 
 namespace onfiber::phot {
@@ -49,16 +50,31 @@ std::size_t kernel_thread_count(std::size_t override_count) {
   return thread_count_cache();
 }
 
-void parallel_rows(std::size_t rows, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn) {
+void parallel_rows(std::size_t rows, std::size_t row_work,
+                   std::size_t threads,
+                   const std::function<void(std::size_t, std::size_t)>& fn) {
   if (rows == 0) return;
-  if (threads <= 1 || rows <= 1 || thread_pool::in_worker()) {
-    // Inline: degenerate shapes, single-threaded runs, and nested calls
-    // from inside a pool batch (which must not re-enter the pool).
-    for (std::size_t r = 0; r < rows; ++r) fn(r);
+  if (threads <= 1 || rows <= 1 || rows * row_work < kPoolBreakEvenWork ||
+      thread_pool::in_worker()) {
+    // Inline: small or degenerate work, single-threaded runs, and nested
+    // calls from inside a pool batch (which must not re-enter the pool).
+    fn(0, rows);
     return;
   }
-  thread_pool::instance().run(rows, threads, fn);
+  if (obs::enabled()) {
+    // Function-local statics: the pool outlives any fabric/runtime, so
+    // the handles resolve lazily rather than at construction.
+    static obs::counter& dispatches =
+        obs::registry::global().get_counter("pool.dispatches");
+    static obs::counter& dispatched_rows =
+        obs::registry::global().get_counter("pool.rows");
+    dispatches.add();
+    dispatched_rows.add(rows);
+  }
+  const std::size_t ranges = std::min(threads, rows);
+  thread_pool::instance().run(ranges, threads, [&](std::size_t k) {
+    fn(k * rows / ranges, (k + 1) * rows / ranges);
+  });
 }
 
 }  // namespace onfiber::phot

@@ -1,12 +1,13 @@
 // kernels.hpp — deterministic parallel execution for sample-plane kernels.
 //
 // The simulator's determinism contract is seed-based: one experiment seed
-// must produce one bit-exact result. Parallel GEMV keeps that contract by
-// construction — per-row RNG streams are forked from a row-seed stream *in
-// row order before any work starts*, each row runs on its own device set
-// and its own energy ledger, and row results/ledgers are folded back in
-// row order at the barrier. The worker count then only changes wall-clock
-// time, never a single bit of output.
+// must produce one bit-exact result. The parallel GEMM keeps that
+// contract by construction — per-row RNG streams are keyed from a
+// row-seed stream *in row order before any work starts*, a row range
+// writes only its own rows' slices of the call's buffers, and row
+// results/ledgers are folded back in row order at the barrier. The
+// worker count then only changes wall-clock time, never a single bit of
+// output.
 #pragma once
 
 #include <cstddef>
@@ -27,16 +28,27 @@ namespace onfiber::phot {
 /// Not safe to call while parallel kernels are running.
 void refresh_kernel_thread_count_cache();
 
-/// Run `fn(row)` for every row in [0, rows) on up to `threads` workers.
-/// Rows are claimed from a shared atomic counter, so scheduling is dynamic
-/// — correctness must not depend on which thread runs which row (see the
-/// determinism contract above). Runs inline when threads <= 1 or rows <= 1,
-/// or when called from inside another parallel_rows batch; otherwise the
-/// rows are dispatched to the persistent worker pool (thread_pool.hpp) —
-/// no threads are constructed per call once the pool is warm. The first
-/// exception thrown by any row is rethrown on the caller after the batch
-/// drains; a cancel flag stops remaining workers from claiming more rows.
-void parallel_rows(std::size_t rows, std::size_t threads,
-                   const std::function<void(std::size_t)>& fn);
+/// Rows x per-row work (a GEMM's symbols per row) from which
+/// parallel_rows hands rows to the pool. Below it one inline range is
+/// faster than waking the pool, whose round trip costs about 18 us: the
+/// measured break-even of both GEMM modes at 4 threads on a 4-CPU
+/// x86-64 host (AVX-512 tier). The OEO GEMM, with twice the per-symbol
+/// work, breaks even near 2,048; the on-fiber GEMM near 8,192.
+inline constexpr std::size_t kPoolBreakEvenWork = 8192;
+
+/// Run `fn(first, last)` over contiguous row ranges that together cover
+/// [0, rows) exactly once. Runs the one range [0, rows) inline when
+/// threads <= 1, rows <= 1, rows * row_work < kPoolBreakEvenWork, or
+/// when called from inside another parallel_rows batch; otherwise the
+/// rows split into min(threads, rows) near-equal ranges dispatched to
+/// the persistent worker pool (thread_pool.hpp) — no threads are
+/// constructed per call once the pool is warm. Correctness must not
+/// depend on how rows are split or which thread runs a range (see the
+/// determinism contract above). The first exception thrown by any range
+/// is rethrown on the caller after the batch drains; a cancel flag stops
+/// remaining workers from claiming more ranges.
+void parallel_rows(std::size_t rows, std::size_t row_work,
+                   std::size_t threads,
+                   const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace onfiber::phot

@@ -120,7 +120,9 @@ void laser::emit(std::size_t symbols, waveform& out, std::size_t passes) {
 void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   const std::size_t symbols = out_powers.size();
   const bool has_phase = phase_step_sigma_ > 0.0;
-  draw_powers(rin_stream_, out_powers);
+  const std::uint64_t rin_key = rin_stream_.key();
+  draw_powers(std::span(&rin_key, 1), rin_stream_.cursor(), out_powers);
+  rin_stream_.skip(symbols);
   // Phase pass: the walk is a running sum, so its additions stay in
   // symbol order to keep phase_ bit-exact with the scalar path; only the
   // draw generation is vectorized.
@@ -145,18 +147,18 @@ void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
   }
 }
 
-void laser::draw_powers(counter_stream& rin,
+void laser::draw_powers(std::span<const std::uint64_t> rin_keys,
+                        std::uint64_t base,
                         std::span<double> out_powers) const {
-  const std::size_t symbols = out_powers.size();
   // RIN pass: dispatched counter fill + branch-free power pass in place,
   // both vectorized at the active SIMD level (same draw indices as
   // emit_one).
   if (config_.enable_rin) {
-    rin.fill_normal(out_powers);
-    simd::active().rin_power(out_powers.data(), symbols, config_.power_mw,
-                             rin_sigma_mw_, out_powers.data());
+    fill_normal_rows(rin_keys, base, out_powers);
+    simd::active().rin_power(out_powers.data(), out_powers.size(),
+                             config_.power_mw, rin_sigma_mw_,
+                             out_powers.data());
   } else {
-    rin.skip(symbols);
     for (double& p : out_powers) p = config_.power_mw;
   }
 }

@@ -53,11 +53,13 @@ class laser {
   /// ledger exactly as `passes` calls over equal slices would be.
   void emit_powers(std::span<double> out_powers, std::size_t passes = 1);
 
-  /// The power half of emit_powers on any RIN stream: the next
-  /// out_powers.size() per-symbol powers drawn from `rin`, which
-  /// advances by that many indices whether RIN is on or not. No ledger
-  /// charge, no phase walk.
-  void draw_powers(counter_stream& rin, std::span<double> out_powers) const;
+  /// The power half of emit_powers on any RIN streams, one row per key:
+  /// row r of out_powers (out_powers.size() / rin_keys.size() symbols,
+  /// row-major) takes the powers of draw indices base, base + 1, ... of
+  /// RIN stream rin_keys[r], in one fill for all rows. No ledger charge,
+  /// no phase walk.
+  void draw_powers(std::span<const std::uint64_t> rin_keys,
+                   std::uint64_t base, std::span<double> out_powers) const;
 
   /// Key of the RIN stream a laser built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t rin_key(std::uint64_t seed);

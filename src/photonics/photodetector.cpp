@@ -66,12 +66,13 @@ void photodetector::integrate_readouts(std::span<const double> power_mw,
                                        const integration_noise& nz,
                                        std::span<const double> noise,
                                        std::span<double> current_a) const {
-  const simd::kernel_table& k = simd::active();
+  // Every readout's power sum in one dispatched call, into current_a.
+  simd::active().blocked_sums(power_mw.data(), symbols, current_a.size(),
+                              current_a.data());
   const bool shot = config_.noise.enable_shot;
   for (std::size_t p = 0; p < current_a.size(); ++p) {
     const double mean_power_mw =
-        k.blocked_sum(power_mw.data() + p * symbols, symbols) /
-        static_cast<double>(symbols);
+        current_a[p] / static_cast<double>(symbols);
     const double signal_a = expected_current_a(mean_power_mw);
     double variance = 0.0;
     if (shot) {

@@ -16,9 +16,15 @@ double counter_normal(std::uint64_t key, std::uint64_t index) {
   return detail::inv_normal(detail::counter_uniform_open(key, index));
 }
 
+void fill_normal_rows(std::span<const std::uint64_t> keys, std::uint64_t base,
+                      std::span<double> out) {
+  if (keys.empty() || out.empty()) return;
+  simd::active().fill_normal(keys.data(), keys.size(), base, out.data(),
+                             out.size() / keys.size());
+}
+
 void counter_stream::fill_normal(std::span<double> out) {
-  if (out.empty()) return;
-  simd::active().fill_normal(key_, cursor_, out.data(), out.size());
+  fill_normal_rows(std::span(&key_, 1), cursor_, out);
   cursor_ += out.size();
 }
 

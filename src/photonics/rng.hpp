@@ -118,6 +118,14 @@ class counter_rng {
 /// with -ffp-contract=off) so every caller sees one bit pattern.
 [[nodiscard]] double counter_normal(std::uint64_t key, std::uint64_t index);
 
+/// Cross-row fill: `out` holds keys.size() rows of n = out.size() /
+/// keys.size() draws, row-major, with out[r * n + i] =
+/// counter_normal(keys[r], base + i). One dispatched call fills a stream
+/// kind for every row of a range, bit-identical to one
+/// counter_stream::fill_normal per row at every dispatch level.
+void fill_normal_rows(std::span<const std::uint64_t> keys, std::uint64_t base,
+                      std::span<double> out);
+
 /// A positioned view over one counter-based normal stream: (key, cursor).
 /// Scalar draws and bulk fills consume consecutive draw indices; `skip`
 /// advances the cursor in O(1) without generating (the property the
@@ -140,8 +148,8 @@ class counter_stream {
     return mean + stddev * normal();
   }
 
-  /// Fill `out` with the next out.size() deviates of this stream, via the
-  /// runtime-dispatched SIMD kernel (simd.hpp). Bit-identical to calling
+  /// Fill `out` with the next out.size() deviates of this stream: the
+  /// one-row case of fill_normal_rows. Bit-identical to calling
   /// `normal()` out.size() times, at every dispatch level.
   void fill_normal(std::span<double> out);
 

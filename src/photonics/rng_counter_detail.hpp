@@ -13,8 +13,9 @@
 // CDF (relative error < 1.2e-9, far below every physical sigma in the
 // device models). The central region (95.15% of draws) is a pure
 // polynomial ratio — add/mul/div only, branch-free, vectorizable. The
-// tails need log and sqrt and stay scalar; the vector fills call the
-// same inline tail function per lane, so tail values match trivially.
+// tails need log, which stays scalar libm; the vector fills take the
+// same std::log per tail lane and then the same sqrt and tail rational
+// as inv_normal_tail, so tail values match operation for operation.
 #pragma once
 
 #include <bit>
@@ -85,28 +86,34 @@ inline constexpr double kInvNormPHigh = 1.0 - 0.02425;
   return num / den;
 }
 
-/// Acklam tail region, valid for p outside the central band. Scalar only
-/// (log + sqrt); the vector fills call this per tail lane (~4.85% of
-/// draws), so all ISAs share the one definition.
+/// Acklam tail rational of the lower tail at q = sqrt(-2 log(p)); the
+/// upper tail is its negation at q = sqrt(-2 log(1 - p)). Polynomial
+/// ratio only: the vector fills evaluate it over packed tail lanes.
+[[nodiscard]] inline double inv_normal_tail_rational(double q) {
+  return (((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q -
+             2.400758277161838e+00) *
+                q -
+            2.549732539343734e+00) *
+               q +
+           4.374664141464968e+00) *
+              q +
+          2.938163982698783e+00) /
+         ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q +
+            2.445134137142996e+00) *
+               q +
+           3.754408661907416e+00) *
+              q +
+          1.0);
+}
+
+/// Acklam tail region, valid for p outside the central band. The log is
+/// scalar libm at every ISA (~4.85% of draws); the vector fills call the
+/// same std::log per tail lane and this same rational, so all ISAs share
+/// the one definition.
 [[nodiscard]] inline double inv_normal_tail(double p) {
   const bool upper = p > 0.5;
   const double pp = upper ? 1.0 - p : p;
-  const double q = std::sqrt(-2.0 * std::log(pp));
-  const double x =
-      (((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q -
-          2.400758277161838e+00) *
-             q -
-         2.549732539343734e+00) *
-            q +
-        4.374664141464968e+00) *
-           q +
-       2.938163982698783e+00) /
-      ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q +
-         2.445134137142996e+00) *
-            q +
-        3.754408661907416e+00) *
-           q +
-       1.0);
+  const double x = inv_normal_tail_rational(std::sqrt(-2.0 * std::log(pp)));
   return upper ? -x : x;
 }
 

@@ -1,17 +1,17 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
-// The hot per-symbol passes (counter-noise fill, DAC/ADC math, laser RIN
-// power, MZM-cascade product, fused on-fiber weight pass, blocked
-// readout sum) are compiled four times — scalar, SSE4.1, AVX2, AVX-512 —
-// in per-ISA translation units (simd_kernels_*.cpp, each with its own -m
-// flags), and the best level the host supports is selected once at
-// startup via cpuid.
+// The hot per-symbol passes (cross-row counter-noise fill, DAC/ADC math,
+// laser RIN power, MZM-cascade product, fused weight pass, batched
+// blocked readout sums) are compiled four times — scalar, SSE4.1, AVX2,
+// AVX-512 — in per-ISA translation units (simd_kernels_*.cpp, each with
+// its own -m flags), and the best level the host supports is selected
+// once at startup via cpuid.
 //
 // Contract: every level produces bit-identical doubles. The kernels are
 // element-wise IEEE arithmetic (plus a fixed 8-accumulator reduction
 // whose partial-sum order is the same at every vector width), all TUs
 // are compiled with -ffp-contract=off, and the rare transcendental paths
-// (inverse-CDF tails) run through one shared scalar function. So the
+// (inverse-CDF tails) take the one shared scalar std::log. So the
 // dispatch level — like the thread count — changes wall-clock time only,
 // never a bit of output; test_simd_dispatch.cpp pins this with exact
 // double equality on full laser->photodetector chains.
@@ -35,9 +35,12 @@ struct kernel_table {
   level lvl;
   const char* name;
 
-  /// Counter-noise fill: out[i] = counter_normal(key, base + i).
-  void (*fill_normal)(std::uint64_t key, std::uint64_t base, double* out,
-                      std::size_t n);
+  /// Counter-noise fill over `rows` streams, row-major:
+  /// out[r * n + i] = counter_normal(keys[r], base + i). One row is one
+  /// stream's fill (counter_stream::fill_normal); a GEMM fills one
+  /// stream kind for a whole row range in one call.
+  void (*fill_normal)(const std::uint64_t* keys, std::size_t rows,
+                      std::uint64_t base, double* out, std::size_t n);
 
   /// Laser RIN power pass: out[i] = max(base_mw + sigma_mw * noise[i], 0).
   /// `out` may alias `noise`.
@@ -71,9 +74,12 @@ struct kernel_table {
                          double floor_t, double loss, const double* power_mw,
                          double* out);
 
-  /// Readout accumulation: 8-accumulator blocked sum with a fixed fold
-  /// order, identical at every vector width (including scalar).
-  double (*blocked_sum)(const double* x, std::size_t n);
+  /// Readout accumulation over `count` readouts of `n` values each:
+  /// out[k] is the 8-accumulator blocked sum of x[k * n, (k + 1) * n),
+  /// each with its own fixed fold order, identical at every vector width
+  /// (including scalar).
+  void (*blocked_sums)(const double* x, std::size_t n, std::size_t count,
+                       double* out);
 };
 
 /// Best level this host supports (cpuid; cached after the first call).

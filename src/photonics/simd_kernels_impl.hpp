@@ -10,6 +10,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -20,26 +21,47 @@
 namespace onfiber::phot::simd {
 namespace {
 
-void fill_normal_kernel(std::uint64_t key, std::uint64_t base, double* out,
-                        std::size_t n) {
-  // Blocked: uniforms land in a stack buffer so the tail fixup still has
-  // them after the central pass overwrites `out`. Both hot passes are
-  // branch-free and vectorize. The tail pass (~4.85% of draws) builds a
-  // branch-free bitmask of the tail lanes of each 64-draw word and visits
-  // only its set bits, calling the shared scalar function, so every ISA
-  // produces the same tail bits without a mispredicted branch per draw.
+void fill_normal_kernel(const std::uint64_t* keys, std::size_t rows,
+                        std::uint64_t base, double* out, std::size_t n) {
+  // Rows pack back to back into 512-draw blocks, so many short rows share
+  // one block's passes. Uniforms are drawn row by row with that row's key
+  // held constant (a per-lane key gather measured slower) into a stack
+  // buffer, so the tail fixup still has them after the central pass
+  // overwrites `out`. Both hot passes are branch-free and vectorize. The
+  // tail pass (~4.85% of draws) builds a branch-free bitmask of the tail
+  // lanes of each 64-draw word and visits only its set bits, taking the
+  // shared scalar std::log of each into a packed array; the sqrt and the
+  // tail rational then run as one pass over the packed lanes, off the
+  // log's dependency chain. Every step is inv_normal_tail's arithmetic in
+  // its order, so every ISA produces the same tail bits without a
+  // mispredicted branch per draw.
   constexpr std::size_t kBlock = 512;
   double u[kBlock];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t m = n - done < kBlock ? n - done : kBlock;
-    const std::uint64_t b = base + done;
-    for (std::size_t i = 0; i < m; ++i) {
-      u[i] = detail::counter_uniform_open(key, b + i);
+  double tail_log[kBlock];        // per packed tail lane: log, then x
+  std::uint32_t tail_at[kBlock];  // its lane in the block
+  const std::size_t total = rows * n;
+  std::size_t row = 0;
+  std::size_t index = 0;  // draw index within `row`, from base
+  for (std::size_t done = 0; done < total;) {
+    const std::size_t m = total - done < kBlock ? total - done : kBlock;
+    for (std::size_t j = 0; j < m;) {
+      const std::size_t run = n - index < m - j ? n - index : m - j;
+      const std::uint64_t key = keys[row];
+      const std::uint64_t b = base + index;
+      for (std::size_t i = 0; i < run; ++i) {
+        u[j + i] = detail::counter_uniform_open(key, b + i);
+      }
+      j += run;
+      index += run;
+      if (index == n) {
+        index = 0;
+        ++row;
+      }
     }
     for (std::size_t i = 0; i < m; ++i) {
       out[done + i] = detail::inv_normal_central(u[i]);
     }
+    std::size_t tails = 0;
     for (std::size_t word = 0; word < m; word += 64) {
       const std::size_t lanes = m - word < 64 ? m - word : 64;
       const double* uw = u + word;
@@ -50,9 +72,19 @@ void fill_normal_kernel(std::uint64_t key, std::uint64_t base, double* out,
         tail |= static_cast<std::uint64_t>(t) << i;
       }
       for (; tail != 0; tail &= tail - 1) {
-        const int i = std::countr_zero(tail);
-        out[done + word + i] = detail::inv_normal_tail(uw[i]);
+        const std::size_t i = word + std::countr_zero(tail);
+        const double p = u[i];
+        tail_log[tails] = std::log(p > 0.5 ? 1.0 - p : p);
+        tail_at[tails++] = static_cast<std::uint32_t>(i);
       }
+    }
+    for (std::size_t t = 0; t < tails; ++t) {
+      tail_log[t] =
+          detail::inv_normal_tail_rational(std::sqrt(-2.0 * tail_log[t]));
+    }
+    for (std::size_t t = 0; t < tails; ++t) {
+      const std::size_t i = tail_at[t];
+      out[done + i] = u[i] > 0.5 ? -tail_log[t] : tail_log[t];
     }
     done += m;
   }
@@ -109,21 +141,26 @@ void weight_product_kernel(const double* codes, const double* noise,
   }
 }
 
-double blocked_sum_kernel(const double* x, std::size_t n) {
-  // Eight independent accumulators, folded in a fixed tree: accumulator j
-  // sees x[j], x[8+j], x[16+j], ... in order at every vector width, so
-  // scalar, SSE (2 lanes), AVX2 (4) and AVX-512 (8) all round the same.
-  double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (std::size_t j = 0; j < 8; ++j) acc[j] += x[i + j];
+void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
+                         double* out) {
+  // Per readout, eight independent accumulators folded in a fixed tree:
+  // accumulator j sees x[j], x[8+j], x[16+j], ... in order at every
+  // vector width, so scalar, SSE (2 lanes), AVX2 (4) and AVX-512 (8) all
+  // round the same.
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* xk = x + k * n;
+    double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      for (std::size_t j = 0; j < 8; ++j) acc[j] += xk[i + j];
+    }
+    for (std::size_t j = 0; i < n; ++i, ++j) acc[j] += xk[i];
+    const double a01 = acc[0] + acc[1];
+    const double a23 = acc[2] + acc[3];
+    const double a45 = acc[4] + acc[5];
+    const double a67 = acc[6] + acc[7];
+    out[k] = (a01 + a23) + (a45 + a67);
   }
-  for (std::size_t j = 0; i < n; ++i, ++j) acc[j] += x[i];
-  const double a01 = acc[0] + acc[1];
-  const double a23 = acc[2] + acc[3];
-  const double a45 = acc[4] + acc[5];
-  const double a67 = acc[6] + acc[7];
-  return (a01 + a23) + (a45 + a67);
 }
 
 [[maybe_unused]] kernel_table make_kernel_table(level lvl, const char* name) {
@@ -136,7 +173,7 @@ double blocked_sum_kernel(const double* x, std::size_t n) {
   t.adc_pass = &adc_pass_kernel;
   t.triple_product = &triple_product_kernel;
   t.weight_product = &weight_product_kernel;
-  t.blocked_sum = &blocked_sum_kernel;
+  t.blocked_sums = &blocked_sums_kernel;
   return t;
 }
 

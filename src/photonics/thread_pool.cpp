@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-
 namespace onfiber::phot {
 
 namespace {
@@ -93,16 +91,6 @@ void thread_pool::claim_rows() {
 void thread_pool::run(std::size_t rows, std::size_t max_workers,
                       const std::function<void(std::size_t)>& fn) {
   if (rows == 0) return;
-  if (obs::enabled()) {
-    // Function-local statics: the pool outlives any fabric/runtime, so
-    // it resolves its handles lazily rather than at construction.
-    static obs::counter& dispatches =
-        obs::registry::global().get_counter("pool.dispatches");
-    static obs::counter& dispatched_rows =
-        obs::registry::global().get_counter("pool.rows");
-    dispatches.add();
-    dispatched_rows.add(rows);
-  }
   if (max_workers <= 1 || rows <= 1 || in_worker_flag()) {
     // Nested call from inside a batch (or a degenerate request): run
     // inline; taking run_m_ from a worker would deadlock.

@@ -3,11 +3,12 @@
 // `parallel_rows` used to spawn and join fresh std::threads on every GEMV;
 // at WAN packet rates that start-up cost dominates the sample plane. This
 // pool starts workers lazily, keeps them parked on a condition variable
-// between batches, and hands each batch out through the same dynamic
-// row-claim counter as before — so the determinism contract of
-// kernels.hpp (per-row RNG streams forked in row order, results folded in
-// row order) is untouched: the pool only changes *which thread* runs a
-// row, which the contract already declares irrelevant.
+// between batches, and hands each batch out through a dynamic claim
+// counter over its items (parallel_rows' row ranges) — so the
+// determinism contract of kernels.hpp (per-row RNG streams forked in row
+// order, results folded in row order) is untouched: the pool only
+// changes *which thread* runs a range, which the contract already
+// declares irrelevant.
 #pragma once
 
 #include <atomic>

@@ -41,6 +41,7 @@
 #include "core/photonic_engine.hpp"
 #include "core/runtime.hpp"
 #include "network/topology.hpp"
+#include "obs/metrics.hpp"
 #include "photonics/converter.hpp"
 #include "photonics/kernels.hpp"
 #include "photonics/laser.hpp"
@@ -416,21 +417,94 @@ TEST(PoolDeterminism, GemmBatchOneBitIdenticalToGemv) {
 
 TEST(PoolDeterminism, WarmPoolSpawnsNoThreadsPerCall) {
   // Acceptance check for the persistent pool: after warm-up, repeated
-  // GEMV dispatches must not construct a single new thread.
+  // GEMM dispatches must not construct a single new thread. The batch
+  // puts the GEMM above the pool's break-even, so every call dispatches.
   thread_env_guard env;
   env.set("8");
   const phot::matrix w = test_matrix(16, 32, 3);
-  std::vector<double> x(32, 0.5);
+  const std::size_t batch = phot::kPoolBreakEvenWork / (16 * 4 * 32) + 1;
+  std::vector<double> xs(batch * 32, 0.5);
   phot::vector_matrix_engine engine({}, 7);
-  (void)engine.gemv_signed(w, x);  // warm-up: pool workers start here
+  (void)engine.gemm_signed(w, xs);  // warm-up: pool workers start here
 
   auto& pool = phot::thread_pool::instance();
   EXPECT_GE(pool.startups(), 1u);
   const std::uint64_t startups_before = pool.startups();
   for (int rep = 0; rep < 8; ++rep) {
-    (void)engine.gemv_signed(w, x);
+    (void)engine.gemm_signed(w, xs);
   }
   EXPECT_EQ(pool.startups(), startups_before);
+}
+
+TEST(PoolDispatch, GemmDispatchesOnlyAboveBreakEven) {
+  // A GEMM whose rows x symbols stays below the pool's break-even runs as
+  // one inline range; one above it goes to the pool as row ranges once
+  // threads > 1, written by the workers into the engine's shared
+  // buffers. In both modes, both give the bits of an inline run at every
+  // thread count.
+  constexpr std::size_t rows = 32;
+  constexpr std::size_t cols = 16;
+  constexpr std::size_t symbols_per_sample = 4 * cols;
+  static_assert(rows * symbols_per_sample < phot::kPoolBreakEvenWork);
+  const std::size_t big_batch =
+      phot::kPoolBreakEvenWork / (rows * symbols_per_sample) + 1;
+  const phot::matrix w = test_matrix(rows, cols, 41);
+  const phot::rail_weights rails(w, phot::converter_config{});
+  std::vector<double> xs(big_batch * cols);
+  std::vector<double> received(big_batch * symbols_per_sample);
+  phot::rng gen(43);
+  for (double& v : xs) v = 2.0 * gen.uniform() - 1.0;
+  for (double& p : received) p = gen.uniform();
+  const std::span<const double> small = std::span(xs).first(cols);
+  const std::span<const double> small_received =
+      std::span(received).first(symbols_per_sample);
+
+  // Per call: the electrical and the on-fiber GEMM, small then big.
+  struct outputs {
+    std::vector<phot::gemm_result> results;
+    std::vector<std::uint64_t> dispatches;  ///< pool dispatches per call
+  };
+  const auto run = [&](phot::vector_matrix_engine& engine) {
+    const obs::counter& dispatches =
+        obs::registry::global().get_counter("pool.dispatches");
+    outputs out;
+    const auto call = [&](auto&& gemm) {
+      const std::uint64_t d0 = dispatches.value();
+      out.results.push_back(gemm());
+      out.dispatches.push_back(dispatches.value() - d0);
+    };
+    call([&] { return engine.gemm_signed(w, small); });
+    call([&] { return engine.gemm_signed(w, xs); });
+    call([&] { return engine.gemm_optical(rails, small_received, 1.0); });
+    call([&] { return engine.gemm_optical(rails, received, 1.0); });
+    return out;
+  };
+
+  struct obs_guard {
+    bool prev = obs::enabled();
+    ~obs_guard() { obs::set_enabled(prev); }
+  } obs_on;
+  obs::set_enabled(true);
+  phot::vector_matrix_engine inline_engine({}, 47);
+  inline_engine.set_threads(1);
+  const outputs reference = run(inline_engine);
+  thread_env_guard env;
+  for (const char* threads : {"1", "3"}) {
+    SCOPED_TRACE(std::string("ONFIBER_THREADS=") + threads);
+    env.set(threads);
+    const std::uint64_t pooled = std::strcmp(threads, "1") == 0 ? 0 : 1;
+    phot::vector_matrix_engine engine({}, 47);
+    const outputs out = run(engine);
+    EXPECT_EQ(out.dispatches,
+              (std::vector<std::uint64_t>{0, pooled, 0, pooled}));
+    for (std::size_t c = 0; c < out.results.size(); ++c) {
+      EXPECT_TRUE(bits_equal(out.results[c].values,
+                             reference.results[c].values))
+          << "call " << c;
+      EXPECT_EQ(out.results[c].latency_s, reference.results[c].latency_s);
+      EXPECT_EQ(out.results[c].symbols, reference.results[c].symbols);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -98,7 +98,7 @@ TEST(DotProduct, OpticalInputMatchesElectrical) {
   const auto a = random_unit_vector(32, g);
   const auto b = random_unit_vector(32, g);
   std::vector<double> received(4 * a.size());
-  u.encode_rails_received(a, received);
+  u.encode_rails_received(a, a.size(), received);
   const double ref_mw =
       u.config().laser.power_mw *
       db_to_ratio(-u.config().modulator.insertion_loss_db);
@@ -270,9 +270,10 @@ class per_pass_reference {
     const std::size_t length = product.size() / passes;
     dot_result pass[4];
     for (std::size_t k = 0; k < passes; ++k) {
-      const double mean =
-          simd::active().blocked_sum(product.data() + k * length, length) /
-          static_cast<double>(length);
+      double sum = 0.0;
+      simd::active().blocked_sums(product.data() + k * length, length, 1,
+                                  &sum);
+      const double mean = sum / static_cast<double>(length);
       pass[k] = read_out_current(integrate_mean(mean, length), full_scale_mw,
                                  length);
     }

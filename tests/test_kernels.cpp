@@ -239,17 +239,25 @@ TEST(KernelsFusedDot, LedgerOpsMatchScalarReference) {
 
 // ----------------------------------------------------- threading utilities
 
+// Rows of at least the break-even work each, so every call dispatches.
+constexpr std::size_t kPoolRowWork = phot::kPoolBreakEvenWork;
+
 TEST(KernelsThreading, ParallelRowsCoversAllRowsOnce) {
   std::vector<std::atomic<int>> hits(103);
-  phot::parallel_rows(hits.size(), 8, [&](std::size_t r) { hits[r]++; });
+  phot::parallel_rows(hits.size(), kPoolRowWork, 8,
+                      [&](std::size_t first, std::size_t last) {
+                        for (std::size_t r = first; r < last; ++r) hits[r]++;
+                      });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(KernelsThreading, ParallelRowsPropagatesExceptions) {
   EXPECT_THROW(
-      phot::parallel_rows(16, 4,
-                          [](std::size_t r) {
-                            if (r == 7) throw std::runtime_error("row 7");
+      phot::parallel_rows(16, kPoolRowWork, 4,
+                          [](std::size_t first, std::size_t last) {
+                            if (first <= 7 && 7 < last) {
+                              throw std::runtime_error("row 7");
+                            }
                           }),
       std::runtime_error);
 }

@@ -109,7 +109,9 @@ TEST(Routing, TrieMatchesLinearReferenceFuzz) {
       ASSERT_EQ(t.lookup(addr), want) << what << " " << addr.to_string();
       const std::uint32_t* ptr = t.lookup_ptr(addr);
       ASSERT_EQ(ptr != nullptr, want.has_value()) << what;
-      if (ptr != nullptr) ASSERT_EQ(*ptr, *want) << what;
+      if (ptr != nullptr) {
+        ASSERT_EQ(*ptr, *want) << what;
+      }
     }
   };
   // Random inserts and erases; every 40th op is the /0 default route and

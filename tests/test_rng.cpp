@@ -7,6 +7,9 @@
 #include <cmath>
 #include <vector>
 
+#include "photonics/rng_counter_detail.hpp"
+#include "photonics/simd.hpp"
+
 namespace onfiber::phot {
 namespace {
 
@@ -335,6 +338,45 @@ TEST(CounterStream, FillMatchesScalarDraws) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], scalar.normal());
     EXPECT_EQ(bulk.cursor(), scalar.cursor());
   }
+}
+
+TEST(CounterStream, RowFillMatchesPerRowFill) {
+  // The cross-row fill packs rows back to back into the kernel's 512-draw
+  // blocks; every tier must still hand row r draw i of keys[r] at
+  // base + i, over row counts and lengths that split rows across blocks
+  // and 64-draw tail words (600 spans two blocks on its own).
+  std::vector<simd::level> levels;
+  for (const simd::level l : {simd::level::scalar, simd::level::sse4,
+                              simd::level::avx2, simd::level::avx512}) {
+    if (simd::level_supported(l)) levels.push_back(l);
+  }
+  std::size_t tails = 0;
+  for (const std::size_t rows : {1, 2, 3, 12, 65}) {
+    std::vector<std::uint64_t> keys(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      keys[r] = counter_rng::key_of(103, r);
+    }
+    for (const std::size_t n : {1, 4, 7, 63, 64, 65, 600}) {
+      for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{29}}) {
+        std::vector<double> reference(rows * n);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double u = detail::counter_uniform_open(keys[r], base + i);
+            tails += u < detail::kInvNormPLow || u > detail::kInvNormPHigh;
+            reference[r * n + i] = counter_normal(keys[r], base + i);
+          }
+        }
+        for (const simd::level l : levels) {
+          std::vector<double> out(rows * n, -1.0);
+          simd::table_for(l).fill_normal(keys.data(), rows, base, out.data(),
+                                         n);
+          EXPECT_EQ(out, reference) << simd::level_name(l) << " rows "
+                                    << rows << " n " << n << " base " << base;
+        }
+      }
+    }
+  }
+  EXPECT_GT(tails, 0u);  // the tail branch is exercised, not just central
 }
 
 TEST(CounterStream, SeekRewindsExactly) {

@@ -106,7 +106,7 @@ TEST(SimdDispatch, FillNormalBitIdenticalAcrossLevels) {
     }
     for (const simd::level l : supported_levels()) {
       std::vector<double> out(n, -1.0);
-      simd::table_for(l).fill_normal(key, base, out.data(), n);
+      simd::table_for(l).fill_normal(&key, 1, base, out.data(), n);
       EXPECT_EQ(out, reference) << "level " << simd::level_name(l)
                                 << ", n = " << n;
     }
@@ -131,7 +131,8 @@ TEST(SimdDispatch, ElementwiseKernelsBitIdenticalAcrossLevels) {
   scalar.adc_pass(in.data(), noise.data(), n, 1.0, 255.0, 1e-3,
                   ref_adc.data());
   scalar.triple_product(in.data(), a.data(), b.data(), n, ref_prod.data());
-  const double ref_sum = scalar.blocked_sum(in.data(), n);
+  double ref_sum = 0.0;
+  scalar.blocked_sums(in.data(), n, 1, &ref_sum);
 
   for (const simd::level l : supported_levels()) {
     const auto& table = simd::table_for(l);
@@ -144,8 +145,9 @@ TEST(SimdDispatch, ElementwiseKernelsBitIdenticalAcrossLevels) {
     EXPECT_EQ(out, ref_adc) << simd::level_name(l);
     table.triple_product(in.data(), a.data(), b.data(), n, out.data());
     EXPECT_EQ(out, ref_prod) << simd::level_name(l);
-    EXPECT_EQ(table.blocked_sum(in.data(), n), ref_sum)
-        << simd::level_name(l);
+    double sum = -1.0;
+    table.blocked_sums(in.data(), n, 1, &sum);
+    EXPECT_EQ(sum, ref_sum) << simd::level_name(l);
   }
 }
 
@@ -155,10 +157,44 @@ TEST(SimdDispatch, BlockedSumHandlesShortAndRaggedLengths) {
   for (double& v : x) v = gen.uniform() - 0.5;
   const auto& scalar = simd::table_for(simd::level::scalar);
   for (std::size_t n = 0; n <= x.size(); ++n) {
-    const double ref = scalar.blocked_sum(x.data(), n);
+    double ref = 0.0;
+    scalar.blocked_sums(x.data(), n, 1, &ref);
     for (const simd::level l : supported_levels()) {
-      EXPECT_EQ(simd::table_for(l).blocked_sum(x.data(), n), ref)
-          << simd::level_name(l) << " n=" << n;
+      double sum = -1.0;
+      simd::table_for(l).blocked_sums(x.data(), n, 1, &sum);
+      EXPECT_EQ(sum, ref) << simd::level_name(l) << " n=" << n;
+    }
+  }
+}
+
+// Per-readout reference of the documented fold: accumulator j sees
+// x[j], x[8 + j], ... in order, folded (a01 + a23) + (a45 + a67).
+double reference_blocked_sum(const double* x, std::size_t n) {
+  double acc[8] = {};
+  for (std::size_t i = 0; i < n; ++i) acc[i % 8] += x[i];
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+TEST(SimdDispatch, BatchedReadoutSumsMatchPerReadoutSums) {
+  // One call over many readouts keeps each readout's own fold: equal, bit
+  // for bit, to summing each readout alone, at every tier and at readout
+  // lengths below, at and across the 8-accumulator width.
+  rng gen(107);
+  for (const std::size_t n : {1, 3, 8, 12, 16, 17, 64}) {
+    for (const std::size_t count : {1, 4, 48}) {
+      std::vector<double> x(n * count);
+      for (double& v : x) v = gen.uniform();
+      std::vector<double> reference(count);
+      for (std::size_t k = 0; k < count; ++k) {
+        reference[k] = reference_blocked_sum(x.data() + k * n, n);
+      }
+      for (const simd::level l : supported_levels()) {
+        std::vector<double> sums(count, -1.0);
+        simd::table_for(l).blocked_sums(x.data(), n, count, sums.data());
+        EXPECT_EQ(sums, reference)
+            << simd::level_name(l) << " n " << n << " count " << count;
+      }
     }
   }
 }
