@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/rng.hpp"
 
 using namespace onfiber;
@@ -19,14 +19,14 @@ using namespace onfiber::bench;
 
 namespace {
 
-double rms_error(phot::dot_product_unit& unit,
+double rms_error(phot::vector_matrix_engine& unit,
                  const std::vector<double>& a, const std::vector<double>& b,
                  int repeats, int trials) {
   const double exact =
       std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
   double sq = 0.0;
   for (int t = 0; t < trials; ++t) {
-    const auto r = unit.dot_unit_range_averaged(a, b, repeats);
+    const auto r = unit.dot_unit_range(a, b, repeats);
     sq += (r.value - exact) * (r.value - exact);
   }
   return std::sqrt(sq / trials);
@@ -53,7 +53,7 @@ int main() {
   weak.adc.bits = 12;
   double base = 0.0;
   for (const int k : {1, 2, 4, 8, 16, 32}) {
-    phot::dot_product_unit unit(weak, 100);
+    phot::vector_matrix_engine unit(weak, 100);
     const double e = rms_error(unit, a, b, k, 30);
     if (k == 1) base = e;
     std::printf("  %10d %14.4f %13.2fx %13dx\n", k, e, base / e, k);
@@ -67,7 +67,7 @@ int main() {
   phot::dot_product_config strong;
   base = 0.0;
   for (const int k : {1, 4, 16, 64}) {
-    phot::dot_product_unit unit(strong, 200);
+    phot::vector_matrix_engine unit(strong, 200);
     const double e = rms_error(unit, a, b, k, 30);
     if (k == 1) base = e;
     std::printf("  %10d %14.4f %13.2fx\n", k, e, base / e);
@@ -79,14 +79,14 @@ int main() {
   {
     // High power, no averaging.
     phot::dot_product_config hp;
-    phot::dot_product_unit u1(hp, 300);
+    phot::vector_matrix_engine u1(hp, 300);
     const double e_hp = rms_error(u1, a, b, 1, 30);
     // Low power + averaging.
     phot::dot_product_config lp;
     lp.laser.power_mw = 0.1;
     lp.dac.bits = 12;
     lp.adc.bits = 12;
-    phot::dot_product_unit u2(lp, 301);
+    phot::vector_matrix_engine u2(lp, 301);
     const double e_lp16 = rms_error(u2, a, b, 16, 30);
     std::printf("  10 mW, K=1   : RMS %.4f at 1x latency\n", e_hp);
     std::printf("  0.1 mW, K=16 : RMS %.4f at 16x latency, 100x less optical power\n",

@@ -22,8 +22,8 @@ using namespace onfiber::bench;
 
 namespace {
 
-double rms_error(phot::dot_product_unit& unit, std::size_t dim, int trials,
-                 phot::rng& gen) {
+double rms_error(phot::vector_matrix_engine& unit, std::size_t dim,
+                 int trials, phot::rng& gen) {
   double sq = 0.0;
   for (int t = 0; t < trials; ++t) {
     std::vector<double> a(dim), b(dim);
@@ -47,12 +47,12 @@ int main(int argc, char** argv) {
   std::printf("  %8s %14s %14s %16s\n", "dim", "RMS error", "rel. error",
               "latency");
   for (const std::size_t dim : {4u, 16u, 64u, 256u, 1024u}) {
-    phot::dot_product_unit unit({}, 42 + dim);
+    phot::vector_matrix_engine unit({}, 42 + dim);
     phot::rng gen(7 + dim);
     const double rms = rms_error(unit, dim, 30, gen);
     // Typical dot value ~ dim/4 for uniform [0,1] inputs.
     const double typical = static_cast<double>(dim) / 4.0;
-    phot::dot_product_unit lat_unit({}, 1);
+    phot::vector_matrix_engine lat_unit({}, 1);
     std::vector<double> ones(dim, 1.0);
     const auto r = lat_unit.dot_unit_range(ones, ones);
     std::printf("  %8zu %14.4f %13.2f%% %16s\n", dim, rms,
@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
     phot::dot_product_config cfg;
     cfg.dac.bits = bits;
     cfg.adc.bits = bits;
-    phot::dot_product_unit unit(cfg, 100 + static_cast<std::uint64_t>(bits));
+    phot::vector_matrix_engine unit(cfg,
+                                    100 + static_cast<std::uint64_t>(bits));
     phot::rng gen(200 + static_cast<std::uint64_t>(bits));
     std::printf("  %8d %14.4f\n", bits, rms_error(unit, 64, 30, gen));
   }
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
     cfg.adc.bits = 14;
     cfg.dac.enob_penalty = 0.0;
     cfg.adc.enob_penalty = 0.0;
-    phot::dot_product_unit unit(cfg, 300);
+    phot::vector_matrix_engine unit(cfg, 300);
     phot::rng gen(400);
     std::printf("  %9.3f mW %14.4f\n", power_mw,
                 rms_error(unit, 64, 30, gen));
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
   note("analog throughput of the time-multiplexed unit");
   {
     phot::dot_product_config cfg;
-    phot::dot_product_unit unit(cfg, 500);
+    phot::vector_matrix_engine unit(cfg, 500);
     const std::size_t dim = 1024;
     std::vector<double> ones(dim, 1.0);
     const auto r = unit.dot_unit_range(ones, ones);
@@ -106,8 +107,9 @@ int main(int argc, char** argv) {
 
   // ---- simulator kernel performance --------------------------------------
   // Wall-clock cost of simulating one MAC: the element-wise field-domain
-  // reference vs the fused intensity-domain kernel, plus the parallel
-  // signed GEMV throughput. These feed BENCH_kernels.json via --json.
+  // reference vs the engine's one-row unsigned dot (the intensity-domain
+  // kernel every P1 caller runs on), plus the parallel signed GEMV
+  // throughput. These feed BENCH_kernels.json via --json.
   note("");
   note("simulator kernel performance (wall clock, this machine)");
   {
@@ -118,8 +120,8 @@ int main(int argc, char** argv) {
     for (double& x : b) x = gen.uniform();
 
     phot::dot_product_unit scalar_unit({}, 600);
-    phot::dot_product_unit fused_unit({}, 600);
-    // Warm up both (first call sizes the scratch arena).
+    phot::vector_matrix_engine fused_unit({}, 600);
+    // Warm up both (first call sizes the scratch buffers).
     volatile double sink = 0.0;
     sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
     sink = sink + fused_unit.dot_unit_range(a, b).value;
@@ -236,7 +238,7 @@ int main(int argc, char** argv) {
     const phot::dac enob_dac(cfg.dac, phot::rng{1});
     const phot::adc enob_adc(cfg.adc, phot::rng{2});
     phot::energy_ledger ledger;
-    phot::dot_product_unit energy_unit({}, 600, &ledger);
+    phot::vector_matrix_engine energy_unit({}, 600, &ledger);
     (void)energy_unit.dot_unit_range(a, b);
     const double energy_per_mac_j =
         ledger.total_joules() / static_cast<double>(dim);

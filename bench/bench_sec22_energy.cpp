@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "digital/device_model.hpp"
-#include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/engine/vector_matrix_engine.hpp"
 
 using namespace onfiber;
 using namespace onfiber::bench;
@@ -61,9 +61,11 @@ int main() {
   {
     constexpr std::size_t dim = 64;
     phot::energy_ledger ledger;
-    phot::dot_product_unit unit({}, 9, &ledger);
+    phot::vector_matrix_engine unit({}, 9, &ledger);
     std::vector<double> a(dim, 0.5), b(dim, 0.5);
-    for (std::size_t r = 0; r < dim; ++r) (void)unit.dot_unit_range(a, b);
+    // Every row of the GEMV drives the same devices: one row evaluated
+    // dim times charges what the dim rows do.
+    (void)unit.dot_unit_range(a, b, static_cast<int>(dim));
 
     std::printf("  photonic unit, by category:\n");
     for (const auto& [name, e] : ledger.entries()) {

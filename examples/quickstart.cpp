@@ -9,7 +9,7 @@
 
 #include "core/compute_packets.hpp"
 #include "core/photonic_engine.hpp"
-#include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/engine/nonlinear_unit.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
 
@@ -23,7 +23,7 @@ int main() {
   // modulators multiply element-wise in the intensity domain; the
   // photodetector integrates (sums); DAC/ADC bound the precision.
   {
-    phot::dot_product_unit unit({}, /*seed=*/42);
+    phot::vector_matrix_engine unit({}, /*seed=*/42);
     const std::vector<double> a{0.9, 0.2, 0.7, 0.4};
     const std::vector<double> b{0.5, 0.8, 0.1, 0.6};
     const auto r = unit.dot_unit_range(a, b);

@@ -68,9 +68,11 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # exact double equality), so both passes must see identical results.
 # The P2 matcher runs on the dispatched counter fills and blocked sums,
 # so its reference and golden tests run at both tiers too, as do the
-# dot-product unit's per-pass readout oracle and the GEMM oracle of both
-# modes (their readout fills and fused weight passes are dispatched) and
-# the grid-snap rounding pins. The cross-row fill and the batched readout
+# single-dot and GEMM oracles (every P1 caller runs on the engine's one
+# driver, whose readout fills and fused weight passes are dispatched:
+# successive unsigned and signed single dots, both GEMM modes and the
+# unsigned row, each against the shared per-pass oracle) and the
+# grid-snap rounding pins. The cross-row fill and the batched readout
 # sums are pinned against their per-row and per-readout forms at every
 # tier, and the pool-dispatch test runs GEMMs on both sides of the
 # break-even size.
@@ -93,10 +95,12 @@ unset ONFIBER_SIMD
 # GEMM's rows fill their streams and run their weight passes on pool
 # workers into shared per-call engine buffers at ONFIBER_THREADS>1, so
 # the engine golden (1 and 3 threads) and the GEMM oracle of both modes
-# (3 threads) run here too. Only a GEMM above the pool's break-even size
-# runs on the workers, as row ranges written into those shared buffers;
-# the pool-dispatch test runs one at 3 threads, and the cross-row fill
-# and batched readout sums those ranges call run here with it.
+# and of the unsigned row (3 threads) run here too. Only a GEMM above
+# the pool's break-even size runs on the workers, as row ranges written
+# into those shared buffers; the pool-dispatch test and the pool
+# determinism sweeps run such GEMMs at 3 threads and assert that they
+# dispatch, and the cross-row fill and batched readout sums those
+# ranges call run here with them.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \

@@ -85,14 +85,14 @@ double dac::convert(double value) {
 }
 
 void dac::convert(std::span<const double> in, std::span<double> out,
-                  std::vector<double>& noise_scratch, std::size_t passes) {
+                  std::vector<double>& noise_scratch) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
   const double fs = config_.full_scale;
   const double levels = static_cast<double>((1ULL << config_.bits) - 1);
   if (ledger_ != nullptr) {
-    ledger_->charge_batches("dac", costs_.dac_conversion_j, n / passes,
-                            passes);
+    ledger_->charge("dac", costs_.dac_conversion_j * static_cast<double>(n),
+                    n);
   }
   if (noise_sigma_ > 0.0) {
     // Pass 1: counter-indexed noise draws, element i at cursor + i

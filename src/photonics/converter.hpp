@@ -38,14 +38,13 @@ class dac {
   [[nodiscard]] double convert(double value);
 
   /// Batch convert into preallocated storage (`in.size()` values written
-  /// to `out`). Bit-identical to the scalar loop; charged to the ledger
-  /// exactly as `passes` calls over equal slices would be. Two-pass: a
-  /// counter-indexed noise fill into `noise_scratch` (same draw indices
-  /// as the scalar path, but generated branch-free through the dispatched
-  /// SIMD kernel), then a branch-free math pass over contiguous data —
-  /// both passes vectorize at the active ISA level.
+  /// to `out`). Bit-identical to the scalar loop; one bulk ledger charge.
+  /// Two-pass: a counter-indexed noise fill into `noise_scratch` (same
+  /// draw indices as the scalar path, but generated branch-free through
+  /// the dispatched SIMD kernel), then a branch-free math pass over
+  /// contiguous data — both passes vectorize at the active ISA level.
   void convert(std::span<const double> in, std::span<double> out,
-               std::vector<double>& noise_scratch, std::size_t passes = 1);
+               std::vector<double>& noise_scratch);
 
   /// Standard deviation the ENOB-penalty draws are scaled by.
   [[nodiscard]] double noise_sigma() const { return noise_sigma_; }

@@ -1,10 +1,7 @@
 #include "photonics/engine/dot_product_unit.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
-
-#include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 
@@ -17,13 +14,6 @@ constexpr std::uint64_t kDetectorTag = 0x3333;
 constexpr std::uint64_t kDacATag = 0x4444;
 constexpr std::uint64_t kDacBTag = 0x5555;
 constexpr std::uint64_t kAdcTag = 0x6666;
-
-void require_passes(std::size_t a, std::size_t b, std::size_t passes) {
-  if (a != b || a == 0 || (passes != 1 && passes != 4) || a % passes != 0) {
-    throw std::invalid_argument(
-        "dot_product_unit: need 1 or 4 equal, non-empty passes");
-  }
-}
 
 }  // namespace
 
@@ -148,63 +138,15 @@ void dot_product_unit::read_out(const readout_plan& plan,
   }
 }
 
-dot_result dot_product_unit::read_out_passes(std::size_t passes,
-                                             double full_scale_mw) {
-  const std::size_t length = scratch_.product.size() / passes;
-  // One readout per pass, all passes at once: the detector and the ADC
-  // each draw the noise of every pass in one fill.
-  std::array<double, 4> detector_noise{};
-  std::array<double, 4> adc_noise{};
-  std::array<double, 4> values{};
-  detector_.draw_readout_noise(std::span(detector_noise).first(passes));
-  adc_out_.draw_noise(std::span(adc_noise).first(passes));
-  const readout_plan plan = plan_readout(length, full_scale_mw);
-  read_out(plan, scratch_.product, std::span(detector_noise).first(passes),
-           std::span(adc_noise).first(passes),
-           std::span(values).first(passes));
-  if (ledger_ != nullptr) {
-    // Optical energy of the analog MACs themselves (paper §2.2 number).
-    ledger_->charge_batches("photonic_mac", costs_.photonic_mac_j, length,
-                            passes);
-  }
-  return plan.combine(values.data(), passes);
-}
-
-dot_result dot_product_unit::dot_passes(std::span<const double> a,
-                                        std::span<const double> b,
-                                        std::size_t passes) {
-  require_passes(a.size(), b.size(), passes);
-  const std::size_t n = a.size();
-  scratch_.dac_a.resize(n);
-  scratch_.dac_b.resize(n);
-  scratch_.trans_a.resize(n);
-  scratch_.trans_b.resize(n);
-  scratch_.power.resize(n);
-  scratch_.product.resize(n);
-
-  // Batched device passes. Each device owns an independent noise stream,
-  // so running devices batch-by-batch leaves every draw order unchanged.
-  dac_a_.convert(a, scratch_.dac_a, scratch_.dac_noise_a, passes);
-  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b, passes);
-  laser_.emit_powers(scratch_.power, passes);
-  mod_a_.encode_intensity(scratch_.dac_a, scratch_.trans_a, passes);
-  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b, passes);
-
-  // Product pass: P_i = P_laser,i * T_a,i * T_b,i. This is the
-  // cascaded-MZM intensity product the field pipeline computes, minus the
-  // phasor bookkeeping a square-law detector cannot see. Dispatched to
-  // the active SIMD level.
-  simd::active().triple_product(scratch_.power.data(), scratch_.trans_a.data(),
-                                scratch_.trans_b.data(), n,
-                                scratch_.product.data());
-  return read_out_passes(passes, full_scale_power_mw());
-}
-
 dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
                                                    std::span<const double> b) {
-  require_passes(a.size(), b.size(), 1);
-  scratch_.product.resize(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  if (a.size() != b.size() || a.empty()) {
+    throw std::invalid_argument(
+        "dot_product_unit: need equal, non-empty vectors");
+  }
+  const std::size_t n = a.size();
+  scratch_.product.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const double xa = dac_a_.convert(a[i]);
     const double xb = dac_b_.convert(b[i]);
     field e = laser_.emit_one();
@@ -213,33 +155,21 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
     // The square-law detector sees only the power.
     scratch_.product[i] = power_mw(e);
   }
-  return read_out_passes(1, full_scale_power_mw());
-}
-
-dot_result dot_product_unit::dot_signed(std::span<const double> a,
-                                        std::span<const double> b) {
-  scratch_.rail_a.resize(4 * a.size());
-  scratch_.rail_b.resize(4 * b.size());
-  lay_out_rails(a, rail_operand::a, scratch_.rail_a);
-  lay_out_rails(b, rail_operand::b, scratch_.rail_b);
-  return dot_passes(scratch_.rail_a, scratch_.rail_b, 4);
-}
-
-dot_result dot_product_unit::dot_unit_range_averaged(
-    std::span<const double> a, std::span<const double> b, int repeats) {
-  if (repeats < 1) {
-    throw std::invalid_argument(
-        "dot_product_unit: repeats must be positive");
+  // One readout on this unit's own detector and ADC streams.
+  double detector_noise = 0.0;
+  double adc_noise = 0.0;
+  double value = 0.0;
+  detector_.draw_readout_noise(std::span(&detector_noise, 1));
+  adc_out_.draw_noise(std::span(&adc_noise, 1));
+  const readout_plan plan = plan_readout(n, full_scale_power_mw());
+  read_out(plan, scratch_.product, std::span(&detector_noise, 1),
+           std::span(&adc_noise, 1), std::span(&value, 1));
+  if (ledger_ != nullptr) {
+    // Optical energy of the analog MACs themselves (paper §2.2 number).
+    ledger_->charge("photonic_mac",
+                    costs_.photonic_mac_j * static_cast<double>(n), n);
   }
-  dot_result acc;
-  for (int k = 0; k < repeats; ++k) {
-    const dot_result r = dot_unit_range(a, b);
-    acc.value += r.value;
-    acc.latency_s += r.latency_s;
-    acc.symbols += r.symbols;
-  }
-  acc.value /= static_cast<double>(repeats);
-  return acc;
+  return plan.combine(&value, 1);
 }
 
 void dot_product_unit::encode_to_optical(std::span<const double> a,

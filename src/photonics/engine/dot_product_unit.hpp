@@ -12,16 +12,21 @@
 //
 // Signed values use the standard differential (positive/negative rail)
 // decomposition: x = x+ - x-, so a·b expands into four non-negative
-// passes. `dot_signed` hides this; `dot_unit_range` is the raw primitive;
-// both run on the fused kernel `dot_passes`.
+// passes (`lay_out_rails`).
+//
+// This unit holds the device models and the readout math of P1; every
+// evaluation runs on `vector_matrix_engine`, the one analog driver,
+// which keys each row's streams from a per-call row seed (`row_keys`).
+// The unit keeps its own continuing streams only for the launch path
+// (`encode_to_optical`, `encode_rails_received`) and for the
+// field-domain reference `dot_unit_range_scalar`.
 //
 // On-fiber mode: when the data is *already optical* (arriving from the
 // fiber, per the paper's receive-path design in Fig. 4) the laser, the
 // a-side DAC and the a modulator are skipped — the on-fiber GEMM
 // (`vector_matrix_engine::gemm_optical`) starts from received per-symbol
-// powers that encode a_i and runs only the b side and the readout, on
-// the streams `row_keys` names. This is the paper's key saving and is
-// what bench E17 ablates.
+// powers that encode a_i and runs only the b side and the readout. This
+// is the paper's key saving and is what bench E17 ablates.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +66,7 @@ enum class rail_operand : std::uint8_t {
 };
 
 /// The shape invariants of P1 readouts: `symbols` integrated per readout
-/// at a calibrated full-scale power. Computed once per dot, or once per
-/// on-fiber GEMM call.
+/// at a calibrated full-scale power. Computed once per engine call.
 struct readout_plan {
   std::size_t symbols = 0;
   photodetector::integration_noise noise;  ///< at bandwidth B / symbols
@@ -95,52 +99,20 @@ struct row_keys {
 void lay_out_rails(std::span<const double> x, rail_operand side,
                    std::span<double> out);
 
-/// P1 primitive. One instance owns its devices and noise streams; a single
-/// experiment seed makes every evaluation reproducible.
+/// P1 device models. One instance owns its devices and noise streams; a
+/// single experiment seed makes every evaluation reproducible.
 class dot_product_unit {
  public:
   dot_product_unit(dot_product_config config, std::uint64_t seed,
                    energy_ledger* ledger = nullptr, energy_costs costs = {});
 
-  /// Dot product of two vectors with elements in [0, 1].
-  /// Requires a.size() == b.size() and both non-empty.
-  [[nodiscard]] dot_result dot_unit_range(std::span<const double> a,
-                                          std::span<const double> b) {
-    return dot_passes(a, b, 1);
-  }
-
-  /// Element-wise reference implementation of `dot_unit_range`: walks the
-  /// full field-domain pipeline one symbol at a time. Numerically agrees
-  /// with the fused kernel to floating-point rounding (tests pin this);
-  /// kept as the correctness oracle and the bench baseline.
+  /// Element-wise field-domain reference of an unsigned dot (elements in
+  /// [0, 1]) on this unit's own streams: walks the full pipeline one
+  /// symbol at a time, then reads out once. Kept as the correctness
+  /// oracle and the bench baseline of the engine's intensity-domain
+  /// kernel. Requires a.size() == b.size() and both non-empty.
   [[nodiscard]] dot_result dot_unit_range_scalar(std::span<const double> a,
                                                  std::span<const double> b);
-
-  /// Dot product of two vectors with elements in [-1, 1], via the
-  /// differential four-pass decomposition.
-  [[nodiscard]] dot_result dot_signed(std::span<const double> a,
-                                      std::span<const double> b);
-
-  /// The fused intensity-domain kernel every dot runs on: `a` and `b`
-  /// hold 1 (unsigned) or 4 (signed, `lay_out_rails` order) equal passes
-  /// back to back. Each device runs one batched fill over all passes —
-  /// the draw indices of the pass-by-pass loop, as streams are
-  /// independent — and so does the readout: one detector fill and one
-  /// ADC fill cover every pass, with ledger charges in pass order.
-  /// Signed: pp + nn - pn - np. Allocation-free after warm-up; spans
-  /// must not alias the scratch.
-  [[nodiscard]] dot_result dot_passes(std::span<const double> a,
-                                      std::span<const double> b,
-                                      std::size_t passes);
-
-  /// §4 noise mitigation ("new algorithms to mitigate photonic noise
-  /// during computation"): repeat the analog evaluation `repeats` times
-  /// and average. Analog noise shrinks ~1/sqrt(repeats); the readout
-  /// quantization floor is also averaged down because laser RIN dithers
-  /// the ADC input across repetitions. Latency scales with repeats.
-  [[nodiscard]] dot_result dot_unit_range_averaged(std::span<const double> a,
-                                                   std::span<const double> b,
-                                                   int repeats);
 
   /// Encode a [0,1] vector onto the carrier as an optical waveform — the
   /// transmit half of the on-fiber story (used by transponders to launch
@@ -200,24 +172,16 @@ class dot_product_unit {
   [[nodiscard]] const dot_product_config& config() const { return config_; }
 
  private:
-  /// Reusable buffers for the fused kernels. Owned by the unit and resized
-  /// monotonically: after the first call at a given length every evaluation
-  /// is allocation-free.
+  /// Reusable buffers of the launch path and the scalar reference.
+  /// Owned by the unit and resized monotonically: after the first call at
+  /// a given length every evaluation is allocation-free.
   struct kernel_scratch {
-    std::vector<double> rail_a, rail_b;    ///< signed-input rail layouts
-    std::vector<double> dac_a, dac_b;      ///< DAC outputs
-    std::vector<double> dac_noise_a, dac_noise_b;  ///< DAC two-pass draws
-    std::vector<double> trans_a, trans_b;  ///< MZM intensity transmissions
-    std::vector<double> power;   ///< laser per-symbol powers [mW]
-    std::vector<double> product;           ///< per-symbol product powers [mW]
-    waveform wave;                         ///< launch buffer
+    std::vector<double> rail_a;       ///< launched sample rails
+    std::vector<double> dac_a;        ///< a-side DAC outputs
+    std::vector<double> dac_noise_a;  ///< a-side DAC two-pass draws
+    std::vector<double> product;      ///< per-symbol product powers [mW]
+    waveform wave;                    ///< launch buffer
   };
-
-  /// Common back half: the scratch product powers, `passes` equal
-  /// passes, read out on this unit's own streams and ledger and
-  /// combined into one dot result.
-  [[nodiscard]] dot_result read_out_passes(std::size_t passes,
-                                           double full_scale_mw);
 
   dot_product_config config_;
   laser laser_;

@@ -93,8 +93,36 @@ gemm_result vector_matrix_engine::run_signed(
   sample_rails_.resize(4 * xs.size());
   lay_out_rail_rows(xs, cols, rail_operand::b, sample_rails_);
   snap_to_grid(sample_rails_, models_.config().dac);
-  return run_passes(weight_rails, rows, cols, sample_rails_,
+  return run_passes(weight_rails, rows, cols, 4, sample_rails_,
                     models_.full_scale_power_mw(), false);
+}
+
+dot_result vector_matrix_engine::dot_unit_range(std::span<const double> a,
+                                                std::span<const double> b,
+                                                int repeats) {
+  if (a.size() != b.size() || a.empty() || repeats < 1) {
+    throw std::invalid_argument(
+        "vector_matrix_engine: need equal, non-empty vectors and repeats "
+        ">= 1");
+  }
+  // One unsigned row: a on the a side, snapped once; the batch is
+  // `repeats` copies of b, snapped once.
+  const std::size_t n = a.size();
+  const converter_config& dac = models_.config().dac;
+  weight_rails_.assign(a.begin(), a.end());
+  snap_to_grid(weight_rails_, dac);
+  sample_rails_.assign(b.begin(), b.end());
+  snap_to_grid(sample_rails_, dac);
+  sample_rails_.resize(static_cast<std::size_t>(repeats) * n);
+  for (std::size_t k = n; k < sample_rails_.size(); k += n) {
+    std::copy_n(sample_rails_.begin(), n, sample_rails_.begin() + k);
+  }
+  const gemm_result g = run_passes(weight_rails_, 1, n, 1, sample_rails_,
+                                   models_.full_scale_power_mw(), false);
+  dot_result out{0.0, g.latency_s, g.symbols};
+  for (const double v : g.values) out.value += v;
+  out.value /= static_cast<double>(repeats);
+  return out;
 }
 
 gemm_result vector_matrix_engine::gemm_optical(
@@ -108,21 +136,22 @@ gemm_result vector_matrix_engine::gemm_optical(
   // Full scale: the incoming reference power through the b modulator's
   // insertion loss.
   return run_passes(
-      w.b, w.rows, w.cols, received_mw,
+      w.b, w.rows, w.cols, 4, received_mw,
       reference_power_mw * models_.modulator_transfer().loss, true);
 }
 
 gemm_result vector_matrix_engine::run_passes(std::span<const double> weights,
                                              std::size_t rows,
                                              std::size_t cols,
+                                             std::size_t passes,
                                              std::span<const double> samples,
                                              double full_scale_mw,
                                              bool optical) {
   const obs::scoped_timer timer(gemm_wall_hist());
-  const std::size_t width = 4 * cols;
+  const std::size_t width = passes * cols;
   const std::size_t batch = samples.size() / width;
-  const std::size_t symbols = batch * width;  // per row
-  const std::size_t readouts = 4 * batch;     // per row
+  const std::size_t symbols = batch * width;     // per row
+  const std::size_t readouts = passes * batch;   // per row
   // Fork every row's seed up front, in row order, and derive every row's
   // keys from them: the only RNG state the workers touch afterwards is
   // row-private, so scheduling cannot change any draw.
@@ -146,7 +175,7 @@ gemm_result vector_matrix_engine::run_passes(std::span<const double> weights,
   // Rows [first, last): one fill per stream kind for the whole range, row
   // r's draws at r * symbols (DAC, RIN) or r * readouts (detector, ADC) —
   // sample s takes DAC and RIN draws from s * width and readout draws
-  // from s * 4, the indices a unit keyed from the row seed consumes
+  // from s * passes, the indices a unit keyed from the row seed consumes
   // sample by sample. The laser phase walk is unobservable in an
   // intensity product and is not drawn.
   const auto range = [&](std::size_t first, std::size_t last) {
@@ -227,21 +256,25 @@ gemm_result vector_matrix_engine::run_passes(std::span<const double> weights,
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t s = 0; s < batch; ++s) {
       const dot_result d =
-          plan.combine(readouts_.data() + (r * batch + s) * 4, 4);
+          plan.combine(readouts_.data() + (r * batch + s) * passes, passes);
       out.values[s * rows + r] = d.value;
       out.latency_s += d.latency_s;
       out.symbols += d.symbols;
     }
   }
-  if (ledger_ != nullptr) charge_row_cells(rows, batch, cols, optical);
+  if (ledger_ != nullptr) {
+    charge_row_cells(rows, batch, cols, passes, optical);
+  }
   return out;
 }
 
 void vector_matrix_engine::charge_row_cells(std::size_t rows,
                                             std::size_t batch,
-                                            std::size_t cols, bool optical) {
-  // A row's unit took, per sample and device, four equal charges per
-  // category: the electrical pass drives the laser and both DACs and
+                                            std::size_t cols,
+                                            std::size_t passes,
+                                            bool optical) {
+  // A row's unit took, per sample and device, one equal charge per pass
+  // and category: the electrical pass drives the laser and both DACs and
   // modulators, the optical pass the b side alone. Rows merged in row
   // order.
   const std::uint64_t sides = optical ? 1 : 2;
@@ -260,13 +293,13 @@ void vector_matrix_engine::charge_row_cells(std::size_t rows,
       {"photonic_mac", costs_.photonic_mac_j, cols, 1},
   };
   for (const category& c : categories) {
-    const std::uint64_t passes = 4 * batch * c.devices;
-    if (passes == 0) continue;
+    const std::uint64_t charges = passes * batch * c.devices;
+    if (charges == 0) continue;
     const double per_pass =
         c.joules_per_op * static_cast<double>(c.ops_per_pass);
     double row_j = 0.0;
-    for (std::uint64_t k = 0; k < passes; ++k) row_j += per_pass;
-    ledger_->charge_repeated(c.name, row_j, passes * c.ops_per_pass, rows);
+    for (std::uint64_t k = 0; k < charges; ++k) row_j += per_pass;
+    ledger_->charge_repeated(c.name, row_j, charges * c.ops_per_pass, rows);
   }
 }
 

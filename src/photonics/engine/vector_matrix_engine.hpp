@@ -1,10 +1,12 @@
-// vector_matrix_engine.hpp — time-multiplexed matrix-vector products on P1.
+// vector_matrix_engine.hpp — the one analog driver of P1 (paper Fig. 2a).
 //
 // A single dot-product unit evaluates one row at a time (the
 // time-multiplexed architecture of Lightning [71] and [50]); this engine
-// schedules a full GEMV over it and aggregates latency/energy. Combined
-// with a P3 nonlinear unit it executes whole DNN layers, which is how the
-// paper's C1 "machine learning inference" use case runs.
+// schedules every P1 evaluation over it and aggregates latency/energy:
+// a single unsigned dot is a one-row, one-pass call, a signed GEMV or
+// GEMM runs each row as four rail passes. Combined with a P3 nonlinear
+// unit it executes whole DNN layers, which is how the paper's C1
+// "machine learning inference" use case runs.
 #pragma once
 
 #include <cstdint>
@@ -64,23 +66,36 @@ struct rail_weights {
   rail_weights(const matrix& w, const converter_config& dac);
 };
 
-/// The analog GEMM kernel. Both compute modes run as device passes over
-/// row ranges: a range makes one fill per noise stream kind for all its
-/// rows, one weight pass per row, sample and modulator, and one readout
-/// of all its (row, sample, pass) readouts. The whole call is one range
-/// unless it is large enough to pay for the pool (kPoolBreakEvenWork).
-/// Row seeds are forked in row order before dispatch, one per row per
-/// call whatever the batch, and row r draws exactly what a fresh
-/// dot_product_unit(config, row seed) draws running dot_passes sample
-/// by sample, so results are bit-identical at any thread count and a
-/// batch of one is bit-identical to gemv_signed. Latency models the single
-/// time-multiplexed analog unit and adds up across rows; the ledger
-/// takes one cell per row, merged in row order.
+/// The analog P1 kernel. Every call runs as device passes over row
+/// ranges: a range makes one fill per noise stream kind for all its rows,
+/// one weight pass per row, sample and modulator, and one readout of all
+/// its (row, sample, pass) readouts. The whole call is one range unless
+/// it is large enough to pay for the pool (kPoolBreakEvenWork). Row
+/// seeds are forked in row order before dispatch, one per row per call
+/// whatever the batch; row r draws from streams keyed off its seed as a
+/// dot_product_unit(config, row seed) keys its devices, each sample
+/// continuing where the previous one stopped. Results are bit-identical
+/// at any thread count and a batch of one is bit-identical to
+/// gemv_signed. Latency models the single time-multiplexed analog unit
+/// and adds up across rows; the ledger takes one cell per row, merged in
+/// row order.
 class vector_matrix_engine {
  public:
   vector_matrix_engine(dot_product_config config, std::uint64_t seed,
                        energy_ledger* ledger = nullptr,
                        energy_costs costs = {});
+
+  /// Dot product of two vectors with elements in [0, 1], averaged over
+  /// `repeats` evaluations: one unsigned row, `a` snapped to the DAC
+  /// grid, against a batch of `repeats` copies of `b`. Averaging is the
+  /// §4 noise mitigation ("new algorithms to mitigate photonic noise
+  /// during computation"): analog noise shrinks ~1/sqrt(repeats), and
+  /// laser RIN dithers the readout quantization floor down too. Latency
+  /// and symbols add up over the repeats. Requires a.size() == b.size(),
+  /// both non-empty, and repeats >= 1.
+  [[nodiscard]] dot_result dot_unit_range(std::span<const double> a,
+                                          std::span<const double> b,
+                                          int repeats = 1);
 
   /// y = W x for signed W, x in [-1, 1]: a batch-one gemm_signed.
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
@@ -120,22 +135,25 @@ class vector_matrix_engine {
                                        std::size_t rows, std::size_t cols,
                                        std::span<const double> xs);
 
-  /// The one GEMM driver. `weights` holds each row's snapped rails for
-  /// the side they drive. `samples` holds batch x 4*cols values: the
-  /// samples' snapped b-side codes (electrical, after an a-side pass of
-  /// the carrier through the weights) or their received powers
-  /// (optical). `full_scale_mw` calibrates the readout.
+  /// The one P1 driver. Each row is `passes` equal passes of `cols`:
+  /// 1 (unsigned) or 4 (signed rails, combined pp + nn - pn - np).
+  /// `weights` holds each row's snapped passes for the side they drive.
+  /// `samples` holds batch x passes*cols values: the samples' snapped
+  /// b-side codes (electrical, after an a-side pass of the carrier
+  /// through the weights) or their received powers (optical).
+  /// `full_scale_mw` calibrates the readout.
   [[nodiscard]] gemm_result run_passes(std::span<const double> weights,
                                        std::size_t rows, std::size_t cols,
+                                       std::size_t passes,
                                        std::span<const double> samples,
                                        double full_scale_mw, bool optical);
 
   /// Charge the ledger as one unit per row did over the whole batch,
   /// rows merged in row order.
   void charge_row_cells(std::size_t rows, std::size_t batch,
-                        std::size_t cols, bool optical);
+                        std::size_t cols, std::size_t passes, bool optical);
 
-  /// Device models of the GEMM: its invariants, its row keys and the
+  /// Device models of the driver: its invariants, its row keys and the
   /// readout math. Its own streams are never drawn.
   dot_product_unit models_;
   energy_ledger* ledger_ = nullptr;
@@ -145,8 +163,8 @@ class vector_matrix_engine {
   /// Per-call scratch.
   std::vector<std::uint64_t> seeds_;
   row_keys keys_;  ///< every row's stream keys, per stream kind
-  std::vector<double> weight_rails_;  ///< a-side rails of a matrix operand
-  std::vector<double> sample_rails_;  ///< snapped b-side rails of xs
+  std::vector<double> weight_rails_;  ///< snapped a-side row operand
+  std::vector<double> sample_rails_;  ///< snapped b-side samples
   /// Row-major over (row, sample): DAC draws and product powers per
   /// symbol; detector and ADC draws and readouts per pass.
   std::vector<double> dac_noise_, product_;

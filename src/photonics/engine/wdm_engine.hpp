@@ -3,25 +3,22 @@
 // The single dot-product unit is one wavelength lane; published photonic
 // accelerators ([50], Lightning [71]) fan the same input out over many
 // wavelengths and evaluate many weight rows concurrently. This engine
-// models that: N lanes (each its own laser wavelength, modulators and
-// detector) evaluate rows round-robin, so GEMV latency is the slowest
-// lane's serial share instead of the full row count.
+// models that: N lanes on a 100 GHz grid evaluate rows round-robin, so
+// GEMV latency is the slowest lane's serial share instead of the full
+// row count. The values come from one signed GEMV on the one analog
+// driver (`vector_matrix_engine`), every row on its own row seed, plus
+// the demux crosstalk between lanes evaluated in the same round.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "photonics/engine/dot_product_unit.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
-#include "photonics/wdm.hpp"
 
 namespace onfiber::phot {
 
 class wdm_gemv_engine {
  public:
-  /// `lanes` parallel dot-product units on a 100 GHz grid starting at
-  /// grid index 0; each lane gets an independent noise stream derived
+  /// `lanes` parallel dot-product lanes; the row noise streams derive
   /// from `seed`. `adjacent_crosstalk_db` models imperfect demux
   /// isolation: each lane's detected value leaks into its neighbors at
   /// the given (negative-dB) power ratio; -100 dB effectively disables
@@ -37,16 +34,17 @@ class wdm_gemv_engine {
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
                                         std::span<const double> x);
 
-  [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
+  [[nodiscard]] std::size_t lanes() const { return lanes_; }
 
   /// Aggregate MAC throughput at the configured symbol rate [MAC/s]:
   /// lanes x symbol rate (a signed GEMV uses 4 symbols per MAC).
   [[nodiscard]] double peak_mac_rate() const;
 
  private:
-  dot_product_config config_;
-  std::vector<std::unique_ptr<dot_product_unit>> lanes_;
-  double crosstalk_ratio_ = 0.0;  ///< linear power leak between neighbors
+  vector_matrix_engine engine_;
+  std::size_t lanes_;
+  double symbol_rate_hz_;
+  double crosstalk_ratio_;  ///< linear power leak between neighbors
 };
 
 }  // namespace onfiber::phot

@@ -117,36 +117,6 @@ void laser::emit(std::size_t symbols, waveform& out, std::size_t passes) {
   }
 }
 
-void laser::emit_powers(std::span<double> out_powers, std::size_t passes) {
-  const std::size_t symbols = out_powers.size();
-  const bool has_phase = phase_step_sigma_ > 0.0;
-  const std::uint64_t rin_key = rin_stream_.key();
-  draw_powers(std::span(&rin_key, 1), rin_stream_.cursor(), out_powers);
-  rin_stream_.skip(symbols);
-  // Phase pass: the walk is a running sum, so its additions stay in
-  // symbol order to keep phase_ bit-exact with the scalar path; only the
-  // draw generation is vectorized.
-  if (has_phase) {
-    phase_scratch_.resize(symbols);
-    phase_stream_.fill_normal(phase_scratch_);
-    const double sigma = phase_step_sigma_;
-    double ph = phase_;
-    for (std::size_t i = 0; i < symbols; ++i) {
-      ph += sigma * phase_scratch_[i];
-      if (ph > 1e6 || ph < -1e6) {
-        ph = std::remainder(ph, 2.0 * std::numbers::pi);
-      }
-    }
-    phase_ = ph;
-  } else {
-    phase_stream_.skip(symbols);
-  }
-  if (ledger_ != nullptr && symbols > 0) {
-    ledger_->charge_batches("laser", costs_.laser_j_per_symbol,
-                            symbols / passes, passes);
-  }
-}
-
 void laser::draw_powers(std::span<const std::uint64_t> rin_keys,
                         std::uint64_t base,
                         std::span<double> out_powers) const {

@@ -45,19 +45,13 @@ class laser {
   /// Emit a single carrier sample (advances the phase walk).
   [[nodiscard]] field emit_one();
 
-  /// Intensity-path kernel: per-symbol optical powers [mW] without the
-  /// phasor construction. Draws the same counter-stream indices as
-  /// `emit_one` (so the streams stay aligned), but the trigonometric
-  /// projection of the phase is skipped — the carrier phase is
-  /// unobservable under direct square-law detection. Charged to the
-  /// ledger exactly as `passes` calls over equal slices would be.
-  void emit_powers(std::span<double> out_powers, std::size_t passes = 1);
-
-  /// The power half of emit_powers on any RIN streams, one row per key:
-  /// row r of out_powers (out_powers.size() / rin_keys.size() symbols,
+  /// Intensity-path kernel: per-symbol optical powers [mW] on any RIN
+  /// streams, one row per key, without the phasor construction — the
+  /// carrier phase is unobservable under direct square-law detection.
+  /// Row r of out_powers (out_powers.size() / rin_keys.size() symbols,
   /// row-major) takes the powers of draw indices base, base + 1, ... of
-  /// RIN stream rin_keys[r], in one fill for all rows. No ledger charge,
-  /// no phase walk.
+  /// RIN stream rin_keys[r], the RIN `emit_one` adds at those indices, in
+  /// one fill for all rows. No ledger charge, no phase walk.
   void draw_powers(std::span<const std::uint64_t> rin_keys,
                    std::uint64_t base, std::span<double> out_powers) const;
 

@@ -118,36 +118,6 @@ void mzm_modulator::encode(std::span<const double> x, waveform& io) {
   }
 }
 
-void mzm_modulator::encode_intensity(std::span<const double> x,
-                                     std::span<double> t_out,
-                                     std::size_t passes) {
-  const std::size_t n = std::min(x.size(), t_out.size());
-  if (transfer_.bias_error_rad == 0.0) {
-    // Calibrated encode with a perfect bias: cos^2(acos(sqrt(x))) == x, so
-    // the transmission is the clamped input held above the extinction
-    // floor — the hot path needs no transcendentals at all. Written as
-    // conditional moves so rail inputs (exact zeros mixed with positives)
-    // cannot stall on clamp branches.
-    const double floor_t = transfer_.floor_t;
-    const double loss = transfer_.loss;
-    for (std::size_t i = 0; i < n; ++i) {
-      double c = x[i];
-      c = c < 0.0 ? 0.0 : c;
-      c = c > 1.0 ? 1.0 : c;
-      c = c < floor_t ? floor_t : c;
-      t_out[i] = c * loss;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      t_out[i] = transfer_.transmission(x[i]);
-    }
-  }
-  if (ledger_ != nullptr && n > 0) {
-    ledger_->charge_batches("modulator", costs_.modulator_drive_j,
-                            n / passes, passes);
-  }
-}
-
 // --------------------------------------------------------- phase_modulator
 
 phase_modulator::phase_modulator(modulator_config config, rng bias_noise,

@@ -32,11 +32,12 @@ struct modulator_config {
   double max_drive_v = 8.0;       ///< driver clipping voltage
 };
 
-/// The calibrated intensity transfer of an MZM drive, as
-/// mzm_modulator::encode_intensity applies it: an input x in [0, 1]
-/// leaves with transmission max(cos^2(acos(sqrt(x)) + bias/2), floor)
-/// times the insertion loss. Plain data, so a weight pass can run the
-/// transfer of any modulator keyed from any seed.
+/// The calibrated intensity transfer of an MZM drive: an input x in
+/// [0, 1] leaves with transmission max(cos^2(acos(sqrt(x)) + bias/2),
+/// floor) times the insertion loss, which a calibrated bias (no bias
+/// error) collapses to max(x, floor) times the loss. Plain data, so a
+/// weight pass can run the transfer of any modulator keyed from any
+/// seed.
 struct mzm_transfer {
   double floor_t = 0.0;         ///< finite-extinction transmission floor
   double loss = 1.0;            ///< insertion loss, intensity ratio
@@ -82,21 +83,13 @@ class mzm_modulator {
   /// Bit-identical to the scalar loop; a single bulk ledger charge.
   void encode(std::span<const double> x, waveform& io);
 
-  /// Intensity-domain kernel for direct-detection paths: writes the
-  /// calibrated intensity transmission (extinction floor, bias error and
-  /// insertion loss included) of each x into `t_out`. With a calibrated
-  /// bias (no bias error) the transfer collapses algebraically to
-  /// max(clamp(x), floor) * loss — no trigonometry per symbol. Charged
-  /// to the ledger exactly as `passes` calls over equal slices would be.
-  void encode_intensity(std::span<const double> x, std::span<double> t_out,
-                        std::size_t passes = 1);
-
   /// The bias error a modulator built with rng{seed} draws: zero unless
   /// one is configured.
   [[nodiscard]] static double bias_error_for(const modulator_config& config,
                                              std::uint64_t seed);
 
-  /// The calibrated intensity transfer encode_intensity applies.
+  /// The calibrated intensity transfer of `encode_unit`, for
+  /// direct-detection paths.
   [[nodiscard]] const mzm_transfer& transfer() const { return transfer_; }
 
   /// Intensity transmission at drive voltage v (no noise), for tests.

@@ -135,7 +135,6 @@ class counter_stream {
  public:
   explicit constexpr counter_stream(std::uint64_t key) : key_(key) {}
 
-  [[nodiscard]] constexpr std::uint64_t key() const { return key_; }
   [[nodiscard]] constexpr std::uint64_t cursor() const { return cursor_; }
   constexpr void seek(std::uint64_t index) { cursor_ = index; }
   constexpr void skip(std::uint64_t draws) { cursor_ += draws; }

@@ -58,16 +58,13 @@ struct kernel_table {
                    double full_scale, double levels, double sigma,
                    double* out);
 
-  /// Cascaded-MZM product pass: out[i] = p[i] * a[i] * b[i].
-  void (*triple_product)(const double* p, const double* a, const double* b,
-                         std::size_t n, double* out);
-
   /// Fused on-fiber weight pass over codes already on the DAC grid: the
   /// DAC adds its ENOB noise and clips to [0, full_scale]; the calibrated
   /// MZM transmission clamps to [0, 1], holds the extinction floor and
   /// applies the insertion loss; the received power multiplies it.
   /// Same arithmetic in the same order as dac_pass on the unsnapped
-  /// code, then mzm_modulator::encode_intensity, then the product.
+  /// code, then the calibrated transfer's collapse max(clamp(o, 0, 1),
+  /// floor_t) * loss, then the product.
   /// `out` may alias `power_mw`.
   void (*weight_product)(const double* codes, const double* noise,
                          std::size_t n, double full_scale, double sigma,

@@ -118,13 +118,6 @@ void adc_pass_kernel(const double* in, const double* noise, std::size_t n,
   }
 }
 
-void triple_product_kernel(const double* p, const double* a, const double* b,
-                           std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = p[i] * a[i] * b[i];
-  }
-}
-
 void weight_product_kernel(const double* codes, const double* noise,
                            std::size_t n, double full_scale, double sigma,
                            double floor_t, double loss, const double* power_mw,
@@ -171,7 +164,6 @@ void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
   t.rin_power = &rin_power_kernel;
   t.dac_pass = &dac_pass_kernel;
   t.adc_pass = &adc_pass_kernel;
-  t.triple_product = &triple_product_kernel;
   t.weight_product = &weight_product_kernel;
   t.blocked_sums = &blocked_sums_kernel;
   return t;

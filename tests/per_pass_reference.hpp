@@ -1,0 +1,188 @@
+// per_pass_reference.hpp — the per-pass P1 oracle shared by the
+// dot-product and kernel tests.
+//
+// A P1 unit built from the device models, run the slow way: each pass
+// converts, modulates, integrates and reads out on its own, with one
+// scalar detector draw and one scalar ADC conversion per pass, and
+// charges the ledger pass by pass. Its devices are keyed exactly as
+// dot_product_unit keys them, and its streams continue from call to
+// call, so it is the reference both of the engine's rows (keyed from the
+// row seed, bit for bit) and of the unit's field-domain
+// dot_unit_range_scalar (draw for draw, equal to rounding).
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "photonics/converter.hpp"
+#include "photonics/energy.hpp"
+#include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/laser.hpp"
+#include "photonics/modulator.hpp"
+#include "photonics/rng.hpp"
+#include "photonics/simd.hpp"
+
+namespace onfiber::phot {
+
+/// The calibrated MZM transmission of a DAC output x: the full transfer
+/// under a bias error, else its collapse max(clamp(x, 0, 1), floor) times
+/// the insertion loss — what the engine's fused weight pass computes.
+inline double calibrated_transmission(const mzm_transfer& t, double x) {
+  if (t.bias_error_rad != 0.0) return t.transmission(x);
+  double c = x < 0.0 ? 0.0 : x;
+  c = c > 1.0 ? 1.0 : c;
+  c = c < t.floor_t ? t.floor_t : c;
+  return c * t.loss;
+}
+
+class per_pass_reference {
+ public:
+  per_pass_reference(dot_product_config config, std::uint64_t seed,
+                     energy_ledger* ledger)
+      : config_([&] {
+          config.laser.symbol_rate_hz = config.symbol_rate_hz;
+          config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
+          return config;
+        }()),
+        carrier_(config_.laser, rng{seed}),
+        rin_key_(laser::rin_key(seed)),
+        mod_a_(config_.modulator, 0.0, rng{seed ^ 0x1111}),
+        mod_b_(config_.modulator, 0.0, rng{seed ^ 0x2222}),
+        detector_noise_(counter_rng::key_of(rng{seed ^ 0x3333}(), 0x706474)),
+        dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger),
+        dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger),
+        adc_(config_.adc, rng{seed ^ 0x6666}, ledger),
+        ledger_(ledger) {}
+
+  /// `passes` (1 or 4, `lay_out_rails` order) equal passes of a and b,
+  /// both converted from raw values; the carrier's powers through both
+  /// modulators.
+  dot_result electrical(std::span<const double> a, std::span<const double> b,
+                        std::size_t passes) {
+    const std::size_t n = a.size();
+    const std::size_t length = n / passes;
+    std::vector<double> da(n), db(n), p(n), product(n), noise;
+    for (std::size_t k = 0; k < passes; ++k) {
+      const std::size_t at = k * length;
+      dac_a_.convert(a.subspan(at, length), std::span(da).subspan(at, length),
+                     noise);
+      dac_b_.convert(b.subspan(at, length), std::span(db).subspan(at, length),
+                     noise);
+    }
+    carrier_.draw_powers(std::span(&rin_key_, 1), rin_cursor_, p);
+    rin_cursor_ += n;
+    charge("laser", costs_.laser_j_per_symbol, length, passes);
+    charge("modulator", costs_.modulator_drive_j, length, 2 * passes);
+    for (std::size_t i = 0; i < n; ++i) {
+      product[i] = p[i] * calibrated_transmission(mod_a_.transfer(), da[i]) *
+                   calibrated_transmission(mod_b_.transfer(), db[i]);
+    }
+    const double full_scale_mw =
+        config_.laser.power_mw *
+        db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
+    return read_out(product, passes, full_scale_mw);
+  }
+
+  /// The on-fiber twin: a arrived as received powers a_mw, only b is
+  /// converted and modulated.
+  dot_result optical(std::span<const double> a_mw, std::span<const double> b,
+                     double reference_power_mw, std::size_t passes) {
+    const std::size_t n = b.size();
+    const std::size_t length = n / passes;
+    std::vector<double> db(n), product(n), noise;
+    for (std::size_t k = 0; k < passes; ++k) {
+      const std::size_t at = k * length;
+      dac_b_.convert(b.subspan(at, length), std::span(db).subspan(at, length),
+                     noise);
+    }
+    charge("modulator", costs_.modulator_drive_j, length, passes);
+    for (std::size_t i = 0; i < n; ++i) {
+      product[i] =
+          a_mw[i] * calibrated_transmission(mod_b_.transfer(), db[i]);
+    }
+    return read_out(product, passes,
+                    reference_power_mw *
+                        db_to_ratio(-config_.modulator.insertion_loss_db));
+  }
+
+ private:
+  void charge(const char* category, double joules_per_op, std::size_t ops,
+              std::size_t times) {
+    if (ledger_ != nullptr) {
+      ledger_->charge_batches(category, joules_per_op, ops, times);
+    }
+  }
+
+  double integrate_mean(double mean_power_mw, std::size_t symbols) {
+    const photodetector_config& d = config_.detector;
+    const double signal_a =
+        d.responsivity_a_w * mean_power_mw * 1e-3 + d.dark_current_a;
+    receiver_noise_config narrowed = d.noise;
+    narrowed.bandwidth_hz /= static_cast<double>(symbols);
+    const double noise_a =
+        narrowed.sample_current_noise_a(signal_a, detector_noise_);
+    charge("photodetector", costs_.photodetector_readout_j, 1, 1);
+    return std::clamp(signal_a + noise_a, -d.saturation_current_a,
+                      d.saturation_current_a);
+  }
+
+  dot_result read_out_current(double current_a, double full_scale_mw,
+                              std::size_t length) {
+    const photodetector_config& d = config_.detector;
+    const double full_scale_a =
+        d.responsivity_a_w * full_scale_mw * 1e-3 + d.dark_current_a;
+    const double normalized =
+        full_scale_a > 0.0 ? current_a / full_scale_a : 0.0;
+    const double digitized = adc_.convert(normalized);
+    const double responsivity_term = d.responsivity_a_w * full_scale_mw * 1e-3;
+    const double recovered_mean =
+        responsivity_term > 0.0
+            ? (digitized * full_scale_a - d.dark_current_a) / responsivity_term
+            : 0.0;
+    const double n = static_cast<double>(length);
+    dot_result r;
+    r.value = recovered_mean * n;
+    r.symbols = length;
+    r.latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
+    charge("photonic_mac", costs_.photonic_mac_j, length, 1);
+    return r;
+  }
+
+  dot_result read_out(std::span<const double> product, std::size_t passes,
+                      double full_scale_mw) {
+    const std::size_t length = product.size() / passes;
+    dot_result pass[4];
+    for (std::size_t k = 0; k < passes; ++k) {
+      double sum = 0.0;
+      simd::active().blocked_sums(product.data() + k * length, length, 1,
+                                  &sum);
+      const double mean = sum / static_cast<double>(length);
+      pass[k] = read_out_current(integrate_mean(mean, length), full_scale_mw,
+                                 length);
+    }
+    if (passes == 1) return pass[0];
+    const auto& [pp, nn, pn, np] = pass;
+    dot_result r;
+    r.value = pp.value + nn.value - pn.value - np.value;
+    r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
+    r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
+    return r;
+  }
+
+  dot_product_config config_;
+  energy_costs costs_{};
+  laser carrier_;  ///< its models only: powers drawn on rin_key_
+  std::uint64_t rin_key_;
+  std::uint64_t rin_cursor_ = 0;
+  mzm_modulator mod_a_;
+  mzm_modulator mod_b_;
+  counter_stream detector_noise_;
+  dac dac_a_;
+  dac dac_b_;
+  adc adc_;
+  energy_ledger* ledger_;
+};
+
+}  // namespace onfiber::phot

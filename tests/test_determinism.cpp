@@ -350,21 +350,48 @@ phot::matrix test_matrix(std::size_t rows, std::size_t cols,
   return w;
 }
 
+/// Turns the metrics plane on for its lifetime, so the pool counts its
+/// dispatches in the "pool.dispatches" counter.
+struct obs_on_guard {
+  bool prev = obs::enabled();
+  obs_on_guard() { obs::set_enabled(true); }
+  ~obs_on_guard() { obs::set_enabled(prev); }
+};
+
+std::uint64_t pool_dispatches() {
+  return obs::registry::global().get_counter("pool.dispatches").value();
+}
+
+/// Thread counts of the pool determinism sweeps: one inline run, then
+/// pooled runs, 3 among them.
+constexpr const char* kSweepThreads[] = {"1", "2", "3", "8"};
+
+// The GEMV and GEMM shapes of the two sweeps sit above the pool's
+// break-even, so every call at more than one thread runs on the workers;
+// the dispatch counter must grow there, or the sweep would compare
+// inline runs only.
 TEST(PoolDeterminism, GemvBitIdenticalAcrossThreadCounts) {
-  const phot::matrix w = test_matrix(16, 64, 31);
-  std::vector<double> x(64);
+  constexpr std::size_t rows = 24, cols = 96;
+  static_assert(rows * 4 * cols >= phot::kPoolBreakEvenWork);
+  const phot::matrix w = test_matrix(rows, cols, 31);
+  std::vector<double> x(cols);
   phot::rng gen(77);
   for (double& v : x) v = 2.0 * gen.uniform() - 1.0;
 
+  const obs_on_guard obs_on;
   thread_env_guard env;
   std::vector<phot::gemv_result> results;
-  for (const char* threads : {"1", "2", "8"}) {
+  for (const char* threads : kSweepThreads) {
+    SCOPED_TRACE(std::string("ONFIBER_THREADS=") + threads);
     env.set(threads);
     phot::vector_matrix_engine engine({}, 42);
     // Two calls per engine: the second runs on a warm pool and continues
     // the engine's row-seed stream.
+    const std::uint64_t d0 = pool_dispatches();
     phot::gemv_result r = engine.gemv_signed(w, x);
     const phot::gemv_result r2 = engine.gemv_signed(w, x);
+    const std::uint64_t pooled = std::strcmp(threads, "1") == 0 ? 0 : 2;
+    EXPECT_EQ(pool_dispatches() - d0, pooled);
     r.values.insert(r.values.end(), r2.values.begin(), r2.values.end());
     r.latency_s += r2.latency_s;
     r.symbols += r2.symbols;
@@ -378,17 +405,24 @@ TEST(PoolDeterminism, GemvBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PoolDeterminism, GemmBitIdenticalAcrossThreadCounts) {
-  const phot::matrix w = test_matrix(8, 48, 13);
-  std::vector<double> xs(5 * 48);
+  constexpr std::size_t rows = 8, cols = 48, batch = 6;
+  static_assert(rows * batch * 4 * cols >= phot::kPoolBreakEvenWork);
+  const phot::matrix w = test_matrix(rows, cols, 13);
+  std::vector<double> xs(batch * cols);
   phot::rng gen(99);
   for (double& v : xs) v = 2.0 * gen.uniform() - 1.0;
 
+  const obs_on_guard obs_on;
   thread_env_guard env;
   std::vector<phot::gemm_result> results;
-  for (const char* threads : {"1", "2", "8"}) {
+  for (const char* threads : kSweepThreads) {
+    SCOPED_TRACE(std::string("ONFIBER_THREADS=") + threads);
     env.set(threads);
     phot::vector_matrix_engine engine({}, 42);
+    const std::uint64_t d0 = pool_dispatches();
     results.push_back(engine.gemm_signed(w, xs));
+    const std::uint64_t pooled = std::strcmp(threads, "1") == 0 ? 0 : 1;
+    EXPECT_EQ(pool_dispatches() - d0, pooled);
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_TRUE(bits_equal(results[0].values, results[i].values));
@@ -465,13 +499,11 @@ TEST(PoolDispatch, GemmDispatchesOnlyAboveBreakEven) {
     std::vector<std::uint64_t> dispatches;  ///< pool dispatches per call
   };
   const auto run = [&](phot::vector_matrix_engine& engine) {
-    const obs::counter& dispatches =
-        obs::registry::global().get_counter("pool.dispatches");
     outputs out;
     const auto call = [&](auto&& gemm) {
-      const std::uint64_t d0 = dispatches.value();
+      const std::uint64_t d0 = pool_dispatches();
       out.results.push_back(gemm());
-      out.dispatches.push_back(dispatches.value() - d0);
+      out.dispatches.push_back(pool_dispatches() - d0);
     };
     call([&] { return engine.gemm_signed(w, small); });
     call([&] { return engine.gemm_signed(w, xs); });
@@ -480,11 +512,7 @@ TEST(PoolDispatch, GemmDispatchesOnlyAboveBreakEven) {
     return out;
   };
 
-  struct obs_guard {
-    bool prev = obs::enabled();
-    ~obs_guard() { obs::set_enabled(prev); }
-  } obs_on;
-  obs::set_enabled(true);
+  const obs_on_guard obs_on;
   phot::vector_matrix_engine inline_engine({}, 47);
   inline_engine.set_threads(1);
   const outputs reference = run(inline_engine);

@@ -1,4 +1,5 @@
-// Tests for the P1 photonic dot-product unit (Fig. 2a).
+// Tests for P1, the photonic dot product (Fig. 2a): the device models of
+// dot_product_unit and the one analog driver, vector_matrix_engine.
 #include "photonics/engine/dot_product_unit.hpp"
 
 #include <gtest/gtest.h>
@@ -8,12 +9,13 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "per_pass_reference.hpp"
 #include "photonics/converter.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/rng.hpp"
-#include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 namespace {
@@ -29,7 +31,7 @@ double exact_dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 TEST(DotProduct, SmallExactCase) {
-  dot_product_unit u({}, 1);
+  vector_matrix_engine u({}, 1);
   const std::vector<double> a{1.0, 0.0, 1.0, 0.0};
   const std::vector<double> b{1.0, 1.0, 0.0, 0.0};
   const dot_result r = u.dot_unit_range(a, b);
@@ -37,27 +39,27 @@ TEST(DotProduct, SmallExactCase) {
 }
 
 TEST(DotProduct, AllOnes) {
-  dot_product_unit u({}, 2);
+  vector_matrix_engine u({}, 2);
   const std::vector<double> ones(16, 1.0);
   const dot_result r = u.dot_unit_range(ones, ones);
   EXPECT_NEAR(r.value, 16.0, 0.6);
 }
 
 TEST(DotProduct, AllZeros) {
-  dot_product_unit u({}, 3);
+  vector_matrix_engine u({}, 3);
   const std::vector<double> zeros(16, 0.0);
   const dot_result r = u.dot_unit_range(zeros, zeros);
   EXPECT_NEAR(r.value, 0.0, 0.3);
 }
 
 TEST(DotProduct, ThrowsOnMismatchedSizes) {
-  dot_product_unit u({}, 4);
+  vector_matrix_engine u({}, 4);
   const std::vector<double> a(4, 0.5), b(5, 0.5);
   EXPECT_THROW((void)u.dot_unit_range(a, b), std::invalid_argument);
 }
 
 TEST(DotProduct, ThrowsOnEmpty) {
-  dot_product_unit u({}, 5);
+  vector_matrix_engine u({}, 5);
   const std::vector<double> e;
   EXPECT_THROW((void)u.dot_unit_range(e, e), std::invalid_argument);
 }
@@ -65,7 +67,7 @@ TEST(DotProduct, ThrowsOnEmpty) {
 TEST(DotProduct, DeterministicPerSeed) {
   const std::vector<double> a{0.2, 0.8, 0.5, 0.9};
   const std::vector<double> b{0.7, 0.1, 0.6, 0.4};
-  dot_product_unit u1({}, 42), u2({}, 42);
+  vector_matrix_engine u1({}, 42), u2({}, 42);
   EXPECT_DOUBLE_EQ(u1.dot_unit_range(a, b).value,
                    u2.dot_unit_range(a, b).value);
 }
@@ -74,7 +76,7 @@ TEST(DotProduct, LatencyAndSymbols) {
   dot_product_config cfg;
   cfg.symbol_rate_hz = 10e9;
   cfg.fixed_latency_s = 5e-9;
-  dot_product_unit u(cfg, 6);
+  vector_matrix_engine u(cfg, 6);
   const std::vector<double> a(100, 0.5);
   const dot_result r = u.dot_unit_range(a, a);
   EXPECT_EQ(r.symbols, 100u);
@@ -82,11 +84,12 @@ TEST(DotProduct, LatencyAndSymbols) {
 }
 
 TEST(DotProduct, SignedFourPass) {
-  dot_product_unit u({}, 7);
-  const std::vector<double> a{0.5, -0.5, 1.0, -1.0};
+  vector_matrix_engine u({}, 7);
+  matrix a(1, 4);
+  a.data = {0.5, -0.5, 1.0, -1.0};
   const std::vector<double> b{-1.0, -1.0, 0.5, 0.5};
-  const dot_result r = u.dot_signed(a, b);
-  EXPECT_NEAR(r.value, exact_dot(a, b), 0.15);
+  const gemv_result r = u.gemv_signed(a, b);
+  EXPECT_NEAR(r.values[0], exact_dot(a.data, b), 0.15);
   EXPECT_EQ(r.symbols, 16u);  // 4 passes x 4 elements
 }
 
@@ -128,7 +131,7 @@ TEST(DotProduct, OpticalInputValidation) {
 
 TEST(DotProduct, ChargesPhotonicMacEnergy) {
   energy_ledger ledger;
-  dot_product_unit u({}, 10, &ledger);
+  vector_matrix_engine u({}, 10, &ledger);
   const std::vector<double> a(64, 0.5);
   (void)u.dot_unit_range(a, a);
   EXPECT_EQ(ledger.ops("photonic_mac"), 64u);
@@ -142,165 +145,13 @@ void expect_same_bits(const dot_result& x, const dot_result& y) {
   EXPECT_EQ(x.symbols, y.symbols);
 }
 
-// The fused kernel is the pass-by-pass loop: four dot_unit_range calls
-// over the rail passes give the same bits and the same ledger.
-TEST(DotProductUnit, FusedSignedKernelMatchesPassByPass) {
-  rng g(6000);
-  std::vector<double> a(20), b(20);
-  for (double& v : a) v = 2.0 * g.uniform() - 1.0;
-  for (double& v : b) v = 2.0 * g.uniform() - 1.0;
-  std::vector<double> a4(80), b4(80);
-  lay_out_rails(a, rail_operand::a, a4);
-  lay_out_rails(b, rail_operand::b, b4);
-
-  energy_ledger fused_ledger, loop_ledger;
-  dot_product_unit fused({}, 21, &fused_ledger);
-  dot_product_unit loop({}, 21, &loop_ledger);
-  const dot_result f = fused.dot_signed(a, b);
-  dot_result pass[4];
-  for (std::size_t k = 0; k < 4; ++k) {
-    pass[k] = loop.dot_unit_range(std::span(a4).subspan(20 * k, 20),
-                                  std::span(b4).subspan(20 * k, 20));
-  }
-  EXPECT_EQ(f.value,
-            pass[0].value + pass[1].value - pass[2].value - pass[3].value);
-  EXPECT_EQ(f.symbols, 80u);
-  for (const auto& [name, e] : loop_ledger.entries()) {
-    EXPECT_EQ(fused_ledger.joules(name), e.joules) << name;
-    EXPECT_EQ(fused_ledger.ops(name), e.ops) << name;
-  }
-}
-
 // ------------------------------------------------ per-pass readout oracle
 
-/// Test-local copy of the unit's kernels with the per-pass readout they
-/// had before it was batched: each pass integrates on its own, takes one
-/// scalar detector draw and one scalar ADC conversion, and charges the
-/// ledger pass by pass. The devices are keyed exactly as
-/// dot_product_unit keys them, so the unit must match it bit for bit,
-/// ledger included.
-class per_pass_reference {
- public:
-  per_pass_reference(dot_product_config config, std::uint64_t seed,
-                     energy_ledger* ledger)
-      : config_([&] {
-          config.laser.symbol_rate_hz = config.symbol_rate_hz;
-          config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
-          return config;
-        }()),
-        laser_(config_.laser, rng{seed}, ledger),
-        mod_a_(config_.modulator, 0.0, rng{seed ^ 0x1111}, ledger),
-        mod_b_(config_.modulator, 0.0, rng{seed ^ 0x2222}, ledger),
-        detector_noise_(counter_rng::key_of(rng{seed ^ 0x3333}(), 0x706474)),
-        dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger),
-        dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger),
-        adc_(config_.adc, rng{seed ^ 0x6666}, ledger),
-        ledger_(ledger) {}
-
-  dot_result electrical(std::span<const double> a, std::span<const double> b,
-                        std::size_t passes) {
-    const std::size_t n = a.size();
-    std::vector<double> da(n), db(n), ta(n), tb(n), p(n), product(n), noise;
-    dac_a_.convert(a, da, noise, passes);
-    dac_b_.convert(b, db, noise, passes);
-    laser_.emit_powers(p, passes);
-    mod_a_.encode_intensity(da, ta, passes);
-    mod_b_.encode_intensity(db, tb, passes);
-    for (std::size_t i = 0; i < n; ++i) product[i] = p[i] * ta[i] * tb[i];
-    const double full_scale_mw =
-        config_.laser.power_mw *
-        db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
-    return read_out(product, passes, full_scale_mw);
-  }
-
-  dot_result optical(std::span<const double> a_mw, std::span<const double> b,
-                     double reference_power_mw, std::size_t passes) {
-    const std::size_t n = b.size();
-    std::vector<double> db(n), tb(n), product(n), noise;
-    dac_b_.convert(b, db, noise, passes);
-    mod_b_.encode_intensity(db, tb, passes);
-    for (std::size_t i = 0; i < n; ++i) product[i] = a_mw[i] * tb[i];
-    return read_out(product, passes,
-                    reference_power_mw *
-                        db_to_ratio(-config_.modulator.insertion_loss_db));
-  }
-
- private:
-  double integrate_mean(double mean_power_mw, std::size_t symbols) {
-    const photodetector_config& d = config_.detector;
-    const double signal_a =
-        d.responsivity_a_w * mean_power_mw * 1e-3 + d.dark_current_a;
-    receiver_noise_config narrowed = d.noise;
-    narrowed.bandwidth_hz /= static_cast<double>(symbols);
-    const double noise_a =
-        narrowed.sample_current_noise_a(signal_a, detector_noise_);
-    if (ledger_ != nullptr) {
-      ledger_->charge("photodetector", costs_.photodetector_readout_j);
-    }
-    return std::clamp(signal_a + noise_a, -d.saturation_current_a,
-                      d.saturation_current_a);
-  }
-
-  dot_result read_out_current(double current_a, double full_scale_mw,
-                              std::size_t length) {
-    const photodetector_config& d = config_.detector;
-    const double full_scale_a =
-        d.responsivity_a_w * full_scale_mw * 1e-3 + d.dark_current_a;
-    const double normalized =
-        full_scale_a > 0.0 ? current_a / full_scale_a : 0.0;
-    const double digitized = adc_.convert(normalized);
-    const double responsivity_term = d.responsivity_a_w * full_scale_mw * 1e-3;
-    const double recovered_mean =
-        responsivity_term > 0.0
-            ? (digitized * full_scale_a - d.dark_current_a) / responsivity_term
-            : 0.0;
-    const double n = static_cast<double>(length);
-    dot_result r;
-    r.value = recovered_mean * n;
-    r.symbols = length;
-    r.latency_s = n / config_.symbol_rate_hz + config_.fixed_latency_s;
-    if (ledger_ != nullptr) {
-      ledger_->charge("photonic_mac", costs_.photonic_mac_j * n, length);
-    }
-    return r;
-  }
-
-  dot_result read_out(std::span<const double> product, std::size_t passes,
-                      double full_scale_mw) {
-    const std::size_t length = product.size() / passes;
-    dot_result pass[4];
-    for (std::size_t k = 0; k < passes; ++k) {
-      double sum = 0.0;
-      simd::active().blocked_sums(product.data() + k * length, length, 1,
-                                  &sum);
-      const double mean = sum / static_cast<double>(length);
-      pass[k] = read_out_current(integrate_mean(mean, length), full_scale_mw,
-                                 length);
-    }
-    if (passes == 1) return pass[0];
-    const auto& [pp, nn, pn, np] = pass;
-    dot_result r;
-    r.value = pp.value + nn.value - pn.value - np.value;
-    r.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
-    r.latency_s = pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
-    return r;
-  }
-
-  dot_product_config config_;
-  energy_costs costs_{};
-  laser laser_;
-  mzm_modulator mod_a_;
-  mzm_modulator mod_b_;
-  counter_stream detector_noise_;
-  dac dac_a_;
-  dac dac_b_;
-  adc adc_;
-  energy_ledger* ledger_;
-};
-
-/// Operands of one kernel call: `passes` (1 or 4) passes of `dim`.
+/// Operands of one dot: `passes` (1 or 4) passes of `dim`, and for a
+/// signed dot the vectors the rails were laid out from.
 struct pass_operands {
   std::vector<double> a, b;
+  std::vector<double> signed_a, signed_b;
 };
 
 pass_operands draw_operands(std::size_t dim, std::size_t passes, rng& g) {
@@ -310,14 +161,38 @@ pass_operands draw_operands(std::size_t dim, std::size_t passes, rng& g) {
     op.b = random_unit_vector(dim, g);
     return op;
   }
-  std::vector<double> a(dim), b(dim);
-  for (double& v : a) v = 2.0 * g.uniform() - 1.0;
-  for (double& v : b) v = 2.0 * g.uniform() - 1.0;
+  op.signed_a.resize(dim);
+  op.signed_b.resize(dim);
+  for (double& v : op.signed_a) v = 2.0 * g.uniform() - 1.0;
+  for (double& v : op.signed_b) v = 2.0 * g.uniform() - 1.0;
   op.a.resize(4 * dim);
   op.b.resize(4 * dim);
-  lay_out_rails(a, rail_operand::a, op.a);
-  lay_out_rails(b, rail_operand::b, op.b);
+  lay_out_rails(op.signed_a, rail_operand::a, op.a);
+  lay_out_rails(op.signed_b, rail_operand::b, op.b);
   return op;
+}
+
+/// The device configs the oracle tests run under.
+std::vector<std::pair<std::string, dot_product_config>> oracle_configs() {
+  std::vector<std::pair<std::string, dot_product_config>> out;
+  out.emplace_back("default config", dot_product_config{});
+  dot_product_config quiet;
+  quiet.detector.noise.enable_shot = false;
+  quiet.detector.noise.enable_thermal = false;
+  quiet.dac.enob_penalty = 0.0;
+  quiet.adc.enob_penalty = 0.0;
+  out.emplace_back("shot, thermal and ENOB noise off", quiet);
+  dot_product_config dark;
+  dark.laser.power_mw = 0.0;
+  out.emplace_back("zero-power carrier", dark);
+  dot_product_config coarse;
+  coarse.dac.bits = 6;
+  coarse.dac.full_scale = 0.8;
+  out.emplace_back("6-bit DAC with full scale 0.8", coarse);
+  dot_product_config biased;
+  biased.modulator.bias_error_sigma_rad = 0.05;
+  out.emplace_back("modulator bias error", biased);
+  return out;
 }
 
 void expect_same_ledgers(const energy_ledger& got, const energy_ledger& want) {
@@ -328,14 +203,18 @@ void expect_same_ledgers(const energy_ledger& got, const energy_ledger& want) {
   }
 }
 
-/// Several rounds of the kernel on one unit and one reference, so every
-/// stream moves off its start.
-void expect_unit_matches_reference(const dot_product_config& cfg) {
+/// Several single dots in a row on one engine, unsigned (dot_unit_range)
+/// and signed (gemv_signed on a 1 x dim matrix), each against a fresh
+/// reference keyed from the engine's next row seed, so the row fork
+/// moves on between calls. The engine's ledger must equal the
+/// references' ledgers merged call by call.
+void expect_single_dots_match_reference(const dot_product_config& cfg) {
   for (const std::size_t passes : {std::size_t{1}, std::size_t{4}}) {
     for (const bool with_ledger : {false, true}) {
-      energy_ledger unit_ledger, ref_ledger;
-      dot_product_unit unit(cfg, 77, with_ledger ? &unit_ledger : nullptr);
-      per_pass_reference ref(cfg, 77, with_ledger ? &ref_ledger : nullptr);
+      energy_ledger engine_ledger, want_ledger, call_ledger;
+      vector_matrix_engine engine(cfg, 77,
+                                  with_ledger ? &engine_ledger : nullptr);
+      rng row_seeds(77 ^ 0x726f7773ULL);  // the engine's row fork
       rng g(78 + passes);
       for (int round = 0; round < 4; ++round) {
         const std::size_t dim = 9 + 7 * static_cast<std::size_t>(round);
@@ -343,62 +222,87 @@ void expect_unit_matches_reference(const dot_product_config& cfg) {
         SCOPED_TRACE("passes=" + std::to_string(passes) +
                      " ledger=" + std::to_string(with_ledger) +
                      " round=" + std::to_string(round));
-        expect_same_bits(unit.dot_passes(op.a, op.b, passes),
-                         ref.electrical(op.a, op.b, passes));
+        call_ledger.reset();
+        per_pass_reference ref(cfg, row_seeds(),
+                               with_ledger ? &call_ledger : nullptr);
+        const dot_result want = ref.electrical(op.a, op.b, passes);
+        if (passes == 1) {
+          expect_same_bits(engine.dot_unit_range(op.a, op.b), want);
+        } else {
+          matrix w(1, dim);
+          w.data = op.signed_a;
+          const gemv_result got = engine.gemv_signed(w, op.signed_b);
+          EXPECT_EQ(got.values[0], want.value);
+          EXPECT_EQ(got.latency_s, want.latency_s);
+          EXPECT_EQ(got.symbols, want.symbols);
+        }
+        want_ledger.merge(call_ledger);
       }
-      expect_same_ledgers(unit_ledger, ref_ledger);
+      expect_same_ledgers(engine_ledger, want_ledger);
     }
   }
 }
 
 TEST(DotProductUnit, BatchedReadoutMatchesPerPassReference) {
-  {
-    SCOPED_TRACE("default config");
-    expect_unit_matches_reference({});
-  }
-  {
-    SCOPED_TRACE("shot, thermal and ENOB noise off");
-    dot_product_config cfg;
-    cfg.detector.noise.enable_shot = false;
-    cfg.detector.noise.enable_thermal = false;
-    cfg.dac.enob_penalty = 0.0;
-    cfg.adc.enob_penalty = 0.0;
-    expect_unit_matches_reference(cfg);
-  }
-  {
-    SCOPED_TRACE("zero-power carrier");
-    dot_product_config cfg;
-    cfg.laser.power_mw = 0.0;
-    expect_unit_matches_reference(cfg);
-  }
-  {
-    SCOPED_TRACE("6-bit DAC with full scale 0.8");
-    dot_product_config cfg;
-    cfg.dac.bits = 6;
-    cfg.dac.full_scale = 0.8;
-    expect_unit_matches_reference(cfg);
-  }
-  {
-    SCOPED_TRACE("modulator bias error");
-    dot_product_config cfg;
-    cfg.modulator.bias_error_sigma_rad = 0.05;
-    expect_unit_matches_reference(cfg);
+  for (const auto& [name, cfg] : oracle_configs()) {
+    SCOPED_TRACE(name);
+    expect_single_dots_match_reference(cfg);
   }
 }
 
-// ------------------------------------------------------ GEMM oracle
+/// The unsigned row: dot_unit_range(a, b, repeats) against one
+/// per_pass_reference keyed from the engine's first row seed, running
+/// electrical(a, b, 1) once per repeat. The value is the repeats' mean,
+/// latency and symbols their sums; the ledgers must be equal.
+void expect_unsigned_row_matches_reference(const dot_product_config& cfg) {
+  rng g(95);
+  for (const std::size_t dim : {1, 7, 33}) {
+    const std::vector<double> a = random_unit_vector(dim, g);
+    const std::vector<double> b = random_unit_vector(dim, g);
+    for (const int repeats : {1, 3}) {
+      for (const std::size_t threads : {1, 3}) {
+        for (const bool with_ledger : {false, true}) {
+          SCOPED_TRACE("unsigned dim=" + std::to_string(dim) +
+                       " repeats=" + std::to_string(repeats) +
+                       " threads=" + std::to_string(threads) +
+                       " ledger=" + std::to_string(with_ledger));
+          energy_ledger engine_ledger, want_ledger;
+          vector_matrix_engine engine(
+              cfg, 96, with_ledger ? &engine_ledger : nullptr);
+          engine.set_threads(threads);
+          const dot_result got = engine.dot_unit_range(a, b, repeats);
+
+          rng row_seeds(96 ^ 0x726f7773ULL);  // the engine's row fork
+          per_pass_reference ref(cfg, row_seeds(),
+                                 with_ledger ? &want_ledger : nullptr);
+          dot_result want;
+          for (int k = 0; k < repeats; ++k) {
+            const dot_result d = ref.electrical(a, b, 1);
+            want.value += d.value;
+            want.latency_s += d.latency_s;
+            want.symbols += d.symbols;
+          }
+          want.value /= static_cast<double>(repeats);
+          expect_same_bits(got, want);
+          expect_same_ledgers(engine_ledger, want_ledger);
+        }
+      }
+    }
+  }
+}
 
 /// Both GEMMs against per-row references keyed from the engine's
-/// per-call row fork: gemm_optical against one per_pass_reference per
-/// row, gemm_signed against one fresh dot_product_unit per row running
-/// dot_passes sample by sample. Every output, the latency and symbol
-/// folds, and (ledger on) the references' ledgers merged in row order
-/// are compared, over row counts, batches and thread counts. The
+/// per-call row fork, one per_pass_reference per row running the row's
+/// samples one after another: optical for gemm_optical, electrical for
+/// gemm_signed. Every output, the latency and symbol folds, and (ledger
+/// on) the references' ledgers merged in row order are compared, over
+/// row counts, batches and thread counts; then the unsigned row. The
 /// engine's weights and samples are snapped on its own DAC's grid; the
 /// references convert the raw rails, so the snap must land on the grid
 /// the DAC would quantize to.
-void expect_gemm_matches_reference(const dot_product_config& cfg,
-                                   bool zero_power) {
+void expect_gemm_matches_reference(const dot_product_config& cfg) {
+  // A dead carrier receives nothing on fiber either.
+  const bool zero_power = cfg.laser.power_mw == 0.0;
   const double unit_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
   const double ref_mw = unit_mw > 0.0 ? unit_mw : 1.0;
   for (const std::size_t rows : {1, 4, 12}) {
@@ -440,7 +344,6 @@ void expect_gemm_matches_reference(const dot_product_config& cfg,
               const std::uint64_t seed = row_seeds();
               row_ledger.reset();
               per_pass_reference ref(cfg, seed, ref_ledger);
-              dot_product_unit unit(cfg, seed, ref_ledger);
               lay_out_rails(w.row(r),
                             optical ? rail_operand::b : rail_operand::a,
                             rail_w);
@@ -453,7 +356,7 @@ void expect_gemm_matches_reference(const dot_product_config& cfg,
                   lay_out_rails(
                       std::span<const double>(xs).subspan(s * cols, cols),
                       rail_operand::b, rail_x);
-                  want[r * batch + s] = unit.dot_passes(rail_w, rail_x, 4);
+                  want[r * batch + s] = ref.electrical(rail_w, rail_x, 4);
                 }
               }
               want_ledger.merge(row_ledger);
@@ -489,44 +392,18 @@ void expect_gemm_matches_reference(const dot_product_config& cfg,
                  std::invalid_argument);
     EXPECT_THROW((void)engine.gemm_signed(other, xs), std::invalid_argument);
   }
+
+  expect_unsigned_row_matches_reference(cfg);
 }
 
 TEST(DotProductUnit, GemmMatchesPerPassReference) {
-  {
-    SCOPED_TRACE("default config");
-    expect_gemm_matches_reference({}, false);
-  }
-  {
-    SCOPED_TRACE("shot, thermal and ENOB noise off");
-    dot_product_config cfg;
-    cfg.detector.noise.enable_shot = false;
-    cfg.detector.noise.enable_thermal = false;
-    cfg.dac.enob_penalty = 0.0;
-    cfg.adc.enob_penalty = 0.0;
-    expect_gemm_matches_reference(cfg, false);
-  }
-  {
-    SCOPED_TRACE("zero-power carrier");
-    dot_product_config cfg;
-    cfg.laser.power_mw = 0.0;
-    expect_gemm_matches_reference(cfg, true);
-  }
-  {
-    SCOPED_TRACE("6-bit DAC with full scale 0.8");
-    dot_product_config cfg;
-    cfg.dac.bits = 6;
-    cfg.dac.full_scale = 0.8;
-    expect_gemm_matches_reference(cfg, false);
-  }
-  {
-    SCOPED_TRACE("modulator bias error");
-    dot_product_config cfg;
-    cfg.modulator.bias_error_sigma_rad = 0.05;
-    expect_gemm_matches_reference(cfg, false);
+  for (const auto& [name, cfg] : oracle_configs()) {
+    SCOPED_TRACE(name);
+    expect_gemm_matches_reference(cfg);
   }
 }
 
-// A refused call on either GEMM entry point forks no row seed: the next
+// A refused call on any engine entry point forks no row seed: the next
 // call still draws the noise a fresh engine's first call draws.
 TEST(DotProductUnit, GemmRefusalForksNoSeed) {
   matrix w(3, 4);
@@ -542,6 +419,10 @@ TEST(DotProductUnit, GemmRefusalForksNoSeed) {
                std::invalid_argument);
   EXPECT_THROW((void)engine.gemm_optical(rails, received, 0.0),
                std::invalid_argument);
+  EXPECT_THROW((void)engine.dot_unit_range(std::span(xs).first(3),
+                                           std::span(xs).first(4)),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.dot_unit_range(xs, xs, 0), std::invalid_argument);
   EXPECT_EQ(engine.gemm_signed(rails, xs).values,
             fresh.gemm_signed(rails, xs).values);
 }
@@ -556,8 +437,8 @@ TEST_P(DotAccuracy, ErrorBoundedByConverterBudget) {
   dot_product_config cfg;
   cfg.dac.bits = bits;
   cfg.adc.bits = bits;
-  dot_product_unit u(cfg, 1000 + static_cast<std::uint64_t>(dim) * 37 +
-                              static_cast<std::uint64_t>(bits));
+  vector_matrix_engine u(cfg, 1000 + static_cast<std::uint64_t>(dim) * 37 +
+                                  static_cast<std::uint64_t>(bits));
   rng g(2000 + static_cast<std::uint64_t>(dim));
   double worst = 0.0;
   constexpr int trials = 8;
@@ -595,7 +476,7 @@ TEST(DotProduct, AccuracyImprovesWithPower) {
     cfg.adc.enob_penalty = 0.0;
     cfg.dac.enob_penalty = 0.0;
     cfg.laser.enable_rin = false;
-    dot_product_unit u(cfg, 4000);
+    vector_matrix_engine u(cfg, 4000);
     double sq = 0.0;
     constexpr int trials = 40;
     for (int t = 0; t < trials; ++t) {

@@ -8,7 +8,7 @@
 #include "core/compute_packets.hpp"
 #include "core/photonic_engine.hpp"
 #include "core/runtime.hpp"
-#include "photonics/engine/dot_product_unit.hpp"
+#include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
 #include "photonics/rng.hpp"
 
@@ -23,7 +23,7 @@ TEST(EdgeCases, DetectorSaturationClampsDotProduct) {
   phot::dot_product_config cfg;
   cfg.laser.power_mw = 1e7;  // 10 kW "laser"
   cfg.detector.saturation_current_a = 1e-3;
-  phot::dot_product_unit unit(cfg, 1);
+  phot::vector_matrix_engine unit(cfg, 1);
   const std::vector<double> ones(16, 1.0);
   const auto r = unit.dot_unit_range(ones, ones);
   EXPECT_TRUE(std::isfinite(r.value));
@@ -35,24 +35,26 @@ TEST(EdgeCases, DetectorSaturationClampsDotProduct) {
 TEST(EdgeCases, ZeroPowerLaserGivesZeroish) {
   phot::dot_product_config cfg;
   cfg.laser.power_mw = 0.0;
-  phot::dot_product_unit unit(cfg, 2);
+  phot::vector_matrix_engine unit(cfg, 2);
   const std::vector<double> ones(8, 1.0);
   const auto r = unit.dot_unit_range(ones, ones);
   EXPECT_TRUE(std::isfinite(r.value));
 }
 
 TEST(EdgeCases, SingleElementVectors) {
-  phot::dot_product_unit unit({}, 3);
+  phot::vector_matrix_engine unit({}, 3);
   const std::vector<double> a{0.7}, b{0.6};
   EXPECT_NEAR(unit.dot_unit_range(a, b).value, 0.42, 0.1);
-  const std::vector<double> sa{-0.7}, sb{0.6};
-  EXPECT_NEAR(unit.dot_signed(sa, sb).value, -0.42, 0.15);
+  phot::matrix sa(1, 1);
+  sa.data = {-0.7};
+  const std::vector<double> sb{0.6};
+  EXPECT_NEAR(unit.gemv_signed(sa, sb).values[0], -0.42, 0.15);
 }
 
 TEST(EdgeCases, LargeVectorStaysCalibrated) {
   // 4096 elements: integration keeps the mean calibrated; relative
   // error must stay ~1%.
-  phot::dot_product_unit unit({}, 4);
+  phot::vector_matrix_engine unit({}, 4);
   phot::rng g(5);
   std::vector<double> a(4096), b(4096);
   for (double& v : a) v = g.uniform();

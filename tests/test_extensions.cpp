@@ -313,11 +313,11 @@ TEST(Averaging, ReducesError) {
       std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
 
   const auto rms = [&](int repeats) {
-    phot::dot_product_unit unit(cfg, 43);
+    phot::vector_matrix_engine unit(cfg, 43);
     double sq = 0.0;
     constexpr int trials = 40;
     for (int t = 0; t < trials; ++t) {
-      const auto r = unit.dot_unit_range_averaged(a, b, repeats);
+      const auto r = unit.dot_unit_range(a, b, repeats);
       sq += (r.value - exact) * (r.value - exact);
     }
     return std::sqrt(sq / trials);
@@ -328,18 +328,18 @@ TEST(Averaging, ReducesError) {
 }
 
 TEST(Averaging, LatencyScalesWithRepeats) {
-  phot::dot_product_unit unit({}, 47);
+  phot::vector_matrix_engine unit({}, 47);
   const std::vector<double> a(16, 0.5);
-  const auto r1 = unit.dot_unit_range_averaged(a, a, 1);
-  const auto r8 = unit.dot_unit_range_averaged(a, a, 8);
+  const auto r1 = unit.dot_unit_range(a, a, 1);
+  const auto r8 = unit.dot_unit_range(a, a, 8);
   EXPECT_NEAR(r8.latency_s / r1.latency_s, 8.0, 0.01);
   EXPECT_EQ(r8.symbols, 8u * 16u);
 }
 
 TEST(Averaging, RejectsBadRepeats) {
-  phot::dot_product_unit unit({}, 49);
+  phot::vector_matrix_engine unit({}, 49);
   const std::vector<double> a(4, 0.5);
-  EXPECT_THROW((void)unit.dot_unit_range_averaged(a, a, 0),
+  EXPECT_THROW((void)unit.dot_unit_range(a, a, 0),
                std::invalid_argument);
 }
 

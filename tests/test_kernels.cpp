@@ -4,10 +4,10 @@
 // Two contracts are pinned here:
 //   1. Golden values: every batch device API draws the same noise sequence
 //      and computes the same arithmetic as its scalar counterpart, so
-//      batch == scalar bit-for-bit at a fixed seed. The fused dot kernel
-//      reorders floating-point operations (intensity domain vs field
-//      domain), so it is pinned to the scalar reference within tight
-//      relative tolerance instead.
+//      batch == scalar bit-for-bit at a fixed seed. The field-domain
+//      scalar dot reorders floating-point operations against the
+//      intensity-domain per-pass oracle, so it is pinned to the oracle's
+//      draws within tight relative tolerance instead.
 //   2. Determinism: parallel GEMV produces bit-identical outputs and
 //      energy-ledger totals at any thread count.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "per_pass_reference.hpp"
 #include "core/compute_packets.hpp"
 #include "core/photonic_engine.hpp"
 #include "photonics/converter.hpp"
@@ -92,12 +93,14 @@ TEST(KernelsDevices, LaserEmitLedgerPassesMatchEmitOne) {
 }
 
 TEST(KernelsDevices, LaserEmitPowersMatchesScalarPowers) {
-  // emit_powers returns the power directly; the scalar path round-trips it
-  // through sqrt/polar/norm, so agreement is to rounding error, not bits.
-  phot::laser power_laser({}, phot::rng{78});
+  // draw_powers on the laser's own RIN key returns the powers directly;
+  // the scalar path round-trips them through sqrt/polar/norm, so
+  // agreement is to rounding error, not bits.
+  const phot::laser power_laser({}, phot::rng{78});
   phot::laser scalar_laser({}, phot::rng{78});
   std::vector<double> powers(48);
-  power_laser.emit_powers(powers);
+  const std::uint64_t rin_key = phot::laser::rin_key(78);
+  power_laser.draw_powers(std::span(&rin_key, 1), 0, powers);
   for (double p : powers) {
     EXPECT_NEAR(p, phot::power_mw(scalar_laser.emit_one()), 1e-12 * p);
   }
@@ -175,64 +178,72 @@ TEST(KernelsDevices, EncodeToOpticalUnchangedByBatching) {
   }
 }
 
-// ------------------------------------------------------- fused dot kernel
+// --------------------------------------------------- scalar dot reference
 
+// The field-domain dot_unit_range_scalar against the per-pass oracle on
+// the same seed: same noise draws, so the only difference is field-domain
+// vs intensity-domain arithmetic, which must agree to rounding error.
+// Two calls in a row, so every stream moves off its start.
 TEST(KernelsFusedDot, MatchesScalarReferenceClosely) {
-  // Same seed -> same noise draws; the only difference is field-domain vs
-  // intensity-domain arithmetic, which must agree to rounding error.
-  phot::dot_product_unit fused({}, 91);
+  phot::per_pass_reference oracle({}, 91, nullptr);
   phot::dot_product_unit scalar({}, 91);
   std::vector<double> a(128), b(128);
   phot::rng gen(13);
-  for (double& v : a) v = gen.uniform();
-  for (double& v : b) v = gen.uniform();
-  const auto rf = fused.dot_unit_range(a, b);
-  const auto rs = scalar.dot_unit_range_scalar(a, b);
-  EXPECT_EQ(rf.symbols, rs.symbols);
-  EXPECT_EQ(rf.latency_s, rs.latency_s);
-  EXPECT_NEAR(rf.value, rs.value, 1e-9 * std::max(1.0, std::abs(rs.value)));
+  for (int call = 0; call < 2; ++call) {
+    for (double& v : a) v = gen.uniform();
+    for (double& v : b) v = gen.uniform();
+    const auto ro = oracle.electrical(a, b, 1);
+    const auto rs = scalar.dot_unit_range_scalar(a, b);
+    EXPECT_EQ(ro.symbols, rs.symbols);
+    EXPECT_EQ(ro.latency_s, rs.latency_s);
+    EXPECT_NEAR(ro.value, rs.value, 1e-9 * std::max(1.0, std::abs(rs.value)));
+  }
 }
 
 TEST(KernelsFusedDot, MatchesScalarWithBiasError) {
-  // Imperfect bias forces the transcendental branch of encode_intensity.
+  // Imperfect bias forces the transcendental branch of the transfer.
   phot::dot_product_config cfg;
   cfg.modulator.bias_error_sigma_rad = 0.02;
-  phot::dot_product_unit fused(cfg, 92);
+  phot::per_pass_reference oracle(cfg, 92, nullptr);
   phot::dot_product_unit scalar(cfg, 92);
   std::vector<double> a(64), b(64);
   phot::rng gen(14);
   for (double& v : a) v = gen.uniform();
   for (double& v : b) v = gen.uniform();
-  const auto rf = fused.dot_unit_range(a, b);
+  const auto ro = oracle.electrical(a, b, 1);
   const auto rs = scalar.dot_unit_range_scalar(a, b);
-  EXPECT_NEAR(rf.value, rs.value, 1e-9 * std::max(1.0, std::abs(rs.value)));
+  EXPECT_NEAR(ro.value, rs.value, 1e-9 * std::max(1.0, std::abs(rs.value)));
 }
 
 TEST(KernelsFusedDot, SignedDotUsesArenaAndStaysAccurate) {
-  phot::dot_product_unit unit({}, 93);
-  std::vector<double> a(96), b(96);
+  // A signed dot is a 1 x n GEMV on the engine's reused buffers.
+  phot::vector_matrix_engine engine({}, 93);
+  phot::matrix a(1, 96);
+  std::vector<double> b(96);
   phot::rng gen(15);
   double exact = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = 2.0 * gen.uniform() - 1.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    a.data[i] = 2.0 * gen.uniform() - 1.0;
     b[i] = 2.0 * gen.uniform() - 1.0;
-    exact += a[i] * b[i];
+    exact += a.data[i] * b[i];
   }
-  const auto r = unit.dot_signed(a, b);
-  EXPECT_EQ(r.symbols, 4 * a.size());
-  EXPECT_NEAR(r.value, exact, 2.0);  // analog-noise tolerance
+  for (int call = 0; call < 2; ++call) {
+    const auto r = engine.gemv_signed(a, b);
+    EXPECT_EQ(r.symbols, 4 * b.size());
+    EXPECT_NEAR(r.values[0], exact, 2.0);  // analog-noise tolerance
+  }
 }
 
 TEST(KernelsFusedDot, LedgerOpsMatchScalarReference) {
-  phot::energy_ledger fused_ledger, scalar_ledger;
-  phot::dot_product_unit fused({}, 94, &fused_ledger);
+  phot::energy_ledger oracle_ledger, scalar_ledger;
+  phot::per_pass_reference oracle({}, 94, &oracle_ledger);
   phot::dot_product_unit scalar({}, 94, &scalar_ledger);
   std::vector<double> a(32, 0.5), b(32, 0.25);
-  (void)fused.dot_unit_range(a, b);
+  (void)oracle.electrical(a, b, 1);
   (void)scalar.dot_unit_range_scalar(a, b);
   for (const auto& [name, e] : scalar_ledger.entries()) {
-    EXPECT_EQ(fused_ledger.ops(name), e.ops) << name;
-    EXPECT_NEAR(fused_ledger.joules(name), e.joules, 1e-12 * e.joules)
+    EXPECT_EQ(oracle_ledger.ops(name), e.ops) << name;
+    EXPECT_NEAR(oracle_ledger.joules(name), e.joules, 1e-12 * e.joules)
         << name;
   }
 }

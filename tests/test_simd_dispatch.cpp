@@ -12,7 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "photonics/engine/dot_product_unit.hpp"
+#include "per_pass_reference.hpp"
 #include "photonics/converter.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/modulator.hpp"
@@ -116,21 +116,18 @@ TEST(SimdDispatch, FillNormalBitIdenticalAcrossLevels) {
 TEST(SimdDispatch, ElementwiseKernelsBitIdenticalAcrossLevels) {
   constexpr std::size_t n = 1027;  // deliberately not a vector multiple
   rng gen(4242);
-  std::vector<double> in(n), noise(n), a(n), b(n);
+  std::vector<double> in(n), noise(n);
   for (std::size_t i = 0; i < n; ++i) {
     in[i] = gen.uniform();
     noise[i] = gen.normal();
-    a[i] = gen.uniform();
-    b[i] = gen.uniform();
   }
   const auto& scalar = simd::table_for(simd::level::scalar);
-  std::vector<double> ref_rin(n), ref_dac(n), ref_adc(n), ref_prod(n);
+  std::vector<double> ref_rin(n), ref_dac(n), ref_adc(n);
   scalar.rin_power(noise.data(), n, 10.0, 0.02, ref_rin.data());
   scalar.dac_pass(in.data(), noise.data(), n, 1.0, 255.0, 1e-3,
                   ref_dac.data());
   scalar.adc_pass(in.data(), noise.data(), n, 1.0, 255.0, 1e-3,
                   ref_adc.data());
-  scalar.triple_product(in.data(), a.data(), b.data(), n, ref_prod.data());
   double ref_sum = 0.0;
   scalar.blocked_sums(in.data(), n, 1, &ref_sum);
 
@@ -143,8 +140,6 @@ TEST(SimdDispatch, ElementwiseKernelsBitIdenticalAcrossLevels) {
     EXPECT_EQ(out, ref_dac) << simd::level_name(l);
     table.adc_pass(in.data(), noise.data(), n, 1.0, 255.0, 1e-3, out.data());
     EXPECT_EQ(out, ref_adc) << simd::level_name(l);
-    table.triple_product(in.data(), a.data(), b.data(), n, out.data());
-    EXPECT_EQ(out, ref_prod) << simd::level_name(l);
     double sum = -1.0;
     table.blocked_sums(in.data(), n, 1, &sum);
     EXPECT_EQ(sum, ref_sum) << simd::level_name(l);
@@ -271,7 +266,9 @@ TEST(SimdDispatch, WeightProductMatchesUnfusedChainAtEveryLevel) {
       std::vector<double> dac_out(n), trans(n), want(n);
       scalar.dac_pass(in.data(), noise.data(), n, fs, levels, sigma,
                       dac_out.data());
-      mod.encode_intensity(dac_out, trans);
+      for (std::size_t i = 0; i < n; ++i) {
+        trans[i] = calibrated_transmission(mod.transfer(), dac_out[i]);
+      }
       for (std::size_t i = 0; i < n; ++i) want[i] = power[i] * trans[i];
       for (const simd::level l : supported_levels()) {
         std::vector<double> got(n, -1.0);
@@ -295,16 +292,19 @@ TEST(SimdDispatch, FusedDotChainBitIdenticalAcrossLevels) {
   for (double& x : a) x = 2.0 * gen.uniform() - 1.0;
   for (double& x : b) x = 2.0 * gen.uniform() - 1.0;
 
+  matrix w(1, dim);
+  w.data = a;
+
   level_guard guard;
   ASSERT_TRUE(simd::set_level(simd::level::scalar));
-  phot::dot_product_unit ref_unit({}, 31337);
-  const dot_result ref = ref_unit.dot_signed(a, b);
+  vector_matrix_engine ref_engine({}, 31337);
+  const gemv_result ref = ref_engine.gemv_signed(w, b);
 
   for (const simd::level l : supported_levels()) {
     ASSERT_TRUE(simd::set_level(l));
-    phot::dot_product_unit unit({}, 31337);
-    const dot_result r = unit.dot_signed(a, b);
-    EXPECT_EQ(r.value, ref.value) << simd::level_name(l);
+    vector_matrix_engine engine({}, 31337);
+    const gemv_result r = engine.gemv_signed(w, b);
+    EXPECT_EQ(r.values, ref.values) << simd::level_name(l);
     EXPECT_EQ(r.symbols, ref.symbols);
   }
 }

@@ -201,7 +201,7 @@ int cmd_allocate(const cli_args& args) {
 int cmd_primitives(const cli_args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   // P1
-  phot::dot_product_unit unit({}, seed);
+  phot::vector_matrix_engine unit({}, seed);
   phot::rng g(seed ^ 0x77);
   std::vector<double> a(64), b(64);
   for (double& v : a) v = g.uniform();
