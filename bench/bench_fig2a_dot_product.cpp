@@ -126,20 +126,28 @@ int main(int argc, char** argv) {
     sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
     sink = sink + fused_unit.dot_unit_range(a, b).value;
 
+    // Every timing below is the best of 5 passes: one pass is at the
+    // mercy of scheduler noise, and the minimum is the standard
+    // noise-robust estimator for a deterministic workload.
+    const auto best_of_5_s = [](int reps, const auto& body) {
+      double best_s = 1e30;
+      for (int pass = 0; pass < 5; ++pass) {
+        stopwatch sw;
+        for (int t = 0; t < reps; ++t) body();
+        best_s = std::min(best_s, sw.elapsed_s());
+      }
+      return best_s;
+    };
     const int reps = 800;
-    stopwatch sw_scalar;
-    for (int t = 0; t < reps; ++t) {
+    const auto scalar_dot = [&] {
       sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
-    }
-    const double scalar_ns =
-        sw_scalar.elapsed_s() * 1e9 / (static_cast<double>(reps) * dim);
-
-    stopwatch sw_fused;
-    for (int t = 0; t < reps; ++t) {
+    };
+    const auto fused_dot = [&] {
       sink = sink + fused_unit.dot_unit_range(a, b).value;
-    }
-    const double fused_ns =
-        sw_fused.elapsed_s() * 1e9 / (static_cast<double>(reps) * dim);
+    };
+    const double ns_per_mac = 1e9 / (static_cast<double>(reps) * dim);
+    const double scalar_ns = best_of_5_s(reps, scalar_dot) * ns_per_mac;
+    const double fused_ns = best_of_5_s(reps, fused_dot) * ns_per_mac;
 
     // Parallel signed GEMV throughput (ONFIBER_THREADS-sized pool).
     const std::size_t rows = 16;
@@ -149,20 +157,10 @@ int main(int argc, char** argv) {
     for (double& v : x) v = 2.0 * gen.uniform() - 1.0;
     phot::vector_matrix_engine engine({}, 700);
     sink = sink + engine.gemv_signed(w, x).values[0];  // warm-up
-    // Best-of-5 passes: the GEMV sample is short (~10 ms), so a single
-    // pass is at the mercy of scheduler noise; min time is the standard
-    // noise-robust estimator for a deterministic workload.
     const int gemv_reps = 12;
-    double gemv_best_s = 1e30;
-    for (int pass = 0; pass < 5; ++pass) {
-      stopwatch sw_gemv;
-      for (int t = 0; t < gemv_reps; ++t) {
-        sink = sink + engine.gemv_signed(w, x).values[0];
-      }
-      gemv_best_s = std::min(gemv_best_s, sw_gemv.elapsed_s());
-    }
-    const double rows_per_s =
-        static_cast<double>(gemv_reps) * rows / gemv_best_s;
+    const auto gemv = [&] { sink = sink + engine.gemv_signed(w, x).values[0]; };
+    const double rows_per_s = static_cast<double>(gemv_reps) * rows /
+                              best_of_5_s(gemv_reps, gemv);
 
     // Multi-packet batched GEMM: 16 input vectors streamed through the
     // same weight rails (split once per row for the whole batch).
@@ -188,6 +186,7 @@ int main(int argc, char** argv) {
     // layers (12x16, then 4x12) on one thread: the sample-plane cost of
     // one on-fiber DNN request. Best of 5 passes.
     double optical_b1_ns = 0.0;
+    double launch_ns = 0.0;
     {
       phot::vector_matrix_engine optical_engine({}, 800);
       optical_engine.set_threads(1);
@@ -220,14 +219,24 @@ int main(int argc, char** argv) {
       };
       request();  // warm-up
       const int optical_reps = 2000;
-      double optical_best_s = 1e30;
-      for (int pass = 0; pass < 5; ++pass) {
-        stopwatch sw_optical;
-        for (int t = 0; t < optical_reps; ++t) request();
-        optical_best_s = std::min(optical_best_s, sw_optical.elapsed_s());
-      }
-      optical_b1_ns = optical_best_s * 1e9 /
+      optical_b1_ns = best_of_5_s(optical_reps, request) * 1e9 /
                       (static_cast<double>(optical_reps) * (12 * 16 + 4 * 12));
+
+      // The upstream launch of those layers' inputs: one 16-wide, then
+      // one 12-wide sample through encode_rails_received, per launched
+      // symbol (two rails per element).
+      std::vector<double> x16(16), x12(12), launched(4 * 16);
+      for (double& v : x16) v = 2.0 * gen.uniform() - 1.0;
+      for (double& v : x12) v = 2.0 * gen.uniform() - 1.0;
+      const auto launch = [&] {
+        launcher.encode_rails_received(x16, 16, launched);
+        launcher.encode_rails_received(x12, 12, launched);
+        sink = sink + launched[0];
+      };
+      launch();  // warm-up
+      const int launch_reps = 20000;
+      launch_ns = best_of_5_s(launch_reps, launch) * 1e9 /
+                  (static_cast<double>(launch_reps) * 2 * (16 + 12));
     }
 
     // Accuracy/energy context for the speed numbers: the effective
@@ -256,6 +265,9 @@ int main(int argc, char** argv) {
     std::printf("  on-fiber GEMM     %10.2f ns/MAC (batch 1, 12x16 then "
                 "4x12, 1 thread)\n",
                 optical_b1_ns);
+    std::printf("  on-fiber launch   %10.2f ns/symbol (16 then 12 wide, "
+                "batch 1)\n",
+                launch_ns);
     std::printf("  simd dispatch     %10s (detected %s)\n",
                 simd_active_name(),
                 phot::simd::level_name(phot::simd::detected_level()));
@@ -276,6 +288,7 @@ int main(int argc, char** argv) {
       report.set("fig2a.gemv_rows_per_s", rows_per_s);
       report.set("fig2a.batch_ns_per_mac", batch_ns);
       report.set("fig2a.optical_gemm_b1_ns_per_mac", optical_b1_ns);
+      report.set("fig2a.launch_ns_per_symbol", launch_ns);
       report.set("fig2a.threads",
                  static_cast<double>(phot::kernel_thread_count()));
       report.set("fig2a.dac_enob_bits", enob_dac.effective_bits());

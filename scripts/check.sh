@@ -72,10 +72,12 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # driver, whose readout fills and fused weight passes are dispatched:
 # successive unsigned and signed single dots, both GEMM modes and the
 # unsigned row, each against the shared per-pass oracle) and the
-# grid-snap rounding pins. The cross-row fill and the batched readout
-# sums are pinned against their per-row and per-readout forms at every
-# tier, and the pool-dispatch test runs GEMMs on both sides of the
-# break-even size.
+# grid-snap rounding pins. The on-fiber launch, which runs on powers
+# through the dispatched RIN and weight passes, is pinned against the
+# field launch it replaced. The cross-row fill, the batched readout
+# sums and the readout currents are pinned against their per-row and
+# per-readout forms at every tier, and the pool-dispatch test runs
+# GEMMs on both sides of the break-even size.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
     unset ONFIBER_SIMD
@@ -83,7 +85,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|PatternMatch|DotProductUnit|GridSnap|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|PoolDispatch' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|IntensityLaunchMatchesFieldLaunch|PatternMatch|DotProductUnit|GridSnap|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|PoolDispatch' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD

@@ -172,24 +172,14 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
   return plan.combine(&value, 1);
 }
 
-void dot_product_unit::encode_to_optical(std::span<const double> a,
-                                         waveform& out) {
-  // Launch path keeps the full field representation (the waveform really
-  // travels down a fiber), but runs each device as one batch. Per-device
-  // streams make this bit-identical to the symbol-by-symbol loop.
-  scratch_.dac_a.resize(a.size());
-  dac_a_.convert(a, scratch_.dac_a, scratch_.dac_noise_a);
-  laser_.emit(a.size(), out);
-  mod_a_.encode(scratch_.dac_a, out);
-}
-
 void dot_product_unit::encode_rails_received(std::span<const double> xs,
                                              std::size_t cols,
                                              std::span<double> out_mw) {
   // Sample s's rails (x+, x-) sit at 2 * cols * s of one launch; the
   // crossed passes pn and np reuse them.
   const std::size_t batch = xs.size() / cols;
-  scratch_.rail_a.resize(2 * xs.size());
+  const std::size_t symbols = 2 * xs.size();
+  scratch_.rail_a.resize(symbols);
   for (std::size_t s = 0; s < batch; ++s) {
     for (std::size_t i = 0; i < cols; ++i) {
       const double x = xs[s * cols + i];
@@ -197,13 +187,31 @@ void dot_product_unit::encode_rails_received(std::span<const double> xs,
       scratch_.rail_a[2 * cols * s + cols + i] = x < 0.0 ? -x : 0.0;
     }
   }
-  encode_to_optical(scratch_.rail_a, scratch_.wave);
+  // The launch runs on powers, since the detector sees only |E|^2: the
+  // DAC converts on its continuing stream, the carrier's powers take
+  // their RIN draws, and the calibrated transfer multiplies them, with
+  // the draw indices and ledger charges of a field launch (DAC, laser,
+  // MZM). The DAC outputs are final, so the weight pass adds no noise.
+  scratch_.dac_a.resize(symbols);
+  dac_a_.convert(scratch_.rail_a, scratch_.dac_a, scratch_.dac_noise_a);
+  scratch_.launched.resize(symbols);
+  laser_.emit_powers(scratch_.launched);
+  scratch_.no_noise.resize(symbols);  // never written: all zeros
+  double* launched = scratch_.launched.data();
+  mod_a_.transfer().weight_product(scratch_.dac_a.data(),
+                                   scratch_.no_noise.data(), 0.0,
+                                   config_.dac.full_scale, launched, launched,
+                                   symbols);
+  if (ledger_ != nullptr && symbols > 0) {
+    ledger_->charge("modulator",
+                    costs_.modulator_drive_j * static_cast<double>(symbols),
+                    symbols);
+  }
   for (std::size_t s = 0; s < batch; ++s) {
-    const field* launched = scratch_.wave.data() + 2 * cols * s;
+    const double* rails = launched + 2 * cols * s;
     double* out = out_mw.data() + 4 * cols * s;
-    for (std::size_t i = 0; i < 2 * cols; ++i) {
-      out[i] = out[2 * cols + i] = power_mw(launched[i]);
-    }
+    std::copy_n(rails, 2 * cols, out);
+    std::copy_n(rails, 2 * cols, out + 2 * cols);
   }
 }
 

@@ -17,9 +17,9 @@
 // This unit holds the device models and the readout math of P1; every
 // evaluation runs on `vector_matrix_engine`, the one analog driver,
 // which keys each row's streams from a per-call row seed (`row_keys`).
-// The unit keeps its own continuing streams only for the launch path
-// (`encode_to_optical`, `encode_rails_received`) and for the
-// field-domain reference `dot_unit_range_scalar`.
+// The unit keeps its own continuing streams only for the on-fiber launch
+// (`encode_rails_received`) and for the field-domain reference
+// `dot_unit_range_scalar`.
 //
 // On-fiber mode: when the data is *already optical* (arriving from the
 // fiber, per the paper's receive-path design in Fig. 4) the laser, the
@@ -114,17 +114,13 @@ class dot_product_unit {
   [[nodiscard]] dot_result dot_unit_range_scalar(std::span<const double> a,
                                                  std::span<const double> b);
 
-  /// Encode a [0,1] vector onto the carrier as an optical waveform — the
-  /// transmit half of the on-fiber story (used by transponders to launch
-  /// compute data). Writes into caller-owned storage (resized to
-  /// a.size()) so repeated launches reuse one buffer.
-  void encode_to_optical(std::span<const double> a, waveform& out);
-
   /// Launch the rails of each `cols`-wide sample of xs, x+ then x-,
-  /// sample by sample, as one encode_to_optical call, and write their
-  /// powers as the samples of the on-fiber GEMM (4 * cols each). The
-  /// streams continue across the rails, so this draws what one launch
-  /// per rail would.
+  /// sample by sample, as one launch on this unit's continuing DAC-a,
+  /// laser and a-modulator streams, and write their received powers as
+  /// the samples of the on-fiber GEMM (4 * cols each). Computed on
+  /// powers: the phase walk is skipped, not drawn, since the carrier
+  /// phase is unobservable under square-law detection; each draw index
+  /// and ledger charge is what a field launch would take.
   void encode_rails_received(std::span<const double> xs, std::size_t cols,
                              std::span<double> out_mw);
 
@@ -179,8 +175,9 @@ class dot_product_unit {
     std::vector<double> rail_a;       ///< launched sample rails
     std::vector<double> dac_a;        ///< a-side DAC outputs
     std::vector<double> dac_noise_a;  ///< a-side DAC two-pass draws
+    std::vector<double> no_noise;     ///< zeros: the launch's weight noise
+    std::vector<double> launched;     ///< launched rail powers [mW]
     std::vector<double> product;      ///< per-symbol product powers [mW]
-    waveform wave;                    ///< launch buffer
   };
 
   dot_product_config config_;

@@ -117,6 +117,17 @@ void laser::emit(std::size_t symbols, waveform& out, std::size_t passes) {
   }
 }
 
+void laser::emit_powers(std::span<double> out_mw) {
+  const std::size_t symbols = out_mw.size();
+  const std::uint64_t rin_key = rin_stream_.key();
+  draw_powers(std::span(&rin_key, 1), rin_stream_.cursor(), out_mw);
+  rin_stream_.skip(symbols);
+  phase_stream_.skip(symbols);
+  if (ledger_ != nullptr && symbols > 0) {
+    ledger_->charge_batches("laser", costs_.laser_j_per_symbol, symbols, 1);
+  }
+}
+
 void laser::draw_powers(std::span<const std::uint64_t> rin_keys,
                         std::uint64_t base,
                         std::span<double> out_powers) const {

@@ -45,6 +45,14 @@ class laser {
   /// Emit a single carrier sample (advances the phase walk).
   [[nodiscard]] field emit_one();
 
+  /// Intensity launch: the powers [mW] of the next out_mw.size() symbols,
+  /// the |E|^2 of what `emit` would write, up to rounding: `draw_powers`
+  /// at this laser's RIN stream and cursor, which then advances. The
+  /// phase stream skips as many indices without drawing, and the walk's
+  /// angle stays where it is: the carrier phase is unobservable under
+  /// square-law detection. One bulk ledger charge, as `emit`.
+  void emit_powers(std::span<double> out_mw);
+
   /// Intensity-path kernel: per-symbol optical powers [mW] on any RIN
   /// streams, one row per key, without the phasor construction — the
   /// carrier phase is unobservable under direct square-law detection.

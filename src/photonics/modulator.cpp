@@ -93,29 +93,14 @@ double mzm_modulator::intensity_transfer(double drive_v) const {
   return std::max(t * t, transfer_.floor_t) * transfer_.loss;
 }
 
-field mzm_modulator::encode_unit_core(field in, double x) const {
+field mzm_modulator::encode_unit(field in, double x) {
+  if (ledger_ != nullptr) ledger_->charge("modulator", costs_.modulator_drive_j);
   // Invert intensity transfer cos^2(theta) = x  =>  theta = acos(sqrt(x)).
   // The driver solves for the voltage; bias error still perturbs theta,
   // so calibration is imperfect exactly the way real hardware is.
   const double clamped = std::clamp(x, 0.0, 1.0);
   const double theta = std::acos(std::sqrt(clamped));
   return apply_phase_arg(in, theta + 0.5 * transfer_.bias_error_rad);
-}
-
-field mzm_modulator::encode_unit(field in, double x) {
-  if (ledger_ != nullptr) ledger_->charge("modulator", costs_.modulator_drive_j);
-  return encode_unit_core(in, x);
-}
-
-void mzm_modulator::encode(std::span<const double> x, waveform& io) {
-  const std::size_t n = std::min(x.size(), io.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    io[i] = encode_unit_core(io[i], x[i]);
-  }
-  if (ledger_ != nullptr && n > 0) {
-    ledger_->charge("modulator",
-                    costs_.modulator_drive_j * static_cast<double>(n), n);
-  }
 }
 
 // --------------------------------------------------------- phase_modulator

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "photonics/energy.hpp"
 #include "photonics/optical.hpp"
@@ -79,10 +78,6 @@ class mzm_modulator {
   /// (up to extinction-ratio floor and bias error).
   [[nodiscard]] field encode_unit(field in, double x);
 
-  /// Batch calibrated encode, in place: io[i] <- encode_unit(io[i], x[i]).
-  /// Bit-identical to the scalar loop; a single bulk ledger charge.
-  void encode(std::span<const double> x, waveform& io);
-
   /// The bias error a modulator built with rng{seed} draws: zero unless
   /// one is configured.
   [[nodiscard]] static double bias_error_for(const modulator_config& config,
@@ -100,7 +95,6 @@ class mzm_modulator {
 
  private:
   [[nodiscard]] field apply_phase_arg(field in, double total_phase_rad) const;
-  [[nodiscard]] field encode_unit_core(field in, double x) const;
 
   modulator_config config_;
   double bias_rad_;

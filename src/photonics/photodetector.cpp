@@ -1,7 +1,6 @@
 #include "photonics/photodetector.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "photonics/simd.hpp"
 
@@ -69,21 +68,14 @@ void photodetector::integrate_readouts(std::span<const double> power_mw,
   // Every readout's power sum in one dispatched call, into current_a.
   simd::active().blocked_sums(power_mw.data(), symbols, current_a.size(),
                               current_a.data());
-  const bool shot = config_.noise.enable_shot;
-  for (std::size_t p = 0; p < current_a.size(); ++p) {
-    const double mean_power_mw =
-        current_a[p] / static_cast<double>(symbols);
-    const double signal_a = expected_current_a(mean_power_mw);
-    double variance = 0.0;
-    if (shot) {
-      const double s = shot_noise_sigma_a(signal_a, nz.bandwidth_hz);
-      variance += s * s;
-    }
-    variance += nz.thermal_var;
-    const double noise_a =
-        variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise[p];
-    current_a[p] = clip(signal_a + noise_a);
-  }
+  // Then the shot and thermal noise of each and the clip, one
+  // branch-free dispatched pass.
+  simd::active().readout_currents(
+      current_a.data(), noise.data(), current_a.size(),
+      static_cast<double>(symbols), config_.responsivity_a_w,
+      config_.dark_current_a, config_.noise.enable_shot,
+      2.0 * electron_charge, nz.bandwidth_hz, nz.thermal_var,
+      config_.saturation_current_a, current_a.data());
 }
 
 double photodetector::integrate_power(std::span<const double> power_mw) {

@@ -58,7 +58,8 @@ class photodetector {
   /// The math half: readout k integrates `symbols` powers starting at
   /// power_mw[k * symbols] with standard normal draw noise[k], into
   /// current_a[k], for current_a.size() readouts. One dispatched call
-  /// sums every readout's powers; current_a must not alias power_mw.
+  /// sums every readout's powers and one more turns the sums into noisy,
+  /// clipped currents; current_a must not alias power_mw.
   void integrate_readouts(std::span<const double> power_mw,
                           std::size_t symbols, const integration_noise& nz,
                           std::span<const double> noise,

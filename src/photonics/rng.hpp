@@ -128,13 +128,17 @@ void fill_normal_rows(std::span<const std::uint64_t> keys, std::uint64_t base,
 
 /// A positioned view over one counter-based normal stream: (key, cursor).
 /// Scalar draws and bulk fills consume consecutive draw indices; `skip`
-/// advances the cursor in O(1) without generating (the property the
-/// batched GEMM uses to hand disjoint sample ranges of one row to
-/// different workers). Copying a stream copies its position.
+/// advances the cursor in O(1) without generating. Devices skip the
+/// index of a draw they do not need — a noiseless converter or laser
+/// still consumes one index per element, and the on-fiber launch skips
+/// the laser's phase draws, which no power can observe — so a stream's
+/// position stays a pure function of elements processed. Copying a
+/// stream copies its position.
 class counter_stream {
  public:
   explicit constexpr counter_stream(std::uint64_t key) : key_(key) {}
 
+  [[nodiscard]] constexpr std::uint64_t key() const { return key_; }
   [[nodiscard]] constexpr std::uint64_t cursor() const { return cursor_; }
   constexpr void seek(std::uint64_t index) { cursor_ = index; }
   constexpr void skip(std::uint64_t draws) { cursor_ += draws; }

@@ -1,8 +1,8 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
 // The hot per-symbol passes (cross-row counter-noise fill, DAC/ADC math,
-// laser RIN power, MZM-cascade product, fused weight pass, batched
-// blocked readout sums) are compiled four times — scalar, SSE4.1, AVX2,
+// laser RIN power, fused weight pass, batched blocked readout sums,
+// readout currents) are compiled four times — scalar, SSE4.1, AVX2,
 // AVX-512 — in per-ISA translation units (simd_kernels_*.cpp, each with
 // its own -m flags), and the best level the host supports is selected
 // once at startup via cpuid.
@@ -77,6 +77,17 @@ struct kernel_table {
   /// (including scalar).
   void (*blocked_sums)(const double* x, std::size_t n, std::size_t count,
                        double* out);
+
+  /// photodetector::integrate_readouts' per-readout chain, branch-free:
+  /// readout k's mean power sums[k] / symbols [mW] to a current, plus
+  /// noise[k] times the shot (when `shot`) and thermal noise deviation,
+  /// clipped to +/- saturation_a. `out` may alias `sums`.
+  void (*readout_currents)(const double* sums, const double* noise,
+                           std::size_t count, double symbols,
+                           double responsivity, double dark_a, bool shot,
+                           double two_q, double bandwidth_hz,
+                           double thermal_var, double saturation_a,
+                           double* out);
 };
 
 /// Best level this host supports (cpuid; cached after the first call).

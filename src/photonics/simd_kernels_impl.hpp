@@ -156,6 +156,30 @@ void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
   }
 }
 
+void readout_currents_kernel(const double* sums, const double* noise,
+                             std::size_t count, double symbols,
+                             double responsivity, double dark_a, bool shot,
+                             double two_q, double bandwidth_hz,
+                             double thermal_var, double saturation_a,
+                             double* out) {
+  // Every step is the scalar chain's arithmetic in its order; its
+  // branches are selects, so sqrt runs on every lane and the loop
+  // vectorizes. The variance is never negative, so neither sqrt sees a
+  // negative argument.
+  for (std::size_t k = 0; k < count; ++k) {
+    const double signal = responsivity * (sums[k] / symbols) * 1e-3 + dark_a;
+    const double i = signal < 0.0 ? -signal : signal;
+    const double s = std::sqrt(two_q * i * bandwidth_hz);
+    const double variance = (shot ? s * s : 0.0) + thermal_var;
+    const double sd = std::sqrt(variance);
+    const double draw = noise[k];  // loaded on every lane, used on some
+    const double current = signal + (variance <= 0.0 ? 0.0 : sd * draw);
+    out[k] = current < -saturation_a ? -saturation_a
+             : saturation_a < current ? saturation_a
+                                      : current;
+  }
+}
+
 [[maybe_unused]] kernel_table make_kernel_table(level lvl, const char* name) {
   kernel_table t;
   t.lvl = lvl;
@@ -166,6 +190,7 @@ void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
   t.adc_pass = &adc_pass_kernel;
   t.weight_product = &weight_product_kernel;
   t.blocked_sums = &blocked_sums_kernel;
+  t.readout_currents = &readout_currents_kernel;
   return t;
 }
 

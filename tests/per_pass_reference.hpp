@@ -9,6 +9,10 @@
 // call, so it is the reference both of the engine's rows (keyed from the
 // row seed, bit for bit) and of the unit's field-domain
 // dot_unit_range_scalar (draw for draw, equal to rounding).
+//
+// `field_launch_reference` is the unit's on-fiber launch computed on
+// fields: the reference the unit's launch on powers must equal to
+// rounding, draw for draw and charge for charge.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +25,8 @@
 #include "photonics/engine/dot_product_unit.hpp"
 #include "photonics/laser.hpp"
 #include "photonics/modulator.hpp"
+#include "photonics/optical.hpp"
+#include "photonics/photodetector.hpp"
 #include "photonics/rng.hpp"
 #include "photonics/simd.hpp"
 
@@ -179,6 +185,101 @@ class per_pass_reference {
   mzm_modulator mod_a_;
   mzm_modulator mod_b_;
   counter_stream detector_noise_;
+  dac dac_a_;
+  dac dac_b_;
+  adc adc_;
+  energy_ledger* ledger_;
+};
+
+/// A P1 unit's launch devices (DAC-a, laser, a modulator) and the rest of
+/// its devices, keyed as dot_product_unit keys them, with streams that
+/// continue from call to call. `encode_rails_received` launches fields:
+/// one batch DAC convert, one `laser::emit` (RIN and phase walk), an MZM
+/// field encode per symbol, then |E|^2, charging one charge per device
+/// of n ops. `dot_unit_range_scalar` is the unit's field-domain
+/// reference on the same devices.
+class field_launch_reference {
+ public:
+  field_launch_reference(dot_product_config config, std::uint64_t seed,
+                         energy_ledger* ledger)
+      : models_(config, seed),
+        laser_(models_.config().laser, rng{seed}, ledger),
+        launch_mod_a_(models_.config().modulator, 0.0, rng{seed ^ 0x1111}),
+        mod_a_(models_.config().modulator, 0.0, rng{seed ^ 0x1111}, ledger),
+        mod_b_(models_.config().modulator, 0.0, rng{seed ^ 0x2222}, ledger),
+        detector_(models_.config().detector, rng{seed ^ 0x3333}, ledger),
+        dac_a_(models_.config().dac, rng{seed ^ 0x4444}, ledger),
+        dac_b_(models_.config().dac, rng{seed ^ 0x5555}, ledger),
+        adc_(models_.config().adc, rng{seed ^ 0x6666}, ledger),
+        ledger_(ledger) {}
+
+  void encode_rails_received(std::span<const double> xs, std::size_t cols,
+                             std::span<double> out_mw) {
+    const std::size_t batch = xs.size() / cols;
+    const std::size_t n = 2 * xs.size();
+    std::vector<double> rails(n), converted(n), noise;
+    for (std::size_t s = 0; s < batch; ++s) {
+      for (std::size_t i = 0; i < cols; ++i) {
+        const double x = xs[s * cols + i];
+        rails[2 * cols * s + i] = x > 0.0 ? x : 0.0;
+        rails[2 * cols * s + cols + i] = x < 0.0 ? -x : 0.0;
+      }
+    }
+    dac_a_.convert(rails, converted, noise);
+    waveform wave;
+    laser_.emit(n, wave);
+    for (std::size_t i = 0; i < n; ++i) {
+      wave[i] = launch_mod_a_.encode_unit(wave[i], converted[i]);
+    }
+    if (ledger_ != nullptr) {
+      ledger_->charge("modulator",
+                      energy_costs{}.modulator_drive_j * static_cast<double>(n),
+                      n);
+    }
+    for (std::size_t s = 0; s < batch; ++s) {
+      for (std::size_t i = 0; i < 2 * cols; ++i) {
+        out_mw[4 * cols * s + i] = out_mw[4 * cols * s + 2 * cols + i] =
+            power_mw(wave[2 * cols * s + i]);
+      }
+    }
+  }
+
+  dot_result dot_unit_range_scalar(std::span<const double> a,
+                                   std::span<const double> b) {
+    const std::size_t n = a.size();
+    std::vector<double> product(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double xa = dac_a_.convert(a[i]);
+      const double xb = dac_b_.convert(b[i]);
+      field e = laser_.emit_one();
+      e = mod_a_.encode_unit(e, xa);
+      e = mod_b_.encode_unit(e, xb);
+      product[i] = power_mw(e);
+    }
+    double detector_noise = 0.0;
+    double adc_noise = 0.0;
+    double value = 0.0;
+    detector_.draw_readout_noise(std::span(&detector_noise, 1));
+    adc_.draw_noise(std::span(&adc_noise, 1));
+    const readout_plan plan =
+        models_.plan_readout(n, models_.full_scale_power_mw());
+    models_.read_out(plan, product, std::span(&detector_noise, 1),
+                     std::span(&adc_noise, 1), std::span(&value, 1));
+    if (ledger_ != nullptr) {
+      ledger_->charge("photonic_mac",
+                      energy_costs{}.photonic_mac_j * static_cast<double>(n),
+                      n);
+    }
+    return plan.combine(&value, 1);
+  }
+
+ private:
+  dot_product_unit models_;  ///< its device models and readout math only
+  laser laser_;
+  mzm_modulator launch_mod_a_;  ///< ledger-free: the launch charges in bulk
+  mzm_modulator mod_a_;
+  mzm_modulator mod_b_;
+  photodetector detector_;
   dac dac_a_;
   dac dac_b_;
   adc adc_;

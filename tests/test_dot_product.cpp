@@ -16,6 +16,7 @@
 #include "photonics/converter.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/rng.hpp"
+#include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 namespace {
@@ -400,6 +401,77 @@ TEST(DotProductUnit, GemmMatchesPerPassReference) {
   for (const auto& [name, cfg] : oracle_configs()) {
     SCOPED_TRACE(name);
     expect_gemm_matches_reference(cfg);
+  }
+}
+
+/// Restores the env-resolved SIMD level when a test that forces levels
+/// exits (including via an assertion failure).
+struct simd_level_guard {
+  ~simd_level_guard() { simd::refresh(); }
+};
+
+/// The unit's launch on powers against the field launch of the same
+/// devices, on one seed: successive launches at the Fig. 1 layer widths,
+/// batch 1 and 3, each received power equal to rounding, the ledgers bit
+/// for bit, and a following scalar dot on the launch's streams equal to
+/// the field unit's. (The unit's phase walk did not turn, which moves
+/// that dot's |E|^2 by rounding only; its ADC grid absorbs that here.)
+void expect_launch_matches_field_launch(const dot_product_config& cfg) {
+  for (const bool with_ledger : {false, true}) {
+    energy_ledger unit_ledger, field_ledger;
+    dot_product_unit unit(cfg, 61, with_ledger ? &unit_ledger : nullptr);
+    field_launch_reference field(cfg, 61,
+                                 with_ledger ? &field_ledger : nullptr);
+    rng g(62);
+    for (const std::size_t cols : {16, 12}) {
+      for (const std::size_t batch : {1, 3}) {
+        SCOPED_TRACE("cols " + std::to_string(cols) + " batch " +
+                     std::to_string(batch) + " ledger " +
+                     std::to_string(with_ledger));
+        std::vector<double> xs(batch * cols);
+        for (double& v : xs) v = 2.0 * g.uniform() - 1.0;
+        std::vector<double> got(4 * xs.size()), want(4 * xs.size());
+        unit.encode_rails_received(xs, cols, got);
+        field.encode_rails_received(xs, cols, want);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_LE(std::abs(got[i] - want[i]), 1e-14 * want[i])
+              << "symbol " << i << ": " << got[i] << " vs " << want[i];
+        }
+      }
+    }
+    const std::vector<double> a = random_unit_vector(24, g);
+    const std::vector<double> b = random_unit_vector(24, g);
+    expect_same_bits(unit.dot_unit_range_scalar(a, b),
+                     field.dot_unit_range_scalar(a, b));
+    expect_same_ledgers(unit_ledger, field_ledger);
+  }
+}
+
+TEST(DotProductUnit, IntensityLaunchMatchesFieldLaunch) {
+  std::vector<std::pair<std::string, dot_product_config>> configs;
+  configs.emplace_back("default config", dot_product_config{});
+  dot_product_config no_rin;
+  no_rin.laser.enable_rin = false;
+  configs.emplace_back("RIN off", no_rin);
+  dot_product_config no_phase;
+  no_phase.laser.enable_phase_noise = false;
+  configs.emplace_back("phase noise off", no_phase);
+  dot_product_config exact_converters;
+  exact_converters.dac.enob_penalty = 0.0;
+  exact_converters.adc.enob_penalty = 0.0;
+  configs.emplace_back("ENOB penalty 0", exact_converters);
+  dot_product_config biased;
+  biased.modulator.bias_error_sigma_rad = 0.05;
+  configs.emplace_back("modulator bias error", biased);
+
+  const simd_level_guard guard;
+  for (const simd::level l : {simd::level::scalar, simd::level::sse4,
+                              simd::level::avx2, simd::level::avx512}) {
+    if (!simd::set_level(l)) continue;
+    for (const auto& [name, cfg] : configs) {
+      SCOPED_TRACE(std::string(simd::level_name(l)) + ", " + name);
+      expect_launch_matches_field_launch(cfg);
+    }
   }
 }
 

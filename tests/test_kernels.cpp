@@ -26,7 +26,6 @@
 #include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/kernels.hpp"
 #include "photonics/laser.hpp"
-#include "photonics/modulator.hpp"
 #include "photonics/rng.hpp"
 
 namespace onfiber {
@@ -134,48 +133,6 @@ TEST(KernelsDevices, AdcBatchConvertMatchesScalar) {
   }
   EXPECT_EQ(batch_ledger.joules("adc"), scalar_ledger.joules("adc"));
   EXPECT_EQ(batch_ledger.ops("adc"), scalar_ledger.ops("adc"));
-}
-
-TEST(KernelsDevices, MzmBatchEncodeMatchesScalar) {
-  phot::modulator_config cfg;
-  cfg.bias_error_sigma_rad = 0.01;  // exercise the imperfect-bias path
-  phot::mzm_modulator batch_mod(cfg, 0.0, phot::rng{21});
-  phot::mzm_modulator scalar_mod(cfg, 0.0, phot::rng{21});
-  phot::laser source({}, phot::rng{22});
-  phot::waveform carrier;
-  source.emit(33, carrier);
-  phot::waveform batch = carrier;
-  std::vector<double> x(carrier.size());
-  phot::rng gen(7);
-  for (double& v : x) v = gen.uniform();
-  batch_mod.encode(x, batch);
-  for (std::size_t i = 0; i < carrier.size(); ++i) {
-    EXPECT_EQ(batch[i], scalar_mod.encode_unit(carrier[i], x[i]));
-  }
-}
-
-TEST(KernelsDevices, EncodeToOpticalUnchangedByBatching) {
-  // The composed launch path (DAC -> laser -> MZM) batches per device and
-  // must still be bit-identical to the element-wise loop.
-  phot::dot_product_unit unit({}, 31);
-  phot::dot_product_unit twin({}, 31);
-  std::vector<double> a(41);
-  phot::rng gen(8);
-  for (double& v : a) v = gen.uniform();
-  phot::waveform batched, one;
-  unit.encode_to_optical(a, batched);
-  // Reproduce the scalar loop with the twin's (identically seeded) devices
-  // via length-1 batches.
-  phot::waveform expected;
-  for (double v : a) {
-    twin.encode_to_optical(std::vector<double>{v}, one);
-    ASSERT_EQ(one.size(), 1u);
-    expected.push_back(one[0]);
-  }
-  ASSERT_EQ(batched.size(), expected.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i], expected[i]);
-  }
 }
 
 // --------------------------------------------------- scalar dot reference

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -16,6 +17,7 @@
 #include "photonics/converter.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
 #include "photonics/modulator.hpp"
+#include "photonics/noise.hpp"
 #include "photonics/quantize_detail.hpp"
 #include "photonics/rng.hpp"
 
@@ -189,6 +191,63 @@ TEST(SimdDispatch, BatchedReadoutSumsMatchPerReadoutSums) {
         simd::table_for(l).blocked_sums(x.data(), n, count, sums.data());
         EXPECT_EQ(sums, reference)
             << simd::level_name(l) << " n " << n << " count " << count;
+      }
+    }
+  }
+}
+
+// The per-readout chain the readout-currents kernel replaced: mean
+// power to current, shot and thermal variance, one draw, clip.
+double reference_readout_current(double sum, double noise, double symbols,
+                                 double responsivity, double dark_a,
+                                 bool shot, double bandwidth_hz,
+                                 double thermal_var, double saturation_a) {
+  const double signal_a = responsivity * (sum / symbols) * 1e-3 + dark_a;
+  double variance = 0.0;
+  if (shot) {
+    const double s = shot_noise_sigma_a(signal_a, bandwidth_hz);
+    variance += s * s;
+  }
+  variance += thermal_var;
+  const double noise_a = variance <= 0.0 ? 0.0 : std::sqrt(variance) * noise;
+  return std::clamp(signal_a + noise_a, -saturation_a, saturation_a);
+}
+
+TEST(SimdDispatch, ReadoutCurrentsMatchScalarChainAtEveryLevel) {
+  // Shot noise on and off, thermal variance zero and not, a dark current
+  // that drives some signals negative, and a saturation readouts clip at
+  // on both sides — at every tier, equal bit for bit to the scalar chain.
+  constexpr std::size_t count = 37;
+  rng gen(113);
+  std::vector<double> sums(count), noise(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    sums[k] = k % 9 == 0 ? 0.0 : 160.0 * gen.uniform();
+    noise[k] = 3.0 * gen.normal();
+  }
+  const double symbols = 16.0;
+  const double bandwidth_hz = 10e9 / symbols;
+  for (const bool shot : {false, true}) {
+    for (const double thermal_var : {0.0, 1.6e-13}) {
+      for (const double dark_a : {5e-9, -5e-3}) {
+        for (const double saturation_a : {10e-3, 4e-3}) {
+          std::vector<double> want(count);
+          for (std::size_t k = 0; k < count; ++k) {
+            want[k] = reference_readout_current(
+                sums[k], noise[k], symbols, 1.0, dark_a, shot, bandwidth_hz,
+                thermal_var, saturation_a);
+          }
+          for (const simd::level l : supported_levels()) {
+            std::vector<double> got = sums;  // in place, as the detector
+            simd::table_for(l).readout_currents(
+                got.data(), noise.data(), count, symbols, 1.0, dark_a, shot,
+                2.0 * electron_charge, bandwidth_hz, thermal_var,
+                saturation_a, got.data());
+            EXPECT_EQ(got, want)
+                << simd::level_name(l) << " shot " << shot << " thermal "
+                << thermal_var << " dark " << dark_a << " saturation "
+                << saturation_a;
+          }
+        }
       }
     }
   }
