@@ -47,6 +47,7 @@ done
 # keys of the fig2b/fig2c primitives, and the SIMD tier the sample plane
 # dispatched to. A missing key means a bench silently skipped a section.
 for key in fig2a.fused_ns_per_mac fig2a.scalar_ns_per_mac \
+           fig2a.optical_gemm_b1_ns_per_mac fig2a.launch_ns_per_symbol \
            fig2a.gemv_rows_per_s fig2a.dac_enob_bits fig2a.adc_enob_bits \
            fig2a.energy_per_mac_j fig2b.ns_per_word \
            fig2c.ns_per_activation kernels.simd_level \

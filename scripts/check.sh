@@ -141,9 +141,11 @@ rm -f /tmp/bench_fabric_tsan.json
 ./build-tsan/bench/bench_ext_spf --json /tmp/bench_spf_tsan.json > /dev/null
 rm -f /tmp/bench_spf_tsan.json
 
-# Reachability gate: every out-of-line src/ library function must be
-# reached by a shipped binary (bench/, examples/, tools/, perfbench) or
-# be allow-listed with a reason in scripts/unused_symbols.allow, so code
-# that only tests call cannot pile up unnoticed. Header-only code is out
-# of its scope.
+# Reachability gate: every onfiber:: function a src/ library defines, out
+# of line or inline in a header, must be reached by a shipped binary
+# (bench/, examples/, tools/, perfbench) or be allow-listed with a reason
+# in scripts/unused_symbols.allow, so code that only tests call cannot
+# pile up unnoticed. Constructors, destructors and operators are out of
+# its scope, templates count only as instantiated, and constexpr code
+# that only compile time evaluates needs an allow-list entry.
 scripts/unused_symbols.sh > /dev/null

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Reachability scan: every out-of-line function that a src/ library
-# defines must be reached by at least one shipped binary (bench/,
-# examples/, tools/ and perfbench), or be listed in
+# Reachability scan: every function that a src/ library defines, out of
+# line or inline in a header, must be reached by at least one shipped
+# binary (bench/, examples/, tools/ and perfbench), or be listed in
 # scripts/unused_symbols.allow with a one-line reason.
 #
 # The binaries are built unoptimised (-O0, so nothing is inlined away)
@@ -12,9 +12,20 @@
 # written under perfbench/) at -O1 -fno-inline instead. Tests are not
 # built: a function that only tests call is what this scan reports.
 #
-# Scope: out-of-line functions only (global text symbols, nm type T).
-# Header-only code (inline functions, templates, other weak or comdat
-# symbols) and file-local functions are out of scope.
+# Scope: global functions in namespace onfiber, out of line (nm type T)
+# or inline (type W). -fkeep-inline-functions makes every translation
+# unit emit each inline function it sees, and one scan-only unit that
+# includes onfiber.hpp brings in headers no library source includes.
+# Known limits:
+#   - constructors, destructors and operators are not checked: most are
+#     compiler-generated and cannot be deleted;
+#   - a template is checked only as far as some library unit
+#     instantiates it;
+#   - a function that a binary evaluates only at compile time (constexpr,
+#     or a URBG's min()/max() read by a concept) shows as unreached and
+#     needs an allow-list entry;
+#   - file-local functions (static or in an anonymous namespace) are out
+#     of scope.
 #
 # Usage: scripts/unused_symbols.sh [build-dir]   (default build-unused)
 # Exits 1 when a library function is reached by no binary and is not
@@ -29,7 +40,7 @@ export LC_ALL=C
 
 cmake -S . -B "$build" -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
   -DONFIBER_BUILD_TESTS=OFF \
-  -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
+  -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections -fkeep-inline-functions" \
   -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" > /dev/null
 if ! cmake --build "$build" -j"$(nproc)" > "$build/build.log" 2>&1; then
   cat "$build/build.log" >&2
@@ -41,8 +52,9 @@ libs=()
 for lib in apps core controller digital protocol network photonics obs; do
   libs+=("$build/src/$lib/libonfiber_$lib.a")
 done
-"$cxx" -std=c++20 -O1 -fno-inline -ffunction-sections -fdata-sections \
-  -fno-math-errno -fno-trapping-math -msse4.1 -ffp-contract=off -Isrc \
+flags=(-std=c++20 -ffunction-sections -fdata-sections -fno-math-errno
+  -fno-trapping-math -msse4.1 -ffp-contract=off -Isrc)
+"$cxx" "${flags[@]}" -O1 -fno-inline \
   '-DONFIBER_PERFBENCH_BUILD_TYPE="Release"' \
   -c perfbench/perfbench.cpp -o "$build/perfbench.o"
 "$cxx" "$build/perfbench.o" -Wl,--gc-sections "${libs[@]}" -pthread \
@@ -50,8 +62,36 @@ done
 
 scan="$build/unused_symbols"
 mkdir -p "$scan"
-nm -C --defined-only "${libs[@]}" 2>/dev/null |
-  sed -n 's/^[0-9a-f]* T //p' | sort -u > "$scan/defined.txt"
+echo '#include "onfiber.hpp"' > "$scan/all_headers.cpp"
+"$cxx" "${flags[@]}" -O0 -fkeep-inline-functions \
+  -c "$scan/all_headers.cpp" -o "$scan/all_headers.o"
+
+# Keep functions whose qualified name (after any return type, before the
+# parameter list) starts with onfiber::, minus operators (lambdas'
+# included), constructors and destructors.
+nm -C --defined-only "${libs[@]}" "$scan/all_headers.o" 2>/dev/null |
+  sed -n 's/^[0-9a-f]* [TW] //p' | sort -u | awk '
+    function qualified(s,   i, c, depth, start) {
+      gsub(/\(anonymous namespace\)/, "{anonymous}", s)
+      depth = 0; start = 1
+      for (i = 1; i <= length(s); i++) {
+        c = substr(s, i, 1)
+        if (c == "(" && depth == 0) break
+        if (c ~ /[<({[]/) depth++
+        else if (c ~ /[>)}\]]/) depth--
+        else if (c == " " && depth == 0) start = i + 1
+      }
+      return substr(s, start, i - start)
+    }
+    {
+      name = qualified($0)
+      if (name !~ /^onfiber::/ || name ~ /::operator([^A-Za-z0-9_]|$)/) next
+      if ($0 ~ /::\{lambda\(/) next  # the call operator of a lambda
+      while (gsub(/<[^<>]*>/, "", name)) {}
+      n = split(name, part, "::")
+      if (part[n] ~ /^~/ || part[n] == part[n - 1]) next
+      print
+    }' > "$scan/defined.txt"
 find "$build/bench" "$build/examples" "$build/tools" -maxdepth 1 -type f \
   -perm -u+x > "$scan/binaries.txt"
 echo "$build/onfiber_perfbench" >> "$scan/binaries.txt"

@@ -40,7 +40,7 @@ class photonic_fib {
   /// Same semantics with a parallel correlator bank (one correlator per
   /// entry, TCAM-style): every pattern is evaluated concurrently, so the
   /// analog time per lookup is a single evaluation regardless of FIB
-  /// size — at `entry_count()` times the chip area (see photonics/area).
+  /// size — at the FIB size times the chip area (see photonics/area).
   [[nodiscard]] std::optional<std::uint32_t> lookup_parallel(net::ipv4 addr);
 
   /// Analog evaluations performed so far (one per pattern tried).
@@ -48,8 +48,6 @@ class photonic_fib {
 
   /// Total analog time spent matching [s].
   [[nodiscard]] double analog_time_s() const { return analog_time_s_; }
-
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
  private:
   struct prepared {

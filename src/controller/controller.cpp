@@ -328,7 +328,9 @@ struct bnb_state {
     if (optimistic < best_score - 1e-12) return;
 
     if (di == p.demands.size()) {
-      // Exact score with the same tie-breaks as allocation_result::score.
+      // Scalarized objective: satisfied value dominates; delay and
+      // resource use break ties (weighted small enough never to trade
+      // against a unit of demand value at WAN delay scales).
       std::set<std::uint32_t> used;
       for (const auto& c : chosen) {
         if (c) {

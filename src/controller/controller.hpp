@@ -68,14 +68,6 @@ struct allocation_result {
   double satisfied_value = 0.0;
   double total_delay_s = 0.0;       ///< over satisfied demands
   std::size_t transponders_used = 0;
-
-  /// Scalarized objective: satisfied value dominates; delay and resource
-  /// use break ties (weighted small enough never to trade against a unit
-  /// of demand value at WAN delay scales).
-  [[nodiscard]] double score() const {
-    return satisfied_value - 1e-4 * total_delay_s -
-           1e-8 * static_cast<double>(transponders_used);
-  }
 };
 
 /// The allocation problem instance.

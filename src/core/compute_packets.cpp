@@ -1,5 +1,7 @@
 #include "core/compute_packets.hpp"
 
+#include <stdexcept>
+
 namespace onfiber::core {
 
 namespace {

@@ -104,9 +104,6 @@ class photonic_engine {
   void configure_match(match_task task);
   void configure_dnn(dnn_task task);
 
-  void set_mode(compute_mode mode) { config_.mode = mode; }
-  [[nodiscard]] compute_mode mode() const { return config_.mode; }
-
   /// Override the GEMV worker count (0 = auto: ONFIBER_THREADS env var,
   /// else hardware concurrency). Results are bit-identical at any value —
   /// per-row noise streams are forked in row order before dispatch.

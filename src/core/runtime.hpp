@@ -118,9 +118,6 @@ class onfiber_runtime final : public net::packet_event_sink {
     overflow_policy policy = overflow_policy::defer;
   };
   void set_admission(admission_config cfg) { admission_ = cfg; }
-  [[nodiscard]] const admission_config& admission_policy() const {
-    return admission_;
-  }
 
   struct admission_stats {
     std::uint64_t admitted = 0;  ///< packets committed to a site queue
@@ -161,10 +158,6 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// are same-shard (already ordered) and cross-node ties at the exact
   /// same double timestamp do not occur in the golden workloads.
   [[nodiscard]] const std::vector<delivery>& deliveries() const;
-  void clear_deliveries() {
-    for (auto& d : shard_deliveries_) d.clear();
-    deliveries_merged_.clear();
-  }
 
   struct runtime_stats {
     std::uint64_t computed = 0;             ///< packets computed at a site

@@ -65,11 +65,6 @@ class commodity_transponder {
   /// Symbols needed to carry `n` bytes at the configured coding.
   [[nodiscard]] std::size_t symbols_for_bytes(std::size_t n) const;
 
-  /// Serialization time of `n` bytes at the line rate [s].
-  [[nodiscard]] double serialize_latency_s(std::size_t n) const {
-    return static_cast<double>(symbols_for_bytes(n)) / config_.symbol_rate_hz;
-  }
-
   /// Expected receive power of the level-1 (full-scale) symbol [mW],
   /// before any fiber loss.
   [[nodiscard]] double full_scale_power_mw() const;

@@ -30,9 +30,6 @@ class stream_cipher {
   /// which needs the keystream itself to drive the mask modulator).
   [[nodiscard]] std::vector<std::uint8_t> keystream(std::size_t n);
 
-  /// Reset the block counter (restart the stream).
-  void reset() { counter_ = 0; buffer_used_ = buffer_.size(); }
-
  private:
   void refill();
 

@@ -54,9 +54,6 @@ struct dnn_model {
   activation_kind activation = activation_kind::relu;
   double activation_scale = 2.0;  ///< pre-activation full scale (photonic)
 
-  [[nodiscard]] std::size_t input_dim() const {
-    return layers.empty() ? 0 : layers.front().weights.cols;
-  }
   [[nodiscard]] std::size_t output_dim() const {
     return layers.empty() ? 0 : layers.back().weights.rows;
   }

@@ -33,9 +33,6 @@ class aho_corasick {
   [[nodiscard]] std::vector<pattern_hit> find_all(
       std::span<const std::uint8_t> text) const;
 
-  [[nodiscard]] std::size_t pattern_count() const { return patterns_.size(); }
-  [[nodiscard]] std::size_t state_count() const { return nodes_.size(); }
-
  private:
   struct node {
     std::vector<std::int32_t> next;  ///< 256-way transitions (built dense)

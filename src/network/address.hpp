@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 namespace onfiber::net {
@@ -28,37 +27,6 @@ struct ipv4 {
            std::to_string(value & 0xff);
   }
 };
-
-/// Parse dotted-quad text (throws std::invalid_argument on bad input).
-[[nodiscard]] inline ipv4 parse_ipv4(const std::string& text) {
-  std::uint32_t parts[4] = {0, 0, 0, 0};
-  int part = 0;
-  bool digit_seen = false;
-  for (char ch : text) {
-    if (ch == '.') {
-      if (!digit_seen || part == 3) {
-        throw std::invalid_argument("parse_ipv4: malformed address " + text);
-      }
-      ++part;
-      digit_seen = false;
-    } else if (ch >= '0' && ch <= '9') {
-      parts[part] = parts[part] * 10 + static_cast<std::uint32_t>(ch - '0');
-      if (parts[part] > 255) {
-        throw std::invalid_argument("parse_ipv4: octet > 255 in " + text);
-      }
-      digit_seen = true;
-    } else {
-      throw std::invalid_argument("parse_ipv4: bad character in " + text);
-    }
-  }
-  if (!digit_seen || part != 3) {
-    throw std::invalid_argument("parse_ipv4: malformed address " + text);
-  }
-  return ipv4(static_cast<std::uint8_t>(parts[0]),
-              static_cast<std::uint8_t>(parts[1]),
-              static_cast<std::uint8_t>(parts[2]),
-              static_cast<std::uint8_t>(parts[3]));
-}
 
 /// CIDR prefix: address/length.
 struct prefix {

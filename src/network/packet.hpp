@@ -90,6 +90,9 @@ static_assert(sizeof(packet) == 72, "net::packet grew past 72 bytes");
 /// before reuse.
 class payload_pool {
  public:
+  /// Most buffers the pool holds; further donations are dropped.
+  static constexpr std::size_t kMaxBuffers = 4096;
+
   /// An empty buffer, reusing a pooled allocation when one is available.
   [[nodiscard]] std::vector<std::uint8_t> acquire() {
     if (free_.empty()) return {};
@@ -103,16 +106,12 @@ class payload_pool {
   /// payloads) are ignored; the pool is capped so pathological traffic
   /// cannot hoard memory.
   void recycle(std::vector<std::uint8_t>&& buf) {
-    if (buf.capacity() == 0 || free_.size() >= max_buffers_) return;
+    if (buf.capacity() == 0 || free_.size() >= kMaxBuffers) return;
     free_.push_back(std::move(buf));
   }
   void recycle(packet&& pkt) { recycle(std::move(pkt.payload)); }
 
-  [[nodiscard]] std::size_t size() const { return free_.size(); }
-  void set_max_buffers(std::size_t n) { max_buffers_ = n; }
-
  private:
-  std::size_t max_buffers_ = 4096;
   std::vector<std::vector<std::uint8_t>> free_;
 };
 

@@ -82,19 +82,8 @@ class spsc_channel {
            tail_.load(std::memory_order_acquire);
   }
 
-  /// Racy by nature (either index may move underneath); exact only while
-  /// the producer and consumer are quiescent. Good enough for the
-  /// channel-depth gauges.
-  [[nodiscard]] std::size_t size_approx() const {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-
   /// Deepest the ring has ever been (producer-maintained high-watermark;
-  /// bounded by capacity()). Exact when read at quiescence.
+  /// bounded by the ring size). Exact when read at quiescence.
   [[nodiscard]] std::size_t max_depth() const {
     return watermark_.load(std::memory_order_relaxed);
   }

@@ -211,8 +211,4 @@ class shard_engine {
   shard_engine_stats stats_;
 };
 
-/// Deterministic topology partition into `shards` parts (node -> shard).
-/// Declared here (implemented in topology.cpp) so fabric and tests share
-/// one partitioner; see partition_topology in topology.hpp.
-
 }  // namespace onfiber::net

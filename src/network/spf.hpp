@@ -64,12 +64,8 @@ class spf_engine {
   /// Returns the number of (source, destination) routes whose first hop
   /// changed (0 when the state already matches or no trees are built).
   std::uint64_t set_link_state(std::size_t link_index, bool up);
-  std::uint64_t fail_link(std::size_t li) { return set_link_state(li, false); }
-  std::uint64_t restore_link(std::size_t li) {
-    return set_link_state(li, true);
-  }
-  /// Current link states, one byte per link (nonzero = up). The fabric's
-  /// datapath reads these; nothing else stores link state.
+  /// Current link states, one byte per link (nonzero = up); nothing else
+  /// stores link state.
   [[nodiscard]] std::span<const std::uint8_t> links_up() const {
     return link_up_;
   }
@@ -115,7 +111,6 @@ class spf_engine {
     return dirty_pairs_.size();
   }
 
-  [[nodiscard]] std::size_t node_count() const { return n_; }
   [[nodiscard]] const topology& topo() const { return *topo_; }
 
  private:

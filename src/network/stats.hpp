@@ -20,38 +20,15 @@ namespace onfiber::net {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// Accumulates samples and reports summary statistics.
+/// Accumulates samples and reports nearest-rank percentiles.
 class summary {
  public:
   void add(double x) {
     samples_.push_back(x);
-    sorted_dirty_ = true;
+    sorted_ = false;
   }
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  [[nodiscard]] double mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : samples_) s += x;
-    return s / static_cast<double>(samples_.size());
-  }
-
-  [[nodiscard]] double stddev() const {
-    if (samples_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0.0;
-    for (double x : samples_) s += (x - m) * (x - m);
-    return std::sqrt(s / static_cast<double>(samples_.size() - 1));
-  }
-
-  [[nodiscard]] double min() const {
-    return samples_.empty() ? 0.0 : sorted().front();
-  }
-
-  [[nodiscard]] double max() const {
-    return samples_.empty() ? 0.0 : sorted().back();
-  }
 
   /// Percentile in [0, 100] by nearest-rank on the sorted samples; 0
   /// when empty. A NaN pct throws std::invalid_argument.
@@ -63,31 +40,16 @@ class summary {
     if (pct < 0.0 || pct > 100.0) {
       throw std::invalid_argument("summary: percentile out of range");
     }
-    return nearest_rank(sorted(), pct);
-  }
-
-  /// The samples in insertion order — guaranteed: order statistics work
-  /// on a lazily sorted scratch copy, so calling percentile()/min()/max()
-  /// never reorders what this returns.
-  [[nodiscard]] const std::vector<double>& samples() const {
-    return samples_;
+    if (!sorted_) {
+      std::sort(samples_.begin(), samples_.end());
+      sorted_ = true;
+    }
+    return nearest_rank(samples_, pct);
   }
 
  private:
-  /// Lazily sorted scratch copy; rebuilt after adds, never touching the
-  /// insertion-ordered samples_.
-  const std::vector<double>& sorted() const {
-    if (sorted_dirty_) {
-      sorted_scratch_ = samples_;
-      std::sort(sorted_scratch_.begin(), sorted_scratch_.end());
-      sorted_dirty_ = false;
-    }
-    return sorted_scratch_;
-  }
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_scratch_;
-  mutable bool sorted_dirty_ = false;
+  mutable std::vector<double> samples_;  ///< sorted lazily by percentile()
+  mutable bool sorted_ = true;
 };
 
 /// Jain's fairness index of a load vector: (sum x)^2 / (n * sum x^2).

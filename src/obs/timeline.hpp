@@ -24,11 +24,10 @@ struct site_sample {
 
 class timeline {
  public:
-  static constexpr std::size_t kDefaultCapacity = 16384;
+  static constexpr std::size_t kCapacity = 16384;
 
   [[nodiscard]] static timeline& global();
 
-  void set_capacity(std::size_t n);
   void record(const site_sample& s);
   [[nodiscard]] std::uint64_t total_recorded() const;
   /// Retained samples, oldest to newest.
@@ -38,7 +37,6 @@ class timeline {
  private:
   mutable std::mutex m_;
   std::vector<site_sample> ring_;
-  std::size_t capacity_ = kDefaultCapacity;
   std::uint64_t total_ = 0;
 };
 
@@ -47,20 +45,12 @@ inline timeline& timeline::global() {
   return t;
 }
 
-inline void timeline::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(m_);
-  capacity_ = n == 0 ? 1 : n;
-  ring_.clear();
-  ring_.shrink_to_fit();
-  total_ = 0;
-}
-
 inline void timeline::record(const site_sample& s) {
   std::lock_guard<std::mutex> lock(m_);
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(s);
   } else {
-    ring_[total_ % capacity_] = s;
+    ring_[total_ % kCapacity] = s;
   }
   ++total_;
 }
@@ -77,7 +67,7 @@ inline std::vector<site_sample> timeline::snapshot() const {
   if (total_ <= ring_.size()) {
     out = ring_;
   } else {
-    const std::size_t head = total_ % capacity_;
+    const std::size_t head = total_ % kCapacity;
     out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head),
                ring_.end());
     out.insert(out.end(), ring_.begin(),

@@ -56,7 +56,6 @@ dac::dac(converter_config config, rng noise_stream, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
       noise_(counter_rng::key_of(noise_stream(), kDacTag)),
-      lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
       noise_sigma_(enob_noise_sigma(config)),
       ledger_(ledger),
       costs_(costs) {}
@@ -118,7 +117,6 @@ adc::adc(converter_config config, rng noise_stream, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
       noise_(counter_rng::key_of(noise_stream(), kAdcTag)),
-      lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
       noise_sigma_(enob_noise_sigma(config)),
       ledger_(ledger),
       costs_(costs) {}

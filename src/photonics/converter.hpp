@@ -52,11 +52,6 @@ class dac {
   /// Key of the noise stream a dac built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
-  [[nodiscard]] const converter_config& config() const { return config_; }
-
-  /// Quantization step size.
-  [[nodiscard]] double lsb() const { return lsb_; }
-
   /// Effective resolution implied by the modeled noise: the configured
   /// quantization floor plus the ENOB-penalty Gaussian, folded back into
   /// bits — log2(full_scale / (total_rms * sqrt(12))). Reported by the
@@ -68,7 +63,6 @@ class dac {
 
   converter_config config_;
   counter_stream noise_;
-  double lsb_;
   double noise_sigma_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
@@ -101,9 +95,6 @@ class adc {
   /// Key of the noise stream an adc built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t noise_key(std::uint64_t seed);
 
-  [[nodiscard]] const converter_config& config() const { return config_; }
-  [[nodiscard]] double lsb() const { return lsb_; }
-
   /// Effective resolution implied by the modeled noise (see dac).
   [[nodiscard]] double effective_bits() const;
 
@@ -112,7 +103,6 @@ class adc {
 
   converter_config config_;
   counter_stream noise_;
-  double lsb_;
   double noise_sigma_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};

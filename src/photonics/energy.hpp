@@ -98,19 +98,6 @@ class energy_ledger {
   /// All categories, for report printing.
   [[nodiscard]] const entry_map& entries() const { return entries_; }
 
-  /// Fold another ledger's entries into this one. Used by the parallel
-  /// GEMV path: each row charges a private ledger, and rows are merged in
-  /// row order at the barrier so totals are independent of thread count.
-  void merge(const energy_ledger& other) {
-    for (const auto& [name, e] : other.entries_) {
-      entry& mine = slot(name);
-      mine.joules += e.joules;
-      mine.ops += e.ops;
-    }
-  }
-
-  void reset() { entries_.clear(); }
-
  private:
   /// Allocates only on a category's first charge.
   entry& slot(std::string_view category) {

@@ -62,8 +62,6 @@ class nonlinear_unit {
   [[nodiscard]] double activate(double x, double full_scale_mw,
                                 double peak_mw);
 
-  [[nodiscard]] const nonlinear_config& config() const { return config_; }
-
  private:
   nonlinear_config config_;
   mzm_modulator through_mod_;

@@ -112,8 +112,6 @@ class pattern_matcher {
   [[nodiscard]] match_result match_optical(std::span<const field> data_wave,
                                            std::span<const tbit> pattern);
 
-  [[nodiscard]] const pattern_match_config& config() const { return config_; }
-
  private:
   /// Balanced integrate-and-dump over the first `symbols` port powers,
   /// normalization, readout and the decision.

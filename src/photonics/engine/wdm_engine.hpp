@@ -34,8 +34,6 @@ class wdm_gemv_engine {
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
                                         std::span<const double> x);
 
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
-
   /// Aggregate MAC throughput at the configured symbol rate [MAC/s]:
   /// lanes x symbol rate (a signed GEMV uses 4 symbols per MAC).
   [[nodiscard]] double peak_mac_rate() const;

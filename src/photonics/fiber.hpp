@@ -28,17 +28,10 @@ class fiber_span {
   /// Apply loss (and, if amplified, gain + ASE noise) to each sample.
   [[nodiscard]] waveform propagate(std::span<const field> in);
 
-  /// One-way latency of this span [s].
-  [[nodiscard]] double delay_s() const {
-    return fiber_delay_s(config_.length_km);
-  }
-
   /// Total span loss [dB].
   [[nodiscard]] double loss_db() const {
     return config_.length_km * config_.attenuation_db_km;
   }
-
-  [[nodiscard]] const fiber_config& config() const { return config_; }
 
  private:
   fiber_config config_;

@@ -66,8 +66,6 @@ class laser {
   /// Key of the RIN stream a laser built with rng{seed} draws from.
   [[nodiscard]] static std::uint64_t rin_key(std::uint64_t seed);
 
-  [[nodiscard]] const laser_config& config() const { return config_; }
-
  private:
   laser_config config_;
   counter_stream rin_stream_;    ///< one draw index per symbol, always

@@ -90,9 +90,6 @@ class mzm_modulator {
   /// Intensity transmission at drive voltage v (no noise), for tests.
   [[nodiscard]] double intensity_transfer(double drive_v) const;
 
-  [[nodiscard]] const modulator_config& config() const { return config_; }
-  [[nodiscard]] double bias_rad() const { return bias_rad_; }
-
  private:
   [[nodiscard]] field apply_phase_arg(field in, double total_phase_rad) const;
 
@@ -128,8 +125,6 @@ class phase_modulator {
                               drives);
     }
   }
-
-  [[nodiscard]] const modulator_config& config() const { return config_; }
 
  private:
   modulator_config config_;

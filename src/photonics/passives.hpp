@@ -40,17 +40,4 @@ struct coupler_output {
   return {in * scale, in * scale};
 }
 
-/// Fixed attenuator (loss_db >= 0).
-[[nodiscard]] inline field attenuate(field in, double loss_db) {
-  return in * field_loss_scale(loss_db);
-}
-
-/// Interference intensity at the constructive port of a 50/50 combiner for
-/// two phase-encoded fields. For equal input powers P and phase difference
-/// d: I = P * (1 + cos d). This closed form is what P2's analysis uses.
-[[nodiscard]] inline double interference_intensity_mw(field a, field b) {
-  const coupler_output out = couple_50_50(a, b);
-  return power_mw(out.port1);
-}
-
 }  // namespace onfiber::phot

@@ -1,11 +1,14 @@
 // rng.hpp — deterministic, seedable random number generation.
 //
 // Every stochastic component in the library draws from an explicitly
-// seeded stream: kernel noise and link bit errors from counter-based
-// streams (counter_rng, counter_stream), traffic generators and
-// synthetic datasets from xoshiro256++ (rng). The same seed produces
-// bit-identical results on every platform, which the test suite relies
-// on.
+// seeded stream. Device noise, link bit errors and workload arrivals
+// draw from counter-based streams (counter_rng, counter_stream). The
+// sequential xoshiro256++ generator (rng) serves the one-shot setup
+// draws: DNN datasets and weight init (digital/dnn.cpp), the app
+// generators, Waxman placement (network/topology.cpp), link-flap
+// jitter, device seed expansion and the MZM bias-error draw. The same
+// seed produces bit-identical results on every platform, which the test
+// suite relies on.
 #pragma once
 
 #include <array>
@@ -31,9 +34,6 @@ namespace onfiber::phot {
 /// parallel simulation — construct one stream per logical event
 /// (e.g. per link traversal) and the draws are reproducible at any
 /// shard or thread count.
-///
-/// Distribution helpers mirror `rng`'s semantics but are independent
-/// implementations; they do not match xoshiro draw-for-draw.
 class counter_rng {
  public:
   using result_type = std::uint64_t;
@@ -56,9 +56,6 @@ class counter_rng {
     s = k ^ d;
     return splitmix64(s);
   }
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
 
   constexpr result_type operator()() { return splitmix64(state_); }
 
@@ -86,8 +83,8 @@ class counter_rng {
     return u * std::sqrt(-2.0 * std::log(s) / s);
   }
 
-  /// Poisson deviate: Knuth for small means, Gaussian approximation for
-  /// large ones (same thresholds as `rng::poisson`).
+  /// Poisson deviate: Knuth's method for small means, the Gaussian
+  /// approximation above a mean of 256.
   [[nodiscard]] std::uint64_t poisson(double mean) {
     if (mean <= 0.0) return 0;
     if (mean > 256.0) {
@@ -140,16 +137,10 @@ class counter_stream {
 
   [[nodiscard]] constexpr std::uint64_t key() const { return key_; }
   [[nodiscard]] constexpr std::uint64_t cursor() const { return cursor_; }
-  constexpr void seek(std::uint64_t index) { cursor_ = index; }
   constexpr void skip(std::uint64_t draws) { cursor_ += draws; }
 
   /// Next standard normal deviate (consumes one draw index).
   [[nodiscard]] double normal() { return counter_normal(key_, cursor_++); }
-
-  /// Normal deviate with the given mean and standard deviation.
-  [[nodiscard]] double normal(double mean, double stddev) {
-    return mean + stddev * normal();
-  }
 
   /// Fill `out` with the next out.size() deviates of this stream: the
   /// one-row case of fill_normal_rows. Bit-identical to calling
@@ -162,7 +153,6 @@ class counter_stream {
 };
 
 /// xoshiro256++ PRNG (Blackman & Vigna). Fast, high quality, deterministic.
-/// Satisfies std::uniform_random_bit_generator.
 class rng {
  public:
   using result_type = std::uint64_t;
@@ -173,9 +163,6 @@ class rng {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
   }
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
 
   /// rng{seed}(), from the two state words it reads (2 SplitMix64 steps).
   [[nodiscard]] static constexpr result_type first_output(std::uint64_t seed) {
@@ -218,8 +205,7 @@ class rng {
   /// Standard normal deviate via the polar (Marsaglia) Box-Muller variant:
   /// one (log, sqrt, div) evaluation and no trigonometry produces two
   /// independent deviates; the second is cached as a spare so every other
-  /// call is a single load. Noise sampling is the hot path of every device
-  /// model, and this halves its transcendental cost twice over.
+  /// call is a single load.
   [[nodiscard]] double normal() {
     if (has_spare_) {
       has_spare_ = false;
@@ -237,67 +223,15 @@ class rng {
     return u * factor;
   }
 
-  /// Fill `out` with standard normal deviates, drawing exactly the same
-  /// sequence as repeated `normal()` calls (the batch device kernels rely
-  /// on this equivalence to stay bit-identical with the scalar paths).
-  /// The bulk of the fill runs pairwise — each polar iteration stores both
-  /// deviates of the pair directly, skipping the spare-cache store/branch
-  /// that repeated normal() pays — which is observably identical because
-  /// normal() hands out exactly those pairs in the same order.
-  void fill_normal(std::span<double> out) {
-    std::size_t i = 0;
-    const std::size_t n = out.size();
-    if (i < n && has_spare_) {
-      has_spare_ = false;
-      out[i++] = spare_;
-    }
-    for (; i + 1 < n; i += 2) {
-      double u, v, s;
-      do {
-        u = 2.0 * uniform() - 1.0;
-        v = 2.0 * uniform() - 1.0;
-        s = u * u + v * v;
-      } while (s >= 1.0 || s == 0.0);
-      const double factor = std::sqrt(-2.0 * std::log(s) / s);
-      out[i] = u * factor;
-      out[i + 1] = v * factor;
-    }
-    if (i < n) out[i] = normal();  // odd tail: leaves the spare cached
-  }
-
   /// Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) {
     return mean + stddev * normal();
-  }
-
-  /// Poisson deviate. For large means uses the Gaussian approximation,
-  /// which is accurate to within the sampling error of the physical
-  /// processes modelled (photon counts are typically >> 1e3).
-  [[nodiscard]] std::uint64_t poisson(double mean) {
-    if (mean <= 0.0) return 0;
-    if (mean > 256.0) {
-      const double v = std::round(normal(mean, std::sqrt(mean)));
-      return v < 0.0 ? 0 : static_cast<std::uint64_t>(v);
-    }
-    // Knuth's method for small means.
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
   }
 
   /// Exponential deviate with the given rate (mean 1/rate).
   [[nodiscard]] double exponential(double rate) {
     return -std::log(1.0 - uniform()) / rate;
   }
-
-  /// Fork a child stream that is statistically independent of this one.
-  /// Used to give each device its own stream from one experiment seed.
-  [[nodiscard]] rng fork() { return rng{(*this)()}; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

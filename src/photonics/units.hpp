@@ -37,29 +37,9 @@ inline constexpr double c_band_wavelength = 1550e-9;
 
 // ------------------------------------------------------------- dB helpers
 
-/// Convert a linear power ratio to dB. Requires ratio > 0.
-[[nodiscard]] inline double ratio_to_db(double ratio) {
-  return 10.0 * std::log10(ratio);
-}
-
 /// Convert dB to a linear power ratio.
 [[nodiscard]] inline double db_to_ratio(double db) {
   return std::pow(10.0, db / 10.0);
-}
-
-/// Convert absolute power in mW to dBm. Requires mw > 0.
-[[nodiscard]] inline double mw_to_dbm(double mw) {
-  return 10.0 * std::log10(mw);
-}
-
-/// Convert dBm to absolute power in mW.
-[[nodiscard]] inline double dbm_to_mw(double dbm) {
-  return std::pow(10.0, dbm / 10.0);
-}
-
-/// Apply a loss given in dB (loss_db >= 0 attenuates) to a linear power.
-[[nodiscard]] inline double apply_loss_mw(double power_mw, double loss_db) {
-  return power_mw * db_to_ratio(-loss_db);
 }
 
 /// Field-amplitude scale factor corresponding to a power loss in dB.
@@ -73,16 +53,6 @@ inline constexpr double c_band_wavelength = 1550e-9;
 /// Energy of a single photon at the given wavelength [J].
 [[nodiscard]] inline double photon_energy(double wavelength_m) {
   return planck_h * speed_of_light / wavelength_m;
-}
-
-/// Photon flux [photons/s] carried by `power_mw` at `wavelength_m`.
-[[nodiscard]] inline double photon_flux(double power_mw, double wavelength_m) {
-  return (power_mw * 1e-3) / photon_energy(wavelength_m);
-}
-
-/// Optical frequency [Hz] for a wavelength [m].
-[[nodiscard]] inline double wavelength_to_frequency(double wavelength_m) {
-  return speed_of_light / wavelength_m;
 }
 
 // --------------------------------------------------------------- time/dist

@@ -1,37 +1,24 @@
-// wdm.hpp — wavelength-division multiplexing grid and capacity model.
+// wdm.hpp — wavelength-division multiplexing capacity model.
 //
 // §5 of the paper claims a photonic compute transponder can support up to
 // 800 Gbps on one wavelength [12], shared among many users. This module
-// models the ITU-T flexible grid, per-channel capacity as a function of
-// symbol rate and modulation order, and a proportional sharing model used
-// by bench E16.
+// models per-channel capacity as a function of symbol rate and modulation
+// order, a line of channels on distinct grid slots, and a proportional
+// sharing model used by bench E16.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "photonics/units.hpp"
-
 namespace onfiber::phot {
 
 /// One WDM channel on the ITU C-band grid.
 struct wdm_channel {
-  int index = 0;                 ///< grid slot index (0 == 193.1 THz anchor)
-  double spacing_ghz = 100.0;    ///< grid spacing
+  int index = 0;                 ///< grid slot index
   double symbol_rate_gbaud = 128.0;  ///< e.g. 128 GBd for 800G [12]
   int bits_per_symbol = 6;       ///< e.g. PCS-64QAM ~ 6 b/sym (minus FEC)
   double fec_overhead = 0.15;    ///< fraction of raw rate spent on FEC
-
-  /// Center frequency [Hz] on the anchored grid.
-  [[nodiscard]] double center_frequency_hz() const {
-    return 193.1e12 + static_cast<double>(index) * spacing_ghz * 1e9;
-  }
-
-  /// Center wavelength [m].
-  [[nodiscard]] double center_wavelength_m() const {
-    return speed_of_light / center_frequency_hz();
-  }
 
   /// Net information rate after FEC [bit/s]. A dual-polarization channel
   /// doubles the single-pol rate; commodity coherent transponders are DP.
@@ -46,8 +33,6 @@ struct wdm_channel {
 /// A populated WDM line system: a set of channels on one fiber.
 class wdm_line {
  public:
-  explicit wdm_line(double spacing_ghz = 100.0) : spacing_ghz_(spacing_ghz) {}
-
   /// Add a channel at the given grid index. Throws if occupied.
   void add_channel(wdm_channel ch) {
     for (const auto& existing : channels_) {
@@ -55,12 +40,7 @@ class wdm_line {
         throw std::invalid_argument("wdm_line: grid slot already occupied");
       }
     }
-    ch.spacing_ghz = spacing_ghz_;
     channels_.push_back(ch);
-  }
-
-  [[nodiscard]] const std::vector<wdm_channel>& channels() const {
-    return channels_;
   }
 
   /// Aggregate net capacity of the line [bit/s].
@@ -80,7 +60,6 @@ class wdm_line {
   }
 
  private:
-  double spacing_ghz_;
   std::vector<wdm_channel> channels_;
 };
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -73,28 +72,6 @@ namespace onfiber::proto {
   out.reserve(bytes.size());
   for (std::uint8_t b : bytes) out.push_back(decode_signed_u8(b));
   return out;
-}
-
-/// Encode a scalar result with a caller-chosen scale into 2 bytes
-/// (big-endian fixed point, value/scale in [-1, 1]). Audited for the u8
-/// midpoint issue: the two's-complement grid q = round(norm * 32767) is
-/// already symmetric about an exact zero (0.0 -> 0x0000 -> 0.0), so no
-/// remapping is needed; encode never emits -32768, and decode clamps that
-/// byte pattern to -scale to keep the map odd on all 2^16 inputs.
-[[nodiscard]] inline std::array<std::uint8_t, 2> encode_scalar_i16(
-    double value, double scale) {
-  const double norm = scale != 0.0 ? std::clamp(value / scale, -1.0, 1.0) : 0.0;
-  const auto q = static_cast<std::int16_t>(std::lround(norm * 32767.0));
-  const auto u = static_cast<std::uint16_t>(q);
-  return {static_cast<std::uint8_t>(u >> 8),
-          static_cast<std::uint8_t>(u & 0xff)};
-}
-
-[[nodiscard]] inline double decode_scalar_i16(std::uint8_t hi, std::uint8_t lo,
-                                              double scale) {
-  const auto u = static_cast<std::uint16_t>((std::uint16_t{hi} << 8) | lo);
-  const auto q = static_cast<std::int16_t>(u);
-  return std::max(-1.0, static_cast<double>(q) / 32767.0) * scale;
 }
 
 }  // namespace onfiber::proto

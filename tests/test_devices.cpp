@@ -328,18 +328,14 @@ TEST(Passives, SplitterHalvesPlusExcess) {
   EXPECT_NEAR(power_mw(l1), 0.5, 0.01);
 }
 
-TEST(Passives, AttenuatorMatchesDb) {
-  const field out = attenuate(make_field(10.0), 10.0);
-  EXPECT_NEAR(power_mw(out), 1.0, 1e-9);
-}
-
 TEST(Passives, InterferenceExtremes) {
-  // In-phase fields on port1 after the +90 port convention: use the
-  // closed-form helper and verify constructive/destructive bounds.
+  // Port-1 intensity for in-phase and anti-phase partners of `a`: the
+  // two interference terms cancel, so the pair sums to both inputs.
   const field a = make_field(1.0, 0.0);
-  const double in_phase = interference_intensity_mw(a, make_field(1.0, 0.0));
+  const double in_phase =
+      power_mw(couple_50_50(a, make_field(1.0, 0.0)).port1);
   const double anti_phase =
-      interference_intensity_mw(a, make_field(1.0, pi));
+      power_mw(couple_50_50(a, make_field(1.0, pi)).port1);
   // Coupler convention: |a + i b|^2 / 2; equal phases give equal split.
   EXPECT_NEAR(in_phase + anti_phase, 2.0, 1e-9);
 }
@@ -355,13 +351,6 @@ TEST(Fiber, LossMatchesLengthTimesAttenuation) {
   const waveform in(8, make_field(10.0));
   const waveform out = span.propagate(in);
   EXPECT_NEAR(power_mw(out[0]), 1.0, 1e-9);
-}
-
-TEST(Fiber, DelayMatchesGroupIndex) {
-  fiber_config cfg;
-  cfg.length_km = 100.0;
-  fiber_span span(cfg, rng{28});
-  EXPECT_NEAR(span.delay_s(), fiber_delay_s(100.0), 1e-15);
 }
 
 TEST(Fiber, AmplifiedSpanRestoresPowerWithAse) {
@@ -390,14 +379,6 @@ TEST(Wdm, The800GChannel) {
   const wdm_channel ch = make_800g_channel();
   // ~819 Gb/s net: the "800G" the paper cites [12].
   EXPECT_NEAR(ch.net_rate_bps(), 819.2e9, 1e9);
-}
-
-TEST(Wdm, GridFrequencies) {
-  wdm_channel ch;
-  ch.index = 0;
-  EXPECT_NEAR(ch.center_frequency_hz(), 193.1e12, 1.0);
-  ch.index = 4;
-  EXPECT_NEAR(ch.center_frequency_hz(), 193.5e12, 1.0);
 }
 
 TEST(Wdm, LineRejectsCollision) {

@@ -154,7 +154,6 @@ TEST(Dnn, MacCount) {
   l2.bias.assign(4, 0.0);
   m.layers = {l1, l2};
   EXPECT_EQ(m.mac_count(), 12u * 16u + 4u * 12u);
-  EXPECT_EQ(m.input_dim(), 16u);
   EXPECT_EQ(m.output_dim(), 4u);
 }
 
@@ -240,14 +239,6 @@ TEST(Cipher, KeystreamDeterministic) {
   const auto key = test_key();
   stream_cipher a(key, 9), b(key, 9);
   EXPECT_EQ(a.keystream(100), b.keystream(100));
-}
-
-TEST(Cipher, ResetRestartsStream) {
-  const auto key = test_key();
-  stream_cipher c(key, 3);
-  const auto first = c.keystream(32);
-  c.reset();
-  EXPECT_EQ(c.keystream(32), first);
 }
 
 TEST(Cipher, KeystreamLooksUniform) {

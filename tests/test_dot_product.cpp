@@ -196,6 +196,13 @@ std::vector<std::pair<std::string, dot_product_config>> oracle_configs() {
   return out;
 }
 
+/// Fold `part`'s entries into `into`, category by category.
+void merge_ledger(energy_ledger& into, const energy_ledger& part) {
+  for (const auto& [name, e] : part.entries()) {
+    into.charge(name, e.joules, e.ops);
+  }
+}
+
 void expect_same_ledgers(const energy_ledger& got, const energy_ledger& want) {
   ASSERT_EQ(got.entries().size(), want.entries().size());
   for (const auto& [name, e] : want.entries()) {
@@ -223,7 +230,7 @@ void expect_single_dots_match_reference(const dot_product_config& cfg) {
         SCOPED_TRACE("passes=" + std::to_string(passes) +
                      " ledger=" + std::to_string(with_ledger) +
                      " round=" + std::to_string(round));
-        call_ledger.reset();
+        call_ledger = {};
         per_pass_reference ref(cfg, row_seeds(),
                                with_ledger ? &call_ledger : nullptr);
         const dot_result want = ref.electrical(op.a, op.b, passes);
@@ -237,7 +244,7 @@ void expect_single_dots_match_reference(const dot_product_config& cfg) {
           EXPECT_EQ(got.latency_s, want.latency_s);
           EXPECT_EQ(got.symbols, want.symbols);
         }
-        want_ledger.merge(call_ledger);
+        merge_ledger(want_ledger, call_ledger);
       }
       expect_same_ledgers(engine_ledger, want_ledger);
     }
@@ -343,7 +350,7 @@ void expect_gemm_matches_reference(const dot_product_config& cfg) {
             std::vector<dot_result> want(rows * batch);
             for (std::size_t r = 0; r < rows; ++r) {
               const std::uint64_t seed = row_seeds();
-              row_ledger.reset();
+              row_ledger = {};
               per_pass_reference ref(cfg, seed, ref_ledger);
               lay_out_rails(w.row(r),
                             optical ? rail_operand::b : rail_operand::a,
@@ -360,7 +367,7 @@ void expect_gemm_matches_reference(const dot_product_config& cfg) {
                   want[r * batch + s] = ref.electrical(rail_w, rail_x, 4);
                 }
               }
-              want_ledger.merge(row_ledger);
+              merge_ledger(want_ledger, row_ledger);
             }
             double latency_s = 0.0;
             std::uint64_t symbols = 0;

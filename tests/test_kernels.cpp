@@ -33,15 +33,6 @@ namespace {
 
 // ------------------------------------------------------------ RNG batching
 
-TEST(KernelsRng, FillNormalMatchesRepeatedNormal) {
-  phot::rng a(123), b(123);
-  std::vector<double> batch(257);
-  a.fill_normal(batch);
-  for (double v : batch) {
-    EXPECT_EQ(v, b.normal());
-  }
-}
-
 TEST(KernelsRng, SpareDeviateKeepsPairsConsistent) {
   // Box-Muller produces deviates in pairs; the spare must survive
   // interleaved uniform() draws untouched (it is cached, not recomputed).
@@ -233,18 +224,6 @@ TEST(KernelsThreading, ParallelRowsPropagatesExceptions) {
 TEST(KernelsThreading, ThreadCountHonorsOverride) {
   EXPECT_EQ(phot::kernel_thread_count(3), 3u);
   EXPECT_GE(phot::kernel_thread_count(0), 1u);
-}
-
-TEST(KernelsLedger, MergeAddsJoulesAndOps) {
-  phot::energy_ledger total, part;
-  total.charge("laser", 1.0, 2);
-  part.charge("laser", 0.5, 3);
-  part.charge("adc", 0.25);
-  total.merge(part);
-  EXPECT_DOUBLE_EQ(total.joules("laser"), 1.5);
-  EXPECT_EQ(total.ops("laser"), 5u);
-  EXPECT_DOUBLE_EQ(total.joules("adc"), 0.25);
-  EXPECT_EQ(total.ops("adc"), 1u);
 }
 
 // ------------------------------------------------- GEMV thread determinism

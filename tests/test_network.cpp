@@ -23,16 +23,6 @@ namespace {
 TEST(Address, RoundTripText) {
   const ipv4 a(192, 168, 1, 42);
   EXPECT_EQ(a.to_string(), "192.168.1.42");
-  EXPECT_EQ(parse_ipv4("192.168.1.42"), a);
-}
-
-TEST(Address, ParseRejectsMalformed) {
-  EXPECT_THROW((void)parse_ipv4(""), std::invalid_argument);
-  EXPECT_THROW((void)parse_ipv4("1.2.3"), std::invalid_argument);
-  EXPECT_THROW((void)parse_ipv4("1.2.3.4.5"), std::invalid_argument);
-  EXPECT_THROW((void)parse_ipv4("1.2.3.256"), std::invalid_argument);
-  EXPECT_THROW((void)parse_ipv4("1..2.3"), std::invalid_argument);
-  EXPECT_THROW((void)parse_ipv4("a.b.c.d"), std::invalid_argument);
 }
 
 TEST(Address, PrefixContains) {
@@ -414,26 +404,26 @@ TEST(PayloadPool, RecyclesAllocations) {
   buf.assign(512, 0xab);
   const std::uint8_t* data = buf.data();
   pool.recycle(std::move(buf));
-  EXPECT_EQ(pool.size(), 1u);
   std::vector<std::uint8_t> reused = pool.acquire();
   EXPECT_TRUE(reused.empty());           // cleared before reuse
   EXPECT_GE(reused.capacity(), 512u);    // same allocation
   EXPECT_EQ(reused.data(), data);
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_TRUE(pool.acquire().empty());   // empty pool: fresh buffer
+  EXPECT_EQ(pool.acquire().capacity(), 0u);  // empty pool: fresh buffer
 }
 
 TEST(PayloadPool, IgnoresEmptyAndRespectsCap) {
   payload_pool pool;
-  pool.set_max_buffers(2);
   pool.recycle(std::vector<std::uint8_t>{});  // capacity 0: ignored
-  EXPECT_EQ(pool.size(), 0u);
-  for (int i = 0; i < 5; ++i) {
+  EXPECT_EQ(pool.acquire().capacity(), 0u);
+  for (std::size_t i = 0; i < payload_pool::kMaxBuffers + 3; ++i) {
     std::vector<std::uint8_t> buf;
     buf.assign(16, 0);
     pool.recycle(std::move(buf));
   }
-  EXPECT_EQ(pool.size(), 2u);
+  for (std::size_t i = 0; i < payload_pool::kMaxBuffers; ++i) {
+    ASSERT_GE(pool.acquire().capacity(), 16u) << i;
+  }
+  EXPECT_EQ(pool.acquire().capacity(), 0u);  // the extra three were dropped
 }
 
 // ---------------------------------------------------------------- topology
@@ -900,8 +890,10 @@ TEST(Fabric, DeliveredPayloadBuffersReturnToPool) {
     engine.run();
   }
   EXPECT_EQ(fabric.delivered(), 4u);
-  // After the first delivery every send reuses the recycled buffer.
-  EXPECT_EQ(fabric.pool().size(), 1u);
+  // After the first delivery every send reuses the recycled buffer, so
+  // the pool holds exactly one.
+  EXPECT_GE(fabric.pool().acquire().capacity(), 128u);
+  EXPECT_EQ(fabric.pool().acquire().capacity(), 0u);
 }
 
 // ------------------------------------------------------------------- stats
@@ -912,14 +904,13 @@ TEST(Stats, SummaryPercentiles) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
   EXPECT_DOUBLE_EQ(s.percentile(99), 99.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
+  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
+  EXPECT_EQ(s.count(), 100u);
 }
 
 TEST(Stats, SummaryEmpty) {
   const summary s;
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+  EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
 }
 
@@ -939,31 +930,18 @@ TEST(Stats, JainFairness) {
   EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 1.0);
 }
 
-TEST(Stats, SummaryKeepsInsertionOrder) {
-  // samples() is documented to return insertion order; the order
-  // statistics used to sort the internal vector in place as a side
-  // effect, silently reordering what samples() exposed.
+TEST(Stats, SummaryAddAfterPercentileResorts) {
+  // percentile() sorts the samples in place; a later add must mark them
+  // unsorted again, or order statistics would read a stale order.
   summary s;
-  const std::vector<double> inserted{5.0, 1.0, 4.0, 2.0, 3.0};
-  for (const double v : inserted) s.add(v);
+  for (const double v : {5.0, 1.0, 4.0, 2.0, 3.0}) s.add(v);
   EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_EQ(s.samples(), inserted);
-  // Interleaved adds keep both views consistent.
+  EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
   s.add(0.5);
-  EXPECT_DOUBLE_EQ(s.min(), 0.5);
-  EXPECT_EQ(s.samples().back(), 0.5);
-}
-
-TEST(Stats, SummaryStddev) {
-  summary s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  // Sample stddev of this classic set is ~2.138.
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);
-  summary one;
-  one.add(1.0);
-  EXPECT_DOUBLE_EQ(one.stddev(), 0.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0), 0.5);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 2.0);
+  s.add(9.0);
+  EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
 }
 
 TEST(Fabric, SendInvalidIngressThrows) {

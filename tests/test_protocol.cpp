@@ -301,32 +301,6 @@ TEST(Codec, SignedRoundTripIsOdd) {
   }
 }
 
-TEST(Codec, ScalarI16ZeroAndSymmetry) {
-  // Audit of the midpoint issue on the 16-bit codec: zero is exact and
-  // the map is odd (two's-complement grid is already symmetric).
-  const auto [zh, zl] = encode_scalar_i16(0.0, 4.0);
-  EXPECT_EQ(zh, 0);
-  EXPECT_EQ(zl, 0);
-  EXPECT_EQ(decode_scalar_i16(zh, zl, 4.0), 0.0);
-  for (int i = 0; i <= 100; ++i) {
-    const double v = 4.0 * static_cast<double>(i) / 100.0;
-    const auto [ph, pl] = encode_scalar_i16(v, 4.0);
-    const auto [nh, nl] = encode_scalar_i16(-v, 4.0);
-    EXPECT_DOUBLE_EQ(decode_scalar_i16(ph, pl, 4.0),
-                     -decode_scalar_i16(nh, nl, 4.0))
-        << "v = " << v;
-  }
-  // 0x8000 is never produced by encode; decode clamps it to -scale.
-  EXPECT_DOUBLE_EQ(decode_scalar_i16(0x80, 0x00, 4.0), -4.0);
-}
-
-TEST(Codec, ScalarI16RoundTrip) {
-  for (const double v : {-10.0, -1.5, 0.0, 0.25, 3.0, 10.0}) {
-    const auto [hi, lo] = encode_scalar_i16(v, 10.0);
-    EXPECT_NEAR(decode_scalar_i16(hi, lo, 10.0), v, 10.0 / 32767.0 + 1e-9);
-  }
-}
-
 TEST(Codec, VectorHelpers) {
   const std::vector<double> xs{0.0, 0.5, 1.0};
   const auto bytes = encode_unit_vector(xs);

@@ -332,8 +332,8 @@ TEST(FailoverPlanner, PicksBestAlternateOverLiveLinks) {
             topo.path_delay_s(topo.shortest_path(0, 2)) +
                 topo.path_delay_s(topo.shortest_path(2, 3)));
   // With C's links dead too, no plan exists.
-  spf.fail_link(1);  // A-C
-  spf.fail_link(3);  // C-D
+  spf.set_link_state(1, false);  // A-C
+  spf.set_link_state(3, false);  // C-D
   EXPECT_FALSE(ctrl::plan_failover_site(spf, capable, 1, 0, 3).has_value());
 }
 

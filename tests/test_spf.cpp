@@ -163,7 +163,7 @@ TEST(SpfEngine, UnreachablePartitionAndHeal) {
   const net::topology topo = net::make_linear_topology(8);
   net::spf_engine eng(topo);
   eng.ensure_all_trees();
-  eng.fail_link(3);  // cut between nodes 3 and 4
+  eng.set_link_state(3, false);  // cut between nodes 3 and 4
   for (net::node_id u = 0; u < 4; ++u) {
     for (net::node_id v = 4; v < 8; ++v) {
       EXPECT_EQ(eng.dist(u, v), inf);
@@ -174,7 +174,7 @@ TEST(SpfEngine, UnreachablePartitionAndHeal) {
   }
   EXPECT_EQ(eng.dist(0, 3), eng.dist(0, 3));  // intact side still finite
   EXPECT_LT(eng.dist(0, 3), inf);
-  eng.restore_link(3);
+  eng.set_link_state(3, true);
   expect_trees_match_fresh(eng, topo, "healed");
   expect_matches_seed(eng, topo, "healed");
 }
@@ -192,13 +192,13 @@ TEST(SpfEngine, ParallelLinksKeepLowestIndexTieBreak) {
   EXPECT_EQ(eng.parent_link(a, b), 0u);  // lowest-index tight link
   // Failing the preferred parallel link changes no dist and no first
   // hop — only the parent link migrates to the surviving fiber.
-  const std::uint64_t touched = eng.fail_link(0);
+  const std::uint64_t touched = eng.set_link_state(0, false);
   EXPECT_EQ(touched, 0u);
   EXPECT_EQ(eng.dirty_count(), 0u);
   EXPECT_EQ(eng.parent_link(a, b), 1u);
   expect_trees_match_fresh(eng, topo, "parallel fail");
   expect_matches_seed(eng, topo, "parallel fail");
-  eng.restore_link(0);
+  eng.set_link_state(0, true);
   EXPECT_EQ(eng.parent_link(a, b), 0u);
   expect_trees_match_fresh(eng, topo, "parallel restore");
 }
@@ -210,9 +210,9 @@ TEST(SpfEngine, TouchedCountsAreExactOnChainTailFailure) {
   const net::topology topo = net::make_linear_topology(32);
   net::spf_engine eng(topo);
   eng.ensure_all_trees();
-  EXPECT_EQ(eng.fail_link(30), 62u);
+  EXPECT_EQ(eng.set_link_state(30, false), 62u);
   EXPECT_EQ(eng.dirty_count(), 62u);
-  EXPECT_EQ(eng.restore_link(30), 62u);
+  EXPECT_EQ(eng.set_link_state(30, true), 62u);
   // The same 62 pairs flipped back — the dirty set is deduplicated.
   EXPECT_EQ(eng.dirty_count(), 62u);
   std::size_t drained = 0;
@@ -263,7 +263,7 @@ TEST(Spf, CopiedEngineMatchesFreshBuild) {
   expect_fresh(copied, "copy-constructed, original flapped");
   expect_fresh(assigned, "copy-assigned, original flapped");
   for (std::size_t li = 0; li < up.size(); ++li) {
-    if (!up[li]) original.restore_link(li);
+    if (!up[li]) original.set_link_state(li, true);
   }
   expect_fresh(copied, "copy-constructed, original healed");
   expect_fresh(assigned, "copy-assigned, original healed");

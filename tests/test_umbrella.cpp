@@ -58,15 +58,5 @@ TEST(Umbrella, ThreeStageChainEndToEnd) {
   EXPECT_TRUE(core::read_nonlinear_result(pkt).has_value());
 }
 
-TEST(Umbrella, WdmLanesUseDistinctWavelengths) {
-  // Indirect check through the grid math the engine uses.
-  phot::wdm_channel ch0, ch1;
-  ch0.index = 0;
-  ch1.index = 1;
-  EXPECT_NE(ch0.center_wavelength_m(), ch1.center_wavelength_m());
-  EXPECT_NEAR(ch0.center_frequency_hz() - ch1.center_frequency_hz(),
-              -100e9, 1.0);
-}
-
 }  // namespace
 }  // namespace onfiber
