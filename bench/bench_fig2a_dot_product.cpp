@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
     sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
     sink = sink + fused_unit.dot_unit_range(a, b).value;
 
-    // Every timing below is the best of 5 passes: one pass is at the
-    // mercy of scheduler noise, and the minimum is the standard
+    // Every timing below is a best pass, of 5 unless stated: one pass is
+    // at the mercy of scheduler noise, and the minimum is the standard
     // noise-robust estimator for a deterministic workload.
     const auto best_of_5_s = [](int reps, const auto& body) {
       double best_s = 1e30;
@@ -146,7 +146,23 @@ int main(int argc, char** argv) {
       sink = sink + fused_unit.dot_unit_range(a, b).value;
     };
     const double ns_per_mac = 1e9 / (static_cast<double>(reps) * dim);
-    const double scalar_ns = best_of_5_s(reps, scalar_dot) * ns_per_mac;
+    // The scalar reference's speed follows its core's load, which on a
+    // shared host changes every one to five seconds (150 against 240
+    // ns/MAC on one core of a shared 4-CPU x86-64 host); five passes of
+    // one window read whichever phase they fall in. So its best pass is
+    // taken over short passes spread across three seconds.
+    const int scalar_reps = 40;
+    double scalar_best_s = 1e30;
+    {
+      const stopwatch window;
+      for (int pass = 0; pass < 5 || window.elapsed_s() < 3.0; ++pass) {
+        stopwatch sw;
+        for (int t = 0; t < scalar_reps; ++t) scalar_dot();
+        scalar_best_s = std::min(scalar_best_s, sw.elapsed_s());
+      }
+    }
+    const double scalar_ns =
+        scalar_best_s * 1e9 / (static_cast<double>(scalar_reps) * dim);
     const double fused_ns = best_of_5_s(reps, fused_dot) * ns_per_mac;
 
     // Parallel signed GEMV throughput (ONFIBER_THREADS-sized pool).
@@ -207,7 +223,7 @@ int main(int argc, char** argv) {
         for (double& v : lx) v = 2.0 * gen.uniform() - 1.0;
         std::vector<double> received(4 * in_dim);
         launcher.encode_rails_received(lx, in_dim, received);
-        layers.push_back({phot::rail_weights(lw, launcher.config().dac),
+        layers.push_back({phot::rail_weights(lw, launcher.config()),
                           std::move(received)});
       }
       const auto request = [&] {

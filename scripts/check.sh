@@ -69,14 +69,17 @@ ctest --preset asan --no-tests=error -R 'Spf|Routing'
 # The P2 matcher runs on the dispatched counter fills and blocked sums,
 # so its reference and golden tests run at both tiers too, as do the
 # single-dot and GEMM oracles (every P1 caller runs on the engine's one
-# driver, whose readout fills and fused weight passes are dispatched:
+# driver, whose readout fills and moment sums are dispatched:
 # successive unsigned and signed single dots, both GEMM modes and the
-# unsigned row, each against the shared per-pass oracle) and the
+# unsigned row, each bit for bit against the shared per-pass oracle's
+# per-readout mode, and the readouts' moments and distribution against
+# its per-symbol mode) and the
 # grid-snap rounding pins. The on-fiber launch, which runs on powers
-# through the dispatched RIN and weight passes, is pinned against the
+# through the dispatched RIN and modulator passes, is pinned against the
 # field launch it replaced. The cross-row fill, the batched readout
-# sums and the readout currents are pinned against their per-row and
-# per-readout forms at every tier, and the pool-dispatch test runs
+# sums, the readout moment sums and the readout currents are pinned
+# against their per-row and per-readout forms at every tier, and the
+# pool-dispatch test runs
 # GEMMs on both sides of the break-even size.
 for simd_level in scalar native; do
   if [ "$simd_level" = native ]; then
@@ -85,7 +88,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|IntensityLaunchMatchesFieldLaunch|PatternMatch|DotProductUnit|GridSnap|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|PoolDispatch' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|EngineGolden|GemmMatchesPerPassReference|IntensityLaunchMatchesFieldLaunch|PatternMatch|DotProductUnit|GridSnap|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|MomentSumsMatchPerReadoutSums|ReadoutMomentsMatchPerSymbolOracle|ReadoutDistributionMatchesPerSymbolOracle|PoolDispatch' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD
@@ -94,19 +97,20 @@ unset ONFIBER_SIMD
 # pool, batched GEMM/engine paths, and the two-pass kernels run under
 # -fsanitize=thread to catch data races the deterministic fold could
 # mask. Scoped to the concurrency-relevant suites to keep it fast. The
-# GEMM's rows fill their streams and run their weight passes on pool
+# GEMM's rows fill their streams and sum their readout moments on pool
 # workers into shared per-call engine buffers at ONFIBER_THREADS>1, so
-# the engine golden (1 and 3 threads) and the GEMM oracle of both modes
-# and of the unsigned row (3 threads) run here too. Only a GEMM above
+# the engine golden (1 and 3 threads), the GEMM oracle of both modes
+# and of the unsigned row (3 threads) and the readouts' statistical
+# oracles run here too. Only a GEMM above
 # the pool's break-even size runs on the workers, as row ranges written
 # into those shared buffers; the pool-dispatch test and the pool
 # determinism sweeps run such GEMMs at 3 threads and assert that they
 # dispatch, and the cross-row fill and batched readout sums those
-# ranges call run here with them.
+# ranges call, and the moment sums, run here with them.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \
-  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|GemmMatchesPerPassReference|PoolDispatch|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums'
+  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|EngineGolden|GemmMatchesPerPassReference|PoolDispatch|RowFillMatchesPerRowFill|BatchedReadoutSumsMatchPerReadoutSums|MomentSumsMatchPerReadoutSums|ReadoutMomentsMatchPerSymbolOracle|ReadoutDistributionMatchesPerSymbolOracle'
 
 # Sharded-engine tsan gate: the determinism and reliability suites
 # re-run with an extra ONFIBER_SHARDS=4 sweep entry, and the fabric

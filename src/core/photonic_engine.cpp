@@ -111,7 +111,7 @@ void photonic_engine::configure_gemv(gemv_task task) {
   if (!task.bias.empty() && task.bias.size() != task.weights.rows) {
     throw std::invalid_argument("photonic_engine: bias/rows mismatch");
   }
-  gemv_rails_.emplace(task.weights, config_.dot.dac);
+  gemv_rails_.emplace(task.weights, config_.dot);
   gemv_ = std::move(task);
 }
 
@@ -141,7 +141,7 @@ void photonic_engine::configure_dnn(dnn_task task) {
   }
   dnn_rails_.clear();
   for (const photonic_layer& layer : task.layers) {
-    dnn_rails_.emplace_back(layer.weights, config_.dot.dac);
+    dnn_rails_.emplace_back(layer.weights, config_.dot);
   }
   dnn_ = std::move(task);
 }

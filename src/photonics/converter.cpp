@@ -18,14 +18,6 @@ double quantization_noise_rms(double full_scale, int bits) {
   return lsb / std::sqrt(12.0);
 }
 
-namespace {
-
-/// Purpose tags separating DAC and ADC streams derived from equal seeds.
-constexpr std::uint64_t kDacTag = 0x646163ULL;  // "dac"
-constexpr std::uint64_t kAdcTag = 0x616463ULL;  // "adc"
-
-/// ENOB penalty translates to extra Gaussian noise so that the converter's
-/// effective resolution is (bits - penalty).
 double enob_noise_sigma(const converter_config& c) {
   if (c.enob_penalty <= 0.0) return 0.0;
   const double ideal = quantization_noise_rms(c.full_scale, c.bits);
@@ -36,6 +28,12 @@ double enob_noise_sigma(const converter_config& c) {
   const double extra_var = total * total - ideal * ideal;
   return extra_var > 0.0 ? std::sqrt(extra_var) : 0.0;
 }
+
+namespace {
+
+/// Purpose tags separating DAC and ADC streams derived from equal seeds.
+constexpr std::uint64_t kDacTag = 0x646163ULL;  // "dac"
+constexpr std::uint64_t kAdcTag = 0x616463ULL;  // "adc"
 
 /// Measured-style ENOB: total modeled noise (quantization floor + ENOB
 /// penalty) folded back into effective bits.

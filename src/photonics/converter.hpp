@@ -112,6 +112,11 @@ class adc {
 [[nodiscard]] double quantize_to_grid(double value, double full_scale,
                                       int bits);
 
+/// Standard deviation of the Gaussian a converter of config `c` adds to
+/// every conversion, so that its effective resolution is bits minus the
+/// ENOB penalty (zero without a penalty).
+[[nodiscard]] double enob_noise_sigma(const converter_config& c);
+
 /// RMS quantization noise of an N-bit converter over [0, full_scale]:
 /// lsb / sqrt(12). Used by tests to bound observed error analytically.
 [[nodiscard]] double quantization_noise_rms(double full_scale, int bits);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "photonics/simd.hpp"
+
 namespace onfiber::phot {
 
 namespace {
@@ -77,8 +79,6 @@ void dot_product_unit::row_keys_for(std::span<const std::uint64_t> seeds,
   out.detector.resize(rows);
   out.adc.resize(rows);
   out.bias_error_b_rad.resize(rows);
-  out.dac_a.resize(a_side ? rows : 0);
-  out.rin.resize(a_side ? rows : 0);
   out.bias_error_a_rad.resize(a_side ? rows : 0);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::uint64_t seed = seeds[r];
@@ -88,8 +88,6 @@ void dot_product_unit::row_keys_for(std::span<const std::uint64_t> seeds,
     out.bias_error_b_rad[r] =
         mzm_modulator::bias_error_for(config_.modulator, seed ^ kModBTag);
     if (a_side) {
-      out.dac_a[r] = dac::noise_key(seed ^ kDacATag);
-      out.rin[r] = laser::rin_key(seed);
       out.bias_error_a_rad[r] =
           mzm_modulator::bias_error_for(config_.modulator, seed ^ kModATag);
     }
@@ -110,14 +108,14 @@ readout_plan dot_product_unit::plan_readout(std::size_t symbols,
 }
 
 void dot_product_unit::read_out(const readout_plan& plan,
-                                std::span<const double> product,
+                                std::span<const double> sums,
                                 std::span<const double> detector_noise,
                                 std::span<const double> adc_noise,
                                 std::span<double> values) const {
-  // The detector integrates each readout's product powers; the ADC
+  // The detector turns each readout's power sum into a current; the ADC
   // digitizes the currents normalized to the calibrated full scale.
-  detector_.integrate_readouts(product, plan.symbols, plan.noise,
-                               detector_noise, values);
+  detector_.readout_currents(sums, plan.symbols, plan.noise, detector_noise,
+                             values);
   const double full_scale_a = plan.full_scale_a;
   for (double& v : values) v = full_scale_a > 0.0 ? v / full_scale_a : 0.0;
   adc_out_.digitize(values, adc_noise, values);
@@ -162,7 +160,9 @@ dot_result dot_product_unit::dot_unit_range_scalar(std::span<const double> a,
   detector_.draw_readout_noise(std::span(&detector_noise, 1));
   adc_out_.draw_noise(std::span(&adc_noise, 1));
   const readout_plan plan = plan_readout(n, full_scale_power_mw());
-  read_out(plan, scratch_.product, std::span(&detector_noise, 1),
+  double sum = 0.0;
+  simd::active().blocked_sums(scratch_.product.data(), n, 1, &sum);
+  read_out(plan, std::span(&sum, 1), std::span(&detector_noise, 1),
            std::span(&adc_noise, 1), std::span(&value, 1));
   if (ledger_ != nullptr) {
     // Optical energy of the analog MACs themselves (paper §2.2 number).
@@ -191,16 +191,13 @@ void dot_product_unit::encode_rails_received(std::span<const double> xs,
   // DAC converts on its continuing stream, the carrier's powers take
   // their RIN draws, and the calibrated transfer multiplies them, with
   // the draw indices and ledger charges of a field launch (DAC, laser,
-  // MZM). The DAC outputs are final, so the weight pass adds no noise.
+  // MZM).
   scratch_.dac_a.resize(symbols);
   dac_a_.convert(scratch_.rail_a, scratch_.dac_a, scratch_.dac_noise_a);
   scratch_.launched.resize(symbols);
   laser_.emit_powers(scratch_.launched);
-  scratch_.no_noise.resize(symbols);  // never written: all zeros
   double* launched = scratch_.launched.data();
-  mod_a_.transfer().weight_product(scratch_.dac_a.data(),
-                                   scratch_.no_noise.data(), 0.0,
-                                   config_.dac.full_scale, launched, launched,
+  mod_a_.transfer().weight_product(scratch_.dac_a.data(), launched, launched,
                                    symbols);
   if (ledger_ != nullptr && symbols > 0) {
     ledger_->charge("modulator",

@@ -82,12 +82,11 @@ struct readout_plan {
 
 /// The noise GEMM rows draw under their row seeds, one array per stream
 /// kind: entry r holds the key or bias error of dot_product_unit(config,
-/// seeds[r])'s device. The on-fiber pass draws only the b side and the
-/// readout, and leaves the a-side arrays empty.
+/// seeds[r])'s device. A readout's analog sum, whatever factors it
+/// integrates, draws on the b-side DAC's key. The on-fiber pass has no a
+/// modulator and leaves its bias errors empty.
 struct row_keys {
-  std::vector<std::uint64_t> dac_a;  ///< a-side DAC noise keys
-  std::vector<std::uint64_t> dac_b;  ///< b-side DAC noise keys
-  std::vector<std::uint64_t> rin;    ///< laser RIN keys
+  std::vector<std::uint64_t> dac_b;  ///< readout-sum keys (b-side DAC)
   std::vector<std::uint64_t> detector;  ///< detector noise keys
   std::vector<std::uint64_t> adc;       ///< readout ADC noise keys
   std::vector<double> bias_error_a_rad;  ///< a modulator (0 unless set)
@@ -134,19 +133,18 @@ class dot_product_unit {
                                           double full_scale_mw) const;
 
   /// The one P1 readout math, over values.size() readouts: readout k
-  /// integrates plan.symbols product powers from product[k * symbols]
+  /// detects sums[k], the sum of its plan.symbols product powers [mW],
   /// with detector draw detector_noise[k], is normalized to the full
   /// scale, digitized with ADC draw adc_noise[k] (unread when the ADC is
   /// noiseless) and recovered to a product sum, into values[k]. Uses
   /// only this unit's device models, never its streams or ledger.
-  void read_out(const readout_plan& plan, std::span<const double> product,
+  void read_out(const readout_plan& plan, std::span<const double> sums,
                 std::span<const double> detector_noise,
                 std::span<const double> adc_noise,
                 std::span<double> values) const;
 
   /// Keys and bias errors of every GEMM row, one pass over the row
-  /// seeds into `out`; the a-side ones (DAC-a, laser RIN, a modulator)
-  /// only when `a_side`.
+  /// seeds into `out`; the a modulator's bias errors only when `a_side`.
   void row_keys_for(std::span<const std::uint64_t> seeds, bool a_side,
                     row_keys& out) const;
 
@@ -156,13 +154,8 @@ class dot_product_unit {
   /// Whether the readout ADC draws noise at all.
   [[nodiscard]] bool adc_noisy() const { return adc_out_.noise_sigma() > 0.0; }
 
-  /// The transfer both modulators share but for the bias error, which a
-  /// GEMM pass sets per row and side.
-  [[nodiscard]] const mzm_transfer& modulator_transfer() const {
-    return mod_b_.transfer();
-  }
-
-  /// The carrier: a GEMM row draws its powers on the row's RIN stream.
+  /// The carrier, whose per-symbol power moments an electrical GEMM
+  /// pass integrates.
   [[nodiscard]] const laser& carrier() const { return laser_; }
 
   [[nodiscard]] const dot_product_config& config() const { return config_; }
@@ -175,7 +168,6 @@ class dot_product_unit {
     std::vector<double> rail_a;       ///< launched sample rails
     std::vector<double> dac_a;        ///< a-side DAC outputs
     std::vector<double> dac_noise_a;  ///< a-side DAC two-pass draws
-    std::vector<double> no_noise;     ///< zeros: the launch's weight noise
     std::vector<double> launched;     ///< launched rail powers [mW]
     std::vector<double> product;      ///< per-symbol product powers [mW]
   };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,30 +52,65 @@ struct gemm_result {
 /// A GEMV is a batch-one GEMM.
 using gemv_result = gemm_result;
 
+/// The transmission moments of every level of one DAC grid through a
+/// calibrated modulator (`mzm_transfer::drive_moments`, no bias error):
+/// level j, the code j / (2^bits - 1) * full_scale a grid snap yields,
+/// holds loss * mu(code) and loss^2 * v(code). Computed once per config.
+struct drive_moment_table {
+  converter_config dac;
+  mzm_transfer transfer;       ///< bias error 0
+  std::vector<moments> level;  ///< 2^bits entries
+
+  explicit drive_moment_table(const dot_product_config& config);
+
+  /// The grid level of a code already on the grid.
+  [[nodiscard]] std::size_t index_of(double code) const;
+
+  /// The moments of a code already on the grid.
+  [[nodiscard]] const moments& at(double code) const {
+    return level[index_of(code)];
+  }
+
+  /// Whether this table is of DAC `d` driving transfer `t`.
+  [[nodiscard]] bool tabulates(const converter_config& d,
+                               const mzm_transfer& t) const;
+};
+
 /// A signed weight matrix split into rails once, each row laid out as
 /// both operands of the fused signed kernel (`lay_out_rails`) and
-/// snapped to the grid of the DAC `dac`: electrical inputs drive the
-/// weights on the a side, on-fiber inputs on the b side. The snap lets
-/// every GEMM pass skip the per-element quantize; only an engine whose
-/// DAC is `dac` accepts the weights.
+/// snapped to the grid of the config's DAC: electrical inputs drive the
+/// weights on the a side, on-fiber inputs on the b side. Each snapped
+/// code also keeps its transmission moments through the config's
+/// calibrated modulator, so a GEMM pass only sums them. Only an engine
+/// of the same DAC and modulator accepts the weights.
 struct rail_weights {
   std::size_t rows = 0;
   std::size_t cols = 0;
   converter_config dac;
-  std::vector<double> a, b;  ///< rows x 4*cols each
+  mzm_transfer transfer;     ///< calibrated: bias error 0
+  std::vector<double> a, b;  ///< rows x 4*cols snapped codes each
+  /// Per code of a and b: loss * mu and loss^2 * v.
+  std::vector<double> a_mean, a_var, b_mean, b_var;
 
-  rail_weights(const matrix& w, const converter_config& dac);
+  rail_weights(const matrix& w, const dot_product_config& config);
 };
 
 /// The analog P1 kernel. Every call runs as device passes over row
-/// ranges: a range makes one fill per noise stream kind for all its rows,
-/// one weight pass per row, sample and modulator, and one readout of all
-/// its (row, sample, pass) readouts. The whole call is one range unless
-/// it is large enough to pay for the pool (kPoolBreakEvenWork). Row
-/// seeds are forked in row order before dispatch, one per row per call
-/// whatever the batch; row r draws from streams keyed off its seed as a
-/// dot_product_unit(config, row seed) keys its devices, each sample
-/// continuing where the previous one stopped. Results are bit-identical
+/// ranges. A readout integrates `cols` independent per-symbol products,
+/// so it draws its sum once, from the sum's exact mean and variance given
+/// what it modulates: on fiber, sum_i p_i M_i + sqrt(sum_i p_i^2 V_i) * n
+/// over the received powers p and the weights' transmission moments M, V
+/// (`drive_moment_table`); electrically, the product moments of the
+/// carrier's RIN, the a-side weight drive and the b-side sample drive.
+/// Then the detector and ADC read the sum out. A range makes one fill per
+/// readout stream kind for all its rows, one moment pass per row and
+/// sample, and one readout of all its (row, sample, pass) readouts. The
+/// whole call is one range unless it is large enough to pay for the pool
+/// (kPoolBreakEvenWork). Row seeds are forked in row order before
+/// dispatch, one per row per call whatever the batch; row r draws from
+/// streams keyed off its seed as a dot_product_unit(config, row seed)
+/// keys its devices, readout (s, k) at draw index s * passes + k on the
+/// row's b-side DAC key, detector and ADC keys. Results are bit-identical
 /// at any thread count and a batch of one is bit-identical to
 /// gemv_signed. Latency models the single time-multiplexed analog unit
 /// and adds up across rows; the ledger takes one cell per row, merged in
@@ -129,22 +165,33 @@ class vector_matrix_engine {
   void set_threads(std::size_t threads) { threads_override_ = threads; }
 
  private:
+  /// Each row's passes for the side they drive: snapped codes and their
+  /// calibrated transmission moments, rows x passes*cols each.
+  struct row_operand {
+    std::span<const double> codes, mean, var;
+  };
+
+  /// The drive moment table, built on first use.
+  [[nodiscard]] const drive_moment_table& drive();
+
+  /// Look up the moments of snapped weight codes in weight_rails_.
+  [[nodiscard]] row_operand weight_operand();
+
   /// Signed GEMM on snapped a-side weight rails: snaps the samples'
   /// b-side rails once and runs the passes.
-  [[nodiscard]] gemm_result run_signed(std::span<const double> weight_rails,
-                                       std::size_t rows, std::size_t cols,
+  [[nodiscard]] gemm_result run_signed(const row_operand& w, std::size_t rows,
+                                       std::size_t cols,
                                        std::span<const double> xs);
 
   /// The one P1 driver. Each row is `passes` equal passes of `cols`:
   /// 1 (unsigned) or 4 (signed rails, combined pp + nn - pn - np).
-  /// `weights` holds each row's snapped passes for the side they drive.
-  /// `samples` holds batch x passes*cols values: the samples' snapped
-  /// b-side codes (electrical, after an a-side pass of the carrier
-  /// through the weights) or their received powers (optical).
-  /// `full_scale_mw` calibrates the readout.
-  [[nodiscard]] gemm_result run_passes(std::span<const double> weights,
-                                       std::size_t rows, std::size_t cols,
-                                       std::size_t passes,
+  /// `w` holds each row's passes for the side they drive. `samples`
+  /// holds batch x passes*cols values: the samples' snapped b-side codes
+  /// (electrical, the carrier through the weights on the a side) or
+  /// their received powers (optical). `full_scale_mw` calibrates the
+  /// readout.
+  [[nodiscard]] gemm_result run_passes(const row_operand& w, std::size_t rows,
+                                       std::size_t cols, std::size_t passes,
                                        std::span<const double> samples,
                                        double full_scale_mw, bool optical);
 
@@ -156,6 +203,10 @@ class vector_matrix_engine {
   /// Device models of the driver: its invariants, its row keys and the
   /// readout math. Its own streams are never drawn.
   dot_product_unit models_;
+  /// Both modulators' drive moments without a bias error, tabulated on
+  /// the first P1 call: an engine that serves only P2 and P3 never
+  /// builds them.
+  std::optional<drive_moment_table> drive_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
   rng row_seed_stream_;  ///< forked per row, in row order
@@ -164,11 +215,20 @@ class vector_matrix_engine {
   std::vector<std::uint64_t> seeds_;
   row_keys keys_;  ///< every row's stream keys, per stream kind
   std::vector<double> weight_rails_;  ///< snapped a-side row operand
+  std::vector<double> weight_mean_, weight_var_;  ///< and its moments
   std::vector<double> sample_rails_;  ///< snapped b-side samples
-  /// Row-major over (row, sample): DAC draws and product powers per
-  /// symbol; detector and ADC draws and readouts per pass.
-  std::vector<double> dac_noise_, product_;
-  std::vector<double> detector_noise_, adc_noise_, readouts_;
+  /// Per sample symbol, shared by every row: on fiber the received power
+  /// squared; electrically the b-side drive's moments M, V and M^2 + V.
+  std::vector<double> sample_sq_, sample_mean_, sample_var_;
+  /// Electrical rows' per-symbol coefficients of the readout moments.
+  std::vector<double> row_m_, row_g_, row_h_;
+  /// Row-major over (row, sample, pass): each readout's sum moments and
+  /// value.
+  std::vector<double> sums_, sum_var_, readouts_;
+  /// Per row range, kind-major: the keys and draws of its readout
+  /// streams (sum, detector, ADC).
+  std::vector<std::uint64_t> fill_keys_;
+  std::vector<double> draws_;
 };
 
 /// Reference (infinite-precision) GEMV for accuracy comparisons.

@@ -30,11 +30,14 @@ void refresh_kernel_thread_count_cache();
 
 /// Rows x per-row work (a GEMM's symbols per row) from which
 /// parallel_rows hands rows to the pool. Below it one inline range is
-/// faster than waking the pool, whose round trip costs about 18 us: the
-/// measured break-even of both GEMM modes at 4 threads on a 4-CPU
-/// x86-64 host (AVX-512 tier). The OEO GEMM, with twice the per-symbol
-/// work, breaks even near 2,048; the on-fiber GEMM near 8,192.
-inline constexpr std::size_t kPoolBreakEvenWork = 8192;
+/// not reliably faster on the pool: in a sweep of both GEMM modes at 4
+/// threads on a shared 4-CPU x86-64 host (AVX-512 tier; rows 4-128, cols
+/// 12-64, batch 1-64, best of three sweeps), GEMMs of up to 65,536 ran
+/// as slow as 0.95x on the pool, and every GEMM from 98,304 up ran at
+/// least 1.15x faster. A readout now costs more than its symbols (one
+/// draw each for sum, detector and ADC), so at a fixed size GEMMs of
+/// few columns gain the most.
+inline constexpr std::size_t kPoolBreakEvenWork = 98304;
 
 /// Run `fn(first, last)` over contiguous row ranges that together cover
 /// [0, rows) exactly once. Runs the one range [0, rows) inline when

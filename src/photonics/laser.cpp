@@ -1,6 +1,7 @@
 #include "photonics/laser.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "photonics/simd.hpp"
@@ -41,10 +42,6 @@ laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
         rin_sigma_mw(config_.power_mw, config_.rin_db_hz,
                      config_.symbol_rate_hz);
   }
-}
-
-std::uint64_t laser::rin_key(std::uint64_t seed) {
-  return counter_rng::key_of(rng::first_output(seed), kRinTag);
 }
 
 field laser::emit_one() {
@@ -126,6 +123,12 @@ void laser::emit_powers(std::span<double> out_mw) {
   if (ledger_ != nullptr && symbols > 0) {
     ledger_->charge_batches("laser", costs_.laser_j_per_symbol, symbols, 1);
   }
+}
+
+moments laser::power_moments() const {
+  return clamped_normal_moments(config_.power_mw,
+                                config_.enable_rin ? rin_sigma_mw_ : 0.0, 0.0,
+                                std::numeric_limits<double>::infinity());
 }
 
 void laser::draw_powers(std::span<const std::uint64_t> rin_keys,

@@ -63,8 +63,9 @@ class laser {
   void draw_powers(std::span<const std::uint64_t> rin_keys,
                    std::uint64_t base, std::span<double> out_powers) const;
 
-  /// Key of the RIN stream a laser built with rng{seed} draws from.
-  [[nodiscard]] static std::uint64_t rin_key(std::uint64_t seed);
+  /// Exact mean and variance of one symbol's power [mW]: the configured
+  /// power plus its RIN draw, clipped at zero (`draw_powers`).
+  [[nodiscard]] moments power_moments() const;
 
  private:
   laser_config config_;

@@ -12,8 +12,13 @@
 //   * RIN              — laser relative intensity noise; multiplicative.
 //
 // All three are expressed as per-symbol current or power perturbations so
-// device models can apply them sample by sample.
+// device models can apply them sample by sample. A readout that only
+// observes the integrated sum of its symbols draws that sum from its
+// exact moments instead (`clamped_normal_moments`).
 #pragma once
+
+#include <cmath>
+#include <numbers>
 
 #include "photonics/rng.hpp"
 #include "photonics/units.hpp"
@@ -45,6 +50,57 @@ namespace onfiber::phot {
 [[nodiscard]] inline double rin_sigma_mw(double power_mw, double rin_db_hz,
                                          double bandwidth_hz) {
   return power_mw * std::sqrt(db_to_ratio(rin_db_hz) * bandwidth_hz);
+}
+
+/// Mean and variance of one random quantity.
+struct moments {
+  double mean = 0.0;
+  double var = 0.0;
+};
+
+/// Exact moments of clamp(mu + sigma * Z, lo, hi) for a standard normal
+/// Z: the normal's interior plus the point masses at both clips, in
+/// closed form in the normal CDF and density. `hi` may be +infinity;
+/// sigma = 0 gives the clamped point. Computed on the centred variable
+/// clamp(Z, a, b), so the variance does not cancel for sigma << |mu|.
+[[nodiscard]] inline moments clamped_normal_moments(double mu, double sigma,
+                                                    double lo, double hi) {
+  if (!(sigma > 0.0)) {
+    const double x = mu < lo ? lo : (mu > hi ? hi : mu);
+    return {x, 0.0};
+  }
+  const double a = (lo - mu) / sigma;
+  const double b = (hi - mu) / sigma;
+  constexpr double inv_sqrt2 = 0.70710678118654752440;
+  constexpr double inv_sqrt_2pi = std::numbers::inv_sqrtpi * inv_sqrt2;
+  // Each clip's mass and density. Beyond ten sigma (an infinite clip
+  // included) they are below the rounding of every term they join,
+  // Phi(-10) ~ 8e-24, and are left out, which spares the grid levels in
+  // a drive's interior their special functions.
+  constexpr double kFar = 10.0;
+  const bool has_lo = a > -kFar;
+  const bool has_hi = b < kFar;
+  const double mass_lo = has_lo ? 0.5 * std::erfc(-a * inv_sqrt2) : 0.0;
+  const double mass_hi = has_hi ? 0.5 * std::erfc(b * inv_sqrt2) : 0.0;
+  const double pdf_lo = has_lo ? inv_sqrt_2pi * std::exp(-0.5 * a * a) : 0.0;
+  const double pdf_hi = has_hi ? inv_sqrt_2pi * std::exp(-0.5 * b * b) : 0.0;
+  // Interior mass P(a < Z < b), from the tail nearer the interval so a
+  // narrow interval far out does not cancel to zero.
+  double inner;
+  if (has_lo && a > 0.0) {
+    inner = 0.5 * std::erfc(a * inv_sqrt2) - mass_hi;
+  } else if (has_hi && b < 0.0) {
+    inner = 0.5 * std::erfc(-b * inv_sqrt2) - mass_lo;
+  } else {
+    inner = 1.0 - mass_lo - mass_hi;
+  }
+  const double lo_a = has_lo ? a : 0.0;
+  const double hi_b = has_hi ? b : 0.0;
+  const double m1 = lo_a * mass_lo + hi_b * mass_hi + pdf_lo - pdf_hi;
+  const double m2 = lo_a * lo_a * mass_lo + hi_b * hi_b * mass_hi + inner +
+                    lo_a * pdf_lo - hi_b * pdf_hi;
+  const double var_w = m2 - m1 * m1;
+  return {mu + sigma * m1, var_w > 0.0 ? sigma * sigma * var_w : 0.0};
 }
 
 /// Bundled receiver noise configuration shared by photodetector-based

@@ -68,10 +68,18 @@ void photodetector::integrate_readouts(std::span<const double> power_mw,
   // Every readout's power sum in one dispatched call, into current_a.
   simd::active().blocked_sums(power_mw.data(), symbols, current_a.size(),
                               current_a.data());
-  // Then the shot and thermal noise of each and the clip, one
-  // branch-free dispatched pass.
+  readout_currents(current_a, symbols, nz, noise, current_a);
+}
+
+void photodetector::readout_currents(std::span<const double> sums_mw,
+                                     std::size_t symbols,
+                                     const integration_noise& nz,
+                                     std::span<const double> noise,
+                                     std::span<double> current_a) const {
+  // The shot and thermal noise of each and the clip, one branch-free
+  // dispatched pass.
   simd::active().readout_currents(
-      current_a.data(), noise.data(), current_a.size(),
+      sums_mw.data(), noise.data(), current_a.size(),
       static_cast<double>(symbols), config_.responsivity_a_w,
       config_.dark_current_a, config_.noise.enable_shot,
       2.0 * electron_charge, nz.bandwidth_hz, nz.thermal_var,

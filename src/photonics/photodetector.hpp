@@ -59,11 +59,20 @@ class photodetector {
   /// power_mw[k * symbols] with standard normal draw noise[k], into
   /// current_a[k], for current_a.size() readouts. One dispatched call
   /// sums every readout's powers and one more turns the sums into noisy,
-  /// clipped currents; current_a must not alias power_mw.
+  /// clipped currents (`readout_currents`); current_a must not alias
+  /// power_mw.
   void integrate_readouts(std::span<const double> power_mw,
                           std::size_t symbols, const integration_noise& nz,
                           std::span<const double> noise,
                           std::span<double> current_a) const;
+
+  /// Readout k's noisy, clipped current from the sum of its `symbols`
+  /// powers, sums_mw[k] [mW], with standard normal draw noise[k], into
+  /// current_a[k]. `current_a` may alias `sums_mw`.
+  void readout_currents(std::span<const double> sums_mw, std::size_t symbols,
+                        const integration_noise& nz,
+                        std::span<const double> noise,
+                        std::span<double> current_a) const;
 
   /// Key of the noise stream a detector built with rng{seed} draws from;
   /// each readout consumes exactly one of its draw indices.

@@ -1,8 +1,8 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
 // The hot per-symbol passes (cross-row counter-noise fill, DAC/ADC math,
-// laser RIN power, fused weight pass, batched blocked readout sums,
-// readout currents) are compiled four times — scalar, SSE4.1, AVX2,
+// laser RIN power, modulator pass, batched blocked readout sums,
+// per-readout moment sums, readout currents) are compiled four times — scalar, SSE4.1, AVX2,
 // AVX-512 — in per-ISA translation units (simd_kernels_*.cpp, each with
 // its own -m flags), and the best level the host supports is selected
 // once at startup via cpuid.
@@ -58,18 +58,12 @@ struct kernel_table {
                    double full_scale, double levels, double sigma,
                    double* out);
 
-  /// Fused on-fiber weight pass over codes already on the DAC grid: the
-  /// DAC adds its ENOB noise and clips to [0, full_scale]; the calibrated
-  /// MZM transmission clamps to [0, 1], holds the extinction floor and
-  /// applies the insertion loss; the received power multiplies it.
-  /// Same arithmetic in the same order as dac_pass on the unsnapped
-  /// code, then the calibrated transfer's collapse max(clamp(o, 0, 1),
-  /// floor_t) * loss, then the product.
-  /// `out` may alias `power_mw`.
-  void (*weight_product)(const double* codes, const double* noise,
-                         std::size_t n, double full_scale, double sigma,
-                         double floor_t, double loss, const double* power_mw,
-                         double* out);
+  /// Modulator pass over DAC outputs drive[i] >= 0: the calibrated MZM
+  /// transmission clamps to 1, holds the extinction floor and applies the
+  /// insertion loss, max(min(drive, 1), floor_t) * loss, and the power it
+  /// modulates multiplies it. `out` may alias `power_mw`.
+  void (*weight_product)(const double* drive, std::size_t n, double floor_t,
+                         double loss, const double* power_mw, double* out);
 
   /// Readout accumulation over `count` readouts of `n` values each:
   /// out[k] is the 8-accumulator blocked sum of x[k * n, (k + 1) * n),
@@ -77,6 +71,17 @@ struct kernel_table {
   /// (including scalar).
   void (*blocked_sums)(const double* x, std::size_t n, std::size_t count,
                        double* out);
+
+  /// Per-readout moment sums of `count` readouts of `n` symbols, readout
+  /// k's operands at k * n: mean[k] = sum_i wm[i] * xm[i] and var[k] =
+  /// sum_i (wv[i] * xv[i] + wh[i] * xh[i]), the wh term only when wh is
+  /// non-null. Each sum runs blocked_sums' eight accumulators and fold
+  /// order, mean and variance independently, so every width rounds the
+  /// same.
+  void (*moment_sums)(const double* wm, const double* xm, const double* wv,
+                      const double* xv, const double* wh, const double* xh,
+                      std::size_t n, std::size_t count, double* mean,
+                      double* var);
 
   /// photodetector::integrate_readouts' per-readout chain, branch-free:
   /// readout k's mean power sums[k] / symbols [mW] to a current, plus

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "photonics/quantize_detail.hpp"
 #include "photonics/rng_counter_detail.hpp"
@@ -118,20 +119,23 @@ void adc_pass_kernel(const double* in, const double* noise, std::size_t n,
   }
 }
 
-void weight_product_kernel(const double* codes, const double* noise,
-                           std::size_t n, double full_scale, double sigma,
-                           double floor_t, double loss, const double* power_mw,
-                           double* out) {
+void weight_product_kernel(const double* drive, std::size_t n, double floor_t,
+                           double loss, const double* power_mw, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    double o = codes[i] + sigma * noise[i];
-    o = o < 0.0 ? 0.0 : o;
-    o = o > full_scale ? full_scale : o;
-    // The DAC clip already holds o >= 0, so the MZM clamp needs only
-    // its upper half.
-    double c = o > 1.0 ? 1.0 : o;
+    // A DAC output is >= 0, so the MZM clamp needs only its upper half.
+    double c = drive[i] > 1.0 ? 1.0 : drive[i];
     c = c < floor_t ? floor_t : c;
     out[i] = power_mw[i] * (c * loss);
   }
+}
+
+/// The fixed fold of eight accumulators.
+inline double fold8(const double* acc) {
+  const double a01 = acc[0] + acc[1];
+  const double a23 = acc[2] + acc[3];
+  const double a45 = acc[4] + acc[5];
+  const double a67 = acc[6] + acc[7];
+  return (a01 + a23) + (a45 + a67);
 }
 
 void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
@@ -148,11 +152,73 @@ void blocked_sums_kernel(const double* x, std::size_t n, std::size_t count,
       for (std::size_t j = 0; j < 8; ++j) acc[j] += xk[i + j];
     }
     for (std::size_t j = 0; i < n; ++i, ++j) acc[j] += xk[i];
-    const double a01 = acc[0] + acc[1];
-    const double a23 = acc[2] + acc[3];
-    const double a45 = acc[4] + acc[5];
-    const double a67 = acc[6] + acc[7];
-    out[k] = (a01 + a23) + (a45 + a67);
+    out[k] = fold8(acc);
+  }
+}
+
+/// Eight doubles as one generic vector: one zmm at AVX-512, two ymm at
+/// AVX2, SSE pairs below (the scalar tier included: its flags switch off
+/// only the auto-vectorizer). Its operations are element-wise IEEE
+/// arithmetic, so lane j rounds exactly as a scalar accumulator would,
+/// at every tier.
+using lanes8 = double __attribute__((vector_size(64)));
+
+inline void load8(lanes8& v, const double* p) { std::memcpy(&v, p, sizeof v); }
+
+/// moment_sums over readouts of n symbols, the variance's third term
+/// only when `kThird`. Each block's eight accumulator updates are one
+/// vector operation: left to the auto-vectorizer, the loop interleaves
+/// eight blocks and shuffles them back, at 7x the instructions.
+template <bool kThird>
+void moment_sums_of(const double* wm, const double* xm, const double* wv,
+                    const double* xv, const double* wh, const double* xh,
+                    std::size_t n, std::size_t count, double* mean,
+                    double* var) {
+  // The accumulators of the mean and of the variance are independent
+  // chains, eight each, in blocked_sums' order.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t o = k * n;
+    lanes8 am = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    lanes8 av = am;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      lanes8 a, b, c, d;
+      load8(a, wm + o + i);
+      load8(b, xm + o + i);
+      load8(c, wv + o + i);
+      load8(d, xv + o + i);
+      lanes8 v = c * d;
+      if constexpr (kThird) {
+        lanes8 e, f;
+        load8(e, wh + o + i);
+        load8(f, xh + o + i);
+        v += e * f;
+      }
+      am += a * b;
+      av += v;
+    }
+    for (std::size_t j = 0; i < n; ++i, ++j) {
+      double v = wv[o + i] * xv[o + i];
+      if constexpr (kThird) v += wh[o + i] * xh[o + i];
+      am[j] += wm[o + i] * xm[o + i];
+      av[j] += v;
+    }
+    double acc[8];
+    std::memcpy(acc, &am, sizeof acc);
+    mean[k] = fold8(acc);
+    std::memcpy(acc, &av, sizeof acc);
+    var[k] = fold8(acc);
+  }
+}
+
+void moment_sums_kernel(const double* wm, const double* xm, const double* wv,
+                        const double* xv, const double* wh, const double* xh,
+                        std::size_t n, std::size_t count, double* mean,
+                        double* var) {
+  if (wh == nullptr) {
+    moment_sums_of<false>(wm, xm, wv, xv, wh, xh, n, count, mean, var);
+  } else {
+    moment_sums_of<true>(wm, xm, wv, xv, wh, xh, n, count, mean, var);
   }
 }
 
@@ -190,6 +256,7 @@ void readout_currents_kernel(const double* sums, const double* noise,
   t.adc_pass = &adc_pass_kernel;
   t.weight_product = &weight_product_kernel;
   t.blocked_sums = &blocked_sums_kernel;
+  t.moment_sums = &moment_sums_kernel;
   t.readout_currents = &readout_currents_kernel;
   return t;
 }

@@ -6,9 +6,16 @@
 // scalar detector draw and one scalar ADC conversion per pass, and
 // charges the ledger pass by pass. Its devices are keyed exactly as
 // dot_product_unit keys them, and its streams continue from call to
-// call, so it is the reference both of the engine's rows (keyed from the
-// row seed, bit for bit) and of the unit's field-domain
-// dot_unit_range_scalar (draw for draw, equal to rounding).
+// call. It forms each readout's analog sum one of two ways:
+//
+//   * per_readout — one draw on the b-side DAC's key from the sum's
+//     exact moments, the terms written out here in the engine's order:
+//     the bit-for-bit reference of the engine's rows, keyed from the
+//     row seed;
+//   * per_symbol — every symbol's DAC, RIN and transfer drawn and
+//     summed: the statistical oracle of the engine's readouts, and the
+//     draw-for-draw reference of the unit's field-domain
+//     dot_unit_range_scalar (equal to rounding).
 //
 // `field_launch_reference` is the unit's on-fiber launch computed on
 // fields: the reference the unit's launch on powers must equal to
@@ -43,20 +50,28 @@ inline double calibrated_transmission(const mzm_transfer& t, double x) {
   return c * t.loss;
 }
 
+/// How a reference forms each readout's analog sum.
+enum class readout_noise {
+  per_symbol,   ///< every symbol's DAC, RIN and transfer drawn, then summed
+  per_readout,  ///< one draw per readout from the sum's exact moments
+};
+
 class per_pass_reference {
  public:
   per_pass_reference(dot_product_config config, std::uint64_t seed,
-                     energy_ledger* ledger)
+                     energy_ledger* ledger,
+                     readout_noise noise = readout_noise::per_symbol)
       : config_([&] {
           config.laser.symbol_rate_hz = config.symbol_rate_hz;
           config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
           return config;
         }()),
+        noise_(noise),
         carrier_(config_.laser, rng{seed}),
-        rin_key_(laser::rin_key(seed)),
         mod_a_(config_.modulator, 0.0, rng{seed ^ 0x1111}),
         mod_b_(config_.modulator, 0.0, rng{seed ^ 0x2222}),
         detector_noise_(counter_rng::key_of(rng{seed ^ 0x3333}(), 0x706474)),
+        sum_noise_(dac::noise_key(seed ^ 0x5555)),
         dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger),
         dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger),
         adc_(config_.adc, rng{seed ^ 0x6666}, ledger),
@@ -77,18 +92,36 @@ class per_pass_reference {
       dac_b_.convert(b.subspan(at, length), std::span(db).subspan(at, length),
                      noise);
     }
-    carrier_.draw_powers(std::span(&rin_key_, 1), rin_cursor_, p);
-    rin_cursor_ += n;
     charge("laser", costs_.laser_j_per_symbol, length, passes);
     charge("modulator", costs_.modulator_drive_j, length, 2 * passes);
+    const double full_scale_mw =
+        config_.laser.power_mw *
+        db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
+    if (noise_ == readout_noise::per_readout) {
+      // Symbol i carries P A B; the sum's moments in the engine's terms.
+      const moments power = carrier_.power_moments();
+      std::vector<double> m(n), g(n), h(n), xm(n), xv(n), xsq(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const moments wa = drive(mod_a_, a[i]);
+        const moments xb = drive(mod_b_, b[i]);
+        m[i] = power.mean * wa.mean;
+        g[i] = power.var * (wa.var + wa.mean * wa.mean) +
+               power.mean * power.mean * wa.var;
+        h[i] = m[i] * m[i];
+        xm[i] = xb.mean;
+        xv[i] = xb.var;
+        xsq[i] = xb.var + xb.mean * xb.mean;
+      }
+      const bool noisy = enob_noise_sigma(config_.dac) > 0.0 || power.var > 0.0;
+      return read_out(moment_sums(m, xm, g, xsq, h, xv, passes, noisy),
+                      length, full_scale_mw);
+    }
+    carrier_.emit_powers(p);
     for (std::size_t i = 0; i < n; ++i) {
       product[i] = p[i] * calibrated_transmission(mod_a_.transfer(), da[i]) *
                    calibrated_transmission(mod_b_.transfer(), db[i]);
     }
-    const double full_scale_mw =
-        config_.laser.power_mw *
-        db_to_ratio(-2.0 * config_.modulator.insertion_loss_db);
-    return read_out(product, passes, full_scale_mw);
+    return read_out(pass_sums(product, passes), length, full_scale_mw);
   }
 
   /// The on-fiber twin: a arrived as received powers a_mw, only b is
@@ -104,13 +137,26 @@ class per_pass_reference {
                      noise);
     }
     charge("modulator", costs_.modulator_drive_j, length, passes);
+    const double full_scale_mw =
+        reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
+    if (noise_ == readout_noise::per_readout) {
+      std::vector<double> wm(n), wv(n), sq(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const moments w = drive(mod_b_, b[i]);
+        wm[i] = w.mean;
+        wv[i] = w.var;
+        sq[i] = a_mw[i] * a_mw[i];
+      }
+      return read_out(
+          moment_sums(wm, a_mw, wv, sq, {}, {}, passes,
+                      enob_noise_sigma(config_.dac) > 0.0),
+          length, full_scale_mw);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       product[i] =
           a_mw[i] * calibrated_transmission(mod_b_.transfer(), db[i]);
     }
-    return read_out(product, passes,
-                    reference_power_mw *
-                        db_to_ratio(-config_.modulator.insertion_loss_db));
+    return read_out(pass_sums(product, passes), length, full_scale_mw);
   }
 
  private:
@@ -119,6 +165,58 @@ class per_pass_reference {
     if (ledger_ != nullptr) {
       ledger_->charge_batches(category, joules_per_op, ops, times);
     }
+  }
+
+  /// Transmission moments of raw value x, snapped to the DAC grid, through
+  /// modulator `mod` (its bias error included).
+  moments drive(const mzm_modulator& mod, double x) const {
+    const converter_config& d = config_.dac;
+    return mod.transfer().drive_moments(
+        quantize_to_grid(x, d.full_scale, d.bits), enob_noise_sigma(d),
+        d.full_scale);
+  }
+
+  /// Each pass's product sum, blocked as the detector integrates.
+  static std::vector<double> pass_sums(std::span<const double> product,
+                                       std::size_t passes) {
+    const std::size_t length = product.size() / passes;
+    std::vector<double> sums(passes);
+    simd::active().blocked_sums(product.data(), length, passes, sums.data());
+    return sums;
+  }
+
+  /// Eight accumulators, lane i % 8, folded as blocked_sums folds them.
+  static double fold(const double (&acc)[8]) {
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+  }
+
+  /// Each pass's sum drawn from its moments: mean sum_i wm xm, variance
+  /// sum_i (wv xv + wh xh), the wh term when wh is not empty; one draw
+  /// of the b-side DAC key per readout.
+  std::vector<double> moment_sums(std::span<const double> wm,
+                                  std::span<const double> xm,
+                                  std::span<const double> wv,
+                                  std::span<const double> xv,
+                                  std::span<const double> wh,
+                                  std::span<const double> xh,
+                                  std::size_t passes, bool noisy) {
+    const std::size_t length = wm.size() / passes;
+    std::vector<double> sums(passes);
+    for (std::size_t k = 0; k < passes; ++k) {
+      double mean_acc[8] = {};
+      double var_acc[8] = {};
+      for (std::size_t i = 0; i < length; ++i) {
+        const std::size_t at = k * length + i;
+        double v = wv[at] * xv[at];
+        if (!wh.empty()) v += wh[at] * xh[at];
+        mean_acc[i % 8] += wm[at] * xm[at];
+        var_acc[i % 8] += v;
+      }
+      sums[k] = fold(mean_acc);
+      if (noisy) sums[k] += std::sqrt(fold(var_acc)) * sum_noise_.normal();
+    }
+    return sums;
   }
 
   double integrate_mean(double mean_power_mw, std::size_t symbols) {
@@ -156,15 +254,13 @@ class per_pass_reference {
     return r;
   }
 
-  dot_result read_out(std::span<const double> product, std::size_t passes,
+  /// One readout per pass from its sum of `length` symbol powers.
+  dot_result read_out(const std::vector<double>& sums, std::size_t length,
                       double full_scale_mw) {
-    const std::size_t length = product.size() / passes;
+    const std::size_t passes = sums.size();
     dot_result pass[4];
     for (std::size_t k = 0; k < passes; ++k) {
-      double sum = 0.0;
-      simd::active().blocked_sums(product.data() + k * length, length, 1,
-                                  &sum);
-      const double mean = sum / static_cast<double>(length);
+      const double mean = sums[k] / static_cast<double>(length);
       pass[k] = read_out_current(integrate_mean(mean, length), full_scale_mw,
                                  length);
     }
@@ -178,13 +274,13 @@ class per_pass_reference {
   }
 
   dot_product_config config_;
+  readout_noise noise_;
   energy_costs costs_{};
-  laser carrier_;  ///< its models only: powers drawn on rin_key_
-  std::uint64_t rin_key_;
-  std::uint64_t rin_cursor_ = 0;
+  laser carrier_;  ///< ledger-free: its RIN stream continues per call
   mzm_modulator mod_a_;
   mzm_modulator mod_b_;
   counter_stream detector_noise_;
+  counter_stream sum_noise_;  ///< per-readout sums: the b-side DAC's key
   dac dac_a_;
   dac dac_b_;
   adc adc_;
@@ -263,7 +359,9 @@ class field_launch_reference {
     adc_.draw_noise(std::span(&adc_noise, 1));
     const readout_plan plan =
         models_.plan_readout(n, models_.full_scale_power_mw());
-    models_.read_out(plan, product, std::span(&detector_noise, 1),
+    double sum = 0.0;
+    simd::active().blocked_sums(product.data(), n, 1, &sum);
+    models_.read_out(plan, std::span(&sum, 1), std::span(&detector_noise, 1),
                      std::span(&adc_noise, 1), std::span(&value, 1));
     if (ledger_ != nullptr) {
       ledger_->charge("photonic_mac",

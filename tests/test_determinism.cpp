@@ -371,7 +371,7 @@ constexpr const char* kSweepThreads[] = {"1", "2", "3", "8"};
 // the dispatch counter must grow there, or the sweep would compare
 // inline runs only.
 TEST(PoolDeterminism, GemvBitIdenticalAcrossThreadCounts) {
-  constexpr std::size_t rows = 24, cols = 96;
+  constexpr std::size_t rows = 24, cols = 1024;
   static_assert(rows * 4 * cols >= phot::kPoolBreakEvenWork);
   const phot::matrix w = test_matrix(rows, cols, 31);
   std::vector<double> x(cols);
@@ -405,7 +405,7 @@ TEST(PoolDeterminism, GemvBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PoolDeterminism, GemmBitIdenticalAcrossThreadCounts) {
-  constexpr std::size_t rows = 8, cols = 48, batch = 6;
+  constexpr std::size_t rows = 8, cols = 48, batch = 64;
   static_assert(rows * batch * 4 * cols >= phot::kPoolBreakEvenWork);
   const phot::matrix w = test_matrix(rows, cols, 13);
   std::vector<double> xs(batch * cols);
@@ -483,7 +483,7 @@ TEST(PoolDispatch, GemmDispatchesOnlyAboveBreakEven) {
   const std::size_t big_batch =
       phot::kPoolBreakEvenWork / (rows * symbols_per_sample) + 1;
   const phot::matrix w = test_matrix(rows, cols, 41);
-  const phot::rail_weights rails(w, phot::converter_config{});
+  const phot::rail_weights rails(w, phot::dot_product_config{});
   std::vector<double> xs(big_batch * cols);
   std::vector<double> received(big_batch * symbols_per_sample);
   phot::rng gen(43);
@@ -861,17 +861,19 @@ std::uint64_t engine_case_digest(engine_task kind, core::compute_mode mode,
   return d.value();
 }
 
-// Captured before the engine's GEMM moved onto vector_matrix_engine's
-// fused kernel; index = ((dnn * 2 + oeo) * 3 + call) * 2 + ledger.
+// Re-captured (ONFIBER_REGOLD=1) when each GEMM readout began drawing
+// its analog sum once, from the sum's exact moments, in place of every
+// symbol's DAC (and, in OEO, RIN) draws; index = ((dnn * 2 + oeo) * 3 +
+// call) * 2 + ledger.
 constexpr std::uint64_t kEngineGolden[24] = {
-    0x9d98548efb37efc4ull, 0x21fc2de50ff2ca9bull, 0x9d98548efb37efc4ull,
-    0x21fc2de50ff2ca9bull, 0x9f7ee781d9f09e8bull, 0x93cdb1e98bd049b9ull,
-    0xf88a9df7961b6d68ull, 0xe6f80c205db27522ull, 0xf88a9df7961b6d68ull,
-    0xe6f80c205db27522ull, 0xec867e0f2126d90aull, 0x400cc2bf8ab891eeull,
-    0x887dfd303689534bull, 0xf26b1bf4539bd22cull, 0x887dfd303689534bull,
-    0xf26b1bf4539bd22cull, 0x5de1aebb90e482a7ull, 0x9e4362ee00e34638ull,
-    0x25afd9f26b6064ecull, 0x0148d9033b5bb947ull, 0x25afd9f26b6064ecull,
-    0x0148d9033b5bb947ull, 0xbabd0ca4813fe32dull, 0x9fbf0bbe1e118248ull,
+    0x55e493ca11a0c4a7ull, 0x30e6d385a19fed08ull, 0x55e493ca11a0c4a7ull,
+    0x30e6d385a19fed08ull, 0x7c91081792368bc5ull, 0xa1c3909ff240231bull,
+    0x621ddcc17db03bcaull, 0x3214694716db7d30ull, 0x621ddcc17db03bcaull,
+    0x3214694716db7d30ull, 0x174760374b5b23cfull, 0x3972dc19e69d42dfull,
+    0xffbcd3bee51c9799ull, 0x356546bfcd3ec886ull, 0xffbcd3bee51c9799ull,
+    0x356546bfcd3ec886ull, 0x3d58fc7de035fce0ull, 0x1460ee34a5aff7efull,
+    0x1b14d4107b0286bdull, 0x948482ded28e863aull, 0x1b14d4107b0286bdull,
+    0x948482ded28e863aull, 0x774a76c81237cecbull, 0x7d064b822b9d6adeull,
 };
 
 /// Check the 24 cases of two task kinds against `golden`, index =

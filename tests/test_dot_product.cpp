@@ -110,7 +110,7 @@ TEST(DotProduct, OpticalInputMatchesElectrical) {
   w.data = b;
   vector_matrix_engine engine({}, 8);
   const gemm_result r =
-      engine.gemm_optical(rail_weights(w, u.config().dac), received, ref_mw);
+      engine.gemm_optical(rail_weights(w, u.config()), received, ref_mw);
   ASSERT_EQ(r.values.size(), 1u);
   EXPECT_NEAR(r.values[0], exact_dot(a, b), 0.06 * 32);
   EXPECT_EQ(r.symbols, 4 * 32u);
@@ -119,7 +119,7 @@ TEST(DotProduct, OpticalInputMatchesElectrical) {
 TEST(DotProduct, OpticalInputValidation) {
   vector_matrix_engine engine({}, 9);
   matrix w(1, 4);
-  const rail_weights rails(w, converter_config{});
+  const rail_weights rails(w, dot_product_config{});
   const std::vector<double> received(4 * 4, 0.5);
   EXPECT_THROW((void)engine.gemm_optical(rails, received, 0.0),
                std::invalid_argument);
@@ -232,7 +232,8 @@ void expect_single_dots_match_reference(const dot_product_config& cfg) {
                      " round=" + std::to_string(round));
         call_ledger = {};
         per_pass_reference ref(cfg, row_seeds(),
-                               with_ledger ? &call_ledger : nullptr);
+                               with_ledger ? &call_ledger : nullptr,
+                               readout_noise::per_readout);
         const dot_result want = ref.electrical(op.a, op.b, passes);
         if (passes == 1) {
           expect_same_bits(engine.dot_unit_range(op.a, op.b), want);
@@ -282,7 +283,8 @@ void expect_unsigned_row_matches_reference(const dot_product_config& cfg) {
 
           rng row_seeds(96 ^ 0x726f7773ULL);  // the engine's row fork
           per_pass_reference ref(cfg, row_seeds(),
-                                 with_ledger ? &want_ledger : nullptr);
+                                 with_ledger ? &want_ledger : nullptr,
+                                 readout_noise::per_readout);
           dot_result want;
           for (int k = 0; k < repeats; ++k) {
             const dot_result d = ref.electrical(a, b, 1);
@@ -318,7 +320,7 @@ void expect_gemm_matches_reference(const dot_product_config& cfg) {
     rng g(90 + rows);
     matrix w(rows, cols);
     for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
-    const rail_weights rails(w, cfg.dac);
+    const rail_weights rails(w, cfg);
     for (const std::size_t batch : {1, 8, 9, 12}) {
       std::vector<double> received(batch * 4 * cols);
       for (double& p : received) p = zero_power ? 0.0 : g.uniform() * ref_mw;
@@ -351,7 +353,8 @@ void expect_gemm_matches_reference(const dot_product_config& cfg) {
             for (std::size_t r = 0; r < rows; ++r) {
               const std::uint64_t seed = row_seeds();
               row_ledger = {};
-              per_pass_reference ref(cfg, seed, ref_ledger);
+              per_pass_reference ref(cfg, seed, ref_ledger,
+                                     readout_noise::per_readout);
               lay_out_rails(w.row(r),
                             optical ? rail_operand::b : rail_operand::a,
                             rail_w);
@@ -393,7 +396,7 @@ void expect_gemm_matches_reference(const dot_product_config& cfg) {
   if (cfg.dac.bits != converter_config{}.bits) {
     vector_matrix_engine engine(cfg, 92);
     matrix w(2, 3);
-    const rail_weights other(w, {});
+    const rail_weights other(w, dot_product_config{});
     const std::vector<double> received(4 * 3, 0.5);
     const std::vector<double> xs(3, 0.5);
     EXPECT_THROW((void)engine.gemm_optical(other, received, ref_mw),
@@ -482,13 +485,245 @@ TEST(DotProductUnit, IntensityLaunchMatchesFieldLaunch) {
   }
 }
 
+// ------------------------------------------ per-symbol statistical oracle
+//
+// The engine draws each readout's sum once, from the sum's exact moments;
+// the per-symbol oracle draws every symbol's DAC, RIN and transfer and
+// sums them. Over >= 1e5 readouts per case, their values must agree in
+// mean and variance within four standard errors, and in distribution
+// (two-sample Kolmogorov-Smirnov) at the Fig. 1 MLP's layer widths.
+
+/// A config whose detector and ADC resolve the analog sum: no shot or
+/// thermal noise, a 20-bit ADC without ENOB noise. Otherwise the ADC's
+/// 8-bit grid and noise would bury the DAC noise the moments carry.
+dot_product_config resolving_readout(dot_product_config c) {
+  c.detector.noise.enable_shot = false;
+  c.detector.noise.enable_thermal = false;
+  c.adc.bits = 20;
+  c.adc.enob_penalty = 0.0;
+  return c;
+}
+
+/// One row's operands: its `cols` raw weights (unsigned codes when
+/// passes == 1, signed otherwise), and one sample: raw values (electrical)
+/// or 4 * cols received rail powers (optical).
+struct row_case {
+  bool optical = false;
+  std::size_t passes = 4;
+  std::vector<double> w, x;
+};
+
+/// `values` values of one row on the same sample, from the engine (batches
+/// of copies of the sample, one row seed per call) and from the
+/// per-symbol oracle keyed from the same row seeds.
+std::pair<std::vector<double>, std::vector<double>> sample_row(
+    const dot_product_config& cfg, const row_case& c, std::size_t values,
+    std::uint64_t seed) {
+  const std::size_t cols = c.w.size();
+  const double ref_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
+  vector_matrix_engine engine(cfg, seed);
+  rng row_seeds(seed ^ 0x726f7773ULL);  // the engine's row fork
+  std::vector<double> got, want;
+  if (c.passes == 1) {
+    for (std::size_t v = 0; v < values; ++v) {
+      got.push_back(engine.dot_unit_range(c.w, c.x).value);
+      per_pass_reference ref(cfg, row_seeds(), nullptr);
+      want.push_back(ref.electrical(c.w, c.x, 1).value);
+    }
+    return {got, want};
+  }
+  matrix w(1, cols);
+  w.data = c.w;
+  const rail_weights rails(w, cfg);
+  std::vector<double> rail_w(4 * cols), rail_x(4 * cols);
+  lay_out_rails(c.w, c.optical ? rail_operand::b : rail_operand::a, rail_w);
+  if (!c.optical) lay_out_rails(c.x, rail_operand::b, rail_x);
+  constexpr std::size_t kBatch = 5000;
+  std::vector<double> xs;
+  for (std::size_t s = 0; s < kBatch; ++s) {
+    xs.insert(xs.end(), c.x.begin(), c.x.end());
+  }
+  while (got.size() < values) {
+    const gemm_result g = c.optical ? engine.gemm_optical(rails, xs, ref_mw)
+                                    : engine.gemm_signed(rails, xs);
+    got.insert(got.end(), g.values.begin(), g.values.end());
+    per_pass_reference ref(cfg, row_seeds(), nullptr);
+    for (std::size_t s = 0; s < kBatch; ++s) {
+      want.push_back(c.optical ? ref.optical(c.x, rail_w, ref_mw, 4).value
+                               : ref.electrical(rail_w, rail_x, 4).value);
+    }
+  }
+  return {got, want};
+}
+
+/// Sample mean and variance, and the squared standard error of each.
+struct sample_moments {
+  double mean = 0.0, var = 0.0, mean_se2 = 0.0, var_se2 = 0.0;
+};
+
+sample_moments moments_of(const std::vector<double>& x) {
+  const double n = static_cast<double>(x.size());
+  sample_moments m;
+  for (const double v : x) m.mean += v;
+  m.mean /= n;
+  double m2 = 0.0, m4 = 0.0;
+  for (const double v : x) {
+    const double d2 = (v - m.mean) * (v - m.mean);
+    m2 += d2;
+    m4 += d2 * d2;
+  }
+  m2 /= n;
+  m4 /= n;
+  m.var = m2 * n / (n - 1.0);
+  m.mean_se2 = m.var / n;
+  m.var_se2 = (m4 - m2 * m2) / n;
+  return m;
+}
+
+/// Means and variances agree within four standard errors of their
+/// difference (and to rounding when both are deterministic).
+void expect_same_moments(const std::vector<double>& got,
+                         const std::vector<double>& want) {
+  const sample_moments g = moments_of(got);
+  const sample_moments w = moments_of(want);
+  EXPECT_NEAR(g.mean, w.mean,
+              4.0 * std::sqrt(g.mean_se2 + w.mean_se2) +
+                  1e-12 * std::abs(w.mean));
+  EXPECT_NEAR(g.var, w.var,
+              4.0 * std::sqrt(g.var_se2 + w.var_se2) + 1e-24);
+}
+
+/// Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+/// empirical CDFs, evaluated after every run of tied values.
+double ks_statistic(std::vector<double> x, std::vector<double> y) {
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  const double nx = static_cast<double>(x.size());
+  const double ny = static_cast<double>(y.size());
+  std::size_t i = 0, j = 0;
+  double d = 0.0;
+  while (i < x.size() && j < y.size()) {
+    const double v = std::min(x[i], y[j]);
+    while (i < x.size() && x[i] == v) ++i;
+    while (j < y.size() && y[j] == v) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / nx -
+                             static_cast<double>(j) / ny));
+  }
+  return d;
+}
+
+/// The operands of the statistical cases, `cols` wide.
+row_case make_case(bool optical, std::size_t passes, std::size_t cols,
+                   double ref_mw, rng& g) {
+  row_case c;
+  c.optical = optical;
+  c.passes = passes;
+  c.w.resize(cols);
+  for (double& v : c.w) v = passes == 1 ? g.uniform() : 2.0 * g.uniform() - 1.0;
+  if (optical) {
+    c.x.resize(4 * cols);
+    for (double& p : c.x) p = (0.2 + 0.6 * g.uniform()) * ref_mw;
+  } else {
+    c.x.resize(cols);
+    for (double& v : c.x) v = passes == 1 ? g.uniform() : 2.0 * g.uniform() - 1.0;
+  }
+  return c;
+}
+
+/// The three P1 shapes: electrical unsigned (1 pass), electrical signed
+/// and on-fiber (4 passes).
+constexpr std::pair<bool, std::size_t> kModes[] = {
+    {false, 1}, {false, 4}, {true, 4}};
+
+std::string mode_name(bool optical, std::size_t passes) {
+  return std::string(optical ? "on-fiber" : "electrical") + " passes=" +
+         std::to_string(passes);
+}
+
+TEST(DotProductUnit, ReadoutMomentsMatchPerSymbolOracle) {
+  constexpr std::size_t kCols = 16;
+  constexpr std::size_t kReadouts = 100000;
+  std::vector<std::pair<std::string, dot_product_config>> configs;
+  configs.emplace_back("default", dot_product_config{});
+  dot_product_config no_rin;
+  no_rin.laser.enable_rin = false;
+  configs.emplace_back("RIN off", no_rin);
+  dot_product_config exact_dac;
+  exact_dac.dac.enob_penalty = 0.0;
+  configs.emplace_back("ENOB penalty 0", exact_dac);
+  dot_product_config biased;
+  biased.modulator.bias_error_sigma_rad = 0.05;
+  configs.emplace_back("bias error 0.05 rad", biased);
+  // Codes on the clips: weights at 0 (the transfer's floor) and at full
+  // scale (signed rails of +/-1: half the passes at 1, half at 0; the
+  // unsigned row all at 1 against samples at 0.5, below the ADC's clip).
+  enum class codes { random, zero, full_scale };
+  std::uint64_t seed = 300;
+  for (const auto& [name, front] : configs) {
+    for (const codes k : {codes::random, codes::zero, codes::full_scale}) {
+      if (k != codes::random && name != "default") continue;
+      const dot_product_config cfg = resolving_readout(front);
+      const double ref_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
+      rng g(seed);
+      for (const auto& [optical, passes] : kModes) {
+        row_case c = make_case(optical, passes, kCols, ref_mw, g);
+        for (double& v : c.w) {
+          if (k == codes::zero) v = 0.0;
+          if (k == codes::full_scale) v = passes == 1 ? 1.0 : (v < 0 ? -1.0 : 1.0);
+        }
+        if (k == codes::full_scale && !optical) {
+          for (double& v : c.x) v = v < 0.0 ? -0.5 : 0.5;
+        }
+        SCOPED_TRACE(name + (k == codes::zero         ? ", codes at 0"
+                             : k == codes::full_scale ? ", codes at full scale"
+                                                      : "") +
+                     ", " + mode_name(optical, passes));
+        const auto [got, want] =
+            sample_row(cfg, c, kReadouts / passes, ++seed);
+        expect_same_moments(got, want);
+      }
+    }
+  }
+}
+
+TEST(DotProductUnit, ReadoutDistributionMatchesPerSymbolOracle) {
+  // Kolmogorov-Smirnov at alpha = 0.001 over 1e5 readouts per side, at
+  // the Fig. 1 MLP's layer widths, with the default readout and with a
+  // resolving one: the per-readout normal differs from the per-symbol
+  // sum only by the CLT over 12-16 terms.
+  constexpr double kAlpha = 0.001;
+  constexpr std::size_t kReadouts = 100000;
+  const double c_alpha = std::sqrt(-0.5 * std::log(kAlpha / 2.0));
+  std::uint64_t seed = 400;
+  for (const std::size_t cols : {16, 12}) {
+    for (const bool resolving : {false, true}) {
+      const dot_product_config cfg =
+          resolving ? resolving_readout({}) : dot_product_config{};
+      const double ref_mw = dot_product_unit(cfg, 0).full_scale_power_mw();
+      rng g(seed);
+      for (const auto& [optical, passes] : kModes) {
+        const row_case c = make_case(optical, passes, cols, ref_mw, g);
+        SCOPED_TRACE("cols=" + std::to_string(cols) +
+                     (resolving ? ", resolving readout" : ", default") +
+                     ", " + mode_name(optical, passes));
+        const auto [got, want] =
+            sample_row(cfg, c, kReadouts / passes, ++seed);
+        const double n = static_cast<double>(got.size());
+        const double m = static_cast<double>(want.size());
+        EXPECT_LT(ks_statistic(got, want),
+                  c_alpha * std::sqrt((n + m) / (n * m)));
+      }
+    }
+  }
+}
+
 // A refused call on any engine entry point forks no row seed: the next
 // call still draws the noise a fresh engine's first call draws.
 TEST(DotProductUnit, GemmRefusalForksNoSeed) {
   matrix w(3, 4);
   rng g(93);
   for (double& v : w.data) v = 2.0 * g.uniform() - 1.0;
-  const rail_weights rails(w, converter_config{});
+  const rail_weights rails(w, dot_product_config{});
   std::vector<double> xs(2 * 4), received(2 * 4 * 4);
   for (double& v : xs) v = 2.0 * g.uniform() - 1.0;
   for (double& p : received) p = g.uniform();

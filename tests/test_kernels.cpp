@@ -83,14 +83,13 @@ TEST(KernelsDevices, LaserEmitLedgerPassesMatchEmitOne) {
 }
 
 TEST(KernelsDevices, LaserEmitPowersMatchesScalarPowers) {
-  // draw_powers on the laser's own RIN key returns the powers directly;
-  // the scalar path round-trips them through sqrt/polar/norm, so
-  // agreement is to rounding error, not bits.
-  const phot::laser power_laser({}, phot::rng{78});
+  // emit_powers draws on the laser's own RIN stream and returns the
+  // powers directly; the scalar path round-trips them through
+  // sqrt/polar/norm, so agreement is to rounding error, not bits.
+  phot::laser power_laser({}, phot::rng{78});
   phot::laser scalar_laser({}, phot::rng{78});
   std::vector<double> powers(48);
-  const std::uint64_t rin_key = phot::laser::rin_key(78);
-  power_laser.draw_powers(std::span(&rin_key, 1), 0, powers);
+  power_laser.emit_powers(powers);
   for (double p : powers) {
     EXPECT_NEAR(p, phot::power_mw(scalar_laser.emit_one()), 1e-12 * p);
   }

@@ -196,6 +196,45 @@ TEST(SimdDispatch, BatchedReadoutSumsMatchPerReadoutSums) {
   }
 }
 
+TEST(SimdDispatch, MomentSumsMatchPerReadoutSums) {
+  // The readout-moment kernel: each readout's mean and variance sums are
+  // blocked_sums of the element-wise products, bit for bit, at every tier,
+  // with and without the variance's third term, at readout lengths below,
+  // at and across the 8-accumulator width.
+  rng gen(109);
+  for (const std::size_t n : {1, 3, 8, 12, 16, 17, 64}) {
+    for (const std::size_t count : {1, 4, 48}) {
+      std::vector<double> wm(n * count), xm(n * count), wv(n * count),
+          xv(n * count), wh(n * count), xh(n * count);
+      for (auto* v : {&wm, &xm, &wv, &xv, &wh, &xh}) {
+        for (double& x : *v) x = gen.uniform();
+      }
+      for (const bool third : {false, true}) {
+        std::vector<double> want_mean(count), want_var(count), term(n);
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t o = k * n;
+          for (std::size_t i = 0; i < n; ++i) term[i] = wm[o + i] * xm[o + i];
+          want_mean[k] = reference_blocked_sum(term.data(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            term[i] = wv[o + i] * xv[o + i];
+            if (third) term[i] += wh[o + i] * xh[o + i];
+          }
+          want_var[k] = reference_blocked_sum(term.data(), n);
+        }
+        for (const simd::level l : supported_levels()) {
+          std::vector<double> mean(count, -1.0), var(count, -1.0);
+          simd::table_for(l).moment_sums(
+              wm.data(), xm.data(), wv.data(), xv.data(),
+              third ? wh.data() : nullptr, third ? xh.data() : nullptr, n,
+              count, mean.data(), var.data());
+          EXPECT_EQ(mean, want_mean) << simd::level_name(l) << " n " << n;
+          EXPECT_EQ(var, want_var) << simd::level_name(l) << " n " << n;
+        }
+      }
+    }
+  }
+}
+
 // The per-readout chain the readout-currents kernel replaced: mean
 // power to current, shot and thermal variance, one draw, clip.
 double reference_readout_current(double sum, double noise, double symbols,
@@ -284,12 +323,11 @@ TEST(GridSnap, RoundHalfAwayMatchesStdRound) {
       detail::round_half_away(std::numeric_limits<double>::quiet_NaN())));
 }
 
-// The fused on-fiber weight pass on grid-snapped codes equals the
-// unfused chain it replaces — DAC pass on the raw input, calibrated MZM
-// transmission, product with the received power — at every tier. The
-// inputs include values outside [0, 1], a DAC full scale above the
-// modulator's unit clamp, a noiseless DAC, and exact half-LSB points,
-// where the snap must round half away from zero.
+// The modulator pass over DAC outputs equals the calibrated MZM
+// transmission times the power it modulates, at every tier. The DAC
+// outputs come from inputs outside [0, 1], a DAC full scale above the
+// modulator's unit clamp, a noiseless and a noisy DAC, and exact
+// half-LSB points, where the snap must round half away from zero.
 TEST(SimdDispatch, WeightProductMatchesUnfusedChainAtEveryLevel) {
   constexpr int bits = 6;
   const double levels = static_cast<double>((1 << bits) - 1);
@@ -308,11 +346,10 @@ TEST(SimdDispatch, WeightProductMatchesUnfusedChainAtEveryLevel) {
     ASSERT_GT(ties, 0u) << "fs = " << fs;
     for (int i = 0; i < 301; ++i) in.push_back(2.0 * gen.uniform() - 0.5);
     const std::size_t n = in.size();
-    std::vector<double> noise(n), power(n), codes(n);
+    std::vector<double> noise(n), power(n);
     for (std::size_t i = 0; i < n; ++i) {
       noise[i] = gen.normal();
       power[i] = 2.0 * gen.uniform();
-      codes[i] = quantize_to_grid(in[i], fs, bits);
     }
     modulator_config mcfg;
     mcfg.extinction_ratio_db = 20.0;
@@ -322,18 +359,17 @@ TEST(SimdDispatch, WeightProductMatchesUnfusedChainAtEveryLevel) {
 
     for (const double sigma : {0.0, 0.01}) {
       const auto& scalar = simd::table_for(simd::level::scalar);
-      std::vector<double> dac_out(n), trans(n), want(n);
+      std::vector<double> dac_out(n), want(n);
       scalar.dac_pass(in.data(), noise.data(), n, fs, levels, sigma,
                       dac_out.data());
       for (std::size_t i = 0; i < n; ++i) {
-        trans[i] = calibrated_transmission(mod.transfer(), dac_out[i]);
+        want[i] =
+            power[i] * calibrated_transmission(mod.transfer(), dac_out[i]);
       }
-      for (std::size_t i = 0; i < n; ++i) want[i] = power[i] * trans[i];
       for (const simd::level l : supported_levels()) {
         std::vector<double> got(n, -1.0);
-        simd::table_for(l).weight_product(codes.data(), noise.data(), n, fs,
-                                          sigma, floor_t, loss, power.data(),
-                                          got.data());
+        simd::table_for(l).weight_product(dac_out.data(), n, floor_t, loss,
+                                          power.data(), got.data());
         EXPECT_EQ(got, want) << simd::level_name(l) << " fs = " << fs
                              << " sigma = " << sigma;
       }
