@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,37 @@ using namespace onfiber;
 using namespace onfiber::bench;
 
 namespace {
+
+/// One timed key of the kernel-performance table: a pass is `reps`
+/// calls of `body`.
+struct timed_key {
+  int reps = 1;
+  std::function<void()> body;
+};
+
+/// Seconds per call of each key's body: its best pass, with every key's
+/// short passes taken round-robin across one wall-clock window (at least
+/// 5 rounds). A shared host's load changes on a scale of seconds (the
+/// scalar reference read 150 against 240 ns/MAC on one core of a shared
+/// 4-CPU x86-64 host), so passes bunched together read whichever phase
+/// they fall in; spread over the whole window, every key gets the same
+/// chance at a quiet phase, and the minimum is the noise-robust estimator
+/// for a deterministic workload. Each pass starts with one untimed call,
+/// so it is not charged for the previous key's cache footprint.
+std::vector<double> best_s_per_call(std::span<const timed_key> keys,
+                                    double window_s) {
+  std::vector<double> best(keys.size(), 1e30);
+  const stopwatch window;
+  for (int round = 0; round < 5 || window.elapsed_s() < window_s; ++round) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      keys[k].body();
+      const stopwatch pass;
+      for (int t = 0; t < keys[k].reps; ++t) keys[k].body();
+      best[k] = std::min(best[k], pass.elapsed_s() / keys[k].reps);
+    }
+  }
+  return best;
+}
 
 double rms_error(phot::vector_matrix_engine& unit, std::size_t dim,
                  int trials, phot::rng& gen) {
@@ -121,49 +154,13 @@ int main(int argc, char** argv) {
 
     phot::dot_product_unit scalar_unit({}, 600);
     phot::vector_matrix_engine fused_unit({}, 600);
-    // Warm up both (first call sizes the scratch buffers).
     volatile double sink = 0.0;
-    sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
-    sink = sink + fused_unit.dot_unit_range(a, b).value;
-
-    // Every timing below is a best pass, of 5 unless stated: one pass is
-    // at the mercy of scheduler noise, and the minimum is the standard
-    // noise-robust estimator for a deterministic workload.
-    const auto best_of_5_s = [](int reps, const auto& body) {
-      double best_s = 1e30;
-      for (int pass = 0; pass < 5; ++pass) {
-        stopwatch sw;
-        for (int t = 0; t < reps; ++t) body();
-        best_s = std::min(best_s, sw.elapsed_s());
-      }
-      return best_s;
-    };
-    const int reps = 800;
     const auto scalar_dot = [&] {
       sink = sink + scalar_unit.dot_unit_range_scalar(a, b).value;
     };
     const auto fused_dot = [&] {
       sink = sink + fused_unit.dot_unit_range(a, b).value;
     };
-    const double ns_per_mac = 1e9 / (static_cast<double>(reps) * dim);
-    // The scalar reference's speed follows its core's load, which on a
-    // shared host changes every one to five seconds (150 against 240
-    // ns/MAC on one core of a shared 4-CPU x86-64 host); five passes of
-    // one window read whichever phase they fall in. So its best pass is
-    // taken over short passes spread across three seconds.
-    const int scalar_reps = 40;
-    double scalar_best_s = 1e30;
-    {
-      const stopwatch window;
-      for (int pass = 0; pass < 5 || window.elapsed_s() < 3.0; ++pass) {
-        stopwatch sw;
-        for (int t = 0; t < scalar_reps; ++t) scalar_dot();
-        scalar_best_s = std::min(scalar_best_s, sw.elapsed_s());
-      }
-    }
-    const double scalar_ns =
-        scalar_best_s * 1e9 / (static_cast<double>(scalar_reps) * dim);
-    const double fused_ns = best_of_5_s(reps, fused_dot) * ns_per_mac;
 
     // Parallel signed GEMV throughput (ONFIBER_THREADS-sized pool).
     const std::size_t rows = 16;
@@ -172,11 +169,7 @@ int main(int argc, char** argv) {
     std::vector<double> x(dim);
     for (double& v : x) v = 2.0 * gen.uniform() - 1.0;
     phot::vector_matrix_engine engine({}, 700);
-    sink = sink + engine.gemv_signed(w, x).values[0];  // warm-up
-    const int gemv_reps = 12;
     const auto gemv = [&] { sink = sink + engine.gemv_signed(w, x).values[0]; };
-    const double rows_per_s = static_cast<double>(gemv_reps) * rows /
-                              best_of_5_s(gemv_reps, gemv);
 
     // Multi-packet batched GEMM: 16 input vectors streamed through the
     // same weight rails (split once per row for the whole batch).
@@ -184,76 +177,66 @@ int main(int argc, char** argv) {
     std::vector<double> xs(batch * dim);
     for (double& v : xs) v = 2.0 * gen.uniform() - 1.0;
     phot::vector_matrix_engine batch_engine({}, 700);
-    sink = sink + batch_engine.gemm_signed(w, xs).values[0];  // warm-up
-    const int gemm_reps = 2;
-    double gemm_best_s = 1e30;
-    for (int pass = 0; pass < 3; ++pass) {
-      stopwatch sw_gemm;
-      for (int t = 0; t < gemm_reps; ++t) {
-        sink = sink + batch_engine.gemm_signed(w, xs).values[0];
-      }
-      gemm_best_s = std::min(gemm_best_s, sw_gemm.elapsed_s());
-    }
-    const double batch_ns =
-        gemm_best_s * 1e9 /
-        (static_cast<double>(gemm_reps) * rows * batch * dim);
+    const auto gemm = [&] {
+      sink = sink + batch_engine.gemm_signed(w, xs).values[0];
+    };
 
     // Batch-one on-fiber GEMMs at the shapes of the Fig. 1 MLP's two
     // layers (12x16, then 4x12) on one thread: the sample-plane cost of
-    // one on-fiber DNN request. Best of 5 passes.
-    double optical_b1_ns = 0.0;
-    double launch_ns = 0.0;
-    {
-      phot::vector_matrix_engine optical_engine({}, 800);
-      optical_engine.set_threads(1);
-      phot::dot_product_unit launcher({}, 801);
-      const double ref_mw =
-          launcher.config().laser.power_mw *
-          phot::db_to_ratio(-launcher.config().modulator.insertion_loss_db);
-      struct layer {
-        phot::rail_weights rails;
-        std::vector<double> received;
-      };
-      std::vector<layer> layers;
-      for (const auto& [out_dim, in_dim] :
-           {std::pair<std::size_t, std::size_t>{12, 16}, {4, 12}}) {
-        phot::matrix lw(out_dim, in_dim);
-        for (double& v : lw.data) v = 2.0 * gen.uniform() - 1.0;
-        std::vector<double> lx(in_dim);
-        for (double& v : lx) v = 2.0 * gen.uniform() - 1.0;
-        std::vector<double> received(4 * in_dim);
-        launcher.encode_rails_received(lx, in_dim, received);
-        layers.push_back({phot::rail_weights(lw, launcher.config()),
-                          std::move(received)});
-      }
-      const auto request = [&] {
-        for (const layer& l : layers) {
-          sink = sink +
-                 optical_engine.gemm_optical(l.rails, l.received, ref_mw)
-                     .values[0];
-        }
-      };
-      request();  // warm-up
-      const int optical_reps = 2000;
-      optical_b1_ns = best_of_5_s(optical_reps, request) * 1e9 /
-                      (static_cast<double>(optical_reps) * (12 * 16 + 4 * 12));
-
-      // The upstream launch of those layers' inputs: one 16-wide, then
-      // one 12-wide sample through encode_rails_received, per launched
-      // symbol (two rails per element).
-      std::vector<double> x16(16), x12(12), launched(4 * 16);
-      for (double& v : x16) v = 2.0 * gen.uniform() - 1.0;
-      for (double& v : x12) v = 2.0 * gen.uniform() - 1.0;
-      const auto launch = [&] {
-        launcher.encode_rails_received(x16, 16, launched);
-        launcher.encode_rails_received(x12, 12, launched);
-        sink = sink + launched[0];
-      };
-      launch();  // warm-up
-      const int launch_reps = 20000;
-      launch_ns = best_of_5_s(launch_reps, launch) * 1e9 /
-                  (static_cast<double>(launch_reps) * 2 * (16 + 12));
+    // one on-fiber DNN request.
+    phot::vector_matrix_engine optical_engine({}, 800);
+    optical_engine.set_threads(1);
+    phot::dot_product_unit launcher({}, 801);
+    const double ref_mw =
+        launcher.config().laser.power_mw *
+        phot::db_to_ratio(-launcher.config().modulator.insertion_loss_db);
+    struct layer {
+      phot::rail_weights rails;
+      std::vector<double> received;
+    };
+    std::vector<layer> layers;
+    for (const auto& [out_dim, in_dim] :
+         {std::pair<std::size_t, std::size_t>{12, 16}, {4, 12}}) {
+      phot::matrix lw(out_dim, in_dim);
+      for (double& v : lw.data) v = 2.0 * gen.uniform() - 1.0;
+      std::vector<double> lx(in_dim);
+      for (double& v : lx) v = 2.0 * gen.uniform() - 1.0;
+      std::vector<double> received(4 * in_dim);
+      launcher.encode_rails_received(lx, in_dim, received);
+      layers.push_back({phot::rail_weights(lw, launcher.config()),
+                        std::move(received)});
     }
+    const auto request = [&] {
+      for (const layer& l : layers) {
+        sink = sink +
+               optical_engine.gemm_optical(l.rails, l.received, ref_mw)
+                   .values[0];
+      }
+    };
+
+    // The upstream launch of those layers' inputs: one 16-wide, then one
+    // 12-wide sample through encode_rails_received, per launched symbol
+    // (two rails per element).
+    std::vector<double> x16(16), x12(12), launched(4 * 16);
+    for (double& v : x16) v = 2.0 * gen.uniform() - 1.0;
+    for (double& v : x12) v = 2.0 * gen.uniform() - 1.0;
+    const auto launch = [&] {
+      launcher.encode_rails_received(x16, 16, launched);
+      launcher.encode_rails_received(x12, 12, launched);
+      sink = sink + launched[0];
+    };
+
+    const timed_key keys[] = {{40, scalar_dot}, {800, fused_dot},
+                              {12, gemv},       {2, gemm},
+                              {2000, request},  {20000, launch}};
+    const std::vector<double> s_per_call = best_s_per_call(keys, 12.0);
+    const double scalar_ns = s_per_call[0] * 1e9 / dim;
+    const double fused_ns = s_per_call[1] * 1e9 / dim;
+    const double rows_per_s = rows / s_per_call[2];
+    const double batch_ns =
+        s_per_call[3] * 1e9 / static_cast<double>(rows * batch * dim);
+    const double optical_b1_ns = s_per_call[4] * 1e9 / (12 * 16 + 4 * 12);
+    const double launch_ns = s_per_call[5] * 1e9 / (2 * (16 + 12));
 
     // Accuracy/energy context for the speed numbers: the effective
     // resolution the converters deliver under their modeled noise, and

@@ -119,18 +119,10 @@ class photonic_engine {
   /// result region, set flag_has_result and bump the hop count.
   /// Returns computed == false (and leaves the packet untouched) if the
   /// packet is not compute, already carries a result, asks for an
-  /// unconfigured primitive, or has malformed bounds. A batch of one:
-  /// exactly process_batch() on a one-packet span.
+  /// unconfigured primitive, has the wrong input shape, or has malformed
+  /// bounds; a refused packet draws from no noise stream. A batch of
+  /// one: exactly process_batch() on a one-packet span.
   engine_report process(net::packet& pkt);
-
-  /// Would process() compute this packet? Pure validation — parses the
-  /// header and checks primitive support, input shape and result-region
-  /// bounds without touching any noise stream. Used by the runtime to
-  /// admit packets into a site batch only when the later batched compute
-  /// cannot fail.
-  [[nodiscard]] bool can_process(const net::packet& pkt) const {
-    return admit(pkt).has_value();
-  }
 
   /// Process many compute packets as one batch, the engine's only compute
   /// path. GEMV (P1) packets pool their samples into a single batched

@@ -47,8 +47,6 @@ onfiber_runtime::onfiber_runtime(net::shard_engine& engine,
   obs_redirected_ = &reg.get_counter("runtime.redirected");
   obs_uncomputed_ = &reg.get_counter("runtime.uncomputed_delivered");
   obs_malformed_ = &reg.get_counter("runtime.malformed_dropped");
-  obs_batch_flushes_ = &reg.get_counter("runtime.batch_flushes");
-  obs_batched_packets_ = &reg.get_counter("runtime.batched_packets");
   obs_adm_admitted_ = &reg.get_counter("runtime.admission.admitted");
   obs_adm_deferred_ = &reg.get_counter("runtime.admission.deferred");
   obs_adm_dropped_ = &reg.get_counter("runtime.admission.dropped");
@@ -104,7 +102,7 @@ const onfiber_runtime::admission_stats& onfiber_runtime::admission() const {
 std::size_t onfiber_runtime::queue_depth_of(site& s, double now) {
   std::deque<double>& q = s.service_done;
   while (!q.empty() && q.front() <= now) q.pop_front();
-  return s.batch_queue.size() + q.size();
+  return q.size();
 }
 
 onfiber_runtime::rel_shard* onfiber_runtime::owner_shard_of(
@@ -546,81 +544,6 @@ double onfiber_runtime::site_overhead_s(const site&) const {
   return preamble_s + insertion_s;
 }
 
-void onfiber_runtime::flush_site_batch(net::node_id at) {
-  site& s = *sites_[at];
-  s.flush_scheduled = false;
-  std::vector<net::packet>& batch = s.batch_queue;
-  if (batch.empty()) return;
-
-  s.batch_ptrs.clear();
-  for (net::packet& p : batch) s.batch_ptrs.push_back(&p);
-  const batch_report report = s.engine->process_batch(s.batch_ptrs);
-
-  // One site overhead for the whole flush — that is the amortization —
-  // plus the shared analog evaluation time; the serial engine then queues
-  // the flush behind in-progress work exactly like a single packet.
-  const double now = sim_for(at).now();
-  const double start = now > s.busy_until_s ? now : s.busy_until_s;
-  const double service = site_overhead_s(s) + report.compute_latency_s;
-  const double done = start + service;
-  s.busy_until_s = done;
-  s.total_busy_s += service;
-  // The flushed packets stay "in the site queue" until the shared analog
-  // evaluation finishes at `done`: without this, overload would park an
-  // unbounded number of full batches behind an ever-receding
-  // busy_until_s. (Defensively-dropped packets below never reach the
-  // fabric again, so they leave the queue immediately.)
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (report.computed[i]) s.service_done.push_back(done);
-  }
-
-  // A window-0 serve is the per-packet datapath and is traced as one: a
-  // compute record, no flush counters, an empty parked queue.
-  const bool windowed = batching_window_s_ > 0.0;
-  const bool tracing = obs::enabled();
-  if (tracing) {
-    if (windowed) {
-      obs_batch_flushes_->add();
-      obs_batched_packets_->add(batch.size());
-    }
-    sample_site_timeline(at, s, now, windowed ? batch.size() : 0);
-  }
-  runtime_stats& st = stats_of(at);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (report.computed[i]) {
-      ++st.computed;
-      ++s.computed;
-      if (tracing) {
-        obs_computed_->add();
-        obs::hop_record r;
-        r.trace_id = batch[i].trace_id;
-        r.node = at;
-        r.time_s = now;
-        if (windowed) {
-          r.action = obs::hop_action::batch;
-          r.aux = static_cast<std::uint32_t>(batch.size());
-        } else {
-          r.action = obs::hop_action::compute;
-        }
-        obs::tracer::global().record(r);
-      }
-      // Hold the packet until the analog evaluation finishes, then let
-      // it continue toward its destination (it now carries the result):
-      // op_inject re-enters it through fabric::send at `done` as a typed
-      // event — no per-packet closure or payload copy.
-      sim_for(at).schedule_packet_at(done, std::move(batch[i]), at,
-                                     net::wan_fabric::op_inject, &fabric_);
-    } else {
-      // can_process() admitted it, so this is defensive only: a packet
-      // the batched engine still refused is dropped and counted rather
-      // than silently lost.
-      ++st.malformed_dropped;
-      if (tracing) obs_malformed_->add();
-    }
-  }
-  batch.clear();
-}
-
 net::hook_decision onfiber_runtime::on_packet(net::node_id at,
                                               net::packet& pkt, double now) {
   net::hook_decision keep_going;
@@ -649,64 +572,80 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   // Compute here?
   if (site_supports(at, primitive)) {
     site& s = *sites_[at];
-    // Admission control: bound the site's compute queue (parked batch
-    // packets + admitted serial work still in service) before committing
-    // to compute here. Deferral forwards the packet raw — it may compute
-    // at a later capable hop or deliver uncomputed — so overload sheds
-    // work instead of growing memory; drop discards it at the hook.
-    // Neither path schedules events, so traces below the bound are
-    // bit-identical to the unbounded runtime.
-    if (admission_.max_site_queue > 0) {
-      const std::size_t depth = queue_depth_of(s, now);
-      if (depth >= admission_.max_site_queue) {
-        admission_stats& ad = admission_of(at);
-        ad.max_queue_depth = std::max<std::uint64_t>(ad.max_queue_depth,
-                                                     depth);
-        if (obs::enabled()) sample_site_timeline(at, s, now, depth);
-        if (admission_.policy == admission_config::overflow_policy::drop) {
-          ++ad.dropped;
-          if (obs::enabled()) obs_adm_dropped_->add();
-          return net::hook_decision{net::hook_decision::action_type::drop,
-                                    net::invalid_node};
-        }
-        ++ad.deferred;
-        if (obs::enabled()) obs_adm_deferred_->add();
-        // Mark the packet so downstream steering leaves it alone:
-        // without the flag, every node between here and the destination
-        // would redirect it straight back to this (overloaded) site. The
-        // memo holds only primitive and flags, so the rewrite starts from
-        // a full parse; it refreshes the memo's flags.
-        if (!parsed) parsed = proto::peek_compute_header(pkt);
-        if (parsed) {
-          parsed->flags |= proto::flag_deferred;
-          proto::rewrite_compute_header(pkt, *parsed);
-          pkt.memo.flags = parsed->flags;
-        }
-        return keep_going;
+    // Admission control: bound the site's compute queue (admitted work
+    // still in service) before committing to compute here. Deferral
+    // forwards the packet raw — it may compute at a later capable hop or
+    // deliver uncomputed — so overload sheds work instead of growing
+    // memory; drop discards it at the hook. Neither path schedules
+    // events, so traces below the bound are bit-identical to the
+    // unbounded runtime. The backlog is pruned on every arrival, bounded
+    // or not, so the depth is always the work still in service.
+    const std::size_t depth = queue_depth_of(s, now);
+    if (admission_.max_site_queue > 0 && depth >= admission_.max_site_queue) {
+      admission_stats& ad = admission_of(at);
+      ad.max_queue_depth = std::max<std::uint64_t>(ad.max_queue_depth, depth);
+      if (obs::enabled()) sample_site_timeline(at, s, now, depth);
+      if (admission_.policy == admission_config::overflow_policy::drop) {
+        ++ad.dropped;
+        if (obs::enabled()) obs_adm_dropped_->add();
+        return net::hook_decision{net::hook_decision::action_type::drop,
+                                  net::invalid_node};
       }
+      ++ad.deferred;
+      if (obs::enabled()) obs_adm_deferred_->add();
+      // Mark the packet so downstream steering leaves it alone: without
+      // the flag, every node between here and the destination would
+      // redirect it straight back to this (overloaded) site. The memo
+      // holds only primitive and flags, so the rewrite starts from a
+      // full parse; it refreshes the memo's flags.
+      if (!parsed) parsed = proto::peek_compute_header(pkt);
+      if (parsed) {
+        parsed->flags |= proto::flag_deferred;
+        proto::rewrite_compute_header(pkt, *parsed);
+        pkt.memo.flags = parsed->flags;
+      }
+      return keep_going;
     }
-    // Serve through the site queue. Admission is gated on can_process()
-    // so a queued packet can never fail compute; a parseable packet the
-    // engine would reject (wrong shape, bad bounds) falls through to
-    // normal forwarding, raw, so the destination can see the failure.
-    if (!s.engine->can_process(pkt)) return keep_going;
-    // The engine rewrites the header (result, chain promotion).
+    // Serve on arrival, one engine call per packet. process() leaves a
+    // packet it cannot compute (wrong shape, bad bounds) untouched, so
+    // it falls through to normal forwarding, raw, and the destination
+    // sees the failure.
+    const engine_report report = s.engine->process(pkt);
+    if (!report.computed) return keep_going;
+    // The engine rewrote the header (result, chain promotion).
     pkt.memo = {};
-    s.batch_queue.push_back(std::move(pkt));
     admission_stats& ad = admission_of(at);
     ++ad.admitted;
-    ad.max_queue_depth = std::max<std::uint64_t>(
-        ad.max_queue_depth, s.batch_queue.size() + s.service_done.size());
-    if (obs::enabled()) obs_adm_admitted_->add();
-    // Window 0 serves the packet on arrival, a batch of one; a positive
-    // window executes everything that arrives within it as one flush.
-    if (batching_window_s_ == 0.0) {
-      flush_site_batch(at);
-    } else if (!s.flush_scheduled) {
-      s.flush_scheduled = true;
-      sim_for(at).schedule(batching_window_s_,
-                           [this, at] { flush_site_batch(at); });
+    ad.max_queue_depth = std::max<std::uint64_t>(ad.max_queue_depth, depth + 1);
+
+    // One site overhead plus the analog evaluation time; the serial
+    // engine queues the packet behind in-progress work. The packet stays
+    // in the site queue until its evaluation finishes at `done`.
+    const double start = now > s.busy_until_s ? now : s.busy_until_s;
+    const double service = site_overhead_s(s) + report.compute_latency_s;
+    const double done = start + service;
+    s.busy_until_s = done;
+    s.total_busy_s += service;
+    s.service_done.push_back(done);
+    ++stats_of(at).computed;
+    ++s.computed;
+    if (obs::enabled()) {
+      obs_adm_admitted_->add();
+      sample_site_timeline(at, s, now, 0);
+      obs_computed_->add();
+      obs::hop_record r;
+      r.trace_id = pkt.trace_id;
+      r.node = at;
+      r.time_s = now;
+      r.action = obs::hop_action::compute;
+      obs::tracer::global().record(r);
     }
+    // Hold the packet until the analog evaluation finishes, then let it
+    // continue toward its destination (it now carries the result):
+    // op_inject re-enters it through fabric::send at `done` as a typed
+    // event — no per-packet closure or payload copy.
+    sim_for(at).schedule_packet_at(done, std::move(pkt), at,
+                                   net::wan_fabric::op_inject, &fabric_);
     return net::hook_decision{net::hook_decision::action_type::consume,
                               net::invalid_node};
   }

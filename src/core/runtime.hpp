@@ -84,32 +84,20 @@ class onfiber_runtime final : public net::packet_event_sink {
   };
   void set_steering_policy(steering_policy p) { steering_ = p; }
 
-  /// Site batching: every capable site serves compute packets through
-  /// one queue and photonic_engine::process_batch(). With `window_s` > 0
-  /// the site collects the packets that arrive within the window and
-  /// executes them as one flush — GEMV/DNN packets pool their samples
-  /// into batched GEMMs, and the whole flush pays the per-packet site
-  /// overhead (preamble detection + result insertion) once. 0 (the
-  /// default) flushes each packet on arrival, a batch of one. Packets are
-  /// only queued when can_process() guarantees the compute cannot fail.
-  void enable_site_batching(double window_s) {
-    batching_window_s_ = window_s > 0.0 ? window_s : 0.0;
-  }
-
   // ---------------------------------------------- admission / backpressure
   //
-  // A site's compute queue — batch-parked packets plus serial work
-  // admitted but not yet re-injected — is bounded. Without a bound,
-  // overload grows the queue (and the event backlog behind an
-  // ever-receding busy_until_s) without limit; with one, overload
-  // degrades goodput gracefully: the overflow packet is either deferred
-  // (forwarded raw toward its destination, where it counts as
-  // uncomputed_delivered) or dropped at the hook. The check adds no
-  // events and removes none below the bound, so traces of workloads that
-  // never overflow are bit-identical to the unbounded runtime.
+  // A site's compute queue — serial work admitted but not yet
+  // re-injected — is bounded. Without a bound, overload grows the queue
+  // (and the event backlog behind an ever-receding busy_until_s)
+  // without limit; with one, overload degrades goodput gracefully: the
+  // overflow packet is either deferred (forwarded raw toward its
+  // destination, where it counts as uncomputed_delivered) or dropped at
+  // the hook. The check adds no events and removes none below the
+  // bound, so traces of workloads that never overflow are bit-identical
+  // to the unbounded runtime.
   struct admission_config {
-    /// Maximum packets queued at one site (batch + in-service serial
-    /// backlog). 0 = unbounded (the historical behavior).
+    /// Maximum packets queued at one site (admitted computes still in
+    /// service). 0 = unbounded (the historical behavior).
     std::size_t max_site_queue = 4096;
     enum class overflow_policy : std::uint8_t {
       defer,  ///< skip compute here; forward the packet raw
@@ -123,7 +111,9 @@ class onfiber_runtime final : public net::packet_event_sink {
     std::uint64_t admitted = 0;  ///< packets committed to a site queue
     std::uint64_t deferred = 0;  ///< overflow packets forwarded raw
     std::uint64_t dropped = 0;   ///< overflow packets discarded
-    std::uint64_t max_queue_depth = 0;  ///< high-watermark over all sites
+    /// High-watermark over all sites: the in-service backlog an
+    /// arriving packet found, plus that packet when admitted.
+    std::uint64_t max_queue_depth = 0;
   };
   /// Counters kept per shard and summed on read (max for the watermark).
   [[nodiscard]] const admission_stats& admission() const;
@@ -294,12 +284,9 @@ class onfiber_runtime final : public net::packet_event_sink {
     double busy_until_s = 0.0;  ///< serial analog engine availability
     double total_busy_s = 0.0;
     std::uint64_t computed = 0;
-    std::vector<net::packet> batch_queue;  ///< awaiting a flush
-    std::vector<net::packet*> batch_ptrs;  ///< flush scratch, reused
-    bool flush_scheduled = false;
-    /// Completion times of admitted-but-unfinished work (batch flushes
-    /// and serial computes), lazily pruned against now: together with
-    /// batch_queue this is the bounded "site queue" of admission_config.
+    /// Completion times of admitted-but-unfinished computes, pruned
+    /// against now on every arrival: the bounded "site queue" of
+    /// admission_config.
     std::deque<double> service_done;
   };
 
@@ -334,11 +321,6 @@ class onfiber_runtime final : public net::packet_event_sink {
   };
 
   net::hook_decision on_packet(net::node_id at, net::packet& pkt, double now);
-
-  /// Run the queued batch at a site: one process_batch() call, one site
-  /// overhead charge, then every computed packet re-enters the fabric
-  /// when the shared analog evaluation finishes.
-  void flush_site_batch(net::node_id at);
 
   void on_delivery(const net::packet& pkt, net::node_id at, double now);
   void send_tracked(pending_task& task, std::uint32_t task_id);
@@ -375,8 +357,8 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// detection (17 symbols on the P2 matcher) + result insertion.
   [[nodiscard]] double site_overhead_s(const site& s) const;
 
-  /// The event loop owning `at`. Site compute re-injection and
-  /// batch-flush timers must ride the shard that runs the site's hook.
+  /// The event loop owning `at`. Site compute re-injection must ride
+  /// the shard that runs the site's hook.
   [[nodiscard]] net::simulator& sim_for(net::node_id at) {
     return fabric_.sim_for(at);
   }
@@ -412,7 +394,6 @@ class onfiber_runtime final : public net::packet_event_sink {
   delivery_observer_fn on_delivered_;
 
   steering_policy steering_ = steering_policy::nearest_site;
-  double batching_window_s_ = 0.0;  ///< 0 = flush on arrival (default)
   /// Sites supporting each primitive, in node order (filled with the
   /// compute routes; empty until then). Spread steering hashes a flow
   /// onto one of them and forwards on fabric_.next_hop_to_node toward
@@ -446,8 +427,6 @@ class onfiber_runtime final : public net::packet_event_sink {
   obs::counter* obs_redirected_ = nullptr;
   obs::counter* obs_uncomputed_ = nullptr;
   obs::counter* obs_malformed_ = nullptr;
-  obs::counter* obs_batch_flushes_ = nullptr;
-  obs::counter* obs_batched_packets_ = nullptr;
   obs::counter* obs_adm_admitted_ = nullptr;
   obs::counter* obs_adm_deferred_ = nullptr;
   obs::counter* obs_adm_dropped_ = nullptr;

@@ -15,7 +15,6 @@ const char* to_string(hop_action a) {
     case hop_action::forward: return "forward";
     case hop_action::redirect: return "redirect";
     case hop_action::compute: return "compute";
-    case hop_action::batch: return "batch";
     case hop_action::deliver: return "deliver";
     case hop_action::drop: return "drop";
   }

@@ -41,7 +41,6 @@ enum class hop_action : std::uint8_t {
   forward,   ///< serialized onto a link from `node` toward aux
   redirect,  ///< a hook steered it from `node` toward aux
   compute,   ///< a photonic engine computed it at `node` (aux = task id)
-  batch,     ///< queued into `node`'s site batch (aux = queue depth)
   deliver,   ///< delivered at `node`
   drop,      ///< dropped at `node` (reason says why)
 };
@@ -69,7 +68,7 @@ struct hop_record {
   hop_action action = hop_action::inject;
   drop_reason reason = drop_reason::none;
   std::uint16_t pad = 0;
-  std::uint32_t aux = 0;  ///< action-specific: next hop / task id / depth
+  std::uint32_t aux = 0;  ///< action-specific: next hop / task id
 
   bool operator==(const hop_record&) const = default;
 };

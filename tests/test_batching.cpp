@@ -227,76 +227,32 @@ TEST(Batching, AmortizesSiteOverheadOnTheWan) {
   EXPECT_LT(busy_batch, busy_single);
 }
 
-TEST(Batching, SiteBatchingPoolsArrivingPackets) {
-  // Site batching (runtime opt-in): 16 per-sample packets arriving within
-  // the window execute as ONE process_batch() flush — all samples pool
-  // into layer-major GEMMs and the site pays the preamble/insertion
-  // overhead once — versus 16 serial engine runs without it.
-  const auto data = digital::make_synthetic_dataset(16, 4, 4, 0.08, 7);
-  const auto model = trained_model(data);
-
-  const auto run = [&](bool batching) {
-    net::shard_engine engine;
-    core::onfiber_runtime rt(engine, net::make_figure1_topology());
-    rt.deploy_engine(1, {}, 42).configure_dnn(apps::to_photonic_task(model));
-    rt.install_compute_routes_via_nearest_site();
-    if (batching) rt.enable_site_batching(50e-6);
-    const net::ipv4 src = rt.fabric().topo().node_at(0).address;
-    const net::ipv4 dst = rt.fabric().topo().node_at(3).address;
-    for (std::size_t i = 0; i < data.samples.size(); ++i) {
-      rt.submit(core::make_dnn_request(src, dst, data.samples[i],
-                                       model.output_dim(),
-                                       static_cast<std::uint32_t>(i)),
-                0);
-    }
-    engine.run();
-    std::size_t results = 0;
-    for (const auto& d : rt.deliveries()) {
-      if (core::read_dnn_result(d.pkt)) ++results;
-    }
-    return std::tuple(results, rt.site_busy_s(1), rt.stats());
-  };
-
-  const auto [n_plain, busy_plain, stats_plain] = run(false);
-  const auto [n_batch, busy_batch, stats_batch] = run(true);
-  EXPECT_EQ(n_plain, 16u);
-  EXPECT_EQ(n_batch, 16u);
-  EXPECT_EQ(stats_batch.computed, 16u);
-  EXPECT_EQ(stats_batch.uncomputed_delivered, 0u);
-  EXPECT_EQ(stats_batch.malformed_dropped, 0u);
-  // One flush: 15 fewer site overheads than per-packet processing.
-  EXPECT_LT(busy_batch, busy_plain);
-}
-
 TEST(Batching, WrongShapeAtCapableSiteDeliversUncomputed) {
   // A parseable DNN packet whose header claims 3 samples but carries 2
-  // reaches the DNN site at every window: the site must forward it raw,
-  // not queue, compute or drop it.
+  // reaches the DNN site: the site must forward it raw, not compute,
+  // admit or drop it.
   const auto data = digital::make_synthetic_dataset(16, 4, 2, 0.08, 7);
   const auto model = trained_model(data);
-  for (const double window_s : {0.0, 50e-6}) {
-    net::shard_engine engine;
-    core::onfiber_runtime rt(engine, net::make_figure1_topology());
-    rt.deploy_engine(1, {}, 42).configure_dnn(apps::to_photonic_task(model));
-    rt.install_compute_routes_via_nearest_site();
-    rt.enable_site_batching(window_s);
-    net::packet pkt = core::make_dnn_batch_request(
-        rt.fabric().topo().node_at(0).address,
-        rt.fabric().topo().node_at(3).address, std::vector<double>(32, 0.5),
-        16, model.output_dim());
-    auto h = proto::peek_compute_header(pkt);
-    h->batch = 3;
-    ASSERT_TRUE(proto::rewrite_compute_header(pkt, *h));
-    rt.submit(std::move(pkt), 0);
-    engine.run();
+  net::shard_engine engine;
+  core::onfiber_runtime rt(engine, net::make_figure1_topology());
+  rt.deploy_engine(1, {}, 42).configure_dnn(apps::to_photonic_task(model));
+  rt.install_compute_routes_via_nearest_site();
+  net::packet pkt = core::make_dnn_batch_request(
+      rt.fabric().topo().node_at(0).address,
+      rt.fabric().topo().node_at(3).address, std::vector<double>(32, 0.5),
+      16, model.output_dim());
+  auto h = proto::peek_compute_header(pkt);
+  h->batch = 3;
+  ASSERT_TRUE(proto::rewrite_compute_header(pkt, *h));
+  rt.submit(std::move(pkt), 0);
+  engine.run();
 
-    ASSERT_EQ(rt.deliveries().size(), 1u) << "window " << window_s;
-    EXPECT_FALSE(core::read_dnn_result(rt.deliveries()[0].pkt).has_value());
-    EXPECT_EQ(rt.stats().uncomputed_delivered, 1u);
-    EXPECT_EQ(rt.stats().computed, 0u);
-    EXPECT_EQ(rt.stats().malformed_dropped, 0u);
-    EXPECT_EQ(rt.admission().admitted, 0u);
-  }
+  ASSERT_EQ(rt.deliveries().size(), 1u);
+  EXPECT_FALSE(core::read_dnn_result(rt.deliveries()[0].pkt).has_value());
+  EXPECT_EQ(rt.stats().uncomputed_delivered, 1u);
+  EXPECT_EQ(rt.stats().computed, 0u);
+  EXPECT_EQ(rt.stats().malformed_dropped, 0u);
+  EXPECT_EQ(rt.admission().admitted, 0u);
 }
 
 }  // namespace

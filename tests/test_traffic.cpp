@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compute_packets.hpp"
@@ -404,13 +405,13 @@ TEST(TrafficPlaneDeterminism, InvariantAcrossThreadCounts) {
 
 /// Linear chain with one GEMV site at node 4; `n` identical requests
 /// submitted back to back at t=0 pile onto the site's serial engine.
+/// submit_every() spaces them out instead.
 struct overload_rig {
   net::shard_engine engine;
   core::onfiber_runtime rt;
   net::ipv4 src, dst;
 
-  explicit overload_rig(core::onfiber_runtime::admission_config cfg,
-                        double batch_window_s = 0.0)
+  explicit overload_rig(core::onfiber_runtime::admission_config cfg)
       : rt(engine, net::make_linear_topology(8)) {
     core::gemv_task task;
     task.weights = phot::matrix(4, 16);
@@ -420,17 +421,25 @@ struct overload_rig {
     rt.deploy_engine(4, {}, 31).configure_gemv(task);
     rt.install_compute_routes_via_nearest_site();
     rt.set_admission(cfg);
-    if (batch_window_s > 0.0) rt.enable_site_batching(batch_window_s);
     src = rt.fabric().topo().node_at(0).address;
     dst = rt.fabric().topo().node_at(7).address;
   }
 
-  void submit(int n) {
+  [[nodiscard]] net::packet request(int i) const {
     const std::vector<double> x(16, 0.25);
+    return core::make_gemv_request(src, dst, x, 4,
+                                   static_cast<std::uint32_t>(i));
+  }
+
+  void submit(int n) {
+    for (int i = 0; i < n; ++i) rt.submit(request(i), 0);
+    engine.run();
+  }
+
+  void submit_every(int n, double gap_s) {
     for (int i = 0; i < n; ++i) {
-      rt.submit(core::make_gemv_request(src, dst, x, 4,
-                                        static_cast<std::uint32_t>(i)),
-                0);
+      engine.schedule_global(gap_s * i,
+                             [this, i] { rt.submit(request(i), 0); });
     }
     engine.run();
   }
@@ -438,51 +447,72 @@ struct overload_rig {
 
 TEST(AdmissionControl, UnboundedEscapeHatchGrowsQueue) {
   // max_site_queue = 0 restores the historical unbounded behavior: all
-  // 50 batched packets park at the site. This is the pre-fix overload
-  // shape the bounded default exists to prevent.
+  // 50 packets are admitted and the serial backlog grows past what the
+  // bounded tests below allow. This is the overload shape the bounded
+  // default exists to prevent.
   overload_rig rig({0,
                     core::onfiber_runtime::admission_config::
-                        overflow_policy::defer},
-                   /*batch_window_s=*/5e-3);
+                        overflow_policy::defer});
   rig.submit(50);
   EXPECT_EQ(rig.rt.admission().admitted, 50u);
   EXPECT_EQ(rig.rt.admission().deferred, 0u);
-  EXPECT_GE(rig.rt.admission().max_queue_depth, 50u);
+  EXPECT_GT(rig.rt.admission().max_queue_depth, 8u);
 }
 
-TEST(AdmissionControl, BatchQueueStaysBounded) {
-  // The satellite-1 regression pin: with the bound on, the same 50
-  // packets never park more than 8 at the site; overflow defers and the
-  // deferred packets still deliver (raw) — goodput degrades, memory
-  // does not grow.
-  overload_rig rig({8,
+TEST(AdmissionControl, UnboundedQueueDrainsBetweenArrivals) {
+  // Unbounded admission still prunes the backlog on every arrival:
+  // requests 1 ms apart each find the site idle, so the watermark is
+  // one packet, not the number of packets ever admitted.
+  overload_rig rig({0,
                     core::onfiber_runtime::admission_config::
-                        overflow_policy::defer},
-                   /*batch_window_s=*/5e-3);
-  rig.submit(50);
-  const auto& ad = rig.rt.admission();
-  EXPECT_LE(ad.max_queue_depth, 8u);
-  EXPECT_GT(ad.deferred, 0u);
-  EXPECT_EQ(ad.admitted + ad.deferred, 50u);
-  EXPECT_EQ(rig.rt.deliveries().size(), 50u);
-  EXPECT_EQ(rig.rt.stats().computed, ad.admitted);
-  EXPECT_EQ(rig.rt.stats().uncomputed_delivered, ad.deferred);
+                        overflow_policy::defer});
+  rig.submit_every(20, 1e-3);
+  EXPECT_EQ(rig.rt.admission().admitted, 20u);
+  EXPECT_EQ(rig.rt.admission().max_queue_depth, 1u);
 }
 
 TEST(AdmissionControl, SerialBacklogStaysBounded) {
-  // Without batching the serial engine's in-service backlog (admitted
-  // packets waiting on busy_until_s) is the queue; the bound caps it
-  // the same way.
-  overload_rig rig({4,
-                    core::onfiber_runtime::admission_config::
-                        overflow_policy::defer});
+  // The serial engine's in-service backlog (admitted packets waiting on
+  // busy_until_s) is the queue; the bound caps it. Overflow defers and
+  // the deferred packets still deliver (raw) — goodput degrades, memory
+  // does not grow.
+  const std::pair<std::size_t, int> cases[] = {{4, 30}, {8, 50}};
+  for (const auto& [bound, count] : cases) {
+    SCOPED_TRACE("bound=" + std::to_string(bound));
+    overload_rig rig({bound,
+                      core::onfiber_runtime::admission_config::
+                          overflow_policy::defer});
+    rig.submit(count);
+    const auto& ad = rig.rt.admission();
+    const auto n = static_cast<std::uint64_t>(count);
+    EXPECT_LE(ad.max_queue_depth, bound);
+    EXPECT_GT(ad.deferred, 0u);
+    EXPECT_EQ(ad.admitted + ad.deferred, n);
+    EXPECT_EQ(rig.rt.deliveries().size(), n);
+    EXPECT_EQ(rig.rt.stats().computed, ad.admitted);
+    EXPECT_EQ(rig.rt.stats().uncomputed_delivered, ad.deferred);
+  }
+}
+
+TEST(AdmissionControl, SiteBusyTimeIsOneServicePerComputedPacket) {
+  // Below the bound every computed packet pays its own site overhead
+  // and analog time: the site's busy time is the admitted count times
+  // one request's service time. Any overhead shared across packets
+  // would break this identity.
+  const core::onfiber_runtime::admission_config cfg{
+      64, core::onfiber_runtime::admission_config::overflow_policy::defer};
+  overload_rig one(cfg);
+  one.submit(1);
+  const double service_s = one.rt.site_busy_s(4);
+  ASSERT_GT(service_s, 0.0);
+
+  overload_rig rig(cfg);
   rig.submit(30);
-  const auto& ad = rig.rt.admission();
-  EXPECT_LE(ad.max_queue_depth, 4u);
-  EXPECT_GT(ad.deferred, 0u);
-  EXPECT_EQ(ad.admitted + ad.deferred, 30u);
-  EXPECT_EQ(rig.rt.deliveries().size(), 30u);
-  EXPECT_EQ(rig.rt.stats().computed, ad.admitted);
+  EXPECT_EQ(rig.rt.admission().deferred, 0u);
+  const auto computed = rig.rt.stats().computed;
+  EXPECT_EQ(computed, 30u);
+  const double expected = static_cast<double>(computed) * service_s;
+  EXPECT_NEAR(rig.rt.site_busy_s(4), expected, 1e-12 * expected);
 }
 
 TEST(AdmissionControl, DropPolicyDiscardsAndCounts) {

@@ -85,9 +85,6 @@ void print_record(const obs::hop_record& r) {
     case obs::hop_action::drop:
       std::printf("  (%s)", obs::to_string(r.reason));
       break;
-    case obs::hop_action::batch:
-      std::printf("  (flush of %u)", r.aux);
-      break;
     default:
       break;
   }
